@@ -3,9 +3,7 @@
 //! clusters sharing one bandwidth-arbitrated main memory, with the
 //! contention counters and the system power model alongside.
 //!
-//! Pass `--smoke` for the scaled-down CI gate; `--threads <n>` (or
-//! `ISSR_THREADS=<n>`) picks the host thread count ticking clusters —
-//! every output is bit-identical at any count. Either way the run
+//! Pass `--smoke` for the scaled-down CI gate. Either way the run
 //! asserts the scale-out invariants, so a regression fails the process:
 //!
 //! * every multi-cluster result is **bit-identical** to the
@@ -204,9 +202,6 @@ fn main() {
     // Static verification before anything ticks (see issr-lint).
     issr_lint::assert_shipped_clean();
     issr_trace::host::install();
-    if let Some(n) = telemetry::threads_arg() {
-        issr_system::system::set_default_threads(n);
-    }
     let smoke_mode = std::env::args().any(|a| a == "--smoke");
     let mut t = Telemetry::new("system", if smoke_mode { "smoke" } else { "full" });
     if smoke_mode {

@@ -154,27 +154,6 @@ pub fn json_arg() -> Option<PathBuf> {
     None
 }
 
-/// The `--threads <n>` argument of the system-level bench binaries, if
-/// present: how many host worker threads tick clusters concurrently
-/// (results are bit-identical at any count; see `issr-system`).
-///
-/// # Panics
-/// Panics if `--threads` is the final argument or the value does not
-/// parse as a positive integer.
-#[must_use]
-pub fn threads_arg() -> Option<usize> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            let value = args.next().expect("--threads requires a count argument");
-            let n: usize = value.parse().expect("--threads requires a positive integer");
-            assert!(n > 0, "--threads requires a positive integer");
-            return Some(n);
-        }
-    }
-    None
-}
-
 /// Derives the Chrome-trace path from a `--json` path:
 /// `BENCH_system.json` → `BENCH_system.trace.json`.
 #[must_use]

@@ -78,7 +78,7 @@ impl ClusterAttribution {
     /// The whole cluster's wait graph: every worker's, the DMCC's and
     /// the DMA engine's blocked cycles folded into per-edge-class cycle
     /// counts. Derived from the attribution tables, so it is exactly as
-    /// timing-neutral and thread-invariant as they are.
+    /// timing-neutral as they are.
     #[must_use]
     pub fn wait_graph(&self) -> WaitGraph {
         let mut g = WaitGraph::new();
@@ -197,21 +197,6 @@ pub struct TickActivity {
     pub workers_in_roi: bool,
 }
 
-/// The pre-tick idle census of one cluster cycle, computed every cycle
-/// from the same `is_idle()` predicates the dirty-set skipper acts on —
-/// PR 7's profiler-gated read-only census promoted to an always-on
-/// input that the skipping logic and the host profiler now share.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TickCensus {
-    /// Worker CCs that were provably idle before this tick (and were
-    /// therefore ticked through the cheap bookkeeping path).
-    pub idle_workers: u64,
-    /// Whether the DMCC was provably idle.
-    pub idle_dmcc: bool,
-    /// Whether the DMA engine had nothing queued or in flight.
-    pub idle_dma: bool,
-}
-
 /// One cluster's always-cheap flight recorder: a bounded ring of
 /// recent per-unit state transitions (workers, DMCC, DMA), sampled from
 /// the classifications the tick already latched — never from live
@@ -248,22 +233,9 @@ pub struct Cluster {
     /// core ports this cycle. Only (re)filled while the engine is busy —
     /// [`Dma::tick`] never reads it when idle.
     contested: Vec<bool>,
-    /// Flat port slots routed to main memory this cycle, latched by
-    /// [`Cluster::tick_interconnect`] so [`Cluster::tick_mem`] excludes
-    /// exactly those slots from TCDM arbitration (served or not).
-    main_routed: u64,
-    dma_words_moved: u64,
-    workers_in_roi: bool,
-    census: TickCensus,
-    idle_mem: bool,
     /// Post-mortem flight recorder; [`Cluster::run`] arms a default one
     /// so every timeout dump carries recent history.
     flight: Option<FlightRecorder>,
-    /// Opt-in live wait-graph recorder. Provably redundant — it must
-    /// (and property-tested does) equal the graph derived from the
-    /// attribution tables — but it lets harnesses watch edges grow
-    /// mid-run without waiting for a summary.
-    live_graph: Option<WaitGraph>,
     /// Declared synchronization words `(addr, owner_hart)` — e.g. flag
     /// words one hart writes and others spin on. Post-mortem deadlock
     /// classification builds its blame edges from these.
@@ -342,13 +314,7 @@ impl Cluster {
             dma_claimed: vec![false; TCDM_BANKS],
             dma_attr: CycleBreakdown::default(),
             contested: vec![false; TCDM_BANKS],
-            main_routed: 0,
-            dma_words_moved: 0,
-            workers_in_roi: false,
-            census: TickCensus::default(),
-            idle_mem: true,
             flight: None,
-            live_graph: None,
             sync_words: Vec::new(),
             now: 0,
         }
@@ -403,24 +369,21 @@ impl Cluster {
     /// [`MainMemory::begin_dma_cycle`] before ticking the clusters that
     /// share it — their tick order is the bandwidth grant order.
     ///
-    /// The tick is three phases. Compute and memory touch only
-    /// cluster-local state; every access to the shared main memory is
-    /// confined to [`Cluster::tick_interconnect`], which is why the
-    /// system harness can run the other two phases of different
-    /// clusters on a thread pool and still replay the interconnect
-    /// serially in grant order — bit-identical to this serial
-    /// composition regardless of thread count.
+    /// The tick is three phases: compute and memory touch only
+    /// cluster-local state, every access to the shared main memory is
+    /// confined to the interconnect phase between them.
     pub fn tick_shared(&mut self, main: &mut MainMemory) -> TickActivity {
-        self.tick_compute();
-        self.tick_interconnect(main);
-        self.tick_mem()
+        let workers_in_roi = self.tick_compute();
+        let (dma_words_moved, main_routed) = self.tick_interconnect(main);
+        self.tick_mem(main_routed);
+        TickActivity { dma_words_moved, workers_in_roi }
     }
 
     /// Phase 1 — cluster-local compute: barrier release, worker CCs,
     /// DMCC. Provably idle units (per [`CoreComplex::is_idle`]) take the
-    /// cheap bookkeeping path instead of a full tick; the census of who
-    /// was skipped is latched for [`Cluster::last_census`].
-    pub fn tick_compute(&mut self) {
+    /// cheap bookkeeping path instead of a full tick. Returns whether
+    /// any worker was inside its region of interest.
+    fn tick_compute(&mut self) -> bool {
         let now = self.now;
         // Host self-profiler (opt-in, read-only): bill each phase's
         // wall-clock to its unit class. Gated on one thread-local
@@ -440,7 +403,6 @@ impl Cluster {
             }
             in_roi |= cc.metrics.roi_active;
         }
-        self.workers_in_roi = in_roi;
         host::phase(&mut host_t, "workers", n_workers as u64, idle_workers);
         let idle_dmcc = self.dmcc.is_idle();
         if idle_dmcc {
@@ -449,20 +411,22 @@ impl Cluster {
             self.dmcc.tick(now, &mut self.ports[n_workers], Some(&mut self.dma), None);
         }
         host::phase(&mut host_t, "dmcc", 1, u64::from(idle_dmcc));
-        self.census = TickCensus { idle_workers, idle_dmcc, idle_dma: !self.dma.busy() };
+        in_roi
     }
 
     /// Phase 2 — the only phase that touches the (possibly shared) main
     /// memory: the DMA engine moves a beat and claims banks, then
-    /// narrow main-region requests are served. Under the thread pool
-    /// this phase runs serially, cluster by cluster in grant order.
-    pub fn tick_interconnect(&mut self, main: &mut MainMemory) {
+    /// narrow main-region requests are served. Returns the words the
+    /// DMA moved across the main-memory interface and the mask of flat
+    /// port slots routed to main memory.
+    fn tick_interconnect(&mut self, main: &mut MainMemory) -> (u64, u64) {
         let now = self.now;
         let mut host_t = host::phase_start();
         // DMA moves a beat and claims its banks, yielding contested
         // banks to core ports every other cycle (fair interconnect).
         self.dma_claimed.fill(false);
-        if self.dma.busy() {
+        let dma_busy = self.dma.busy();
+        if dma_busy {
             // Only a busy engine reads the contested map; skip the
             // banks scan (and tolerate stale contents) otherwise.
             self.contested.fill(false);
@@ -486,10 +450,10 @@ impl Cluster {
             &self.contested,
             yield_to_cores,
         );
-        self.dma_words_moved = main.stats.wide_beats - moved_before;
+        let dma_words_moved = main.stats.wide_beats - moved_before;
         self.dma_attr.record(self.dma.last_cause());
-        host::phase(&mut host_t, "dma", 1, u64::from(self.census.idle_dma));
-        // Route main-region requests and latch the routing: the TCDM
+        host::phase(&mut host_t, "dma", 1, u64::from(!dma_busy));
+        // Route main-region requests and report the routing: the TCDM
         // phase must exclude exactly these slots — served or not — so
         // its round-robin port positions match the pre-split order.
         debug_assert!(self.ports.iter().map(Vec::len).sum::<usize>() <= 64, "port mask width");
@@ -508,22 +472,21 @@ impl Cluster {
                 Some(other) => panic!("cluster request to unsupported region {other:?}"),
             }
         }
-        self.main_routed = main_routed;
         // The memories are idle when no port carries a request and the
         // DMA claimed no bank this cycle.
-        self.idle_mem = !any_pending && !self.dma_claimed.iter().any(|&c| c);
+        let idle_mem = !any_pending && !self.dma_claimed.iter().any(|&c| c);
         main.tick(now, &mut main_ports);
-        // Billed to "mem" with zero units: tick_mem records the class's
-        // one unit-tick per cycle.
-        host::phase(&mut host_t, "mem", 0, 0);
+        // The "mem" class's one unit-tick per cycle is recorded here;
+        // tick_mem bills its wall-clock to the class with zero units.
+        host::phase(&mut host_t, "mem", 1, u64::from(idle_mem));
+        (dma_words_moved, main_routed)
     }
 
-    /// Phase 3 — cluster-local memory: TCDM bank arbitration, then the
-    /// cycle counter advances and the tick's activity is reported.
-    pub fn tick_mem(&mut self) -> TickActivity {
+    /// Phase 3 — cluster-local memory: TCDM bank arbitration over the
+    /// port slots not in `main_routed`, then the cycle counter advances.
+    fn tick_mem(&mut self, mut main_routed: u64) {
         let now = self.now;
         let mut host_t = host::phase_start();
-        let mut main_routed = self.main_routed;
         let mut tcdm_ports: Vec<&mut MemPort> = Vec::new();
         for port in self.ports.iter_mut().flatten() {
             let routed_main = main_routed & 1 != 0;
@@ -533,17 +496,14 @@ impl Cluster {
             }
         }
         self.tcdm.tick(now, &mut tcdm_ports, &self.dma_claimed);
-        host::phase(&mut host_t, "mem", 1, u64::from(self.idle_mem));
+        host::phase(&mut host_t, "mem", 0, 0);
         self.sample_recorders(now);
         self.now += 1;
-        TickActivity { dma_words_moved: self.dma_words_moved, workers_in_roi: self.workers_in_roi }
     }
 
-    /// Feeds the cycle that just completed into whichever recorders are
-    /// armed. Runs at the end of phase 3 — per-cluster state only, so
-    /// the thread-pool harness keeps its bit-identical replay — and
-    /// reads only latched classifications, so recording is invisible to
-    /// the simulated machine.
+    /// Feeds the cycle that just completed into the flight recorder, if
+    /// armed. Reads only latched classifications, so recording is
+    /// invisible to the simulated machine.
     fn sample_recorders(&mut self, now: u64) {
         if let Some(fr) = self.flight.as_mut() {
             for (i, cc) in self.workers.iter().enumerate() {
@@ -552,38 +512,6 @@ impl Cluster {
             fr.bb.sample(fr.harts[self.workers.len()], now, self.dmcc.last_causes().hart);
             fr.bb.sample(fr.dma, now, self.dma.last_cause());
         }
-        if let Some(g) = self.live_graph.as_mut() {
-            // Mirror the attribution gating exactly: cores count edges
-            // only inside their ROI, the DMA engine every cluster cycle
-            // — that is what makes live == derived provable.
-            for cc in self.workers.iter().chain(std::iter::once(&self.dmcc)) {
-                if cc.metrics.roi_active {
-                    let causes = cc.last_causes();
-                    g.record(UnitClass::Hart, causes.hart);
-                    for &c in &causes.streamer.lanes {
-                        g.record(UnitClass::Lane, c);
-                    }
-                    g.record(UnitClass::Joiner, causes.streamer.joiner);
-                    g.record(UnitClass::SpAcc, causes.streamer.spacc);
-                }
-            }
-            g.record(UnitClass::Dma, self.dma.last_cause());
-        }
-    }
-
-    /// The idle census taken by the last [`Cluster::tick_compute`]: how
-    /// many units were provably idle (and therefore skipped) that cycle.
-    #[must_use]
-    pub fn last_census(&self) -> TickCensus {
-        self.census
-    }
-
-    /// The activity of the last completed tick — what
-    /// [`Cluster::tick_mem`] returned. The thread-pool harness reads it
-    /// after the barrier (the return value stays on the worker thread).
-    #[must_use]
-    pub fn last_activity(&self) -> TickActivity {
-        TickActivity { dma_words_moved: self.dma_words_moved, workers_in_roi: self.workers_in_roi }
     }
 
     /// Arms the post-mortem flight recorder with a ring of `cap` recent
@@ -607,20 +535,6 @@ impl Cluster {
     #[must_use]
     pub fn flight_recorder_armed(&self) -> bool {
         self.flight.is_some()
-    }
-
-    /// Arms the live wait-graph recorder (edges accumulate as the run
-    /// ticks). Redundant with the graph derived from the summary's
-    /// attribution — the two must be equal — and just as timing-neutral.
-    pub fn enable_waitgraph(&mut self) {
-        self.live_graph = Some(WaitGraph::new());
-    }
-
-    /// The live wait graph accumulated so far (`None` until
-    /// [`Cluster::enable_waitgraph`]).
-    #[must_use]
-    pub fn live_wait_graph(&self) -> Option<&WaitGraph> {
-        self.live_graph.as_ref()
     }
 
     /// Declares `addr` a synchronization word owned (written) by
@@ -718,7 +632,7 @@ impl Cluster {
         if self.flight.is_none() {
             self.enable_flight_recorder(DEFAULT_BLACKBOX_CAP, 0);
         }
-        let deadline = self.now + max_cycles;
+        let deadline = self.now.saturating_add(max_cycles);
         while self.now < deadline {
             self.tick();
             if self.quiescent() {
@@ -844,6 +758,17 @@ mod tests {
             );
         }
         assert!(summary.cycles < 200);
+    }
+
+    /// Resuming a finished cluster with an unbounded budget must not
+    /// overflow the deadline.
+    #[test]
+    fn unbounded_budget_survives_a_resumed_run() {
+        let mut a = Assembler::new();
+        a.halt();
+        let mut cluster = Cluster::new(a.finish().unwrap(), ClusterParams::default());
+        cluster.run(u64::MAX).expect("first run halts");
+        cluster.run(u64::MAX).expect("resumed run stays quiescent");
     }
 
     /// The hardware barrier holds early cores until the slowest arrives.

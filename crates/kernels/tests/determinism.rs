@@ -1,10 +1,8 @@
-//! Thread-count invariance of the system harness.
+//! Run-to-run determinism of the system and cluster harnesses.
 //!
-//! The pooled system tick runs only cluster-local phases (cores, TCDM)
-//! concurrently and replays the shared interconnect serially in grant
-//! order, so every observable must be bit-identical at every thread
-//! count: kernel outputs, cycle counts, stall-cause attribution tables,
-//! and the Perfetto trace export. These tests pin that guarantee on
+//! Two fresh runs of the same workload must agree on every observable:
+//! kernel outputs, cycle counts, stall-cause attribution tables, and
+//! the Perfetto trace export. These tests pin that guarantee on
 //! randomized CsrMV / SpGEMM / SpMSpV workloads.
 
 use issr_kernels::cluster_spmspv::run_cluster_spmspv;
@@ -14,12 +12,8 @@ use issr_kernels::variant::Variant;
 use issr_sparse::gen;
 use issr_system::system::SystemParams;
 
-/// Thread counts under test; 8 exceeds the cluster count and exercises
-/// the clamp.
-const THREADS: [usize; 4] = [1, 2, 4, 8];
-
-fn params(n_clusters: usize, threads: usize) -> SystemParams {
-    SystemParams { n_clusters, threads, ..SystemParams::default() }
+fn params(n_clusters: usize) -> SystemParams {
+    SystemParams { n_clusters, ..SystemParams::default() }
 }
 
 /// One run's complete observable footprint, bitwise.
@@ -32,58 +26,45 @@ struct Fingerprint {
 }
 
 #[test]
-fn system_csrmv_is_thread_count_invariant() {
+fn system_csrmv_is_run_to_run_deterministic() {
     let mut rng = gen::rng(0x5eed_c5e1);
     let m = gen::csr_uniform::<u32>(&mut rng, 48, 64, 420);
     let x = gen::dense_vector(&mut rng, 64);
-    let mut baseline: Option<(usize, Fingerprint)> = None;
-    for t in THREADS {
-        let (run, trace) =
-            run_system_csrmv_traced::<u32>(Variant::Issr, &m, &x, params(4, t), 4096)
-                .expect("system CsrMV completes");
-        let fp = Fingerprint {
+    let fingerprint = || {
+        let (run, trace) = run_system_csrmv_traced::<u32>(Variant::Issr, &m, &x, params(4), 4096)
+            .expect("system CsrMV completes");
+        Fingerprint {
             out_bits: run.y.iter().map(|v| v.to_bits()).collect(),
             cycles: run.summary.cycles,
             attr: format!("{:?}", run.summary.clusters.iter().map(|c| &c.attr).collect::<Vec<_>>()),
             trace: trace.to_string(),
-        };
-        match &baseline {
-            None => baseline = Some((t, fp)),
-            Some((t0, fp0)) => {
-                assert_eq!(fp0, &fp, "threads={t} diverged from threads={t0}");
-            }
         }
-    }
+    };
+    assert_eq!(fingerprint(), fingerprint());
 }
 
 #[test]
-fn system_spgemm_is_thread_count_invariant() {
+fn system_spgemm_is_run_to_run_deterministic() {
     let mut rng = gen::rng(0x5eed_59e3);
     let a = gen::csr_fixed_row_nnz::<u32>(&mut rng, 24, 32, 6);
     let b = gen::csr_fixed_row_nnz::<u32>(&mut rng, 32, 28, 5);
     let n_workers = SystemParams::default().cluster.n_workers as u32;
-    let mut baseline: Option<(usize, Fingerprint)> = None;
-    for t in THREADS {
+    let fingerprint = || {
         let plan = SystemSpgemmPlan::new(Variant::Issr, &a, &b, n_workers);
-        let run = run_system_spgemm_planned::<u32>(Variant::Issr, &a, &b, plan, params(4, t))
+        let run = run_system_spgemm_planned::<u32>(Variant::Issr, &a, &b, plan, params(4))
             .expect("system SpGEMM completes");
-        let fp = Fingerprint {
+        Fingerprint {
             out_bits: run.c.vals().iter().map(|v| v.to_bits()).collect(),
             cycles: run.summary.cycles,
             attr: format!("{:?}", run.summary.clusters.iter().map(|c| &c.attr).collect::<Vec<_>>()),
             trace: format!("{:?}/{:?}", run.c.ptr(), run.c.idcs()),
-        };
-        match &baseline {
-            None => baseline = Some((t, fp)),
-            Some((t0, fp0)) => {
-                assert_eq!(fp0, &fp, "threads={t} diverged from threads={t0}");
-            }
         }
-    }
+    };
+    assert_eq!(fingerprint(), fingerprint());
 }
 
-/// The cluster harness has no pool, but the same dirty-set skipping
-/// runs under it: randomized SpMSpV must stay bit-identical run to run.
+/// The cluster harness runs the same dirty-set skipping: randomized
+/// SpMSpV must stay bit-identical run to run.
 #[test]
 fn cluster_spmspv_is_run_to_run_deterministic() {
     let mut rng = gen::rng(0x5eed_535d);

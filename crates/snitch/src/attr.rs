@@ -43,8 +43,8 @@ impl CcAttribution {
     /// The attribution folded into a wait graph: every blocked cycle of
     /// every unit becomes exactly one edge cycle (see
     /// [`issr_trace::waitgraph::edge_for`]). Derived, so it is
-    /// timing-neutral and thread-invariant for free, and its per-unit
-    /// edge sums equal the breakdowns' blocked cycles by construction.
+    /// timing-neutral for free, and its per-unit edge sums equal the
+    /// breakdowns' blocked cycles by construction.
     #[must_use]
     pub fn wait_graph(&self) -> WaitGraph {
         let mut g = WaitGraph::new();

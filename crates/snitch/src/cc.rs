@@ -472,7 +472,7 @@ impl SingleCcSim {
     /// Returns [`SimTimeout`] if the CC does not go quiescent within
     /// `max_cycles`.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunSummary, SimTimeout> {
-        let deadline = self.now + max_cycles;
+        let deadline = self.now.saturating_add(max_cycles);
         while self.now < deadline {
             let now = self.now;
             // Host self-profiler (opt-in, read-only): the single CC is
@@ -543,6 +543,17 @@ mod tests {
         assert_eq!(sim.mem.array().load_u32(SINGLE_CC_ARENA), 55);
         // 3-instruction loop body, 10 iterations, small pro/epilogue.
         assert!(summary.cycles < 50, "took {} cycles", summary.cycles);
+    }
+
+    /// Resuming a finished simulator with an unbounded budget must not
+    /// overflow the deadline.
+    #[test]
+    fn unbounded_budget_survives_a_resumed_run() {
+        let mut a = Assembler::new();
+        a.halt();
+        let mut sim = SingleCcSim::new(a.finish().unwrap());
+        sim.run(u64::MAX).expect("first run halts");
+        sim.run(u64::MAX).expect("resumed run stays quiescent");
     }
 
     #[test]

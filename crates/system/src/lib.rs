@@ -10,4 +10,6 @@
 //! interconnect model, with contention counted and surfaced through
 //! [`SystemSummary`].
 
+#![forbid(unsafe_code)]
+
 pub mod system;

@@ -25,9 +25,7 @@ use issr_mem::map::{MAIN_BASE, MAIN_SIZE};
 use issr_snitch::cc::{SimTimeout, StuckHart};
 use issr_snitch::core::Trap;
 use issr_trace::blackbox::DEFAULT_BLACKBOX_CAP;
-use issr_trace::{merge::merge_all, PostMortem, StatMerge, TraceRecorder, WaitGraph};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use issr_trace::{merge::merge_all, PostMortem, TraceRecorder};
 
 /// System configuration.
 #[derive(Clone, Copy, Debug)]
@@ -43,14 +41,6 @@ pub struct SystemParams {
     pub dma_words_per_cycle: u32,
     /// Per-transfer main-memory access latency in cycles (burst setup).
     pub dma_latency: u64,
-    /// Host threads ticking the clusters. `0` resolves the process-wide
-    /// default ([`set_default_threads`], then the `ISSR_THREADS`
-    /// environment variable, then the machine's available parallelism);
-    /// any value is clamped to `[1, n_clusters]`. Results are
-    /// bit-identical at every thread count: only the cluster-local
-    /// phases run concurrently, the shared interconnect is always
-    /// replayed serially in grant order.
-    pub threads: usize,
 }
 
 impl Default for SystemParams {
@@ -60,159 +50,6 @@ impl Default for SystemParams {
             cluster: ClusterParams::default(),
             dma_words_per_cycle: 16,
             dma_latency: 8,
-            threads: 0,
-        }
-    }
-}
-
-/// Process-wide default for [`SystemParams::threads] `== 0`, set once
-/// by a bench binary's `--threads` flag (0 = unset, fall through to
-/// `ISSR_THREADS` / available parallelism).
-static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide default host thread count that
-/// [`SystemParams::threads`]` == 0` resolves to. The bench binaries'
-/// `--threads` flag calls this once at startup.
-pub fn set_default_threads(n: usize) {
-    DEFAULT_THREADS.store(n, Ordering::Relaxed);
-}
-
-/// Resolves a [`SystemParams::threads`] value: explicit > process-wide
-/// default > `ISSR_THREADS` > available parallelism, clamped to
-/// `[1, n_clusters]` (more threads than clusters cannot help).
-#[must_use]
-pub fn resolve_threads(explicit: usize, n_clusters: usize) -> usize {
-    let picked = if explicit > 0 {
-        explicit
-    } else {
-        let global = DEFAULT_THREADS.load(Ordering::Relaxed);
-        if global > 0 {
-            global
-        } else {
-            let env = std::env::var("ISSR_THREADS")
-                .ok()
-                .and_then(|s| s.trim().parse::<usize>().ok())
-                .unwrap_or(0);
-            if env > 0 {
-                env
-            } else {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            }
-        }
-    };
-    picked.clamp(1, n_clusters.max(1))
-}
-
-/// A phase job for the cluster thread pool.
-#[derive(Clone, Copy, Debug)]
-enum Job {
-    /// Run [`Cluster::tick_compute`] on the worker's clusters.
-    Compute,
-    /// Run [`Cluster::tick_mem`] on the worker's clusters.
-    Mem,
-    /// Shut the worker down.
-    Exit,
-}
-
-/// Raw cluster pointers handed to one pool worker for one phase.
-///
-/// Safety: the batches of one phase cover pairwise-disjoint clusters
-/// (static assignment by index), `Cluster` owns all its state (no
-/// shared interior mutability), the clusters outlive the phase (the
-/// dispatching thread blocks until every worker reports done), and the
-/// backing `Vec<Cluster>` is not resized while a phase is in flight.
-struct ClusterBatch(Vec<*mut Cluster>);
-unsafe impl Send for ClusterBatch {}
-
-/// A persistent pool of `threads - 1` worker threads (the dispatching
-/// thread is worker 0) that tick the cluster-local phases in parallel.
-/// Cluster `i` is always handled by thread `i % threads`: assignment is
-/// static, and since the phases it runs are cluster-local, results do
-/// not depend on the assignment or the thread count at all.
-struct TickPool {
-    txs: Vec<mpsc::Sender<(Job, ClusterBatch)>>,
-    done_rx: mpsc::Receiver<()>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    n_threads: usize,
-}
-
-impl std::fmt::Debug for TickPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TickPool").field("n_threads", &self.n_threads).finish()
-    }
-}
-
-impl TickPool {
-    fn new(n_threads: usize) -> Self {
-        assert!(n_threads >= 2, "a pool below two threads is the inline path");
-        let (done_tx, done_rx) = mpsc::channel();
-        let mut txs = Vec::with_capacity(n_threads - 1);
-        let mut handles = Vec::with_capacity(n_threads - 1);
-        for _ in 1..n_threads {
-            let (tx, rx) = mpsc::channel::<(Job, ClusterBatch)>();
-            let done = done_tx.clone();
-            handles.push(std::thread::spawn(move || {
-                while let Ok((job, batch)) = rx.recv() {
-                    match job {
-                        Job::Compute => {
-                            for &c in &batch.0 {
-                                unsafe { (*c).tick_compute() };
-                            }
-                        }
-                        Job::Mem => {
-                            for &c in &batch.0 {
-                                unsafe { (*c).tick_mem() };
-                            }
-                        }
-                        Job::Exit => break,
-                    }
-                    if done.send(()).is_err() {
-                        break;
-                    }
-                }
-            }));
-            txs.push(tx);
-        }
-        Self { txs, done_rx, handles, n_threads }
-    }
-
-    /// Runs one cluster-local phase across the pool: dispatches every
-    /// other thread's share, ticks this thread's own share, then blocks
-    /// until all workers report done (the barrier the serial
-    /// interconnect phase relies on).
-    fn phase(&self, clusters: &mut [Cluster], job: Job) {
-        let t = self.n_threads;
-        let base = clusters.as_mut_ptr();
-        for (w, tx) in self.txs.iter().enumerate() {
-            let batch: Vec<*mut Cluster> = (0..clusters.len())
-                .filter(|i| i % t == w + 1)
-                .map(|i| unsafe { base.add(i) })
-                .collect();
-            tx.send((job, ClusterBatch(batch))).expect("pool worker alive");
-        }
-        for i in (0..clusters.len()).step_by(t) {
-            let c = unsafe { &mut *base.add(i) };
-            match job {
-                Job::Compute => c.tick_compute(),
-                Job::Mem => {
-                    c.tick_mem();
-                }
-                Job::Exit => unreachable!("Exit is sent only on drop"),
-            }
-        }
-        for _ in &self.txs {
-            self.done_rx.recv().expect("pool worker alive");
-        }
-    }
-}
-
-impl Drop for TickPool {
-    fn drop(&mut self) {
-        for tx in &self.txs {
-            let _ = tx.send((Job::Exit, ClusterBatch(Vec::new())));
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
         }
     }
 }
@@ -294,11 +131,6 @@ pub struct System {
     now: u64,
     overlap_cycles: u64,
     trace: Option<SystemTrace>,
-    /// Worker pool for the cluster-local phases; `None` below two
-    /// resolved threads (the zero-overhead inline path).
-    pool: Option<TickPool>,
-    /// Resolved host thread count (≥ 1).
-    n_threads: usize,
     /// Per-cluster quiescence, memoized by [`System::run`]: halting is
     /// terminal, so a cluster once quiescent is never re-checked.
     done: Vec<bool>,
@@ -323,8 +155,6 @@ impl System {
         let main = MainMemory::new(MAIN_BASE, MAIN_SIZE)
             .with_dma_bandwidth(params.dma_words_per_cycle)
             .with_dma_latency(params.dma_latency);
-        let n_threads = resolve_threads(params.threads, params.n_clusters);
-        let pool = (n_threads >= 2).then(|| TickPool::new(n_threads));
         Self {
             clusters,
             main,
@@ -332,16 +162,8 @@ impl System {
             now: 0,
             overlap_cycles: 0,
             trace: None,
-            pool,
-            n_threads,
             done: vec![false; params.n_clusters],
         }
-    }
-
-    /// The resolved host thread count this system ticks with.
-    #[must_use]
-    pub fn n_threads(&self) -> usize {
-        self.n_threads
     }
 
     /// Enables interval tracing with a ring of at most `cap` spans:
@@ -394,15 +216,6 @@ impl System {
         }
     }
 
-    /// Arms every cluster's live wait-graph recorder (see
-    /// [`Cluster::enable_waitgraph`]). Timing-neutral and provably
-    /// redundant with the summary-derived graph — property-tested equal.
-    pub fn enable_waitgraphs(&mut self) {
-        for cluster in &mut self.clusters {
-            cluster.enable_waitgraph();
-        }
-    }
-
     /// Declares `addr` a synchronization word owned by `owner_hart` of
     /// cluster `cluster` — see [`Cluster::declare_sync_word`].
     pub fn declare_sync_word(&mut self, cluster: usize, addr: u32, owner_hart: u32) {
@@ -418,19 +231,6 @@ impl System {
         )
     }
 
-    /// The system's wait graph so far: every cluster's live recorder
-    /// merged. Empty unless the clusters' live recorders are armed.
-    #[must_use]
-    pub fn live_wait_graph(&self) -> WaitGraph {
-        let mut g = WaitGraph::new();
-        for c in &self.clusters {
-            if let Some(cg) = c.live_wait_graph() {
-                g.merge_from(cg);
-            }
-        }
-        g
-    }
-
     /// Whether every cluster halted and drained.
     #[must_use]
     pub fn quiescent(&self) -> bool {
@@ -439,45 +239,17 @@ impl System {
 
     /// Advances the whole system one cycle: one shared-bandwidth window,
     /// clusters granted in rotating round-robin order.
-    ///
-    /// The cycle is three phases. Compute (cores) and memory (TCDM) are
-    /// cluster-local and run on the thread pool when one is configured;
-    /// the interconnect phase — the only one that touches the shared
-    /// main memory — always runs serially on this thread, cluster by
-    /// cluster in the rotated grant order. Serial and pooled ticks are
-    /// therefore bit-identical: the phases commute across clusters, the
-    /// single serialization point replays in the same order.
     pub fn tick(&mut self) {
         issr_trace::host::cycle();
         self.main.begin_dma_cycle();
         let n = self.clusters.len();
         let mut dma_moved = false;
         let mut in_roi = false;
-        if let Some(pool) = &self.pool {
-            // Pooled: cluster-internal profiler phases no-op on worker
-            // threads, so bill the dispatch barriers here instead.
-            let mut host_t = issr_trace::host::phase_start();
-            pool.phase(&mut self.clusters, Job::Compute);
-            issr_trace::host::phase(&mut host_t, "pool_compute", n as u64, 0);
-            for i in 0..n {
-                let k = (self.rr + i) % n;
-                self.clusters[k].tick_interconnect(&mut self.main);
-            }
-            issr_trace::host::phase(&mut host_t, "pool_interconnect", n as u64, 0);
-            pool.phase(&mut self.clusters, Job::Mem);
-            issr_trace::host::phase(&mut host_t, "pool_mem", n as u64, 0);
-            for cluster in &self.clusters {
-                let activity = cluster.last_activity();
-                dma_moved |= activity.dma_words_moved > 0;
-                in_roi |= activity.workers_in_roi;
-            }
-        } else {
-            for i in 0..n {
-                let k = (self.rr + i) % n;
-                let activity = self.clusters[k].tick_shared(&mut self.main);
-                dma_moved |= activity.dma_words_moved > 0;
-                in_roi |= activity.workers_in_roi;
-            }
+        for i in 0..n {
+            let k = (self.rr + i) % n;
+            let activity = self.clusters[k].tick_shared(&mut self.main);
+            dma_moved |= activity.dma_words_moved > 0;
+            in_roi |= activity.workers_in_roi;
         }
         if dma_moved && in_roi {
             self.overlap_cycles += 1;
@@ -510,7 +282,7 @@ impl System {
                 cluster.enable_flight_recorder(DEFAULT_BLACKBOX_CAP, ci);
             }
         }
-        let deadline = self.now + max_cycles;
+        let deadline = self.now.saturating_add(max_cycles);
         while self.now < deadline {
             self.tick();
             // Quiescence is terminal (halting is sticky, queues only
@@ -580,6 +352,17 @@ mod tests {
         }
         assert_eq!(summary.clusters.len(), 3);
         assert!(summary.traps().is_empty());
+    }
+
+    /// Resuming a finished system with an unbounded budget must not
+    /// overflow the deadline.
+    #[test]
+    fn unbounded_budget_survives_a_resumed_run() {
+        let mut a = Assembler::new();
+        a.halt();
+        let mut sys = System::new(a.finish().unwrap(), params(2));
+        sys.run(u64::MAX).expect("first run halts");
+        sys.run(u64::MAX).expect("resumed run stays quiescent");
     }
 
     /// Builds a program whose DMCCs copy `words` words from main memory
