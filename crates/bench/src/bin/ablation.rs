@@ -14,7 +14,6 @@ use issr_trace::json::obj;
 use issr_trace::Json;
 
 fn main() {
-    issr_trace::host::install();
     let mut t = Telemetry::new("ablation", "full");
     let mut rng = gen::rng(0xAB1A);
     let m = gen::csr_clustered::<u16>(&mut rng, 512, 2048, 64, 256);
@@ -82,7 +81,6 @@ fn main() {
     let verdict = verdict.expect("icache ablation ran");
     println!("\n{}", verdict.line("cluster csrmv 8w icache"));
     t.push("verdict", verdict.to_json());
-    t.set_host(issr_trace::host::report());
 
     if let Some(path) = telemetry::json_arg() {
         t.write(&path).expect("write BENCH json");

@@ -12,7 +12,6 @@ use issr_trace::json::obj;
 use issr_trace::Json;
 
 fn main() {
-    issr_trace::host::install();
     let rows = fig4a(&default_nnz_sweep());
     let table: Vec<Vec<String>> = rows
         .iter()
@@ -46,7 +45,6 @@ fn main() {
     if let Some(path) = telemetry::json_arg() {
         let mut t = Telemetry::new("fig4a", "full");
         t.push("verdict", verdict.to_json());
-        t.set_host(issr_trace::host::report());
         t.push(
             "utilization",
             Json::Arr(

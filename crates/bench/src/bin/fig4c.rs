@@ -13,7 +13,6 @@ use issr_trace::json::obj;
 use issr_trace::Json;
 
 fn main() {
-    issr_trace::host::install();
     let points = [1, 2, 4, 8, 16, 32, 64, 128];
     let rows = fig4c(&points);
     let table: Vec<Vec<String>> = rows
@@ -53,7 +52,6 @@ fn main() {
     if let Some(path) = telemetry::json_arg() {
         let mut t = Telemetry::new("fig4c", "full");
         t.push("verdict", verdict.to_json());
-        t.set_host(issr_trace::host::report());
         t.push(
             "speedup",
             Json::Arr(

@@ -12,7 +12,6 @@ use issr_trace::json::obj;
 use issr_trace::Json;
 
 fn main() {
-    issr_trace::host::install();
     let cap: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(120_000);
     let rows = fig4d(cap);
     let table: Vec<Vec<String>> = rows
@@ -53,7 +52,6 @@ fn main() {
     if let Some(path) = telemetry::json_arg() {
         let mut t = Telemetry::new("fig4d", "full");
         t.push("verdict", verdict.to_json());
-        t.set_host(issr_trace::host::report());
         t.push(
             "energy",
             Json::Arr(

@@ -54,7 +54,6 @@ fn spmspv_json(rows: &[JoinerSpmspvRow]) -> Json {
 fn main() {
     // Static verification before anything ticks (see issr-lint).
     issr_lint::assert_shipped_clean();
-    issr_trace::host::install();
     let smoke = std::env::args().any(|a| a == "--smoke");
     let mut t = Telemetry::new("joiner", if smoke { "smoke" } else { "full" });
     let overlaps: Vec<f64> = if smoke { vec![0.0, 0.5, 1.0] } else { default_overlap_sweep() };
@@ -132,7 +131,6 @@ fn main() {
     let critpath = issr_bench::critical::cc_critical_path(&summary);
     println!("{}", issr_bench::critical::critical_path_line("spvv 0.5 overlap", &critpath));
     t.push("critical_path", issr_bench::critical::critical_path_section(&critpath, &verdict));
-    t.set_host(issr_trace::host::report());
 
     if let Some(path) = telemetry::json_arg() {
         t.write(&path).expect("write BENCH json");

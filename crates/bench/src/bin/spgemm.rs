@@ -123,7 +123,6 @@ fn main() {
     // Static verification before anything ticks: a kernel that fails
     // the linter would waste the whole sweep discovering it.
     issr_lint::assert_shipped_clean();
-    issr_trace::host::install();
     let smoke = std::env::args().any(|a| a == "--smoke");
     let suite = std::env::args().any(|a| a == "--suite");
     let mode = if suite {
@@ -136,7 +135,6 @@ fn main() {
     let mut t = Telemetry::new("spgemm", mode);
     if suite {
         suite_energy_table(&mut t);
-        t.set_host(issr_trace::host::report());
         if let Some(path) = telemetry::json_arg() {
             t.write(&path).expect("write BENCH json");
             println!("wrote {}", path.display());
@@ -331,7 +329,6 @@ fn main() {
     println!("cluster SpGEMM phase profile — {} regime (ISSR, PC-sampled)\n", last.label);
     println!("{}", breakdown_table(&profile.rows()));
     t.push("phases", profile.to_json());
-    t.set_host(issr_trace::host::report());
 
     if let Some(path) = telemetry::json_arg() {
         t.write(&path).expect("write BENCH json");

@@ -201,7 +201,6 @@ fn attribution_report() -> SystemAttributionReport {
 fn main() {
     // Static verification before anything ticks (see issr-lint).
     issr_lint::assert_shipped_clean();
-    issr_trace::host::install();
     let smoke_mode = std::env::args().any(|a| a == "--smoke");
     let mut t = Telemetry::new("system", if smoke_mode { "smoke" } else { "full" });
     if smoke_mode {
@@ -218,7 +217,6 @@ fn main() {
     let critpath = issr_bench::critical::system_critical_path(&report.summary);
     println!("{}", issr_bench::critical::critical_path_line("system_csrmv x2", &critpath));
     t.push("critical_path", issr_bench::critical::critical_path_section(&critpath, &verdict));
-    t.set_host(issr_trace::host::report());
     if let Some(path) = telemetry::json_arg() {
         t.write(&path).expect("write BENCH json");
         let trace = telemetry::trace_path(&path);

@@ -175,8 +175,7 @@ pub struct Fig4dRow {
 /// Fig. 4d: cluster CsrMV energy over the matrix suite.
 ///
 /// `max_nnz` caps the matrices simulated (the full suite's largest
-/// entries take minutes; binaries pass a generous cap, Criterion a
-/// small one).
+/// entries take minutes; `--bin fig4d` passes a generous cap).
 #[must_use]
 pub fn fig4d(max_nnz: usize) -> Vec<Fig4dRow> {
     let model = PowerModel::default();

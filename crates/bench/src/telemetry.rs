@@ -3,29 +3,29 @@
 //! Every bench binary accepts `--json <path>` and, when given, writes
 //! its headline numbers — cycles, speedups, contention, overlap and
 //! stall-cause attribution breakdowns — through this module. The files
-//! share one envelope so the CI checker (`--bin bench_check`) can
-//! validate any of them against a committed baseline:
+//! share one envelope:
 //!
 //! ```json
 //! {
-//!   "schema_version": 2,
+//!   "schema_version": 3,
 //!   "bench": "system",
 //!   "mode": "smoke",
-//!   "tolerances": { "cycles": 0.25, ... },
-//!   "host": { "sim_cycles": ..., "classes": { ... } },
-//!   "results": { "<section>": ... }
+//!   "results": {
+//!     "<section>": ...
+//!   }
 //! }
 //! ```
 //!
-//! `tolerances` carries the per-metric relative drift the checker
-//! accepts when this file serves as a baseline. `host` is the
-//! [`issr_trace::host`] self-profiler section (wall-clock per unit
-//! class, idle-tick census, simulated-cycles/sec); it describes the
-//! host machine, not the modeled one, so the checker ignores it.
-//!
-//! Everything is emitted through [`issr_trace::Json`] (insertion-ordered
-//! objects), so re-running a binary on unchanged code produces a
-//! byte-identical file — the baselines diff cleanly.
+//! The envelope is a pure function of the deterministic model: nothing
+//! in it describes the host, and it is written indented through
+//! [`Json::pretty`] (insertion-ordered objects, one key or array
+//! element per line), so re-running a binary on unchanged code produces
+//! a byte-identical file. That makes git the checker: CI rewrites the
+//! committed `baselines/BENCH_*.json` in place with the three smoke
+//! runs and gates on `git diff --exit-code -- baselines/`, where a
+//! drifted counter is one changed line. What a byte comparison cannot
+//! see — whether the attribution tables still add up — [`Telemetry::write`]
+//! checks before it writes anything.
 
 use std::path::{Path, PathBuf};
 
@@ -33,52 +33,27 @@ use issr_cluster::cluster::ClusterSummary;
 use issr_snitch::attr::CcAttribution;
 use issr_system::system::SystemSummary;
 use issr_trace::json::obj;
-use issr_trace::Json;
+use issr_trace::{Json, StallCause};
 
 /// Version stamp of the envelope; bump on breaking schema changes.
-/// v2 added `tolerances` and `host` alongside `results`.
-pub const SCHEMA_VERSION: i64 = 2;
-
-/// Default per-metric baseline tolerances. Cluster/system cycle counts
-/// wander with matrix reseeds and scheduling changes, so they get the
-/// historical 25%; single-CC runs are deterministic per matrix and sit
-/// tighter. The checker falls back to its `--tolerance` flag for any
-/// metric not listed in a baseline.
-pub const DEFAULT_TOLERANCES: [(&str, f64); 9] = [
-    ("cycles", 0.25),
-    ("elapsed", 0.25),
-    ("base16", 0.20),
-    ("issr16", 0.20),
-    ("issr16_single", 0.20),
-    ("base32", 0.20),
-    ("issr32", 0.20),
-    ("base_cycles", 0.25),
-    ("issr_cycles", 0.25),
-];
+/// v3 dropped `tolerances` and `host`: the envelope carries model
+/// output only.
+pub const SCHEMA_VERSION: i64 = 3;
 
 /// Accumulates one binary's result sections into the shared envelope.
 #[derive(Clone, Debug)]
 pub struct Telemetry {
     bench: String,
     mode: String,
-    tolerances: Vec<(String, f64)>,
-    host: Option<Json>,
     results: Vec<(String, Json)>,
 }
 
 impl Telemetry {
     /// Starts an envelope for bench `bench` running in `mode`
-    /// (`"smoke"`, `"full"`, `"suite"`, …) carrying the
-    /// [`DEFAULT_TOLERANCES`].
+    /// (`"smoke"`, `"full"`, `"suite"`, …).
     #[must_use]
     pub fn new(bench: &str, mode: &str) -> Self {
-        Self {
-            bench: bench.to_owned(),
-            mode: mode.to_owned(),
-            tolerances: DEFAULT_TOLERANCES.iter().map(|&(k, v)| (k.to_owned(), v)).collect(),
-            host: None,
-            results: Vec::new(),
-        }
+        Self { bench: bench.to_owned(), mode: mode.to_owned(), results: Vec::new() }
     }
 
     /// Appends one named result section.
@@ -86,51 +61,100 @@ impl Telemetry {
         self.results.push((key.to_owned(), value));
     }
 
-    /// Overrides (or adds) the baseline tolerance for one metric.
-    pub fn set_tolerance(&mut self, metric: &str, tolerance: f64) {
-        match self.tolerances.iter_mut().find(|(k, _)| k == metric) {
-            Some((_, t)) => *t = tolerance,
-            None => self.tolerances.push((metric.to_owned(), tolerance)),
-        }
-    }
-
-    /// Attaches the host self-profiler section (usually
-    /// `issr_trace::host::report()` at the end of `main`).
-    pub fn set_host(&mut self, host: Option<Json>) {
-        self.host = host;
-    }
-
     /// The complete envelope.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
+        obj(vec![
             ("schema_version", Json::Int(SCHEMA_VERSION)),
             ("bench", Json::from(self.bench.as_str())),
             ("mode", Json::from(self.mode.as_str())),
-            (
-                "tolerances",
-                Json::Obj(
-                    self.tolerances.iter().map(|(k, v)| (k.clone(), Json::Float(*v))).collect(),
-                ),
-            ),
-        ];
-        if let Some(host) = &self.host {
-            fields.push(("host", host.clone()));
-        }
-        fields.push(("results", Json::Obj(self.results.clone())));
-        obj(fields)
+            ("results", Json::Obj(self.results.clone())),
+        ])
     }
 
-    /// Writes the envelope to `path` (with a trailing newline).
+    /// Writes the envelope to `path`, indented, with a trailing newline.
     ///
     /// # Errors
-    /// Propagates the underlying I/O error.
+    /// Returns `InvalidData` — before touching `path` — if any
+    /// stall-cause table or critical path in the envelope no longer
+    /// sums to the cycle count it covers; otherwise propagates the
+    /// underlying I/O error.
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        write_json(path, &self.to_json())
+        let doc = self.to_json();
+        let mut errors = Vec::new();
+        check_attribution(&doc, "", &mut errors);
+        if !errors.is_empty() {
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, errors.join("; ")));
+        }
+        std::fs::write(path, doc.pretty() + "\n")
     }
 }
 
-/// Writes any JSON document to `path` (with a trailing newline).
+/// The sum of a stall-cause breakdown object, or `None` if `v` is not
+/// one (a breakdown carries exactly the cause labels).
+fn breakdown_total(v: &Json) -> Option<i64> {
+    let Json::Obj(fields) = v else { return None };
+    if fields.len() != StallCause::COUNT {
+        return None;
+    }
+    StallCause::ALL.iter().map(|cause| v.get(cause.label())?.as_int()).sum()
+}
+
+/// Walks `v` collecting every broken attribution invariant — the sums a
+/// byte comparison against the baseline cannot vouch for:
+/// an object with `roi_cycles` + `units` has every unit breakdown
+/// summing to `roi_cycles`; an object with `elapsed` + `dma` has the
+/// DMA breakdown summing to `elapsed`; an object with `length` +
+/// `compute` + `edges` (a `critical_path` section) partitions exactly.
+fn check_attribution(v: &Json, path: &str, errors: &mut Vec<String>) {
+    let mut check_sum =
+        |what: String, table: &Json, cycles: i64, of: &str| match breakdown_total(table) {
+            Some(total) if total == cycles => {}
+            Some(total) => {
+                errors.push(format!("{what}: breakdown sums to {total}, {of} is {cycles}"))
+            }
+            None => errors.push(format!("{what}: not a stall-cause breakdown")),
+        };
+    if let (Some(roi), Some(Json::Obj(units))) =
+        (v.get("roi_cycles").and_then(Json::as_int), v.get("units"))
+    {
+        for (name, unit) in units {
+            check_sum(format!("{path}/units/{name}"), unit, roi, "roi_cycles");
+        }
+    }
+    if let (Some(elapsed), Some(dma)) = (v.get("elapsed").and_then(Json::as_int), v.get("dma")) {
+        check_sum(format!("{path}/dma"), dma, elapsed, "elapsed");
+    }
+    if let (Some(length), Some(compute), Some(Json::Obj(edges))) = (
+        v.get("length").and_then(Json::as_int),
+        v.get("compute").and_then(Json::as_int),
+        v.get("edges"),
+    ) {
+        let blocked: Option<i64> = edges.iter().map(|(_, n)| n.as_int()).sum();
+        if blocked.map(|b| compute + b) != Some(length) {
+            errors.push(format!(
+                "{path}: critical path does not partition: {compute} compute + {blocked:?} \
+                 edge cycles != length {length}"
+            ));
+        }
+    }
+    match v {
+        Json::Obj(fields) => {
+            for (k, child) in fields {
+                check_attribution(child, &format!("{path}/{k}"), errors);
+            }
+        }
+        Json::Arr(items) => {
+            for (i, child) in items.iter().enumerate() {
+                check_attribution(child, &format!("{path}/{i}"), errors);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Writes any JSON document to `path`, compact, with a trailing
+/// newline (the Chrome trace: megabytes nobody diffs).
 ///
 /// # Errors
 /// Propagates the underlying I/O error.
@@ -219,23 +243,46 @@ mod tests {
         assert_eq!(Json::parse(&doc.to_string()).expect("parse"), doc);
     }
 
+    /// A real attribution section, a DMA table and a critical path
+    /// that all add up — and the same envelope with one counter of
+    /// each nudged by a cycle, which `write` must refuse.
     #[test]
-    fn envelope_carries_tolerances_and_host() {
-        let mut t = Telemetry::new("system", "smoke");
-        t.set_tolerance("cycles", 0.1);
-        t.set_tolerance("speedup", 0.05);
-        t.set_host(Some(obj(vec![("sim_cycles", Json::Int(7))])));
-        let doc = t.to_json();
-        let tol = doc.get("tolerances").expect("tolerances object");
-        assert_eq!(tol.get("cycles").and_then(Json::as_f64), Some(0.1));
-        assert_eq!(tol.get("speedup").and_then(Json::as_f64), Some(0.05));
-        assert_eq!(tol.get("elapsed").and_then(Json::as_f64), Some(0.25));
-        let host = doc.get("host").expect("host section");
-        assert_eq!(host.get("sim_cycles").and_then(Json::as_int), Some(7));
-        // Without a host section the key is simply absent.
-        let bare = Telemetry::new("x", "smoke").to_json();
-        assert!(bare.get("host").is_none());
-        assert!(bare.get("tolerances").is_some());
+    fn write_rejects_tables_that_no_longer_sum() {
+        let mut attr = CcAttribution::with_lanes(2);
+        let mut dma = issr_trace::CycleBreakdown::new();
+        for _ in 0..5 {
+            attr.hart.record(StallCause::Active);
+            attr.lanes[0].record(StallCause::FifoEmpty);
+            attr.lanes[1].record(StallCause::Idle);
+            dma.record(StallCause::Idle);
+        }
+        let sections = [
+            ("attribution", cc_attr_json(&attr), "roi_cycles"),
+            ("cluster", obj(vec![("elapsed", Json::Int(5)), ("dma", dma.to_json())]), "elapsed"),
+            ("critical_path", attr.critical_path().to_json(), "length"),
+        ];
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("issr_telemetry_sums_{}.json", std::process::id()));
+        for (name, section, total_key) in &sections {
+            let mut t = Telemetry::new("x", "smoke");
+            t.push(name, section.clone());
+            t.write(&path).expect("a consistent envelope is written");
+            let Json::Obj(mut fields) = section.clone() else { panic!("section is an object") };
+            let total = fields.iter_mut().find(|(k, _)| k == total_key).expect("total key");
+            total.1 = Json::Int(total.1.as_int().expect("integer total") + 1);
+            let mut tampered = Telemetry::new("x", "smoke");
+            tampered.push(name, Json::Obj(fields));
+            let err = tampered.write(&path).expect_err("tampered envelope is rejected");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}: {err}");
+            assert!(err.to_string().contains(name), "{err}");
+        }
+        let written = std::fs::read_to_string(&path).expect("last good envelope");
+        std::fs::remove_file(&path).expect("clean up");
+        assert_eq!(Json::parse(&written).expect("parse").get("bench"), Some(&Json::from("x")));
+        assert!(
+            written.ends_with("}\n") && written.lines().count() > 10,
+            "indented, one key a line"
+        );
     }
 
     #[test]

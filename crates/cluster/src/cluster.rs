@@ -266,6 +266,10 @@ pub struct ClusterTracks {
 impl Cluster {
     /// Builds the cluster; every core runs `program` and dispatches on
     /// `mhartid` (workers `0..n_workers`, DMCC = `n_workers`).
+    ///
+    /// # Panics
+    /// Panics if the cores expose more than 64 memory ports in total
+    /// (32 or more two-lane workers).
     #[must_use]
     pub fn new(program: Program, params: ClusterParams) -> Self {
         let icache_params = ICacheParams::default();
@@ -299,6 +303,15 @@ impl Cluster {
             ports.push((0..cc.n_ports()).map(|_| MemPort::new()).collect::<Vec<_>>());
         }
         ports.push((0..dmcc.n_ports()).map(|_| MemPort::new()).collect());
+        // `tick_interconnect` reports its main-memory routing to
+        // `tick_mem` as one bit per flat port slot in a `u64`.
+        let n_ports: usize = ports.iter().map(Vec::len).sum();
+        assert!(
+            n_ports <= 64,
+            "cluster has {n_ports} memory ports ({} workers + DMCC); the interconnect routes at \
+             most 64",
+            params.n_workers
+        );
         // Two hives of four workers share an L1 each; the DMCC fetches
         // ideally (control code only).
         let n_hives = params.n_workers.div_ceil(4).max(1);
@@ -456,7 +469,6 @@ impl Cluster {
         // Route main-region requests and report the routing: the TCDM
         // phase must exclude exactly these slots — served or not — so
         // its round-robin port positions match the pre-split order.
-        debug_assert!(self.ports.iter().map(Vec::len).sum::<usize>() <= 64, "port mask width");
         let mut main_routed: u64 = 0;
         let mut any_pending = false;
         let mut main_ports: Vec<&mut MemPort> = Vec::new();
@@ -737,18 +749,22 @@ mod tests {
     use issr_isa::reg::IntReg as R;
     use issr_isa::Csr;
 
-    /// Every core writes its hartid² to a TCDM slot.
-    #[test]
-    fn harts_execute_independently() {
+    /// Every core writes its hartid² to the 8-byte slot `base + 8 * hartid`.
+    fn squares_to(base: u32) -> Program {
         let mut a = Assembler::new();
         a.csrr(R::T0, Csr::MHartId);
         a.mul(R::T1, R::T0, R::T0);
         a.slli(R::T2, R::T0, 3);
-        a.li_addr(R::T3, TCDM_BASE);
+        a.li_addr(R::T3, base);
         a.add(R::T2, R::T2, R::T3);
         a.sw(R::T1, R::T2, 0);
         a.halt();
-        let mut cluster = Cluster::new(a.finish().unwrap(), ClusterParams::default());
+        a.finish().unwrap()
+    }
+
+    #[test]
+    fn harts_execute_independently() {
+        let mut cluster = Cluster::new(squares_to(TCDM_BASE), ClusterParams::default());
         let summary = cluster.run(10_000).unwrap();
         for hart in 0..9u32 {
             assert_eq!(
@@ -758,6 +774,25 @@ mod tests {
             );
         }
         assert!(summary.cycles < 200);
+    }
+
+    /// 31 two-lane workers + the DMCC fill 63 of the 64 routing-mask
+    /// bits; main-memory requests on the highest slots still route.
+    #[test]
+    fn widest_cluster_routes_main_requests_on_every_port() {
+        let params = ClusterParams { n_workers: 31, ..ClusterParams::default() };
+        let mut cluster = Cluster::new(squares_to(MAIN_BASE), params);
+        cluster.run(10_000).unwrap();
+        for hart in 0..32u32 {
+            assert_eq!(cluster.main.array().load_u32(MAIN_BASE + hart * 8), hart * hart);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "65 memory ports")]
+    fn one_worker_too_many_is_rejected_at_construction() {
+        let params = ClusterParams { n_workers: 32, ..ClusterParams::default() };
+        let _ = Cluster::new(squares_to(MAIN_BASE), params);
     }
 
     /// Resuming a finished cluster with an unbounded budget must not

@@ -1,31 +1,12 @@
-//! Shared assembly idioms: streamer job setup, reduction trees, and the
-//! marshal-then-reprogram harness helpers.
+//! Shared assembly idioms: streamer job setup and reduction trees.
 
 use crate::variant::KernelIndex;
 use issr_core::cfg::{cfg_addr, idx_cfg_word, join_cfg_word, reg as sreg, JoinerMode};
-use issr_isa::asm::{Assembler, Program};
+use issr_isa::asm::Assembler;
 use issr_isa::reg::{FpReg, IntReg};
-use issr_snitch::cc::SingleCcSim;
 
 /// Scratch register used by the setup emitters (clobbered).
 pub const SETUP_SCRATCH: IntReg = IntReg::T0;
-
-/// Rebuilds the single-CC harness (paper streamer) around a new
-/// program, keeping memory — the marshal-first-then-bake-addresses
-/// idiom every kernel harness uses.
-pub(crate) fn reprogram(sim: SingleCcSim, program: Program) -> SingleCcSim {
-    let mut fresh = SingleCcSim::new(program);
-    fresh.mem = sim.mem;
-    fresh
-}
-
-/// [`reprogram`] for the sparse-sparse harness (joiner + SpAcc
-/// streamer).
-pub(crate) fn reprogram_joiner(sim: SingleCcSim, program: Program) -> SingleCcSim {
-    let mut fresh = SingleCcSim::with_joiner(program);
-    fresh.mem = sim.mem;
-    fresh
-}
 
 /// Emits `t0 = base + (seq & 1) * 8` — the parity-slot addressing of
 /// the system kernels' double-buffer flag protocols (`seq_reg` holds

@@ -177,9 +177,7 @@ pub fn run_csrmm<I: KernelIndex>(
         y_stride,
     };
     let program = build_csrmm::<I>(variant, addrs);
-    let mut fresh = SingleCcSim::new(program);
-    fresh.mem = sim.mem;
-    sim = fresh;
+    sim.load(program);
     let budget =
         200_000 + 64 * u64::from(a.nnz) * u64::from(addrs.b_cols).max(1) + 64 * u64::from(a.nrows);
     let summary = sim.run(budget)?.expect_clean();

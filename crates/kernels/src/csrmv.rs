@@ -274,9 +274,7 @@ pub fn run_csrmv<I: KernelIndex>(
     let x_addr = place_f64s(&mut arena, sim.mem.array_mut(), x);
     let y = alloc_result(&mut arena, a.nrows.max(1));
     let program = build_csrmv::<I>(variant, CsrmvAddrs { a, x: x_addr, y });
-    let mut fresh = SingleCcSim::new(program);
-    fresh.mem = sim.mem;
-    sim = fresh;
+    sim.load(program);
     let budget = 200_000 + 64 * u64::from(a.nnz) + 64 * u64::from(a.nrows);
     let summary = sim.run(budget)?.expect_clean();
     Ok(CsrmvRun { y: sim.mem.array().load_f64_slice(y, m.nrows()), summary })

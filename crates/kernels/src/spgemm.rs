@@ -26,7 +26,7 @@
 //! ([`issr_sparse::reference::spgemm_ptr`]) or an expansion upper bound
 //! — the two-pass/alloc side of the builder ([`crate::layout`]).
 
-use crate::common::{emit_spacc_cfg, reprogram_joiner, SETUP_SCRATCH};
+use crate::common::{emit_spacc_cfg, SETUP_SCRATCH};
 use crate::layout::{alloc_csr_out, place_csr, read_csr_out, Arena, CsrAddrs, CsrOutAddrs};
 use crate::variant::{log_width, KernelIndex, Variant};
 use issr_core::cfg::{cfg_addr, reg as sreg, SPACC_ROW_CAP_RESET};
@@ -498,7 +498,7 @@ fn spgemm_attempt<I: KernelIndex>(
     let scratch_vals = [arena.alloc(row_cap * 8, 8), arena.alloc(row_cap * 8, 8)];
     let addrs = SpgemmAddrs { a: a_addrs, b: b_addrs, c, scratch_idx, scratch_vals };
     let program = build_spgemm_capped::<I>(variant, a.nrows() as u32, addrs, acc_cap);
-    sim = reprogram_joiner(sim, program);
+    sim.load(program);
     sim.cc.streamer.set_spacc_double_buffered(double_buffer);
     let volume = expansion_volume(a, b) + u64::from(nnz_cap) + a.nnz() as u64;
     let budget = 300_000 + 256 * (volume + a.nrows() as u64);

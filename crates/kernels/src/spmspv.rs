@@ -24,8 +24,7 @@
 //! pre-passes.
 
 use crate::common::{
-    emit_joiner_job, emit_joiner_read, emit_reduction_tree, emit_zero_accumulators,
-    reprogram_joiner, ACC0, FZ,
+    emit_joiner_job, emit_joiner_read, emit_reduction_tree, emit_zero_accumulators, ACC0, FZ,
 };
 use crate::layout::{alloc_result, place_csr, place_fiber, Arena, CsrAddrs, FiberAddrs};
 use crate::variant::{issr_accumulators, log_width, KernelIndex, Variant};
@@ -266,7 +265,7 @@ pub fn run_spvv_ss_term<I: KernelIndex>(
     let b_addrs = place_fiber(&mut arena, sim.mem.array_mut(), b);
     let out = alloc_result(&mut arena, 1);
     let program = build_spvv_ss_term::<I>(SpvvSsAddrs { a: a_addrs, b: b_addrs, out });
-    sim = reprogram_joiner(sim, program);
+    sim.load(program);
     let budget = 100_000 + 64 * u64::from(a_addrs.nnz + b_addrs.nnz);
     let summary = sim.run(budget)?.expect_clean();
     Ok(SpvvSsRun { result: sim.mem.array().load_f64(out), summary })
@@ -287,7 +286,7 @@ pub fn run_spvv_ss_dyn<I: KernelIndex>(
     let b_addrs = place_fiber(&mut arena, sim.mem.array_mut(), b);
     let out = alloc_result(&mut arena, 1);
     let program = build_spvv_ss_dyn::<I>(SpvvSsAddrs { a: a_addrs, b: b_addrs, out });
-    sim = reprogram_joiner(sim, program);
+    sim.load(program);
     let budget = 100_000 + 128 * u64::from(a_addrs.nnz + b_addrs.nnz);
     let summary = sim.run(budget)?.expect_clean();
     Ok(SpvvSsRun { result: sim.mem.array().load_f64(out), summary })
@@ -478,7 +477,7 @@ pub fn run_spvv_ss<I: KernelIndex>(
     let b_addrs = place_fiber(&mut arena, sim.mem.array_mut(), b);
     let out = alloc_result(&mut arena, 1);
     let program = build_spvv_ss::<I>(variant, SpvvSsAddrs { a: a_addrs, b: b_addrs, out });
-    sim = reprogram_joiner(sim, program);
+    sim.load(program);
     let budget = 100_000 + 64 * u64::from(a_addrs.nnz + b_addrs.nnz);
     let summary = sim.run(budget)?.expect_clean();
     Ok(SpvvSsRun { result: sim.mem.array().load_f64(out), summary })
@@ -508,7 +507,7 @@ pub fn run_spmspv<I: KernelIndex>(
     let x_addrs = place_fiber(&mut arena, sim.mem.array_mut(), x);
     let y = alloc_result(&mut arena, a.nrows.max(1));
     let program = build_spmspv::<I>(variant, SpmspvAddrs { a, x: x_addrs, y });
-    sim = reprogram_joiner(sim, program);
+    sim.load(program);
     // BASE re-scans x once per row; size the budget to the merge volume.
     let merge_steps = u64::from(a.nnz) + u64::from(a.nrows) * u64::from(x_addrs.nnz + 4);
     let summary = sim.run(200_000 + 64 * merge_steps)?.expect_clean();

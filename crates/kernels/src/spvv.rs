@@ -11,9 +11,7 @@
 //!   FREP, peaking at the arbitration limits 0.80 (16-bit) and
 //!   0.67 (32-bit).
 
-use crate::common::{
-    emit_indirect_read, emit_reduction_tree, emit_zero_accumulators, reprogram, ACC0,
-};
+use crate::common::{emit_indirect_read, emit_reduction_tree, emit_zero_accumulators, ACC0};
 use crate::layout::{alloc_result, place_f64s, place_fiber, Arena, FiberAddrs};
 use crate::variant::{issr_accumulators, KernelIndex, Variant};
 use issr_isa::asm::{Assembler, Program};
@@ -168,7 +166,7 @@ pub fn run_spvv<I: KernelIndex>(
     let out = alloc_result(&mut arena, 1);
     let addrs = SpvvAddrs { a: fiber_addrs, b: b_addr, out };
     let program = build_spvv::<I>(variant, addrs);
-    sim = reprogram(sim, program);
+    sim.load(program);
     let summary = sim.run(100_000 + 64 * u64::from(addrs.a.nnz))?.expect_clean();
     Ok(SpvvRun { result: sim.mem.array().load_f64(out), summary })
 }

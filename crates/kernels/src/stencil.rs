@@ -88,13 +88,13 @@ pub fn run_stencil<I: KernelIndex>(
     let n_acc: u8 = 4;
 
     let mut arena = Arena::new(SINGLE_CC_ARENA, SingleCcSim::DEFAULT_MEM_BYTES / 2);
-    let mut staged = SingleCcSim::new(Program::default());
-    let x_addr = place_f64s(&mut arena, staged.mem.array_mut(), x);
-    let w_addr = place_f64s(&mut arena, staged.mem.array_mut(), &stencil.weights);
+    let mut sim = SingleCcSim::new(Program::default());
+    let x_addr = place_f64s(&mut arena, sim.mem.array_mut(), x);
+    let w_addr = place_f64s(&mut arena, sim.mem.array_mut(), &stencil.weights);
     let idx_bytes = (taps * I::BYTES + 7) & !7;
     let off_addr = arena.alloc(idx_bytes, 8);
     let offsets: Vec<I> = stencil.offsets.iter().map(|&o| I::from_usize(o as usize)).collect();
-    I::store_slice(staged.mem.array_mut(), off_addr, &offsets);
+    I::store_slice(sim.mem.array_mut(), off_addr, &offsets);
     let out = alloc_result(&mut arena, out_len.max(1));
 
     let mut asm = Assembler::new();
@@ -139,8 +139,7 @@ pub fn run_stencil<I: KernelIndex>(
     }
     asm.halt();
 
-    let mut sim = SingleCcSim::new(asm.finish().expect("stencil assembles"));
-    sim.mem = staged.mem;
+    sim.load(asm.finish().expect("stencil assembles"));
     let summary = sim.run(200_000 + 64 * u64::from(out_len) * u64::from(taps))?.expect_clean();
     Ok(StencilRun { out: sim.mem.array().load_f64_slice(out, out_len as usize), summary })
 }

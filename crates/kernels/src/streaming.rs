@@ -45,11 +45,11 @@ pub struct StreamRun {
 pub fn run_gather<I: KernelIndex>(data: &[f64], idcs: &[I]) -> Result<StreamRun, SimTimeout> {
     let n = idcs.len() as u32;
     let mut arena = Arena::new(SINGLE_CC_ARENA, SingleCcSim::DEFAULT_MEM_BYTES / 2);
-    let mut staged = SingleCcSim::new(Program::default());
-    let data_addr = place_f64s(&mut arena, staged.mem.array_mut(), data);
+    let mut sim = SingleCcSim::new(Program::default());
+    let data_addr = place_f64s(&mut arena, sim.mem.array_mut(), data);
     let idx_bytes = (n.max(1) * I::BYTES + 7) & !7;
     let idcs_addr = arena.alloc(idx_bytes, 8);
-    I::store_slice(staged.mem.array_mut(), idcs_addr, idcs);
+    I::store_slice(sim.mem.array_mut(), idcs_addr, idcs);
     let out = alloc_result(&mut arena, n.max(1));
 
     let mut asm = Assembler::new();
@@ -69,8 +69,7 @@ pub fn run_gather<I: KernelIndex>(data: &[f64], idcs: &[I]) -> Result<StreamRun,
         asm.csrci(issr_isa::Csr::Ssr, 1);
     }
     asm.halt();
-    let mut sim = SingleCcSim::new(asm.finish().expect("gather assembles"));
-    sim.mem = staged.mem;
+    sim.load(asm.finish().expect("gather assembles"));
     let summary = sim.run(100_000 + 16 * u64::from(n))?.expect_clean();
     Ok(StreamRun { out: sim.mem.array().load_f64_slice(out, idcs.len()), summary })
 }
@@ -88,11 +87,11 @@ pub fn run_scatter<I: KernelIndex>(
     assert_eq!(idcs.len(), vals.len(), "index/value length mismatch");
     let n = idcs.len() as u32;
     let mut arena = Arena::new(SINGLE_CC_ARENA, SingleCcSim::DEFAULT_MEM_BYTES / 2);
-    let mut staged = SingleCcSim::new(Program::default());
-    let vals_addr = place_f64s(&mut arena, staged.mem.array_mut(), vals);
+    let mut sim = SingleCcSim::new(Program::default());
+    let vals_addr = place_f64s(&mut arena, sim.mem.array_mut(), vals);
     let idx_bytes = (n.max(1) * I::BYTES + 7) & !7;
     let idcs_addr = arena.alloc(idx_bytes, 8);
-    I::store_slice(staged.mem.array_mut(), idcs_addr, idcs);
+    I::store_slice(sim.mem.array_mut(), idcs_addr, idcs);
     let out = alloc_result(&mut arena, dim.max(1) as u32);
 
     let mut asm = Assembler::new();
@@ -110,8 +109,7 @@ pub fn run_scatter<I: KernelIndex>(
         asm.csrci(issr_isa::Csr::Ssr, 1);
     }
     asm.halt();
-    let mut sim = SingleCcSim::new(asm.finish().expect("scatter assembles"));
-    sim.mem = staged.mem;
+    sim.load(asm.finish().expect("scatter assembles"));
     let summary = sim.run(100_000 + 16 * u64::from(n))?.expect_clean();
     Ok(StreamRun { out: sim.mem.array().load_f64_slice(out, dim), summary })
 }
@@ -133,22 +131,19 @@ pub fn run_codebook_spvv<I: KernelIndex>(
     let n = codes.len() as u32;
     let n_acc = crate::variant::issr_accumulators(I::IDX_SIZE);
     let mut arena = Arena::new(SINGLE_CC_ARENA, SingleCcSim::DEFAULT_MEM_BYTES / 2);
-    let make_cc = |program: Program| {
-        CoreComplex::with_streamer(
-            0,
-            program,
-            CcParams::default(),
-            Streamer::new(&[LaneKind::Issr, LaneKind::Issr]),
-        )
-    };
-    let mut staged = SingleCcSim::with_cc(make_cc(Program::default()));
-    let book_addr = place_f64s(&mut arena, staged.mem.array_mut(), codebook);
-    let dense_addr = place_f64s(&mut arena, staged.mem.array_mut(), dense);
+    let mut sim = SingleCcSim::with_cc(CoreComplex::with_streamer(
+        0,
+        Program::default(),
+        CcParams::default(),
+        Streamer::new(&[LaneKind::Issr, LaneKind::Issr]),
+    ));
+    let book_addr = place_f64s(&mut arena, sim.mem.array_mut(), codebook);
+    let dense_addr = place_f64s(&mut arena, sim.mem.array_mut(), dense);
     let idx_bytes = (n.max(1) * I::BYTES + 7) & !7;
     let codes_addr = arena.alloc(idx_bytes, 8);
-    I::store_slice(staged.mem.array_mut(), codes_addr, codes);
+    I::store_slice(sim.mem.array_mut(), codes_addr, codes);
     let idcs_addr = arena.alloc(idx_bytes, 8);
-    I::store_slice(staged.mem.array_mut(), idcs_addr, idcs);
+    I::store_slice(sim.mem.array_mut(), idcs_addr, idcs);
     let out = alloc_result(&mut arena, 1);
 
     let mut asm = Assembler::new();
@@ -172,8 +167,7 @@ pub fn run_codebook_spvv<I: KernelIndex>(
         asm.csrci(issr_isa::Csr::Ssr, 1);
     }
     asm.halt();
-    let mut sim = SingleCcSim::with_cc(make_cc(asm.finish().expect("codebook spvv assembles")));
-    sim.mem = staged.mem;
+    sim.load(asm.finish().expect("codebook spvv assembles"));
     let summary = sim.run(100_000 + 64 * u64::from(n))?.expect_clean();
     Ok((sim.mem.array().load_f64(out), summary))
 }

@@ -466,6 +466,15 @@ impl SingleCcSim {
         }
     }
 
+    /// Replaces the program, keeping memory — the kernel harnesses
+    /// marshal operands first and bake the resulting addresses into the
+    /// program afterwards. Legal only before the first tick: the CC
+    /// holds no other program-derived state until it has run.
+    pub fn load(&mut self, program: Program) {
+        debug_assert!(self.now == 0, "SingleCcSim::load after the first tick");
+        self.cc.program = program;
+    }
+
     /// Runs until the CC is quiescent.
     ///
     /// # Errors

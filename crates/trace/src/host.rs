@@ -8,9 +8,9 @@
 //! could skip), and how many simulated cycles per second the process
 //! sustains.
 //!
-//! The profiler is **opt-in and ambient**: a bench binary installs one
-//! collector for its thread ([`install`]) and every run harness it
-//! drives from then on — [`SingleCcSim::run`], [`Cluster::tick`],
+//! The profiler is **opt-in and ambient**: a caller (`benchmark/`'s
+//! traced pass) installs one collector for its thread ([`install`]) and
+//! every run harness it drives from then on — [`SingleCcSim::run`], [`Cluster::tick`],
 //! [`System::tick`] — feeds it through the free functions here. When
 //! nothing is installed the hooks reduce to one thread-local read per
 //! tick. The profiler only *reads* simulator state (idleness probes are
@@ -109,10 +109,10 @@ impl HostProfiler {
         ratio(idle as f64, total as f64)
     }
 
-    /// The `host` telemetry section: wall-clock per unit class, the
-    /// idle-tick census, and simulated-cycles/sec. Wall-clock fields
-    /// are nondeterministic by nature; the baseline checker ignores
-    /// the whole section.
+    /// The profile as JSON: wall-clock per unit class, the idle-tick
+    /// census, and simulated-cycles/sec. Wall-clock fields are
+    /// nondeterministic by nature, which is why no `BENCH_*.json`
+    /// envelope carries this — `benchmark/` is its consumer.
     #[must_use]
     pub fn to_json(&self) -> Json {
         let wall_nanos = self.start.elapsed().as_nanos() as u64;
@@ -210,9 +210,8 @@ pub fn phase(t: &mut Option<Instant>, class: &'static str, units: u64, idle_unit
     }
 }
 
-/// The ambient profiler's `host` telemetry section, if one is
-/// installed. The profiler stays installed (benches report once at the
-/// end of `main`, after all sweeps fed it).
+/// The ambient profiler's [`HostProfiler::to_json`] report, if one is
+/// installed. The profiler stays installed.
 #[must_use]
 pub fn report() -> Option<Json> {
     ACTIVE.with(|a| a.borrow().as_ref().map(HostProfiler::to_json))

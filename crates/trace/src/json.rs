@@ -1,12 +1,14 @@
 //! A minimal JSON value with writer and parser.
 //!
 //! The bench telemetry (`BENCH_*.json`) and the Chrome trace export
-//! need to *emit* JSON, and the CI baseline checker needs to *read* it
+//! need to *emit* JSON, and `benchmark/` and the tests need to *read* it
 //! back; serde is unavailable offline, and the schema is small enough
 //! that a ~200-line value type is the simpler dependency anyway.
 //!
 //! Objects preserve insertion order (a `Vec` of pairs, not a map) so
-//! emitted files are deterministic and diff-friendly.
+//! emitted files are deterministic and diff-friendly: the compact form
+//! (`to_string`) for the Chrome trace, the indented one
+//! ([`Json::pretty`]) for the committed baselines.
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -80,13 +82,38 @@ pub fn obj(fields: Vec<(&str, Json)>) -> Json {
 impl std::fmt::Display for Json {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write(&mut out, None);
         f.write_str(&out)
     }
 }
 
+/// Starts a line at nesting `depth` in the indented form; nothing in
+/// the compact one.
+fn newline(out: &mut String, depth: Option<usize>) {
+    if let Some(depth) = depth {
+        out.push('\n');
+        for _ in 0..depth {
+            out.push_str("  ");
+        }
+    }
+}
+
 impl Json {
-    fn write(&self, out: &mut String) {
+    /// Serializes the value indented: one object key or array element
+    /// per line, two spaces per nesting level, insertion order kept —
+    /// the form of the committed `BENCH_*.json` baselines, where a
+    /// changed number is a one-line `git diff`.
+    #[must_use]
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out
+    }
+
+    /// Writes the value; `depth` is the nesting level of the indented
+    /// form, `None` for the compact one.
+    fn write(&self, out: &mut String, depth: Option<usize>) {
+        let inner = depth.map(|d| d + 1);
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -101,26 +128,32 @@ impl Json {
                 }
             }
             Json::Str(s) => write_escaped(s, out),
+            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write(out);
+                    newline(out, inner);
+                    item.write(out, inner);
                 }
+                newline(out, depth);
                 out.push(']');
             }
+            Json::Obj(fields) if fields.is_empty() => out.push_str("{}"),
             Json::Obj(fields) => {
                 out.push('{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
+                    newline(out, inner);
                     write_escaped(k, out);
-                    out.push(':');
-                    v.write(out);
+                    out.push_str(if depth.is_some() { ": " } else { ":" });
+                    v.write(out, inner);
                 }
+                newline(out, depth);
                 out.push('}');
             }
         }
@@ -396,6 +429,41 @@ mod tests {
         assert_eq!(back.get("bench").and_then(Json::as_str), Some("system"));
         assert_eq!(back.get("n").and_then(Json::as_int), Some(42));
         assert_eq!(back.get("rows").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
+    }
+
+    fn nested_doc() -> Json {
+        obj(vec![
+            ("bench", Json::from("system")),
+            ("rows", Json::Arr(vec![obj(vec![("cycles", Json::Int(7))]), Json::Float(0.5)])),
+            ("empty", obj(vec![("arr", Json::Arr(Vec::new())), ("obj", obj(Vec::new()))])),
+            ("note", Json::from("a \"b\"\n")),
+        ])
+    }
+
+    #[test]
+    fn indented_form_is_pinned() {
+        let golden = r#"{
+  "bench": "system",
+  "rows": [
+    {
+      "cycles": 7
+    },
+    0.5
+  ],
+  "empty": {
+    "arr": [],
+    "obj": {}
+  },
+  "note": "a \"b\"\n"
+}"#;
+        assert_eq!(nested_doc().pretty(), golden);
+    }
+
+    #[test]
+    fn both_forms_round_trip() {
+        let doc = nested_doc();
+        assert_eq!(Json::parse(&doc.pretty()).expect("parse indented"), doc);
+        assert_eq!(Json::parse(&doc.to_string()).expect("parse compact"), doc);
     }
 
     #[test]
