@@ -8,7 +8,8 @@
 //! envelope already carries — two independent models that should (and
 //! are reported whether they) agree on what the run is bound by.
 
-use issr_cluster::cluster::{ClusterAttribution, ClusterSummary};
+use issr_cluster::cluster::{longest_roi, ClusterSummary};
+use issr_snitch::attr::CcAttribution;
 use issr_snitch::cc::RunSummary;
 use issr_system::system::SystemSummary;
 use issr_trace::analyze::Verdict;
@@ -28,13 +29,18 @@ pub fn cluster_critical_path(summary: &ClusterSummary) -> CriticalPath {
     summary.attr.critical_path()
 }
 
-/// The critical path of a multi-cluster run, over the merged per-hart
-/// view (the same aggregation the system verdict classifies).
+/// The critical path of a multi-cluster run: blame walk from the
+/// worker with the longest ROI across all clusters — the rule
+/// [`cluster_critical_path`] applies inside one — falling back to the
+/// DMCCs when no worker opened an ROI. One hart's ROI, so never longer
+/// than the run.
 #[must_use]
 pub fn system_critical_path(summary: &SystemSummary) -> CriticalPath {
-    let attr: ClusterAttribution =
-        issr_trace::merge::merge_all(summary.clusters.iter().map(|c| &c.attr));
-    attr.critical_path()
+    let attrs = || summary.clusters.iter().map(|c| &c.attr);
+    longest_roi(attrs().flat_map(|a| &a.workers))
+        .or_else(|| longest_roi(attrs().map(|a| &a.dmcc)))
+        .map(CcAttribution::critical_path)
+        .unwrap_or_default()
 }
 
 /// The `critical_path` envelope section: the path's own fields plus the
@@ -105,5 +111,30 @@ mod tests {
         let sum: i64 = pairs.iter().filter_map(|(_, v)| v.as_int()).sum();
         assert_eq!(sum as u64, path.blocked(), "edge attribution sums to the blocked share");
         assert!(critical_path_line("test", &path).contains("cycles"));
+    }
+
+    /// The system path is the longest single worker ROI of any cluster
+    /// — not same-index harts of all clusters summed — so it fits
+    /// inside the run it explains.
+    #[test]
+    fn system_critical_path_is_one_worker_and_fits_the_run() {
+        use issr_kernels::system_csrmv::run_system_csrmv;
+        let mut rng = gen::rng(0x000F_1702);
+        let m = gen::csr_uniform::<u16>(&mut rng, 200, 128, 3_000);
+        let x = gen::dense_vector(&mut rng, 128);
+        let run = run_system_csrmv(Variant::Issr, &m, &x, 2).expect("run");
+        let path = system_critical_path(&run.summary);
+        let longest = run
+            .summary
+            .clusters
+            .iter()
+            .flat_map(|c| &c.attr.workers)
+            .map(CcAttribution::roi_cycles)
+            .max()
+            .expect("workers");
+        assert!(longest > 0, "both clusters' workers open an ROI");
+        assert_eq!(path.length, longest);
+        assert!(path.length <= run.summary.cycles, "a path is never longer than the run");
+        assert_eq!(path.compute + path.blocked(), path.length, "exact partition");
     }
 }

@@ -981,7 +981,7 @@ pub struct SystemAttributionReport {
     pub trace: issr_trace::Json,
 }
 
-/// Runs system CsrMV (ISSR) once with the interval recorder enabled and
+/// Runs system CsrMV (ISSR) once with tracing enabled and
 /// returns attribution + trace. The result is validated against the
 /// host reference — tracing must not change a single bit.
 ///

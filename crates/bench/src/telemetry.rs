@@ -77,8 +77,9 @@ impl Telemetry {
     /// # Errors
     /// Returns `InvalidData` — before touching `path` — if any
     /// stall-cause table or critical path in the envelope no longer
-    /// sums to the cycle count it covers; otherwise propagates the
-    /// underlying I/O error.
+    /// sums to the cycle count it covers, or a critical path is longer
+    /// than the run its sibling verdict classifies; otherwise
+    /// propagates the underlying I/O error.
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
         let doc = self.to_json();
         let mut errors = Vec::new();
@@ -105,7 +106,10 @@ fn breakdown_total(v: &Json) -> Option<i64> {
 /// an object with `roi_cycles` + `units` has every unit breakdown
 /// summing to `roi_cycles`; an object with `elapsed` + `dma` has the
 /// DMA breakdown summing to `elapsed`; an object with `length` +
-/// `compute` + `edges` (a `critical_path` section) partitions exactly.
+/// `compute` + `edges` (a `critical_path` section) partitions exactly;
+/// an object holding a `critical_path` next to a `verdict` has
+/// `critical_path.length <= verdict.elapsed` — a path is never longer
+/// than the run it explains.
 fn check_attribution(v: &Json, path: &str, errors: &mut Vec<String>) {
     let mut check_sum =
         |what: String, table: &Json, cycles: i64, of: &str| match breakdown_total(table) {
@@ -135,6 +139,16 @@ fn check_attribution(v: &Json, path: &str, errors: &mut Vec<String>) {
             errors.push(format!(
                 "{path}: critical path does not partition: {compute} compute + {blocked:?} \
                  edge cycles != length {length}"
+            ));
+        }
+    }
+    let int_at = |section: &str, key: &str| v.get(section)?.get(key)?.as_int();
+    if let (Some(length), Some(elapsed)) =
+        (int_at("critical_path", "length"), int_at("verdict", "elapsed"))
+    {
+        if length > elapsed {
+            errors.push(format!(
+                "{path}/critical_path: length {length} exceeds the run's {elapsed} elapsed cycles"
             ));
         }
     }
@@ -245,7 +259,8 @@ mod tests {
 
     /// A real attribution section, a DMA table and a critical path
     /// that all add up — and the same envelope with one counter of
-    /// each nudged by a cycle, which `write` must refuse.
+    /// each nudged by a cycle, which `write` must refuse, as it must a
+    /// critical path longer than its sibling verdict's run.
     #[test]
     fn write_rejects_tables_that_no_longer_sum() {
         let mut attr = CcAttribution::with_lanes(2);
@@ -276,6 +291,12 @@ mod tests {
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}: {err}");
             assert!(err.to_string().contains(name), "{err}");
         }
+        // A path that partitions exactly but outruns its verdict's run.
+        let mut outrun = Telemetry::new("x", "smoke");
+        outrun.push("verdict", obj(vec![("elapsed", Json::Int(4))]));
+        outrun.push("critical_path", attr.critical_path().to_json());
+        let err = outrun.write(&path).expect_err("a 5-cycle path in a 4-cycle run is rejected");
+        assert!(err.to_string().contains("exceeds"), "{err}");
         let written = std::fs::read_to_string(&path).expect("last good envelope");
         std::fs::remove_file(&path).expect("clean up");
         assert_eq!(Json::parse(&written).expect("parse").get("bench"), Some(&Json::from("x")));

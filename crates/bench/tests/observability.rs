@@ -6,10 +6,10 @@
 //!   SpGEMM and multi-cluster system runs. Attribution is recorded at
 //!   the single place each cycle counter advances, so any drift is a
 //!   bookkeeping bug.
-//! * **Neutrality** — enabling the interval recorder changes neither a
-//!   cycle count nor an output bit: tracing only reads state the
-//!   simulation latches anyway. The same holds for the post-mortem
-//!   flight recorders.
+//! * **Neutrality** — arming a timeline changes neither a cycle count
+//!   nor an output bit, whether `enable_tracing` arms the large one or
+//!   `run` the default: recording only reads state the simulation
+//!   latches anyway.
 //! * **Wait-graph soundness** — every blocked cycle of every unit maps
 //!   to exactly one outgoing edge, so per-unit edge sums equal the
 //!   breakdowns' blocked counts, and the critical path partitions
@@ -204,10 +204,10 @@ proptest! {
         prop_assert_eq!(meta, expect, "one metadata record per registered track");
     }
 
-    /// Flight-recorder neutrality: explicitly arming a large flight
-    /// recorder on every cluster changes neither a cycle count nor an
-    /// output bit, and the wait graph derived from the attribution
-    /// tables of a contended run is non-empty.
+    /// Default-recorder neutrality: `run` (which arms every cluster's
+    /// default timeline) and a bare tick loop that arms nothing agree
+    /// on every cycle and output bit, and the wait graph derived from
+    /// the attribution tables of a contended run is non-empty.
     #[test]
     fn recorders_change_no_bit_and_no_cycle(
         nrows in 32usize..128,
@@ -219,20 +219,30 @@ proptest! {
         let m = gen::csr_uniform::<u16>(&mut rng, nrows, ncols, nnz);
         let x = gen::dense_vector(&mut rng, ncols);
         let params = SystemParams { n_clusters: 2, ..SystemParams::default() };
-        let plain =
-            run_system_csrmv(Variant::Issr, &m, &x, params.n_clusters).expect("plain run");
         let plan = ClusterCsrmvPlan::new(&m, params.cluster.n_workers as u32);
-        let mut system = System::new(build_system_csrmv::<u16>(Variant::Issr, &plan), params);
-        system.enable_flight_recorders(1 << 16);
-        plan.marshal_into(system.main.array_mut(), &m, &x);
-        system.set_work_queue(plan.queue_addr());
+        let fresh = || {
+            let mut system = System::new(build_system_csrmv::<u16>(Variant::Issr, &plan), params);
+            plan.marshal_into(system.main.array_mut(), &m, &x);
+            system.set_work_queue(plan.queue_addr());
+            system
+        };
+        let mut bare = fresh();
+        let mut bare_cycles = 0u64;
+        while !bare.quiescent() {
+            prop_assert!(bare_cycles < 10_000_000, "bare loop exceeded its budget");
+            bare.tick();
+            bare_cycles += 1;
+        }
+        prop_assert!(bare.trace_json().is_none(), "a bare tick loop arms nothing");
+        let mut system = fresh();
         let recorded = system.run(10_000_000).expect("recorded run");
         prop_assert!(recorded.traps().is_empty(), "recorded run trapped");
-        prop_assert_eq!(plain.summary.cycles, recorded.cycles, "cycles must match");
-        let plain_bits: Vec<u64> = plain.y.iter().map(|v| v.to_bits()).collect();
-        let rec_bits: Vec<u64> =
-            plan.read_y_from(system.main.array()).iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(plain_bits, rec_bits, "output bits must match");
+        prop_assert!(system.trace_json().is_some(), "run arms the default timelines");
+        prop_assert_eq!(bare_cycles, recorded.cycles, "cycles must match");
+        let bits = |system: &System| -> Vec<u64> {
+            plan.read_y_from(system.main.array()).iter().map(|v| v.to_bits()).collect()
+        };
+        prop_assert_eq!(bits(&bare), bits(&system), "output bits must match");
         let mut derived = WaitGraph::new();
         for c in &recorded.clusters {
             derived.merge_from(&c.attr.wait_graph());

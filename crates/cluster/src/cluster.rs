@@ -7,19 +7,16 @@ use issr_mem::dma::{Dma, DmaStats};
 use issr_mem::icache::{ICacheParams, L0Buffer, L1ICache};
 use issr_mem::main_mem::MainMemory;
 use issr_mem::map::{region_of, Region, MAIN_BASE, MAIN_SIZE, TCDM_BANKS, TCDM_BASE, TCDM_SIZE};
-use issr_mem::port::MemPort;
+use issr_mem::port::{MemPort, MemRsp};
 use issr_mem::tcdm::{Tcdm, TcdmStats};
 use issr_snitch::attr::CcAttribution;
 use issr_snitch::cc::{CoreComplex, SimTimeout};
 use issr_snitch::core::Trap;
 use issr_snitch::metrics::Metrics;
 use issr_snitch::params::CcParams;
-use issr_trace::blackbox::DEFAULT_BLACKBOX_CAP;
+use issr_trace::timeline::DEFAULT_TIMELINE_CAP;
 use issr_trace::waitgraph::UnitClass;
-use issr_trace::{
-    host, BlackBox, CounterId, CriticalPath, CycleBreakdown, PostMortem, StallCause, StatMerge,
-    StuckUnit, TraceRecorder, TrackId, UnitId, WaitGraph,
-};
+use issr_trace::{host, CriticalPath, CycleBreakdown, PostMortem, StatMerge, Timeline, WaitGraph};
 
 /// Cluster configuration.
 #[derive(Clone, Copy, Debug)]
@@ -96,14 +93,7 @@ impl ClusterAttribution {
     /// no worker opened an ROI (pure data-movement runs).
     #[must_use]
     pub fn critical_path(&self) -> CriticalPath {
-        let mut best: Option<&CcAttribution> = None;
-        for w in &self.workers {
-            // Strictly greater: ties keep the earlier hart.
-            if w.roi_cycles() > 0 && best.is_none_or(|b| w.roi_cycles() > b.roi_cycles()) {
-                best = Some(w);
-            }
-        }
-        best.unwrap_or(&self.dmcc).critical_path()
+        longest_roi(&self.workers).unwrap_or(&self.dmcc).critical_path()
     }
 
     /// Labelled rows (workers, DMCC, DMA) for
@@ -118,6 +108,21 @@ impl ClusterAttribution {
         rows.push((format!("{prefix}dma"), self.dma));
         rows
     }
+}
+
+/// The core complex with the longest (non-empty) ROI — the one
+/// end-of-ROI waits on, where a backward blame walk starts. Ties keep
+/// the earlier one.
+pub fn longest_roi<'a>(
+    ccs: impl IntoIterator<Item = &'a CcAttribution>,
+) -> Option<&'a CcAttribution> {
+    let mut best: Option<&CcAttribution> = None;
+    for cc in ccs {
+        if cc.roi_cycles() > 0 && best.is_none_or(|b| cc.roi_cycles() > b.roi_cycles()) {
+            best = Some(cc);
+        }
+    }
+    best
 }
 
 impl StatMerge for ClusterAttribution {
@@ -197,16 +202,21 @@ pub struct TickActivity {
     pub workers_in_roi: bool,
 }
 
-/// One cluster's always-cheap flight recorder: a bounded ring of
-/// recent per-unit state transitions (workers, DMCC, DMA), sampled from
-/// the classifications the tick already latched — never from live
-/// machine state, so recording cannot perturb timing.
+/// One cluster's armed [`Timeline`], sampled once per cycle from the
+/// classifications the tick already latched — never from live machine
+/// state, so recording cannot perturb timing.
 #[derive(Clone, Debug)]
-struct FlightRecorder {
-    bb: BlackBox,
-    /// Unit handles: workers `0..n_workers`, then the DMCC.
-    harts: Vec<UnitId>,
-    dma: UnitId,
+struct Recorder {
+    timeline: Timeline,
+    /// The Chrome-trace process of the units (the cluster's index in
+    /// its system).
+    pid: u32,
+    /// Whether the worker lanes and the FIFO/DMA counters are
+    /// registered too ([`Cluster::enable_tracing`]).
+    lanes: bool,
+    /// Latched traps already marked: formatting a mark is only worth
+    /// it on the cycle a new trap appears.
+    traps_marked: usize,
 }
 
 /// The eight-worker Snitch cluster plus DMCC.
@@ -233,34 +243,14 @@ pub struct Cluster {
     /// core ports this cycle. Only (re)filled while the engine is busy —
     /// [`Dma::tick`] never reads it when idle.
     contested: Vec<bool>,
-    /// Post-mortem flight recorder; [`Cluster::run`] arms a default one
-    /// so every timeout dump carries recent history.
-    flight: Option<FlightRecorder>,
+    /// The cause timeline; [`Cluster::run`] arms a default one so every
+    /// timeout dump carries recent history.
+    recorder: Option<Recorder>,
     /// Declared synchronization words `(addr, owner_hart)` — e.g. flag
     /// words one hart writes and others spin on. Post-mortem deadlock
     /// classification builds its blame edges from these.
     sync_words: Vec<(u32, u32)>,
     now: u64,
-}
-
-/// Track handles for one cluster's units in a [`TraceRecorder`]: one
-/// per hart (workers then DMCC), one per worker lane, one for the DMA
-/// engine.
-#[derive(Clone, Debug)]
-pub struct ClusterTracks {
-    /// The Chrome-trace process these tracks live under — kept so
-    /// sampling can drop instant markers (traps) on the right process.
-    pub pid: u32,
-    /// Hart tracks: workers `0..n_workers`, then the DMCC.
-    pub harts: Vec<TrackId>,
-    /// Per-worker lane tracks.
-    pub lanes: Vec<Vec<TrackId>>,
-    /// The DMA engine's track.
-    pub dma: TrackId,
-    /// Per-worker, per-lane data-FIFO occupancy counters.
-    pub lane_fifo: Vec<Vec<CounterId>>,
-    /// Outstanding-words counter for the DMA engine.
-    pub dma_words: CounterId,
 }
 
 impl Cluster {
@@ -307,6 +297,7 @@ impl Cluster {
         // `tick_mem` as one bit per flat port slot in a `u64`.
         let n_ports: usize = ports.iter().map(Vec::len).sum();
         assert!(
+            // gate-allow: host-API construction precondition
             n_ports <= 64,
             "cluster has {n_ports} memory ports ({} workers + DMCC); the interconnect routes at \
              most 64",
@@ -327,7 +318,7 @@ impl Cluster {
             dma_claimed: vec![false; TCDM_BANKS],
             dma_attr: CycleBreakdown::default(),
             contested: vec![false; TCDM_BANKS],
-            flight: None,
+            recorder: None,
             sync_words: Vec::new(),
             now: 0,
         }
@@ -468,26 +459,47 @@ impl Cluster {
         host::phase(&mut host_t, "dma", 1, u64::from(!dma_busy));
         // Route main-region requests and report the routing: the TCDM
         // phase must exclude exactly these slots — served or not — so
-        // its round-robin port positions match the pre-split order.
+        // its round-robin port positions match the pre-split order. A
+        // request no mapped region contains is answered right here (a
+        // zero read, a dropped write) and parks the core complex that
+        // owns the port on an access fault.
         let mut main_routed: u64 = 0;
         let mut any_pending = false;
         let mut main_ports: Vec<&mut MemPort> = Vec::new();
-        for (slot, port) in self.ports.iter_mut().flatten().enumerate() {
-            match port.pending().map(|r| region_of(r.addr)) {
-                None => {}
-                Some(Region::Tcdm) => any_pending = true,
-                Some(Region::Main) => {
+        let mut faults: Vec<(usize, u32)> = Vec::new();
+        let mut slot = 0;
+        for (owner, cc_ports) in self.ports.iter_mut().enumerate() {
+            for port in cc_ports {
+                if let Some(addr) = port.pending().map(|r| r.addr) {
                     any_pending = true;
-                    main_routed |= 1 << slot;
-                    main_ports.push(port);
+                    match region_of(addr) {
+                        Region::Tcdm => {}
+                        Region::Main if main.array().contains(addr) => {
+                            main_routed |= 1 << slot;
+                            main_ports.push(port);
+                        }
+                        Region::Main | Region::Periph | Region::Unmapped => {
+                            main_routed |= 1 << slot;
+                            if port.take_pending().is_some_and(|req| req.is_read()) {
+                                port.push_rsp(now + 1, MemRsp { data: 0 });
+                            }
+                            faults.push((owner, addr));
+                        }
+                    }
                 }
-                Some(other) => panic!("cluster request to unsupported region {other:?}"),
+                slot += 1;
             }
         }
         // The memories are idle when no port carries a request and the
         // DMA claimed no bank this cycle.
         let idle_mem = !any_pending && !self.dma_claimed.iter().any(|&c| c);
-        main.tick(now, &mut main_ports);
+        let unrouted = main.tick(now, &mut main_ports);
+        debug_assert!(unrouted.is_empty(), "routing admits only addresses main memory contains");
+        let n_workers = self.workers.len();
+        for (owner, addr) in faults {
+            let cc = if owner == n_workers { &mut self.dmcc } else { &mut self.workers[owner] };
+            cc.deliver_access_fault(addr);
+        }
         // The "mem" class's one unit-tick per cycle is recorded here;
         // tick_mem bills its wall-clock to the class with zero units.
         host::phase(&mut host_t, "mem", 1, u64::from(idle_mem));
@@ -507,46 +519,113 @@ impl Cluster {
                 tcdm_ports.push(port);
             }
         }
-        self.tcdm.tick(now, &mut tcdm_ports, &self.dma_claimed);
+        let unrouted = self.tcdm.tick(now, &mut tcdm_ports, &self.dma_claimed);
+        debug_assert!(unrouted.is_empty(), "the TCDM array covers its whole region");
         host::phase(&mut host_t, "mem", 0, 0);
-        self.sample_recorders(now);
+        self.sample_timeline(now);
         self.now += 1;
     }
 
-    /// Feeds the cycle that just completed into the flight recorder, if
-    /// armed. Reads only latched classifications, so recording is
-    /// invisible to the simulated machine.
-    fn sample_recorders(&mut self, now: u64) {
-        if let Some(fr) = self.flight.as_mut() {
-            for (i, cc) in self.workers.iter().enumerate() {
-                fr.bb.sample(fr.harts[i], now, cc.last_causes().hart);
+    /// Hart `i`'s name in the timeline and the post-mortem.
+    fn hart_name(&self, i: usize) -> String {
+        if i == self.workers.len() {
+            "dmcc".to_owned()
+        } else {
+            format!("hart {i}")
+        }
+    }
+
+    /// The one registration routine: every hart (each worker followed,
+    /// with `lanes`, by its stream lanes and their data-FIFO occupancy
+    /// counters), then the DMA engine (with `lanes`, its
+    /// outstanding-words counter), under process `pid`.
+    fn arm(&mut self, cap: usize, pid: u32, lanes: bool) {
+        let mut tl = Timeline::new(cap);
+        for (i, cc) in self.workers.iter().enumerate() {
+            tl.add_unit(pid, self.hart_name(i));
+            for l in 0..if lanes { cc.streamer.n_lanes() } else { 0 } {
+                tl.add_unit(pid, format!("hart {i} ft{l}"));
+                tl.add_counter(pid, format!("hart {i} ft{l} fifo"));
             }
-            fr.bb.sample(fr.harts[self.workers.len()], now, self.dmcc.last_causes().hart);
-            fr.bb.sample(fr.dma, now, self.dma.last_cause());
+        }
+        tl.add_unit(pid, self.hart_name(self.workers.len()));
+        tl.add_unit(pid, "dma");
+        if lanes {
+            tl.add_counter(pid, "dma outstanding words");
+        }
+        self.recorder = Some(Recorder { timeline: tl, pid, lanes, traps_marked: 0 });
+    }
+
+    /// Feeds the cycle that just completed into the timeline, if armed —
+    /// the one per-cycle walk, over the units and counters in the order
+    /// [`Cluster::arm`] registered them. Reads only latched
+    /// classifications, so recording is invisible to the simulated
+    /// machine.
+    fn sample_timeline(&mut self, now: u64) {
+        let Some(rec) = self.recorder.as_mut() else { return };
+        let tl = &mut rec.timeline;
+        let (mut unit, mut counter, mut trapped) = (0, 0, 0);
+        for (i, cc) in self.workers.iter().chain(std::iter::once(&self.dmcc)).enumerate() {
+            let causes = cc.last_causes();
+            tl.sample(unit, now, causes.hart);
+            unit += 1;
+            trapped += usize::from(cc.core.trap().is_some());
+            if rec.lanes && i < self.workers.len() {
+                for (l, &cause) in causes.streamer.lanes.iter().enumerate() {
+                    tl.sample(unit, now, cause);
+                    tl.sample_counter(counter, now, cc.streamer.lane(l).fifo_len() as u64);
+                    unit += 1;
+                    counter += 1;
+                }
+            }
+        }
+        tl.sample(unit, now, self.dma.last_cause());
+        if rec.lanes {
+            tl.sample_counter(counter, now, self.dma.outstanding_words());
+        }
+        // Traps latch once and stay, so a changed count means a new
+        // one; `mark` dedups the ones already marked.
+        if trapped != rec.traps_marked {
+            rec.traps_marked = trapped;
+            for (i, cc) in self.workers.iter().chain(std::iter::once(&self.dmcc)).enumerate() {
+                if let Some(trap) = cc.core.trap() {
+                    tl.mark(rec.pid, format!("trap hart {i}: {trap}"), now);
+                }
+            }
         }
     }
 
-    /// Arms the post-mortem flight recorder with a ring of `cap` recent
-    /// per-unit transitions, naming units for cluster `cluster` (e.g.
-    /// `"c0 hart 3"`). Re-arming resets the ring. The recorder samples
-    /// only the classifications the tick already latched, so arming it
-    /// changes no simulated bit and no cycle count.
-    pub fn enable_flight_recorder(&mut self, cap: usize, cluster: usize) {
-        let mut bb = BlackBox::new(cap);
-        let mut harts = Vec::with_capacity(self.workers.len() + 1);
-        for i in 0..self.workers.len() {
-            harts.push(bb.add_unit(format!("c{cluster} hart {i}")));
-        }
-        harts.push(bb.add_unit(format!("c{cluster} dmcc")));
-        let dma = bb.add_unit(format!("c{cluster} dma"));
-        self.flight = Some(FlightRecorder { bb, harts, dma });
+    /// Arms tracing under Chrome-trace process `pid` (the cluster's
+    /// index in its system): a timeline of the most recent `cap`
+    /// transitions over every hart, worker lane and the DMA engine,
+    /// with the FIFO and DMA counter tracks. Re-arming resets the ring.
+    /// Recording changes no simulated bit and no cycle count.
+    pub fn enable_tracing(&mut self, cap: usize, pid: u32) {
+        self.arm(cap, pid, true);
     }
 
-    /// Whether a flight recorder is armed ([`Cluster::run`] and the
-    /// system harness arm a default one before running).
+    /// Arms the default timeline — harts, DMCC and DMA engine, the
+    /// most recent [`DEFAULT_TIMELINE_CAP`] transitions — unless one is
+    /// armed already. [`Cluster::run`] and the system harness call this
+    /// so any timeout dump carries recent history.
+    pub fn arm_default_timeline(&mut self, pid: u32) {
+        if self.recorder.is_none() {
+            self.arm(DEFAULT_TIMELINE_CAP, pid, false);
+        }
+    }
+
+    /// The armed timeline, if any.
     #[must_use]
-    pub fn flight_recorder_armed(&self) -> bool {
-        self.flight.is_some()
+    pub fn timeline(&self) -> Option<&Timeline> {
+        self.recorder.as_ref().map(|r| &r.timeline)
+    }
+
+    /// Drops an instant mark (a timeout) on the armed timeline, if any,
+    /// at the current cycle.
+    pub fn mark(&mut self, name: String) {
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.timeline.mark(rec.pid, name, self.now);
+        }
     }
 
     /// Declares `addr` a synchronization word owned (written) by
@@ -557,56 +636,18 @@ impl Cluster {
         self.sync_words.push((addr, owner_hart));
     }
 
-    /// Every hart (workers, then the DMCC as hart `n_workers`) that has
-    /// not gone quiescent, with its current PC and dominant lifetime
-    /// stall cause — the timeout diagnostic.
-    #[must_use]
-    pub fn stuck_harts(&self, cluster: usize) -> Vec<issr_snitch::cc::StuckHart> {
-        let mut stuck = Vec::new();
-        for (i, cc) in self.workers.iter().enumerate() {
-            if !cc.quiescent() {
-                stuck.push(issr_snitch::cc::StuckHart {
-                    cluster,
-                    hart: i as u32,
-                    pc: cc.core.pc(),
-                    cause: cc.cause_tally.dominant(),
-                });
-            }
-        }
-        if !self.dmcc.quiescent() {
-            stuck.push(issr_snitch::cc::StuckHart {
-                cluster,
-                hart: self.workers.len() as u32,
-                pc: self.dmcc.core.pc(),
-                cause: self.dmcc.cause_tally.dominant(),
-            });
-        }
-        stuck
-    }
-
-    /// Assembles the post-mortem for the cluster's current state: stuck
-    /// harts with their dominant stall cause and last-polled address,
-    /// the frozen wait graph, deadlock-vs-slow classification over the
-    /// declared sync words, and whatever the flight recorder holds.
+    /// Assembles the post-mortem for the cluster's current state: every
+    /// hart (workers, then the DMCC as hart `n_workers`) that has not
+    /// gone quiescent, with its PC, dominant lifetime stall cause and
+    /// last-polled address — one walk, which a timeout's stuck list
+    /// shares — the frozen wait graph, deadlock-vs-slow classification
+    /// over the declared sync words, and whatever the timeline holds.
     #[must_use]
     pub fn post_mortem(&self, cluster: usize) -> PostMortem {
         let mut stuck = Vec::new();
-        let name = |i: usize| {
-            if i == self.workers.len() {
-                format!("c{cluster} dmcc")
-            } else {
-                format!("c{cluster} hart {i}")
-            }
-        };
         for (i, cc) in self.workers.iter().chain(std::iter::once(&self.dmcc)).enumerate() {
             if !cc.quiescent() {
-                stuck.push(StuckUnit {
-                    name: name(i),
-                    hart: i as u32,
-                    pc: cc.core.pc(),
-                    dominant: cc.cause_tally.dominant(),
-                    polls: cc.core.last_load_addr(),
-                });
+                stuck.push(cc.stuck_unit(cluster, &self.hart_name(i)));
             }
         }
         // The post-mortem graph uses the whole-lifetime hart tallies,
@@ -623,13 +664,7 @@ impl Cluster {
             graph.add_breakdown(UnitClass::SpAcc, &cc.attr.spacc);
         }
         graph.add_breakdown(UnitClass::Dma, &self.dma_attr);
-        PostMortem::assemble(
-            self.now,
-            stuck,
-            &self.sync_words,
-            graph,
-            self.flight.as_ref().map(|f| &f.bb),
-        )
+        PostMortem::assemble(self.now, stuck, &self.sync_words, graph, self.timeline())
     }
 
     /// Runs to quiescence.
@@ -638,12 +673,7 @@ impl Cluster {
     /// Returns [`SimTimeout`] if the cluster does not finish in
     /// `max_cycles` (deadlock or bug).
     pub fn run(&mut self, max_cycles: u64) -> Result<ClusterSummary, SimTimeout> {
-        // Arm a default flight recorder so any timeout dump carries
-        // recent history; recording reads only latched state, so this
-        // changes no simulated bit and no cycle count.
-        if self.flight.is_none() {
-            self.enable_flight_recorder(DEFAULT_BLACKBOX_CAP, 0);
-        }
+        self.arm_default_timeline(0);
         let deadline = self.now.saturating_add(max_cycles);
         while self.now < deadline {
             self.tick();
@@ -651,64 +681,8 @@ impl Cluster {
                 return Ok(self.summary());
             }
         }
-        Err(SimTimeout::new(max_cycles, self.stuck_harts(0)).with_post_mortem(self.post_mortem(0)))
-    }
-
-    /// Registers one track per hart (workers then DMCC), per worker
-    /// lane and for the DMA engine under process `pid`, plus counter
-    /// tracks for each lane's data-FIFO occupancy and the DMA engine's
-    /// outstanding words — the system harness calls this once per
-    /// cluster before tracing starts.
-    #[must_use]
-    pub fn register_tracks(&self, rec: &mut TraceRecorder, pid: u32) -> ClusterTracks {
-        let mut harts = Vec::with_capacity(self.workers.len() + 1);
-        let mut lanes = Vec::with_capacity(self.workers.len());
-        let mut lane_fifo = Vec::with_capacity(self.workers.len());
-        for (i, cc) in self.workers.iter().enumerate() {
-            harts.push(rec.add_track(pid, format!("hart {i}")));
-            lanes.push(
-                (0..cc.streamer.n_lanes())
-                    .map(|l| rec.add_track(pid, format!("hart {i} ft{l}")))
-                    .collect(),
-            );
-            lane_fifo.push(
-                (0..cc.streamer.n_lanes())
-                    .map(|l| rec.add_counter(pid, format!("hart {i} ft{l} fifo")))
-                    .collect(),
-            );
-        }
-        harts.push(rec.add_track(pid, "dmcc"));
-        let dma = rec.add_track(pid, "dma");
-        let dma_words = rec.add_counter(pid, "dma outstanding words");
-        ClusterTracks { pid, harts, lanes, dma, lane_fifo, dma_words }
-    }
-
-    /// Feeds one cycle's occupancy of every unit into the recorder.
-    /// Reads only the classification latched by the tick that just ran,
-    /// so sampling (or not sampling) cannot change simulated behavior.
-    pub fn trace_sample(&self, rec: &mut TraceRecorder, tracks: &ClusterTracks, now: u64) {
-        for (i, cc) in self.workers.iter().enumerate() {
-            let causes = cc.last_causes();
-            rec.sample(tracks.harts[i], now, causes.hart == StallCause::Active);
-            for (l, &track) in tracks.lanes[i].iter().enumerate() {
-                let busy = causes.streamer.lanes.get(l) == Some(&StallCause::Active);
-                rec.sample(track, now, busy);
-            }
-            for (l, &ctr) in tracks.lane_fifo[i].iter().enumerate() {
-                rec.sample_counter(ctr, now, cc.streamer.lane(l).fifo_len() as u64);
-            }
-        }
-        let dmcc_busy = self.dmcc.last_causes().hart == StallCause::Active;
-        rec.sample(tracks.harts[self.workers.len()], now, dmcc_busy);
-        rec.sample(tracks.dma, now, self.dma.last_cause() == StallCause::Active);
-        rec.sample_counter(tracks.dma_words, now, self.dma.outstanding_words());
-        // Instant markers for latched traps: `mark` dedups on
-        // `(pid, name)`, so each trap lands once at its first sighting.
-        for (i, cc) in self.workers.iter().chain(std::iter::once(&self.dmcc)).enumerate() {
-            if let Some(trap) = cc.core.trap() {
-                rec.mark(tracks.pid, format!("trap hart {i}: {trap}"), now);
-            }
-        }
+        self.mark(format!("sim timeout after {max_cycles} cycles"));
+        Err(SimTimeout::from_post_mortem(max_cycles, self.post_mortem(0)))
     }
 
     /// Snapshot of the run statistics.

@@ -16,5 +16,5 @@
 pub mod cluster;
 pub mod scan;
 
-pub use cluster::{Cluster, ClusterAttribution, ClusterParams, ClusterSummary, ClusterTracks};
+pub use cluster::{Cluster, ClusterAttribution, ClusterParams, ClusterSummary};
 pub use scan::{emit_exclusive_prefix, scan_array_bytes};

@@ -1,4 +1,4 @@
-//! Post-mortem flight-recorder fixtures: a forced deadlock (two harts
+//! Post-mortem fixtures: a forced deadlock (two harts
 //! spinning on each other's flag words) must be classified `deadlock`
 //! with the right blame cycle, and a one-sided spin must stay `slow`.
 
@@ -53,7 +53,7 @@ fn crossed_spins_classify_as_deadlock_with_blame_cycle() {
     let mut cluster = Cluster::new(spin_program(true), ClusterParams::default());
     declare_flags(&mut cluster);
     let timeout = cluster.run(2_000).expect_err("the crossed spin can never finish");
-    let pm = timeout.post_mortem.as_ref().expect("run() arms the recorder and dumps");
+    let pm = timeout.post_mortem.as_ref().expect("run() arms the timeline and dumps");
     assert_eq!(pm.classification, Classification::Deadlock);
     assert_eq!(
         pm.blame_cycle,
@@ -68,9 +68,9 @@ fn crossed_spins_classify_as_deadlock_with_blame_cycle() {
     // A busy-wait spin is not hardware-blocked (the hart alternates
     // issuing the poll and waiting for its load), so the wait graph
     // carries no edges here — the deadlock shows up in the poll edges
-    // above — and the recorder ring carries the Active/Idle heartbeat.
+    // above — and the timeline carries the Active/Idle heartbeat.
     assert_eq!(pm.wait_graph.total(), 0, "spin loops are not hardware-blocked");
-    assert!(!pm.transitions.is_empty(), "the flight recorder saw transitions");
+    assert!(!pm.transitions.is_empty(), "the timeline saw transitions");
     // The human rendering carries the verdict, and the Perfetto sidecar
     // is a well-formed trace document.
     let text = format!("{timeout}");
@@ -96,14 +96,15 @@ fn one_sided_spin_classifies_as_slow() {
 
 #[test]
 fn post_mortem_is_timing_neutral() {
-    // The same deadlock with and without an explicit (larger) recorder
-    // times out at the same cycle with identical stuck sets: recording
-    // reads only latched state.
+    // The same deadlock under the default timeline and under full
+    // tracing (lanes and counters sampled too, larger ring) times out
+    // at the same cycle with identical stuck sets: recording reads only
+    // latched state.
     let run = |arm: bool| {
         let mut cluster = Cluster::new(spin_program(true), ClusterParams::default());
         declare_flags(&mut cluster);
         if arm {
-            cluster.enable_flight_recorder(1 << 16, 0);
+            cluster.enable_tracing(1 << 16, 0);
         }
         cluster.run(1_500).expect_err("deadlock")
     };

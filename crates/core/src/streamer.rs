@@ -76,6 +76,10 @@ pub struct Streamer {
     fault: Option<StreamFault>,
     /// Whether the latched fault was already handed to the core.
     fault_delivered: bool,
+    /// Whether every unit is frozen and only drains: set by the first
+    /// mid-stream fault, or by [`Streamer::freeze`] when the core
+    /// complex parks on a fault of its own.
+    frozen: bool,
     /// Watchdog threshold applied to newly promoted joiner jobs.
     joiner_watchdog: u64,
 }
@@ -104,6 +108,7 @@ impl Streamer {
             spacc: SpAcc::new(),
             fault: None,
             fault_delivered: false,
+            frozen: false,
             joiner_watchdog: STREAM_WATCHDOG_RESET,
         }
     }
@@ -213,15 +218,22 @@ impl Streamer {
         Some(fault)
     }
 
-    /// Latches the first mid-stream fault and freezes every stream
-    /// unit: lanes stop issuing and drain, the joiner's merge stops,
-    /// the SpAcc aborts to its row-buffer checkpoint. In-flight memory
-    /// responses drain over the following cycles so the ports settle.
+    /// Latches the first mid-stream fault and freezes the streamer.
     fn latch_stream_fault(&mut self, unit: StreamUnit, kind: StreamFaultKind) {
         if self.fault.is_some() {
             return;
         }
         self.fault = Some(StreamFault { unit, kind });
+        self.freeze();
+    }
+
+    /// Freezes every stream unit: lanes stop issuing and drain, the
+    /// joiner's merge stops, the SpAcc aborts to its row-buffer
+    /// checkpoint. In-flight memory responses drain over the following
+    /// cycles so the ports settle. Also the core complex's hook for a
+    /// fault that parks it from outside the streamer (an access fault).
+    pub fn freeze(&mut self) {
+        self.frozen = true;
         for lane in &mut self.lanes {
             lane.freeze();
         }
@@ -400,10 +412,10 @@ impl Streamer {
     /// traffic and the streamer settles to idle.
     pub fn tick(&mut self, now: u64, first: &mut MemPort, rest: &mut [MemPort]) {
         debug_assert_eq!(rest.len() + 1, self.lanes.len(), "one port per lane");
-        if self.fault.is_none() {
+        if !self.frozen {
             self.detect_port_conflicts();
         }
-        if self.fault.is_some() {
+        if self.frozen {
             self.tick_frozen(now, first, rest);
             return;
         }

@@ -273,12 +273,12 @@ pub fn run_system_csrmv_with<I: KernelIndex>(
     Ok(run_system_csrmv_inner(variant, m, x, params, None)?.0)
 }
 
-/// [`run_system_csrmv_with`] with the interval recorder enabled
-/// (`trace_cap` spans per track): returns the run plus the Chrome
-/// trace-event export — one track per hart, stream lane and DMA engine
-/// of every cluster, loadable at `ui.perfetto.dev`. Tracing only reads
-/// state the simulation latches anyway, so the run is cycle-identical
-/// to the untraced one.
+/// [`run_system_csrmv_with`] with tracing enabled (every cluster's
+/// timeline keeps its most recent `trace_cap` transitions): returns the
+/// run plus the Chrome trace-event export — one track per hart, stream
+/// lane and DMA engine of every cluster, loadable at
+/// `ui.perfetto.dev`. Tracing only reads state the simulation latches
+/// anyway, so the run is cycle-identical to the untraced one.
 ///
 /// # Errors
 /// As [`run_system_csrmv_with`].
@@ -314,7 +314,8 @@ fn run_system_csrmv_inner<I: KernelIndex>(
     let budget = 1_000_000 + 64 * m.nnz() as u64 + 1024 * m.nrows() as u64;
     let summary = system.run(budget)?;
     assert!(summary.traps().is_empty(), "system cores trapped: {:?}", summary.traps());
-    let trace = system.trace_json();
+    // The default timeline `run` arms is not worth exporting.
+    let trace = trace_cap.and_then(|_| system.trace_json());
     Ok((SystemCsrmvRun { y: plan.read_y_from(system.main.array()), summary }, trace))
 }
 

@@ -5,7 +5,10 @@
 //! capacity boundary, unsorted feeds, drain stalls, port conflicts)
 //! must latch a [`TrapCause::StreamFault`] the same way: the simulator
 //! drains and reports instead of panicking, and sibling harts in a
-//! cluster finish bit-identically.
+//! cluster finish bit-identically. A data access no mapped region
+//! contains — a core load or store, an ISSR gather through an
+//! out-of-range index — parks its core complex on a
+//! [`TrapCause::AccessFault`] on all three run harnesses.
 
 use issr_cluster::cluster::{Cluster, ClusterParams};
 use issr_core::cfg::{
@@ -15,11 +18,13 @@ use issr_core::fault::{StreamFaultKind, StreamUnit};
 use issr_core::serializer::IndexSize;
 use issr_core::CfgFault;
 use issr_isa::asm::{Assembler, Program};
-use issr_isa::reg::IntReg as R;
+use issr_isa::reg::{FpReg as F, IntReg as R};
 use issr_isa::Csr;
-use issr_mem::map::TCDM_BASE;
+use issr_mem::array::MemArray;
+use issr_mem::map::{PERIPH_BASE, TCDM_BASE};
 use issr_snitch::cc::SingleCcSim;
-use issr_snitch::core::TrapCause;
+use issr_snitch::core::{Trap, TrapCause};
+use issr_system::system::{System, SystemParams};
 
 /// Runs `program` on the sparse-sparse single-CC setup and returns the
 /// latched trap cause (the run itself must complete — not panic).
@@ -445,5 +450,162 @@ fn cluster_surfaces_per_worker_traps() {
     assert_eq!(summary.traps[0].cause, TrapCause::CfgFault(CfgFault::CountModeDrain));
     for h in 1..8u32 {
         assert_eq!(cluster.tcdm.array().load_u32(out + h * 4), 1, "hart {h} finished");
+    }
+}
+
+/// Where every hart without a body of its own stamps completion.
+const MARKERS: u32 = TCDM_BASE + 0x80;
+
+/// Per-hart dispatch for the access-fault programs: hart `h` runs
+/// `bodies[h]` and halts; every other hart (the DMCC included) stamps a
+/// marker at `MARKERS + 4 * hartid`.
+fn dispatch(bodies: &[&dyn Fn(&mut Assembler)]) -> Program {
+    let mut a = Assembler::new();
+    a.csrr(R::A7, Csr::MHartId);
+    let labels: Vec<_> = bodies.iter().map(|_| a.new_label()).collect();
+    for (h, &label) in labels.iter().enumerate() {
+        a.li(R::T1, h as i64);
+        a.beq(R::A7, R::T1, label);
+    }
+    a.slli(R::T0, R::A7, 2);
+    a.li_addr(R::T1, MARKERS);
+    a.add(R::T0, R::T0, R::T1);
+    a.li(R::T2, 1);
+    a.sw(R::T2, R::T0, 0);
+    a.halt();
+    for (body, label) in bodies.iter().zip(labels) {
+        a.bind(label);
+        body(&mut a);
+        a.halt();
+    }
+    a.finish().unwrap()
+}
+
+fn load_from(addr: u32) -> impl Fn(&mut Assembler) {
+    move |a| {
+        a.li_addr(R::T4, addr);
+        a.lw(R::T0, R::T4, 0);
+    }
+}
+
+type Marshal<'a> = &'a dyn Fn(&mut MemArray);
+
+/// The trap `program` latches on the single-CC harness; the run must
+/// drain and return `Ok`, as on the two harnesses below.
+fn traps_on_cc(program: &Program, marshal: Marshal) -> Vec<Trap> {
+    let mut sim = SingleCcSim::new(program.clone());
+    marshal(sim.mem.array_mut());
+    sim.run(10_000).expect("a faulted CC drains").trap.into_iter().collect()
+}
+
+/// The traps on one cluster; harts `finished` must have run to their
+/// marker regardless.
+fn traps_on_cluster(
+    program: &Program,
+    marshal: Marshal,
+    finished: std::ops::Range<u32>,
+) -> Vec<Trap> {
+    let mut cluster = Cluster::new(program.clone(), ClusterParams::default());
+    marshal(cluster.tcdm.array_mut());
+    let summary = cluster.run(100_000).expect("a faulted cluster drains");
+    assert!(summary.post_mortem.is_some(), "a trapped run carries its post-mortem");
+    for h in finished {
+        assert_eq!(cluster.tcdm.array().load_u32(MARKERS + h * 4), 1, "hart {h} finished");
+    }
+    summary.traps
+}
+
+/// The traps on a two-cluster system, which both clusters must agree on.
+fn traps_on_system(
+    program: &Program,
+    marshal: Marshal,
+    finished: std::ops::Range<u32>,
+) -> Vec<Trap> {
+    let params = SystemParams { n_clusters: 2, ..SystemParams::default() };
+    let mut system = System::new(program.clone(), params);
+    system.clusters.iter_mut().for_each(|c| marshal(c.tcdm.array_mut()));
+    let summary = system.run(100_000).expect("a faulted system drains");
+    for (ci, cluster) in system.clusters.iter().enumerate() {
+        assert_eq!(summary.clusters[ci].traps, summary.clusters[0].traps);
+        for h in finished.clone() {
+            let marker = cluster.tcdm.array().load_u32(MARKERS + h * 4);
+            assert_eq!(marker, 1, "cluster {ci} hart {h} finished");
+        }
+    }
+    summary.clusters[0].traps.clone()
+}
+
+/// Asserts harts `0..addrs.len()` each took an access fault at their
+/// address, and nobody else trapped.
+fn assert_access_faults(traps: &[Trap], addrs: &[u32]) {
+    let got: Vec<_> = traps.iter().map(|t| (t.hartid, t.cause)).collect();
+    let want: Vec<_> =
+        (0..).zip(addrs).map(|(h, &addr)| (h, TrapCause::AccessFault { addr })).collect();
+    assert_eq!(got, want);
+}
+
+/// `lw t0, 0(zero)` used to die in `MemArray` with an index out of
+/// bounds; now the load reads zero and the run returns the trap.
+#[test]
+fn core_load_from_unmapped_address_traps_on_cc() {
+    let traps = traps_on_cc(&dispatch(&[&load_from(0)]), &|_| {});
+    assert_access_faults(&traps, &[0]);
+    assert!(traps[0].to_string().contains("0x00000000"), "names the address: {}", traps[0]);
+}
+
+/// Addresses no cluster region maps: address zero, the peripheral
+/// window, the hole below main memory (a store), main memory past its
+/// last byte. Each used to panic the cluster's routing `match`.
+const UNMAPPED: [u32; 4] = [0, PERIPH_BASE + 8, 0x4000_0000, 0xF000_0000];
+
+fn unmapped_accesses() -> Program {
+    let store = |a: &mut Assembler| {
+        a.li_addr(R::T4, UNMAPPED[2]);
+        a.sw(R::A7, R::T4, 0);
+    };
+    dispatch(&[&load_from(UNMAPPED[0]), &load_from(UNMAPPED[1]), &store, &load_from(UNMAPPED[3])])
+}
+
+/// Each faulting hart parks alone: the other workers and the DMCC
+/// finish.
+#[test]
+fn core_access_to_unmapped_address_traps_on_cluster() {
+    assert_access_faults(&traps_on_cluster(&unmapped_accesses(), &|_| {}, 4..9), &UNMAPPED);
+}
+
+#[test]
+fn core_access_to_unmapped_address_traps_on_system() {
+    assert_access_faults(&traps_on_system(&unmapped_accesses(), &|_| {}, 4..9), &UNMAPPED);
+}
+
+/// An ISSR gather whose third index points far outside every memory:
+/// the lane's data fetch faults mid-stream, the streamer freezes, the
+/// FPU squashes and the core complex parks — on all three harnesses.
+#[test]
+fn out_of_range_issr_index_traps_on_every_harness() {
+    let idcs = TCDM_BASE + 0x100;
+    let data = TCDM_BASE + 0x1000;
+    let wild: u32 = 0x0100_0000;
+    let gather = |a: &mut Assembler| {
+        issr_kernels::common::emit_indirect_read::<u32>(a, 1, idcs, 4, 0, data);
+        a.csrsi(Csr::Ssr, 1);
+        a.fcvt_d_w(F::FS0, R::ZERO);
+        for _ in 0..4 {
+            a.fadd_d(F::FS0, F::FS0, F::FT1);
+        }
+        a.csrci(Csr::Ssr, 1);
+    };
+    let program = dispatch(&[&gather]);
+    let marshal = |mem: &mut MemArray| {
+        for (i, idx) in (0..).zip([0, 1, wild, 2]) {
+            mem.store_u32(idcs + 4 * i, idx);
+        }
+    };
+    for traps in [
+        traps_on_cc(&program, &marshal),
+        traps_on_cluster(&program, &marshal, 1..9),
+        traps_on_system(&program, &marshal, 1..9),
+    ] {
+        assert_access_faults(&traps, &[data + (wild << 3)]);
     }
 }

@@ -153,15 +153,22 @@ impl MainMemory {
     /// Serves narrow (64-bit) ports; one request per port per cycle, fixed
     /// latency, no contention (the crossbar is not the bottleneck in the
     /// paper's setup).
-    pub fn tick(&mut self, now: u64, ports: &mut [&mut MemPort]) {
-        for port in ports.iter_mut() {
+    ///
+    /// Returns the access faults of the cycle as `(port position,
+    /// address)`: a request outside the array reads as zero or is
+    /// dropped, and the harness traps the port's owner.
+    pub fn tick(&mut self, now: u64, ports: &mut [&mut MemPort]) -> Vec<(usize, u32)> {
+        let mut faults = Vec::new();
+        for (pi, port) in ports.iter_mut().enumerate() {
             if let Some(req) = port.take_pending() {
                 self.stats.narrow_accesses += 1;
-                debug_assert!(
-                    self.array.contains(req.addr),
-                    "main memory access {:#010x} out of range",
-                    req.addr
-                );
+                if !self.array.contains(req.addr) {
+                    if req.is_read() {
+                        port.push_rsp(now + self.narrow_latency, MemRsp { data: 0 });
+                    }
+                    faults.push((pi, req.addr));
+                    continue;
+                }
                 match req.op {
                     MemOp::Read => {
                         let data = self.array.read_word(req.addr);
@@ -178,6 +185,7 @@ impl MainMemory {
                 }
             }
         }
+        faults
     }
 
     /// DMA-side word read under the cycle's bandwidth budget; `None`
@@ -254,6 +262,18 @@ mod tests {
         p.send(MemReq::write(0x18, 0xAB));
         mem.tick(3, &mut [&mut p]);
         assert_eq!(mem.array().load_u64(0x18), 0xAB);
+    }
+
+    #[test]
+    fn out_of_range_narrow_access_reads_zero_and_reports_the_port() {
+        let mut mem = MainMemory::new(0x8000_0000, 128).with_narrow_latency(2);
+        let mut ok = MemPort::new();
+        let mut past = MemPort::new();
+        ok.send(MemReq::write(0x8000_0008, 5));
+        past.send(MemReq::read(0x8000_0080));
+        assert_eq!(mem.tick(0, &mut [&mut ok, &mut past]), vec![(1, 0x8000_0080)]);
+        assert_eq!(past.take_rsp(2).unwrap().data, 0);
+        assert_eq!(mem.array().load_u64(0x8000_0008), 5);
     }
 
     #[test]

@@ -120,13 +120,13 @@ impl MemPort {
     }
 
     /// Memory side: enqueues a response that becomes visible to the
-    /// master at `ready_cycle`.
+    /// master at `ready_cycle` — or once the responses queued before it
+    /// are, if that is later: a port delivers in request order, so a
+    /// fast answer behind a slow one (a TCDM or faulted access issued
+    /// after a main-memory read) waits its turn.
     pub fn push_rsp(&mut self, ready_cycle: u64, rsp: MemRsp) {
-        debug_assert!(
-            self.rsps.back().is_none_or(|&(t, _)| t <= ready_cycle),
-            "responses must stay in order"
-        );
-        self.rsps.push_back((ready_cycle, rsp));
+        let ready = self.rsps.back().map_or(ready_cycle, |&(t, _)| t.max(ready_cycle));
+        self.rsps.push_back((ready, rsp));
     }
 
     /// Master side: pops the next response if it is ready at `now`.

@@ -103,19 +103,26 @@ impl Tcdm {
     /// (`&mut [MemPort]`) and collected references (`&mut [&mut
     /// MemPort]`); the port's *position in the slice* is its identity
     /// for round-robin arbitration.
+    ///
+    /// Returns the access faults of the cycle as `(port position,
+    /// address)`: a granted request outside the array reads as zero or
+    /// is dropped, and the harness traps the port's owner.
     pub fn tick<P: std::borrow::BorrowMut<MemPort>>(
         &mut self,
         now: u64,
         ports: &mut [P],
         dma_claimed: &[bool],
-    ) {
+    ) -> Vec<(usize, u32)> {
+        let mut faults = Vec::new();
         match self.rr_next.take() {
             None => {
                 // Ideal memory: grant every pending request.
-                for port in ports.iter_mut() {
+                for (pi, port) in ports.iter_mut().enumerate() {
                     let port = port.borrow_mut();
                     if let Some(req) = port.take_pending() {
-                        self.serve(now, req, port);
+                        if !self.serve(now, req, port) {
+                            faults.push((pi, req.addr));
+                        }
                     }
                 }
             }
@@ -146,7 +153,7 @@ impl Tcdm {
                 }
                 if pending_mask == 0 {
                     self.rr_next = Some(rr);
-                    return;
+                    return faults;
                 }
                 let mut served_mask: u64 = 0;
                 // Each active bank (ascending) grants its first
@@ -172,7 +179,9 @@ impl Tcdm {
                     };
                     let port = ports[pi].borrow_mut();
                     let req = port.take_pending().expect("contender tracked pending");
-                    self.serve(now, req, port);
+                    if !self.serve(now, req, port) {
+                        faults.push((pi, req.addr));
+                    }
                     rr[bank] = (pi + 1) % n;
                     served_mask |= 1 << pi;
                 }
@@ -192,11 +201,19 @@ impl Tcdm {
                 self.rr_next = Some(rr);
             }
         }
+        faults
     }
 
-    fn serve(&mut self, now: u64, req: crate::port::MemReq, port: &mut MemPort) {
+    /// Serves one granted request; `false` if its address lies outside
+    /// the array (the read returns zero, the write is dropped).
+    fn serve(&mut self, now: u64, req: crate::port::MemReq, port: &mut MemPort) -> bool {
         self.stats.grants += 1;
-        debug_assert!(self.array.contains(req.addr), "TCDM access {:#010x} out of range", req.addr);
+        if !self.array.contains(req.addr) {
+            if req.is_read() {
+                port.push_rsp(now + 1, MemRsp { data: 0 });
+            }
+            return false;
+        }
         match req.op {
             MemOp::Read => {
                 let data = self.array.read_word(req.addr);
@@ -206,6 +223,7 @@ impl Tcdm {
                 self.array.write_word(req.addr, data, strb);
             }
         }
+        true
     }
 }
 
@@ -307,6 +325,26 @@ mod tests {
         p.send(MemReq::write(0x108, 0x55));
         tcdm.tick(0, &mut [&mut p], &[]);
         assert_eq!(tcdm.array().load_u64(0x108), 0x55);
+    }
+
+    /// A guest address outside the array faults instead of panicking:
+    /// the read completes with zero, the write is dropped, and both
+    /// are reported with their port position — ideal or banked.
+    #[test]
+    fn out_of_range_access_reads_zero_and_reports_the_port() {
+        for mut tcdm in [Tcdm::ideal(0x100, 64), Tcdm::banked(0x100, 64, 4)] {
+            let mut ok = MemPort::new();
+            let mut below = MemPort::new();
+            let mut above = MemPort::new();
+            ok.send(MemReq::write(0x108, 7));
+            below.send(MemReq::read(0x0));
+            above.send(MemReq::write(0x150, 9)); // three distinct banks
+            let faults = tcdm.tick(0, &mut [&mut ok, &mut below, &mut above], &[]);
+            assert_eq!(faults, vec![(1, 0x0), (2, 0x150)]);
+            assert_eq!(below.take_rsp(1).unwrap().data, 0);
+            assert!(above.can_send(), "the dropped write still frees the port");
+            assert_eq!(tcdm.array().load_u64(0x108), 7);
+        }
     }
 
     #[test]

@@ -113,8 +113,8 @@ impl StatMerge for CcAttribution {
 }
 
 /// The most recent cycle's classification of every unit in a core
-/// complex — refreshed every tick (ROI or not), so harnesses can drive
-/// interval tracing from it without touching the ROI-gated breakdowns.
+/// complex — refreshed every tick (ROI or not), so the cluster can feed
+/// its timeline from it without touching the ROI-gated breakdowns.
 #[derive(Clone, Debug)]
 pub struct CcCauses {
     /// The hart's cause this cycle.

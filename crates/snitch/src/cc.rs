@@ -3,7 +3,7 @@
 //! of §IV-A.
 
 use crate::attr::{CcAttribution, CcCauses};
-use crate::core::{SnitchCore, Trap};
+use crate::core::{SnitchCore, Trap, TrapCause};
 use crate::fpu::FpuSubsystem;
 use crate::metrics::{Metrics, RoiCounters};
 use crate::params::CcParams;
@@ -18,7 +18,7 @@ use issr_mem::icache::{L0Buffer, L1ICache};
 use issr_mem::map::TCDM_BASE;
 use issr_mem::port::MemPort;
 use issr_mem::tcdm::{Tcdm, TcdmStats};
-use issr_trace::{CycleBreakdown, PostMortem, StallCause};
+use issr_trace::{CycleBreakdown, PostMortem, StallCause, StuckUnit};
 
 /// One Snitch core complex.
 ///
@@ -125,23 +125,8 @@ impl CoreComplex {
     /// what a full tick does when [`CoreComplex::is_idle`] holds, as
     /// the idle-no-op property test pins down.
     pub fn tick_idle(&mut self) {
-        let instret_before = self.metrics.instret;
         let roi_before = self.metrics.roi;
-        let hart = self.hart_cause(instret_before, &roi_before);
-        let mut probe = std::mem::take(&mut self.causes.streamer);
-        self.streamer.attr_probe_into(&mut probe);
-        self.metrics.cycles += 1;
-        self.cause_tally.record(hart);
-        if self.metrics.roi_active {
-            self.metrics.roi.cycles += 1;
-            self.attr.hart.record(hart);
-            for (table, &cause) in self.attr.lanes.iter_mut().zip(probe.lanes.iter()) {
-                table.record(cause);
-            }
-            self.attr.joiner.record(probe.joiner);
-            self.attr.spacc.record(probe.spacc);
-        }
-        self.causes = CcCauses { hart, streamer: probe };
+        self.account_cycle(self.metrics.instret, &roi_before);
     }
 
     /// Advances the CC one cycle. `phys[0]` is the shared port, `phys[1..]`
@@ -195,17 +180,23 @@ impl CoreComplex {
         // (sibling harts in a cluster are unaffected; the barrier masks
         // halted cores).
         if let Some(fault) = self.streamer.take_stream_fault() {
-            self.core.deliver_stream_fault(fault);
+            self.core.deliver_fault(TrapCause::StreamFault(fault));
             self.fpu.flush();
         }
         // 5. Forward one combined request.
         self.shared.forward_requests(&mut phys[0]);
-        // 6. Account the cycle — and classify it. The hart cause comes
-        // from the counter deltas this tick produced; the stream units
-        // classify themselves. Recording happens here, exactly once per
-        // cycle, right where the ROI cycle counter advances — which is
-        // what makes every breakdown total equal the ROI cycles.
-        let hart = self.hart_cause(instret_before, &roi_before);
+        // 6. Account the cycle.
+        self.account_cycle(instret_before, &roi_before);
+    }
+
+    /// Accounts one cycle — and classifies it. The hart cause comes
+    /// from the counter deltas since the given pre-tick snapshot; the
+    /// stream units classify themselves. Recording happens here,
+    /// exactly once per cycle, right where the ROI cycle counter
+    /// advances — which is what makes every breakdown total equal the
+    /// ROI cycles.
+    fn account_cycle(&mut self, instret_before: u64, roi_before: &RoiCounters) {
+        let hart = self.hart_cause(instret_before, roi_before);
         // Reuse last cycle's probe buffer instead of allocating one.
         let mut probe = std::mem::take(&mut self.causes.streamer);
         self.streamer.attr_probe_into(&mut probe);
@@ -250,39 +241,39 @@ impl CoreComplex {
     }
 
     /// The most recent tick's classification of every unit, refreshed
-    /// every cycle (inside the ROI or not) — the signal the cluster and
-    /// system harnesses feed their interval-trace recorders.
+    /// every cycle (inside the ROI or not) — the signal the cluster
+    /// feeds its timeline.
     #[must_use]
     pub fn last_causes(&self) -> &CcCauses {
         &self.causes
     }
-}
 
-/// One hart that had not gone quiescent when a run timed out.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct StuckHart {
-    /// Cluster index within the system (0 for standalone runs).
-    pub cluster: usize,
-    /// Hart id within its cluster (workers `0..n_workers`, the DMCC is
-    /// `n_workers`).
-    pub hart: u32,
-    /// The hart's PC at the timeout.
-    pub pc: u32,
-    /// The cause the hart spent most of its lifetime cycles in — a
-    /// spinning hart reads `active`, a wedged one names its stall.
-    pub cause: StallCause,
-}
+    /// Parks the CC on an access fault the memory system reported for
+    /// one of its ports: the core takes [`TrapCause::AccessFault`], the
+    /// FPU subsystem squashes and the streamer freezes, exactly as for
+    /// a mid-stream fault, so the CC still drains to quiescence and
+    /// sibling harts are unaffected. The harness calls this between
+    /// ticks; the faulting request was already served as a zero read or
+    /// a dropped write.
+    pub fn deliver_access_fault(&mut self, addr: u32) {
+        self.core.deliver_fault(TrapCause::AccessFault { addr });
+        self.fpu.flush();
+        self.streamer.freeze();
+    }
 
-impl std::fmt::Display for StuckHart {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "cluster {} hart {} pc={:#010x} mostly {}",
-            self.cluster,
-            self.hart,
-            self.pc,
-            self.cause.label()
-        )
+    /// This hart's entry in a timeout's stuck list: where it stands,
+    /// what it mostly waited on, and the word it last loaded. `unit` is
+    /// its name within the cluster ("hart 3", "dmcc").
+    #[must_use]
+    pub fn stuck_unit(&self, cluster: usize, unit: &str) -> StuckUnit {
+        StuckUnit {
+            name: format!("c{cluster} {unit}"),
+            cluster,
+            hart: self.core.hartid(),
+            pc: self.core.pc(),
+            dominant: self.cause_tally.dominant(),
+            polls: self.core.last_load_addr(),
+        }
     }
 }
 
@@ -297,8 +288,8 @@ pub struct SimTimeout {
     /// Every non-quiescent hart at the timeout, in cluster/hart order —
     /// a multi-cluster deadlock names all its participants, not just
     /// cluster 0's first worker.
-    pub stuck: Vec<StuckHart>,
-    /// The flight recorder's post-mortem report, when the run harness
+    pub stuck: Vec<StuckUnit>,
+    /// The post-mortem report, when the run harness
     /// assembled one (cluster and system runs always do). Boxed so the
     /// error stays small on the happy path.
     pub post_mortem: Option<Box<PostMortem>>,
@@ -309,16 +300,17 @@ impl SimTimeout {
     /// the first entry (0 when the stall is outside any hart, e.g. a
     /// DMA engine that never drained).
     #[must_use]
-    pub fn new(max_cycles: u64, stuck: Vec<StuckHart>) -> Self {
+    pub fn new(max_cycles: u64, stuck: Vec<StuckUnit>) -> Self {
         let pc = stuck.first().map_or(0, |s| s.pc);
         Self { max_cycles, pc, stuck, post_mortem: None }
     }
 
-    /// Attaches the flight recorder's post-mortem report.
+    /// Builds the error around a post-mortem report, whose stuck list
+    /// it shares.
     #[must_use]
-    pub fn with_post_mortem(mut self, pm: PostMortem) -> Self {
-        self.post_mortem = Some(Box::new(pm));
-        self
+    pub fn from_post_mortem(max_cycles: u64, pm: PostMortem) -> Self {
+        let base = Self::new(max_cycles, pm.stuck.clone());
+        Self { post_mortem: Some(Box::new(pm)), ..base }
     }
 }
 
@@ -495,9 +487,9 @@ impl SingleCcSim {
             } else {
                 0
             };
-            {
-                let mut port_refs: Vec<&mut MemPort> = self.ports.iter_mut().collect();
-                self.mem.tick(now, &mut port_refs, &[]);
+            // Every port is this CC's: any access fault parks it.
+            for (_, addr) in self.mem.tick(now, &mut self.ports, &[]) {
+                self.cc.deliver_access_fault(addr);
             }
             issr_trace::host::phase(&mut host_t, "mem", 1, idle_mem);
             issr_trace::host::cycle();
@@ -515,15 +507,8 @@ impl SingleCcSim {
                 });
             }
         }
-        Err(SimTimeout::new(
-            max_cycles,
-            vec![StuckHart {
-                cluster: 0,
-                hart: self.cc.core.hartid(),
-                pc: self.cc.core.pc(),
-                cause: self.cc.cause_tally.dominant(),
-            }],
-        ))
+        let unit = format!("hart {}", self.cc.core.hartid());
+        Err(SimTimeout::new(max_cycles, vec![self.cc.stuck_unit(0, &unit)]))
     }
 }
 

@@ -56,6 +56,14 @@ pub enum TrapCause {
     /// is recoverable at the kernel layer (grow `ACC_BUF_CAP`, replay
     /// the faulted row — see `issr_core::spacc`).
     StreamFault(issr_core::StreamFault),
+    /// A data access (core or FPU load/store, or a stream lane's index
+    /// or data fetch) no mapped memory region contains. Runtime-only:
+    /// the memory served it as a zero read / dropped write and the run
+    /// harness parked the core complex that owns the port.
+    AccessFault {
+        /// The byte address of the faulting request.
+        addr: u32,
+    },
 }
 
 /// A structured decode/fetch trap: which core stopped, where, and why.
@@ -87,6 +95,13 @@ impl std::fmt::Display for Trap {
             }
             TrapCause::StreamFault(fault) => {
                 write!(f, "hart {}: stream fault — {fault} (near {:#010x})", self.hartid, self.pc)
+            }
+            TrapCause::AccessFault { addr } => {
+                write!(
+                    f,
+                    "hart {}: access fault — no mapped region contains {addr:#010x} (near {:#010x})",
+                    self.hartid, self.pc
+                )
             }
         }
     }
@@ -188,19 +203,17 @@ impl SnitchCore {
         self.halted = true;
     }
 
-    /// Delivers a mid-stream fault latched by the streamer: the core
-    /// parks exactly like a decode trap (the first trap wins — a core
-    /// that already trapped or halted keeps its state but stays
-    /// parked). The PC is the instruction the core had reached when the
-    /// fault latched; stream jobs run decoupled, so it is a vicinity,
-    /// not the faulting instruction itself.
-    pub fn deliver_stream_fault(&mut self, fault: issr_core::StreamFault) {
+    /// Delivers a fault raised outside the integer pipeline — a
+    /// mid-stream fault latched by the streamer, an access fault
+    /// reported by the memory: the core parks exactly like a decode
+    /// trap (the first trap wins — a core that already trapped or
+    /// halted keeps its state but stays parked). The PC is the
+    /// instruction the core had reached when the fault arrived; stream
+    /// jobs and memory requests run decoupled, so it is a vicinity, not
+    /// the faulting instruction itself.
+    pub fn deliver_fault(&mut self, cause: TrapCause) {
         if self.trap.is_none() {
-            self.trap = Some(Trap {
-                hartid: self.hartid,
-                pc: self.pc,
-                cause: TrapCause::StreamFault(fault),
-            });
+            self.trap = Some(Trap { hartid: self.hartid, pc: self.pc, cause });
         }
         self.halted = true;
     }

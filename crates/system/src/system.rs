@@ -17,15 +17,14 @@
 //! ticket counter ([`System::set_work_queue`]) from which the clusters'
 //! DMCCs claim row-panel tiles of a shared work queue.
 
-use issr_cluster::cluster::{Cluster, ClusterParams, ClusterSummary, ClusterTracks};
+use issr_cluster::cluster::{Cluster, ClusterParams, ClusterSummary};
 use issr_isa::asm::Program;
 use issr_mem::dma::DmaStats;
 use issr_mem::main_mem::{MainMemStats, MainMemory};
 use issr_mem::map::{MAIN_BASE, MAIN_SIZE};
-use issr_snitch::cc::{SimTimeout, StuckHart};
+use issr_snitch::cc::SimTimeout;
 use issr_snitch::core::Trap;
-use issr_trace::blackbox::DEFAULT_BLACKBOX_CAP;
-use issr_trace::{merge::merge_all, PostMortem, TraceRecorder};
+use issr_trace::{merge::merge_all, timeline, PostMortem};
 
 /// System configuration.
 #[derive(Clone, Copy, Debug)]
@@ -130,17 +129,9 @@ pub struct System {
     rr: usize,
     now: u64,
     overlap_cycles: u64,
-    trace: Option<SystemTrace>,
     /// Per-cluster quiescence, memoized by [`System::run`]: halting is
     /// terminal, so a cluster once quiescent is never re-checked.
     done: Vec<bool>,
-}
-
-/// The opt-in interval recorder plus the per-cluster track handles.
-#[derive(Debug)]
-struct SystemTrace {
-    rec: TraceRecorder,
-    tracks: Vec<ClusterTracks>,
 }
 
 impl System {
@@ -148,7 +139,7 @@ impl System {
     /// cluster via `mhartid`, dynamic tile claims across clusters).
     #[must_use]
     pub fn new(program: Program, params: SystemParams) -> Self {
-        assert!(params.n_clusters >= 1, "a system needs at least one cluster");
+        assert!(params.n_clusters >= 1, "a system needs at least one cluster"); // gate-allow: host-API construction precondition
         let clusters = (0..params.n_clusters)
             .map(|_| Cluster::new_for_system(program.clone(), params.cluster))
             .collect();
@@ -161,43 +152,36 @@ impl System {
             rr: 0,
             now: 0,
             overlap_cycles: 0,
-            trace: None,
             done: vec![false; params.n_clusters],
         }
     }
 
-    /// Enables interval tracing with a ring of at most `cap` spans:
-    /// registers one track per hart, per worker lane and per DMA engine
-    /// in every cluster (cluster index = Perfetto process id) and
-    /// samples them each cycle from then on. The recorder only *reads*
-    /// latched per-tick state, so enabling it cannot change timing.
+    /// Enables tracing: arms every cluster's timeline with a ring of
+    /// the most recent `cap` transitions over every hart, worker lane
+    /// and DMA engine plus the FIFO/DMA counter tracks (cluster index =
+    /// Perfetto process id), sampled each cycle from then on. A
+    /// timeline only *reads* latched per-tick state, so enabling it
+    /// cannot change timing.
     pub fn enable_tracing(&mut self, cap: usize) {
-        let mut rec = TraceRecorder::new(cap);
-        let tracks = self
-            .clusters
-            .iter()
-            .enumerate()
-            .map(|(pid, c)| c.register_tracks(&mut rec, pid as u32))
-            .collect();
-        self.trace = Some(SystemTrace { rec, tracks });
+        for (ci, cluster) in self.clusters.iter_mut().enumerate() {
+            cluster.enable_tracing(cap, ci as u32);
+        }
     }
 
-    /// Closes all open spans and returns the Chrome trace-event
-    /// document, or `None` if tracing was never enabled. Tracing
-    /// continues if the system keeps running afterwards.
-    pub fn trace_json(&mut self) -> Option<issr_trace::Json> {
-        let now = self.now;
-        self.trace.as_mut().map(|t| {
-            t.rec.finish(now);
-            t.rec.to_chrome_json()
-        })
-    }
-
-    /// The live recorder, if tracing is enabled (tests inspect track
-    /// and span counts through this).
+    /// The Chrome trace-event document of every armed cluster timeline
+    /// (per-cluster event lists concatenated, open residencies closed
+    /// at the current cycle), or `None` if no timeline is armed — one
+    /// is once [`System::enable_tracing`] or [`System::run`] was
+    /// called. Recording continues if the system keeps running
+    /// afterwards.
     #[must_use]
-    pub fn trace_recorder(&self) -> Option<&TraceRecorder> {
-        self.trace.as_ref().map(|t| &t.rec)
+    pub fn trace_json(&self) -> Option<issr_trace::Json> {
+        let timelines: Vec<_> = self.clusters.iter().filter_map(Cluster::timeline).collect();
+        if timelines.is_empty() {
+            return None;
+        }
+        let events = timelines.iter().flat_map(|tl| tl.chrome_events(self.now)).collect();
+        Some(timeline::chrome_trace(events, timelines.iter().map(|tl| tl.evicted()).sum()))
     }
 
     /// Designates `addr` (in main memory) as the hardware fetch-and-add
@@ -207,15 +191,6 @@ impl System {
         self.main.set_fetch_add_word(addr);
     }
 
-    /// Arms every cluster's post-mortem flight recorder with a ring of
-    /// `cap` recent transitions each ([`System::run`] does this
-    /// automatically with the default capacity). Timing-neutral.
-    pub fn enable_flight_recorders(&mut self, cap: usize) {
-        for (ci, cluster) in self.clusters.iter_mut().enumerate() {
-            cluster.enable_flight_recorder(cap, ci);
-        }
-    }
-
     /// Declares `addr` a synchronization word owned by `owner_hart` of
     /// cluster `cluster` — see [`Cluster::declare_sync_word`].
     pub fn declare_sync_word(&mut self, cluster: usize, addr: u32, owner_hart: u32) {
@@ -223,7 +198,7 @@ impl System {
     }
 
     /// The system-wide post-mortem: every cluster's report merged (stuck
-    /// units, wait graphs, recorder contents, blame cycles).
+    /// units, wait graphs, timeline windows, blame cycles).
     #[must_use]
     pub fn post_mortem(&self) -> PostMortem {
         PostMortem::merge(
@@ -254,15 +229,6 @@ impl System {
         if dma_moved && in_roi {
             self.overlap_cycles += 1;
         }
-        if let Some(trace) = &mut self.trace {
-            // A saturated recorder accepts nothing: skip the walk over
-            // every track of every cluster (pure overhead then).
-            if !trace.rec.saturated() {
-                for (cluster, tracks) in self.clusters.iter().zip(trace.tracks.iter()) {
-                    cluster.trace_sample(&mut trace.rec, tracks, self.now);
-                }
-            }
-        }
         self.rr = (self.rr + 1) % n;
         self.now += 1;
     }
@@ -274,13 +240,10 @@ impl System {
     /// `max_cycles` (deadlock or bug); the error lists every hart that
     /// was not quiescent, with its cluster index and current PC.
     pub fn run(&mut self, max_cycles: u64) -> Result<SystemSummary, SimTimeout> {
-        // Arm default flight recorders so a timeout dump always carries
-        // recent history (recording is timing-neutral; see the cluster).
-        // Only unarmed clusters: re-arming would reset a caller's ring.
+        // So a timeout dump always carries recent history (recording
+        // is timing-neutral; see the cluster).
         for (ci, cluster) in self.clusters.iter_mut().enumerate() {
-            if !cluster.flight_recorder_armed() {
-                cluster.enable_flight_recorder(DEFAULT_BLACKBOX_CAP, ci);
-            }
+            cluster.arm_default_timeline(ci as u32);
         }
         let deadline = self.now.saturating_add(max_cycles);
         while self.now < deadline {
@@ -298,13 +261,10 @@ impl System {
                 return Ok(self.summary());
             }
         }
-        if let Some(trace) = &mut self.trace {
-            trace.rec.mark(0, format!("sim timeout after {max_cycles} cycles"), self.now);
+        if let Some(first) = self.clusters.first_mut() {
+            first.mark(format!("sim timeout after {max_cycles} cycles"));
         }
-        let stuck: Vec<StuckHart> =
-            self.clusters.iter().enumerate().flat_map(|(ci, c)| c.stuck_harts(ci)).collect();
-        let pm = self.post_mortem();
-        Err(SimTimeout::new(max_cycles, stuck).with_post_mortem(pm))
+        Err(SimTimeout::from_post_mortem(max_cycles, self.post_mortem()))
     }
 
     /// Snapshot of the run statistics.
@@ -478,20 +438,78 @@ mod tests {
         // Tracks: per cluster, one per worker hart + 2 lanes each,
         // the DMCC and the DMA engine.
         let per_cluster = n_workers + 2 * n_workers + 1 + 1;
-        let rec = sys.trace_recorder().expect("tracing enabled");
-        assert_eq!(rec.n_tracks(), 2 * per_cluster);
-        assert!(rec.n_spans() > 0, "the DMA pull must produce busy spans");
+        for cluster in &sys.clusters {
+            let timeline = cluster.timeline().expect("tracing enabled");
+            assert_eq!(timeline.unit_names().len(), per_cluster);
+        }
         // Per-cluster DMA attribution covers every cluster cycle.
         for c in &traced.clusters {
             assert_eq!(c.attr.dma.total(), c.cycles);
         }
         let doc = sys.trace_json().expect("export");
         let events = doc.get("traceEvents").and_then(issr_trace::Json::as_arr).expect("events");
-        let metas = events
+        let count = |ph| {
+            events
+                .iter()
+                .filter(|e| e.get("ph").and_then(issr_trace::Json::as_str) == Some(ph))
+                .count()
+        };
+        assert_eq!(count("M"), 2 * per_cluster, "every track must be named");
+        assert!(count("X") > 0, "the DMA pull must produce busy spans");
+    }
+
+    /// A traced run that times out: the post-mortem's window and the
+    /// exported trace come from the same per-cluster rings — every
+    /// retained transition is a span of the export and nothing else is
+    /// — and the timeout is marked at the moment of death.
+    #[test]
+    fn traced_timeout_post_mortem_is_the_tail_of_the_trace() {
+        use issr_trace::{Json, StallCause};
+        // Workers halt; each DMCC spins on a flag nobody sets — an
+        // active/idle heartbeat that overflows a small ring.
+        let mut a = Assembler::new();
+        a.csrr(R::T0, Csr::MHartId);
+        let dmcc = a.new_label();
+        a.li(R::T1, ClusterParams::default().n_workers as i64);
+        a.beq(R::T0, R::T1, dmcc);
+        a.halt();
+        a.bind(dmcc);
+        a.li_addr(R::T4, TCDM_BASE + 0x20);
+        let spin = a.bind_label();
+        a.lw(R::T2, R::T4, 0);
+        a.beqz(R::T2, spin);
+        a.halt();
+        let mut sys = System::new(a.finish().unwrap(), params(2));
+        sys.enable_tracing(64);
+        let timeout = sys.run(600).expect_err("the spin never ends");
+        let pm = timeout.post_mortem.as_ref().expect("post-mortem");
+        assert_eq!(pm.transitions.len(), 2 * 64, "both rings are full");
+        assert!(pm.evicted > 0, "the heartbeat overflowed the rings");
+
+        let doc = sys.trace_json().expect("tracing enabled");
+        assert_eq!(doc.get("evictedTransitions").and_then(Json::as_int), Some(pm.evicted as i64));
+        let events = doc.get("traceEvents").and_then(Json::as_arr).expect("events");
+        let phase =
+            |ph| events.iter().filter(move |e| e.get("ph").and_then(Json::as_str) == Some(ph));
+        let int = |e: &Json, k: &str| e.get(k).and_then(Json::as_int).expect("integer field");
+        let name = |e: &Json| e.get("name").and_then(Json::as_str).expect("name").to_owned();
+        // Both clusters register the same units, so a span's (pid, tid)
+        // is index `pid * units + tid` of the merged post-mortem table.
+        let units = pm.unit_names.len() as i64 / 2;
+        let mut spans: Vec<_> = phase("X")
+            .map(|e| (int(e, "pid") * units + int(e, "tid"), int(e, "ts"), name(e)))
+            .collect();
+        let mut window: Vec<_> = pm
+            .transitions
             .iter()
-            .filter(|e| e.get("ph").and_then(issr_trace::Json::as_str) == Some("M"))
-            .count();
-        assert_eq!(metas, 2 * per_cluster, "every track must be named");
+            .filter(|t| t.to != StallCause::Idle)
+            .map(|t| (t.unit as i64, t.cycle as i64, t.to.label().to_owned()))
+            .collect();
+        spans.sort();
+        window.sort();
+        assert_eq!(spans, window, "the trace's spans are exactly the post-mortem window");
+        let death = phase("i").find(|e| name(e).contains("timeout")).expect("timeout marked");
+        assert_eq!(int(death, "ts"), pm.at as i64);
     }
 
     #[test]

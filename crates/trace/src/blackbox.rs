@@ -1,133 +1,19 @@
-//! The flight recorder: a bounded ring of recent per-unit state
-//! transitions, plus the post-mortem report built from it when a run
-//! dies.
+//! The post-mortem report a run harness assembles when a run dies: a
+//! timeout, or a latched fault.
 //!
-//! Unlike [`crate::chrome::TraceRecorder`], which keeps the *head* of a
-//! timeline, the black box keeps the *tail* — the most recent
-//! transitions before a `SimTimeout` or a latched stream fault, which
-//! is the forensic window that matters once a run is already dead. It
-//! is timing-neutral by the same construction: the run harnesses sample
-//! latched post-tick state once per cycle, and only cause *changes*
-//! cost a ring slot, so a wedged steady-state run records almost
-//! nothing per cycle.
-//!
-//! The [`PostMortem`] report assembles the frozen picture: each stuck
-//! unit with its dominant stall cause and the sync word it was polling,
-//! the cumulative wait graph, cycle detection over the poll edges
-//! (deadlock vs. merely slow), and the recent-transition window — which
-//! [`PostMortem::sidecar_json`] also exports as a Chrome trace-event
-//! document so the final window can be eyeballed in Perfetto.
+//! The [`PostMortem`] is the frozen picture: each stuck unit with its
+//! dominant stall cause and the sync word it was polling, the
+//! cumulative wait graph, cycle detection over the poll edges (deadlock
+//! vs. merely slow), and the final window of the cluster's
+//! [`Timeline`] — the most recent transitions before the run was
+//! declared dead. [`PostMortem::sidecar_json`] exports that window
+//! through the timeline's Chrome exporter so it can be eyeballed in
+//! Perfetto.
 
 use crate::attr::StallCause;
-use crate::json::{obj, Json};
+use crate::json::Json;
+use crate::timeline::{chrome_trace, mark_event, span_events, Timeline, Transition};
 use crate::waitgraph::WaitGraph;
-
-/// Handle to one unit registered with a [`BlackBox`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct UnitId(usize);
-
-/// One recorded state change: at `cycle`, `unit` went `from` → `to`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Transition {
-    /// Cycle the new cause was first observed.
-    pub cycle: u64,
-    /// Index into the owner's unit-name table.
-    pub unit: usize,
-    /// The cause the unit left.
-    pub from: StallCause,
-    /// The cause the unit entered.
-    pub to: StallCause,
-}
-
-#[derive(Clone, Debug)]
-struct UnitState {
-    name: String,
-    last: StallCause,
-}
-
-/// Default transition capacity: a generous final window at a few bytes
-/// per slot.
-pub const DEFAULT_BLACKBOX_CAP: usize = 4096;
-
-/// Bounded most-recent-transition recorder.
-#[derive(Clone, Debug)]
-pub struct BlackBox {
-    units: Vec<UnitState>,
-    ring: std::collections::VecDeque<Transition>,
-    cap: usize,
-    evicted: u64,
-}
-
-impl Default for BlackBox {
-    fn default() -> Self {
-        Self::new(DEFAULT_BLACKBOX_CAP)
-    }
-}
-
-impl BlackBox {
-    /// Creates a recorder holding the most recent `cap` transitions
-    /// (older ones are evicted and counted).
-    #[must_use]
-    pub fn new(cap: usize) -> Self {
-        Self { units: Vec::new(), ring: std::collections::VecDeque::new(), cap, evicted: 0 }
-    }
-
-    /// Registers a unit; its initial state is `Idle`.
-    pub fn add_unit(&mut self, name: impl Into<String>) -> UnitId {
-        self.units.push(UnitState { name: name.into(), last: StallCause::Idle });
-        UnitId(self.units.len() - 1)
-    }
-
-    /// Records the unit's cause for cycle `now`. Only changes cost a
-    /// ring slot; steady state is free.
-    pub fn sample(&mut self, unit: UnitId, now: u64, cause: StallCause) {
-        let u = &mut self.units[unit.0];
-        if u.last == cause {
-            return;
-        }
-        let t = Transition { cycle: now, unit: unit.0, from: u.last, to: cause };
-        u.last = cause;
-        if self.cap == 0 {
-            self.evicted += 1;
-            return;
-        }
-        if self.ring.len() == self.cap {
-            self.ring.pop_front();
-            self.evicted += 1;
-        }
-        self.ring.push_back(t);
-    }
-
-    /// Registered unit names, in [`UnitId`] order.
-    #[must_use]
-    pub fn unit_names(&self) -> Vec<String> {
-        self.units.iter().map(|u| u.name.clone()).collect()
-    }
-
-    /// The retained window, oldest first.
-    #[must_use]
-    pub fn transitions(&self) -> Vec<Transition> {
-        self.ring.iter().copied().collect()
-    }
-
-    /// Transitions evicted by the ring cap.
-    #[must_use]
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Transitions currently held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the window is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-}
 
 /// What the frozen wait picture says about why the run died.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -151,20 +37,38 @@ impl Classification {
     }
 }
 
-/// One stuck unit in the post-mortem.
+/// One hart that had not gone quiescent when a run died — the entry
+/// of both a timeout's stuck list and the post-mortem's.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct StuckUnit {
-    /// Display name ("c0 hart 1", …).
+    /// Display name ("c0 hart 1", "c0 dmcc").
     pub name: String,
-    /// Hart index within its cluster (for poll-edge resolution).
+    /// Cluster index within the system (0 for standalone runs).
+    pub cluster: usize,
+    /// Hart id within its cluster (workers `0..n_workers`, the DMCC is
+    /// `n_workers`) — what poll edges resolve against.
     pub hart: u32,
     /// Program counter at the time of death.
     pub pc: u32,
-    /// The cause the hart spent most of its lifetime cycles in.
+    /// The cause the hart spent most of its lifetime cycles in — a
+    /// spinning hart reads `active`, a wedged one names its stall.
     pub dominant: StallCause,
     /// The address of the last load it issued — the word it was
     /// polling, when it died in a spin loop.
     pub polls: Option<u32>,
+}
+
+impl std::fmt::Display for StuckUnit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "cluster {} hart {} pc={:#010x} mostly {}",
+            self.cluster,
+            self.hart,
+            self.pc,
+            self.dominant.label()
+        )
+    }
 }
 
 /// Finds a cycle in a poller→owner edge set (at most one outgoing edge
@@ -235,7 +139,7 @@ pub struct PostMortem {
     pub wait_graph: WaitGraph,
     /// Unit-name table for `transitions`.
     pub unit_names: Vec<String>,
-    /// The flight recorder's final window, oldest first.
+    /// The timeline's final window, oldest first.
     pub transitions: Vec<Transition>,
     /// Transitions lost to the ring cap before the window.
     pub evicted: u64,
@@ -251,7 +155,7 @@ impl PostMortem {
         stuck: Vec<StuckUnit>,
         sync_words: &[(u32, u32)],
         wait_graph: WaitGraph,
-        recorder: Option<&BlackBox>,
+        timeline: Option<&Timeline>,
     ) -> Self {
         let mut edges: Vec<(usize, usize)> = Vec::new();
         for (i, s) in stuck.iter().enumerate() {
@@ -275,9 +179,9 @@ impl PostMortem {
             blame_cycle,
             stuck,
             wait_graph,
-            unit_names: recorder.map(BlackBox::unit_names).unwrap_or_default(),
-            transitions: recorder.map(BlackBox::transitions).unwrap_or_default(),
-            evicted: recorder.map_or(0, BlackBox::evicted),
+            unit_names: timeline.map(Timeline::unit_names).unwrap_or_default(),
+            transitions: timeline.map(Timeline::transitions).unwrap_or_default(),
+            evicted: timeline.map_or(0, Timeline::evicted),
         }
     }
 
@@ -318,66 +222,18 @@ impl PostMortem {
         out
     }
 
-    /// The final window as a Chrome trace-event document: one track per
-    /// unit, one span per non-idle residency between transitions, and
-    /// an instant event marking the moment of death. Loads in Perfetto
-    /// next to the main trace (same 1 cycle = 1 µs axis).
+    /// The final window as a Chrome trace-event document: the
+    /// timeline's export of the retained transitions (every track under
+    /// process 0, named with its cluster prefix) plus an instant event
+    /// marking the moment of death. Loads in Perfetto next to the main
+    /// trace (same 1 cycle = 1 µs axis).
     #[must_use]
     pub fn sidecar_json(&self) -> Json {
-        let mut events = Vec::new();
-        for (tid, name) in self.unit_names.iter().enumerate() {
-            events.push(obj(vec![
-                ("name", Json::from("thread_name")),
-                ("ph", Json::from("M")),
-                ("pid", Json::from(0u64)),
-                ("tid", Json::from(tid)),
-                ("args", obj(vec![("name", Json::from(name.as_str()))])),
-            ]));
-        }
-        // Each unit's residency spans: from each transition to the next
-        // one of the same unit (or to the moment of death).
-        let mut open: std::collections::BTreeMap<usize, (u64, StallCause)> =
-            std::collections::BTreeMap::new();
-        let mut spans: Vec<(usize, u64, u64, StallCause)> = Vec::new();
-        for t in &self.transitions {
-            if let Some((start, cause)) = open.insert(t.unit, (t.cycle, t.to)) {
-                if t.cycle > start {
-                    spans.push((t.unit, start, t.cycle - start, cause));
-                }
-            }
-        }
-        for (unit, (start, cause)) in open {
-            if self.at > start {
-                spans.push((unit, start, self.at - start, cause));
-            }
-        }
-        spans.sort_by_key(|&(unit, start, _, _)| (unit, start));
-        for (unit, start, dur, cause) in spans {
-            if cause == StallCause::Idle {
-                continue;
-            }
-            events.push(obj(vec![
-                ("name", Json::from(cause.label())),
-                ("ph", Json::from("X")),
-                ("ts", Json::from(start)),
-                ("dur", Json::from(dur)),
-                ("pid", Json::from(0u64)),
-                ("tid", Json::from(unit)),
-            ]));
-        }
-        events.push(obj(vec![
-            ("name", Json::from(format!("post-mortem ({})", self.classification.label()))),
-            ("ph", Json::from("i")),
-            ("ts", Json::from(self.at)),
-            ("pid", Json::from(0u64)),
-            ("tid", Json::from(0u64)),
-            ("s", Json::from("g")),
-        ]));
-        obj(vec![
-            ("traceEvents", Json::Arr(events)),
-            ("displayTimeUnit", Json::from("ns")),
-            ("evictedTransitions", Json::from(self.evicted)),
-        ])
+        let units = self.unit_names.iter().map(|name| (0, name.as_str()));
+        let mut events = span_events(units, &self.transitions, self.at);
+        let death = format!("post-mortem ({})", self.classification.label());
+        events.push(mark_event(0, &death, self.at));
+        chrome_trace(events, self.evicted)
     }
 }
 
@@ -438,28 +294,34 @@ mod tests {
     use super::*;
     use crate::waitgraph::EdgeClass;
 
+    fn stuck(hart: u32, dominant: StallCause, polls: Option<u32>) -> StuckUnit {
+        StuckUnit { name: format!("c0 hart {hart}"), cluster: 0, hart, pc: 0x100, dominant, polls }
+    }
+
+    /// The window a report carries is the timeline's tail.
     #[test]
     fn ring_keeps_most_recent_transitions() {
-        let mut bb = BlackBox::new(2);
-        let u = bb.add_unit("hart 0");
-        bb.sample(u, 0, StallCause::Active); // idle -> active
-        bb.sample(u, 1, StallCause::Active); // steady: free
-        bb.sample(u, 5, StallCause::FifoEmpty);
-        bb.sample(u, 9, StallCause::Active);
-        let w = bb.transitions();
-        assert_eq!(w.len(), 2);
-        assert_eq!(w[0].cycle, 5, "oldest entry evicted, tail kept");
-        assert_eq!(w[1].cycle, 9);
-        assert_eq!(bb.evicted(), 1);
+        let mut tl = Timeline::new(2);
+        let u = tl.add_unit(0, "hart 0");
+        tl.sample(u, 0, StallCause::Active); // idle -> active
+        tl.sample(u, 1, StallCause::Active); // steady: free
+        tl.sample(u, 5, StallCause::FifoEmpty);
+        tl.sample(u, 9, StallCause::Active);
+        let pm = PostMortem::assemble(10, Vec::new(), &[], WaitGraph::new(), Some(&tl));
+        let cycles: Vec<u64> = pm.transitions.iter().map(|t| t.cycle).collect();
+        assert_eq!(cycles, vec![5, 9], "oldest entry evicted, tail kept");
+        assert_eq!(pm.evicted, 1);
+        assert_eq!(pm.unit_names, vec!["c0 hart 0".to_owned()]);
     }
 
     #[test]
     fn zero_cap_records_nothing_but_counts() {
-        let mut bb = BlackBox::new(0);
-        let u = bb.add_unit("x");
-        bb.sample(u, 0, StallCause::Active);
-        assert!(bb.is_empty());
-        assert_eq!(bb.evicted(), 1);
+        let mut tl = Timeline::new(0);
+        let u = tl.add_unit(0, "x");
+        tl.sample(u, 0, StallCause::Active);
+        let pm = PostMortem::assemble(1, Vec::new(), &[], WaitGraph::new(), Some(&tl));
+        assert!(pm.transitions.is_empty());
+        assert_eq!(pm.evicted, 1);
     }
 
     #[test]
@@ -475,20 +337,8 @@ mod tests {
     #[test]
     fn assemble_classifies_mutual_poll_as_deadlock() {
         let stuck = vec![
-            StuckUnit {
-                name: "c0 hart 0".into(),
-                hart: 0,
-                pc: 0x100,
-                dominant: StallCause::Active,
-                polls: Some(0x2000),
-            },
-            StuckUnit {
-                name: "c0 hart 1".into(),
-                hart: 1,
-                pc: 0x200,
-                dominant: StallCause::Active,
-                polls: Some(0x2008),
-            },
+            stuck(0, StallCause::Active, Some(0x2000)),
+            stuck(1, StallCause::Active, Some(0x2008)),
         ];
         // hart 0 polls the word hart 1 owns and vice versa.
         let sync = [(0x2000u32, 1u32), (0x2008, 0)];
@@ -502,13 +352,7 @@ mod tests {
 
     #[test]
     fn assemble_without_cycle_is_slow() {
-        let stuck = vec![StuckUnit {
-            name: "c0 hart 0".into(),
-            hart: 0,
-            pc: 0x100,
-            dominant: StallCause::BarrierWait,
-            polls: None,
-        }];
+        let stuck = vec![stuck(0, StallCause::BarrierWait, None)];
         let pm = PostMortem::assemble(10, stuck, &[], WaitGraph::new(), None);
         assert_eq!(pm.classification, Classification::Slow);
         assert!(pm.blame_cycle.is_empty());
@@ -516,13 +360,7 @@ mod tests {
 
     #[test]
     fn polling_own_word_is_not_a_deadlock_edge() {
-        let stuck = vec![StuckUnit {
-            name: "c0 hart 0".into(),
-            hart: 0,
-            pc: 0x100,
-            dominant: StallCause::Active,
-            polls: Some(0x2000),
-        }];
+        let stuck = vec![stuck(0, StallCause::Active, Some(0x2000))];
         // The hart owns the word it polls (e.g. DMA will set it): no
         // hart-to-hart edge, so no deadlock verdict.
         let pm = PostMortem::assemble(10, stuck, &[(0x2000, 0)], WaitGraph::new(), None);
@@ -531,39 +369,21 @@ mod tests {
 
     #[test]
     fn merge_rebases_units_and_prefers_deadlock() {
-        let mut bb = BlackBox::new(8);
-        let u = bb.add_unit("c1 hart 0");
-        bb.sample(u, 3, StallCause::Active);
+        let mut tl = Timeline::new(8);
+        let u = tl.add_unit(1, "hart 0");
+        tl.sample(u, 3, StallCause::Active);
         let slow = PostMortem::assemble(
             7,
-            vec![StuckUnit {
-                name: "c1 hart 0".into(),
-                hart: 0,
-                pc: 0,
-                dominant: StallCause::Active,
-                polls: None,
-            }],
+            vec![stuck(0, StallCause::Active, None)],
             &[],
             WaitGraph::new(),
-            Some(&bb),
+            Some(&tl),
         );
         let dead = PostMortem::assemble(
             9,
             vec![
-                StuckUnit {
-                    name: "c0 hart 0".into(),
-                    hart: 0,
-                    pc: 0,
-                    dominant: StallCause::Active,
-                    polls: Some(0x10),
-                },
-                StuckUnit {
-                    name: "c0 hart 1".into(),
-                    hart: 1,
-                    pc: 0,
-                    dominant: StallCause::Active,
-                    polls: Some(0x18),
-                },
+                stuck(0, StallCause::Active, Some(0x10)),
+                stuck(1, StallCause::Active, Some(0x18)),
             ],
             &[(0x10, 1), (0x18, 0)],
             WaitGraph::new(),
@@ -581,24 +401,18 @@ mod tests {
 
     #[test]
     fn sidecar_emits_spans_and_death_instant() {
-        let mut bb = BlackBox::new(8);
-        let u = bb.add_unit("hart 0");
-        bb.sample(u, 2, StallCause::Active);
-        bb.sample(u, 6, StallCause::FifoEmpty);
+        let mut tl = Timeline::new(8);
+        let u = tl.add_unit(0, "hart 0");
+        tl.sample(u, 2, StallCause::Active);
+        tl.sample(u, 6, StallCause::FifoEmpty);
         let mut wg = WaitGraph::new();
         wg.add(EdgeClass::HartLane, 4);
         let pm = PostMortem::assemble(
             10,
-            vec![StuckUnit {
-                name: "hart 0".into(),
-                hart: 0,
-                pc: 0,
-                dominant: StallCause::FifoEmpty,
-                polls: None,
-            }],
+            vec![stuck(0, StallCause::FifoEmpty, None)],
             &[],
             wg,
-            Some(&bb),
+            Some(&tl),
         );
         let doc = pm.sidecar_json();
         let events = doc.get("traceEvents").and_then(Json::as_arr).expect("events");

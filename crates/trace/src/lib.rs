@@ -24,14 +24,16 @@
 //!   bottleneck classifier turning counters into a bandwidth/compute/
 //!   latency/sync [`Verdict`], and a PC-region [`PhaseProfile`] for
 //!   per-phase stall breakdowns.
-//! * [`chrome`] — an opt-in, ring-buffered interval recorder
-//!   ([`TraceRecorder`]) exporting Chrome trace-event JSON (span and
-//!   counter tracks, plus instant markers at trap/timeout moments)
-//!   that loads directly in Perfetto (`ui.perfetto.dev`).
-//! * [`blackbox`] — the flight recorder: a bounded ring of *recent*
-//!   per-unit state transitions (the tail, where [`chrome`] keeps the
-//!   head) and the [`PostMortem`] report the run harnesses dump on
-//!   timeout or a latched fault.
+//! * [`timeline`] — the one recorder: a bounded ring of the most
+//!   recent per-unit stall-cause [`Transition`]s ([`Timeline`]), with
+//!   change-only counter tracks and instant marks at trap/timeout
+//!   moments, and the one Chrome trace-event exporter (cause-named
+//!   residency spans that load directly in Perfetto,
+//!   `ui.perfetto.dev`). `run` arms a small one by default;
+//!   `enable_tracing` arms a large one with lanes and counters added.
+//! * [`blackbox`] — the [`PostMortem`] report the run harnesses dump
+//!   on timeout or a latched fault: stuck units ([`StuckUnit`]),
+//!   deadlock-vs-slow classification, and the timeline's final window.
 //! * [`host`] — the opt-in host-side self-profiler: wall-clock per
 //!   unit class, the provably-idle tick census, simulated-cycles/sec.
 //! * [`json`] — a minimal JSON value/writer/parser ([`Json`]) for the
@@ -47,21 +49,21 @@
 pub mod analyze;
 pub mod attr;
 pub mod blackbox;
-pub mod chrome;
 pub mod critpath;
 pub mod host;
 pub mod json;
 pub mod merge;
+pub mod timeline;
 pub mod waitgraph;
 
 pub use analyze::{classify, Bound, PhaseProfile, RooflineInput, Verdict};
 pub use attr::{breakdown_table, CycleBreakdown, StallCause};
-pub use blackbox::{BlackBox, Classification, PostMortem, StuckUnit, Transition, UnitId};
-pub use chrome::{CounterId, TraceRecorder, TrackId};
+pub use blackbox::{Classification, PostMortem, StuckUnit};
 pub use critpath::{extract, CriticalPath};
 pub use host::HostProfiler;
 pub use json::Json;
 pub use merge::StatMerge;
+pub use timeline::{Timeline, Transition};
 pub use waitgraph::{edge_for, is_blocked, EdgeClass, UnitClass, WaitGraph};
 
 /// Guarded division for speedups, rates and utilizations: returns
