@@ -462,11 +462,14 @@ impl Cluster {
         // its round-robin port positions match the pre-split order. A
         // request no mapped region contains is answered right here (a
         // zero read, a dropped write) and parks the core complex that
-        // owns the port on an access fault.
+        // owns the port on an access fault — as a transfer the DMA
+        // engine aborted parks the DMCC that queued it.
+        let n_workers = self.workers.len();
         let mut main_routed: u64 = 0;
         let mut any_pending = false;
         let mut main_ports: Vec<&mut MemPort> = Vec::new();
-        let mut faults: Vec<(usize, u32)> = Vec::new();
+        let mut faults: Vec<(usize, u32)> =
+            self.dma.take_fault().map(|addr| (n_workers, addr)).into_iter().collect();
         let mut slot = 0;
         for (owner, cc_ports) in self.ports.iter_mut().enumerate() {
             for port in cc_ports {
@@ -495,7 +498,6 @@ impl Cluster {
         let idle_mem = !any_pending && !self.dma_claimed.iter().any(|&c| c);
         let unrouted = main.tick(now, &mut main_ports);
         debug_assert!(unrouted.is_empty(), "routing admits only addresses main memory contains");
-        let n_workers = self.workers.len();
         for (owner, addr) in faults {
             let cc = if owner == n_workers { &mut self.dmcc } else { &mut self.workers[owner] };
             cc.deliver_access_fault(addr);

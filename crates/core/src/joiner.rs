@@ -11,7 +11,7 @@
 //! * each side owns one 64-bit memory port and multiplexes **index-word
 //!   fetches** and **value fetches** onto it with the lane's round-robin
 //!   arbiter, reusing the word fetcher, decoupling FIFO and 16/32-bit
-//!   [`IndexSerializer`];
+//!   serializer (the crate's `idxstream` — the same code the lane runs);
 //! * a comparator inspects the two head indices and performs one merge
 //!   step per cycle: on a match both sides fetch the value at their
 //!   stream *position*; on a mismatch the smaller head is skipped (or
@@ -23,12 +23,10 @@
 //! Both index streams must be sorted; duplicate-free streams implement
 //! set semantics (the oracle the property tests check against).
 
-use crate::affine::AffineIterator;
 use crate::cfg::{JoinerMode, JoinerSpec};
-use crate::fault::{StreamFaultKind, STREAM_WATCHDOG_RESET};
-use crate::fifo::Fifo;
-use crate::lane::IDX_FIFO_DEPTH;
-use crate::serializer::{IndexSerializer, IndexSize};
+use crate::fault::StreamFaultKind;
+use crate::idxstream::{IndexStream, RoundRobin, Watchdog};
+use crate::serializer::IndexSize;
 use issr_mem::port::{MemPort, MemReq};
 use std::collections::VecDeque;
 
@@ -56,13 +54,6 @@ pub struct JoinerStats {
     pub jobs: u64,
 }
 
-impl JoinerStats {
-    /// Accumulates another job's counters into this one.
-    pub fn merge(&mut self, other: &JoinerStats) {
-        issr_trace::StatMerge::merge_from(self, other);
-    }
-}
-
 impl issr_trace::StatMerge for JoinerStats {
     fn merge_from(&mut self, other: &Self) {
         self.steps += other.steps;
@@ -84,21 +75,11 @@ enum SideTag {
 /// A matched value on its way out: `None` while its fetch is in flight.
 type OutSlot = Option<u64>;
 
-/// One operand stream of the joiner: index fetch/serialize plus value
-/// fetch at matched positions, sharing one memory port.
+/// One operand stream of the joiner: an index stream plus value fetches
+/// at matched positions, sharing one memory port.
 #[derive(Debug)]
 struct Side {
-    word_it: AffineIterator,
-    idx_fifo: Fifo<u64>,
-    serializer: IndexSerializer,
-    outstanding_idx: usize,
-    idx_size: IndexSize,
-    /// Current head of the index stream, if peeked.
-    head: Option<u32>,
-    /// Indices taken from the serializer so far (the head, when present,
-    /// is element `taken - 1` of the stream).
-    taken: u64,
-    count: u64,
+    idx: IndexStream,
     vals_base: u32,
     /// Matched values awaiting delivery, oldest first.
     out: VecDeque<OutSlot>,
@@ -106,78 +87,20 @@ struct Side {
     val_reqs: VecDeque<u32>,
     /// Per-port response tags, in request order.
     rsp_tags: VecDeque<SideTag>,
-    /// Round-robin marker: `true` if the index fetcher won the last
-    /// contended cycle.
-    idx_won_last: bool,
+    /// Index fetcher (first) vs. value fetcher (second).
+    port_rr: RoundRobin,
 }
 
 impl Side {
     fn new(idx_base: u32, vals_base: u32, count: u64, idx_size: IndexSize) -> Self {
-        let words = IndexSerializer::words_needed(idx_size, idx_base, count);
-        let mut word_it = AffineIterator::linear(idx_base & !7, words.max(1) as u32, 8);
-        if words == 0 {
-            while word_it.next_addr().is_some() {}
-        }
         Self {
-            word_it,
-            idx_fifo: Fifo::new(IDX_FIFO_DEPTH),
-            serializer: IndexSerializer::new(idx_size, idx_base, count),
-            outstanding_idx: 0,
-            idx_size,
-            head: None,
-            taken: 0,
-            count,
+            idx: IndexStream::new(idx_base, idx_size, count),
             vals_base,
             out: VecDeque::new(),
             val_reqs: VecDeque::new(),
             rsp_tags: VecDeque::new(),
-            idx_won_last: false,
+            port_rr: RoundRobin::default(),
         }
-    }
-
-    /// Indices available now or already paid for, in elements (the head
-    /// counts as one).
-    fn index_headroom(&self) -> u64 {
-        let per_word = u64::from(self.idx_size.per_word());
-        u64::from(self.head.is_some())
-            + self.serializer.buffered()
-            + (self.idx_fifo.len() as u64 + self.outstanding_idx as u64) * per_word
-    }
-
-    /// The lane's just-in-time index fetch policy.
-    fn idx_wants(&self) -> bool {
-        !self.word_it.is_done()
-            && self.idx_fifo.free() > self.outstanding_idx
-            && self.index_headroom() <= u64::from(self.idx_size.per_word())
-    }
-
-    /// Pulls the next index into `head` if none is held and one is
-    /// available.
-    fn refill_head(&mut self) {
-        if self.head.is_some() || self.taken == self.count {
-            return;
-        }
-        if self.serializer.wants_word() {
-            let Some(word) = self.idx_fifo.pop() else {
-                return;
-            };
-            self.serializer.load_word(word);
-        }
-        if let Some(idx) = self.serializer.next_index() {
-            self.head = Some(idx);
-            self.taken += 1;
-        }
-    }
-
-    /// Whether the stream is fully consumed (no head, nothing left).
-    fn exhausted(&self) -> bool {
-        self.head.is_none() && self.taken == self.count
-    }
-
-    /// Stream position of the current head.
-    fn head_pos(&self) -> u64 {
-        debug_assert!(self.head.is_some(), "no head to locate");
-        self.taken - 1
     }
 
     /// Whether an output slot is free for one more emission.
@@ -200,14 +123,14 @@ impl Side {
     }
 
     /// Drains ready responses: index words into the decoupling FIFO,
-    /// values into their (oldest pending) output slot.
-    fn drain_responses(&mut self, now: u64, port: &mut MemPort) {
+    /// values into their (oldest pending) output slot. Returns whether
+    /// any arrived.
+    fn drain_responses(&mut self, now: u64, port: &mut MemPort) -> bool {
+        let mut any = false;
         while let Some(rsp) = port.take_rsp(now) {
+            any = true;
             match self.rsp_tags.pop_front().expect("response without request") {
-                SideTag::IdxWord => {
-                    self.outstanding_idx -= 1;
-                    self.idx_fifo.push(rsp.data);
-                }
+                SideTag::IdxWord => self.idx.accept(rsp.data),
                 SideTag::Value => {
                     let slot = self
                         .out
@@ -218,6 +141,7 @@ impl Side {
                 }
             }
         }
+        any
     }
 
     /// Frozen-mode drain: takes at most as many responses as this side
@@ -230,40 +154,35 @@ impl Side {
                 break;
             }
             if self.rsp_tags.pop_front() == Some(SideTag::IdxWord) {
-                self.outstanding_idx -= 1;
+                self.idx.discard();
             }
         }
     }
 
     /// Issues at most one request, arbitrating index vs. value fetches
-    /// round-robin exactly like the indirection lane. `quiesce` stops new
-    /// index-word fetches (job finished early).
-    fn issue(&mut self, port: &mut MemPort, quiesce: bool, stats: &mut JoinerStats) {
+    /// round-robin exactly like the indirection lane; returns whether
+    /// one went out. `quiesce` stops new index-word fetches (job
+    /// finished early).
+    fn issue(&mut self, port: &mut MemPort, quiesce: bool, stats: &mut JoinerStats) -> bool {
         if !port.can_send() {
-            return;
+            return false;
         }
-        let idx_wants = !quiesce && self.idx_wants();
-        let val_wants = !self.val_reqs.is_empty();
-        let grant_idx = match (idx_wants, val_wants) {
-            (true, false) => true,
-            (false, true) => false,
-            (true, true) => !self.idx_won_last,
-            (false, false) => return,
-        };
-        if grant_idx {
-            let addr = self.word_it.next_addr().expect("idx_wants checked");
-            port.send(MemReq::read(addr));
-            self.rsp_tags.push_back(SideTag::IdxWord);
-            self.outstanding_idx += 1;
-            self.idx_won_last = true;
-            stats.idx_words += 1;
-        } else {
-            let addr = self.val_reqs.pop_front().expect("val_wants checked");
-            port.send(MemReq::read(addr));
-            self.rsp_tags.push_back(SideTag::Value);
-            self.idx_won_last = false;
-            stats.val_reads += 1;
+        let idx_wants = !quiesce && self.idx.wants_fetch();
+        match self.port_rr.grant(idx_wants, !self.val_reqs.is_empty()) {
+            None => return false,
+            Some(true) => {
+                port.send(MemReq::read(self.idx.fetch()));
+                self.rsp_tags.push_back(SideTag::IdxWord);
+                stats.idx_words += 1;
+            }
+            Some(false) => {
+                let addr = self.val_reqs.pop_front().expect("grant checked");
+                port.send(MemReq::read(addr));
+                self.rsp_tags.push_back(SideTag::Value);
+                stats.val_reads += 1;
+            }
         }
+        true
     }
 
     /// Whether the head output is deliverable.
@@ -280,14 +199,14 @@ impl Side {
     fn drained(&self) -> bool {
         self.out.is_empty()
             && self.val_reqs.is_empty()
-            && self.outstanding_idx == 0
+            && self.idx.in_flight() == 0
             && self.rsp_tags.is_empty()
     }
 
     /// Whether only the memory traffic has drained (a frozen job's
     /// undelivered outputs are discarded, not waited for).
     fn traffic_drained(&self) -> bool {
-        self.outstanding_idx == 0 && self.rsp_tags.is_empty()
+        self.idx.in_flight() == 0 && self.rsp_tags.is_empty()
     }
 }
 
@@ -309,12 +228,11 @@ pub struct IndexJoiner {
     frozen: bool,
     /// The latched mid-stream fault, if any ([`Self::fault`]).
     fault: Option<StreamFaultKind>,
-    /// Progress-watchdog threshold in cycles ([`Self::set_watchdog`]).
-    watchdog: u64,
-    /// Consecutive cycles without progress while the job was live.
-    stall: u64,
-    /// Progress happened since the last watchdog check (merge step,
-    /// memory traffic, or a consumer pop).
+    /// Progress watchdog over the live job ([`Self::set_watchdog`]).
+    watchdog: Watchdog,
+    /// Progress happened since the last watchdog check (response
+    /// drained, head refilled, merge step, request issued, or a
+    /// consumer pop).
     progress: bool,
     /// Whether the last [`Self::tick`] observably advanced the job —
     /// the attribution probe's activity signal.
@@ -334,8 +252,7 @@ impl IndexJoiner {
             done_stepping: false,
             frozen: false,
             fault: None,
-            watchdog: STREAM_WATCHDOG_RESET,
-            stall: 0,
+            watchdog: Watchdog::new(),
             progress: false,
             advanced: false,
             stats: JoinerStats::default(),
@@ -351,7 +268,7 @@ impl IndexJoiner {
     /// Sets the progress-watchdog threshold (cycles without progress
     /// before a [`StreamFaultKind::Stall`] latches).
     pub fn set_watchdog(&mut self, cycles: u64) {
-        self.watchdog = cycles.max(1);
+        self.watchdog.set_limit(cycles);
     }
 
     /// Freezes the job after a stream fault: the merge stops, queued
@@ -451,25 +368,6 @@ impl IndexJoiner {
         }
     }
 
-    /// A cheap fingerprint of every observable advance: any change means
-    /// the job made progress this cycle.
-    #[allow(clippy::type_complexity)]
-    fn signature(&self) -> (u64, u64, u64, u64, u64, u64, usize, usize, usize, usize, bool) {
-        (
-            self.stats.steps,
-            self.stats.emissions,
-            self.stats.idx_words,
-            self.stats.val_reads,
-            self.a.taken,
-            self.b.taken,
-            self.a.rsp_tags.len(),
-            self.b.rsp_tags.len(),
-            self.a.out.len(),
-            self.b.out.len(),
-            self.done_stepping,
-        )
-    }
-
     /// Advances one cycle against the two lane ports.
     pub fn tick(&mut self, now: u64, port_a: &mut MemPort, port_b: &mut MemPort) {
         if self.frozen {
@@ -478,29 +376,21 @@ impl IndexJoiner {
             self.b.drain_discard_bounded(now, port_b);
             return;
         }
-        let before = self.signature();
-        self.a.drain_responses(now, port_a);
-        self.b.drain_responses(now, port_b);
-        self.a.refill_head();
-        self.b.refill_head();
+        self.progress |= self.a.drain_responses(now, port_a);
+        self.progress |= self.b.drain_responses(now, port_b);
+        self.progress |= self.a.idx.refill_head();
+        self.progress |= self.b.idx.refill_head();
         self.step();
-        self.a.issue(port_a, self.done_stepping, &mut self.stats);
-        self.b.issue(port_b, self.done_stepping, &mut self.stats);
-        // Progress watchdog: a live job that neither steps, moves
-        // memory, nor gets consumed for `watchdog` cycles is deadlocked
-        // (a consumer that never reads its outputs) — latch a stall
-        // fault and freeze instead of hanging the simulation.
-        self.advanced = self.signature() != before || self.progress;
-        if self.advanced {
-            self.stall = 0;
-        } else if !self.is_done() {
-            self.stall += 1;
-            if self.stall >= self.watchdog {
-                self.fault = Some(StreamFaultKind::Stall { cycles: self.stall });
-                self.freeze();
-            }
+        self.progress |= self.a.issue(port_a, self.done_stepping, &mut self.stats);
+        self.progress |= self.b.issue(port_b, self.done_stepping, &mut self.stats);
+        // A live job that neither steps, moves memory, nor gets consumed
+        // is deadlocked (a consumer that never reads its outputs): latch
+        // a stall fault and freeze.
+        self.advanced = std::mem::take(&mut self.progress);
+        if let Some(cycles) = self.watchdog.observe(!self.is_done(), self.advanced) {
+            self.fault = Some(StreamFaultKind::Stall { cycles });
+            self.freeze();
         }
-        self.progress = false;
     }
 
     /// One comparator merge step, if inputs and output slots allow.
@@ -508,113 +398,68 @@ impl IndexJoiner {
         if self.done_stepping {
             return;
         }
-        let (a_head, b_head) = (self.a.head, self.b.head);
-        // Count-only jobs emit nothing, so slots are never the limit.
-        let pair_slots = self.count_only || (self.a.can_emit() && self.b.can_emit());
-        match self.mode {
-            JoinerMode::Intersect => match (a_head, b_head) {
-                _ if self.a.exhausted() || self.b.exhausted() => {
-                    self.done_stepping = true;
-                }
-                (Some(ia), Some(ib)) => {
-                    if ia == ib {
-                        if pair_slots {
-                            self.emit_pair(true, true);
-                            self.a.head = None;
-                            self.b.head = None;
-                            self.stats.matches += 1;
-                            self.stats.steps += 1;
-                        }
-                    } else if ia < ib {
-                        self.a.head = None;
-                        self.stats.steps += 1;
-                    } else {
-                        self.b.head = None;
-                        self.stats.steps += 1;
-                    }
-                }
-                _ => {}
-            },
-            JoinerMode::GatherA => match (a_head, b_head) {
-                _ if self.a.exhausted() => {
-                    self.done_stepping = true;
-                }
-                (Some(ia), Some(ib)) => {
-                    if ib < ia {
-                        self.b.head = None;
-                        self.stats.steps += 1;
-                    } else if pair_slots {
-                        self.emit_pair(true, ia == ib);
-                        self.a.head = None;
-                        if ia == ib {
-                            self.b.head = None;
-                            self.stats.matches += 1;
-                        }
-                        self.stats.steps += 1;
-                    }
-                }
-                (Some(_), None) if self.b.exhausted() && pair_slots => {
-                    self.emit_pair(true, false);
-                    self.a.head = None;
-                    self.stats.steps += 1;
-                }
-                _ => {}
-            },
-            JoinerMode::Union => match (a_head, b_head) {
-                _ if self.a.exhausted() && self.b.exhausted() => {
-                    self.done_stepping = true;
-                }
-                (Some(ia), Some(ib)) if pair_slots => {
-                    self.emit_pair(ia <= ib, ib <= ia);
-                    if ia <= ib {
-                        self.a.head = None;
-                    }
-                    if ib <= ia {
-                        self.b.head = None;
-                    }
-                    if ia == ib {
-                        self.stats.matches += 1;
-                    }
-                    self.stats.steps += 1;
-                }
-                (Some(_), None) if self.b.exhausted() && pair_slots => {
-                    self.emit_pair(true, false);
-                    self.a.head = None;
-                    self.stats.steps += 1;
-                }
-                (None, Some(_)) if self.a.exhausted() && pair_slots => {
-                    self.emit_pair(false, true);
-                    self.b.head = None;
-                    self.stats.steps += 1;
-                }
-                _ => {}
-            },
+        let (a_head, b_head) = (self.a.idx.head, self.b.idx.head);
+        let (a_out, b_out) = (self.a.idx.exhausted(), self.b.idx.exhausted());
+        let pair_slots = self.outputs_free();
+        match (self.mode, a_head, b_head) {
+            (JoinerMode::Intersect, ..) if a_out || b_out => self.stop(),
+            (JoinerMode::GatherA, ..) if a_out => self.stop(),
+            (JoinerMode::Union, ..) if a_out && b_out => self.stop(),
+            // Skips: the smaller head that cannot match is dropped.
+            (JoinerMode::Intersect, Some(ia), Some(ib)) if ia != ib => {
+                self.advance(ia < ib, ib < ia)
+            }
+            (JoinerMode::GatherA, Some(ia), Some(ib)) if ib < ia => self.advance(false, true),
+            // Everything below emits a pair and needs the output slots.
+            _ if !pair_slots => {}
+            (JoinerMode::Union, Some(ia), Some(ib)) => self.emit_pair(ia <= ib, ib <= ia),
+            // Intersect: the heads are equal here. GatherA: every A head
+            // emits, matched or not.
+            (_, Some(ia), Some(ib)) => self.emit_pair(true, ia == ib),
+            (JoinerMode::GatherA | JoinerMode::Union, Some(_), None) if b_out => {
+                self.emit_pair(true, false);
+            }
+            (JoinerMode::Union, None, Some(_)) if a_out => self.emit_pair(false, true),
+            _ => {}
         }
     }
 
-    /// Emits one output pair; a side fetches its value at the current
-    /// head position when selected, and zero-fills otherwise. Count-only
-    /// jobs only tally the emission.
+    /// The merge reached its terminal condition.
+    fn stop(&mut self) {
+        self.done_stepping = true;
+        self.progress = true;
+    }
+
+    /// Retires one merge step, popping the selected heads.
+    fn advance(&mut self, pop_a: bool, pop_b: bool) {
+        if pop_a {
+            self.a.idx.head = None;
+        }
+        if pop_b {
+            self.b.idx.head = None;
+        }
+        self.stats.steps += 1;
+        self.progress = true;
+    }
+
+    /// Emits one output pair and retires the step: a selected side
+    /// fetches its value at the current head position and pops its
+    /// head, the other zero-fills. Count-only jobs only tally the
+    /// emission.
     fn emit_pair(&mut self, a_selected: bool, b_selected: bool) {
-        if self.count_only {
-            self.stats.emissions += 1;
-            return;
-        }
-        if a_selected {
-            let pos = self.a.head_pos();
-            self.a.emit_fetch(pos);
-        } else {
-            self.a.emit_zero();
-            self.stats.zero_fills += 1;
-        }
-        if b_selected {
-            let pos = self.b.head_pos();
-            self.b.emit_fetch(pos);
-        } else {
-            self.b.emit_zero();
-            self.stats.zero_fills += 1;
-        }
         self.stats.emissions += 1;
+        self.stats.matches += u64::from(a_selected && b_selected);
+        if !self.count_only {
+            for (side, selected) in [(&mut self.a, a_selected), (&mut self.b, b_selected)] {
+                if selected {
+                    side.emit_fetch(side.idx.head_pos());
+                } else {
+                    side.emit_zero();
+                    self.stats.zero_fills += 1;
+                }
+            }
+        }
+        self.advance(a_selected, b_selected);
     }
 }
 

@@ -9,11 +9,13 @@
 //! arbiter (Fig. 2, block F): one index word serves 2 (32-bit) or
 //! 4 (16-bit) elements, capping sustained data throughput at 2/3 resp.
 //! 4/5 of a word per cycle — the paper's peak FPU utilization limits.
+//! The index pipeline and the arbiter are the crate's `idxstream`; the
+//! lane adds what it does with an index: shift, base add, data access.
 
 use crate::affine::AffineIterator;
 use crate::cfg::{reg, CfgShadow, JobKind, JobSpec, Pattern};
 use crate::fifo::Fifo;
-use crate::serializer::{IndexSerializer, IndexSize};
+use crate::idxstream::{IndexStream, RoundRobin};
 use issr_mem::port::{MemPort, MemReq};
 use issr_trace::StallCause;
 use std::collections::VecDeque;
@@ -66,77 +68,18 @@ enum RspTag {
     DataWord { repeat: u32 },
 }
 
+/// The indirection address generator: an index stream, the shift +
+/// base adder, and the arbiter sharing the port between the two.
 #[derive(Debug)]
 struct IndirectUnit {
-    word_it: AffineIterator,
-    idx_fifo: Fifo<u64>,
-    serializer: IndexSerializer,
-    outstanding_idx: usize,
-    idx_size: IndexSize,
+    idx: IndexStream,
     shift: u32,
     data_base: u32,
-    emitted: u64,
-    count: u64,
-    /// Round-robin marker: `true` if the index fetcher won the last
-    /// contended cycle.
-    idx_won_last: bool,
+    /// Index fetcher (first) vs. data mover (second).
+    port_rr: RoundRobin,
 }
 
 impl IndirectUnit {
-    fn new(idx_base: u32, idx_size: IndexSize, shift: u32, data_base: u32, count: u64) -> Self {
-        let words = IndexSerializer::words_needed(idx_size, idx_base, count);
-        let word_it = AffineIterator::linear(idx_base & !7, words.max(1) as u32, 8);
-        let mut unit = Self {
-            word_it,
-            idx_fifo: Fifo::new(IDX_FIFO_DEPTH),
-            serializer: IndexSerializer::new(idx_size, idx_base, count),
-            outstanding_idx: 0,
-            idx_size,
-            shift,
-            data_base,
-            emitted: 0,
-            count,
-            idx_won_last: false,
-        };
-        if words == 0 {
-            // Zero-element job: nothing to fetch.
-            while unit.word_it.next_addr().is_some() {}
-        }
-        unit
-    }
-
-    /// Indices available now or already paid for (buffered + in flight),
-    /// in elements.
-    fn index_headroom(&self) -> u64 {
-        let per_word = u64::from(self.idx_size.per_word());
-        self.serializer.buffered()
-            + (self.idx_fifo.len() as u64 + self.outstanding_idx as u64) * per_word
-    }
-
-    /// Whether the index fetcher should request the port this cycle:
-    /// more words exist, FIFO space is reserved, and the buffer is down
-    /// to one word's worth — the just-in-time policy that yields the
-    /// 4/5 and 2/3 steady-state patterns.
-    fn idx_wants(&self) -> bool {
-        !self.word_it.is_done()
-            && self.idx_fifo.free() > self.outstanding_idx
-            && self.index_headroom() <= u64::from(self.idx_size.per_word())
-    }
-
-    /// Whether an index can be consumed this cycle.
-    fn index_available(&self) -> bool {
-        self.serializer.index_ready() || (self.serializer.wants_word() && !self.idx_fifo.is_empty())
-    }
-
-    /// Consumes the next index, pulling a word from the FIFO if needed.
-    fn take_index(&mut self) -> u32 {
-        if self.serializer.wants_word() {
-            let word = self.idx_fifo.pop().expect("index_available checked");
-            self.serializer.load_word(word);
-        }
-        self.serializer.next_index().expect("index_available checked")
-    }
-
     /// Address of the element a consumed index selects.
     fn data_addr(&self, idx: u32) -> u32 {
         self.data_base.wrapping_add(idx << (3 + self.shift))
@@ -403,32 +346,30 @@ impl Lane {
             return;
         }
         self.promote_pending();
+        let (idx_wants, data_wants) = self.wants();
         if port.can_send() {
-            self.issued = self.issue(port);
+            self.issued = self.issue(port, idx_wants, data_wants);
         } else {
-            self.blocked_on_port = self.wants_issue();
+            self.blocked_on_port = idx_wants || data_wants;
         }
         self.retire_if_done();
     }
 
-    /// Whether [`Self::issue`] would send a request right now — the
-    /// attribution predicate behind [`Self::attr_cause`]'s
-    /// port-conflict classification (kept in lockstep with `issue`).
-    fn wants_issue(&self) -> bool {
+    /// What the running job would put on the port this cycle: an
+    /// index-word fetch, a data access. [`Self::issue`] grants one of
+    /// them; with the port taken, either one is a shared-port loss
+    /// ([`Self::attr_cause`]'s port-conflict classification).
+    fn wants(&self) -> (bool, bool) {
         let Some(job) = &self.job else {
-            return false;
+            return (false, false);
         };
-        match (&job.engine, job.kind) {
-            (Engine::Affine(it), JobKind::Read) => self.data_credit() && !it.is_done(),
-            (Engine::Affine(it), JobKind::Write) => !self.data_fifo.is_empty() && !it.is_done(),
-            (Engine::Indirect(unit), kind) => {
-                let data_ready = match kind {
-                    JobKind::Read => self.data_credit(),
-                    JobKind::Write => !self.data_fifo.is_empty(),
-                };
-                (data_ready && unit.emitted < unit.count && unit.index_available())
-                    || unit.idx_wants()
-            }
+        let data_ready = match job.kind {
+            JobKind::Read => self.data_credit(),
+            JobKind::Write => !self.data_fifo.is_empty(),
+        };
+        match &job.engine {
+            Engine::Affine(it) => (false, data_ready && !it.is_done()),
+            Engine::Indirect(unit) => (unit.idx.wants_fetch(), data_ready && unit.idx.can_take()),
         }
     }
 
@@ -480,8 +421,7 @@ impl Lane {
                     else {
                         panic!("index response without indirection job"); // gate-allow: internal invariant: responses are tagged by the job that issued them
                     };
-                    unit.outstanding_idx -= 1;
-                    unit.idx_fifo.push(rsp.data);
+                    unit.idx.accept(rsp.data);
                 }
             }
         }
@@ -499,7 +439,12 @@ impl Lane {
                 Engine::Affine(AffineIterator::new(base, dims, bounds, strides))
             }
             Pattern::Indirect { idx_base, idx_size, shift, data_base, count } => {
-                Engine::Indirect(IndirectUnit::new(idx_base, idx_size, shift, data_base, count))
+                Engine::Indirect(IndirectUnit {
+                    idx: IndexStream::new(idx_base, idx_size, count),
+                    shift,
+                    data_base,
+                    port_rr: RoundRobin::default(),
+                })
             }
         };
         self.job = Some(RunningJob { kind: spec.kind, repeat: spec.repeat, engine });
@@ -510,88 +455,56 @@ impl Lane {
         self.data_fifo.len() + self.outstanding_data < self.data_fifo.capacity()
     }
 
-    fn issue(&mut self, port: &mut MemPort) -> bool {
-        let data_credit = self.data_credit();
+    /// Puts at most one request on the port: the index-word fetch or
+    /// the data access [`Self::wants`] reported, round-robin when both.
+    fn issue(&mut self, port: &mut MemPort, idx_wants: bool, data_wants: bool) -> bool {
         let Some(job) = &mut self.job else {
             return false;
         };
-        match (&mut job.engine, job.kind) {
-            (Engine::Affine(it), JobKind::Read) => {
-                if data_credit && !it.is_done() {
-                    let addr = it.next_addr().expect("not done");
-                    port.send(MemReq::read(addr));
-                    self.rsp_tags.push_back(RspTag::DataWord { repeat: job.repeat });
-                    self.outstanding_data += 1;
-                    self.stats.data_reads += 1;
-                    return true;
-                }
-                false
-            }
-            (Engine::Affine(it), JobKind::Write) => {
-                if !self.data_fifo.is_empty() && !it.is_done() {
-                    let addr = it.next_addr().expect("not done");
-                    let (value, _) = self.data_fifo.pop().expect("non-empty");
-                    port.send(MemReq::write(addr, value));
-                    self.stats.data_writes += 1;
-                    return true;
-                }
-                false
-            }
-            (Engine::Indirect(unit), kind) => {
-                let data_ready = match kind {
-                    JobKind::Read => data_credit,
-                    JobKind::Write => !self.data_fifo.is_empty(),
-                };
-                let data_wants = data_ready && unit.emitted < unit.count && unit.index_available();
-                let idx_wants = unit.idx_wants();
-                let grant_idx = match (idx_wants, data_wants) {
-                    (true, false) => true,
-                    (false, true) => false,
-                    (true, true) => !unit.idx_won_last,
-                    (false, false) => return false,
-                };
-                if grant_idx {
-                    let addr = unit.word_it.next_addr().expect("idx_wants checked");
-                    port.send(MemReq::read(addr));
+        let addr = match &mut job.engine {
+            Engine::Affine(_) if !data_wants => return false,
+            Engine::Affine(it) => it.next_addr().expect("not done"),
+            Engine::Indirect(unit) => match unit.port_rr.grant(idx_wants, data_wants) {
+                None => return false,
+                Some(true) => {
+                    port.send(MemReq::read(unit.idx.fetch()));
                     self.rsp_tags.push_back(RspTag::IdxWord);
-                    unit.outstanding_idx += 1;
-                    unit.idx_won_last = true;
                     self.stats.idx_words += 1;
-                } else {
-                    let idx = unit.take_index();
-                    let addr = unit.data_addr(idx);
-                    unit.emitted += 1;
-                    unit.idx_won_last = false;
-                    match kind {
-                        JobKind::Read => {
-                            port.send(MemReq::read(addr));
-                            self.rsp_tags.push_back(RspTag::DataWord { repeat: job.repeat });
-                            self.outstanding_data += 1;
-                            self.stats.data_reads += 1;
-                        }
-                        JobKind::Write => {
-                            let (value, _) = self.data_fifo.pop().expect("data_ready checked");
-                            port.send(MemReq::write(addr, value));
-                            self.stats.data_writes += 1;
-                        }
-                    }
+                    return true;
                 }
-                true
+                Some(false) => {
+                    let idx = unit.idx.take();
+                    unit.data_addr(idx)
+                }
+            },
+        };
+        match job.kind {
+            JobKind::Read => {
+                port.send(MemReq::read(addr));
+                self.rsp_tags.push_back(RspTag::DataWord { repeat: job.repeat });
+                self.outstanding_data += 1;
+                self.stats.data_reads += 1;
+            }
+            JobKind::Write => {
+                let (value, _) = self.data_fifo.pop().expect("data_wants checked");
+                port.send(MemReq::write(addr, value));
+                self.stats.data_writes += 1;
             }
         }
+        true
     }
 
     fn retire_if_done(&mut self) {
         let done = match &self.job {
             Some(job) => match &job.engine {
                 Engine::Affine(it) => it.is_done(),
-                Engine::Indirect(unit) => unit.emitted == unit.count,
+                Engine::Indirect(unit) => unit.idx.all_taken(),
             },
             None => false,
         };
         if done {
             if let Some(RunningJob { engine: Engine::Indirect(unit), .. }) = &self.job {
-                debug_assert_eq!(unit.outstanding_idx, 0, "index words still in flight at retire");
+                debug_assert_eq!(unit.idx.in_flight(), 0, "index words still in flight at retire");
             }
             self.job = None;
             self.stats.jobs += 1;
@@ -603,6 +516,7 @@ impl Lane {
 mod tests {
     use super::*;
     use crate::cfg::idx_cfg_word;
+    use crate::serializer::IndexSize;
     use issr_mem::tcdm::Tcdm;
 
     const BASE: u32 = 0x0010_0000;

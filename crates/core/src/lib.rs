@@ -11,11 +11,12 @@
 //! * the shadowed configuration interface ([`cfg`]),
 //! * the four-deep affine address iterator ([`affine`]),
 //! * the indirection unit: index-word fetcher, decoupling FIFO, 16/32-bit
-//!   index serializer with arbitrary alignment, shift + base adder and
-//!   outstanding-request limiter ([`serializer`], [`lane`]),
-//! * the round-robin multiplexing of index and data traffic onto one
-//!   memory port, which yields the paper's 4/5 (16-bit) and 2/3 (32-bit)
-//!   peak data rates ([`lane`]),
+//!   index serializer with arbitrary alignment and outstanding-request
+//!   limiter, plus the round-robin multiplexing of index and data
+//!   traffic onto one memory port, which yields the paper's 4/5 (16-bit)
+//!   and 2/3 (32-bit) peak data rates — one crate-private front end
+//!   (`idxstream` + [`serializer`]) borrowed by [`lane`] (shift + base
+//!   adder), [`joiner`] and [`spacc`],
 //! * the sparse-sparse **index joiner** of the SSSR follow-up
 //!   (arXiv:2305.05559): an index comparator that intersects, unions or
 //!   left-joins two sparse index streams and feeds matched value pairs
@@ -38,6 +39,7 @@ pub mod cfg;
 pub mod cfg_check;
 pub mod fault;
 pub mod fifo;
+mod idxstream;
 pub mod joiner;
 pub mod lane;
 pub mod serializer;

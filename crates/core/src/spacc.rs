@@ -13,8 +13,9 @@
 //!
 //! * a **feed** job pairs `count` indices — fetched from memory over the
 //!   lane port with the lane's own word-fetch / decoupling-FIFO /
-//!   [`IndexSerializer`] machinery — with `count` values arriving
-//!   through the mapped write-stream register, and merges the resulting
+//!   serializer machinery (the crate's `idxstream`) — with `count`
+//!   values arriving through the mapped write-stream register, and
+//!   merges the resulting
 //!   (index, value) stream into an internal *row buffer*. The merge is
 //!   the joiner's `Union` datapath pointed at the buffer: one comparator
 //!   step per cycle walks the (sorted) buffer and the (sorted) incoming
@@ -88,12 +89,10 @@
 //! from the host harness, and the unit tests below replay a faulted
 //! feed in place.
 
-use crate::affine::AffineIterator;
 use crate::cfg::{AccDrainSpec, AccFeedSpec};
-use crate::fault::{StreamFaultKind, STREAM_WATCHDOG_RESET};
-use crate::fifo::Fifo;
-use crate::lane::{Lane, IDX_FIFO_DEPTH};
-use crate::serializer::{IndexSerializer, IndexSize};
+use crate::fault::StreamFaultKind;
+use crate::idxstream::{IndexStream, RoundRobin, Watchdog};
+use crate::lane::Lane;
 use issr_mem::port::{MemPort, MemReq};
 use std::collections::VecDeque;
 
@@ -166,20 +165,12 @@ enum FeedStep {
     Fault(StreamFaultKind),
 }
 
-/// An in-flight feed job: index fetch state plus the two-cursor merge.
+/// An in-flight feed job: the index stream plus the two-cursor merge.
 #[derive(Debug)]
 struct FeedRun {
-    word_it: AffineIterator,
-    idx_fifo: Fifo<u64>,
-    serializer: IndexSerializer,
-    outstanding_idx: usize,
-    idx_size: IndexSize,
-    /// Head of the incoming index stream, if pulled.
-    head: Option<u32>,
+    idx: IndexStream,
     /// Head of the incoming value stream, if pulled from the lane FIFO.
     val_head: Option<f64>,
-    /// Indices taken from the serializer (head included).
-    taken: u64,
     /// Pairs fully consumed by the merge.
     consumed: u64,
     count: u64,
@@ -197,20 +188,9 @@ struct FeedRun {
 
 impl FeedRun {
     fn new(spec: &AccFeedSpec, old: Vec<(u32, f64)>) -> Self {
-        let words = IndexSerializer::words_needed(spec.idx_size, spec.idx_base, spec.count);
-        let mut word_it = AffineIterator::linear(spec.idx_base & !7, words.max(1) as u32, 8);
-        if words == 0 {
-            while word_it.next_addr().is_some() {}
-        }
         Self {
-            word_it,
-            idx_fifo: Fifo::new(IDX_FIFO_DEPTH),
-            serializer: IndexSerializer::new(spec.idx_size, spec.idx_base, spec.count),
-            outstanding_idx: 0,
-            idx_size: spec.idx_size,
-            head: None,
+            idx: IndexStream::new(spec.idx_base, spec.idx_size, spec.count),
             val_head: None,
-            taken: 0,
             consumed: 0,
             count: spec.count,
             count_only: spec.count_only,
@@ -219,17 +199,6 @@ impl FeedRun {
             pos: 0,
             new: Vec::new(),
         }
-    }
-
-    /// The lane's just-in-time index fetch policy (see [`crate::lane`]).
-    fn idx_wants(&self) -> bool {
-        let per_word = u64::from(self.idx_size.per_word());
-        let headroom = u64::from(self.head.is_some())
-            + self.serializer.buffered()
-            + (self.idx_fifo.len() as u64 + self.outstanding_idx as u64) * per_word;
-        !self.word_it.is_done()
-            && self.idx_fifo.free() > self.outstanding_idx
-            && headroom <= per_word
     }
 }
 
@@ -304,20 +273,18 @@ pub struct SpAcc {
     pending: Option<AccJob>,
     /// Whether a feed may start while a drain is still writing.
     double_buffered: bool,
-    /// Round-robin marker for the shared port: `true` if the drain won
-    /// the last contended cycle.
-    drain_won_last: bool,
+    /// Shared-port arbiter: drain write (first) vs. feed index fetch
+    /// (second).
+    port_rr: RoundRobin,
     /// The latched mid-stream fault, if any ([`Self::fault`]).
     fault: Option<StreamFaultKind>,
     /// Frozen (faulted here, or by a fault elsewhere in the streamer):
     /// jobs aborted, launches refused, in-flight traffic sinks.
     frozen: bool,
-    /// Progress-watchdog threshold in cycles ([`Self::set_watchdog`]).
-    watchdog: u64,
-    /// Consecutive busy cycles without progress.
-    stall: u64,
+    /// Progress watchdog over the busy unit ([`Self::set_watchdog`]).
+    watchdog: Watchdog,
     /// Progress happened this cycle (request, response, merge step,
-    /// promotion or retire) — resets the stall counter.
+    /// promotion or retire) — resets the watchdog.
     progress: bool,
     /// Whether the last [`Self::tick`] made progress — the attribution
     /// probe's activity signal (latched before `progress` resets).
@@ -344,11 +311,10 @@ impl SpAcc {
             drain: None,
             pending: None,
             double_buffered: true,
-            drain_won_last: false,
+            port_rr: RoundRobin::default(),
             fault: None,
             frozen: false,
-            watchdog: STREAM_WATCHDOG_RESET,
-            stall: 0,
+            watchdog: Watchdog::new(),
             progress: false,
             advanced: false,
             sink_rsps: 0,
@@ -368,14 +334,14 @@ impl SpAcc {
     pub fn clear_fault(&mut self) {
         self.fault = None;
         self.frozen = false;
-        self.stall = 0;
+        self.watchdog.reset();
     }
 
     /// Sets the progress-watchdog threshold (cycles without progress
     /// before a [`StreamFaultKind::Stall`] latches). Tests shrink it;
-    /// resets to [`STREAM_WATCHDOG_RESET`].
+    /// resets to [`crate::fault::STREAM_WATCHDOG_RESET`].
     pub fn set_watchdog(&mut self, cycles: u64) {
-        self.watchdog = cycles.max(1);
+        self.watchdog.set_limit(cycles);
     }
 
     /// Freezes the unit (a fault here or elsewhere in the streamer):
@@ -389,7 +355,7 @@ impl SpAcc {
         if let Some(run) = self.feed.take() {
             let run = *run;
             self.row = run.old;
-            self.sink_rsps += run.outstanding_idx;
+            self.sink_rsps += run.idx.in_flight();
         }
         self.drain = None;
     }
@@ -566,30 +532,19 @@ impl SpAcc {
         // One request on the shared port: drain write vs. feed index
         // fetch, arbitrated round-robin like the lane's fetchers.
         if port.can_send() {
-            let feed_wants = self.feed.as_ref().is_some_and(|run| run.idx_wants());
             let drain_wants = self.drain.as_ref().is_some_and(|run| !run.reqs.is_empty());
-            let grant_drain = match (drain_wants, feed_wants) {
-                (true, false) => true,
-                (true, true) => {
-                    self.stats.port_shared += 1;
-                    !self.drain_won_last
+            let feed_wants = self.feed.as_ref().is_some_and(|run| run.idx.wants_fetch());
+            self.stats.port_shared += u64::from(drain_wants && feed_wants);
+            if let Some(grant_drain) = self.port_rr.grant(drain_wants, feed_wants) {
+                if grant_drain {
+                    let run = self.drain.as_mut().expect("drain_wants checked");
+                    port.send(run.reqs.pop_front().expect("drain_wants checked"));
+                    self.stats.out_words += 1;
+                } else {
+                    let run = self.feed.as_mut().expect("feed_wants checked");
+                    port.send(MemReq::read(run.idx.fetch()));
+                    self.stats.idx_words += 1;
                 }
-                (false, _) => false,
-            };
-            if grant_drain {
-                let run = self.drain.as_mut().expect("drain_wants checked");
-                let req = run.reqs.pop_front().expect("drain_wants checked");
-                port.send(req);
-                self.stats.out_words += 1;
-                self.drain_won_last = true;
-                self.progress = true;
-            } else if feed_wants {
-                let run = self.feed.as_mut().expect("feed_wants checked");
-                let addr = run.word_it.next_addr().expect("idx_wants checked");
-                port.send(MemReq::read(addr));
-                run.outstanding_idx += 1;
-                self.stats.idx_words += 1;
-                self.drain_won_last = false;
                 self.progress = true;
             }
         }
@@ -603,17 +558,11 @@ impl SpAcc {
             self.progress = true;
         }
         self.promote();
-        // Progress watchdog: a busy unit that makes zero progress for
-        // `watchdog` cycles is deadlocked (values that never arrive, a
-        // port that never grants) — latch a stall fault instead of
-        // hanging the simulation.
-        if self.busy() && !self.progress {
-            self.stall += 1;
-            if self.stall >= self.watchdog {
-                self.latch_fault(StreamFaultKind::Stall { cycles: self.stall });
-            }
-        } else {
-            self.stall = 0;
+        // A busy unit that makes zero progress is deadlocked (values
+        // that never arrive, a port that never grants): latch a stall
+        // fault instead of hanging the simulation.
+        if let Some(cycles) = self.watchdog.observe(self.busy(), self.progress) {
+            self.latch_fault(StreamFaultKind::Stall { cycles });
         }
         self.advanced = self.progress;
         self.progress = false;
@@ -658,22 +607,10 @@ impl SpAcc {
         progress: &mut bool,
     ) -> FeedStep {
         while let Some(rsp) = port.take_rsp(now) {
-            run.outstanding_idx -= 1;
-            run.idx_fifo.push(rsp.data);
+            run.idx.accept(rsp.data);
             *progress = true;
         }
-        if run.head.is_none() && run.taken < run.count {
-            if run.serializer.wants_word() {
-                if let Some(word) = run.idx_fifo.pop() {
-                    run.serializer.load_word(word);
-                }
-            }
-            if let Some(idx) = run.serializer.next_index() {
-                run.head = Some(idx);
-                run.taken += 1;
-                *progress = true;
-            }
-        }
+        *progress |= run.idx.refill_head();
         // Pull a value only while pairs remain — values beyond `count`
         // belong to the next queued feed job. Count-only feeds never
         // touch the write stream.
@@ -694,7 +631,7 @@ impl SpAcc {
                 if run.new.len() > cap {
                     return FeedStep::Fault(StreamFaultKind::Overflow { cap: run.cap });
                 }
-            } else if run.outstanding_idx == 0 {
+            } else if run.idx.in_flight() == 0 {
                 *row = std::mem::take(&mut run.new);
                 stats.feeds += 1;
                 if run.count_only {
@@ -703,7 +640,7 @@ impl SpAcc {
                 stats.peak_nnz = stats.peak_nnz.max(row.len() as u64);
                 return FeedStep::Done;
             }
-        } else if let (Some(idx), true) = (run.head, run.count_only || run.val_head.is_some()) {
+        } else if let (Some(idx), true) = (run.idx.head, run.count_only || run.val_head.is_some()) {
             let val = run.val_head.unwrap_or(0.0);
             stats.steps += 1;
             *progress = true;
@@ -730,7 +667,7 @@ impl SpAcc {
                         _ => run.new.push((idx, val)),
                     }
                 }
-                run.head = None;
+                run.idx.head = None;
                 run.val_head = None;
                 run.consumed += 1;
                 stats.pairs_in += 1;
@@ -746,6 +683,7 @@ impl SpAcc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serializer::IndexSize;
     use issr_mem::tcdm::Tcdm;
 
     const BASE: u32 = 0x0010_0000;

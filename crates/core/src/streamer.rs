@@ -26,7 +26,7 @@ use crate::joiner::{IndexJoiner, JoinerStats};
 use crate::lane::{Lane, LaneKind, LaneStats};
 use crate::spacc::{SpAcc, SpAccStats, SPACC_LANE};
 use issr_mem::port::MemPort;
-use issr_trace::StallCause;
+use issr_trace::{StallCause, StatMerge};
 
 /// One cycle's stall-cause classification of every stream unit, read
 /// after [`Streamer::tick`] by the core-complex attribution sampler.
@@ -443,7 +443,7 @@ impl Streamer {
             }
             if joiner.is_done() {
                 let stats = joiner.stats();
-                self.joiner_stats.merge(&stats);
+                self.joiner_stats.merge_from(&stats);
                 self.joiner_stats.jobs += 1;
                 self.join_count_last = stats.emissions as u32;
                 self.joiner = None;
@@ -484,7 +484,7 @@ impl Streamer {
         if let Some(joiner) = &mut self.joiner {
             joiner.tick(now, &mut *first, &mut rest[0]);
             if joiner.is_done() {
-                self.joiner_stats.merge(&joiner.stats());
+                self.joiner_stats.merge_from(&joiner.stats());
                 self.joiner = None;
             }
         }

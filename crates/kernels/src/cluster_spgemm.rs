@@ -45,7 +45,11 @@
 
 use crate::common::{emit_spacc_cfg, SETUP_SCRATCH};
 use crate::layout::{csr_addrs, store_csr, Arena, CsrAddrs};
-use crate::spgemm::{emit_base_k_merge, emit_base_row_copy, emit_issr_k_expand, expansion_volume};
+use crate::spgemm::{
+    emit_a_row_end, emit_base_k_merge, emit_base_row_copy, emit_base_scratch,
+    emit_base_symbolic_rows, emit_indexed_addr, emit_issr_k_expand, emit_issr_symbolic_rows,
+    emit_spacc_wait, expansion_volume, Base,
+};
 use crate::variant::{log_width, KernelIndex, Variant};
 use issr_cluster::cluster::{Cluster, ClusterParams, ClusterSummary};
 use issr_cluster::scan::{emit_exclusive_prefix, scan_array_bytes};
@@ -250,6 +254,13 @@ fn emit_scan_and_apply(asm: &mut Assembler, plan: &ClusterSpgemmPlan) {
     asm.csrr(R::ZERO, Csr::Barrier);
 }
 
+/// The stripe prologue both workers run before each phase: stripe
+/// bounds and A cursors, `s1` on `&c.ptr[start]` (halts empty harts).
+fn emit_stripe_cursors<I: KernelIndex>(asm: &mut Assembler, plan: &ClusterSpgemmPlan) {
+    let (rows, nrows) = (plan.rows_per_worker, plan.nrows);
+    crate::cluster_spmspv::emit_stripe_prologue::<I>(asm, rows, nrows, plan.a, plan.c.ptr, 2);
+}
+
 /// ISSR worker: count-only symbolic pass, prefix-sum barrier, then the
 /// SSR + FREP expansion into the SpAcc with one drain per row at the
 /// device-computed packed offsets.
@@ -261,16 +272,8 @@ fn emit_scan_and_apply(asm: &mut Assembler, plan: &ClusterSpgemmPlan) {
 #[allow(clippy::too_many_lines)]
 fn emit_issr_worker<I: KernelIndex>(asm: &mut Assembler, plan: &ClusterSpgemmPlan) {
     let log_w = log_width::<I>();
-    let ib = I::BYTES as i32;
     // Stripe + A cursors; s1 lands on &c.ptr[start] (halts empty harts).
-    crate::cluster_spmspv::emit_stripe_prologue::<I>(
-        asm,
-        plan.rows_per_worker,
-        plan.nrows,
-        plan.a,
-        plan.c.ptr,
-        2,
-    );
+    emit_stripe_cursors::<I>(asm, plan);
     asm.li_addr(R::S6, plan.b.ptr);
     asm.li_addr(R::S7, plan.b.idcs);
     asm.li_addr(R::S8, plan.b.vals);
@@ -285,74 +288,22 @@ fn emit_issr_worker<I: KernelIndex>(asm: &mut Assembler, plan: &ClusterSpgemmPla
     // --- symbolic: count-only SpAcc feeds, no value traffic ---
     asm.li(SETUP_SCRATCH, i64::from(acc_count_cfg_word(I::IDX_SIZE)));
     asm.scfgwi(SETUP_SCRATCH, cfg_addr(sreg::ACC_CFG, 0));
-    asm.li(R::S10, 0);
-    let sym_row = asm.bind_label();
-    asm.symbol("issr_sym_row");
-    let sym_row_end = asm.new_label();
-    asm.lw(R::T5, R::S0, 0); // a.ptr[r+1]
-    asm.addi(R::S0, R::S0, 4);
-    asm.slli(R::S9, R::T5, log_w);
-    asm.li_addr(R::T6, plan.a.idcs);
-    asm.add(R::S9, R::S9, R::T6); // A-row end address
-    let sym_k = asm.bind_label();
-    asm.symbol("issr_sym_k");
-    asm.beq(R::S4, R::S9, sym_row_end);
-    I::emit_index_load(asm, R::T0, R::S4, 0); // column k
-    asm.addi(R::S4, R::S4, ib);
-    asm.slli(R::T1, R::T0, 2);
-    asm.add(R::T1, R::T1, R::S6);
-    asm.lw(R::T2, R::T1, 0); //  b.ptr[k]
-    asm.lw(R::T3, R::T1, 4); //  b.ptr[k+1]
-    asm.sub(R::T4, R::T3, R::T2); // nnz(B[k,:])
-    asm.beqz(R::T4, sym_k);
-    asm.scfgwi(R::T4, cfg_addr(sreg::ACC_COUNT, 0));
-    asm.slli(R::T6, R::T2, log_w);
-    asm.add(R::T6, R::T6, R::S7);
-    asm.scfgwi(R::T6, cfg_addr(sreg::ACC_FEED, 0)); // launch (retries)
-    asm.j(sym_k);
-    asm.bind(sym_row_end);
-    // Wait for the row's feeds, read the count, reset the buffer.
-    let spin = asm.bind_label();
-    asm.scfgri(R::T0, cfg_addr(sreg::ACC_STATUS, 0));
-    asm.andi(R::T0, R::T0, 1);
-    asm.beqz(R::T0, spin);
-    asm.scfgri(R::T1, cfg_addr(sreg::ACC_NNZ, 0));
-    asm.add(R::S10, R::S10, R::T1);
-    asm.sw(R::S10, R::S1, 4); // c.ptr[r+1] = stripe-local prefix
-    asm.addi(R::S1, R::S1, 4);
-    asm.scfgwi(R::ZERO, cfg_addr(sreg::ACC_CLEAR, 0));
-    asm.addi(R::S2, R::S2, -1);
-    asm.bnez(R::S2, sym_row);
+    emit_issr_symbolic_rows::<I>(asm, Base::Addr(plan.a.idcs));
     // --- prefix-sum barrier + offset apply ---
     emit_scan_and_apply(asm, plan);
     // --- numeric: re-seed the cursors, restore value mode ---
-    crate::cluster_spmspv::emit_stripe_prologue::<I>(
-        asm,
-        plan.rows_per_worker,
-        plan.nrows,
-        plan.a,
-        plan.c.ptr,
-        2,
-    );
+    emit_stripe_cursors::<I>(asm, plan);
     emit_spacc_cfg::<I>(asm);
     asm.csrsi(Csr::Ssr, 1);
     let row = asm.bind_label();
     asm.symbol("issr_row");
     let flush = asm.new_label();
-    asm.lw(R::T5, R::S0, 0); // a.ptr[r+1]
-    asm.addi(R::S0, R::S0, 4);
-    asm.slli(R::S9, R::T5, log_w);
-    asm.li_addr(R::T6, plan.a.idcs);
-    asm.add(R::S9, R::S9, R::T6); // A-row end address
-                                  // Packed output cursors from the device-computed row pointer.
+    emit_a_row_end::<I>(asm, R::S9, Base::Addr(plan.a.idcs));
+    // Packed output cursors from the device-computed row pointer.
     asm.lw(R::A4, R::S1, 0); //     c.ptr[r]
     asm.addi(R::S1, R::S1, 4);
-    asm.slli(R::A2, R::A4, log_w);
-    asm.li_addr(R::T6, plan.c.idcs);
-    asm.add(R::A2, R::A2, R::T6);
-    asm.slli(R::A3, R::A4, 3);
-    asm.li_addr(R::T6, plan.c.vals);
-    asm.add(R::A3, R::A3, R::T6);
+    emit_indexed_addr(asm, R::A2, R::A4, log_w, Base::Addr(plan.c.idcs));
+    emit_indexed_addr(asm, R::A3, R::A4, 3, Base::Addr(plan.c.vals));
     emit_issr_k_expand::<I>(asm, flush);
     asm.bind(flush);
     asm.symbol("issr_flush");
@@ -363,27 +314,9 @@ fn emit_issr_worker<I: KernelIndex>(asm: &mut Assembler, plan: &ClusterSpgemmPla
     asm.addi(R::S2, R::S2, -1);
     asm.bnez(R::S2, row);
     // Let the last drain retire inside the measured region.
-    let fin = asm.bind_label();
-    asm.scfgri(R::T0, cfg_addr(sreg::ACC_STATUS, 0));
-    asm.andi(R::T0, R::T0, 1);
-    asm.beqz(R::T0, fin);
+    emit_spacc_wait(asm, 1);
     asm.roi_end();
     asm.csrci(Csr::Ssr, 1);
-}
-
-/// Emits the BASE per-worker scratch-pointer setup (`s6`–`s9` ping-pong
-/// buffers from the hart id, `s11` = `b.ptr`). Clobbers `t0`–`t2`.
-fn emit_base_scratch_setup(asm: &mut Assembler, plan: &ClusterSpgemmPlan) {
-    asm.li(R::T0, i64::from(plan.scratch_stride));
-    asm.mul(R::T0, R::T0, R::A7);
-    asm.li_addr(R::T1, plan.scratch_base);
-    asm.add(R::S6, R::T0, R::T1); // idx0
-    asm.li(R::T2, i64::from(plan.scratch_idx_bytes));
-    asm.add(R::S8, R::S6, R::T2); // idx1
-    asm.add(R::S7, R::S8, R::T2); // val0
-    asm.li(R::T2, i64::from(plan.row_cap) * 8);
-    asm.add(R::S9, R::S7, R::T2); // val1
-    asm.li_addr(R::S11, plan.b.ptr);
 }
 
 /// BASE worker: the software union-merge runs twice — a counting pass
@@ -395,69 +328,37 @@ fn emit_base_scratch_setup(asm: &mut Assembler, plan: &ClusterSpgemmPlan) {
 /// the numeric row's packed element offset; `s11` `b.ptr`.
 fn emit_base_worker<I: KernelIndex>(asm: &mut Assembler, plan: &ClusterSpgemmPlan) {
     let log_w = log_width::<I>();
-    crate::cluster_spmspv::emit_stripe_prologue::<I>(
+    emit_stripe_cursors::<I>(asm, plan);
+    emit_base_scratch(
         asm,
-        plan.rows_per_worker,
-        plan.nrows,
-        plan.a,
-        plan.c.ptr,
-        2,
+        plan.scratch_stride,
+        plan.scratch_base,
+        plan.scratch_idx_bytes,
+        i64::from(plan.row_cap) * 8,
+        plan.b.ptr,
     );
-    emit_base_scratch_setup(asm, plan);
     asm.roi_begin();
     // --- symbolic: merge each row, keep only the length ---
-    asm.li(R::A5, 0);
-    let sym_row = asm.bind_label();
-    asm.symbol("base_sym_row");
-    let sym_flush = asm.new_label();
-    asm.li(R::S10, 0);
-    asm.lw(R::T5, R::S0, 0); // a.ptr[r+1]
-    asm.addi(R::S0, R::S0, 4);
-    asm.slli(R::A6, R::T5, log_w);
-    asm.li_addr(R::T6, plan.a.idcs);
-    asm.add(R::A6, R::A6, R::T6);
-    emit_base_k_merge::<I>(asm, plan.b.idcs, plan.b.vals, sym_flush);
-    asm.bind(sym_flush);
-    asm.symbol("base_sym_flush");
-    asm.add(R::A5, R::A5, R::S10);
-    asm.sw(R::A5, R::S1, 4); // c.ptr[r+1] = stripe-local prefix
-    asm.addi(R::S1, R::S1, 4);
-    asm.addi(R::S2, R::S2, -1);
-    asm.bnez(R::S2, sym_row);
-    asm.mv(R::S10, R::A5); // the scan takes the local total in s10
-                           // --- prefix-sum barrier + offset apply ---
+    let a_idcs = Base::Addr(plan.a.idcs);
+    emit_base_symbolic_rows::<I>(asm, a_idcs, R::A5, plan.b.idcs, plan.b.vals);
+    // --- prefix-sum barrier + offset apply ---
     emit_scan_and_apply(asm, plan);
     // --- numeric: re-seed cursors (scratch pointers stay valid; the
     // ping-pong swaps leave them pointing at the two buffers) ---
-    crate::cluster_spmspv::emit_stripe_prologue::<I>(
-        asm,
-        plan.rows_per_worker,
-        plan.nrows,
-        plan.a,
-        plan.c.ptr,
-        2,
-    );
+    emit_stripe_cursors::<I>(asm, plan);
     let row = asm.bind_label();
     asm.symbol("base_row");
     let flush = asm.new_label();
     asm.li(R::S10, 0);
-    asm.lw(R::T5, R::S0, 0); // a.ptr[r+1]
-    asm.addi(R::S0, R::S0, 4);
-    asm.slli(R::A6, R::T5, log_w);
-    asm.li_addr(R::T6, plan.a.idcs);
-    asm.add(R::A6, R::A6, R::T6);
+    emit_a_row_end::<I>(asm, R::A6, a_idcs);
     asm.lw(R::A4, R::S1, 0); // c.ptr[r] (device-computed)
     asm.addi(R::S1, R::S1, 4);
     emit_base_k_merge::<I>(asm, plan.b.idcs, plan.b.vals, flush);
     // Row finished: pack the accumulator at the device-owned offsets.
     asm.bind(flush);
     asm.symbol("base_flush");
-    asm.slli(R::T0, R::A4, log_w);
-    asm.li_addr(R::T6, plan.c.idcs);
-    asm.add(R::T0, R::T0, R::T6); // C index cursor
-    asm.slli(R::T1, R::A4, 3);
-    asm.li_addr(R::T6, plan.c.vals);
-    asm.add(R::T1, R::T1, R::T6); // C value cursor
+    emit_indexed_addr(asm, R::T0, R::A4, log_w, Base::Addr(plan.c.idcs)); // C index cursor
+    emit_indexed_addr(asm, R::T1, R::A4, 3, Base::Addr(plan.c.vals)); // C value cursor
     emit_base_row_copy::<I>(asm);
     asm.addi(R::S2, R::S2, -1);
     asm.bnez(R::S2, row);

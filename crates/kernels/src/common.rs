@@ -46,6 +46,16 @@ pub const ACC0: FpReg = FpReg::FT2;
 /// `count` elements of `stride` bytes from `base`. Clobbers
 /// [`SETUP_SCRATCH`]. The job launches at the final pointer write.
 pub fn emit_affine_read(asm: &mut Assembler, lane: u8, base: u32, count: u32, stride: i32) {
+    emit_affine_job(asm, sreg::RPTR[0], lane, base, count, stride);
+}
+
+/// Emits an affine *write* job on `lane` (unit-stride store stream).
+pub fn emit_affine_write(asm: &mut Assembler, lane: u8, base: u32, count: u32, stride: i32) {
+    emit_affine_job(asm, sreg::WPTR[0], lane, base, count, stride);
+}
+
+/// An affine job launched through pointer register `launch`.
+fn emit_affine_job(asm: &mut Assembler, launch: u16, lane: u8, base: u32, count: u32, stride: i32) {
     assert!(count > 0, "affine job needs at least one element");
     let t = SETUP_SCRATCH;
     asm.li(t, i64::from(count) - 1);
@@ -53,7 +63,7 @@ pub fn emit_affine_read(asm: &mut Assembler, lane: u8, base: u32, count: u32, st
     asm.li(t, i64::from(stride));
     asm.scfgwi(t, cfg_addr(sreg::STRIDES[0], lane));
     asm.li_addr(t, base);
-    asm.scfgwi(t, cfg_addr(sreg::RPTR[0], lane));
+    asm.scfgwi(t, cfg_addr(launch, lane));
 }
 
 /// Emits the configuration of an indirection read job on `lane`:
@@ -68,21 +78,25 @@ pub fn emit_indirect_read<I: KernelIndex>(
     shift: u32,
     data_base: u32,
 ) {
-    assert!(count > 0, "indirection job needs at least one element");
-    let t = SETUP_SCRATCH;
-    asm.li(t, i64::from(count) - 1);
-    asm.scfgwi(t, cfg_addr(sreg::BOUNDS[0], lane));
-    asm.li(t, i64::from(idx_cfg_word(I::IDX_SIZE, shift)));
-    asm.scfgwi(t, cfg_addr(sreg::IDX_CFG, lane));
-    asm.li_addr(t, data_base);
-    asm.scfgwi(t, cfg_addr(sreg::DATA_BASE, lane));
-    asm.li_addr(t, idx_base);
-    asm.scfgwi(t, cfg_addr(sreg::RPTR[0], lane));
+    emit_indirect_job::<I>(asm, sreg::RPTR[0], lane, idx_base, count, shift, data_base);
 }
 
 /// Emits the indirection *write* (scatter) job configuration on `lane`.
 pub fn emit_indirect_write<I: KernelIndex>(
     asm: &mut Assembler,
+    lane: u8,
+    idx_base: u32,
+    count: u32,
+    shift: u32,
+    data_base: u32,
+) {
+    emit_indirect_job::<I>(asm, sreg::WPTR[0], lane, idx_base, count, shift, data_base);
+}
+
+/// An indirection job launched through pointer register `launch`.
+fn emit_indirect_job<I: KernelIndex>(
+    asm: &mut Assembler,
+    launch: u16,
     lane: u8,
     idx_base: u32,
     count: u32,
@@ -98,7 +112,7 @@ pub fn emit_indirect_write<I: KernelIndex>(
     asm.li_addr(t, data_base);
     asm.scfgwi(t, cfg_addr(sreg::DATA_BASE, lane));
     asm.li_addr(t, idx_base);
-    asm.scfgwi(t, cfg_addr(sreg::WPTR[0], lane));
+    asm.scfgwi(t, cfg_addr(launch, lane));
 }
 
 /// Emits the configuration and launch of an index-joiner job (lanes 0
@@ -166,18 +180,6 @@ pub fn emit_spacc_cfg<I: KernelIndex>(asm: &mut Assembler) {
     let t = SETUP_SCRATCH;
     asm.li(t, i64::from(issr_core::cfg::acc_cfg_word(I::IDX_SIZE)));
     asm.scfgwi(t, cfg_addr(sreg::ACC_CFG, 0));
-}
-
-/// Emits an affine *write* job on `lane` (unit-stride store stream).
-pub fn emit_affine_write(asm: &mut Assembler, lane: u8, base: u32, count: u32, stride: i32) {
-    assert!(count > 0, "affine job needs at least one element");
-    let t = SETUP_SCRATCH;
-    asm.li(t, i64::from(count) - 1);
-    asm.scfgwi(t, cfg_addr(sreg::BOUNDS[0], lane));
-    asm.li(t, i64::from(stride));
-    asm.scfgwi(t, cfg_addr(sreg::STRIDES[0], lane));
-    asm.li_addr(t, base);
-    asm.scfgwi(t, cfg_addr(sreg::WPTR[0], lane));
 }
 
 /// Emits a pairwise reduction tree over the accumulator group

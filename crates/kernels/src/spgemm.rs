@@ -114,22 +114,14 @@ fn emit_base_spgemm<I: KernelIndex>(asm: &mut Assembler, nrows: u32, addrs: Spge
         asm.symbol("base_row");
         let flush = asm.new_label();
         asm.li(R::S10, 0); // the row accumulator starts empty
-        asm.lw(R::T5, R::S0, 0); // a.ptr[i+1]
-        asm.addi(R::S0, R::S0, 4);
-        asm.slli(R::A6, R::T5, log_w); // A-row end address
-        asm.li_addr(R::T6, addrs.a.idcs);
-        asm.add(R::A6, R::A6, R::T6);
+        emit_a_row_end::<I>(asm, R::A6, Base::Addr(addrs.a.idcs));
         emit_base_k_merge::<I>(asm, addrs.b.idcs, addrs.b.vals, flush);
         // Row finished: pack the accumulator into the CSR output at the
         // running element offset, then extend the row pointer.
         asm.bind(flush);
         asm.symbol("base_flush");
-        asm.slli(R::T0, R::S3, log_w);
-        asm.li_addr(R::T6, addrs.c.idcs);
-        asm.add(R::T0, R::T0, R::T6); // C index cursor
-        asm.slli(R::T1, R::S3, 3);
-        asm.li_addr(R::T6, addrs.c.vals);
-        asm.add(R::T1, R::T1, R::T6); // C value cursor
+        emit_indexed_addr(asm, R::T0, R::S3, log_w, Base::Addr(addrs.c.idcs)); // C index cursor
+        emit_indexed_addr(asm, R::T1, R::S3, 3, Base::Addr(addrs.c.vals)); // C value cursor
         emit_base_row_copy::<I>(asm);
         asm.add(R::S3, R::S3, R::S10);
         asm.sw(R::S3, R::S1, 0);
@@ -138,6 +130,90 @@ fn emit_base_spgemm<I: KernelIndex>(asm: &mut Assembler, nrows: u32, addrs: Spge
         asm.bnez(R::S2, row);
     }
     asm.roi_end();
+}
+
+/// Where an array's base comes from: an address baked into the program
+/// (materialised through `t6`) or a register holding a runtime base —
+/// the system kernel's panel-relative virtual bases.
+#[derive(Clone, Copy)]
+pub(crate) enum Base {
+    Addr(u32),
+    Reg(R),
+}
+
+/// Emits `dst = base + (idx << log_stride)`.
+pub(crate) fn emit_indexed_addr(asm: &mut Assembler, dst: R, idx: R, log_stride: i32, base: Base) {
+    asm.slli(dst, idx, log_stride);
+    let base = match base {
+        Base::Addr(addr) => {
+            asm.li_addr(R::T6, addr);
+            R::T6
+        }
+        Base::Reg(reg) => reg,
+    };
+    asm.add(dst, dst, base);
+}
+
+/// The shared row head: reads `a.ptr[r+1]` through the `s0` cursor
+/// (advancing it) and leaves the A row's end address in `end`.
+/// Clobbers `t5`.
+pub(crate) fn emit_a_row_end<I: KernelIndex>(asm: &mut Assembler, end: R, a_idcs: Base) {
+    asm.lw(R::T5, R::S0, 0); // a.ptr[r+1]
+    asm.addi(R::S0, R::S0, 4);
+    emit_indexed_addr(asm, end, R::T5, log_width::<I>(), a_idcs);
+}
+
+/// The BASE per-worker scratch pointers of the cluster and system
+/// workers: `s6`/`s8` index and `s7`/`s9` value ping-pong buffers in
+/// hart `a7`'s `stride`-byte slice of the scratch region at `base`,
+/// and `s11` = `b.ptr`. Clobbers `t0`–`t2`.
+pub(crate) fn emit_base_scratch(
+    asm: &mut Assembler,
+    stride: u32,
+    base: u32,
+    idx_bytes: u32,
+    val_bytes: i64,
+    b_ptr: u32,
+) {
+    asm.li(R::T0, i64::from(stride));
+    asm.mul(R::T0, R::T0, R::A7);
+    asm.li_addr(R::T1, base);
+    asm.add(R::S6, R::T0, R::T1); // idx0
+    asm.li(R::T2, i64::from(idx_bytes));
+    asm.add(R::S8, R::S6, R::T2); // idx1
+    asm.add(R::S7, R::S8, R::T2); // val0
+    asm.li(R::T2, val_bytes);
+    asm.add(R::S9, R::S7, R::T2); // val1
+    asm.li_addr(R::S11, b_ptr);
+}
+
+/// The shared BASE symbolic row loop of the cluster and system workers:
+/// the software union-merge per row, keeping only the accumulator
+/// length. The stripe-local inclusive prefix runs in `prefix`, lands in
+/// the row-pointer window behind the `s1` cursor and leaves in `s10`;
+/// `s2` counts the rows down.
+pub(crate) fn emit_base_symbolic_rows<I: KernelIndex>(
+    asm: &mut Assembler,
+    a_idcs: Base,
+    prefix: R,
+    b_idcs: u32,
+    b_vals: u32,
+) {
+    asm.li(prefix, 0);
+    let sym_row = asm.bind_label();
+    asm.symbol("base_sym_row");
+    let sym_flush = asm.new_label();
+    asm.li(R::S10, 0);
+    emit_a_row_end::<I>(asm, R::A6, a_idcs);
+    emit_base_k_merge::<I>(asm, b_idcs, b_vals, sym_flush);
+    asm.bind(sym_flush);
+    asm.symbol("base_sym_flush");
+    asm.add(prefix, prefix, R::S10);
+    asm.sw(prefix, R::S1, 4); // ptr[r+1] = stripe-local prefix
+    asm.addi(R::S1, R::S1, 4);
+    asm.addi(R::S2, R::S2, -1);
+    asm.bnez(R::S2, sym_row);
+    asm.mv(R::S10, prefix); // the scan / exchange takes the total in s10
 }
 
 /// The shared BASE per-k loop: walk the current A row (`s4`/`s5`
@@ -339,21 +415,14 @@ fn emit_issr_spgemm<I: KernelIndex>(
         let row = asm.bind_label();
         asm.symbol("issr_row");
         let flush = asm.new_label();
-        asm.lw(R::T5, R::S0, 0); // a.ptr[i+1]
-        asm.addi(R::S0, R::S0, 4);
-        asm.slli(R::S9, R::T5, log_w); // A-row end address
-        asm.li_addr(R::T6, addrs.a.idcs);
-        asm.add(R::S9, R::S9, R::T6);
+        emit_a_row_end::<I>(asm, R::S9, Base::Addr(addrs.a.idcs));
         emit_issr_k_expand::<I>(asm, flush);
         // Row finished: wait for the *feeds* only (bit 2) — a previous
         // row's drain may still be writing out of the second buffer —
         // then read the data-dependent length and drain.
         asm.bind(flush);
         asm.symbol("issr_flush");
-        let spin = asm.bind_label();
-        asm.scfgri(R::T0, cfg_addr(sreg::ACC_STATUS, 0));
-        asm.andi(R::T0, R::T0, 4);
-        asm.beqz(R::T0, spin);
+        emit_spacc_wait(asm, 4);
         asm.scfgri(R::T1, cfg_addr(sreg::ACC_NNZ, 0));
         let row_done = asm.new_label();
         asm.add(R::S3, R::S3, R::T1);
@@ -370,13 +439,60 @@ fn emit_issr_spgemm<I: KernelIndex>(
         asm.addi(R::S2, R::S2, -1);
         asm.bnez(R::S2, row);
         // Let the last drain retire inside the measured region.
-        let fin = asm.bind_label();
-        asm.scfgri(R::T0, cfg_addr(sreg::ACC_STATUS, 0));
-        asm.andi(R::T0, R::T0, 1);
-        asm.beqz(R::T0, fin);
+        emit_spacc_wait(asm, 1);
     }
     asm.roi_end();
     asm.csrci(issr_isa::Csr::Ssr, 1);
+}
+
+/// Spins until `ACC_STATUS & mask` is set (1: the unit is idle, 4: every
+/// feed has retired). Clobbers `t0`.
+pub(crate) fn emit_spacc_wait(asm: &mut Assembler, mask: i32) {
+    let spin = asm.bind_label();
+    asm.scfgri(R::T0, cfg_addr(sreg::ACC_STATUS, 0));
+    asm.andi(R::T0, R::T0, mask);
+    asm.beqz(R::T0, spin);
+}
+
+/// The shared ISSR symbolic row loop of the cluster and system workers
+/// (the SpAcc already in count-only mode): per row one count-only feed
+/// per `k` (`s4` A index cursor, `s6`/`s7` = `b.{ptr,idcs}`), a wait
+/// for the feeds, `ACC_NNZ` added to the stripe-local inclusive prefix
+/// in `s10` and stored behind the `s1` row-pointer cursor, the buffer
+/// cleared; `s2` counts the rows down.
+pub(crate) fn emit_issr_symbolic_rows<I: KernelIndex>(asm: &mut Assembler, a_idcs: Base) {
+    let log_w = log_width::<I>();
+    let ib = I::BYTES as i32;
+    asm.li(R::S10, 0);
+    let sym_row = asm.bind_label();
+    asm.symbol("issr_sym_row");
+    let sym_row_end = asm.new_label();
+    emit_a_row_end::<I>(asm, R::S9, a_idcs);
+    let sym_k = asm.bind_label();
+    asm.symbol("issr_sym_k");
+    asm.beq(R::S4, R::S9, sym_row_end);
+    I::emit_index_load(asm, R::T0, R::S4, 0); // column k
+    asm.addi(R::S4, R::S4, ib);
+    asm.slli(R::T1, R::T0, 2);
+    asm.add(R::T1, R::T1, R::S6);
+    asm.lw(R::T2, R::T1, 0); //  b.ptr[k]
+    asm.lw(R::T3, R::T1, 4); //  b.ptr[k+1]
+    asm.sub(R::T4, R::T3, R::T2); // nnz(B[k,:])
+    asm.beqz(R::T4, sym_k);
+    asm.scfgwi(R::T4, cfg_addr(sreg::ACC_COUNT, 0));
+    emit_indexed_addr(asm, R::T6, R::T2, log_w, Base::Reg(R::S7));
+    asm.scfgwi(R::T6, cfg_addr(sreg::ACC_FEED, 0)); // launch (retries)
+    asm.j(sym_k);
+    asm.bind(sym_row_end);
+    // Wait for the row's feeds, read the count, reset the buffer.
+    emit_spacc_wait(asm, 1);
+    asm.scfgri(R::T1, cfg_addr(sreg::ACC_NNZ, 0));
+    asm.add(R::S10, R::S10, R::T1);
+    asm.sw(R::S10, R::S1, 4); // ptr[r+1] = stripe-local prefix
+    asm.addi(R::S1, R::S1, 4);
+    asm.scfgwi(R::ZERO, cfg_addr(sreg::ACC_CLEAR, 0));
+    asm.addi(R::S2, R::S2, -1);
+    asm.bnez(R::S2, sym_row);
 }
 
 /// The shared ISSR per-k loop: walk the current A row (`s4`/`s5`

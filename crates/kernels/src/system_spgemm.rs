@@ -33,7 +33,11 @@
 
 use crate::common::{emit_parity_slot, emit_spacc_cfg, emit_wait_all_done, SETUP_SCRATCH};
 use crate::layout::{csr_addrs, store_csr, Arena, CsrAddrs};
-use crate::spgemm::{emit_base_k_merge, emit_base_row_copy, emit_issr_k_expand};
+use crate::spgemm::{
+    emit_a_row_end, emit_base_k_merge, emit_base_row_copy, emit_base_scratch,
+    emit_base_symbolic_rows, emit_indexed_addr, emit_issr_k_expand, emit_issr_symbolic_rows,
+    emit_spacc_wait, Base,
+};
 use crate::variant::{log_width, KernelIndex, Variant};
 use issr_core::cfg::{acc_count_cfg_word, cfg_addr, reg as sreg};
 use issr_isa::asm::{Assembler, Program};
@@ -629,118 +633,63 @@ fn emit_worker<I: KernelIndex>(asm: &mut Assembler, variant: Variant, plan: &Sys
 /// (virtual) A bases.
 fn emit_issr_symbolic<I: KernelIndex>(asm: &mut Assembler, plan: &SystemSpgemmPlan) {
     let log_w = log_width::<I>();
-    let ib = I::BYTES as i32;
     asm.symbol("issr_sym");
     asm.li(SETUP_SCRATCH, i64::from(acc_count_cfg_word(I::IDX_SIZE)));
     asm.scfgwi(SETUP_SCRATCH, cfg_addr(sreg::ACC_CFG, 0));
     asm.li_addr(R::S6, plan.t_b.ptr);
     asm.li_addr(R::S7, plan.t_b.idcs);
-    // Cursors from the spill slots.
+    emit_stripe_cursors(asm, log_w, false);
+    asm.lw(R::S2, R::A6, spill::CNT);
+    emit_issr_symbolic_rows::<I>(asm, Base::Reg(R::A5));
+}
+
+/// Loads the stripe cursors from the spill slots at `a6`: `s0` →
+/// `&a.ptr[first row + 1]`, `a5` the virtual A index base and `s4` the
+/// A index cursor, with `with_vals` `s5` the A value cursor, `s1` →
+/// `&cptr_win[off]` (entries at +4); `t2` keeps the C buffer base.
+/// Clobbers `t1`–`t3`.
+fn emit_stripe_cursors(asm: &mut Assembler, log_w: i32, with_vals: bool) {
     asm.lw(R::S0, R::A6, spill::APTR);
     asm.lw(R::T1, R::S0, 0); // a.ptr[my first row] (global elements)
     asm.addi(R::S0, R::S0, 4);
     asm.lw(R::A5, R::A6, spill::VIDX);
     asm.slli(R::T2, R::T1, log_w);
     asm.add(R::S4, R::A5, R::T2); // A index cursor
+    if with_vals {
+        asm.lw(R::T3, R::A6, spill::VVAL);
+        asm.slli(R::T2, R::T1, 3);
+        asm.add(R::S5, R::T3, R::T2); // A value cursor
+    }
     asm.lw(R::T2, R::A6, spill::CBUF);
     asm.lw(R::T3, R::A6, spill::OFF);
     asm.slli(R::T3, R::T3, 2);
-    asm.add(R::S1, R::T2, R::T3); // &cptr_win[off] (entries at +4)
-    asm.lw(R::S2, R::A6, spill::CNT);
-    asm.li(R::S10, 0);
-    let sym_row = asm.bind_label();
-    asm.symbol("issr_sym_row");
-    let sym_row_end = asm.new_label();
-    asm.lw(R::T5, R::S0, 0); // a.ptr[r+1]
-    asm.addi(R::S0, R::S0, 4);
-    asm.slli(R::S9, R::T5, log_w);
-    asm.add(R::S9, R::S9, R::A5); // A-row end address (virtual base)
-    let sym_k = asm.bind_label();
-    asm.symbol("issr_sym_k");
-    asm.beq(R::S4, R::S9, sym_row_end);
-    I::emit_index_load(asm, R::T0, R::S4, 0); // column k
-    asm.addi(R::S4, R::S4, ib);
-    asm.slli(R::T1, R::T0, 2);
-    asm.add(R::T1, R::T1, R::S6);
-    asm.lw(R::T2, R::T1, 0); //  b.ptr[k]
-    asm.lw(R::T3, R::T1, 4); //  b.ptr[k+1]
-    asm.sub(R::T4, R::T3, R::T2); // nnz(B[k,:])
-    asm.beqz(R::T4, sym_k);
-    asm.scfgwi(R::T4, cfg_addr(sreg::ACC_COUNT, 0));
-    asm.slli(R::T6, R::T2, log_w);
-    asm.add(R::T6, R::T6, R::S7);
-    asm.scfgwi(R::T6, cfg_addr(sreg::ACC_FEED, 0)); // launch (retries)
-    asm.j(sym_k);
-    asm.bind(sym_row_end);
-    let spin = asm.bind_label();
-    asm.scfgri(R::T0, cfg_addr(sreg::ACC_STATUS, 0));
-    asm.andi(R::T0, R::T0, 1);
-    asm.beqz(R::T0, spin);
-    asm.scfgri(R::T1, cfg_addr(sreg::ACC_NNZ, 0));
-    asm.add(R::S10, R::S10, R::T1);
-    asm.sw(R::S10, R::S1, 4); // cptr_win[r+1] = stripe-local prefix
-    asm.addi(R::S1, R::S1, 4);
-    asm.scfgwi(R::ZERO, cfg_addr(sreg::ACC_CLEAR, 0));
-    asm.addi(R::S2, R::S2, -1);
-    asm.bnez(R::S2, sym_row);
+    asm.add(R::S1, R::T2, R::T3);
 }
 
 /// BASE symbolic: the software union-merge per row, keeping only the
 /// accumulator length (running prefix in `s3`, moved to `s10` for the
 /// exchange).
 fn emit_base_symbolic<I: KernelIndex>(asm: &mut Assembler, plan: &SystemSpgemmPlan) {
-    let log_w = log_width::<I>();
     asm.symbol("base_sym");
-    emit_base_scratch(asm, plan);
-    // Cursors from the spill slots (a6 is consumed: the merge needs it
-    // as the A-row end register).
-    asm.lw(R::S0, R::A6, spill::APTR);
-    asm.lw(R::T1, R::S0, 0);
-    asm.addi(R::S0, R::S0, 4);
-    asm.lw(R::A5, R::A6, spill::VIDX);
-    asm.slli(R::T2, R::T1, log_w);
-    asm.add(R::S4, R::A5, R::T2);
-    asm.lw(R::T3, R::A6, spill::VVAL);
-    asm.slli(R::T2, R::T1, 3);
-    asm.add(R::S5, R::T3, R::T2);
-    asm.lw(R::T2, R::A6, spill::CBUF);
-    asm.lw(R::T3, R::A6, spill::OFF);
-    asm.slli(R::T3, R::T3, 2);
-    asm.add(R::S1, R::T2, R::T3);
+    emit_system_base_scratch(asm, plan);
+    // a6 is consumed after this: the merge needs it as the A-row end
+    // register.
+    emit_stripe_cursors(asm, log_width::<I>(), true);
     asm.lw(R::S2, R::A6, spill::CNT);
-    asm.li(R::S3, 0); // running stripe prefix
-    let sym_row = asm.bind_label();
-    asm.symbol("base_sym_row");
-    let sym_flush = asm.new_label();
-    asm.li(R::S10, 0);
-    asm.lw(R::T5, R::S0, 0);
-    asm.addi(R::S0, R::S0, 4);
-    asm.slli(R::A6, R::T5, log_w);
-    asm.add(R::A6, R::A6, R::A5); // A-row end (virtual base)
-    emit_base_k_merge::<I>(asm, plan.t_b.idcs, plan.t_b.vals, sym_flush);
-    asm.bind(sym_flush);
-    asm.symbol("base_sym_flush");
-    asm.add(R::S3, R::S3, R::S10);
-    asm.sw(R::S3, R::S1, 4);
-    asm.addi(R::S1, R::S1, 4);
-    asm.addi(R::S2, R::S2, -1);
-    asm.bnez(R::S2, sym_row);
-    asm.mv(R::S10, R::S3); // the exchange takes the stripe total in s10
+    emit_base_symbolic_rows::<I>(asm, Base::Reg(R::A5), R::S3, plan.t_b.idcs, plan.t_b.vals);
 }
 
-/// Emits the BASE per-worker scratch pointers (`s6`–`s9` ping-pong,
-/// `s11` = `b.ptr`) from the hart id. Clobbers `t0`–`t2`.
-fn emit_base_scratch(asm: &mut Assembler, plan: &SystemSpgemmPlan) {
-    asm.li(R::T0, i64::from(plan.scratch_stride));
-    asm.mul(R::T0, R::T0, R::A7);
-    asm.li_addr(R::T1, plan.t_scratch);
-    asm.add(R::S6, R::T0, R::T1); // idx0
-    asm.li(R::T2, i64::from(plan.scratch_idx_bytes));
-    asm.add(R::S8, R::S6, R::T2); // idx1
-    asm.add(R::S7, R::S8, R::T2); // val0
-    asm.li(R::T2, i64::from((plan.scratch_stride - 2 * plan.scratch_idx_bytes) / 2));
-    asm.add(R::S9, R::S7, R::T2); // val1
-    asm.li_addr(R::S11, plan.t_b.ptr);
+/// The BASE per-worker scratch pointers of this plan (see
+/// [`emit_base_scratch`]).
+fn emit_system_base_scratch(asm: &mut Assembler, plan: &SystemSpgemmPlan) {
+    emit_base_scratch(
+        asm,
+        plan.scratch_stride,
+        plan.t_scratch,
+        plan.scratch_idx_bytes,
+        i64::from((plan.scratch_stride - 2 * plan.scratch_idx_bytes) / 2),
+        plan.t_b.ptr,
+    );
 }
 
 /// The flag-based offset exchange: publish this worker's stripe total
@@ -822,19 +771,7 @@ fn emit_issr_numeric<I: KernelIndex>(asm: &mut Assembler, plan: &SystemSpgemmPla
     asm.li_addr(R::S7, plan.t_b.idcs);
     asm.li_addr(R::S8, plan.t_b.vals);
     emit_spill_base(asm, plan, R::A6);
-    asm.lw(R::S0, R::A6, spill::APTR);
-    asm.lw(R::T1, R::S0, 0);
-    asm.addi(R::S0, R::S0, 4);
-    asm.lw(R::A5, R::A6, spill::VIDX);
-    asm.slli(R::T2, R::T1, log_w);
-    asm.add(R::S4, R::A5, R::T2);
-    asm.lw(R::T3, R::A6, spill::VVAL);
-    asm.slli(R::T2, R::T1, 3);
-    asm.add(R::S5, R::T3, R::T2);
-    asm.lw(R::T2, R::A6, spill::CBUF);
-    asm.lw(R::T3, R::A6, spill::OFF);
-    asm.slli(R::T3, R::T3, 2);
-    asm.add(R::S1, R::T2, R::T3); // c.ptr window cursor (reads [s1])
+    emit_stripe_cursors(asm, log_w, true); // s1: c.ptr window cursor (reads [s1])
     asm.li(R::T4, i64::from(plan.cptrw_bytes));
     asm.add(R::S3, R::T2, R::T4); // C value base
     asm.li(R::T4, i64::from(plan.cptrw_bytes + plan.cvals_bytes));
@@ -843,16 +780,11 @@ fn emit_issr_numeric<I: KernelIndex>(asm: &mut Assembler, plan: &SystemSpgemmPla
     let row = asm.bind_label();
     asm.symbol("issr_num_row");
     let flush = asm.new_label();
-    asm.lw(R::T5, R::S0, 0); // a.ptr[r+1]
-    asm.addi(R::S0, R::S0, 4);
-    asm.slli(R::S9, R::T5, log_w);
-    asm.add(R::S9, R::S9, R::A5); // A-row end (virtual base)
+    emit_a_row_end::<I>(asm, R::S9, Base::Reg(R::A5)); // virtual base
     asm.lw(R::A4, R::S1, 0); //      packed element offset (panel-local)
     asm.addi(R::S1, R::S1, 4);
-    asm.slli(R::A2, R::A4, log_w);
-    asm.add(R::A2, R::A2, R::S11);
-    asm.slli(R::A3, R::A4, 3);
-    asm.add(R::A3, R::A3, R::S3);
+    emit_indexed_addr(asm, R::A2, R::A4, log_w, Base::Reg(R::S11));
+    emit_indexed_addr(asm, R::A3, R::A4, 3, Base::Reg(R::S3));
     emit_issr_k_expand::<I>(asm, flush);
     asm.bind(flush);
     asm.symbol("issr_num_flush");
@@ -866,10 +798,7 @@ fn emit_issr_numeric<I: KernelIndex>(asm: &mut Assembler, plan: &SystemSpgemmPla
     // output DMA reads this buffer right after it sees the flag (its
     // descriptor reads, address arithmetic and transfer startup give
     // the final strobed words a wide landing margin on top of this).
-    let fin = asm.bind_label();
-    asm.scfgri(R::T0, cfg_addr(sreg::ACC_STATUS, 0));
-    asm.andi(R::T0, R::T0, 1);
-    asm.beqz(R::T0, fin);
+    emit_spacc_wait(asm, 1);
     asm.csrci(Csr::Ssr, 1);
 }
 
@@ -879,30 +808,15 @@ fn emit_base_numeric<I: KernelIndex>(asm: &mut Assembler, plan: &SystemSpgemmPla
     let log_w = log_width::<I>();
     asm.symbol("base_num");
     asm.csrr(R::A7, Csr::MHartId);
-    emit_base_scratch(asm, plan);
+    emit_system_base_scratch(asm, plan);
     emit_spill_base(asm, plan, R::A6);
-    asm.lw(R::S0, R::A6, spill::APTR);
-    asm.lw(R::T1, R::S0, 0);
-    asm.addi(R::S0, R::S0, 4);
-    asm.lw(R::A5, R::A6, spill::VIDX);
-    asm.slli(R::T2, R::T1, log_w);
-    asm.add(R::S4, R::A5, R::T2);
-    asm.lw(R::T3, R::A6, spill::VVAL);
-    asm.slli(R::T2, R::T1, 3);
-    asm.add(R::S5, R::T3, R::T2);
-    asm.lw(R::T2, R::A6, spill::CBUF);
-    asm.lw(R::T3, R::A6, spill::OFF);
-    asm.slli(R::T3, R::T3, 2);
-    asm.add(R::S1, R::T2, R::T3);
+    emit_stripe_cursors(asm, log_w, true);
     asm.lw(R::S2, R::A6, spill::CNT);
     let row = asm.bind_label();
     asm.symbol("base_num_row");
     let flush = asm.new_label();
     asm.li(R::S10, 0);
-    asm.lw(R::T5, R::S0, 0);
-    asm.addi(R::S0, R::S0, 4);
-    asm.slli(R::A6, R::T5, log_w);
-    asm.add(R::A6, R::A6, R::A5);
+    emit_a_row_end::<I>(asm, R::A6, Base::Reg(R::A5));
     asm.lw(R::A4, R::S1, 0); // packed element offset (panel-local)
     asm.addi(R::S1, R::S1, 4);
     emit_base_k_merge::<I>(asm, plan.t_b.idcs, plan.t_b.vals, flush);

@@ -8,7 +8,8 @@
 //! cluster finish bit-identically. A data access no mapped region
 //! contains — a core load or store, an ISSR gather through an
 //! out-of-range index — parks its core complex on a
-//! [`TrapCause::AccessFault`] on all three run harnesses.
+//! [`TrapCause::AccessFault`] on all three run harnesses, and a DMA
+//! descriptor the engine cannot run parks the DMCC on one.
 
 use issr_cluster::cluster::{Cluster, ClusterParams};
 use issr_core::cfg::{
@@ -21,7 +22,7 @@ use issr_isa::asm::{Assembler, Program};
 use issr_isa::reg::{FpReg as F, IntReg as R};
 use issr_isa::Csr;
 use issr_mem::array::MemArray;
-use issr_mem::map::{PERIPH_BASE, TCDM_BASE};
+use issr_mem::map::{MAIN_BASE, PERIPH_BASE, TCDM_BASE};
 use issr_snitch::cc::SingleCcSim;
 use issr_snitch::core::{Trap, TrapCause};
 use issr_system::system::{System, SystemParams};
@@ -456,15 +457,24 @@ fn cluster_surfaces_per_worker_traps() {
 /// Where every hart without a body of its own stamps completion.
 const MARKERS: u32 = TCDM_BASE + 0x80;
 
+/// What one hart of a [`dispatch`] program runs before it halts.
+type Body<'a> = &'a dyn Fn(&mut Assembler);
+
 /// Per-hart dispatch for the access-fault programs: hart `h` runs
 /// `bodies[h]` and halts; every other hart (the DMCC included) stamps a
 /// marker at `MARKERS + 4 * hartid`.
-fn dispatch(bodies: &[&dyn Fn(&mut Assembler)]) -> Program {
+fn dispatch(bodies: &[Body]) -> Program {
+    let harts: Vec<_> = (0..).zip(bodies.iter().copied()).collect();
+    dispatch_harts(&harts)
+}
+
+/// [`dispatch`] with the harts named: each `(hart, body)` runs its body.
+fn dispatch_harts(bodies: &[(i64, Body)]) -> Program {
     let mut a = Assembler::new();
     a.csrr(R::A7, Csr::MHartId);
     let labels: Vec<_> = bodies.iter().map(|_| a.new_label()).collect();
-    for (h, &label) in labels.iter().enumerate() {
-        a.li(R::T1, h as i64);
+    for (&(hart, _), &label) in bodies.iter().zip(&labels) {
+        a.li(R::T1, hart);
         a.beq(R::A7, R::T1, label);
     }
     a.slli(R::T0, R::A7, 2);
@@ -473,7 +483,7 @@ fn dispatch(bodies: &[&dyn Fn(&mut Assembler)]) -> Program {
     a.li(R::T2, 1);
     a.sw(R::T2, R::T0, 0);
     a.halt();
-    for (body, label) in bodies.iter().zip(labels) {
+    for ((_, body), label) in bodies.iter().zip(labels) {
         a.bind(label);
         body(&mut a);
         a.halt();
@@ -607,5 +617,43 @@ fn out_of_range_issr_index_traps_on_every_harness() {
         traps_on_system(&program, &marshal, 1..9),
     ] {
         assert_access_faults(&traps, &[data + (wild << 3)]);
+    }
+}
+
+/// A DMA descriptor the engine cannot run — `dmsrc zero` used to index
+/// `MemArray` out of bounds from `Dma::tick`, a main → main copy read
+/// the TCDM at a main-memory address, a 12-byte size hit an `assert!`
+/// in `Dma::start`. Now the engine drops the transfer, the DMCC (hart
+/// 8) parks on the offending address and every worker finishes.
+#[test]
+fn bad_dma_descriptor_traps_the_dmcc_on_cluster_and_system() {
+    const DMCC: i64 = 8;
+    let hole = 0x4000_0000;
+    for (what, src, dst, size, addr) in [
+        ("out-of-range source", 0, TCDM_BASE, 64, 0),
+        ("out-of-range destination", TCDM_BASE, hole, 64, hole),
+        ("main to main", MAIN_BASE, MAIN_BASE + 0x100, 64, MAIN_BASE),
+        ("misaligned size", MAIN_BASE, TCDM_BASE, 12, MAIN_BASE + 12),
+    ] {
+        let copy = |a: &mut Assembler| {
+            a.li_addr(R::T0, src);
+            a.dmsrc(R::T0, R::ZERO);
+            a.li_addr(R::T1, dst);
+            a.dmdst(R::T1, R::ZERO);
+            a.li(R::T2, size);
+            a.dmcpyi(R::T3, R::T2, 0);
+            // Wait for the engine like a real mover loop would.
+            let spin = a.new_label();
+            a.bind(spin);
+            a.dmstati(R::T4, 1);
+            a.bnez(R::T4, spin);
+        };
+        let program = dispatch_harts(&[(DMCC, &copy)]);
+        for traps in
+            [traps_on_cluster(&program, &|_| {}, 0..8), traps_on_system(&program, &|_| {}, 0..8)]
+        {
+            let got: Vec<_> = traps.iter().map(|t| (t.hartid, t.cause)).collect();
+            assert_eq!(got, [(DMCC as u32, TrapCause::AccessFault { addr })], "{what}");
+        }
     }
 }

@@ -11,6 +11,13 @@
 //! `dmsrc`/`dmdst` latch addresses, `dmstr` latches 2D strides, `dmrep`
 //! the repetition count, and `dmcpyi` enqueues the transfer and returns
 //! its id. `dmstati 0` reads the number of completed transfers.
+//!
+//! Descriptors come from guest registers, so the engine checks them
+//! instead of trusting them: a transfer whose size or addresses are not
+//! word aligned, or that reaches a word outside the memory its direction
+//! names (main → main is not a direction the engine has), moves no
+//! further word; the engine drops it with the queue behind it and
+//! latches the offending address for [`Dma::take_fault`].
 
 use crate::array::MemArray;
 use crate::main_mem::MainMemory;
@@ -97,6 +104,8 @@ pub struct Dma {
     tcdm_base: u32,
     tcdm_size: u32,
     stats: DmaStats,
+    /// The first address a transfer was aborted on, until taken.
+    fault: Option<u32>,
     /// What the engine spent its most recent [`Dma::tick`] on — the
     /// cluster harness records it into the attribution breakdown.
     last_cause: StallCause,
@@ -120,6 +129,7 @@ impl Dma {
             tcdm_base,
             tcdm_size,
             stats: DmaStats::default(),
+            fault: None,
             last_cause: StallCause::Idle,
         }
     }
@@ -147,15 +157,9 @@ impl Dma {
 
     /// Enqueues a transfer of `size` bytes per row (`dmcpyi`); `twod`
     /// selects 2D mode (otherwise a single row is moved). Returns the
-    /// transfer id.
-    ///
-    /// # Panics
-    /// Panics if addresses or size are not 8-byte aligned (the engine
-    /// moves whole words; the layout planners guarantee alignment).
+    /// transfer id. The descriptor is checked when the engine activates
+    /// it ([`Self::tick`]).
     pub fn start(&mut self, size: u32, twod: bool) -> u32 {
-        assert_eq!(size % 8, 0, "DMA size must be word-aligned"); // gate-allow: host-side transfer-descriptor precondition
-        assert_eq!(self.src % 8, 0, "DMA source must be word-aligned"); // gate-allow: host-side transfer-descriptor precondition
-        assert_eq!(self.dst % 8, 0, "DMA destination must be word-aligned"); // gate-allow: host-side transfer-descriptor precondition
         let id = self.next_id;
         self.next_id += 1;
         self.queue.push_back(Transfer {
@@ -215,6 +219,21 @@ impl Dma {
         self.last_cause
     }
 
+    /// The address the engine aborted a transfer on, once: a misaligned
+    /// source, destination or source end (a size that is not a multiple
+    /// of 8), or the first source or destination word outside its
+    /// memory. The cluster traps the DMCC on it.
+    pub fn take_fault(&mut self) -> Option<u32> {
+        self.fault.take()
+    }
+
+    /// Drops the active transfer and everything queued behind it.
+    fn abort(&mut self, addr: u32) {
+        self.active = None;
+        self.queue.clear();
+        self.fault.get_or_insert(addr);
+    }
+
     fn direction(&self, t: &Transfer) -> Direction {
         let src_local = self.in_tcdm(t.src);
         let dst_local = self.in_tcdm(t.dst);
@@ -249,6 +268,14 @@ impl Dma {
     ) {
         if self.active.is_none() {
             if let Some(t) = self.queue.pop_front() {
+                // The engine moves whole words: source, destination and
+                // (through the source's end) size must be 8-byte aligned.
+                let ends = [t.src, t.dst, t.src.wrapping_add(t.size)];
+                if let Some(addr) = ends.into_iter().find(|addr| addr % 8 != 0) {
+                    self.abort(addr);
+                    self.last_cause = StallCause::Idle;
+                    return;
+                }
                 let touches_main = t.size > 0 && self.direction(&t) != Direction::Local;
                 let startup_left = if touches_main { main.dma_latency() } else { 0 };
                 self.active = Some((t, Progress { row: 0, word: 0, startup_left }));
@@ -274,9 +301,20 @@ impl Dma {
         let mut moved = 0;
         let mut denied = false;
         let mut yielded = false;
+        let mut fault = None;
         while moved < DMA_WORDS_PER_CYCLE && p.row < t.reps {
-            let src = t.src + p.row * t.src_stride + p.word * 8;
-            let dst = t.dst + p.row * t.dst_stride + p.word * 8;
+            let offset = |stride: u32| p.row.wrapping_mul(stride).wrapping_add(p.word * 8);
+            let src = t.src.wrapping_add(offset(t.src_stride));
+            let dst = t.dst.wrapping_add(offset(t.dst_stride));
+            let (src_ok, dst_ok) = match dir {
+                Direction::In => (main.array().contains(src), tcdm.contains(dst)),
+                Direction::Out => (tcdm.contains(src), main.array().contains(dst)),
+                Direction::Local => (tcdm.contains(src), tcdm.contains(dst)),
+            };
+            if !(src_ok && dst_ok) {
+                fault = Some(if src_ok { dst } else { src });
+                break;
+            }
             if yield_to_cores {
                 let local = match dir {
                     Direction::In => dst,
@@ -342,7 +380,9 @@ impl Dma {
         } else {
             StallCause::Idle
         };
-        if p.row >= t.reps {
+        if let Some(addr) = fault {
+            self.abort(addr);
+        } else if p.row >= t.reps {
             self.completed = self.completed.max(t.id + 1);
             self.stats.transfers += 1;
             self.active = None;
@@ -460,11 +500,51 @@ mod tests {
         assert!(!dma.busy());
     }
 
+    /// A descriptor the engine cannot run — misaligned, outside either
+    /// memory, main → main — moves nothing past the offending word,
+    /// takes the queue behind it down and names the address once.
     #[test]
-    #[should_panic(expected = "word-aligned")]
-    fn unaligned_size_panics() {
-        let (_, _, mut dma) = setup();
-        dma.start(12, false);
+    fn bad_descriptors_fault_instead_of_panicking() {
+        let (tcdm_base, main_base) = (0x0010_0000, 0x8000_0000);
+        let main_top = main_base + (1 << 20);
+        for (src, dst, size, addr, words) in [
+            (main_base, tcdm_base, 12, main_base + 12, 0),
+            (main_base + 4, tcdm_base, 8, main_base + 4, 0),
+            (0, tcdm_base, 64, 0, 0),
+            (main_base, main_base + 64, 64, main_base, 0),
+            (tcdm_base, 0x4000_0000, 64, 0x4000_0000, 0),
+            (main_top - 16, tcdm_base, 64, main_top, 2),
+            (tcdm_base + 0x4_0000 - 8, tcdm_base, 16, tcdm_base + 0x4_0000, 2),
+        ] {
+            let (mut tcdm, mut main, mut dma) = setup();
+            dma.set_src(src);
+            dma.set_dst(dst);
+            dma.start(size, false);
+            dma.set_src(main_base);
+            dma.set_dst(tcdm_base);
+            dma.start(8, false);
+            drain(&mut dma, &mut tcdm, &mut main);
+            assert_eq!(dma.take_fault(), Some(addr), "{src:#x} -> {dst:#x}, {size} bytes");
+            assert_eq!(dma.take_fault(), None);
+            assert_eq!(dma.completed(), 0, "the queued transfer went down with it");
+            // Words moved before the offending one (a local copy counts
+            // each in both directions).
+            assert_eq!(dma.stats().words_in + dma.stats().words_out, words);
+        }
+    }
+
+    /// Guest strides wrap instead of overflowing the host's arithmetic.
+    #[test]
+    fn wrapping_strides_fault_on_the_first_word_outside() {
+        let (mut tcdm, mut main, mut dma) = setup();
+        dma.set_src(0x8000_0000);
+        dma.set_dst(0x0010_0000);
+        dma.set_strides(0xC000_0000, 8);
+        dma.set_reps(3);
+        dma.start(8, true);
+        drain(&mut dma, &mut tcdm, &mut main);
+        assert_eq!(dma.take_fault(), Some(0x4000_0000));
+        assert_eq!(dma.stats().words_in, 1);
     }
 
     /// A zero-byte transfer retires without moving a word (and without
@@ -533,7 +613,7 @@ mod tests {
         for i in 0..16u32 {
             assert_eq!(tcdm.load_u64(0x0012_0000 + i * 8), u64::from(i) * 3);
         }
-        assert_eq!(main.wide_beats(), 0, "local copies must bypass main memory");
+        assert_eq!(main.stats.wide_beats, 0, "local copies must bypass main memory");
         let s = dma.stats();
         assert_eq!((s.words_in, s.words_out), (16, 16));
     }

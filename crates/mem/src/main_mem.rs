@@ -130,18 +130,6 @@ impl MainMemory {
         &mut self.array
     }
 
-    /// Narrow requests served (back-compat accessor).
-    #[must_use]
-    pub fn narrow_accesses(&self) -> u64 {
-        self.stats.narrow_accesses
-    }
-
-    /// Wide words served (back-compat accessor).
-    #[must_use]
-    pub fn wide_beats(&self) -> u64 {
-        self.stats.wide_beats
-    }
-
     /// Resets the per-cycle DMA word budget. Call exactly once per
     /// simulated cycle, before any DMA engine ticks against this
     /// memory (the standalone cluster and the system harness both do).
@@ -244,7 +232,7 @@ mod tests {
         mem.tick(0, &mut [&mut p]);
         assert_eq!(p.take_rsp(9), None);
         assert_eq!(p.take_rsp(10).unwrap().data, 99);
-        assert_eq!(mem.narrow_accesses(), 1);
+        assert_eq!(mem.stats.narrow_accesses, 1);
     }
 
     #[test]
@@ -252,7 +240,7 @@ mod tests {
         let mut mem = MainMemory::new(0, 128);
         mem.dma_write_word(0x40, 7);
         assert_eq!(mem.dma_read_word(0x40), 7);
-        assert_eq!(mem.wide_beats(), 2);
+        assert_eq!(mem.stats.wide_beats, 2);
     }
 
     #[test]
