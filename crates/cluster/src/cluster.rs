@@ -235,7 +235,12 @@ pub struct Cluster {
     pub main: MainMemory,
     /// The 512-bit DMA engine.
     pub dma: Dma,
-    ports: Vec<Vec<MemPort>>,
+    /// Every memory port, flat: worker 0's, worker 1's, …, the DMCC's.
+    /// A port's index here is its slot in the interconnect's routing
+    /// masks and its position in the TCDM's round-robin.
+    ports: Vec<MemPort>,
+    /// `ports[port_base[i]..port_base[i + 1]]` belong to hart `i`.
+    port_base: Vec<usize>,
     l1: Vec<L1ICache>,
     dma_claimed: Vec<bool>,
     dma_attr: CycleBreakdown,
@@ -250,6 +255,10 @@ pub struct Cluster {
     /// words one hart writes and others spin on. Post-mortem deadlock
     /// classification builds its blame edges from these.
     sync_words: Vec<(u32, u32)>,
+    /// Whether the ambient host profiler was installed when the run
+    /// began ([`Cluster::profile_host`]): the per-phase hooks test this
+    /// latch, not the thread-local.
+    profiled: bool,
     now: u64,
 }
 
@@ -288,14 +297,14 @@ impl Cluster {
             params.cc,
             issr_core::streamer::Streamer::new(&[issr_core::lane::LaneKind::Ssr]),
         );
-        let mut ports = Vec::new();
-        for cc in &workers {
-            ports.push((0..cc.n_ports()).map(|_| MemPort::new()).collect::<Vec<_>>());
+        let mut port_base = vec![0];
+        for cc in workers.iter().chain(std::iter::once(&dmcc)) {
+            port_base.push(port_base[port_base.len() - 1] + cc.n_ports());
         }
-        ports.push((0..dmcc.n_ports()).map(|_| MemPort::new()).collect());
         // `tick_interconnect` reports its main-memory routing to
         // `tick_mem` as one bit per flat port slot in a `u64`.
-        let n_ports: usize = ports.iter().map(Vec::len).sum();
+        let n_ports = port_base[port_base.len() - 1];
+        let ports = (0..n_ports).map(|_| MemPort::new()).collect();
         assert!(
             // gate-allow: host-API construction precondition
             n_ports <= 64,
@@ -314,12 +323,14 @@ impl Cluster {
             main: MainMemory::new(MAIN_BASE, MAIN_SIZE),
             dma: Dma::new(TCDM_BASE, TCDM_SIZE),
             ports,
+            port_base,
             l1,
             dma_claimed: vec![false; TCDM_BANKS],
             dma_attr: CycleBreakdown::default(),
             contested: vec![false; TCDM_BANKS],
             recorder: None,
             sync_words: Vec::new(),
+            profiled: false,
             now: 0,
         }
     }
@@ -357,14 +368,21 @@ impl Cluster {
         }
     }
 
+    /// Latches whether the ambient host profiler is installed, for the
+    /// run that follows: [`Cluster::run`] and the system harness call
+    /// this once, so no tick looks the thread-local up.
+    pub fn profile_host(&mut self, installed: bool) {
+        self.profiled = installed;
+    }
+
     /// Advances the whole cluster one cycle against its private main
     /// memory, resetting the memory's per-cycle DMA bandwidth budget.
     pub fn tick(&mut self) {
-        host::cycle();
+        if self.profiled {
+            host::cycle();
+        }
         self.main.begin_dma_cycle();
-        let mut main = std::mem::replace(&mut self.main, MainMemory::new(MAIN_BASE, 0));
-        self.tick_shared(&mut main);
-        self.main = main;
+        self.tick_phases(None);
     }
 
     /// Advances the whole cluster one cycle against an external
@@ -372,13 +390,17 @@ impl Cluster {
     /// per-cycle DMA budget: reset it once per system cycle with
     /// [`MainMemory::begin_dma_cycle`] before ticking the clusters that
     /// share it — their tick order is the bandwidth grant order.
-    ///
-    /// The tick is three phases: compute and memory touch only
-    /// cluster-local state, every access to the shared main memory is
-    /// confined to the interconnect phase between them.
     pub fn tick_shared(&mut self, main: &mut MainMemory) -> TickActivity {
+        self.tick_phases(Some(main))
+    }
+
+    /// The tick is three phases: compute and memory touch only
+    /// cluster-local state, every access to main memory — `shared`, or
+    /// the cluster's private one — is confined to the interconnect
+    /// phase between them.
+    fn tick_phases(&mut self, shared: Option<&mut MainMemory>) -> TickActivity {
         let workers_in_roi = self.tick_compute();
-        let (dma_words_moved, main_routed) = self.tick_interconnect(main);
+        let (dma_words_moved, main_routed) = self.tick_interconnect(shared);
         self.tick_mem(main_routed);
         TickActivity { dma_words_moved, workers_in_roi }
     }
@@ -390,9 +412,9 @@ impl Cluster {
     fn tick_compute(&mut self) -> bool {
         let now = self.now;
         // Host self-profiler (opt-in, read-only): bill each phase's
-        // wall-clock to its unit class. Gated on one thread-local
-        // check; `host_t = None` means zero further cost.
-        let mut host_t = host::phase_start();
+        // wall-clock to its unit class; `host_t = None` means zero
+        // further cost.
+        let mut host_t = host::phase_start(self.profiled);
         self.release_barrier_if_all_arrived();
         let n_workers = self.workers.len();
         let mut idle_workers = 0u64;
@@ -403,7 +425,8 @@ impl Cluster {
                 cc.tick_idle();
             } else {
                 let hive = i / 4;
-                cc.tick(now, &mut self.ports[i], None, Some(&mut self.l1[hive.min(1)]));
+                let ports = &mut self.ports[self.port_base[i]..self.port_base[i + 1]];
+                cc.tick(now, ports, None, Some(&mut self.l1[hive.min(1)]));
             }
             in_roi |= cc.metrics.roi_active;
         }
@@ -412,34 +435,51 @@ impl Cluster {
         if idle_dmcc {
             self.dmcc.tick_idle();
         } else {
-            self.dmcc.tick(now, &mut self.ports[n_workers], Some(&mut self.dma), None);
+            let ports = &mut self.ports[self.port_base[n_workers]..];
+            self.dmcc.tick(now, ports, Some(&mut self.dma), None);
         }
         host::phase(&mut host_t, "dmcc", 1, u64::from(idle_dmcc));
         in_roi
     }
 
-    /// Phase 2 — the only phase that touches the (possibly shared) main
-    /// memory: the DMA engine moves a beat and claims banks, then
-    /// narrow main-region requests are served. Returns the words the
-    /// DMA moved across the main-memory interface and the mask of flat
-    /// port slots routed to main memory.
-    fn tick_interconnect(&mut self, main: &mut MainMemory) -> (u64, u64) {
+    /// Phase 2 — the only phase that touches main memory (`shared`, or
+    /// the private one when `None`): the DMA engine moves a beat and
+    /// claims banks, then narrow main-region requests are served.
+    /// Returns the words the DMA moved across the main-memory interface
+    /// and the mask of flat port slots routed to main memory.
+    fn tick_interconnect(&mut self, shared: Option<&mut MainMemory>) -> (u64, u64) {
+        let main = match shared {
+            Some(main) => main,
+            None => &mut self.main,
+        };
         let now = self.now;
-        let mut host_t = host::phase_start();
-        // DMA moves a beat and claims its banks, yielding contested
-        // banks to core ports every other cycle (fair interconnect).
+        let mut host_t = host::phase_start(self.profiled);
+        // One pass over the ports classifies every pending request:
+        // the banks core ports contest (the DMA yields them every other
+        // cycle — fair interconnect), the slots that route to main
+        // memory, the slots no mapped region contains. The routing is
+        // reported to the TCDM phase, which must exclude exactly the
+        // slots routed away — served or not — so its round-robin port
+        // positions match a slice collected without them.
         self.dma_claimed.fill(false);
         let dma_busy = self.dma.busy();
         if dma_busy {
-            // Only a busy engine reads the contested map; skip the
-            // banks scan (and tolerate stale contents) otherwise.
+            // Only a busy engine reads the contested map; tolerate
+            // stale contents otherwise.
             self.contested.fill(false);
-            for port in self.ports.iter().flatten() {
-                if let Some(req) = port.pending() {
-                    if region_of(req.addr) == Region::Tcdm {
+        }
+        let (mut to_main, mut unmapped, mut any_pending) = (0u64, 0u64, false);
+        for (slot, port) in self.ports.iter().enumerate() {
+            let Some(req) = port.pending() else { continue };
+            any_pending = true;
+            match region_of(req.addr) {
+                Region::Tcdm => {
+                    if dma_busy {
                         self.contested[self.tcdm.bank_of(req.addr)] = true;
                     }
                 }
+                Region::Main if main.array().contains(req.addr) => to_main |= 1 << slot,
+                Region::Main | Region::Periph | Region::Unmapped => unmapped |= 1 << slot,
             }
         }
         let yield_to_cores = now % 2 == 0;
@@ -457,71 +497,51 @@ impl Cluster {
         let dma_words_moved = main.stats.wide_beats - moved_before;
         self.dma_attr.record(self.dma.last_cause());
         host::phase(&mut host_t, "dma", 1, u64::from(!dma_busy));
-        // Route main-region requests and report the routing: the TCDM
-        // phase must exclude exactly these slots — served or not — so
-        // its round-robin port positions match the pre-split order. A
-        // request no mapped region contains is answered right here (a
-        // zero read, a dropped write) and parks the core complex that
-        // owns the port on an access fault — as a transfer the DMA
-        // engine aborted parks the DMCC that queued it.
-        let n_workers = self.workers.len();
-        let mut main_routed: u64 = 0;
-        let mut any_pending = false;
-        let mut main_ports: Vec<&mut MemPort> = Vec::new();
-        let mut faults: Vec<(usize, u32)> =
-            self.dma.take_fault().map(|addr| (n_workers, addr)).into_iter().collect();
-        let mut slot = 0;
-        for (owner, cc_ports) in self.ports.iter_mut().enumerate() {
-            for port in cc_ports {
-                if let Some(addr) = port.pending().map(|r| r.addr) {
-                    any_pending = true;
-                    match region_of(addr) {
-                        Region::Tcdm => {}
-                        Region::Main if main.array().contains(addr) => {
-                            main_routed |= 1 << slot;
-                            main_ports.push(port);
-                        }
-                        Region::Main | Region::Periph | Region::Unmapped => {
-                            main_routed |= 1 << slot;
-                            if port.take_pending().is_some_and(|req| req.is_read()) {
-                                port.push_rsp(now + 1, MemRsp { data: 0 });
-                            }
-                            faults.push((owner, addr));
-                        }
-                    }
-                }
-                slot += 1;
-            }
-        }
         // The memories are idle when no port carries a request and the
         // DMA claimed no bank this cycle.
         let idle_mem = !any_pending && !self.dma_claimed.iter().any(|&c| c);
-        let unrouted = main.tick(now, &mut main_ports);
-        debug_assert!(unrouted.is_empty(), "routing admits only addresses main memory contains");
-        for (owner, addr) in faults {
+        // Serve the main-region requests, in slot order.
+        let mut serving = to_main;
+        while serving != 0 {
+            let slot = serving.trailing_zeros() as usize;
+            serving &= serving - 1;
+            let fault = main.serve(now, &mut self.ports[slot]);
+            debug_assert!(fault.is_none(), "routing admits only addresses main memory contains");
+        }
+        // A transfer the DMA engine aborted parks the DMCC that queued
+        // it; a request no mapped region contains is answered right
+        // here (a zero read, a dropped write) and parks the core
+        // complex that owns the port — both on an access fault.
+        if let Some(addr) = self.dma.take_fault() {
+            self.dmcc.deliver_access_fault(addr);
+        }
+        let mut faulting = unmapped;
+        while faulting != 0 {
+            let slot = faulting.trailing_zeros() as usize;
+            faulting &= faulting - 1;
+            let port = &mut self.ports[slot];
+            let req = port.take_pending().expect("classified pending");
+            if req.is_read() {
+                port.push_rsp(now + 1, MemRsp { data: 0 });
+            }
+            let owner = self.port_base.partition_point(|&base| base <= slot) - 1;
+            let n_workers = self.workers.len();
             let cc = if owner == n_workers { &mut self.dmcc } else { &mut self.workers[owner] };
-            cc.deliver_access_fault(addr);
+            cc.deliver_access_fault(req.addr);
         }
         // The "mem" class's one unit-tick per cycle is recorded here;
         // tick_mem bills its wall-clock to the class with zero units.
         host::phase(&mut host_t, "mem", 1, u64::from(idle_mem));
-        (dma_words_moved, main_routed)
+        (dma_words_moved, to_main | unmapped)
     }
 
     /// Phase 3 — cluster-local memory: TCDM bank arbitration over the
     /// port slots not in `main_routed`, then the cycle counter advances.
-    fn tick_mem(&mut self, mut main_routed: u64) {
+    fn tick_mem(&mut self, main_routed: u64) {
         let now = self.now;
-        let mut host_t = host::phase_start();
-        let mut tcdm_ports: Vec<&mut MemPort> = Vec::new();
-        for port in self.ports.iter_mut().flatten() {
-            let routed_main = main_routed & 1 != 0;
-            main_routed >>= 1;
-            if !routed_main {
-                tcdm_ports.push(port);
-            }
-        }
-        let unrouted = self.tcdm.tick(now, &mut tcdm_ports, &self.dma_claimed);
+        let mut host_t = host::phase_start(self.profiled);
+        let unrouted =
+            self.tcdm.tick_skipping(now, &mut self.ports, main_routed, &self.dma_claimed);
         debug_assert!(unrouted.is_empty(), "the TCDM array covers its whole region");
         host::phase(&mut host_t, "mem", 0, 0);
         self.sample_timeline(now);
@@ -676,6 +696,7 @@ impl Cluster {
     /// `max_cycles` (deadlock or bug).
     pub fn run(&mut self, max_cycles: u64) -> Result<ClusterSummary, SimTimeout> {
         self.arm_default_timeline(0);
+        self.profile_host(host::is_enabled());
         let deadline = self.now.saturating_add(max_cycles);
         while self.now < deadline {
             self.tick();

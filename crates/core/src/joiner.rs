@@ -26,8 +26,10 @@
 use crate::cfg::{JoinerMode, JoinerSpec};
 use crate::fault::StreamFaultKind;
 use crate::idxstream::{IndexStream, RoundRobin, Watchdog};
+use crate::lane::Lane;
 use crate::serializer::IndexSize;
 use issr_mem::port::{MemPort, MemReq};
+use issr_trace::StallCause;
 use std::collections::VecDeque;
 
 /// Depth of each side's matched-value output queue (mirrors the lane's
@@ -234,9 +236,11 @@ pub struct IndexJoiner {
     /// drained, head refilled, merge step, request issued, or a
     /// consumer pop).
     progress: bool,
-    /// Whether the last [`Self::tick`] observably advanced the job —
-    /// the attribution probe's activity signal.
+    /// Whether the last [`Self::tick`] observably advanced the job.
     advanced: bool,
+    /// What the job spent its last cycle on, latched where the cycle
+    /// is decided ([`Self::attr_cause`]).
+    cause: StallCause,
     stats: JoinerStats,
 }
 
@@ -255,6 +259,8 @@ impl IndexJoiner {
             watchdog: Watchdog::new(),
             progress: false,
             advanced: false,
+            // A job that has not ticked yet waits on its first index words.
+            cause: StallCause::FifoEmpty,
             stats: JoinerStats::default(),
         }
     }
@@ -276,6 +282,7 @@ impl IndexJoiner {
     /// drain the job reads done with its undelivered outputs discarded.
     pub fn freeze(&mut self) {
         self.frozen = true;
+        self.cause = StallCause::Parked;
         self.done_stepping = true;
         self.a.val_reqs.clear();
         self.b.val_reqs.clear();
@@ -348,13 +355,33 @@ impl IndexJoiner {
         self.count_only || (self.a.can_emit() && self.b.can_emit())
     }
 
-    /// Classifies what the joiner spent the cycle that just ticked on:
-    /// parked when frozen, active when it observably advanced, output
-    /// back-pressure when the comparator has matches but no free slot,
-    /// starved otherwise (index/value words still in flight).
+    /// What the joiner spent the cycle that last ticked it on, latched
+    /// by [`Self::tick`] and settled by [`Self::deliver`]: parked when
+    /// frozen, idle once done, active when it observably advanced,
+    /// output back-pressure when the comparator has matches but no free
+    /// slot, starved otherwise (index/value words still in flight).
     #[must_use]
-    pub fn attr_cause(&self) -> issr_trace::StallCause {
-        use issr_trace::StallCause;
+    pub fn attr_cause(&self) -> StallCause {
+        self.cause
+    }
+
+    /// Hands every deliverable value to the two lanes the job feeds —
+    /// the end of the joiner's cycle. The hand-off can free an output
+    /// slot or complete the job, so the cycle's cause settles here.
+    pub(crate) fn deliver(&mut self, lane_a: &mut Lane, lane_b: &mut Lane) {
+        while self.a_ready() && lane_a.can_push() {
+            let value = self.pop_a();
+            lane_a.inject(value);
+        }
+        while self.b_ready() && lane_b.can_push() {
+            let value = self.pop_b();
+            lane_b.inject(value);
+        }
+        self.cause = self.classify();
+    }
+
+    /// Classifies the cycle from the state it left behind.
+    fn classify(&self) -> StallCause {
         if self.frozen {
             StallCause::Parked
         } else if self.is_done() {
@@ -391,6 +418,7 @@ impl IndexJoiner {
             self.fault = Some(StreamFaultKind::Stall { cycles });
             self.freeze();
         }
+        self.cause = self.classify();
     }
 
     /// One comparator merge step, if inputs and output slots allow.

@@ -114,10 +114,9 @@ pub struct Lane {
     /// drains its in-flight responses, then discards all job and buffer
     /// state so the frozen streamer settles to idle.
     frozen: bool,
-    /// Last cycle's outcome flags for attribution: a request went out /
-    /// a request wanted out but the port was taken (shared-port loss).
-    issued: bool,
-    blocked_on_port: bool,
+    /// What the lane spent its last cycle on, latched where
+    /// [`Self::tick`] decides it ([`Self::attr_cause`]).
+    cause: StallCause,
     stats: LaneStats,
 }
 
@@ -135,8 +134,7 @@ impl Lane {
             outstanding_data: 0,
             rsp_tags: VecDeque::new(),
             frozen: false,
-            issued: false,
-            blocked_on_port: false,
+            cause: StallCause::Idle,
             stats: LaneStats::default(),
         }
     }
@@ -148,6 +146,7 @@ impl Lane {
     pub(crate) fn freeze(&mut self) {
         self.frozen = true;
         self.pending = None;
+        self.cause = StallCause::Parked;
     }
 
     /// The lane's capability class.
@@ -165,6 +164,7 @@ impl Lane {
     /// Whether the lane has fully drained (no job, no queued job, no data
     /// in flight or buffered).
     #[must_use]
+    #[inline]
     pub fn is_idle(&self) -> bool {
         self.job.is_none()
             && self.pending.is_none()
@@ -176,6 +176,7 @@ impl Lane {
     /// Entries buffered in the data FIFO (Perfetto counter-track probe;
     /// occupancy only, the contents stay private).
     #[must_use]
+    #[inline]
     pub fn fifo_len(&self) -> usize {
         self.data_fifo.len()
     }
@@ -186,6 +187,7 @@ impl Lane {
     /// streamer uses this to decide when the joiner may take over the
     /// lane's port.
     #[must_use]
+    #[inline]
     pub fn is_streaming(&self) -> bool {
         self.job.is_some()
             || self.pending.is_some()
@@ -273,6 +275,7 @@ impl Lane {
 
     /// Whether a stream read of this lane's register would succeed now.
     #[must_use]
+    #[inline]
     pub fn can_pop(&self) -> bool {
         !self.data_fifo.is_empty()
     }
@@ -281,6 +284,7 @@ impl Lane {
     ///
     /// # Panics
     /// Panics if no data is available (check [`Self::can_pop`]).
+    #[inline]
     pub fn pop(&mut self) -> u64 {
         let &(value, repeat) = self.data_fifo.front().expect("stream register read while empty");
         self.head_served += 1;
@@ -294,6 +298,7 @@ impl Lane {
 
     /// Whether a stream write of this lane's register would succeed now.
     #[must_use]
+    #[inline]
     pub fn can_push(&self) -> bool {
         !self.data_fifo.is_full()
     }
@@ -303,6 +308,7 @@ impl Lane {
     ///
     /// # Panics
     /// Panics if the FIFO is full (check [`Self::can_push`]).
+    #[inline]
     pub fn push(&mut self, value: u64) {
         self.data_fifo.push((value, 0));
         self.stats.fpu_writes += 1;
@@ -314,6 +320,7 @@ impl Lane {
     ///
     /// # Panics
     /// Panics if the FIFO is full (check [`Self::can_push`]).
+    #[inline]
     pub fn inject(&mut self, value: u64) {
         self.data_fifo.push((value, 0));
     }
@@ -322,6 +329,7 @@ impl Lane {
     /// the path the sparse accumulator uses to pair FPU results with its
     /// index stream while the lane itself runs no job. Returns `None`
     /// when the FIFO is empty.
+    #[inline]
     pub fn take_write(&mut self) -> Option<u64> {
         debug_assert!(self.job.is_none(), "write-stream takeover while a lane job is running");
         self.data_fifo.pop().map(|(value, _)| value)
@@ -331,8 +339,23 @@ impl Lane {
 
     /// Advances the lane by one cycle against its memory port.
     pub fn tick(&mut self, now: u64, port: &mut MemPort) {
-        self.issued = false;
-        self.blocked_on_port = false;
+        if !self.frozen && !self.is_streaming() {
+            // No job, none queued, nothing in flight: no response can
+            // arrive, nothing can issue, and the latched cause is
+            // `Idle` already. (Values the FPU has yet to pop may still
+            // sit in the FIFO; they need no tick.)
+            if cfg!(test) {
+                crate::gate_check::assert_no_op("lane", (self, port), |u| {
+                    u.0.tick_streaming(now, u.1);
+                });
+            }
+            return;
+        }
+        self.tick_streaming(now, port);
+    }
+
+    /// The tick body, behind the not-streaming gate of [`Self::tick`].
+    fn tick_streaming(&mut self, now: u64, port: &mut MemPort) {
         self.drain_responses(now, port);
         if self.frozen {
             // Drain-only: once every in-flight response has returned,
@@ -343,22 +366,26 @@ impl Lane {
                 self.data_fifo.clear();
                 self.head_served = 0;
             }
+            self.cause = StallCause::Parked;
             return;
         }
         self.promote_pending();
         let (idx_wants, data_wants) = self.wants();
+        // A request went out / wanted out but the port was taken.
+        let (mut issued, mut blocked_on_port) = (false, false);
         if port.can_send() {
-            self.issued = self.issue(port, idx_wants, data_wants);
+            issued = self.issue(port, idx_wants, data_wants);
         } else {
-            self.blocked_on_port = idx_wants || data_wants;
+            blocked_on_port = idx_wants || data_wants;
         }
         self.retire_if_done();
+        self.cause = self.classify(issued, blocked_on_port);
     }
 
     /// What the running job would put on the port this cycle: an
     /// index-word fetch, a data access. [`Self::issue`] grants one of
     /// them; with the port taken, either one is a shared-port loss
-    /// ([`Self::attr_cause`]'s port-conflict classification).
+    /// ([`Self::classify`]'s port-conflict classification).
     fn wants(&self) -> (bool, bool) {
         let Some(job) = &self.job else {
             return (false, false);
@@ -373,22 +400,27 @@ impl Lane {
         }
     }
 
-    /// Classifies what this lane spent the cycle that just ticked on.
-    /// Exactly one cause per cycle; the core-complex sampler records it
-    /// once per ROI cycle, so the breakdown sums to the ROI length by
-    /// construction.
+    /// What this lane spent the cycle that last ticked it on, as
+    /// [`Self::tick`] latched it (a freeze in between reads
+    /// [`StallCause::Parked`]). Exactly one cause per cycle; the
+    /// core-complex sampler records it once per ROI cycle, so the
+    /// breakdown sums to the ROI length by construction.
     #[must_use]
+    #[inline]
     pub fn attr_cause(&self) -> StallCause {
-        if self.frozen {
-            return StallCause::Parked;
-        }
+        self.cause
+    }
+
+    /// Classifies the cycle [`Self::tick`] just finished from its two
+    /// port outcomes and the state it left behind.
+    fn classify(&self, issued: bool, blocked_on_port: bool) -> StallCause {
         if !self.is_streaming() {
             return StallCause::Idle;
         }
-        if self.issued {
+        if issued {
             return StallCause::Active;
         }
-        if self.blocked_on_port {
+        if blocked_on_port {
             return StallCause::PortConflict;
         }
         match self.job.as_ref().map(|j| j.kind) {
@@ -832,7 +864,10 @@ mod tests {
         assert_eq!(lane.stats().jobs, 2);
     }
 
+    /// The lane only debug-asserts this (the streamer's launch check is
+    /// the guest-facing gate), so the test exists in debug builds only.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "plain SSR lane")]
     fn indirection_on_ssr_lane_panics() {
         let mut lane = Lane::new(LaneKind::Ssr);

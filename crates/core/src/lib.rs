@@ -39,6 +39,7 @@ pub mod cfg;
 pub mod cfg_check;
 pub mod fault;
 pub mod fifo;
+pub mod gate_check;
 mod idxstream;
 pub mod joiner;
 pub mod lane;

@@ -286,9 +286,9 @@ pub struct SpAcc {
     /// Progress happened this cycle (request, response, merge step,
     /// promotion or retire) — resets the watchdog.
     progress: bool,
-    /// Whether the last [`Self::tick`] made progress — the attribution
-    /// probe's activity signal (latched before `progress` resets).
-    advanced: bool,
+    /// What the unit spent its last cycle on, latched where
+    /// [`Self::tick`] decides it ([`Self::attr_cause`]).
+    cause: issr_trace::StallCause,
     /// Index-word responses still in flight for an aborted feed,
     /// discarded as they arrive.
     sink_rsps: usize,
@@ -316,7 +316,7 @@ impl SpAcc {
             frozen: false,
             watchdog: Watchdog::new(),
             progress: false,
-            advanced: false,
+            cause: issr_trace::StallCause::Idle,
             sink_rsps: 0,
             stats: SpAccStats::default(),
         }
@@ -335,6 +335,8 @@ impl SpAcc {
         self.fault = None;
         self.frozen = false;
         self.watchdog.reset();
+        // The freeze dropped every job: the re-armed unit is idle.
+        self.cause = issr_trace::StallCause::Idle;
     }
 
     /// Sets the progress-watchdog threshold (cycles without progress
@@ -351,6 +353,7 @@ impl SpAcc {
     /// responses drain into a sink over the following cycles.
     pub fn freeze(&mut self) {
         self.frozen = true;
+        self.cause = issr_trace::StallCause::Parked;
         self.pending = None;
         if let Some(run) = self.feed.take() {
             let run = *run;
@@ -503,7 +506,6 @@ impl SpAcc {
     /// flight), `lane`'s write FIFO supplies the feed values.
     pub fn tick(&mut self, now: u64, port: &mut MemPort, lane: &mut Lane) {
         if self.frozen {
-            self.advanced = false;
             self.tick_frozen(now, port, lane);
             return;
         }
@@ -525,7 +527,6 @@ impl SpAcc {
             None => FeedStep::Busy,
         };
         if let FeedStep::Fault(kind) = feed_step {
-            self.advanced = false;
             self.latch_fault(kind);
             return;
         }
@@ -563,23 +564,28 @@ impl SpAcc {
         // fault instead of hanging the simulation.
         if let Some(cycles) = self.watchdog.observe(self.busy(), self.progress) {
             self.latch_fault(StreamFaultKind::Stall { cycles });
+            return;
         }
-        self.advanced = self.progress;
-        self.progress = false;
+        let advanced = std::mem::take(&mut self.progress);
+        self.cause = self.classify(advanced);
     }
 
-    /// Classifies what the unit spent the cycle that just ticked on:
-    /// parked when frozen, active when any datapath advanced, queued
+    /// What the unit spent the cycle that last ticked it on, as
+    /// [`Self::tick`] latched it: parked when frozen, idle once nothing
+    /// is running or queued, active when any datapath advanced, queued
     /// work blocked behind a drain, a drain write that lost the shared
     /// port, or a feed starved for indices/values.
     #[must_use]
     pub fn attr_cause(&self) -> issr_trace::StallCause {
+        self.cause
+    }
+
+    /// Classifies the unfrozen cycle [`Self::tick`] just finished.
+    fn classify(&self, advanced: bool) -> issr_trace::StallCause {
         use issr_trace::StallCause;
-        if self.frozen {
-            StallCause::Parked
-        } else if !self.busy() {
+        if !self.busy() {
             StallCause::Idle
-        } else if self.advanced {
+        } else if advanced {
             StallCause::Active
         } else if self.feed.is_none() && self.pending.is_some() && self.drain.is_some() {
             StallCause::DrainBusy

@@ -18,6 +18,22 @@
 //! launched by writing lane 0's read pointer with the A-side index
 //! array; while it runs it owns the memory ports of lanes 0 and 1 and
 //! delivers matched value pairs through those two registers.
+//!
+//! **Stall causes are latched, not re-derived.** Each unit records what
+//! its cycle was spent on where its tick decides it: a lane at the end
+//! of [`Lane::tick`] (from that tick's two port outcomes), the SpAcc at
+//! the end of [`SpAcc::tick`], the joiner at the end of its hand-off to
+//! the lanes; a freeze overwrites all of them with `Parked`.
+//! The streamer's tick ends by gathering those latches — with the two
+//! lane upgrades that need its view — into one [`StreamerProbe`], which
+//! [`Streamer::attr_probe_into`] copies out.
+//!
+//! **A quiet streamer is not ticked.** When the streamer is not frozen
+//! and [`Streamer::is_idle`], [`Streamer::tick`] returns at once and the
+//! probe keeps reading all-`Idle`: with no job running or queued
+//! anywhere, no response in flight and every FIFO empty, the tick body
+//! could touch nothing — a job launched by `scfgwi` this cycle already
+//! makes `is_idle` false, because the core ticks before the streamer.
 
 use crate::cfg::{reg, AccDrainSpec, AccFeedSpec, JoinerSpec};
 use crate::cfg_check::{self, HwCaps};
@@ -43,7 +59,24 @@ pub struct StreamerProbe {
 
 impl Default for StreamerProbe {
     fn default() -> Self {
-        Self { lanes: Vec::new(), joiner: StallCause::Idle, spacc: StallCause::Idle }
+        Self::with_lanes(0)
+    }
+}
+
+impl StreamerProbe {
+    /// Whether every unit reads [`StallCause::Idle`].
+    fn is_all_idle(&self) -> bool {
+        let idle = |&cause| cause == StallCause::Idle;
+        self.lanes.iter().all(idle) && idle(&self.joiner) && idle(&self.spacc)
+    }
+
+    /// An all-idle probe of a streamer with `n_lanes` lanes.
+    fn with_lanes(n_lanes: usize) -> Self {
+        Self {
+            lanes: vec![StallCause::Idle; n_lanes],
+            joiner: StallCause::Idle,
+            spacc: StallCause::Idle,
+        }
     }
 }
 
@@ -82,6 +115,9 @@ pub struct Streamer {
     frozen: bool,
     /// Watchdog threshold applied to newly promoted joiner jobs.
     joiner_watchdog: u64,
+    /// Every unit's cause for the cycle that last ticked (or froze) the
+    /// streamer ([`Streamer::attr_probe_into`]).
+    probe: StreamerProbe,
 }
 
 impl Streamer {
@@ -110,6 +146,7 @@ impl Streamer {
             fault_delivered: false,
             frozen: false,
             joiner_watchdog: STREAM_WATCHDOG_RESET,
+            probe: StreamerProbe::with_lanes(kinds.len()),
         }
     }
 
@@ -242,6 +279,7 @@ impl Streamer {
         }
         self.pending_join = None;
         self.spacc.freeze();
+        self.latch_probe();
     }
 
     /// Whether `lane`'s *read* stream has terminated: no read job is
@@ -261,6 +299,7 @@ impl Streamer {
 
     /// Number of lanes.
     #[must_use]
+    #[inline]
     pub fn n_lanes(&self) -> usize {
         self.lanes.len()
     }
@@ -272,12 +311,14 @@ impl Streamer {
 
     /// Whether register redirection is active.
     #[must_use]
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
 
     /// The lane a floating-point register redirects to, if any.
     #[must_use]
+    #[inline]
     pub fn lane_of_reg(&self, fp_reg: u8) -> Option<usize> {
         if self.enabled && (fp_reg as usize) < self.lanes.len() {
             Some(fp_reg as usize)
@@ -288,11 +329,13 @@ impl Streamer {
 
     /// Immutable lane access.
     #[must_use]
+    #[inline]
     pub fn lane(&self, index: usize) -> &Lane {
         &self.lanes[index]
     }
 
     /// Mutable lane access (register-file side uses this to pop/push).
+    #[inline]
     pub fn lane_mut(&mut self, index: usize) -> &mut Lane {
         &mut self.lanes[index]
     }
@@ -412,6 +455,36 @@ impl Streamer {
     /// traffic and the streamer settles to idle.
     pub fn tick(&mut self, now: u64, first: &mut MemPort, rest: &mut [MemPort]) {
         debug_assert_eq!(rest.len() + 1, self.lanes.len(), "one port per lane");
+        if self.is_quiet() {
+            if cfg!(test) {
+                crate::gate_check::assert_no_op("quiet", (self, first, rest), |u| {
+                    u.0.tick_busy(now, u.1, u.2);
+                });
+            }
+            return;
+        }
+        self.tick_busy(now, first, rest);
+    }
+
+    /// Whether [`Streamer::tick`] is provably a no-op: nothing runs, is
+    /// queued, in flight or buffered in any unit. The latched probe
+    /// then reads all-`Idle` already — since the last tick only the FPU
+    /// popped or pushed lane FIFOs, which no cause depends on once
+    /// nothing streams. A frozen streamer is never quiet: its lanes
+    /// read `Parked`, and its units still settle over a few drain-only
+    /// ticks.
+    fn is_quiet(&self) -> bool {
+        let quiet = !self.frozen && self.is_idle();
+        debug_assert!(
+            !quiet || self.probe.is_all_idle(),
+            "a quiet streamer latched {:?}",
+            self.probe
+        );
+        quiet
+    }
+
+    /// The tick body, behind the quiet gate of [`Streamer::tick`].
+    fn tick_busy(&mut self, now: u64, first: &mut MemPort, rest: &mut [MemPort]) {
         if !self.frozen {
             self.detect_port_conflicts();
         }
@@ -429,14 +502,8 @@ impl Streamer {
         self.promote_join();
         if let Some(joiner) = &mut self.joiner {
             joiner.tick(now, first, &mut rest[0]);
-            while joiner.a_ready() && self.lanes[0].can_push() {
-                let value = joiner.pop_a();
-                self.lanes[0].inject(value);
-            }
-            while joiner.b_ready() && self.lanes[1].can_push() {
-                let value = joiner.pop_b();
-                self.lanes[1].inject(value);
-            }
+            let (lane_a, lane_b) = self.lanes.split_at_mut(1);
+            joiner.deliver(&mut lane_a[0], &mut lane_b[0]);
             if let Some(kind) = joiner.fault() {
                 self.latch_stream_fault(StreamUnit::Joiner, kind);
                 return;
@@ -454,6 +521,7 @@ impl Streamer {
         for (lane, port) in self.lanes.iter_mut().zip(ports) {
             lane.tick(now, port);
         }
+        self.latch_probe();
     }
 
     /// Latches a [`StreamFaultKind::PortConflict`] when two masters
@@ -501,11 +569,13 @@ impl Streamer {
                 lane.tick(now, port);
             }
         }
+        self.latch_probe();
     }
 
     /// Whether every lane has fully drained and no joiner or SpAcc job
     /// is active or queued.
     #[must_use]
+    #[inline]
     pub fn is_idle(&self) -> bool {
         self.lanes.iter().all(Lane::is_idle)
             && self.joiner.is_none()
@@ -514,8 +584,8 @@ impl Streamer {
     }
 
     /// Classifies lane `i`'s current cycle for attribution. Starts from
-    /// the lane's own view ([`Lane::attr_cause`]) and applies the two
-    /// streamer-level upgrades the lane cannot see:
+    /// the cause the lane latched ([`Lane::attr_cause`]) and applies the
+    /// two streamer-level upgrades the lane cannot see:
     ///
     /// * a joiner-fed lane (0/1) with no job of its own is waiting on
     ///   the joiner's merge, not on memory — [`StallCause::JoinerWait`],
@@ -545,24 +615,34 @@ impl Streamer {
     /// SpAcc), read after [`Streamer::tick`] by the attribution sampler.
     #[must_use]
     pub fn attr_probe(&self) -> StreamerProbe {
-        let mut probe = StreamerProbe::default();
-        self.attr_probe_into(&mut probe);
-        probe
+        self.probe.clone()
     }
 
     /// [`Streamer::attr_probe`] into a caller-owned probe, reusing its
-    /// lane buffer — the per-cycle sampler path, kept allocation-free.
+    /// lane buffer — the per-cycle sampler path, kept allocation-free:
+    /// a copy of what the last tick latched.
+    #[inline]
     pub fn attr_probe_into(&self, probe: &mut StreamerProbe) {
-        probe.joiner = match &self.joiner {
+        probe.lanes.clone_from(&self.probe.lanes);
+        probe.joiner = self.probe.joiner;
+        probe.spacc = self.probe.spacc;
+    }
+
+    /// Latches every unit's cause for the cycle that just ticked, from
+    /// the causes the units latched themselves — the end of every
+    /// [`Streamer::tick`] that is not gated away, and of a freeze.
+    fn latch_probe(&mut self) {
+        self.probe.joiner = match &self.joiner {
             Some(joiner) => joiner.attr_cause(),
             // A queued job waiting for lanes 0/1 to release their ports
             // is blocked on the port handover, not on input data.
             None if self.pending_join.is_some() => StallCause::PortConflict,
             None => StallCause::Idle,
         };
-        probe.spacc = self.spacc.attr_cause();
-        probe.lanes.clear();
-        probe.lanes.extend((0..self.lanes.len()).map(|i| self.lane_attr_cause(i)));
+        self.probe.spacc = self.spacc.attr_cause();
+        for i in 0..self.lanes.len() {
+            self.probe.lanes[i] = self.lane_attr_cause(i);
+        }
     }
 
     /// Per-lane statistics.
@@ -968,6 +1048,179 @@ mod tests {
         );
         // Aligned bases launch (element-aligned mid-word is fine).
         assert!(s.cfg_write(cfg_addr(reg::ACC_DRAIN, 0), BASE + 0x102).unwrap());
+    }
+
+    /// One cycle of the quiet-gate property test: the FPU side pops
+    /// the first `consume` lanes where readable and feeds `push` into
+    /// lane 1's write stream, then the streamer and the memory tick.
+    /// [`Streamer::tick`] itself checks — in every unit test of this
+    /// crate — that a tick it declines would have changed nothing;
+    /// here the predicate's other half is checked: a quiet streamer
+    /// probes all-idle. Returns whether the cycle was quiet.
+    fn gated_cycle(
+        s: &mut Streamer,
+        tcdm: &mut Tcdm,
+        ports: &mut [MemPort; 2],
+        now: u64,
+        consume: usize,
+        push: Option<u64>,
+    ) -> bool {
+        for l in 0..consume {
+            if s.lane(l).can_pop() {
+                let _ = s.lane_mut(l).pop();
+            }
+        }
+        if let Some(value) = push {
+            s.lane_mut(1).push(value);
+        }
+        let quiet = s.is_quiet();
+        let [first, rest] = ports;
+        s.tick(now, first, std::slice::from_mut(rest));
+        if quiet {
+            assert!(s.attr_probe().is_all_idle(), "quiet streamer probes {:?}", s.attr_probe());
+        }
+        tcdm.tick(now, &mut ports[..], &[]);
+        quiet
+    }
+
+    /// The quiet gate over the job shapes of the kernel catalog, each
+    /// behind an idle stretch and drained by a consumer that stalls at
+    /// random: no job at all (BASE), an affine read (SSR), an affine
+    /// plus an indirect read (ISSR), a joiner job, SpAcc feeds and a
+    /// drain, and a write stream whose only word issues and retires in
+    /// one cycle. Every shape must reach quiet cycles before, between
+    /// and after its jobs, on the paper and the SSSR streamer.
+    #[test]
+    fn quiet_gate_declines_only_no_op_ticks() {
+        type Launch = fn(&mut Streamer);
+        // (name, needs the SSSR units, launch, write-stream values to
+        // push; with any, lane 1 is a write stream and is not popped)
+        let shapes: [(&str, bool, Launch, usize); 6] = [
+            ("base", false, |_| {}, 0),
+            (
+                "ssr",
+                false,
+                |s| {
+                    assert!(s.cfg_write(cfg_addr(reg::BOUNDS[0], 0), 23).unwrap());
+                    assert!(s.cfg_write(cfg_addr(reg::STRIDES[0], 0), 8).unwrap());
+                    assert!(s.cfg_write(cfg_addr(reg::RPTR[0], 0), BASE).unwrap());
+                },
+                0,
+            ),
+            (
+                "issr",
+                false,
+                |s| {
+                    assert!(s.cfg_write(cfg_addr(reg::BOUNDS[0], 0), 9).unwrap());
+                    assert!(s.cfg_write(cfg_addr(reg::STRIDES[0], 0), 8).unwrap());
+                    assert!(s.cfg_write(cfg_addr(reg::RPTR[0], 0), BASE).unwrap());
+                    assert!(s.cfg_write(cfg_addr(reg::BOUNDS[0], 1), 9).unwrap());
+                    let idx = idx_cfg_word(IndexSize::U16, 0);
+                    assert!(s.cfg_write(cfg_addr(reg::IDX_CFG, 1), idx).unwrap());
+                    assert!(s.cfg_write(cfg_addr(reg::DATA_BASE, 1), BASE + 0x4000).unwrap());
+                    assert!(s.cfg_write(cfg_addr(reg::RPTR[0], 1), BASE + 0x1000).unwrap());
+                },
+                0,
+            ),
+            ("joiner", true, |s| assert!(configure_join(s, JoinerMode::Union, 5, 4)), 0),
+            (
+                "spacc",
+                true,
+                |s| {
+                    let cfg = crate::cfg::acc_cfg_word(IndexSize::U16);
+                    assert!(s.cfg_write(cfg_addr(reg::ACC_CFG, 0), cfg).unwrap());
+                    assert!(s.cfg_write(cfg_addr(reg::ACC_COUNT, 0), 4).unwrap());
+                    assert!(s.cfg_write(cfg_addr(reg::ACC_FEED, 0), BASE + 0x1000).unwrap());
+                    assert!(s.cfg_write(cfg_addr(reg::ACC_VAL_OUT, 0), BASE + 0x8000).unwrap());
+                    assert!(s.cfg_write(cfg_addr(reg::ACC_DRAIN, 0), BASE + 0x6000).unwrap());
+                },
+                4,
+            ),
+            (
+                "write stream",
+                false,
+                |s| {
+                    // One word, its value already in the FIFO: the
+                    // lane issues the write and retires the job in the
+                    // same tick, and is idle the cycle after.
+                    s.lane_mut(1).push(77);
+                    assert!(s.cfg_write(cfg_addr(reg::BOUNDS[0], 1), 0).unwrap());
+                    assert!(s.cfg_write(cfg_addr(reg::STRIDES[0], 1), 8).unwrap());
+                    assert!(s.cfg_write(cfg_addr(reg::WPTR[0], 1), BASE + 0x7000).unwrap());
+                },
+                1,
+            ),
+        ];
+        let mut lcg = 0x2545_F491u32;
+        let mut roll = move |n: u32| {
+            lcg = lcg.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (lcg >> 16) % n
+        };
+        for (name, sssr, launch, pushes) in shapes {
+            for sssr in [sssr, true] {
+                let mut tcdm = Tcdm::ideal(BASE, 0x10000);
+                place_join_workload(&mut tcdm, &[1, 4, 9, 11, 12], &[0, 4, 9, 12]);
+                let mut s = if sssr { Streamer::sssr_config() } else { Streamer::paper_config() };
+                s.set_enabled(true);
+                let mut ports = [MemPort::new(), MemPort::new()];
+                let (mut now, mut quiet_cycles) = (0u64, 0u32);
+                for _job in 0..3 {
+                    // A random idle stretch, then the job, drained by a
+                    // consumer that stalls one cycle in three.
+                    let lanes = if pushes > 0 { 1 } else { 2 };
+                    for _ in 0..roll(5) {
+                        quiet_cycles +=
+                            u32::from(gated_cycle(&mut s, &mut tcdm, &mut ports, now, lanes, None));
+                        now += 1;
+                    }
+                    launch(&mut s);
+                    // The one-word write stream pushed its value itself.
+                    let mut pushed = usize::from(name == "write stream");
+                    let mut settled = 0;
+                    while settled < 3 {
+                        let push =
+                            (pushed < pushes && s.lane(1).can_push() && roll(2) == 0).then(|| {
+                                pushed += 1;
+                                1.5f64.to_bits()
+                            });
+                        let consume = if roll(3) != 0 { lanes } else { 0 };
+                        quiet_cycles += u32::from(gated_cycle(
+                            &mut s, &mut tcdm, &mut ports, now, consume, push,
+                        ));
+                        now += 1;
+                        settled = if s.is_idle() { settled + 1 } else { 0 };
+                        assert!(now < 5000, "{name}: the job never drained");
+                    }
+                }
+                assert!(s.stream_fault().is_none(), "{name}: {:?}", s.stream_fault());
+                assert!(quiet_cycles >= 6, "{name}: only {quiet_cycles} quiet cycles");
+            }
+        }
+    }
+
+    /// A frozen streamer is never quiet, not even once it has drained
+    /// to idle: its lanes read `Parked`, not `Idle`, and every tick
+    /// still runs the drain-only body.
+    #[test]
+    fn frozen_streamer_is_not_quiet() {
+        let mut tcdm = Tcdm::ideal(BASE, 0x10000);
+        tcdm.array_mut().store_u16_slice(BASE + 0x1000, &[1, 2, 3, 4]);
+        let mut s = Streamer::sssr_config();
+        // A lane job on the port a busy SpAcc owns: the mid-stream trap.
+        assert!(s.cfg_write(cfg_addr(reg::ACC_COUNT, 0), 4).unwrap());
+        assert!(s.cfg_write(cfg_addr(reg::ACC_FEED, 0), BASE + 0x1000).unwrap());
+        assert!(s.cfg_write(cfg_addr(reg::BOUNDS[0], 1), 3).unwrap());
+        assert!(s.cfg_write(cfg_addr(reg::STRIDES[0], 1), 8).unwrap());
+        assert!(s.cfg_write(cfg_addr(reg::RPTR[0], 1), BASE).unwrap());
+        let mut ports = [MemPort::new(), MemPort::new()];
+        for now in 0..64 {
+            assert!(!gated_cycle(&mut s, &mut tcdm, &mut ports, now, 2, None));
+        }
+        assert!(s.stream_fault().is_some() && s.is_idle(), "the freeze drained to idle");
+        let probe = s.attr_probe();
+        assert_eq!(probe.lanes, [StallCause::Parked, StallCause::Parked]);
+        assert_eq!(probe.spacc, StallCause::Parked);
+        assert!(!s.is_quiet());
     }
 
     /// A lane job launched on lane 1 while the SpAcc owns its port is a

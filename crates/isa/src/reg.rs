@@ -36,6 +36,7 @@ impl IntReg {
     /// # Panics
     /// Panics if `index > 31`.
     #[must_use]
+    #[inline]
     pub fn new(index: u8) -> Self {
         assert!(index < 32, "integer register index {index} out of range");
         Self(index)
@@ -43,12 +44,14 @@ impl IntReg {
 
     /// Returns the register index (0–31).
     #[must_use]
+    #[inline]
     pub fn index(self) -> u8 {
         self.0
     }
 
     /// Returns `true` for `x0`, which always reads zero.
     #[must_use]
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0
     }
@@ -111,6 +114,7 @@ impl FpReg {
     /// # Panics
     /// Panics if `index > 31`.
     #[must_use]
+    #[inline]
     pub fn new(index: u8) -> Self {
         assert!(index < 32, "fp register index {index} out of range");
         Self(index)
@@ -118,6 +122,7 @@ impl FpReg {
 
     /// Returns the register index (0–31).
     #[must_use]
+    #[inline]
     pub fn index(self) -> u8 {
         self.0
     }
@@ -128,6 +133,7 @@ impl FpReg {
     /// # Panics
     /// Panics if the result exceeds `f31`.
     #[must_use]
+    #[inline]
     pub fn offset(self, n: u8) -> Self {
         Self::new(self.0 + n)
     }

@@ -62,8 +62,8 @@ use issr_isa::asm::Program;
 /// How bad a finding is.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Severity {
-    /// The program misbehaves at runtime: a latched trap, a sequencer
-    /// abort, or a silent deadlock.
+    /// The program misbehaves at runtime: a latched trap (stream,
+    /// access or sequencer fault) or a silent deadlock.
     Error,
     /// The program works but carries dead weight: unreachable code,
     /// unconsumed cfg writes, zero-trip stream loops.
@@ -92,7 +92,11 @@ pub enum FaultClass {
     /// No trap at all: the stream units deadlock and the run ends in
     /// `SimTimeout` after the full cycle budget.
     Hang,
-    /// The FREP sequencer (or FPU capture path) aborts the simulation.
+    /// The FREP sequencer (or FPU capture path) rejects the offloaded
+    /// stream: the core complex parks on `TrapCause::SequencerFault`
+    /// (the trap PC is the delivery vicinity). One error of the class
+    /// has no trap — control flow leaving a capture window, which the
+    /// sequencer cannot see, ends in `SimTimeout`.
     Sequencer,
     /// Control flow leaves the program: the core traps `PcOutOfRange`.
     PcOutOfRange,

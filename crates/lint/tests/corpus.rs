@@ -31,6 +31,7 @@ use issr_lint::{
 use issr_mem::map::TCDM_BASE;
 use issr_snitch::cc::SingleCcSim;
 use issr_snitch::core::TrapCause;
+use issr_snitch::fpu::SequencerFault;
 
 /// Byte PC of the instruction marked `fault` in a corpus program.
 fn fault_pc(program: &Program) -> u32 {
@@ -83,6 +84,26 @@ fn assert_runtime_only(
         }
         other => panic!("expected a stream fault, got {other:?}"),
     }
+}
+
+/// Static/dynamic agreement for the sequencer class: the lint rejects
+/// the program with [`FaultClass::Sequencer`] at the `fault` PC, and
+/// running it parks hart 0 on [`TrapCause::SequencerFault`] with
+/// `expect` — the run drains and returns `Ok`. The sequencer runs
+/// decoupled from the core, so the trap PC is a vicinity and is not
+/// compared.
+fn assert_sequencer_agreement(program: Program, expect: SequencerFault) {
+    let pc = fault_pc(&program);
+    let errs = errors(&program, &LintTarget::paper());
+    assert!(
+        errs.iter().any(|d| d.pc == pc && d.class == FaultClass::Sequencer),
+        "lint must reject {expect:?} at {pc:#x}, got: {errs:?}"
+    );
+    let mut sim = SingleCcSim::new(program);
+    let summary = sim.run(20_000).expect("sequencer-faulted runs drain and finish");
+    let trap = summary.trap.expect("the sequencer must latch the fault the linter predicted");
+    assert_eq!(trap.cause, TrapCause::SequencerFault(expect));
+    assert_eq!(trap.hartid, 0);
 }
 
 // ---- CfgFault corpus: every class, static/dynamic agreement ----
@@ -375,6 +396,11 @@ fn corpus_frep_body_with_branch() {
         errs.iter().any(|d| d.pc == pc && d.class == FaultClass::Sequencer),
         "lint must reject the branch in the FREP window, got: {errs:?}"
     );
+    // The one sequencer error with no runtime trap: the sequencer only
+    // sees the offloaded FP stream, so a window the core leaves early
+    // is a capture that never completes — a hang, not a fault.
+    let mut sim = SingleCcSim::new(program);
+    assert!(sim.run(20_000).is_err(), "the half-captured body must time out, not finish");
 }
 
 #[test]
@@ -389,13 +415,54 @@ fn corpus_frep_empty_body() {
         stagger: Stagger::NONE,
     });
     a.halt();
-    let program = a.finish().unwrap();
-    let pc = fault_pc(&program);
-    let errs = errors(&program, &LintTarget::paper());
-    assert!(
-        errs.iter().any(|d| d.pc == pc && d.class == FaultClass::Sequencer),
-        "lint must reject the empty FREP body, got: {errs:?}"
+    assert_sequencer_agreement(a.finish().unwrap(), SequencerFault::EmptyBody);
+}
+
+#[test]
+fn corpus_frep_nested() {
+    let mut a = Assembler::new();
+    a.li(R::T0, 3);
+    a.frep_outer(R::T0, 2, Stagger::NONE);
+    a.symbol("fault");
+    a.frep_outer(R::T0, 1, Stagger::NONE); // a marker inside the capture window
+    a.fadd_d(FpReg::FT3, FpReg::FT3, FpReg::FT3);
+    a.fadd_d(FpReg::FT4, FpReg::FT4, FpReg::FT4);
+    a.halt();
+    assert_sequencer_agreement(a.finish().unwrap(), SequencerFault::NestedFrep);
+}
+
+#[test]
+fn corpus_frep_body_exceeds_the_buffer() {
+    let buffer = issr_snitch::params::CcParams::default().frep_buffer;
+    let n_insns = u8::try_from(buffer + 1).unwrap();
+    let mut a = Assembler::new();
+    a.li(R::T0, 1);
+    a.symbol("fault");
+    a.frep_outer(R::T0, n_insns, Stagger::NONE);
+    for _ in 0..n_insns {
+        a.fadd_d(FpReg::FT3, FpReg::FT3, FpReg::FT3);
+    }
+    a.halt();
+    assert_sequencer_agreement(
+        a.finish().unwrap(),
+        SequencerFault::BodyTooLong { n_insns, buffer },
     );
+}
+
+/// A sequencer marker inside an `frep.s` body, past its first
+/// instruction: the stream-terminated capture buffers FP instructions
+/// only, and the one non-FP operation the core offloads is an `frep`.
+#[test]
+fn corpus_frep_stream_body_with_marker() {
+    let mut a = Assembler::new();
+    a.li(R::T0, 1);
+    a.frep_stream(2, Stagger::NONE);
+    a.fadd_d(FpReg::FT3, FpReg::FT0, FpReg::FT3);
+    a.symbol("fault");
+    a.frep_outer(R::T0, 1, Stagger::NONE);
+    a.fadd_d(FpReg::FT4, FpReg::FT4, FpReg::FT4);
+    a.halt();
+    assert_sequencer_agreement(a.finish().unwrap(), SequencerFault::NestedFrep);
 }
 
 /// `frep.s` with no stream-register source in the body terminates after
@@ -428,12 +495,9 @@ fn corpus_fld_into_stream_register_under_ssr() {
     a.fld(FpReg::FT0, R::T0, 0); // ft0 is redirected while ssr is on
     a.csrci(Csr::Ssr, 1);
     a.halt();
-    let program = a.finish().unwrap();
-    let pc = fault_pc(&program);
-    let errs = errors(&program, &LintTarget::paper());
-    assert!(
-        errs.iter().any(|d| d.pc == pc && d.class == FaultClass::Sequencer),
-        "lint must reject the fld into a redirected register, got: {errs:?}"
+    assert_sequencer_agreement(
+        a.finish().unwrap(),
+        SequencerFault::FldIntoStream { rd: FpReg::FT0 },
     );
 }
 

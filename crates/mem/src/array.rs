@@ -38,6 +38,7 @@ impl MemArray {
 
     /// Whether `addr` falls inside the region.
     #[must_use]
+    #[inline]
     pub fn contains(&self, addr: u32) -> bool {
         addr >= self.base && (u64::from(addr) - u64::from(self.base)) < u64::from(self.size())
     }
@@ -49,12 +50,14 @@ impl MemArray {
 
     /// Reads the aligned 64-bit word containing `addr`.
     #[must_use]
+    #[inline]
     pub fn read_word(&self, addr: u32) -> u64 {
         self.words[self.word_index(addr)]
     }
 
     /// Writes byte lanes of the aligned word containing `addr` selected by
     /// `strb` (bit *i* enables byte *i*).
+    #[inline]
     pub fn write_word(&mut self, addr: u32, data: u64, strb: u8) {
         let idx = self.word_index(addr);
         if strb == 0xFF {

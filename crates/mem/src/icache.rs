@@ -39,7 +39,8 @@ impl Default for ICacheParams {
 /// Per-core L0 line buffer.
 #[derive(Clone, Debug)]
 pub struct L0Buffer {
-    params: ICacheParams,
+    /// `log2(line_bytes)`: a PC's line is a shift away.
+    line_shift: u32,
     tags: Vec<Option<u32>>,
     fifo: usize,
     /// Fetches that hit.
@@ -50,13 +51,25 @@ pub struct L0Buffer {
 
 impl L0Buffer {
     /// Creates an empty buffer.
+    ///
+    /// # Panics
+    /// Panics if `line_bytes` is not a power of two or `l0_lines` is
+    /// zero — a buffer that could not hold or address a line.
     #[must_use]
     pub fn new(params: ICacheParams) -> Self {
-        Self { params, tags: vec![None; params.l0_lines], fifo: 0, hits: 0, misses: 0 }
+        assert!(params.line_bytes.is_power_of_two(), "L0 line size must be a power of two"); // gate-allow: host-API construction precondition
+        assert!(params.l0_lines > 0, "L0 buffer needs at least one line"); // gate-allow: host-API construction precondition
+        Self {
+            line_shift: params.line_bytes.trailing_zeros(),
+            tags: vec![None; params.l0_lines],
+            fifo: 0,
+            hits: 0,
+            misses: 0,
+        }
     }
 
     fn line_of(&self, pc: u32) -> u32 {
-        pc / self.params.line_bytes
+        pc >> self.line_shift
     }
 
     /// Looks up `pc`; on a miss the line is installed (the refill timing
@@ -70,7 +83,10 @@ impl L0Buffer {
         }
         self.misses += 1;
         self.tags[self.fifo] = Some(line);
-        self.fifo = (self.fifo + 1) % self.tags.len();
+        self.fifo += 1;
+        if self.fifo == self.tags.len() {
+            self.fifo = 0;
+        }
         false
     }
 }
@@ -88,8 +104,12 @@ pub struct L1ICache {
 
 impl L1ICache {
     /// Creates an empty cache.
+    ///
+    /// # Panics
+    /// Panics if `line_bytes` or `l1_lines` is zero.
     #[must_use]
     pub fn new(params: ICacheParams) -> Self {
+        assert!(params.line_bytes > 0 && params.l1_lines > 0, "L1 needs lines of nonzero size"); // gate-allow: host-API construction precondition
         Self { params, tags: vec![None; params.l1_lines], hits: 0, misses: 0 }
     }
 
@@ -135,6 +155,22 @@ mod tests {
         assert!(l0.fetch(0x04));
         assert!(!l0.fetch(0x40)); // evicts line 0
         assert!(!l0.fetch(0x00)); // line 0 gone again
+    }
+
+    /// Geometry the lookup cannot divide by is a construction error,
+    /// not a division by zero on the first fetch.
+    #[test]
+    fn degenerate_geometry_is_rejected_at_construction() {
+        let bad = [
+            ICacheParams { line_bytes: 0, ..ICacheParams::default() },
+            ICacheParams { line_bytes: 24, ..ICacheParams::default() },
+            ICacheParams { l0_lines: 0, ..ICacheParams::default() },
+        ];
+        for params in bad {
+            assert!(std::panic::catch_unwind(|| L0Buffer::new(params)).is_err(), "{params:?}");
+        }
+        let no_l1 = ICacheParams { l1_lines: 0, ..ICacheParams::default() };
+        assert!(std::panic::catch_unwind(|| L1ICache::new(no_l1)).is_err());
     }
 
     #[test]

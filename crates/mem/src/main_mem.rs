@@ -148,32 +148,41 @@ impl MainMemory {
     pub fn tick(&mut self, now: u64, ports: &mut [&mut MemPort]) -> Vec<(usize, u32)> {
         let mut faults = Vec::new();
         for (pi, port) in ports.iter_mut().enumerate() {
-            if let Some(req) = port.take_pending() {
-                self.stats.narrow_accesses += 1;
-                if !self.array.contains(req.addr) {
-                    if req.is_read() {
-                        port.push_rsp(now + self.narrow_latency, MemRsp { data: 0 });
-                    }
-                    faults.push((pi, req.addr));
-                    continue;
-                }
-                match req.op {
-                    MemOp::Read => {
-                        let data = self.array.read_word(req.addr);
-                        if self.fetch_add_addr == Some(req.addr) {
-                            // Hardware fetch-and-add: atomic because the
-                            // memory serves one request at a time.
-                            self.array.write_word(req.addr, data.wrapping_add(1), 0xFF);
-                        }
-                        port.push_rsp(now + self.narrow_latency, MemRsp { data });
-                    }
-                    MemOp::Write { data, strb } => {
-                        self.array.write_word(req.addr, data, strb);
-                    }
-                }
+            if let Some(addr) = self.serve(now, port) {
+                faults.push((pi, addr));
             }
         }
         faults
+    }
+
+    /// Serves `port`'s pending narrow request, if it has one — one port
+    /// of [`MainMemory::tick`], for an interconnect that routes ports
+    /// one at a time. Returns the faulting address if the request lies
+    /// outside the array.
+    pub fn serve(&mut self, now: u64, port: &mut MemPort) -> Option<u32> {
+        let req = port.take_pending()?;
+        self.stats.narrow_accesses += 1;
+        if !self.array.contains(req.addr) {
+            if req.is_read() {
+                port.push_rsp(now + self.narrow_latency, MemRsp { data: 0 });
+            }
+            return Some(req.addr);
+        }
+        match req.op {
+            MemOp::Read => {
+                let data = self.array.read_word(req.addr);
+                if self.fetch_add_addr == Some(req.addr) {
+                    // Hardware fetch-and-add: atomic because the
+                    // memory serves one request at a time.
+                    self.array.write_word(req.addr, data.wrapping_add(1), 0xFF);
+                }
+                port.push_rsp(now + self.narrow_latency, MemRsp { data });
+            }
+            MemOp::Write { data, strb } => {
+                self.array.write_word(req.addr, data, strb);
+            }
+        }
+        None
     }
 
     /// DMA-side word read under the cycle's bandwidth budget; `None`

@@ -38,6 +38,7 @@ pub enum Region {
 
 /// Classifies `addr` against the fixed map.
 #[must_use]
+#[inline]
 pub fn region_of(addr: u32) -> Region {
     if (TCDM_BASE..TCDM_BASE + TCDM_SIZE).contains(&addr) {
         Region::Tcdm

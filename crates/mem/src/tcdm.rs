@@ -39,6 +39,10 @@ pub struct Tcdm {
     n_banks: usize,
     /// `None` models an ideal multi-port memory (no arbitration).
     rr_next: Option<Vec<usize>>,
+    /// Arbitration scratch: each bank's contender mask, by port
+    /// position. All zero between ticks — a tick clears only the banks
+    /// it set.
+    bank_ports: Vec<u64>,
     stats: TcdmStats,
 }
 
@@ -55,6 +59,7 @@ impl Tcdm {
             array: MemArray::new(base, size),
             n_banks,
             rr_next: Some(vec![0; n_banks]),
+            bank_ports: vec![0; n_banks],
             stats: TcdmStats::default(),
         }
     }
@@ -67,6 +72,7 @@ impl Tcdm {
             array: MemArray::new(base, size),
             n_banks: 1,
             rr_next: None,
+            bank_ports: Vec::new(),
             stats: TcdmStats::default(),
         }
     }
@@ -90,6 +96,7 @@ impl Tcdm {
 
     /// Bank index of a byte address (word-interleaved).
     #[must_use]
+    #[inline]
     pub fn bank_of(&self, addr: u32) -> usize {
         ((addr / 8) as usize) % self.n_banks
     }
@@ -113,21 +120,42 @@ impl Tcdm {
         ports: &mut [P],
         dma_claimed: &[bool],
     ) -> Vec<(usize, u32)> {
+        self.tick_skipping(now, ports, 0, dma_claimed)
+    }
+
+    /// [`Tcdm::tick`] over the ports whose bit in `skip` is clear (bit
+    /// *i* is `ports[i]`): a skipped port — one the interconnect routed
+    /// to another memory this cycle — is invisible to the arbitration,
+    /// exactly as if the slice had been collected without it. A port's
+    /// position, for round-robin and in the returned faults, is its
+    /// rank among the ports that remain.
+    pub fn tick_skipping<P: std::borrow::BorrowMut<MemPort>>(
+        &mut self,
+        now: u64,
+        ports: &mut [P],
+        skip: u64,
+        dma_claimed: &[bool],
+    ) -> Vec<(usize, u32)> {
         let mut faults = Vec::new();
+        assert!(ports.len() <= 64, "port count must fit the arbitration mask"); // gate-allow: host-API construction precondition
         match self.rr_next.take() {
             None => {
                 // Ideal memory: grant every pending request.
-                for (pi, port) in ports.iter_mut().enumerate() {
+                let mut pi = 0;
+                for (slot, port) in ports.iter_mut().enumerate() {
+                    if skip >> slot & 1 != 0 {
+                        continue;
+                    }
                     let port = port.borrow_mut();
                     if let Some(req) = port.take_pending() {
                         if !self.serve(now, req, port) {
                             faults.push((pi, req.addr));
                         }
                     }
+                    pi += 1;
                 }
             }
             Some(mut rr) => {
-                let n = ports.len();
                 // Bitmask arbitration: one pass over the ports builds a
                 // per-bank contender mask, then each active bank grants
                 // in O(1) — the first contender at or after its
@@ -135,25 +163,25 @@ impl Tcdm {
                 // count, with no rescan of the port list. Bank counts
                 // are powers of two and ≤ 64 in every configuration
                 // (the paper's cluster has 32), and a cluster exposes
-                // well under 64 ports, so u64 masks always suffice.
+                // at most 64 ports, so u64 masks always suffice.
                 debug_assert!(self.n_banks <= 64, "bank mask width");
-                assert!(n <= 64, "port count must fit the arbitration mask"); // gate-allow: host-API construction precondition
-                let mut bank_ports = [0u64; 64];
-                let mut port_bank = [0u8; 64];
+                // Slice slot of each contender, by position.
+                let mut slot_of = [0u8; 64];
                 let mut active: u64 = 0;
                 let mut pending_mask: u64 = 0;
-                for (pi, port) in ports.iter_mut().enumerate() {
+                let mut n = 0;
+                for (slot, port) in ports.iter_mut().enumerate() {
+                    if skip >> slot & 1 != 0 {
+                        continue;
+                    }
                     if let Some(req) = port.borrow_mut().pending() {
                         let bank = self.bank_of(req.addr);
                         active |= 1 << bank;
-                        bank_ports[bank] |= 1 << pi;
-                        port_bank[pi] = bank as u8;
-                        pending_mask |= 1 << pi;
+                        self.bank_ports[bank] |= 1 << n;
+                        slot_of[n] = slot as u8;
+                        pending_mask |= 1 << n;
                     }
-                }
-                if pending_mask == 0 {
-                    self.rr_next = Some(rr);
-                    return faults;
+                    n += 1;
                 }
                 let mut served_mask: u64 = 0;
                 // Each active bank (ascending) grants its first
@@ -163,12 +191,13 @@ impl Tcdm {
                 while active != 0 {
                     let bank = active.trailing_zeros() as usize;
                     active &= active - 1;
+                    // Taking the mask leaves the scratch all zero again.
+                    let m = std::mem::take(&mut self.bank_ports[bank]);
                     if dma_claimed.get(bank).copied().unwrap_or(false) {
                         continue;
                     }
-                    let m = bank_ports[bank];
                     // The pointer may exceed the current port count (the
-                    // slice shrinks when ports route to main memory);
+                    // count shrinks when ports route to main memory);
                     // the scan always started from `rr % n`.
                     let start = rr[bank] % n;
                     let wrapped = m >> start;
@@ -177,7 +206,7 @@ impl Tcdm {
                     } else {
                         m.trailing_zeros() as usize
                     };
-                    let port = ports[pi].borrow_mut();
+                    let port = ports[usize::from(slot_of[pi])].borrow_mut();
                     let req = port.take_pending().expect("contender tracked pending");
                     if !self.serve(now, req, port) {
                         faults.push((pi, req.addr));
@@ -190,13 +219,14 @@ impl Tcdm {
                 while waiting != 0 {
                     let pi = waiting.trailing_zeros() as usize;
                     waiting &= waiting - 1;
-                    let bank = usize::from(port_bank[pi]);
+                    let port = ports[usize::from(slot_of[pi])].borrow_mut();
+                    let bank = self.bank_of(port.pending().expect("still waiting").addr);
                     if dma_claimed.get(bank).copied().unwrap_or(false) {
                         self.stats.dma_conflicts += 1;
                     } else {
                         self.stats.conflicts += 1;
                     }
-                    ports[pi].borrow_mut().note_wait();
+                    port.note_wait();
                 }
                 self.rr_next = Some(rr);
             }
@@ -316,6 +346,49 @@ mod tests {
         assert_eq!(tcdm.stats().dma_conflicts, 1);
         tcdm.tick(1, &mut [&mut p], &[false, false]);
         assert!(p.can_send());
+    }
+
+    /// Skipping ports by mask arbitrates exactly like collecting the
+    /// remaining ports into a shorter slice: same grants, same waits,
+    /// same round-robin pointers, cycle after cycle — with the skipped
+    /// set (and so the port count the pointers wrap at) changing.
+    #[test]
+    fn skip_mask_matches_a_collected_slice() {
+        const N: usize = 7;
+        let mut collected = Tcdm::banked(0, 1024, 4);
+        let mut masked = collected.clone();
+        let mut a: Vec<MemPort> = (0..N).map(|_| MemPort::new()).collect();
+        let mut b = a.clone();
+        let mut lcg = 12345u32;
+        let mut next = move || {
+            lcg = lcg.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            lcg >> 16
+        };
+        for now in 0..400 {
+            let skip = u64::from(next()) & ((1 << N) - 1);
+            let dma = [next() % 4 == 0, false, next() % 3 == 0, false];
+            for (pa, pb) in a.iter_mut().zip(&mut b) {
+                let _ = (pa.take_rsp(now), pb.take_rsp(now));
+                if pa.can_send() && next() % 3 != 0 {
+                    // Few banks, many ports: conflicts every cycle.
+                    let req = MemReq::read((next() % 16) * 8);
+                    pa.send(req);
+                    pb.send(req);
+                }
+            }
+            let mut refs: Vec<&mut MemPort> = a
+                .iter_mut()
+                .enumerate()
+                .filter(|(i, _)| skip >> i & 1 == 0)
+                .map(|(_, p)| p)
+                .collect();
+            let fa = collected.tick(now, &mut refs, &dma);
+            let fb = masked.tick_skipping(now, &mut b, skip, &dma);
+            assert_eq!(fa, fb);
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "cycle {now}");
+            assert_eq!(format!("{collected:?}"), format!("{masked:?}"), "cycle {now}");
+        }
+        assert!(collected.stats().conflicts > 100 && collected.stats().dma_conflicts > 10);
     }
 
     #[test]

@@ -125,14 +125,7 @@ pub struct CcCauses {
 
 impl Default for CcCauses {
     fn default() -> Self {
-        Self {
-            hart: StallCause::Idle,
-            streamer: StreamerProbe {
-                lanes: Vec::new(),
-                joiner: StallCause::Idle,
-                spacc: StallCause::Idle,
-            },
-        }
+        Self { hart: StallCause::Idle, streamer: StreamerProbe::default() }
     }
 }
 

@@ -12,8 +12,9 @@
 //! subsystem with their captured integer operands; the core moves on —
 //! Snitch's pseudo-dual-issue.
 
-use crate::fpu::{FpOp, FpuSubsystem};
+use crate::fpu::{FpOp, FpuSubsystem, SequencerFault};
 use crate::metrics::Metrics;
+use crate::params::CcParams;
 use issr_core::streamer::Streamer;
 use issr_isa::asm::Program;
 use issr_isa::csr::Csr;
@@ -64,6 +65,13 @@ pub enum TrapCause {
         /// The byte address of the faulting request.
         addr: u32,
     },
+    /// The FREP sequencer rejected the offloaded instruction stream
+    /// (nested, empty or oversized `frep`, `fld` into a redirected
+    /// register) — the runtime twin of
+    /// the lint's `FaultClass::Sequencer`. The sequencer runs decoupled
+    /// from the core, so the trap PC is a vicinity, as for stream
+    /// faults.
+    SequencerFault(SequencerFault),
 }
 
 /// A structured decode/fetch trap: which core stopped, where, and why.
@@ -103,6 +111,13 @@ impl std::fmt::Display for Trap {
                     self.hartid, self.pc
                 )
             }
+            TrapCause::SequencerFault(fault) => {
+                write!(
+                    f,
+                    "hart {}: sequencer fault — {fault} (near {:#010x})",
+                    self.hartid, self.pc
+                )
+            }
         }
     }
 }
@@ -132,13 +147,20 @@ pub struct SnitchCore {
     barrier_clear: bool,
     /// Extra cycles the fetch stage still owes (instruction cache miss).
     pub fetch_stall: u64,
+    /// Integer multiplier result latency ([`CcParams::mul_latency`]).
+    mul_latency: u64,
+    /// Integer divider result latency ([`CcParams::div_latency`]).
+    div_latency: u64,
 }
 
 impl SnitchCore {
-    /// Creates a core with the given hart id, starting at PC 0.
+    /// Creates a core with the given hart id, starting at PC 0, with
+    /// the multiplier and divider latencies of `params`.
     #[must_use]
-    pub fn new(hartid: u32) -> Self {
+    pub fn new(hartid: u32, params: &CcParams) -> Self {
         Self {
+            mul_latency: params.mul_latency,
+            div_latency: params.div_latency,
             hartid,
             regs: [0; 32],
             busy: [false; 32],
@@ -465,9 +487,9 @@ impl SnitchCore {
                 if multi {
                     let latency =
                         if matches!(op, AluOp::Mul | AluOp::Mulh | AluOp::Mulhsu | AluOp::Mulhu) {
-                            3
+                            self.mul_latency
                         } else {
-                            20
+                            self.div_latency
                         };
                     if !rd.is_zero() {
                         self.busy[rd.index() as usize] = true;
@@ -779,7 +801,7 @@ mod tests {
 
     #[test]
     fn x0_stays_zero() {
-        let mut c = SnitchCore::new(0);
+        let mut c = SnitchCore::new(0, &CcParams::default());
         c.set_reg(IntReg::ZERO, 42);
         assert_eq!(c.reg(IntReg::ZERO), 0);
     }

@@ -16,6 +16,7 @@
 
 use crate::metrics::Metrics;
 use crate::params::CcParams;
+use issr_core::gate_check;
 use issr_core::streamer::Streamer;
 use issr_isa::instr::{FpCmp, FpOp2, FpOp3, FrepKind, Instr, Stagger};
 use issr_isa::reg::FpReg;
@@ -31,6 +32,44 @@ pub struct FpOp {
     pub instr: Instr,
     /// Captured integer operand (meaning depends on the instruction).
     pub aux: u32,
+}
+
+/// Why the FREP sequencer rejected the offloaded instruction stream: the
+/// guest bugs `issr-lint` reports as `FaultClass::Sequencer`, latched
+/// like every other guest fault and delivered by the core complex as
+/// [`crate::core::TrapCause::SequencerFault`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum SequencerFault {
+    /// An `frep` arrived while the sequencer was capturing another's
+    /// body (the only non-FP operation the core offloads).
+    NestedFrep,
+    /// The `frep` body is longer than the sequencer buffer.
+    BodyTooLong {
+        /// The body length the `frep` asked for.
+        n_insns: u8,
+        /// The buffer's capacity ([`CcParams::frep_buffer`]).
+        buffer: usize,
+    },
+    /// An `frep` with `n_insns = 0`.
+    EmptyBody,
+    /// An `fld` into a register the streamer currently redirects.
+    FldIntoStream {
+        /// The redirected destination register.
+        rd: FpReg,
+    },
+}
+
+impl std::fmt::Display for SequencerFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Self::NestedFrep => write!(f, "nested frep"),
+            Self::BodyTooLong { n_insns, buffer } => {
+                write!(f, "frep body of {n_insns} instructions exceeds the {buffer}-entry buffer")
+            }
+            Self::EmptyBody => write!(f, "frep with an empty body"),
+            Self::FldIntoStream { rd } => write!(f, "fld into redirected stream register {rd}"),
+        }
+    }
 }
 
 /// Integer write-back produced by the FPU (comparisons, conversions),
@@ -70,7 +109,8 @@ enum SeqState {
 /// Reason the FPU could not issue this cycle (for stall accounting).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Blocked {
-    /// Nothing to do.
+    /// Nothing to do (or a sequencer fault just latched: the core
+    /// complex squashes the subsystem before its next tick).
     Empty,
     /// An operand or resource was not ready.
     Stalled,
@@ -92,6 +132,8 @@ pub struct FpuSubsystem {
     lsu_tags: VecDeque<u8>,
     /// In-flight stream-register writes per lane (credit reservation).
     stream_wr_outstanding: Vec<usize>,
+    /// The latched sequencer fault, until the core complex takes it.
+    fault: Option<SequencerFault>,
 }
 
 impl FpuSubsystem {
@@ -108,7 +150,22 @@ impl FpuSubsystem {
             wb_int: Vec::new(),
             lsu_tags: VecDeque::new(),
             stream_wr_outstanding: vec![0; n_lanes],
+            fault: None,
         }
+    }
+
+    /// Hands the latched sequencer fault to the core complex, which
+    /// parks the core on it and squashes the subsystem
+    /// ([`Self::flush`]) — so a fault is taken exactly once.
+    pub fn take_sequencer_fault(&mut self) -> Option<SequencerFault> {
+        self.fault.take()
+    }
+
+    /// Latches `fault`; the faulting instruction stays at the queue
+    /// head and nothing issues this cycle.
+    fn sequencer_fault(&mut self, fault: SequencerFault) -> Result<(), Blocked> {
+        self.fault = Some(fault);
+        Err(Blocked::Empty)
     }
 
     /// Whether the offload queue can accept another instruction.
@@ -170,7 +227,31 @@ impl FpuSubsystem {
     /// Advances one cycle. `port` is the FPU's virtual slice of the
     /// shared CC memory port; `streamer` provides the stream registers.
     /// Returns integer write-backs that completed this cycle.
+    ///
+    /// A drained subsystem whose port holds no response is not ticked:
+    /// with nothing queued, captured, scheduled or outstanding, the
+    /// body has no write-back to retire, no load to accept and no
+    /// operation to issue.
     pub fn tick(
+        &mut self,
+        now: u64,
+        port: &mut MemPort,
+        streamer: &mut Streamer,
+        metrics: &mut Metrics,
+    ) -> Vec<IntWriteback> {
+        if self.is_drained() && !port.has_rsp() {
+            if cfg!(test) {
+                gate_check::assert_no_op("fpu", (self, port, streamer, metrics), |u| {
+                    let _ = u.0.tick_busy(now, u.1, u.2, u.3);
+                });
+            }
+            return Vec::new();
+        }
+        self.tick_busy(now, port, streamer, metrics)
+    }
+
+    /// The tick body, behind the drained gate of [`Self::tick`].
+    fn tick_busy(
         &mut self,
         now: u64,
         port: &mut MemPort,
@@ -278,13 +359,17 @@ impl FpuSubsystem {
         loop {
             match self.queue.front() {
                 Some(FpOp { instr: Instr::Frep { kind, n_insns, stagger, .. }, aux }) => {
-                    assert!(matches!(self.seq, SeqState::Idle), "nested FREP is not supported"); // gate-allow: guest bug caught statically by issr-lint (frep window checks)
-                    assert!(
-                        // gate-allow: guest bug caught statically by issr-lint (frep window checks)
-                        (*n_insns as usize) <= self.params.frep_buffer,
-                        "FREP body exceeds sequencer buffer"
-                    );
-                    assert!(*n_insns > 0, "FREP with empty body"); // gate-allow: guest bug caught statically by issr-lint (frep window checks)
+                    if !matches!(self.seq, SeqState::Idle) {
+                        return self.sequencer_fault(SequencerFault::NestedFrep);
+                    }
+                    if (*n_insns as usize) > self.params.frep_buffer {
+                        let (n_insns, buffer) = (*n_insns, self.params.frep_buffer);
+                        return self
+                            .sequencer_fault(SequencerFault::BodyTooLong { n_insns, buffer });
+                    }
+                    if *n_insns == 0 {
+                        return self.sequencer_fault(SequencerFault::EmptyBody);
+                    }
                     self.seq = SeqState::Capturing {
                         remaining: *n_insns,
                         max_rpt: *aux,
@@ -308,7 +393,10 @@ impl FpuSubsystem {
             let Some(&op) = self.queue.front() else {
                 return Err(Blocked::Empty);
             };
-            assert!(op.instr.is_fp(), "non-FP instruction inside an FREP body"); // gate-allow: guest bug caught statically by issr-lint (frep window checks)
+            if !op.instr.is_fp() {
+                // Only `frep` markers share the queue with FP operations.
+                return self.sequencer_fault(SequencerFault::NestedFrep);
+            }
             buf.push(op);
             self.queue.pop_front();
             *remaining -= 1;
@@ -541,11 +629,9 @@ impl FpuSubsystem {
             }
             Instr::Fld { rd, .. } => {
                 let rd = Self::stagger_reg(rd, 0, smask, soff);
-                assert!(
-                    // gate-allow: guest bug caught statically by issr-lint (fld into stream reg)
-                    streamer.lane_of_reg(rd.index()).is_none(),
-                    "fld into a redirected stream register"
-                );
+                if streamer.lane_of_reg(rd.index()).is_some() {
+                    return self.sequencer_fault(SequencerFault::FldIntoStream { rd });
+                }
                 if self.busy[rd.index() as usize] || !port.can_send() {
                     return Err(Blocked::Stalled);
                 }

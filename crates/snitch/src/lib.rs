@@ -23,7 +23,7 @@ pub mod shared;
 pub use attr::{CcAttribution, CcCauses};
 pub use cc::{CoreComplex, RunSummary, SimTimeout, SingleCcSim, SINGLE_CC_ARENA};
 pub use core::{SnitchCore, Trap, TrapCause};
-pub use fpu::{FpOp, FpuSubsystem, IntWriteback};
+pub use fpu::{FpOp, FpuSubsystem, IntWriteback, SequencerFault};
 pub use metrics::{Metrics, RoiCounters};
 pub use params::CcParams;
 pub use shared::SharedPort;

@@ -7,6 +7,7 @@
 //! occasional requests between SSR stream beats without blocking it,
 //! and keeps legacy (non-streamer) code at full speed.
 
+use issr_core::gate_check;
 use issr_mem::port::{MemPort, MemRsp};
 use std::collections::VecDeque;
 
@@ -29,6 +30,8 @@ pub struct SharedPort {
     pub fpu_lsu: MemPort,
     /// SSR lane slice.
     pub ssr: MemPort,
+    /// Masters of the reads in flight on the physical port, oldest
+    /// first.
     tags: VecDeque<Master>,
     rr: usize,
 }
@@ -41,8 +44,20 @@ impl SharedPort {
     }
 
     /// Delivers responses that arrived on the physical port back to the
-    /// owning virtual port. Call at the start of each cycle.
+    /// owning virtual port. Call at the start of each cycle. With no
+    /// read in flight there is no response to deliver.
     pub fn relay_responses(&mut self, now: u64, phys: &mut MemPort) {
+        if self.tags.is_empty() {
+            if cfg!(test) {
+                gate_check::assert_no_op("relay", (self, phys), |u| u.0.relay_in_flight(now, u.1));
+            }
+            return;
+        }
+        self.relay_in_flight(now, phys);
+    }
+
+    /// The relay, behind the nothing-in-flight gate.
+    fn relay_in_flight(&mut self, now: u64, phys: &mut MemPort) {
         while let Some(rsp) = phys.take_rsp(now) {
             let master = self.tags.pop_front().expect("response without forwarded request");
             let port = self.port_of(master);
@@ -51,23 +66,37 @@ impl SharedPort {
     }
 
     /// Forwards at most one pending virtual request to the physical port,
-    /// round-robin. Call after the masters have ticked.
+    /// round-robin. Call after the masters have ticked. With no master
+    /// requesting there is nothing to forward and the pointer stays.
     pub fn forward_requests(&mut self, phys: &mut MemPort) {
+        if self.core_lsu.can_send() && self.fpu_lsu.can_send() && self.ssr.can_send() {
+            if cfg!(test) {
+                gate_check::assert_no_op("forward", (self, phys), |u| u.0.forward_pending(u.1));
+            }
+            return;
+        }
+        self.forward_pending(phys);
+    }
+
+    /// The arbitration, behind the no-request gate.
+    fn forward_pending(&mut self, phys: &mut MemPort) {
         if !phys.can_send() {
             return;
         }
-        for k in 0..MASTERS.len() {
-            let i = (self.rr + k) % MASTERS.len();
+        let mut i = self.rr;
+        for _ in 0..MASTERS.len() {
             let master = MASTERS[i];
+            let next = if i + 1 == MASTERS.len() { 0 } else { i + 1 };
             if let Some(req) = self.port_of(master).take_pending() {
                 // Only reads produce responses to route back.
                 if req.is_read() {
                     self.tags.push_back(master);
                 }
                 phys.send(req);
-                self.rr = (i + 1) % MASTERS.len();
+                self.rr = next;
                 return;
             }
+            i = next;
         }
     }
 

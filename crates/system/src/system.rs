@@ -132,6 +132,9 @@ pub struct System {
     /// Per-cluster quiescence, memoized by [`System::run`]: halting is
     /// terminal, so a cluster once quiescent is never re-checked.
     done: Vec<bool>,
+    /// Whether the ambient host profiler was installed when the run
+    /// began — latched by [`System::run`], so no tick looks it up.
+    profiled: bool,
 }
 
 impl System {
@@ -153,6 +156,7 @@ impl System {
             now: 0,
             overlap_cycles: 0,
             done: vec![false; params.n_clusters],
+            profiled: false,
         }
     }
 
@@ -215,7 +219,9 @@ impl System {
     /// Advances the whole system one cycle: one shared-bandwidth window,
     /// clusters granted in rotating round-robin order.
     pub fn tick(&mut self) {
-        issr_trace::host::cycle();
+        if self.profiled {
+            issr_trace::host::cycle();
+        }
         self.main.begin_dma_cycle();
         let n = self.clusters.len();
         let mut dma_moved = false;
@@ -240,20 +246,24 @@ impl System {
     /// `max_cycles` (deadlock or bug); the error lists every hart that
     /// was not quiescent, with its cluster index and current PC.
     pub fn run(&mut self, max_cycles: u64) -> Result<SystemSummary, SimTimeout> {
-        // So a timeout dump always carries recent history (recording
-        // is timing-neutral; see the cluster).
+        self.profiled = issr_trace::host::is_enabled();
         for (ci, cluster) in self.clusters.iter_mut().enumerate() {
+            // So a timeout dump always carries recent history
+            // (recording is timing-neutral; see the cluster).
             cluster.arm_default_timeline(ci as u32);
+            cluster.profile_host(self.profiled);
         }
         let deadline = self.now.saturating_add(max_cycles);
         while self.now < deadline {
             self.tick();
             // Quiescence is terminal (halting is sticky, queues only
-            // drain), so clusters already seen quiescent are skipped.
+            // drain), so clusters already seen quiescent are skipped —
+            // and a cluster whose DMCC still runs cannot be quiescent,
+            // which spares the walk over its workers.
             let mut all = true;
             for (done, cluster) in self.done.iter_mut().zip(&self.clusters) {
                 if !*done {
-                    *done = cluster.quiescent();
+                    *done = cluster.dmcc.core.halted() && cluster.quiescent();
                 }
                 all &= *done;
             }

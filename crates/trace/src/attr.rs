@@ -93,6 +93,7 @@ impl CycleBreakdown {
     }
 
     /// Attributes one cycle to `cause`.
+    #[inline]
     pub fn record(&mut self, cause: StallCause) {
         self.counts[cause as usize] += 1;
     }

@@ -10,16 +10,16 @@
 //!
 //! The profiler is **opt-in and ambient**: a caller (`benchmark/`'s
 //! traced pass) installs one collector for its thread ([`install`]) and
-//! every run harness it drives from then on — [`SingleCcSim::run`], [`Cluster::tick`],
-//! [`System::tick`] — feeds it through the free functions here. When
+//! every run harness it drives from then on — [`SingleCcSim::run`], [`Cluster::run`],
+//! [`System::run`] — feeds it through the free functions here. When
 //! nothing is installed the hooks reduce to one thread-local read per
-//! tick. The profiler only *reads* simulator state (idleness probes are
+//! run. The profiler only *reads* simulator state (idleness probes are
 //! `&self`), so enabling it cannot change simulated behavior — the
 //! guest-neutrality property the test suite pins down.
 //!
 //! [`SingleCcSim::run`]: ../issr_snitch/cc/struct.SingleCcSim.html
-//! [`Cluster::tick`]: ../issr_cluster/cluster/struct.Cluster.html
-//! [`System::tick`]: ../issr_system/system/struct.System.html
+//! [`Cluster::run`]: ../issr_cluster/cluster/struct.Cluster.html
+//! [`System::run`]: ../issr_system/system/struct.System.html
 
 use std::cell::RefCell;
 use std::time::Instant;
@@ -171,7 +171,10 @@ pub fn uninstall() -> Option<HostProfiler> {
 }
 
 /// Whether an ambient profiler is installed — the one check a harness
-/// makes per tick before paying for any timing.
+/// makes per *run*: `run` latches it, and every tick of that run
+/// passes the latch to [`phase_start`] and guards [`cycle`] with it, so
+/// an unprofiled tick never touches the thread-local. Install the
+/// profiler before calling `run`.
 #[must_use]
 pub fn is_enabled() -> bool {
     ACTIVE.with(|a| a.borrow().is_some())
@@ -191,16 +194,19 @@ pub fn cycle() {
     with(HostProfiler::cycle);
 }
 
-/// Starts phase timing for one tick: `Some(now)` when profiling,
-/// `None` (and zero further cost) otherwise.
+/// Starts phase timing for one tick: `Some(now)` when the run is
+/// `profiled` (its latched [`is_enabled`]), `None` (and zero further
+/// cost) otherwise.
 #[must_use]
-pub fn phase_start() -> Option<Instant> {
-    is_enabled().then(Instant::now)
+#[inline]
+pub fn phase_start(profiled: bool) -> Option<Instant> {
+    profiled.then(Instant::now)
 }
 
 /// Closes the current phase — attributing the wall-clock since `t` to
 /// `class` with its unit/idle census — and restarts `t` for the next
 /// phase. No-op when `t` is `None`.
+#[inline]
 pub fn phase(t: &mut Option<Instant>, class: &'static str, units: u64, idle_units: u64) {
     if let Some(start) = t {
         let now = Instant::now();
@@ -271,7 +277,7 @@ mod tests {
         install();
         assert!(is_enabled());
         cycle();
-        let mut t = phase_start();
+        let mut t = phase_start(is_enabled());
         assert!(t.is_some());
         phase(&mut t, "workers", 8, 4);
         let doc = report().expect("installed");
@@ -279,7 +285,7 @@ mod tests {
         let p = uninstall().expect("was installed");
         assert_eq!(p.sim_cycles(), 1);
         assert!(!is_enabled());
-        let mut t = phase_start();
+        let mut t = phase_start(is_enabled());
         assert!(t.is_none());
         phase(&mut t, "workers", 1, 0); // no-op when off
     }

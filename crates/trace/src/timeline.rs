@@ -124,6 +124,7 @@ impl Timeline {
 
     /// Records the unit's cause for cycle `now`; only a change costs a
     /// ring slot.
+    #[inline]
     pub fn sample(&mut self, unit: usize, now: u64, cause: StallCause) {
         let u = &mut self.units[unit];
         if u.last != cause {
