@@ -15,108 +15,60 @@
 
 use issr_bench::figures::{
     cluster_spgemm_phase_profile, cluster_spgemm_report, default_spgemm_regimes,
-    smoke_spgemm_regimes, spgemm_recovery_report, spgemm_suite_sweep, spgemm_summary, spgemm_sweep,
-    SpgemmRow, SpgemmSuiteRow,
+    smoke_spgemm_regimes, spgemm_recovery_report, spgemm_suite_sweep, spgemm_sweep, SpgemmRow,
 };
-use issr_bench::report::{markdown_table, ratio};
+use issr_bench::report::{markdown_table, ratio, Fmt, Table};
 use issr_bench::telemetry::{self, cc_attr_json, Telemetry};
 use issr_trace::json::obj;
 use issr_trace::{breakdown_table, Json};
 
-fn regimes_json(rows: &[SpgemmRow]) -> Json {
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                obj(vec![
-                    ("label", Json::from(r.regime.label)),
-                    ("base16", Json::from(r.base16)),
-                    ("issr16", Json::from(r.issr16)),
-                    ("speedup16", Json::Float(r.speedup16())),
-                    ("issr16_single", Json::from(r.issr16_single)),
-                    ("base32", Json::from(r.base32)),
-                    ("issr32", Json::from(r.issr32)),
-                    ("speedup32", Json::Float(r.speedup32())),
-                    ("spacc_peak_nnz", Json::from(r.spacc.peak_nnz)),
-                    ("spacc_overlap_cycles", Json::from(r.spacc.overlap_cycles)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn suite_json(rows: &[SpgemmSuiteRow]) -> Json {
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                obj(vec![
-                    ("name", Json::from(r.name.as_str())),
-                    ("window", Json::from(r.window)),
-                    ("nnz", Json::from(r.nnz)),
-                    ("c_nnz", Json::from(r.c_nnz)),
-                    ("macs", Json::from(r.macs)),
-                    ("base_cycles", Json::from(r.base_cycles)),
-                    ("issr_cycles", Json::from(r.issr_cycles)),
-                    ("base_mw", Json::Float(r.base_mw)),
-                    ("issr_mw", Json::Float(r.issr_mw)),
-                    ("base_pj_per_mac", Json::Float(r.base_pj_per_mac)),
-                    ("issr_pj_per_mac", Json::Float(r.issr_pj_per_mac)),
-                    ("gain", Json::Float(r.gain)),
-                ])
-            })
-            .collect(),
-    )
+/// The sweep's exported rows: cycles and speedup per index width, the
+/// single-buffered ISSR-16 cycles, and the SpAcc's peak row occupancy
+/// and drain/feed overlap on the (double-buffered) ISSR-16 run.
+fn regimes_table(rows: &[SpgemmRow]) -> Table {
+    let mut table = Table::new(&[
+        ("label", "regime", Fmt::Plain),
+        ("base16", "BASE-16", Fmt::Plain),
+        ("issr16", "ISSR-16", Fmt::Plain),
+        ("speedup16", "speedup", Fmt::Times(2)),
+        ("issr16_single", "ISSR-16 single", Fmt::Plain),
+        ("base32", "BASE-32", Fmt::Plain),
+        ("issr32", "ISSR-32", Fmt::Plain),
+        ("speedup32", "speedup", Fmt::Times(2)),
+        ("spacc_peak_nnz", "peak nnz", Fmt::Plain),
+        ("spacc_overlap_cycles", "overlap cyc", Fmt::Plain),
+    ]);
+    for r in rows {
+        table.push(vec![
+            r.regime.label.into(),
+            r.base16.into(),
+            r.issr16.into(),
+            r.speedup16().into(),
+            r.issr16_single.into(),
+            r.base32.into(),
+            r.issr32.into(),
+            r.speedup32().into(),
+            r.spacc.peak_nnz.into(),
+            r.spacc.overlap_cycles.into(),
+        ]);
+    }
+    table
 }
 
 fn suite_energy_table(t: &mut Telemetry) {
-    let names: Vec<String> =
-        issr_sparse::suite::suite().into_iter().map(|e| e.name.to_owned()).collect();
-    let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let rows = spgemm_suite_sweep(&name_refs);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.name.clone(),
-                format!("{0}x{0}", r.window),
-                r.nnz.to_string(),
-                r.c_nnz.to_string(),
-                r.macs.to_string(),
-                format!("{:.1}", r.base_mw),
-                format!("{:.1}", r.issr_mw),
-                format!("{:.1}", r.base_pj_per_mac),
-                format!("{:.1}", r.issr_pj_per_mac),
-                format!("{:.2}x", r.gain),
-            ]
-        })
-        .collect();
+    let names: Vec<&str> = issr_sparse::suite::suite().into_iter().map(|e| e.name).collect();
+    let rows = spgemm_suite_sweep(&names);
     println!("SpGEMM energy — SuiteSparse stand-ins (TCDM windows, cluster C = M·M)\n");
-    println!(
-        "{}",
-        markdown_table(
-            &[
-                "matrix",
-                "window",
-                "nnz",
-                "C nnz",
-                "macs",
-                "BASE mW",
-                "ISSR mW",
-                "BASE pJ/mac",
-                "ISSR pJ/mac",
-                "gain"
-            ],
-            &table
-        )
-    );
-    for r in &rows {
+    println!("{}", rows.markdown());
+    for i in 0..rows.len() {
+        let gain = rows.f64(i, "gain");
         assert!(
-            r.gain > 1.0,
-            "{}: sparse-output energy efficiency regressed ({:.2}x)",
-            r.name,
-            r.gain
+            gain > 1.0,
+            "{}: sparse-output energy efficiency regressed ({gain:.2}x)",
+            rows.cell(i, "name")
         );
     }
-    t.push("suite_energy", suite_json(&rows));
+    t.push("suite_energy", rows.json());
 }
 
 fn main() {
@@ -143,7 +95,7 @@ fn main() {
     }
     let regimes = if smoke { smoke_spgemm_regimes() } else { default_spgemm_regimes() };
 
-    let rows = spgemm_sweep(&regimes);
+    let (rows, summary) = spgemm_sweep(&regimes);
     for r in &rows {
         assert!(
             r.speedup16() > 3.0 && r.speedup32() > 3.0,
@@ -164,6 +116,11 @@ fn main() {
         rows.iter().any(|r| r.double_buffer_gain() > 0),
         "double-buffered SpAcc shows no cycle reduction on any regime",
     );
+    let table = regimes_table(&rows);
+    println!("SpGEMM — row-wise Gustavson, SpAcc subsystem vs software merge\n");
+    println!("{}", table.markdown());
+    t.push("regimes", table.json());
+
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -171,40 +128,12 @@ fn main() {
                 r.regime.label.to_owned(),
                 format!("{}x{}x{}", r.regime.nrows, r.regime.inner, r.regime.ncols),
                 format!("{}/{}", r.regime.a_row_nnz, r.regime.b_row_nnz),
-                r.base16.to_string(),
-                r.issr16.to_string(),
-                format!("{:.2}x", r.speedup16()),
-                r.base32.to_string(),
-                r.issr32.to_string(),
-                format!("{:.2}x", r.speedup32()),
-            ]
-        })
-        .collect();
-    t.push("regimes", regimes_json(&rows));
-    println!("SpGEMM — row-wise Gustavson, SpAcc subsystem vs software merge\n");
-    println!(
-        "{}",
-        markdown_table(
-            &[
-                "regime", "shape", "nnz/row", "BASE-16", "ISSR-16", "speedup", "BASE-32",
-                "ISSR-32", "speedup"
-            ],
-            &table
-        )
-    );
-
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.regime.label.to_owned(),
                 r.spacc.feeds.to_string(),
                 r.spacc.pairs_in.to_string(),
                 r.spacc.merges.to_string(),
                 r.spacc.steps.to_string(),
                 r.spacc.drains.to_string(),
                 r.spacc.out_words.to_string(),
-                r.spacc.peak_nnz.to_string(),
             ]
         })
         .collect();
@@ -212,7 +141,17 @@ fn main() {
     println!(
         "{}",
         markdown_table(
-            &["regime", "feeds", "pairs", "merges", "steps", "drains", "out words", "peak nnz"],
+            &[
+                "regime",
+                "shape",
+                "nnz/row",
+                "feeds",
+                "pairs",
+                "merges",
+                "steps",
+                "drains",
+                "out words"
+            ],
             &table
         )
     );
@@ -309,7 +248,6 @@ fn main() {
     // Where the cycles of an SpAcc-backed run go: ROI attribution of
     // the last regime's ISSR-16 run, plus the bound verdict.
     let last = regimes[regimes.len() - 1];
-    let summary = spgemm_summary(last);
     println!("stall-cause attribution — {} regime (ISSR-16)\n", last.label);
     println!("{}", breakdown_table(&summary.attr.rows("")));
     t.push("attribution", cc_attr_json(&summary.attr));

@@ -24,75 +24,30 @@
 
 use issr_bench::figures::{
     system_csrmv_attribution, system_csrmv_scaling, system_csrmv_weak_scaling,
-    system_spgemm_scaling, SystemAttributionReport, SystemScalingRow,
+    system_spgemm_scaling, SystemAttributionReport,
 };
-use issr_bench::report::markdown_table;
+use issr_bench::report::Table;
 use issr_bench::telemetry::{self, system_attr_json, Telemetry};
 use issr_sparse::{gen, suite};
-use issr_trace::json::obj;
-use issr_trace::{breakdown_table, Json};
+use issr_trace::breakdown_table;
 
-fn scaling_table(rows: &[SystemScalingRow], label: &str, speedup_head: &str) {
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.n_clusters.to_string(),
-                r.cycles.to_string(),
-                format!("{:.2}x", r.speedup),
-                format!("{:.1}%", 100.0 * r.contention),
-                r.dma_stalls.to_string(),
-                r.overlap_cycles.to_string(),
-                format!("{:.0}", r.avg_power_mw),
-                format!("{:.0}", r.total_nj),
-            ]
-        })
-        .collect();
-    println!("{label}\n");
-    println!(
-        "{}",
-        markdown_table(
-            &[
-                "clusters",
-                "cycles",
-                speedup_head,
-                "contention",
-                "dma stalls",
-                "overlap cyc",
-                "power mW",
-                "energy nJ"
-            ],
-            &table
-        )
-    );
+/// Prints one scaling table under its label and exports it as `key`.
+fn report(t: &mut Telemetry, key: &str, label: &str, rows: &Table) {
+    println!("{label}\n\n{}", rows.markdown());
+    t.push(key, rows.json());
 }
 
-fn scaling_json(rows: &[SystemScalingRow]) -> Json {
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                obj(vec![
-                    ("n_clusters", Json::from(r.n_clusters)),
-                    ("cycles", Json::from(r.cycles)),
-                    ("speedup", Json::Float(r.speedup)),
-                    ("contention", Json::Float(r.contention)),
-                    ("dma_stalls", Json::from(r.dma_stalls)),
-                    ("overlap_cycles", Json::from(r.overlap_cycles)),
-                    ("avg_power_mw", Json::Float(r.avg_power_mw)),
-                    ("total_nj", Json::Float(r.total_nj)),
-                    ("pj_per_fmadd", Json::Float(r.pj_per_fmadd)),
-                ])
-            })
-            .collect(),
-    )
+/// The row of `rows` for `n` clusters.
+fn row_at(rows: &Table, n: usize) -> usize {
+    (0..rows.len()).find(|&i| rows.f64(i, "n_clusters") == n as f64).expect("cluster count swept")
 }
 
-fn gate_overlap(rows: &[SystemScalingRow], what: &str) {
-    for r in rows.iter().filter(|r| r.n_clusters > 1) {
+fn gate_overlap(rows: &Table, what: &str) {
+    for i in (0..rows.len()).filter(|&i| rows.f64(i, "n_clusters") > 1.0) {
         assert!(
-            r.overlap_cycles > 0,
+            rows.f64(i, "overlap_cycles") > 0.0,
             "{what}: no DMA/compute overlap at {} clusters",
-            r.n_clusters
+            rows.cell(i, "n_clusters")
         );
     }
 }
@@ -104,14 +59,10 @@ fn smoke(t: &mut Telemetry) {
     let m = gen::csr_uniform::<u16>(&mut rng, 2000, 512, 40_000);
     let x = gen::dense_vector(&mut rng, 512);
     let rows = system_csrmv_scaling(&m, &x, &[1, 2]);
-    scaling_table(&rows, "system CsrMV — smoke (2000x512, 40k nnz, > TCDM)", "speedup");
+    report(t, "csrmv_scaling", "system CsrMV — smoke (2000x512, 40k nnz, > TCDM)", &rows);
     gate_overlap(&rows, "CsrMV smoke");
-    assert!(
-        rows[1].speedup > 1.2,
-        "2-cluster CsrMV speedup {:.2}x below the smoke floor",
-        rows[1].speedup
-    );
-    t.push("csrmv_scaling", scaling_json(&rows));
+    let at2 = rows.f64(row_at(&rows, 2), "speedup");
+    assert!(at2 > 1.2, "2-cluster CsrMV speedup {at2:.2}x below the smoke floor");
     // SpGEMM: clamped panel capacities force the full multi-panel
     // choreography (claims, double buffers, output drains) on a small
     // product, 1 vs 2 clusters.
@@ -119,9 +70,8 @@ fn smoke(t: &mut Telemetry) {
     let a = gen::csr_uniform::<u16>(&mut rng, 256, 128, 2_000);
     let b = gen::csr_uniform::<u16>(&mut rng, 128, 160, 1_200);
     let rows = system_spgemm_scaling(&a, &b, &[1, 2], Some((256, 2_048)));
-    scaling_table(&rows, "system SpGEMM — smoke (forced multi-panel)", "speedup");
+    report(t, "spgemm_scaling", "system SpGEMM — smoke (forced multi-panel)", &rows);
     gate_overlap(&rows, "SpGEMM smoke");
-    t.push("spgemm_scaling", scaling_json(&rows));
     println!("smoke gates passed: bit-identity, overlap, 2-cluster speedup\n");
 }
 
@@ -137,45 +87,33 @@ fn full(t: &mut Telemetry) {
     let mut rng = gen::rng(8_900);
     let x = gen::dense_vector(&mut rng, m.ncols());
     let rows = system_csrmv_scaling(&m, &x, &[1, 2, 4]);
-    scaling_table(
-        &rows,
-        &format!(
-            "system CsrMV — strong scaling ({} full size, {} nnz, {:.1}x TCDM)",
-            entry.name,
-            m.nnz(),
-            entry.csr_bytes::<u16>() as f64 / f64::from(issr_mem::map::TCDM_SIZE),
-        ),
-        "speedup",
+    let label = format!(
+        "system CsrMV — strong scaling ({} full size, {} nnz, {:.1}x TCDM)",
+        entry.name,
+        m.nnz(),
+        entry.csr_bytes::<u16>() as f64 / f64::from(issr_mem::map::TCDM_SIZE),
     );
+    report(t, "csrmv_scaling", &label, &rows);
     gate_overlap(&rows, "CsrMV strong");
-    let at4 = rows.iter().find(|r| r.n_clusters == 4).expect("4-cluster row");
-    assert!(
-        at4.speedup > 1.5,
-        "4-cluster strong-scaling speedup {:.2}x below the 1.5x floor",
-        at4.speedup
-    );
-    assert!(at4.contention > 0.0, "4 clusters on a 16-word port must contend");
-    t.push("csrmv_scaling", scaling_json(&rows));
+    let at4 = row_at(&rows, 4);
+    let speedup = rows.f64(at4, "speedup");
+    assert!(speedup > 1.5, "4-cluster strong-scaling speedup {speedup:.2}x below the 1.5x floor");
+    assert!(rows.f64(at4, "contention") > 0.0, "4 clusters on a 16-word port must contend");
 
     // Weak scaling: constant per-cluster work.
     let rows = system_csrmv_weak_scaling(600, 512, 45_000, &[1, 2, 4]);
-    scaling_table(&rows, "system CsrMV — weak scaling (45k nnz per cluster)", "efficiency");
-    t.push("csrmv_weak_scaling", scaling_json(&rows));
+    report(t, "csrmv_weak_scaling", "system CsrMV — weak scaling (45k nnz per cluster)", &rows);
 
     // SpGEMM strong scaling: full-size A (psmigr_1) against a sparse
     // resident B of matching inner dimension.
     let mut rng = gen::rng(8_901);
     let b = gen::csr_uniform::<u16>(&mut rng, m.ncols(), m.ncols(), 6_000);
     let rows = system_spgemm_scaling(&m, &b, &[1, 2, 4], None);
-    scaling_table(
-        &rows,
-        &format!("system SpGEMM — strong scaling (A = {} full size, sparse B)", entry.name),
-        "speedup",
-    );
+    let label = format!("system SpGEMM — strong scaling (A = {} full size, sparse B)", entry.name);
+    report(t, "spgemm_scaling", &label, &rows);
     gate_overlap(&rows, "SpGEMM strong");
-    let at4 = rows.iter().find(|r| r.n_clusters == 4).expect("4-cluster row");
-    assert!(at4.speedup > 1.5, "4-cluster SpGEMM speedup {:.2}x below the 1.5x floor", at4.speedup);
-    t.push("spgemm_scaling", scaling_json(&rows));
+    let speedup = rows.f64(row_at(&rows, 4), "speedup");
+    assert!(speedup > 1.5, "4-cluster SpGEMM speedup {speedup:.2}x below the 1.5x floor");
     println!("scaling gates passed: bit-identity, overlap, >1.5x at 4 clusters\n");
 }
 

@@ -1,5 +1,10 @@
 //! The per-figure experiment runners.
+//!
+//! A runner declares its table's columns once ([`Table`]) and returns
+//! the rows under them; the paper's own numbers for each figure live in
+//! [`crate::paper::ANCHORS`], not here.
 
+use issr_cluster::cluster::ClusterSummary;
 use issr_core::spacc::SpAccStats;
 use issr_kernels::cluster_csrmv::run_cluster_csrmv;
 use issr_kernels::cluster_spgemm::{build_cluster_spgemm, run_cluster_spgemm, ClusterSpgemmPlan};
@@ -12,360 +17,317 @@ use issr_kernels::system_csrmv::{run_system_csrmv, run_system_csrmv_traced};
 use issr_kernels::system_spgemm::{run_system_spgemm_planned, SystemSpgemmPlan};
 use issr_kernels::variant::Variant;
 use issr_model::power::PowerModel;
+use issr_snitch::cc::RunSummary;
 use issr_sparse::csr::CsrMatrix;
 use issr_sparse::dense::DenseMatrix;
 use issr_sparse::{gen, reference, suite};
-use issr_trace::ratio;
+use issr_trace::{ratio, Json};
 
-/// One series point of Fig. 4a: SpVV FPU utilization against nnz.
-#[derive(Clone, Copy, Debug)]
-pub struct Fig4aRow {
-    /// Sparse vector nonzeros.
-    pub nnz: usize,
-    /// BASE utilization (identical for 16/32-bit indices).
-    pub base: f64,
-    /// SSR utilization.
-    pub ssr: f64,
-    /// ISSR, 32-bit indices, excluding the reduction.
-    pub issr32: f64,
-    /// ISSR, 32-bit, including the reduction (`m` suffix).
-    pub issr32_m: f64,
-    /// ISSR, 16-bit indices, excluding the reduction.
-    pub issr16: f64,
-    /// ISSR, 16-bit, including the reduction.
-    pub issr16_m: f64,
+use crate::report::{Column, Fmt, Table};
+
+/// A sweep's table plus the summary of the run behind one of its rows —
+/// the anchor, the point the figure's numbers are quoted at — so a
+/// verdict printed under the table classifies a run the table shows.
+#[derive(Debug)]
+pub struct Sweep<S> {
+    /// The sweep's rows.
+    pub table: Table,
+    /// Index of the row the anchor run produced.
+    pub anchor_row: usize,
+    /// Summary of the anchor row's ISSR run (16-bit indices).
+    pub anchor: S,
 }
 
-/// Fig. 4a: single-CC SpVV FPU utilization sweep.
+impl<S> Sweep<S> {
+    /// A sweep anchored at its last row.
+    fn at_last_row(table: Table, anchor: Option<S>) -> Self {
+        let anchor = anchor.expect("a sweep has at least one point");
+        Self { anchor_row: table.len() - 1, table, anchor }
+    }
+
+    /// The anchor row's value under the column keyed `key`.
+    #[must_use]
+    pub fn at_anchor(&self, key: &str) -> f64 {
+        self.table.f64(self.anchor_row, key)
+    }
+}
+
+/// Fig. 4a: single-CC SpVV FPU utilization against the sparse vector's
+/// nonzeros. BASE is the same for both index widths; the `m` columns
+/// include the reduction. Anchored at the last point.
 #[must_use]
-pub fn fig4a(points: &[usize]) -> Vec<Fig4aRow> {
+pub fn fig4a(points: &[usize]) -> Sweep<RunSummary> {
+    let mut table = Table::new(&[
+        ("nnz", "nnz", Fmt::Plain),
+        ("base", "BASE", Fmt::Fixed(3)),
+        ("ssr", "SSR", Fmt::Fixed(3)),
+        ("issr32", "ISSR-32", Fmt::Fixed(3)),
+        ("issr32_m", "ISSR-32m", Fmt::Fixed(3)),
+        ("issr16", "ISSR-16", Fmt::Fixed(3)),
+        ("issr16_m", "ISSR-16m", Fmt::Fixed(3)),
+    ]);
     let dim = 2048;
-    points
-        .iter()
-        .map(|&nnz| {
-            let mut rng = gen::rng(0x000F_164A + nnz as u64);
-            let a32 = gen::sparse_vector::<u32>(&mut rng, dim, nnz);
-            let a16 = a32.with_index_width::<u16>();
-            let b = gen::dense_vector(&mut rng, dim);
-            let base = run_spvv(Variant::Base, &a32, &b).expect("base run");
-            let ssr = run_spvv(Variant::Ssr, &a32, &b).expect("ssr run");
-            let i32r = run_spvv(Variant::Issr, &a32, &b).expect("issr32 run");
-            let i16r = run_spvv(Variant::Issr, &a16, &b).expect("issr16 run");
-            Fig4aRow {
-                nnz,
-                base: base.summary.metrics.fpu_utilization(),
-                ssr: ssr.summary.metrics.fpu_utilization(),
-                issr32: i32r.summary.metrics.fpu_utilization(),
-                issr32_m: i32r.summary.metrics.fpu_utilization_with_reduction(),
-                issr16: i16r.summary.metrics.fpu_utilization(),
-                issr16_m: i16r.summary.metrics.fpu_utilization_with_reduction(),
-            }
-        })
-        .collect()
+    let mut anchor = None;
+    for &nnz in points {
+        let mut rng = gen::rng(0x000F_164A + nnz as u64);
+        let a32 = gen::sparse_vector::<u32>(&mut rng, dim, nnz);
+        let a16 = a32.with_index_width::<u16>();
+        let b = gen::dense_vector(&mut rng, dim);
+        let base = run_spvv(Variant::Base, &a32, &b).expect("base run").summary.metrics;
+        let ssr = run_spvv(Variant::Ssr, &a32, &b).expect("ssr run").summary.metrics;
+        let issr32 = run_spvv(Variant::Issr, &a32, &b).expect("issr32 run").summary.metrics;
+        let issr16 = run_spvv(Variant::Issr, &a16, &b).expect("issr16 run").summary;
+        table.push(vec![
+            nnz.into(),
+            base.fpu_utilization().into(),
+            ssr.fpu_utilization().into(),
+            issr32.fpu_utilization().into(),
+            issr32.fpu_utilization_with_reduction().into(),
+            issr16.metrics.fpu_utilization().into(),
+            issr16.metrics.fpu_utilization_with_reduction().into(),
+        ]);
+        anchor = Some(issr16);
+    }
+    Sweep::at_last_row(table, anchor)
 }
 
-/// One series point of Fig. 4b: single-CC CsrMV speedup over BASE.
-#[derive(Clone, Copy, Debug)]
-pub struct Fig4bRow {
-    /// Average nonzeros per row.
-    pub row_nnz: usize,
-    /// SSR speedup over BASE.
-    pub ssr: f64,
-    /// ISSR 32-bit speedup.
-    pub issr32: f64,
-    /// ISSR 16-bit speedup.
-    pub issr16: f64,
-}
-
-/// Fig. 4b: single-CC CsrMV speedup sweep over nnz/row.
+/// Fig. 4b: single-CC CsrMV speedup over BASE against nnz/row (SSR and
+/// ISSR-32 on 32-bit indices, ISSR-16 on 16-bit). Anchored at the last
+/// point.
 #[must_use]
-pub fn fig4b(points: &[usize]) -> Vec<Fig4bRow> {
+pub fn fig4b(points: &[usize]) -> Sweep<RunSummary> {
+    let mut table = Table::new(&[
+        ("row_nnz", "nnz/row", Fmt::Plain),
+        ("ssr", "SSR", Fmt::Fixed(2)),
+        ("issr32", "ISSR-32", Fmt::Fixed(2)),
+        ("issr16", "ISSR-16", Fmt::Fixed(2)),
+    ]);
     let (nrows, ncols) = (64, 2048);
-    points
-        .iter()
-        .map(|&row_nnz| {
-            let mut rng = gen::rng(0x000F_164B + row_nnz as u64);
-            let m32 = gen::csr_fixed_row_nnz::<u32>(&mut rng, nrows, ncols, row_nnz);
-            let m16 = m32.with_index_width::<u16>();
-            let x = gen::dense_vector(&mut rng, ncols);
-            let cycles = |v, wide: bool| -> u64 {
-                if wide {
-                    run_csrmv(v, &m32, &x).expect("run").summary.metrics.roi.cycles
-                } else {
-                    run_csrmv(v, &m16, &x).expect("run").summary.metrics.roi.cycles
-                }
-            };
-            let base = cycles(Variant::Base, true) as f64;
-            Fig4bRow {
-                row_nnz,
-                ssr: ratio(base, cycles(Variant::Ssr, true) as f64),
-                issr32: ratio(base, cycles(Variant::Issr, true) as f64),
-                issr16: ratio(base, cycles(Variant::Issr, false) as f64),
-            }
-        })
-        .collect()
+    let mut anchor = None;
+    for &row_nnz in points {
+        let mut rng = gen::rng(0x000F_164B + row_nnz as u64);
+        let m32 = gen::csr_fixed_row_nnz::<u32>(&mut rng, nrows, ncols, row_nnz);
+        let m16 = m32.with_index_width::<u16>();
+        let x = gen::dense_vector(&mut rng, ncols);
+        let cycles = |v| run_csrmv(v, &m32, &x).expect("run").summary.metrics.roi.cycles as f64;
+        let base = cycles(Variant::Base);
+        let issr16 = run_csrmv(Variant::Issr, &m16, &x).expect("issr16 run").summary;
+        table.push(vec![
+            row_nnz.into(),
+            ratio(base, cycles(Variant::Ssr)).into(),
+            ratio(base, cycles(Variant::Issr)).into(),
+            ratio(base, issr16.metrics.roi.cycles as f64).into(),
+        ]);
+        anchor = Some(issr16);
+    }
+    Sweep::at_last_row(table, anchor)
 }
 
-/// One series point of Fig. 4c: cluster CsrMV speedup (ISSR-16 / BASE).
-#[derive(Clone, Copy, Debug)]
-pub struct Fig4cRow {
-    /// Average nonzeros per row.
-    pub row_nnz: usize,
-    /// BASE cluster cycles.
-    pub base_cycles: u64,
-    /// ISSR-16 cluster cycles.
-    pub issr_cycles: u64,
-    /// Speedup.
-    pub speedup: f64,
-    /// Peak per-worker FPU utilization (paper: 0.8 → ≈0.71).
-    pub peak_util: f64,
-    /// Cluster-aggregate utilization (for §V).
-    pub cluster_util: f64,
-}
-
-/// Fig. 4c: cluster CsrMV sweep over nnz/row.
+/// Fig. 4c: cluster CsrMV, ISSR-16 against BASE, over nnz/row, with the
+/// ISSR run's peak per-worker and cluster-aggregate FPU utilization
+/// (§V compares the latter). Anchored at the last point.
 #[must_use]
-pub fn fig4c(points: &[usize]) -> Vec<Fig4cRow> {
+pub fn fig4c(points: &[usize]) -> Sweep<ClusterSummary> {
+    let mut table = Table::new(&[
+        ("row_nnz", "nnz/row", Fmt::Plain),
+        ("base_cycles", "BASE cyc", Fmt::Plain),
+        ("issr_cycles", "ISSR cyc", Fmt::Plain),
+        ("speedup", "speedup", Fmt::Fixed(2)),
+        ("peak_util", "peak util", Fmt::Fixed(3)),
+        ("cluster_util", "cluster util", Fmt::Fixed(3)),
+    ]);
     let (nrows, ncols) = (512, 2048);
-    points
-        .iter()
-        .map(|&row_nnz| {
-            let mut rng = gen::rng(0x000F_164C + row_nnz as u64);
-            let m = gen::csr_clustered::<u16>(
-                &mut rng,
-                nrows,
-                ncols,
-                row_nnz,
-                (row_nnz * 4).clamp(16, ncols),
-            );
-            let x = gen::dense_vector(&mut rng, ncols);
-            let base = run_cluster_csrmv(Variant::Base, &m, &x).expect("base run");
-            let issr = run_cluster_csrmv(Variant::Issr, &m, &x).expect("issr run");
-            Fig4cRow {
-                row_nnz,
-                base_cycles: base.summary.cycles,
-                issr_cycles: issr.summary.cycles,
-                speedup: ratio(base.summary.cycles as f64, issr.summary.cycles as f64),
-                peak_util: issr.summary.peak_worker_utilization(),
-                cluster_util: issr.summary.cluster_utilization(),
-            }
-        })
-        .collect()
+    let mut anchor = None;
+    for &row_nnz in points {
+        let mut rng = gen::rng(0x000F_164C + row_nnz as u64);
+        let spread = (row_nnz * 4).clamp(16, ncols);
+        let m = gen::csr_clustered::<u16>(&mut rng, nrows, ncols, row_nnz, spread);
+        let x = gen::dense_vector(&mut rng, ncols);
+        let base = run_cluster_csrmv(Variant::Base, &m, &x).expect("base run").summary.cycles;
+        let issr = run_cluster_csrmv(Variant::Issr, &m, &x).expect("issr run").summary;
+        table.push(vec![
+            row_nnz.into(),
+            base.into(),
+            issr.cycles.into(),
+            ratio(base as f64, issr.cycles as f64).into(),
+            issr.peak_worker_utilization().into(),
+            issr.cluster_utilization().into(),
+        ]);
+        anchor = Some(issr);
+    }
+    Sweep::at_last_row(table, anchor)
 }
 
-/// One row of Fig. 4d: per-matrix cluster CsrMV energy.
-#[derive(Clone, Debug)]
-pub struct Fig4dRow {
-    /// Suite matrix name.
-    pub name: String,
-    /// Nonzeros.
-    pub nnz: usize,
-    /// BASE average power (mW) — paper anchor ≈ 89 mW.
-    pub base_mw: f64,
-    /// ISSR average power (mW) — paper anchor ≈ 194 mW.
-    pub issr_mw: f64,
-    /// BASE energy per fmadd (pJ).
-    pub base_pj: f64,
-    /// ISSR energy per fmadd (pJ).
-    pub issr_pj: f64,
-    /// Efficiency gain (paper: up to 2.7×).
-    pub gain: f64,
-}
+/// Largest suite stand-in Fig. 4d simulates (nine of the eleven; the
+/// two heavier ones take minutes and carry no anchor).
+const FIG4D_MAX_NNZ: usize = 120_000;
 
-/// Fig. 4d: cluster CsrMV energy over the matrix suite.
+/// Fig. 4d: cluster CsrMV average power and energy per fmadd over the
+/// matrix suite, both variants through the power model. Anchored at
+/// the matrix named `anchor`.
 ///
-/// `max_nnz` caps the matrices simulated (the full suite's largest
-/// entries take minutes; `--bin fig4d` passes a generous cap).
+/// # Panics
+/// Panics if `anchor` is not a suite matrix the sweep simulates.
 #[must_use]
-pub fn fig4d(max_nnz: usize) -> Vec<Fig4dRow> {
+pub fn fig4d(anchor: &str) -> Sweep<ClusterSummary> {
+    let mut table = Table::new(&[
+        ("name", "matrix", Fmt::Plain),
+        ("nnz", "nnz", Fmt::Plain),
+        ("base_mw", "BASE mW", Fmt::Fixed(0)),
+        ("issr_mw", "ISSR mW", Fmt::Fixed(0)),
+        ("base_pj", "BASE pJ/fmadd", Fmt::Fixed(0)),
+        ("issr_pj", "ISSR pJ/fmadd", Fmt::Fixed(0)),
+        ("gain", "gain", Fmt::Fixed(2)),
+    ]);
     let model = PowerModel::default();
-    suite::suite()
-        .into_iter()
-        .filter(|e| e.nnz <= max_nnz)
-        .map(|entry| {
-            let m = entry.build::<u16>();
-            let mut rng = gen::rng(0x000F_164D);
-            let x = gen::dense_vector(&mut rng, m.ncols());
-            let base = run_cluster_csrmv(Variant::Base, &m, &x).expect("base run");
-            let issr = run_cluster_csrmv(Variant::Issr, &m, &x).expect("issr run");
-            let eb = model.evaluate(&base.summary);
-            let ei = model.evaluate(&issr.summary);
-            Fig4dRow {
-                name: entry.name.to_owned(),
-                nnz: entry.nnz,
-                base_mw: eb.avg_power_mw,
-                issr_mw: ei.avg_power_mw,
-                base_pj: eb.pj_per_fmadd,
-                issr_pj: ei.pj_per_fmadd,
-                gain: ratio(eb.pj_per_fmadd, ei.pj_per_fmadd),
-            }
-        })
-        .collect()
-}
-
-/// §IV-A CsrMM spot check: utilization delta between CsrMM and CsrMV.
-#[derive(Clone, Debug)]
-pub struct CsrmmCheckRow {
-    /// Matrix name.
-    pub name: String,
-    /// Dense columns.
-    pub b_cols: usize,
-    /// CsrMV ISSR utilization.
-    pub mv_util: f64,
-    /// CsrMM ISSR utilization.
-    pub mm_util: f64,
-    /// Absolute delta (paper: 0.12 % for Ragusa18 × 2 columns).
-    pub delta: f64,
-}
-
-/// Runs the CsrMM ≈ CsrMV comparison on a suite entry.
-#[must_use]
-pub fn csrmm_check(name: &str, b_cols: usize) -> CsrmmCheckRow {
-    let entry = suite::by_name(name).expect("suite entry");
-    let m = entry.build::<u16>();
-    let mut rng = gen::rng(0xC5);
-    let mut b = DenseMatrix::with_pow2_stride(m.ncols(), b_cols);
-    for r in 0..m.ncols() {
-        for c in 0..b_cols {
-            b.set(r, c, gen::dense_vector(&mut rng, 1)[0]);
+    let mut anchored = None;
+    for entry in suite::suite().into_iter().filter(|e| e.nnz <= FIG4D_MAX_NNZ) {
+        let m = entry.build::<u16>();
+        let mut rng = gen::rng(0x000F_164D);
+        let x = gen::dense_vector(&mut rng, m.ncols());
+        let base = run_cluster_csrmv(Variant::Base, &m, &x).expect("base run").summary;
+        let issr = run_cluster_csrmv(Variant::Issr, &m, &x).expect("issr run").summary;
+        let (eb, ei) = (model.evaluate(&base), model.evaluate(&issr));
+        table.push(vec![
+            entry.name.into(),
+            entry.nnz.into(),
+            eb.avg_power_mw.into(),
+            ei.avg_power_mw.into(),
+            eb.pj_per_fmadd.into(),
+            ei.pj_per_fmadd.into(),
+            ratio(eb.pj_per_fmadd, ei.pj_per_fmadd).into(),
+        ]);
+        if entry.name == anchor {
+            anchored = Some((table.len() - 1, issr));
         }
     }
-    let x = b.col(0);
-    let mv = run_csrmv(Variant::Issr, &m, &x).expect("csrmv run");
-    let mm = run_csrmm(Variant::Issr, &m, &b).expect("csrmm run");
-    let mv_util = mv.summary.metrics.fpu_utilization();
-    let mm_util = mm.summary.metrics.fpu_utilization();
-    CsrmmCheckRow {
-        name: name.to_owned(),
-        b_cols,
-        mv_util,
-        mm_util,
-        delta: (mv_util - mm_util).abs(),
-    }
+    let (anchor_row, anchor) = anchored.expect("anchor matrix is in the simulated suite");
+    Sweep { table, anchor_row, anchor }
 }
 
-/// Default sweep points for the figures (log-spaced like the paper).
+/// §IV-A CsrMM spot check: ISSR FPU utilization of CsrMM against CsrMV
+/// (the matrix times the first dense column) and their absolute delta,
+/// one row per `(suite matrix, dense columns)` case.
+///
+/// # Panics
+/// Panics if a named matrix is not in the suite.
 #[must_use]
-pub fn default_nnz_sweep() -> Vec<usize> {
-    vec![1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
-}
-
-/// One point of the joiner SpVV∩ sweep: cycles for the software
-/// two-pointer merge vs. the index joiner at a given match density.
-#[derive(Clone, Copy, Debug)]
-pub struct JoinerSpvvRow {
-    /// Fraction of indices shared between the two operands.
-    pub overlap: f64,
-    /// BASE (software merge) ROI cycles, 16-bit indices.
-    pub base16: u64,
-    /// ISSR-joiner ROI cycles, 16-bit indices.
-    pub issr16: u64,
-    /// BASE ROI cycles, 32-bit indices.
-    pub base32: u64,
-    /// ISSR-joiner ROI cycles, 32-bit indices.
-    pub issr32: u64,
-    /// Joiner utilization: pairs emitted per ROI cycle (16-bit run).
-    pub joiner_util: f64,
-}
-
-impl JoinerSpvvRow {
-    /// Joiner speedup over the software merge, 16-bit indices.
-    #[must_use]
-    pub fn speedup16(&self) -> f64 {
-        ratio(self.base16 as f64, self.issr16 as f64)
+pub fn csrmm_check(cases: &[(&str, usize)]) -> Table {
+    let mut table = Table::new(&[
+        ("name", "matrix", Fmt::Plain),
+        ("b_cols", "dense cols", Fmt::Plain),
+        ("mv_util", "CsrMV util", Fmt::Fixed(4)),
+        ("mm_util", "CsrMM util", Fmt::Fixed(4)),
+        ("delta", "delta", Fmt::Fixed(4)),
+    ]);
+    for &(name, b_cols) in cases {
+        let m = suite::by_name(name).expect("suite entry").build::<u16>();
+        let mut rng = gen::rng(0xC5);
+        let mut b = DenseMatrix::with_pow2_stride(m.ncols(), b_cols);
+        for r in 0..m.ncols() {
+            for c in 0..b_cols {
+                b.set(r, c, gen::dense_vector(&mut rng, 1)[0]);
+            }
+        }
+        let mv = run_csrmv(Variant::Issr, &m, &b.col(0)).expect("csrmv run");
+        let mm = run_csrmm(Variant::Issr, &m, &b).expect("csrmm run");
+        let mv_util = mv.summary.metrics.fpu_utilization();
+        let mm_util = mm.summary.metrics.fpu_utilization();
+        table.push(vec![
+            name.into(),
+            b_cols.into(),
+            mv_util.into(),
+            mm_util.into(),
+            (mv_util - mm_util).abs().into(),
+        ]);
     }
-
-    /// Joiner speedup over the software merge, 32-bit indices.
-    #[must_use]
-    pub fn speedup32(&self) -> f64 {
-        ratio(self.base32 as f64, self.issr32 as f64)
-    }
+    table
 }
 
-/// Sparse-sparse SpVV: joiner vs. software merge across match densities.
+/// Columns the two joiner sweeps share: software merge against the
+/// index joiner, ROI cycles and speedup per index width.
+const JOINER_COLUMNS: [Column; 6] = [
+    ("base16", "BASE-16", Fmt::Plain),
+    ("issr16", "ISSR-16", Fmt::Plain),
+    ("speedup16", "speedup", Fmt::Times(2)),
+    ("base32", "BASE-32", Fmt::Plain),
+    ("issr32", "ISSR-32", Fmt::Plain),
+    ("speedup32", "speedup", Fmt::Times(2)),
+];
+
+/// The [`JOINER_COLUMNS`] cells of one sweep point.
+fn joiner_cells(base16: u64, issr16: u64, base32: u64, issr32: u64) -> Vec<Json> {
+    vec![
+        base16.into(),
+        issr16.into(),
+        ratio(base16 as f64, issr16 as f64).into(),
+        base32.into(),
+        issr32.into(),
+        ratio(base32 as f64, issr32 as f64).into(),
+    ]
+}
+
+/// Sparse-sparse SpVV: joiner against software merge across the
+/// fraction of indices the operands share, plus the joiner's pairs
+/// emitted per ROI cycle (16-bit run). Anchored at the point whose
+/// overlap is `anchor`.
+///
+/// # Panics
+/// Panics if `anchor` is not one of `overlaps`.
 #[must_use]
-pub fn joiner_spvv(overlaps: &[f64]) -> Vec<JoinerSpvvRow> {
+pub fn joiner_spvv(overlaps: &[f64], anchor: f64) -> Sweep<RunSummary> {
+    let mut columns = vec![("overlap", "overlap", Fmt::Fixed(3))];
+    columns.extend(JOINER_COLUMNS);
+    columns.push(("joiner_util", "pairs/cycle", Fmt::Fixed(3)));
+    let mut table = Table::new(&columns);
     let (dim, nnz) = (8192, 512);
-    overlaps
-        .iter()
-        .map(|&overlap| {
-            let mut rng = gen::rng(0x000F_164E + (overlap * 100.0) as u64);
-            let (a32, b32) = gen::overlapping_pair::<u32>(&mut rng, dim, nnz, nnz, overlap);
-            let (a16, b16) = (a32.with_index_width::<u16>(), b32.with_index_width::<u16>());
-            let base16 = run_spvv_ss(Variant::Base, &a16, &b16).expect("base16 run");
-            let issr16 = run_spvv_ss(Variant::Issr, &a16, &b16).expect("issr16 run");
-            let base32 = run_spvv_ss(Variant::Base, &a32, &b32).expect("base32 run");
-            let issr32 = run_spvv_ss(Variant::Issr, &a32, &b32).expect("issr32 run");
-            JoinerSpvvRow {
-                overlap,
-                base16: base16.summary.metrics.roi.cycles,
-                issr16: issr16.summary.metrics.roi.cycles,
-                base32: base32.summary.metrics.roi.cycles,
-                issr32: issr32.summary.metrics.roi.cycles,
-                joiner_util: ratio(
-                    issr16.summary.joiner_stats.emissions as f64,
-                    issr16.summary.metrics.roi.cycles as f64,
-                ),
-            }
-        })
-        .collect()
-}
-
-/// One point of the joiner SpMSpV sweep: cycles against the operand
-/// vector's density.
-#[derive(Clone, Copy, Debug)]
-pub struct JoinerSpmspvRow {
-    /// Nonzeros of the sparse vector operand.
-    pub x_nnz: usize,
-    /// BASE (software merge) ROI cycles, 16-bit indices.
-    pub base16: u64,
-    /// ISSR-joiner ROI cycles, 16-bit indices.
-    pub issr16: u64,
-    /// BASE ROI cycles, 32-bit indices.
-    pub base32: u64,
-    /// ISSR-joiner ROI cycles, 32-bit indices.
-    pub issr32: u64,
-}
-
-impl JoinerSpmspvRow {
-    /// Joiner speedup over the software merge, 16-bit indices.
-    #[must_use]
-    pub fn speedup16(&self) -> f64 {
-        ratio(self.base16 as f64, self.issr16 as f64)
+    let mut anchored = None;
+    for &overlap in overlaps {
+        let mut rng = gen::rng(0x000F_164E + (overlap * 100.0) as u64);
+        let (a32, b32) = gen::overlapping_pair::<u32>(&mut rng, dim, nnz, nnz, overlap);
+        let (a16, b16) = (a32.with_index_width::<u16>(), b32.with_index_width::<u16>());
+        let roi = |s: &RunSummary| s.metrics.roi.cycles;
+        let base16 = roi(&run_spvv_ss(Variant::Base, &a16, &b16).expect("base16 run").summary);
+        let issr16 = run_spvv_ss(Variant::Issr, &a16, &b16).expect("issr16 run").summary;
+        let base32 = roi(&run_spvv_ss(Variant::Base, &a32, &b32).expect("base32 run").summary);
+        let issr32 = roi(&run_spvv_ss(Variant::Issr, &a32, &b32).expect("issr32 run").summary);
+        let mut cells = vec![overlap.into()];
+        cells.extend(joiner_cells(base16, roi(&issr16), base32, issr32));
+        cells.push(ratio(issr16.joiner_stats.emissions as f64, roi(&issr16) as f64).into());
+        table.push(cells);
+        if overlap == anchor {
+            anchored = Some((table.len() - 1, issr16));
+        }
     }
-
-    /// Joiner speedup over the software merge, 32-bit indices.
-    #[must_use]
-    pub fn speedup32(&self) -> f64 {
-        ratio(self.base32 as f64, self.issr32 as f64)
-    }
+    let (anchor_row, anchor) = anchored.expect("the anchor overlap is swept");
+    Sweep { table, anchor_row, anchor }
 }
 
-/// SpMSpV: joiner vs. software merge across operand-vector densities.
+/// SpMSpV: joiner against software merge across the nonzeros of the
+/// sparse vector operand.
 #[must_use]
-pub fn joiner_spmspv(x_nnzs: &[usize]) -> Vec<JoinerSpmspvRow> {
+pub fn joiner_spmspv(x_nnzs: &[usize]) -> Table {
+    let mut columns = vec![("x_nnz", "x nnz", Fmt::Plain)];
+    columns.extend(JOINER_COLUMNS);
+    let mut table = Table::new(&columns);
     let (nrows, ncols, row_nnz) = (48, 2048, 64);
-    x_nnzs
-        .iter()
-        .map(|&x_nnz| {
-            let mut rng = gen::rng(0x000F_164F + x_nnz as u64);
-            let m32 = gen::csr_fixed_row_nnz::<u32>(&mut rng, nrows, ncols, row_nnz);
-            let m16 = m32.with_index_width::<u16>();
-            let x32 = gen::sparse_vector::<u32>(&mut rng, ncols, x_nnz);
-            let x16 = x32.with_index_width::<u16>();
-            let base16 = run_spmspv(Variant::Base, &m16, &x16).expect("base16 run");
-            let issr16 = run_spmspv(Variant::Issr, &m16, &x16).expect("issr16 run");
-            let base32 = run_spmspv(Variant::Base, &m32, &x32).expect("base32 run");
-            let issr32 = run_spmspv(Variant::Issr, &m32, &x32).expect("issr32 run");
-            JoinerSpmspvRow {
-                x_nnz,
-                base16: base16.summary.metrics.roi.cycles,
-                issr16: issr16.summary.metrics.roi.cycles,
-                base32: base32.summary.metrics.roi.cycles,
-                issr32: issr32.summary.metrics.roi.cycles,
-            }
-        })
-        .collect()
+    for &x_nnz in x_nnzs {
+        let mut rng = gen::rng(0x000F_164F + x_nnz as u64);
+        let m32 = gen::csr_fixed_row_nnz::<u32>(&mut rng, nrows, ncols, row_nnz);
+        let m16 = m32.with_index_width::<u16>();
+        let x32 = gen::sparse_vector::<u32>(&mut rng, ncols, x_nnz);
+        let x16 = x32.with_index_width::<u16>();
+        let roi = |s: RunSummary| s.metrics.roi.cycles;
+        let mut cells = vec![x_nnz.into()];
+        cells.extend(joiner_cells(
+            roi(run_spmspv(Variant::Base, &m16, &x16).expect("base16 run").summary),
+            roi(run_spmspv(Variant::Issr, &m16, &x16).expect("issr16 run").summary),
+            roi(run_spmspv(Variant::Base, &m32, &x32).expect("base32 run").summary),
+            roi(run_spmspv(Variant::Issr, &m32, &x32).expect("issr32 run").summary),
+        ));
+        table.push(cells);
+    }
+    table
 }
 
 /// The overlap sweep the joiner binary reports.
@@ -434,43 +396,41 @@ impl SpgemmRow {
     }
 }
 
-/// SpGEMM: SpAcc subsystem vs. software merge across sparsity regimes.
+/// SpGEMM: SpAcc subsystem vs. software merge across sparsity regimes,
+/// plus the summary of the last regime's ISSR-16 run (the one the
+/// binary's attribution tables and verdict describe).
+///
+/// # Panics
+/// Panics if `regimes` is empty or a run fails.
 #[must_use]
-pub fn spgemm_sweep(regimes: &[SpgemmRegime]) -> Vec<SpgemmRow> {
-    regimes
-        .iter()
-        .map(|&regime| {
-            let mut rng = gen::rng(0x000F_1650 + regime.b_row_nnz as u64);
-            let a32 = gen::csr_fixed_row_nnz::<u32>(
-                &mut rng,
-                regime.nrows,
-                regime.inner,
-                regime.a_row_nnz,
-            );
-            let b32 = gen::csr_fixed_row_nnz::<u32>(
-                &mut rng,
-                regime.inner,
-                regime.ncols,
-                regime.b_row_nnz,
-            );
-            let (a16, b16) = (a32.with_index_width::<u16>(), b32.with_index_width::<u16>());
-            let base16 = run_spgemm(Variant::Base, &a16, &b16).expect("base16 run");
-            let issr16 = run_spgemm(Variant::Issr, &a16, &b16).expect("issr16 run");
-            let issr16_single = run_spgemm_buffered(Variant::Issr, &a16, &b16, false)
-                .expect("issr16 single-buffer run");
-            let base32 = run_spgemm(Variant::Base, &a32, &b32).expect("base32 run");
-            let issr32 = run_spgemm(Variant::Issr, &a32, &b32).expect("issr32 run");
-            SpgemmRow {
-                regime,
-                base16: base16.summary.metrics.roi.cycles,
-                issr16: issr16.summary.metrics.roi.cycles,
-                issr16_single: issr16_single.summary.metrics.roi.cycles,
-                base32: base32.summary.metrics.roi.cycles,
-                issr32: issr32.summary.metrics.roi.cycles,
-                spacc: issr16.summary.spacc_stats,
-            }
-        })
-        .collect()
+pub fn spgemm_sweep(regimes: &[SpgemmRegime]) -> (Vec<SpgemmRow>, RunSummary) {
+    let mut rows = Vec::new();
+    let mut last = None;
+    for &regime in regimes {
+        let mut rng = gen::rng(0x000F_1650 + regime.b_row_nnz as u64);
+        let a32 =
+            gen::csr_fixed_row_nnz::<u32>(&mut rng, regime.nrows, regime.inner, regime.a_row_nnz);
+        let b32 =
+            gen::csr_fixed_row_nnz::<u32>(&mut rng, regime.inner, regime.ncols, regime.b_row_nnz);
+        let (a16, b16) = (a32.with_index_width::<u16>(), b32.with_index_width::<u16>());
+        let base16 = run_spgemm(Variant::Base, &a16, &b16).expect("base16 run");
+        let issr16 = run_spgemm(Variant::Issr, &a16, &b16).expect("issr16 run").summary;
+        let issr16_single = run_spgemm_buffered(Variant::Issr, &a16, &b16, false)
+            .expect("issr16 single-buffer run");
+        let base32 = run_spgemm(Variant::Base, &a32, &b32).expect("base32 run");
+        let issr32 = run_spgemm(Variant::Issr, &a32, &b32).expect("issr32 run");
+        rows.push(SpgemmRow {
+            regime,
+            base16: base16.summary.metrics.roi.cycles,
+            issr16: issr16.metrics.roi.cycles,
+            issr16_single: issr16_single.summary.metrics.roi.cycles,
+            base32: base32.summary.metrics.roi.cycles,
+            issr32: issr32.summary.metrics.roi.cycles,
+            spacc: issr16.spacc_stats,
+        });
+        last = Some(issr16);
+    }
+    (rows, last.expect("at least one regime"))
 }
 
 /// Per-worker SpAcc activity of one cluster SpGEMM run (ISSR variant)
@@ -553,36 +513,6 @@ pub fn spgemm_recovery_report() -> SpgemmRecoveryRow {
     }
 }
 
-/// One row of the SuiteSparse stand-in SpGEMM energy sweep (`C = M·M`
-/// on the cluster, both variants, evaluated by the power model).
-#[derive(Clone, Debug)]
-pub struct SpgemmSuiteRow {
-    /// Suite entry name.
-    pub name: String,
-    /// Side length of the TCDM-resident principal window simulated.
-    pub window: usize,
-    /// Nonzeros of the windowed operand.
-    pub nnz: usize,
-    /// Nonzeros of the product.
-    pub c_nnz: usize,
-    /// Gustavson expansion volume (multiplies) of the window.
-    pub macs: u64,
-    /// BASE / ISSR cluster cycles.
-    pub base_cycles: u64,
-    /// ISSR cluster cycles.
-    pub issr_cycles: u64,
-    /// Average cluster power, BASE (mW).
-    pub base_mw: f64,
-    /// Average cluster power, ISSR (mW).
-    pub issr_mw: f64,
-    /// Energy per expansion multiply, BASE (pJ).
-    pub base_pj_per_mac: f64,
-    /// Energy per expansion multiply, ISSR (pJ).
-    pub issr_pj_per_mac: f64,
-    /// Energy-efficiency gain (BASE / ISSR pJ per multiply).
-    pub gain: f64,
-}
-
 /// Gustavson expansion volume of `m · m` (the multiply count — SpGEMM's
 /// useful-work denominator; the ISSR variant retires these as `fmul`,
 /// not `fmadd`, so the CsrMV figure's pJ/fmadd does not apply).
@@ -598,7 +528,7 @@ fn tcdm_window(m: &CsrMatrix<u16>) -> CsrMatrix<u16> {
     let budget = u64::from(issr_mem::map::TCDM_SIZE) * 8 / 10;
     let ladder = [m.nrows(), 384, 256, 192, 128, 96, 64, 48, 32, 16];
     for &k in ladder.iter().filter(|&&k| k <= m.nrows()) {
-        let w = principal_window(m, k);
+        let w = suite::principal_window(m, k);
         let nnz = w.nnz() as u64;
         let n = k as u64;
         let volume = spgemm_macs(&w);
@@ -611,52 +541,60 @@ fn tcdm_window(m: &CsrMatrix<u16>) -> CsrMatrix<u16> {
             return w;
         }
     }
-    principal_window(m, ladder[ladder.len() - 1].min(m.nrows()))
-}
-
-/// The leading `k`-by-`k` principal submatrix (the suite's windowed
-/// accessor).
-fn principal_window(m: &CsrMatrix<u16>, k: usize) -> CsrMatrix<u16> {
-    suite::principal_window(m, k)
+    suite::principal_window(m, ladder[ladder.len() - 1].min(m.nrows()))
 }
 
 /// Sweeps cluster SpGEMM (`C = M·M`, BASE vs. ISSR) over TCDM-resident
 /// windows of the named suite stand-ins and evaluates each run with the
-/// power model — the energy tables' first sparse-output kernel.
+/// power model — the energy tables' first sparse-output kernel. Energy
+/// is per Gustavson expansion multiply (`macs`) of the `window`-sided
+/// principal submatrix simulated.
 ///
 /// # Panics
 /// Panics if a named entry is missing or a cluster run fails.
 #[must_use]
-pub fn spgemm_suite_sweep(names: &[&str]) -> Vec<SpgemmSuiteRow> {
+pub fn spgemm_suite_sweep(names: &[&str]) -> Table {
+    let mut table = Table::new(&[
+        ("name", "matrix", Fmt::Plain),
+        ("window", "window", Fmt::Plain),
+        ("nnz", "nnz", Fmt::Plain),
+        ("c_nnz", "C nnz", Fmt::Plain),
+        ("macs", "macs", Fmt::Plain),
+        ("base_cycles", "BASE cyc", Fmt::Plain),
+        ("issr_cycles", "ISSR cyc", Fmt::Plain),
+        ("base_mw", "BASE mW", Fmt::Fixed(1)),
+        ("issr_mw", "ISSR mW", Fmt::Fixed(1)),
+        ("base_pj_per_mac", "BASE pJ/mac", Fmt::Fixed(1)),
+        ("issr_pj_per_mac", "ISSR pJ/mac", Fmt::Fixed(1)),
+        ("gain", "gain", Fmt::Times(2)),
+    ]);
     let model = PowerModel::default();
-    names
-        .iter()
-        .map(|&name| {
-            let entry = suite::by_name(name).expect("suite entry");
-            let m = tcdm_window(&entry.build::<u16>());
-            let base = run_cluster_spgemm(Variant::Base, &m, &m).expect("base cluster run");
-            let issr = run_cluster_spgemm(Variant::Issr, &m, &m).expect("issr cluster run");
-            let eb = model.evaluate(&base.summary);
-            let ei = model.evaluate(&issr.summary);
-            let macs = spgemm_macs(&m).max(1);
-            let base_pj = ratio(eb.total_nj * 1000.0, macs as f64);
-            let issr_pj = ratio(ei.total_nj * 1000.0, macs as f64);
-            SpgemmSuiteRow {
-                name: name.to_owned(),
-                window: m.nrows(),
-                nnz: m.nnz(),
-                c_nnz: issr.c.nnz(),
-                macs,
-                base_cycles: base.summary.cycles,
-                issr_cycles: issr.summary.cycles,
-                base_mw: eb.avg_power_mw,
-                issr_mw: ei.avg_power_mw,
-                base_pj_per_mac: base_pj,
-                issr_pj_per_mac: issr_pj,
-                gain: ratio(base_pj, issr_pj),
-            }
-        })
-        .collect()
+    for &name in names {
+        let entry = suite::by_name(name).expect("suite entry");
+        let m = tcdm_window(&entry.build::<u16>());
+        let base = run_cluster_spgemm(Variant::Base, &m, &m).expect("base cluster run");
+        let issr = run_cluster_spgemm(Variant::Issr, &m, &m).expect("issr cluster run");
+        let eb = model.evaluate(&base.summary);
+        let ei = model.evaluate(&issr.summary);
+        let macs = spgemm_macs(&m).max(1);
+        let base_pj = ratio(eb.total_nj * 1000.0, macs as f64);
+        let issr_pj = ratio(ei.total_nj * 1000.0, macs as f64);
+        table.push(vec![
+            name.into(),
+            m.nrows().into(),
+            m.nnz().into(),
+            issr.c.nnz().into(),
+            macs.into(),
+            base.summary.cycles.into(),
+            issr.summary.cycles.into(),
+            eb.avg_power_mw.into(),
+            ei.avg_power_mw.into(),
+            base_pj.into(),
+            issr_pj.into(),
+            ratio(base_pj, issr_pj).into(),
+        ]);
+    }
+    table
 }
 
 /// The three sparsity regimes the SpGEMM binary sweeps: hypersparse
@@ -729,49 +667,43 @@ pub fn smoke_spgemm_regimes() -> Vec<SpgemmRegime> {
 // Multi-cluster scaling (`--bin system`)
 // ---------------------------------------------------------------------
 
-/// One row of the multi-cluster scaling sweeps.
-#[derive(Clone, Copy, Debug)]
-pub struct SystemScalingRow {
-    /// Clusters in the system.
-    pub n_clusters: usize,
-    /// System cycles to completion.
-    pub cycles: u64,
-    /// Strong-scaling speedup against the sweep's first row.
-    pub speedup: f64,
-    /// Denied fraction of shared-interface DMA word requests.
-    pub contention: f64,
-    /// Total DMA engine stall cycles on denied bandwidth.
-    pub dma_stalls: u64,
-    /// Cycles with DMA traffic and ROI compute in flight together.
-    pub overlap_cycles: u64,
-    /// Average system power from the power model (mW).
-    pub avg_power_mw: f64,
-    /// Total energy from the power model (nJ).
-    pub total_nj: f64,
-    /// Energy per retired multiply-accumulate (pJ; CsrMV sweeps only —
-    /// the SpGEMM expansion retires `fmul`, not `fmadd`).
-    pub pj_per_fmadd: f64,
+/// An empty multi-cluster scaling table. `speedup` is against the
+/// sweep's first row, under the heading `speedup_heading` (strong
+/// scaling calls it a speedup, weak scaling an efficiency);
+/// `contention` is the denied fraction of shared-interface DMA word
+/// requests, `overlap_cycles` the cycles with DMA traffic and ROI
+/// compute in flight together; power and energy come from the system
+/// power model (`pj_per_fmadd` means something on CsrMV sweeps only —
+/// the SpGEMM expansion retires `fmul`, not `fmadd`).
+fn scaling_table(speedup_heading: &'static str) -> Table {
+    Table::new(&[
+        ("n_clusters", "clusters", Fmt::Plain),
+        ("cycles", "cycles", Fmt::Plain),
+        ("speedup", speedup_heading, Fmt::Times(2)),
+        ("contention", "contention", Fmt::Percent(1)),
+        ("dma_stalls", "dma stalls", Fmt::Plain),
+        ("overlap_cycles", "overlap cyc", Fmt::Plain),
+        ("avg_power_mw", "power mW", Fmt::Fixed(0)),
+        ("total_nj", "energy nJ", Fmt::Fixed(0)),
+        ("pj_per_fmadd", "pJ/fmadd", Fmt::Fixed(1)),
+    ])
 }
 
-/// Assembles one scaling-table row from a run's summary, its power
-/// evaluation, and the sweep's baseline cycle count.
-fn scaling_row(
-    n_clusters: usize,
-    summary: &issr_system::system::SystemSummary,
-    energy: issr_model::power::EnergyBreakdown,
-    base_cycles: u64,
-) -> SystemScalingRow {
-    SystemScalingRow {
-        n_clusters,
-        cycles: summary.cycles,
-        speedup: ratio(base_cycles as f64, summary.cycles as f64),
-        contention: summary.contention_ratio(),
-        dma_stalls: summary.total_dma_stalls(),
-        overlap_cycles: summary.overlap_cycles,
-        avg_power_mw: energy.avg_power_mw,
-        total_nj: energy.total_nj,
-        pj_per_fmadd: energy.pj_per_fmadd,
-    }
+/// Appends one run to a [`scaling_table`].
+fn push_scaling_row(table: &mut Table, summary: &issr_system::system::SystemSummary) {
+    let energy = PowerModel::default().evaluate_system(summary);
+    let first = if table.is_empty() { summary.cycles as f64 } else { table.f64(0, "cycles") };
+    table.push(vec![
+        summary.clusters.len().into(),
+        summary.cycles.into(),
+        ratio(first, summary.cycles as f64).into(),
+        summary.contention_ratio().into(),
+        summary.total_dma_stalls().into(),
+        summary.overlap_cycles.into(),
+        energy.avg_power_mw.into(),
+        energy.total_nj.into(),
+        energy.pj_per_fmadd.into(),
+    ]);
 }
 
 /// Strong-scaling sweep of system CsrMV (ISSR) over `counts` clusters
@@ -783,22 +715,15 @@ fn scaling_row(
 /// Panics if a run fails, traps, or diverges from the single-cluster
 /// result by a single bit.
 #[must_use]
-pub fn system_csrmv_scaling(
-    m: &CsrMatrix<u16>,
-    x: &[f64],
-    counts: &[usize],
-) -> Vec<SystemScalingRow> {
+pub fn system_csrmv_scaling(m: &CsrMatrix<u16>, x: &[f64], counts: &[usize]) -> Table {
     let single = run_cluster_csrmv(Variant::Issr, m, x).expect("single-cluster run");
     let reference: Vec<u64> = single.y.iter().map(|v| v.to_bits()).collect();
-    let model = PowerModel::default();
-    let mut rows: Vec<SystemScalingRow> = Vec::new();
+    let mut rows = scaling_table("speedup");
     for &n in counts {
         let run = run_system_csrmv(Variant::Issr, m, x, n).expect("system run");
         let got: Vec<u64> = run.y.iter().map(|v| v.to_bits()).collect();
         assert_eq!(got, reference, "{n}-cluster CsrMV must be bit-identical");
-        let energy = model.evaluate_system(&run.summary);
-        let base = rows.first().map_or(run.summary.cycles, |r| r.cycles);
-        rows.push(scaling_row(n, &run.summary, energy, base));
+        push_scaling_row(&mut rows, &run.summary);
     }
     rows
 }
@@ -816,12 +741,11 @@ pub fn system_spgemm_scaling(
     b: &CsrMatrix<u16>,
     counts: &[usize],
     panel_caps: Option<(u32, u32)>,
-) -> Vec<SystemScalingRow> {
+) -> Table {
     use issr_system::system::SystemParams;
     let expect = reference::spgemm(a, b).with_index_width::<u32>();
-    let model = PowerModel::default();
     let n_workers = SystemParams::default().cluster.n_workers as u32;
-    let mut rows: Vec<SystemScalingRow> = Vec::new();
+    let mut rows = scaling_table("speedup");
     let mut reference_bits: Option<Vec<u64>> = None;
     for &n in counts {
         let plan = match panel_caps {
@@ -845,16 +769,15 @@ pub fn system_spgemm_scaling(
             Some(r) => assert_eq!(&bits, r, "{n}-cluster SpGEMM values must be bit-identical"),
             None => reference_bits = Some(bits),
         }
-        let energy = model.evaluate_system(&run.summary);
-        let base = rows.first().map_or(run.summary.cycles, |r| r.cycles);
-        rows.push(scaling_row(n, &run.summary, energy, base));
+        push_scaling_row(&mut rows, &run.summary);
     }
     rows
 }
 
 /// Weak-scaling sweep of system CsrMV (ISSR): per-cluster work held
-/// constant by growing the matrix with the cluster count; `speedup`
-/// reports the efficiency `T(1) / T(n)` (1.0 = perfect weak scaling).
+/// constant by growing the matrix with the cluster count; the
+/// `speedup` column reports the efficiency `T(1) / T(n)` (1.0 = perfect
+/// weak scaling).
 ///
 /// # Panics
 /// Panics if a run fails or traps.
@@ -864,9 +787,8 @@ pub fn system_csrmv_weak_scaling(
     ncols: usize,
     nnz_per_cluster: usize,
     counts: &[usize],
-) -> Vec<SystemScalingRow> {
-    let model = PowerModel::default();
-    let mut out: Vec<SystemScalingRow> = Vec::new();
+) -> Table {
+    let mut out = scaling_table("efficiency");
     for &n in counts {
         let mut rng = gen::rng(7_700 + n as u64);
         let m = gen::csr_uniform::<u16>(&mut rng, rows_per_cluster * n, ncols, nnz_per_cluster * n);
@@ -877,51 +799,9 @@ pub fn system_csrmv_weak_scaling(
             issr_sparse::dense::allclose(&run.y, &expect, 1e-12, 1e-12),
             "weak-scaling {n}-cluster CsrMV diverged"
         );
-        let energy = model.evaluate_system(&run.summary);
-        let base = out.first().map_or(run.summary.cycles, |r| r.cycles);
-        out.push(scaling_row(n, &run.summary, energy, base));
+        push_scaling_row(&mut out, &run.summary);
     }
     out
-}
-
-/// Full run summary of one joiner-backed SpVV∩ run (ISSR-16, the
-/// sweep's operand shape at match density `overlap`) — attribution,
-/// lane stats and ROI counters for the joiner binary's breakdown table
-/// and bound verdict.
-#[must_use]
-pub fn spvv_summary(overlap: f64) -> issr_snitch::cc::RunSummary {
-    let (dim, nnz) = (8192, 512);
-    let mut rng = gen::rng(0x000F_164E + (overlap * 100.0) as u64);
-    let (a32, b32) = gen::overlapping_pair::<u32>(&mut rng, dim, nnz, nnz, overlap);
-    let (a16, b16) = (a32.with_index_width::<u16>(), b32.with_index_width::<u16>());
-    run_spvv_ss(Variant::Issr, &a16, &b16).expect("issr16 run").summary
-}
-
-/// ROI stall-cause attribution of one joiner-backed SpVV∩ run
-/// (ISSR-16, the sweep's operand shape at match density `overlap`) —
-/// the breakdown tables the joiner binary prints and exports.
-#[must_use]
-pub fn spvv_attribution(overlap: f64) -> issr_snitch::attr::CcAttribution {
-    spvv_summary(overlap).attr
-}
-
-/// Full run summary of one SpAcc-backed SpGEMM run (ISSR-16 on
-/// `regime`) — attribution plus the counters the bound verdict needs.
-#[must_use]
-pub fn spgemm_summary(regime: SpgemmRegime) -> issr_snitch::cc::RunSummary {
-    let mut rng = gen::rng(0x000F_1650 + regime.b_row_nnz as u64);
-    let a32 = gen::csr_fixed_row_nnz::<u32>(&mut rng, regime.nrows, regime.inner, regime.a_row_nnz);
-    let b32 = gen::csr_fixed_row_nnz::<u32>(&mut rng, regime.inner, regime.ncols, regime.b_row_nnz);
-    let (a16, b16) = (a32.with_index_width::<u16>(), b32.with_index_width::<u16>());
-    run_spgemm(Variant::Issr, &a16, &b16).expect("issr16 run").summary
-}
-
-/// ROI stall-cause attribution of one SpAcc-backed SpGEMM run
-/// (ISSR-16 on `regime`) — the breakdown tables the SpGEMM binary
-/// prints and exports.
-#[must_use]
-pub fn spgemm_attribution(regime: SpgemmRegime) -> issr_snitch::attr::CcAttribution {
-    spgemm_summary(regime).attr
 }
 
 /// Per-phase stall profile of one cluster SpGEMM run (ISSR-16 on
@@ -1017,32 +897,34 @@ mod tests {
 
     #[test]
     fn fig4a_limits_on_a_coarse_sweep() {
-        let rows = fig4a(&[256]);
-        let r = rows[0];
-        assert!((r.base - 1.0 / 9.0).abs() < 0.02);
-        assert!((r.ssr - 1.0 / 7.0).abs() < 0.02);
-        assert!(r.issr16 > r.issr32, "16-bit wins at high nnz");
-        assert!(r.issr16_m >= r.issr16);
+        let sweep = fig4a(&[256]);
+        let r = |key| sweep.at_anchor(key);
+        assert!((r("base") - 1.0 / 9.0).abs() < 0.02);
+        assert!((r("ssr") - 1.0 / 7.0).abs() < 0.02);
+        assert!(r("issr16") > r("issr32"), "16-bit wins at high nnz");
+        assert!(r("issr16_m") >= r("issr16"));
+        let util = sweep.anchor.metrics.fpu_utilization();
+        assert_eq!(util, r("issr16"), "the anchor is the run the row shows");
     }
 
     #[test]
     fn fig4b_ordering() {
-        let rows = fig4b(&[64]);
-        let r = rows[0];
-        assert!(r.issr16 > r.issr32 && r.issr32 > r.ssr && r.ssr > 1.0);
+        let sweep = fig4b(&[64]);
+        let r = |key| sweep.at_anchor(key);
+        assert!(r("issr16") > r("issr32") && r("issr32") > r("ssr") && r("ssr") > 1.0);
     }
 
     #[test]
     fn csrmm_check_small_delta() {
-        let row = csrmm_check("ragusa18", 2);
-        assert!(row.delta < 0.02, "delta {}", row.delta);
+        let delta = csrmm_check(&[("ragusa18", 2)]).f64(0, "delta");
+        assert!(delta < 0.02, "delta {delta}");
     }
 
     /// The acceptance bar of the sparse-output subsystem: ISSR SpGEMM
     /// at least 3x over the software merge on every default regime.
     #[test]
     fn spgemm_issr_beats_base_on_every_regime() {
-        let rows = spgemm_sweep(&smoke_spgemm_regimes());
+        let (rows, _) = spgemm_sweep(&smoke_spgemm_regimes());
         for row in &rows {
             assert!(
                 row.speedup16() > 3.0,
@@ -1089,21 +971,25 @@ mod tests {
     /// energy-efficient per multiply than the software merge.
     #[test]
     fn spgemm_suite_energy_is_sane() {
-        for row in spgemm_suite_sweep(&["ragusa18", "tols2000"]) {
-            assert!(row.base_mw.is_finite() && row.base_mw > 0.0, "{row:?}");
-            assert!(row.issr_mw.is_finite() && row.issr_mw > 0.0, "{row:?}");
-            assert!(row.issr_cycles < row.base_cycles, "{row:?}");
-            assert!(row.gain > 1.0, "{row:?}");
+        let rows = spgemm_suite_sweep(&["ragusa18", "tols2000"]);
+        for i in 0..rows.len() {
+            let v = |key| rows.f64(i, key);
+            let what = rows.cell(i, "name");
+            assert!(v("base_mw").is_finite() && v("base_mw") > 0.0, "{what}");
+            assert!(v("issr_mw").is_finite() && v("issr_mw") > 0.0, "{what}");
+            assert!(v("issr_cycles") < v("base_cycles"), "{what}");
+            assert!(v("gain") > 1.0, "{what}");
         }
     }
 
     #[test]
     fn joiner_beats_software_merge_on_both_kernels() {
-        let spvv = joiner_spvv(&[0.5]);
-        assert!(spvv[0].speedup16() > 3.0, "SpVV∩ speedup {:.2}", spvv[0].speedup16());
-        assert!(spvv[0].speedup32() > 3.0, "SpVV∩-32 speedup {:.2}", spvv[0].speedup32());
-        assert!(spvv[0].joiner_util > 0.2, "joiner util {:.3}", spvv[0].joiner_util);
-        let spmspv = joiner_spmspv(&[128]);
-        assert!(spmspv[0].speedup16() > 2.0, "SpMSpV speedup {:.2}", spmspv[0].speedup16());
+        let spvv = joiner_spvv(&[0.5], 0.5);
+        let v = |key| spvv.at_anchor(key);
+        assert!(v("speedup16") > 3.0, "SpVV∩ speedup {:.2}", v("speedup16"));
+        assert!(v("speedup32") > 3.0, "SpVV∩-32 speedup {:.2}", v("speedup32"));
+        assert!(v("joiner_util") > 0.2, "joiner util {:.3}", v("joiner_util"));
+        let speedup16 = joiner_spmspv(&[128]).f64(0, "speedup16");
+        assert!(speedup16 > 2.0, "SpMSpV speedup {speedup16:.2}");
     }
 }

@@ -1,15 +1,19 @@
 //! # issr-bench
 //!
 //! Experiment runners regenerating every table and figure of the paper's
-//! evaluation (§IV–§V). Each figure has a runner returning plain rows
-//! and a binary (`src/bin/`) that prints them as a markdown table and,
-//! given `--json <path>`, writes them as a [`telemetry`] envelope.
-//! How fast the simulator itself runs is `benchmark/`'s business.
+//! evaluation (§IV–§V): one runner per figure ([`figures`]), one `paper`
+//! bin that prints them under the [`paper`] scoreboard — each number the
+//! paper states next to the one reproduced — and, beyond the paper, the
+//! `joiner`, `spgemm`, `system` and `ablation` bins. Every bin prints
+//! markdown tables and, given `--json <path>`, writes the same rows as
+//! a [`telemetry`] envelope. How fast the simulator itself runs is
+//! `benchmark/`'s business.
 
 #![forbid(unsafe_code)]
 
 pub mod critical;
 pub mod figures;
+pub mod paper;
 pub mod report;
 pub mod telemetry;
 pub mod verdict;

@@ -21,8 +21,9 @@
 //! [`Json::pretty`] (insertion-ordered objects, one key or array
 //! element per line), so re-running a binary on unchanged code produces
 //! a byte-identical file. That makes git the checker: CI rewrites the
-//! committed `baselines/BENCH_*.json` in place with the three smoke
-//! runs and gates on `git diff --exit-code -- baselines/`, where a
+//! committed `baselines/BENCH_*.json` in place (the three smoke runs,
+//! `paper` and `ablation`) and gates on
+//! `git diff --exit-code -- baselines/`, where a
 //! drifted counter is one changed line. What a byte comparison cannot
 //! see — whether the attribution tables still add up — [`Telemetry::write`]
 //! checks before it writes anything.

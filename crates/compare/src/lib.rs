@@ -6,7 +6,9 @@
 //!
 //! The external numbers are *quoted constants* (the paper profiled
 //! cuSPARSE with nvprof and cites CVR [4] for the Xeon Phi); only the
-//! Snitch side is measured, by the `issr-cluster` simulator.
+//! Snitch side is measured, by the `issr-cluster` simulator. The ratios
+//! the paper itself reports are the `compare.*` and
+//! `fig4c.base_core_equivalents` entries of `issr_bench::paper::ANCHORS`.
 
 #![forbid(unsafe_code)]
 
@@ -66,9 +68,9 @@ pub fn related_systems() -> Vec<RelatedSystem> {
 pub struct Comparison {
     /// Measured Snitch + ISSR cluster FP64 utilization.
     pub cluster_utilization: f64,
-    /// Ratio over the best GPU FP64 utilization (paper: 2.8×).
+    /// Ratio over the best GPU FP64 utilization.
     pub vs_gpu_fp64: f64,
-    /// Ratio over the Xeon Phi (paper: 70×).
+    /// Ratio over the Xeon Phi.
     pub vs_cpu: f64,
 }
 
@@ -89,7 +91,7 @@ pub fn compare(cluster_utilization: f64) -> Comparison {
 }
 
 /// §IV-B's equivalence: how many BASE cores one ISSR cluster replaces
-/// (paper: 8 × 5.8 ≈ 46).
+/// (workers × cluster speedup).
 #[must_use]
 pub fn base_core_equivalent(n_workers: f64, cluster_speedup: f64) -> f64 {
     n_workers * cluster_speedup

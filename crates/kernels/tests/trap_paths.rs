@@ -9,7 +9,9 @@
 //! contains — a core load or store, an ISSR gather through an
 //! out-of-range index — parks its core complex on a
 //! [`TrapCause::AccessFault`] on all three run harnesses, and a DMA
-//! descriptor the engine cannot run parks the DMCC on one.
+//! descriptor the engine cannot run parks the DMCC on one. An `frep`
+//! window the core halts inside parks its hart on a
+//! [`TrapCause::SequencerFault`] instead of spinning to the cycle limit.
 
 use issr_cluster::cluster::{Cluster, ClusterParams};
 use issr_core::cfg::{
@@ -19,12 +21,14 @@ use issr_core::fault::{StreamFaultKind, StreamUnit};
 use issr_core::serializer::IndexSize;
 use issr_core::CfgFault;
 use issr_isa::asm::{Assembler, Program};
+use issr_isa::instr::Stagger;
 use issr_isa::reg::{FpReg as F, IntReg as R};
 use issr_isa::Csr;
 use issr_mem::array::MemArray;
 use issr_mem::map::{MAIN_BASE, PERIPH_BASE, TCDM_BASE};
 use issr_snitch::cc::SingleCcSim;
 use issr_snitch::core::{Trap, TrapCause};
+use issr_snitch::fpu::SequencerFault;
 use issr_system::system::{System, SystemParams};
 
 /// Runs `program` on the sparse-sparse single-CC setup and returns the
@@ -656,4 +660,23 @@ fn bad_dma_descriptor_traps_the_dmcc_on_cluster_and_system() {
             assert_eq!(got, [(DMCC as u32, TrapCause::AccessFault { addr })], "{what}");
         }
     }
+}
+
+/// An `frep` asking for two body instructions of which the core
+/// offloads one before it halts: the capture can never complete. It
+/// used to spin to the cycle limit; now the hart parks on
+/// `AbandonedWindow` — alone, on the single CC and on the 8-worker
+/// cluster, whose other harts reach their markers.
+#[test]
+fn abandoned_frep_window_traps_on_cc_and_cluster() {
+    let abandon = |a: &mut Assembler| {
+        a.li(R::T0, 3);
+        a.frep_outer(R::T0, 2, Stagger::NONE);
+        a.fadd_d(F::FT3, F::FT3, F::FT3);
+    };
+    let program = dispatch(&[&abandon]);
+    let fault = TrapCause::SequencerFault(SequencerFault::AbandonedWindow { remaining: 1 });
+    let causes = |traps: Vec<Trap>| traps.iter().map(|t| (t.hartid, t.cause)).collect::<Vec<_>>();
+    assert_eq!(causes(traps_on_cc(&program, &|_| {})), [(0, fault)]);
+    assert_eq!(causes(traps_on_cluster(&program, &|_| {}, 1..9)), [(0, fault)]);
 }

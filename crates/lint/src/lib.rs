@@ -94,9 +94,9 @@ pub enum FaultClass {
     Hang,
     /// The FREP sequencer (or FPU capture path) rejects the offloaded
     /// stream: the core complex parks on `TrapCause::SequencerFault`
-    /// (the trap PC is the delivery vicinity). One error of the class
-    /// has no trap — control flow leaving a capture window, which the
-    /// sequencer cannot see, ends in `SimTimeout`.
+    /// (the trap PC is the delivery vicinity). Control flow leaving a
+    /// capture window, which the sequencer cannot see, traps once the
+    /// core halts with the capture still open.
     Sequencer,
     /// Control flow leaves the program: the core traps `PcOutOfRange`.
     PcOutOfRange,

@@ -1,11 +1,11 @@
 //! Area model (kGE) from §IV-C and Fig. 2.
 //!
-//! Published anchors: the default-parameterized ISSR is **4.4 kGE
-//! (43 %) larger** than the equivalent SSR, and equipping all eight
-//! worker cores of a cluster with ISSRs instead of SSRs costs only
-//! **0.8 %** cluster area. Block sizes below are derived from those
-//! anchors plus the Snitch papers' core (≈10 kGE) and FP64 FPU
-//! (≈100 kGE) figures.
+//! The paper publishes three anchors — the ISSR's absolute and
+//! relative growth over the equivalent SSR, and the cluster-area cost
+//! of equipping all eight worker cores with ISSRs — listed as the
+//! `area.*` entries of `issr_bench::paper::ANCHORS`. The block sizes
+//! below are derived from the constants those anchors fix plus the
+//! Snitch papers' core (≈10 kGE) and FP64 FPU (≈100 kGE) figures.
 
 /// One named block with its complexity in kilo-gate-equivalents.
 #[derive(Clone, Copy, Debug)]
@@ -16,9 +16,9 @@ pub struct AreaBlock {
     pub kge: f64,
 }
 
-/// The indirection extension's incremental cost (paper: 4.4 kGE).
+/// The indirection extension's incremental cost over an SSR lane.
 pub const ISSR_DELTA_KGE: f64 = 4.4;
-/// SSR lane complexity, derived from "43 % larger": 4.4 / 0.43.
+/// SSR lane complexity, derived from the ISSR being 43 % larger.
 pub const SSR_KGE: f64 = ISSR_DELTA_KGE / 0.43;
 /// ISSR lane complexity.
 pub const ISSR_KGE: f64 = SSR_KGE + ISSR_DELTA_KGE;
@@ -59,7 +59,7 @@ impl StreamerArea {
         self.blocks.iter().filter(|b| !b.name.starts_with(' ')).map(|b| b.kge).sum()
     }
 
-    /// ISSR-over-SSR relative growth (paper: 43 %).
+    /// ISSR-over-SSR relative growth.
     #[must_use]
     pub fn issr_over_ssr(&self) -> f64 {
         (ISSR_KGE - SSR_KGE) / SSR_KGE
@@ -91,7 +91,7 @@ impl ClusterArea {
         self.n_workers * ISSR_DELTA_KGE
     }
 
-    /// Relative cluster overhead of the upgrade (paper: 0.8 %).
+    /// Relative cluster overhead of the upgrade.
     #[must_use]
     pub fn issr_overhead(&self) -> f64 {
         self.issr_upgrade_kge() / self.ssr_cluster_kge

@@ -66,8 +66,8 @@ pub enum TrapCause {
         addr: u32,
     },
     /// The FREP sequencer rejected the offloaded instruction stream
-    /// (nested, empty or oversized `frep`, `fld` into a redirected
-    /// register) — the runtime twin of
+    /// (nested, empty, oversized or abandoned `frep`, `fld` into a
+    /// redirected register) — the runtime twin of
     /// the lint's `FaultClass::Sequencer`. The sequencer runs decoupled
     /// from the core, so the trap PC is a vicinity, as for stream
     /// faults.
@@ -344,7 +344,13 @@ impl SnitchCore {
         metrics: &mut Metrics,
         dma: Option<&mut Dma>,
     ) {
-        if self.halted || self.blocked_on_periph || self.barrier_waiting {
+        if self.halted {
+            // Nothing more will be offloaded; the sequencer may still
+            // be waiting for the rest of an `frep` body.
+            fpu.core_halted();
+            return;
+        }
+        if self.blocked_on_periph || self.barrier_waiting {
             return;
         }
         if self.fetch_stall > 0 {

@@ -57,6 +57,13 @@ pub enum SequencerFault {
         /// The redirected destination register.
         rd: FpReg,
     },
+    /// The core halted while an `frep` was still capturing its body:
+    /// control flow left the window, so the instructions it waits for
+    /// will never be offloaded.
+    AbandonedWindow {
+        /// Body instructions the capture was still waiting for.
+        remaining: u8,
+    },
 }
 
 impl std::fmt::Display for SequencerFault {
@@ -68,6 +75,9 @@ impl std::fmt::Display for SequencerFault {
             }
             Self::EmptyBody => write!(f, "frep with an empty body"),
             Self::FldIntoStream { rd } => write!(f, "fld into redirected stream register {rd}"),
+            Self::AbandonedWindow { remaining } => {
+                write!(f, "core halted with {remaining} frep body instructions still to capture")
+            }
         }
     }
 }
@@ -166,6 +176,18 @@ impl FpuSubsystem {
     fn sequencer_fault(&mut self, fault: SequencerFault) -> Result<(), Blocked> {
         self.fault = Some(fault);
         Err(Blocked::Empty)
+    }
+
+    /// The halted core's notice that nothing more will be offloaded: a
+    /// capture still open once the queue has drained can never
+    /// complete, so it latches [`SequencerFault::AbandonedWindow`]
+    /// instead of spinning to the cycle limit.
+    pub(crate) fn core_halted(&mut self) {
+        if let SeqState::Capturing { remaining, .. } = self.seq {
+            if self.queue.is_empty() {
+                self.fault = Some(SequencerFault::AbandonedWindow { remaining });
+            }
+        }
     }
 
     /// Whether the offload queue can accept another instruction.

@@ -164,11 +164,11 @@ impl Json {
     /// # Errors
     /// Returns a message with the byte offset of the first syntax error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(format!("trailing garbage at byte {}", p.pos));
         }
         Ok(v)
@@ -238,19 +238,23 @@ fn write_escaped(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -263,7 +267,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -358,7 +362,7 @@ impl Parser<'_> {
                         Some(b'f') => s.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
                             let code = u32::from_str_radix(
@@ -374,13 +378,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // resynchronizing on a char boundary is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let len = std::str::from_utf8(rest)
-                        .map(|t| t.chars().next().map_or(1, char::len_utf8))
-                        .unwrap_or(1);
-                    s.push_str(std::str::from_utf8(&rest[..len]).unwrap_or("\u{fffd}"));
+                    // Copy the run up to the next quote or backslash in
+                    // one slice. Both delimiters are ASCII, so the run
+                    // starts and ends on char boundaries of the `&str`
+                    // input and needs no re-validation.
+                    let rest = &self.bytes()[self.pos..];
+                    let len =
+                        rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                    s.push_str(&self.text[self.pos..self.pos + len]);
                     self.pos += len;
                 }
             }
@@ -400,7 +405,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        let text = &self.text[start..self.pos];
         if is_float {
             text.parse::<f64>().map(Json::Float).map_err(|e| e.to_string())
         } else {
@@ -470,6 +475,40 @@ mod tests {
     fn escapes_and_parses_strings() {
         let doc = Json::Str("a \"b\"\n\\t\u{1}".into());
         let text = doc.to_string();
+        assert_eq!(Json::parse(&text).expect("parse"), doc);
+    }
+
+    /// The string parser copies the run between two delimiters in one
+    /// slice, so a run boundary falls next to every escape: multi-byte
+    /// scalars on both sides of each must survive both directions.
+    #[test]
+    fn multibyte_text_next_to_every_escape_round_trips() {
+        let text = r#""é\"€\\𝄞\/é\n€\r𝄞\té\b€\f𝄞\u00e9é\u0001€""#;
+        let want = "é\"€\\𝄞/é\n€\r𝄞\té\u{8}€\u{c}𝄞éé\u{1}€";
+        let parsed = Json::parse(text).expect("parse");
+        assert_eq!(parsed, Json::Str(want.into()));
+        assert_eq!(Json::parse(&parsed.to_string()).expect("reparse"), parsed);
+        assert!(Json::parse("\"é").is_err(), "unterminated after a multi-byte scalar");
+    }
+
+    /// Parsing is linear in the document: a trace-shaped array of more
+    /// than 2 MB of short strings parses inside the test suite (it took
+    /// minutes while every string character re-validated the rest of
+    /// the input).
+    #[test]
+    fn parses_a_two_megabyte_document_of_short_strings() {
+        let events: Vec<Json> = (0..60_000u64)
+            .map(|i| {
+                obj(vec![
+                    ("name", Json::from("c0/lane 1 → é")),
+                    ("ph", Json::from("X")),
+                    ("ts", Json::from(i)),
+                ])
+            })
+            .collect();
+        let doc = Json::Arr(events);
+        let text = doc.to_string();
+        assert!(text.len() >= 2 << 20, "{} bytes", text.len());
         assert_eq!(Json::parse(&text).expect("parse"), doc);
     }
 
