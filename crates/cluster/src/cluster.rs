@@ -271,6 +271,12 @@ impl Cluster {
     /// (32 or more two-lane workers).
     #[must_use]
     pub fn new(program: Program, params: ClusterParams) -> Self {
+        Self::with_main_size(program, params, MAIN_SIZE)
+    }
+
+    /// The one constructor: `main_size` bytes of private main memory
+    /// (zero for the stub of a system-embedded cluster).
+    fn with_main_size(program: Program, params: ClusterParams, main_size: u32) -> Self {
         let icache_params = ICacheParams::default();
         let mut workers = Vec::with_capacity(params.n_workers);
         for hart in 0..params.n_workers {
@@ -320,7 +326,7 @@ impl Cluster {
             workers,
             dmcc,
             tcdm: Tcdm::banked(TCDM_BASE, TCDM_SIZE, TCDM_BANKS),
-            main: MainMemory::new(MAIN_BASE, MAIN_SIZE),
+            main: MainMemory::new(MAIN_BASE, main_size),
             dma: Dma::new(TCDM_BASE, TCDM_SIZE),
             ports,
             port_base,
@@ -340,9 +346,7 @@ impl Cluster {
     /// owns the shared one and drives [`Cluster::tick_shared`]).
     #[must_use]
     pub fn new_for_system(program: Program, params: ClusterParams) -> Self {
-        let mut cluster = Self::new(program, params);
-        cluster.main = MainMemory::new(MAIN_BASE, 0);
-        cluster
+        Self::with_main_size(program, params, 0)
     }
 
     /// Whether every core halted and all queues drained.
@@ -424,9 +428,8 @@ impl Cluster {
                 idle_workers += 1;
                 cc.tick_idle();
             } else {
-                let hive = i / 4;
                 let ports = &mut self.ports[self.port_base[i]..self.port_base[i + 1]];
-                cc.tick(now, ports, None, Some(&mut self.l1[hive.min(1)]));
+                cc.tick(now, ports, None, Some(&mut self.l1[i / 4]));
             }
             in_roi |= cc.metrics.roi_active;
         }
@@ -782,6 +785,20 @@ mod tests {
         cluster.run(10_000).unwrap();
         for hart in 0..32u32 {
             assert_eq!(cluster.main.array().load_u32(MAIN_BASE + hart * 8), hart * hart);
+        }
+    }
+
+    /// Each hive of four workers fetches through its own L1: from cold,
+    /// the third hive of a 12-worker cluster misses in `l1[2]`, not in
+    /// hive 1's cache.
+    #[test]
+    fn every_hive_fetches_through_its_own_l1() {
+        let params = ClusterParams { n_workers: 12, ..ClusterParams::default() };
+        let mut cluster = Cluster::new(squares_to(TCDM_BASE), params);
+        cluster.run(10_000).unwrap();
+        assert_eq!(cluster.l1.len(), 3);
+        for (hive, l1) in cluster.l1.iter().enumerate() {
+            assert!(l1.misses > 0, "hive {hive} never touched its L1");
         }
     }
 

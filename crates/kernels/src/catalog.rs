@@ -1,22 +1,44 @@
-//! The shipped-kernel catalog: one representative assembled program per
-//! kernel builder, for tools that sweep "every kernel this crate can
-//! emit" — the `issr-lint` binary and its clean-kernel gate, above all.
+//! The shipped-kernel catalog: one assembled program per kernel builder,
+//! variant and index width, for tools that sweep "every kernel this
+//! crate can emit" — the `issr-lint` binary and its clean-kernel gate,
+//! above all.
 //!
 //! Programs are generated per workload (addresses and counts are baked
-//! in), so the catalog instantiates each builder on a small nonzero
-//! workload laid out in the single-core arena. The cluster and system
-//! kernels are excluded: their builders take plan structures that are
-//! computed from placed workloads, not hand-constructible addresses.
+//! in), so the catalog runs each kernel's own place step on a small
+//! seeded operand — into a scratch memory image for the single-CC
+//! kernels, through the plan constructors for the cluster and system
+//! ones — and hands the result to the kernel's own `build_*`: every
+//! entry is laid out exactly as its `run_*` would simulate it.
+//!
+//! One builder is not in the catalog: codebook SpVV
+//! ([`crate::streaming::build_codebook_spvv`]) targets a streamer with
+//! two ISSRs, which neither hardware configuration a consumer picks
+//! from [`CatalogEntry::needs_sparse_units`] describes. The lint gate
+//! (`crates/lint/tests/kernels_clean.rs`) checks it against its own
+//! target.
 
-use crate::csrmm::CsrmmAddrs;
-use crate::csrmv::CsrmvAddrs;
-use crate::layout::{csr_addrs, fiber_addrs, Arena, CsrOutAddrs};
-use crate::spgemm::{build_spgemm, SpgemmAddrs};
-use crate::spmspv::{build_spmspv, build_spvv_ss, build_spvv_ss_dyn, build_spvv_ss_term};
-use crate::spvv::SpvvAddrs;
+use crate::cluster_csrmv::{build_cluster_csrmv, ClusterCsrmvPlan};
+use crate::cluster_spgemm::{build_cluster_spgemm, ClusterSpgemmPlan};
+use crate::cluster_spmspv::{build_cluster_spmspv, ClusterSpmspvPlan};
+use crate::csrmm::{build_csrmm, place_csrmm};
+use crate::csrmv::{build_csrmv, place_csrmv};
+use crate::harness::single_cc_arena as arena;
+use crate::spgemm::{build_spgemm, place_spgemm};
+use crate::spmspv::{
+    build_spmspv, build_spvv_ss, build_spvv_ss_dyn, build_spvv_ss_term, place_spmspv, place_spvv_ss,
+};
+use crate::spvv::{build_spvv, place_spvv};
+use crate::stencil::{build_stencil, place_stencil, SparseStencil};
+use crate::streaming::{build_gather, build_scatter, place_stream};
+use crate::system_csrmv::build_system_csrmv;
+use crate::system_spgemm::{build_system_spgemm, SystemSpgemmPlan};
 use crate::variant::{KernelIndex, Variant};
-use crate::{build_csrmm, build_csrmv, build_spvv, SpmspvAddrs, SpvvSsAddrs};
+use issr_cluster::cluster::ClusterParams;
 use issr_isa::asm::Program;
+use issr_mem::array::MemArray;
+use issr_snitch::cc::SINGLE_CC_ARENA;
+use issr_sparse::dense::DenseMatrix;
+use issr_sparse::gen;
 
 /// One shipped kernel program.
 pub struct CatalogEntry {
@@ -30,155 +52,82 @@ pub struct CatalogEntry {
     pub needs_sparse_units: bool,
 }
 
-impl CatalogEntry {
-    fn new(name: impl Into<String>, program: Program, needs_sparse_units: bool) -> Self {
-        Self { name: name.into(), program, needs_sparse_units }
-    }
-}
-
-fn spvv_entries<I: KernelIndex>(tag: &str, out: &mut Vec<CatalogEntry>) {
-    for variant in Variant::ALL {
-        let mut arena = Arena::new(0x0030_0000, 0x0010_0000);
-        let a = fiber_addrs::<I>(&mut arena, 12);
-        let b = arena.alloc(64 * 8, 8);
-        let out_slot = arena.alloc(8, 8);
-        let program = build_spvv::<I>(variant, SpvvAddrs { a, b, out: out_slot });
-        out.push(CatalogEntry::new(
-            format!("spvv/{}/{tag}", variant.name().to_lowercase()),
+/// Every builder's programs for index width `I` (`tag`).
+fn entries<I: KernelIndex>(tag: &str, out: &mut Vec<CatalogEntry>) {
+    let mut rng = gen::rng(0x1551);
+    let v = gen::sparse_vector::<I>(&mut rng, 64, 12);
+    let w = gen::sparse_vector::<I>(&mut rng, 64, 14);
+    let x = gen::dense_vector(&mut rng, 64);
+    let m = gen::csr_uniform::<I>(&mut rng, 8, 64, 24);
+    let dense = DenseMatrix::from_rows(64, 4, gen::dense_vector(&mut rng, 64 * 4));
+    let a = gen::csr_uniform::<I>(&mut rng, 8, 8, 16);
+    let b = gen::csr_uniform::<I>(&mut rng, 8, 16, 24);
+    let c_nnz = issr_sparse::reference::spgemm_ptr(&a, &b)[a.nrows()];
+    let stencil = SparseStencil { offsets: vec![0, 3, 4, 11], weights: vec![1.0, -2.0, 0.5, 3.0] };
+    let n_workers = ClusterParams::default().n_workers as u32;
+    // The placements store the operands somewhere; only the addresses
+    // they return reach the programs.
+    let image = &mut MemArray::new(SINGLE_CC_ARENA, 1 << 16);
+    let spvv = place_spvv(&mut arena(), image, &v, &x);
+    let csrmv = place_csrmv(&mut arena(), image, &m, &x);
+    let csrmm = place_csrmm(&mut arena(), image, &m, &dense);
+    let spgemm = place_spgemm(&mut arena(), image, &a, &b, c_nnz);
+    let spmspv = place_spmspv(&mut arena(), image, &m, &w);
+    let spvv_ss = place_spvv_ss(&mut arena(), image, &v, &w);
+    let gather = place_stream(&mut arena(), image, &x, v.idcs(), v.nnz());
+    let scatter = place_stream(&mut arena(), image, v.vals(), v.idcs(), v.dim());
+    let stencil = place_stencil::<I>(&mut arena(), image, &stencil, &x);
+    let csrmv_plan = ClusterCsrmvPlan::new(&m, n_workers);
+    let spmspv_plan = ClusterSpmspvPlan::new(&m, &w, n_workers);
+    let spgemm_plan = ClusterSpgemmPlan::new(&a, &b, n_workers);
+    let mut add = |kernel: &str, variant: Variant, sparse_units: bool, program: Program| {
+        out.push(CatalogEntry {
+            name: format!("{kernel}/{}/{tag}", variant.name().to_lowercase()),
             program,
-            false,
-        ));
-    }
-}
-
-fn csrmv_entries<I: KernelIndex>(tag: &str, out: &mut Vec<CatalogEntry>) {
-    for variant in Variant::ALL {
-        let mut arena = Arena::new(0x0030_0000, 0x0010_0000);
-        let a = csr_addrs::<I>(&mut arena, 8, 24);
-        let x = arena.alloc(64 * 8, 8);
-        let y = arena.alloc(8 * 8, 8);
-        let program = build_csrmv::<I>(variant, CsrmvAddrs { a, x, y });
-        out.push(CatalogEntry::new(
-            format!("csrmv/{}/{tag}", variant.name().to_lowercase()),
-            program,
-            false,
-        ));
-    }
-}
-
-fn csrmm_entries<I: KernelIndex>(tag: &str, out: &mut Vec<CatalogEntry>) {
-    for variant in Variant::ALL {
-        let mut arena = Arena::new(0x0030_0000, 0x0010_0000);
-        let a = csr_addrs::<I>(&mut arena, 8, 24);
-        let b = arena.alloc(64 * 4 * 8, 8);
-        let y = arena.alloc(8 * 4 * 8, 8);
-        let program =
-            build_csrmm::<I>(variant, CsrmmAddrs { a, b, b_cols: 4, b_stride: 4, y, y_stride: 4 });
-        out.push(CatalogEntry::new(
-            format!("csrmm/{}/{tag}", variant.name().to_lowercase()),
-            program,
-            false,
-        ));
-    }
-}
-
-fn spgemm_entries<I: KernelIndex>(tag: &str, out: &mut Vec<CatalogEntry>) {
-    for variant in [Variant::Base, Variant::Issr] {
-        let mut arena = Arena::new(0x0030_0000, 0x0010_0000);
-        let nrows = 4;
-        let a = csr_addrs::<I>(&mut arena, nrows, 8);
-        let b = csr_addrs::<I>(&mut arena, 4, 8);
-        // Hand-allocated output region: `alloc_csr_out` also zeroes
-        // `ptr[0]` in simulated memory, which the catalog doesn't have.
-        let nnz_cap = 16u32;
-        let c = CsrOutAddrs {
-            ptr: arena.alloc((nrows + 1) * 4 + 4, 8),
-            vals: arena.alloc(nnz_cap * 8, 8),
-            idcs: arena.alloc(nnz_cap * 4, 8),
-            nnz_cap,
-        };
-        let scratch_idx = [arena.alloc(64, 8), arena.alloc(64, 8)];
-        let scratch_vals = [arena.alloc(64 * 8, 8), arena.alloc(64 * 8, 8)];
-        let program =
-            build_spgemm::<I>(variant, nrows, SpgemmAddrs { a, b, c, scratch_idx, scratch_vals });
-        out.push(CatalogEntry::new(
-            format!("spgemm/{}/{tag}", variant.name().to_lowercase()),
-            program,
-            variant == Variant::Issr,
-        ));
-    }
-}
-
-fn spmspv_entries<I: KernelIndex>(tag: &str, out: &mut Vec<CatalogEntry>) {
-    for variant in [Variant::Base, Variant::Issr] {
-        let mut arena = Arena::new(0x0030_0000, 0x0010_0000);
-        let a = csr_addrs::<I>(&mut arena, 8, 24);
-        let x = fiber_addrs::<I>(&mut arena, 6);
-        let y = arena.alloc(8 * 8, 8);
-        let program = build_spmspv::<I>(variant, SpmspvAddrs { a, x, y });
-        out.push(CatalogEntry::new(
-            format!("spmspv/{}/{tag}", variant.name().to_lowercase()),
-            program,
-            variant == Variant::Issr,
-        ));
-    }
-}
-
-fn spvv_ss_entries<I: KernelIndex>(tag: &str, out: &mut Vec<CatalogEntry>) {
-    let make_addrs = || {
-        let mut arena = Arena::new(0x0030_0000, 0x0010_0000);
-        let a = fiber_addrs::<I>(&mut arena, 10);
-        let b = fiber_addrs::<I>(&mut arena, 14);
-        let out_slot = arena.alloc(8, 8);
-        SpvvSsAddrs { a, b, out: out_slot }
+            needs_sparse_units: sparse_units && variant == Variant::Issr,
+        });
     };
-    for variant in [Variant::Base, Variant::Issr] {
-        let program = build_spvv_ss::<I>(variant, make_addrs());
-        out.push(CatalogEntry::new(
-            format!("spvv_ss/{}/{tag}", variant.name().to_lowercase()),
-            program,
-            variant == Variant::Issr,
-        ));
+    for variant in Variant::ALL {
+        add("spvv", variant, false, build_spvv::<I>(variant, spvv));
+        add("csrmv", variant, false, build_csrmv::<I>(variant, csrmv));
+        add("csrmm", variant, false, build_csrmm::<I>(variant, csrmm));
     }
-    out.push(CatalogEntry::new(
-        format!("spvv_ss_dyn/issr/{tag}"),
-        build_spvv_ss_dyn::<I>(make_addrs()),
-        true,
-    ));
-    out.push(CatalogEntry::new(
-        format!("spvv_ss_term/issr/{tag}"),
-        build_spvv_ss_term::<I>(make_addrs()),
-        true,
-    ));
+    for variant in [Variant::Base, Variant::Issr] {
+        add("spgemm", variant, true, build_spgemm::<I>(variant, a.nrows() as u32, spgemm));
+        add("spmspv", variant, true, build_spmspv::<I>(variant, spmspv));
+        add("spvv_ss", variant, true, build_spvv_ss::<I>(variant, spvv_ss));
+        add("cluster_csrmv", variant, false, build_cluster_csrmv::<I>(variant, &csrmv_plan));
+        add("system_csrmv", variant, false, build_system_csrmv::<I>(variant, &csrmv_plan));
+        add("cluster_spmspv", variant, true, build_cluster_spmspv::<I>(variant, &spmspv_plan));
+        add("cluster_spgemm", variant, true, build_cluster_spgemm::<I>(variant, &spgemm_plan));
+        let plan = SystemSpgemmPlan::new(variant, &a, &b, n_workers);
+        add("system_spgemm", variant, true, build_system_spgemm::<I>(variant, &plan));
+    }
+    add("spvv_ss_dyn", Variant::Issr, true, build_spvv_ss_dyn::<I>(spvv_ss));
+    add("spvv_ss_term", Variant::Issr, true, build_spvv_ss_term::<I>(spvv_ss));
+    add("gather", Variant::Issr, false, build_gather::<I>(gather));
+    add("scatter", Variant::Issr, false, build_scatter::<I>(scatter));
+    add("stencil", Variant::Issr, false, build_stencil::<I>(stencil));
 }
 
-/// Builds every shipped single-core kernel program on a representative
-/// nonzero workload.
+/// Builds every shipped kernel program on a representative nonzero
+/// workload.
 #[must_use]
 pub fn catalog() -> Vec<CatalogEntry> {
     let mut out = Vec::new();
-    spvv_entries::<u16>("u16", &mut out);
-    spvv_entries::<u32>("u32", &mut out);
-    csrmv_entries::<u16>("u16", &mut out);
-    csrmv_entries::<u32>("u32", &mut out);
-    csrmm_entries::<u16>("u16", &mut out);
-    spgemm_entries::<u16>("u16", &mut out);
-    spgemm_entries::<u32>("u32", &mut out);
-    spmspv_entries::<u16>("u16", &mut out);
-    spmspv_entries::<u32>("u32", &mut out);
-    spvv_ss_entries::<u16>("u16", &mut out);
-    spvv_ss_entries::<u32>("u32", &mut out);
+    entries::<u16>("u16", &mut out);
+    entries::<u32>("u32", &mut out);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn catalog_is_nonempty_and_named_uniquely() {
         let entries = catalog();
-        assert!(entries.len() >= 20, "expected a substantial catalog, got {}", entries.len());
         let mut names: Vec<&str> = entries.iter().map(|e| e.name.as_str()).collect();
         names.sort_unstable();
         names.dedup();
@@ -186,5 +135,36 @@ mod tests {
         for e in &entries {
             assert!(!e.program.is_empty(), "{} assembled empty", e.name);
         }
+    }
+
+    /// Variants × index widths of every builder, written out: a new
+    /// builder left out of the catalog (or of this table) fails here.
+    #[test]
+    fn every_builder_is_in_the_catalog_in_every_shape() {
+        let mut per_kernel = BTreeMap::new();
+        for e in catalog() {
+            let kernel = e.name.split('/').next().expect("kernel/variant/width").to_owned();
+            *per_kernel.entry(kernel).or_insert(0usize) += 1;
+        }
+        let expected = [
+            ("spvv", 6),
+            ("csrmv", 6),
+            ("csrmm", 6),
+            ("spgemm", 4),
+            ("spmspv", 4),
+            ("spvv_ss", 4),
+            ("spvv_ss_dyn", 2),
+            ("spvv_ss_term", 2),
+            ("gather", 2),
+            ("scatter", 2),
+            ("stencil", 2),
+            ("cluster_csrmv", 4),
+            ("system_csrmv", 4),
+            ("cluster_spmspv", 4),
+            ("cluster_spgemm", 4),
+            ("system_spgemm", 4),
+        ];
+        assert_eq!(per_kernel, expected.iter().map(|&(k, n)| (k.to_owned(), n)).collect());
+        assert_eq!(expected.iter().map(|&(_, n)| n).sum::<usize>(), 60);
     }
 }

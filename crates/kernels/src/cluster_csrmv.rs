@@ -14,8 +14,10 @@
 //! DMCC, holds the 1-based last block finished), so no flag is ever
 //! reset.
 
-use crate::common::FZ;
-use crate::csrmv::{emit_issr_row_loop, emit_sw_row_loop, RowLoopCtx};
+use crate::common::{emit_meta_transfer, emit_parity_slot, emit_wait_all_done, FZ};
+use crate::csrmv::{emit_issr_row_loop, emit_sw_row_loop};
+use crate::harness::{self, OnTrap};
+use crate::layout::TCDM_DATA_BASE;
 use crate::variant::{KernelIndex, Variant};
 use issr_cluster::cluster::{Cluster, ClusterParams, ClusterSummary};
 use issr_core::cfg::{cfg_addr, idx_cfg_word, reg as sreg};
@@ -36,7 +38,6 @@ pub const IDX_CAP: u32 = BUF_BYTES - VALS_CAP;
 pub(crate) const FLAG_META: u32 = TCDM_BASE;
 pub(crate) const FLAG_READY: u32 = TCDM_BASE + 8;
 pub(crate) const FLAG_DONE: u32 = TCDM_BASE + 0x20;
-const DATA_LOW: u32 = TCDM_BASE + 0x100;
 pub(crate) const BUF_A: u32 = TCDM_BASE + TCDM_SIZE - 2 * BUF_BYTES;
 
 /// One double-buffered block of rows.
@@ -124,7 +125,7 @@ impl ClusterCsrmvPlan {
         let main_y = main.alloc(nrows.max(1) * 8, 8);
         let main_queue = main.alloc(8, 8);
         // TCDM layout mirrors the meta block contiguously.
-        let tcdm_x = DATA_LOW;
+        let tcdm_x = TCDM_DATA_BASE;
         let tcdm_ptr = tcdm_x + x_bytes;
         let tcdm_desc = tcdm_ptr + ptr_bytes;
         let tcdm_y = tcdm_desc + desc_bytes;
@@ -224,31 +225,6 @@ impl ClusterCsrmvPlan {
     }
 }
 
-/// TCDM geometry the shared CsrMV worker body bakes in — identical for
-/// the single-cluster kernel and the multi-cluster system kernel, whose
-/// per-cluster layouts mirror each other.
-pub(crate) struct CsrmvWorkerGeom {
-    pub n_workers: u32,
-    pub tcdm_x: u32,
-    pub tcdm_ptr: u32,
-    pub tcdm_y: u32,
-    pub buf_a: u32,
-    pub vals_cap: u32,
-}
-
-impl CsrmvWorkerGeom {
-    pub(crate) fn of(plan: &ClusterCsrmvPlan) -> Self {
-        Self {
-            n_workers: plan.n_workers,
-            tcdm_x: plan.tcdm_x,
-            tcdm_ptr: plan.tcdm_ptr,
-            tcdm_y: plan.tcdm_y,
-            buf_a: BUF_A,
-            vals_cap: VALS_CAP,
-        }
-    }
-}
-
 /// Emits the invariant ISSR lane configuration of the CsrMV worker
 /// (value stride, index mode, x base) and enables the streamer.
 pub(crate) fn emit_worker_issr_cfg<I: KernelIndex>(asm: &mut Assembler, tcdm_x: u32) {
@@ -273,7 +249,7 @@ pub(crate) fn emit_worker_issr_cfg<I: KernelIndex>(asm: &mut Assembler, tcdm_x: 
 pub(crate) fn emit_worker_block_body<I: KernelIndex>(
     asm: &mut Assembler,
     variant: Variant,
-    geom: &CsrmvWorkerGeom,
+    plan: &ClusterCsrmvPlan,
     blk: R,
     signal_done: issr_isa::asm::Label,
 ) {
@@ -285,8 +261,8 @@ pub(crate) fn emit_worker_block_body<I: KernelIndex>(
     asm.lw(R::A1, R::T4, 4); // row_count
     asm.lw(R::A2, R::T4, 8); // nnz_start
                              // My row slice: rpw = ceil(row_count / workers); my_off = h * rpw.
-    asm.addi(R::T5, R::A1, i32::try_from(geom.n_workers - 1).expect("small"));
-    asm.srli(R::T5, R::T5, geom.n_workers.trailing_zeros() as i32);
+    asm.addi(R::T5, R::A1, i32::try_from(plan.n_workers - 1).expect("small"));
+    asm.srli(R::T5, R::T5, plan.n_workers.trailing_zeros() as i32);
     asm.mul(R::T6, R::T5, R::A7);
     asm.sub(R::A3, R::A1, R::T6); // rows remaining after my offset
     asm.blez(R::A3, signal_done); // no rows for me in this block
@@ -297,7 +273,7 @@ pub(crate) fn emit_worker_block_body<I: KernelIndex>(
     asm.add(R::A4, R::A0, R::T6); // my_start
                                   // Row-pointer window: s3 = ptr[my_start]; s0 = &ptr[my_start + 1].
     asm.slli(R::T0, R::A4, 2);
-    asm.li_addr(R::T1, geom.tcdm_ptr);
+    asm.li_addr(R::T1, plan.tcdm_ptr);
     asm.add(R::T0, R::T0, R::T1);
     asm.lw(R::S3, R::T0, 0);
     asm.addi(R::S0, R::T0, 4);
@@ -307,13 +283,13 @@ pub(crate) fn emit_worker_block_body<I: KernelIndex>(
     asm.mv(R::S2, R::T5); // row count for the row loop
                           // y cursor.
     asm.slli(R::T0, R::A4, 3);
-    asm.li_addr(R::T1, geom.tcdm_y);
+    asm.li_addr(R::T1, plan.tcdm_y);
     asm.add(R::S1, R::T0, R::T1);
     asm.sub(R::A5, R::T2, R::S3); // my element count
                                   // Buffer bases for this block.
     asm.andi(R::T0, R::S10, 1);
     asm.slli(R::T0, R::T0, 16);
-    asm.li_addr(R::T1, geom.buf_a);
+    asm.li_addr(R::T1, BUF_A);
     asm.add(R::T0, R::T0, R::T1); // buffer base (vals at +0)
     match variant {
         Variant::Issr => {
@@ -334,11 +310,11 @@ pub(crate) fn emit_worker_block_body<I: KernelIndex>(
             asm.andi(R::T3, R::T3, -8);
             asm.sub(R::T2, R::T2, R::T3);
             asm.add(R::T2, R::T2, R::T0);
-            asm.li(R::T3, i64::from(geom.vals_cap));
+            asm.li(R::T3, i64::from(VALS_CAP));
             asm.add(R::T2, R::T2, R::T3);
             asm.scfgwi(R::T2, cfg_addr(sreg::RPTR[0], 1));
             asm.bind(launch_done);
-            emit_issr_row_loop::<I>(asm, &RowLoopCtx { idx_shift: 3, restore_cursors: false });
+            emit_issr_row_loop::<I>(asm);
         }
         _ => {
             // BASE: software cursors into the buffer.
@@ -350,18 +326,14 @@ pub(crate) fn emit_worker_block_body<I: KernelIndex>(
                                           // Virtual index base: buf_idcs - align8(W * nnz_start).
             asm.slli(R::T1, R::A2, log_w);
             asm.andi(R::T1, R::T1, -8);
-            asm.li(R::T2, i64::from(geom.vals_cap));
+            asm.li(R::T2, i64::from(VALS_CAP));
             asm.add(R::T2, R::T2, R::T0);
             asm.sub(R::T2, R::T2, R::T1); // virtual idx base
             asm.slli(R::T1, R::S3, log_w);
             asm.add(R::S4, R::T2, R::T1); // idx cursor
-            asm.li_addr(R::S6, geom.tcdm_x);
+            asm.li_addr(R::S6, plan.tcdm_x);
             // emit_sw_row_loop(BASE) computes row ends against s7.
-            emit_sw_row_loop::<I>(
-                asm,
-                Variant::Base,
-                &RowLoopCtx { idx_shift: 3, restore_cursors: false },
-            );
+            emit_sw_row_loop::<I>(asm, Variant::Base, 3);
         }
     }
     // y-fence: the row loops store y through the FPU LSU, the done flag
@@ -374,6 +346,36 @@ pub(crate) fn emit_worker_block_body<I: KernelIndex>(
     asm.fld(issr_isa::reg::FpReg::FT6, R::S1, -8);
     asm.fcvt_w_d(R::T0, issr_isa::reg::FpReg::FT6);
     asm.add(R::ZERO, R::T0, R::T0);
+}
+
+/// Emits the DMCC's fetch of block `blk` into buffer `s10 & 1`: reads
+/// the DMA sources and lengths from the resident descriptor, issues the
+/// values and index transfers and polls until both completed (`s7`
+/// counts issued transfers).
+pub(crate) fn emit_block_fetch(asm: &mut Assembler, plan: &ClusterCsrmvPlan, blk: R) {
+    asm.slli(R::T4, blk, 5);
+    asm.li_addr(R::T5, plan.tcdm_desc);
+    asm.add(R::T4, R::T4, R::T5);
+    asm.lw(R::A0, R::T4, 16); // vals_src
+    asm.lw(R::A1, R::T4, 20); // vals_len
+    asm.lw(R::A2, R::T4, 24); // idcs_src
+    asm.lw(R::A3, R::T4, 28); // idcs_len
+    asm.andi(R::T0, R::S10, 1);
+    asm.slli(R::T0, R::T0, 16);
+    asm.li_addr(R::T1, BUF_A);
+    asm.add(R::T0, R::T0, R::T1); // destination buffer
+    asm.dmsrc(R::A0, R::ZERO);
+    asm.dmdst(R::T0, R::ZERO);
+    asm.dmcpyi(R::ZERO, R::A1, 0);
+    asm.li(R::T2, i64::from(VALS_CAP));
+    asm.add(R::T2, R::T2, R::T0);
+    asm.dmsrc(R::A2, R::ZERO);
+    asm.dmdst(R::T2, R::ZERO);
+    asm.dmcpyi(R::ZERO, R::A3, 0);
+    asm.addi(R::S7, R::S7, 2);
+    let poll_block = asm.bind_label();
+    asm.dmstati(R::T3, 0);
+    asm.blt(R::T3, R::S7, poll_block);
 }
 
 /// Builds the SPMD cluster program (all harts run it; the DMCC is hart
@@ -420,10 +422,7 @@ pub fn build_cluster_csrmv<I: KernelIndex>(variant: Variant, plan: &ClusterCsrmv
     let block_loop = asm.bind_label();
     asm.symbol("worker_block");
     // Wait ready[b & 1] >= b + 1.
-    asm.andi(R::T0, R::S10, 1);
-    asm.slli(R::T0, R::T0, 3);
-    asm.li_addr(R::T1, FLAG_READY);
-    asm.add(R::T0, R::T0, R::T1);
+    emit_parity_slot(&mut asm, FLAG_READY, R::S10);
     asm.addi(R::T3, R::S10, 1);
     let spin_ready = asm.bind_label();
     asm.lw(R::T2, R::T0, 0);
@@ -431,7 +430,7 @@ pub fn build_cluster_csrmv<I: KernelIndex>(variant: Variant, plan: &ClusterCsrmv
     // Descriptor fields, row slice, cursors and the row loop — shared
     // with the system kernel (block id = the sequence number here).
     let signal_done = asm.new_label();
-    emit_worker_block_body::<I>(&mut asm, variant, &CsrmvWorkerGeom::of(plan), R::S10, signal_done);
+    emit_worker_block_body::<I>(&mut asm, variant, plan, R::S10, signal_done);
     asm.bind(signal_done);
     asm.addi(R::T0, R::S10, 1);
     asm.sw(R::T0, R::A6, 0);
@@ -448,20 +447,7 @@ pub fn build_cluster_csrmv<I: KernelIndex>(variant: Variant, plan: &ClusterCsrmv
     asm.bind(dmcc_entry);
     asm.symbol("dmcc");
     // Meta transfer: x | ptr | descriptors in one DMA.
-    asm.li_addr(R::A0, plan.main_meta);
-    asm.li_addr(R::A1, plan.tcdm_x);
-    asm.dmsrc(R::A0, R::ZERO);
-    asm.dmdst(R::A1, R::ZERO);
-    asm.li(R::A2, i64::from(plan.meta_bytes));
-    asm.dmcpyi(R::ZERO, R::A2, 0);
-    let poll_meta = asm.bind_label();
-    asm.dmstati(R::T0, 0);
-    asm.beqz(R::T0, poll_meta);
-    asm.li(R::T1, 1);
-    asm.li_addr(R::T2, FLAG_META);
-    asm.sw(R::T1, R::T2, 0);
-    asm.li(R::S7, 1); // DMA transfers issued so far
-    asm.li(R::S10, 0); // block counter
+    emit_meta_transfer(&mut asm, plan.main_meta, plan.tcdm_x, plan.meta_bytes, FLAG_META);
     asm.li(R::S11, i64::from(nblocks));
     let dmcc_finish = asm.new_label();
     if nblocks == 0 {
@@ -475,55 +461,18 @@ pub fn build_cluster_csrmv<I: KernelIndex>(variant: Variant, plan: &ClusterCsrmv
     asm.addi(R::T0, R::S10, -2);
     asm.blt(R::T0, R::ZERO, no_wait);
     asm.addi(R::T3, R::S10, -1); // need done >= b-1
-    for c in 0..plan.n_workers {
-        let spin = asm.bind_label();
-        asm.li_addr(R::T1, FLAG_DONE + c * 8);
-        asm.lw(R::T2, R::T1, 0);
-        asm.blt(R::T2, R::T3, spin);
-    }
+    emit_wait_all_done(&mut asm, FLAG_DONE, plan.n_workers, R::T3);
     asm.bind(no_wait);
-    // Descriptor: DMA sources and lengths.
-    asm.slli(R::T4, R::S10, 5);
-    asm.li_addr(R::T5, plan.tcdm_desc);
-    asm.add(R::T4, R::T4, R::T5);
-    asm.lw(R::A0, R::T4, 16); // vals_src
-    asm.lw(R::A1, R::T4, 20); // vals_len
-    asm.lw(R::A2, R::T4, 24); // idcs_src
-    asm.lw(R::A3, R::T4, 28); // idcs_len
-                              // Destination buffer.
-    asm.andi(R::T0, R::S10, 1);
-    asm.slli(R::T0, R::T0, 16);
-    asm.li_addr(R::T1, BUF_A);
-    asm.add(R::T0, R::T0, R::T1);
-    asm.dmsrc(R::A0, R::ZERO);
-    asm.dmdst(R::T0, R::ZERO);
-    asm.dmcpyi(R::ZERO, R::A1, 0);
-    asm.li(R::T2, i64::from(VALS_CAP));
-    asm.add(R::T2, R::T2, R::T0);
-    asm.dmsrc(R::A2, R::ZERO);
-    asm.dmdst(R::T2, R::ZERO);
-    asm.dmcpyi(R::ZERO, R::A3, 0);
-    asm.addi(R::S7, R::S7, 2);
-    let poll_block = asm.bind_label();
-    asm.dmstati(R::T3, 0);
-    asm.blt(R::T3, R::S7, poll_block);
+    emit_block_fetch(&mut asm, plan, R::S10);
     // ready[b & 1] = b + 1.
-    asm.andi(R::T0, R::S10, 1);
-    asm.slli(R::T0, R::T0, 3);
-    asm.li_addr(R::T1, FLAG_READY);
-    asm.add(R::T0, R::T0, R::T1);
+    emit_parity_slot(&mut asm, FLAG_READY, R::S10);
     asm.addi(R::T2, R::S10, 1);
     asm.sw(R::T2, R::T0, 0);
     asm.addi(R::S10, R::S10, 1);
     asm.blt(R::S10, R::S11, dmcc_loop);
     asm.bind(dmcc_finish);
     // Wait for all workers to finish the last block.
-    for c in 0..plan.n_workers {
-        let spin = asm.bind_label();
-        asm.li_addr(R::T1, FLAG_DONE + c * 8);
-        asm.lw(R::T2, R::T1, 0);
-        asm.blt(R::T2, R::S11, spin);
-    }
+    emit_wait_all_done(&mut asm, FLAG_DONE, plan.n_workers, R::S11);
     // Write the result back.
     if plan.nrows > 0 {
         asm.li_addr(R::A0, plan.tcdm_y);
@@ -576,12 +525,13 @@ pub fn run_cluster_csrmv_with<I: KernelIndex>(
     params: ClusterParams,
 ) -> Result<ClusterCsrmvRun, SimTimeout> {
     let plan = ClusterCsrmvPlan::new(m, params.n_workers as u32);
-    let program = build_cluster_csrmv::<I>(variant, &plan);
-    let mut cluster = Cluster::new(program, params);
-    plan.marshal(&mut cluster, m, x);
-    let budget = 1_000_000 + 32 * m.nnz() as u64 + 512 * m.nrows() as u64;
-    let summary = cluster.run(budget)?;
-    assert!(summary.traps.is_empty(), "cluster cores trapped: {:?}", summary.traps);
+    let (cluster, summary) = harness::cluster(
+        params,
+        OnTrap::Panic,
+        build_cluster_csrmv::<I>(variant, &plan),
+        |cluster| plan.marshal(cluster, m, x),
+        1_000_000 + 32 * m.nnz() as u64 + 512 * m.nrows() as u64,
+    )?;
     Ok(ClusterCsrmvRun { y: plan.read_y(&cluster), summary })
 }
 
@@ -655,41 +605,5 @@ mod tests {
         );
         // Bank conflicts must be visible in the ISSR run (random gathers).
         assert!(issr.summary.tcdm_stats.conflicts > 0);
-    }
-}
-
-#[cfg(test)]
-mod probe {
-    use super::*;
-    use issr_sparse::gen;
-
-    #[test]
-    #[ignore = "calibration probe"]
-    fn probe_cluster_numbers() {
-        for row_nnz in [1usize, 4, 16, 64, 128] {
-            let mut rng = gen::rng(99);
-            let nrows = 512;
-            let m = gen::csr_clustered::<u16>(
-                &mut rng,
-                nrows,
-                1024,
-                row_nnz,
-                (row_nnz * 4).clamp(16, 1024),
-            );
-            let x = gen::dense_vector(&mut rng, 1024);
-            let base = run_cluster_csrmv(Variant::Base, &m, &x).unwrap();
-            let issr = run_cluster_csrmv(Variant::Issr, &m, &x).unwrap();
-            let speedup = issr_trace::ratio(base.summary.cycles as f64, issr.summary.cycles as f64);
-            let w0 = &issr.summary.worker_metrics[0];
-            println!(
-                "nnz/row {row_nnz:4}: BASE {:8} ISSR {:8} speedup {speedup:.2} peak_util {:.3} cluster_util {:.3} conflicts {} dma_busy {} w0_roi {} w0_fpustall {} w0_fmadds {}",
-                base.summary.cycles, issr.summary.cycles,
-                issr.summary.peak_worker_utilization(),
-                issr.summary.cluster_utilization(),
-                issr.summary.tcdm_stats.conflicts,
-                issr.summary.dma_stats.busy_cycles,
-                w0.roi.cycles, w0.roi.fpu_stall, w0.roi.fmadds,
-            );
-        }
     }
 }

@@ -44,11 +44,15 @@
 //! row's first feed.
 
 use crate::common::{emit_spacc_cfg, SETUP_SCRATCH};
-use crate::layout::{csr_addrs, store_csr, Arena, CsrAddrs};
+use crate::harness::{
+    self, Grown,
+    OnTrap::{self, Panic, Report},
+};
+use crate::layout::{csr_addrs, store_csr, tcdm_arena, CsrAddrs};
 use crate::spgemm::{
     emit_a_row_end, emit_base_k_merge, emit_base_row_copy, emit_base_scratch,
     emit_base_symbolic_rows, emit_indexed_addr, emit_issr_k_expand, emit_issr_symbolic_rows,
-    emit_spacc_wait, expansion_volume, Base,
+    emit_spacc_wait, expansion_volume, output_width, Base,
 };
 use crate::variant::{log_width, KernelIndex, Variant};
 use issr_cluster::cluster::{Cluster, ClusterParams, ClusterSummary};
@@ -57,12 +61,8 @@ use issr_core::cfg::{acc_count_cfg_word, cfg_addr, reg as sreg, SPACC_ROW_CAP_RE
 use issr_isa::asm::{Assembler, Program};
 use issr_isa::reg::IntReg as R;
 use issr_isa::Csr;
-use issr_mem::map::TCDM_BASE;
 use issr_snitch::cc::SimTimeout;
 use issr_sparse::csr::CsrMatrix;
-
-const DATA_BASE: u32 = TCDM_BASE + 0x100;
-const DATA_SIZE: u32 = issr_mem::map::TCDM_SIZE - 0x100;
 
 /// The planned layout of one cluster SpGEMM run.
 #[derive(Clone, Debug)]
@@ -105,7 +105,7 @@ impl ClusterSpgemmPlan {
         assert_eq!(b.nrows(), a.ncols(), "inner dimensions must agree");
         let cap = expansion_volume(a, b).min(a.nrows() as u64 * b.ncols() as u64);
         let cap = u32::try_from(cap).expect("expansion volume fits u32");
-        let mut arena = Arena::new(DATA_BASE, DATA_SIZE);
+        let mut arena = tcdm_arena();
         let a_addrs = csr_addrs::<I>(&mut arena, a.nrows() as u32, a.nnz() as u32);
         let b_addrs = csr_addrs::<I>(&mut arena, b.nrows() as u32, b.nnz() as u32);
         let c_addrs = csr_addrs::<I>(&mut arena, a.nrows() as u32, cap);
@@ -410,43 +410,46 @@ pub fn run_cluster_spgemm_on<I: KernelIndex>(
     n_workers: usize,
     double_buffer: bool,
 ) -> Result<ClusterSpgemmRun, SimTimeout> {
-    let (summary, c) =
-        cluster_spgemm_attempt(variant, a, b, n_workers, double_buffer, SPACC_ROW_CAP_RESET)?;
-    assert!(summary.traps.is_empty(), "cluster cores trapped: {:?}", summary.traps);
-    Ok(ClusterSpgemmRun { c: c.expect("clean run reads back"), summary })
+    let sim =
+        cluster_spgemm_sim(variant, a, b, n_workers, double_buffer, SPACC_ROW_CAP_RESET, Panic)?;
+    Ok(read_product::<I>(sim))
 }
 
-/// One marshalled cluster run on a fresh cluster with an explicit SpAcc
-/// row-buffer capacity. A run with traps returns `None` for the product
-/// (faulted stripes leave the output region partially written).
-fn cluster_spgemm_attempt<I: KernelIndex>(
+/// A finished cluster SpGEMM simulation, before the read-back.
+type ClusterSpgemmSim = (ClusterSpgemmPlan, Cluster, ClusterSummary);
+
+/// One marshalled cluster run with an explicit SpAcc row-buffer mode
+/// and capacity.
+fn cluster_spgemm_sim<I: KernelIndex>(
     variant: Variant,
     a: &CsrMatrix<I>,
     b: &CsrMatrix<I>,
     n_workers: usize,
     double_buffer: bool,
     acc_cap: u32,
-) -> Result<(ClusterSummary, Option<CsrMatrix<u32>>), SimTimeout> {
+    on_trap: OnTrap,
+) -> Result<ClusterSpgemmSim, SimTimeout> {
     let params = ClusterParams {
         sssr: true,
         n_workers,
         spacc_double_buffer: double_buffer,
         ..ClusterParams::default()
     };
-    let plan = ClusterSpgemmPlan::new(a, b, params.n_workers as u32).with_acc_cap(acc_cap);
-    let program = build_cluster_spgemm::<I>(variant, &plan);
-    let mut cluster = Cluster::new(program, params);
-    plan.marshal(&mut cluster, a, b);
+    let plan = ClusterSpgemmPlan::new(a, b, n_workers as u32).with_acc_cap(acc_cap);
     // Both passes walk the expansion; budget the symbolic pass like a
     // second numeric one.
     let volume = expansion_volume(a, b);
     let budget = 4_000_000 + 1024 * (2 * volume + u64::from(plan.c_cap()) + a.nrows() as u64);
-    let summary = cluster.run(budget)?;
-    if !summary.traps.is_empty() {
-        return Ok((summary, None));
-    }
-    let c = plan.read_c::<I>(&cluster).with_index_width::<u32>();
-    Ok((summary, Some(c)))
+    let program = build_cluster_spgemm::<I>(variant, &plan);
+    let (cluster, summary) =
+        harness::cluster(params, on_trap, program, |cluster| plan.marshal(cluster, a, b), budget)?;
+    Ok((plan, cluster, summary))
+}
+
+/// Reads the product of a clean run back (faulted stripes leave the
+/// output region partially written).
+fn read_product<I: KernelIndex>((plan, cluster, summary): ClusterSpgemmSim) -> ClusterSpgemmRun {
+    ClusterSpgemmRun { c: plan.read_c::<I>(&cluster).with_index_width::<u32>(), summary }
 }
 
 /// Result of a grow-and-retry cluster SpGEMM run
@@ -483,23 +486,13 @@ pub fn run_cluster_spgemm_recover<I: KernelIndex>(
     n_workers: usize,
     initial_cap: u32,
 ) -> Result<ClusterSpgemmRecovery, SimTimeout> {
-    assert!(initial_cap > 0, "a zero-capacity row buffer is a configuration fault");
-    let max_cap = u32::try_from(b.ncols().max(1)).expect("ncols fits u32");
-    let mut cap = initial_cap.min(max_cap);
-    let mut retries = 0u32;
-    loop {
-        let (summary, c) = cluster_spgemm_attempt(variant, a, b, n_workers, true, cap)?;
-        if summary.traps.is_empty() {
-            let c = c.expect("clean run reads back");
-            return Ok(ClusterSpgemmRecovery {
-                run: ClusterSpgemmRun { c, summary },
-                retries,
-                final_cap: cap,
-            });
-        }
-        retries += 1;
-        cap = crate::spgemm::grow_after_overflow(&summary.traps, cap, max_cap);
-    }
+    let Grown { run, retries, final_cap } = harness::grow_and_retry(
+        initial_cap,
+        output_width(b),
+        |cap| cluster_spgemm_sim(variant, a, b, n_workers, true, cap, Report),
+        |(_, _, summary)| &summary.traps,
+    )?;
+    Ok(ClusterSpgemmRecovery { run: read_product::<I>(run), retries, final_cap })
 }
 
 #[cfg(test)]

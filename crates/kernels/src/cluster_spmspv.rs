@@ -16,24 +16,21 @@
 //! queue overlapping consecutive rows.
 
 use crate::common::{emit_reduction_tree, emit_zero_accumulators, ACC0, FZ};
-use crate::layout::{csr_addrs, fiber_addrs, store_csr, store_fiber, Arena, CsrAddrs, FiberAddrs};
+use crate::harness::{self, OnTrap};
+use crate::layout::{
+    csr_addrs, fiber_addrs, store_csr, store_fiber, tcdm_arena, CsrAddrs, FiberAddrs,
+};
+use crate::spmspv::{emit_base_row_merge, emit_gather_x_cfg};
 use crate::variant::{issr_accumulators, log_width, KernelIndex, Variant};
 use issr_cluster::cluster::{Cluster, ClusterParams, ClusterSummary};
-use issr_core::cfg::{cfg_addr, join_cfg_word, reg as sreg, JoinerMode};
+use issr_core::cfg::{cfg_addr, reg as sreg};
 use issr_isa::asm::{Assembler, Program};
 use issr_isa::instr::Stagger;
 use issr_isa::reg::{FpReg, IntReg as R};
 use issr_isa::Csr;
-use issr_mem::map::TCDM_BASE;
 use issr_snitch::cc::SimTimeout;
 use issr_sparse::csr::CsrMatrix;
 use issr_sparse::fiber::SparseFiber;
-
-/// Start of the data region (above the flag/peripheral low addresses
-/// the DMA experiments use, so layouts stay comparable).
-const DATA_BASE: u32 = TCDM_BASE + 0x100;
-/// Data region size (the rest of the TCDM).
-const DATA_SIZE: u32 = issr_mem::map::TCDM_SIZE - 0x100;
 
 /// The planned layout of one cluster SpMSpV run.
 #[derive(Clone, Debug)]
@@ -53,7 +50,7 @@ impl ClusterSpmspvPlan {
     /// Panics if the workload does not fit the TCDM.
     #[must_use]
     pub fn new<I: KernelIndex>(m: &CsrMatrix<I>, x: &SparseFiber<I>, n_workers: u32) -> Self {
-        let mut arena = Arena::new(DATA_BASE, DATA_SIZE);
+        let mut arena = tcdm_arena();
         let a = csr_addrs::<I>(&mut arena, m.nrows() as u32, m.nnz() as u32);
         let x_addrs = fiber_addrs::<I>(&mut arena, x.nnz() as u32);
         let nrows = m.nrows() as u32;
@@ -155,17 +152,7 @@ pub fn build_cluster_spmspv<I: KernelIndex>(variant: Variant, plan: &ClusterSpms
     emit_stripe_prologue::<I>(&mut asm, plan.rows_per_worker, plan.nrows, plan.a, plan.y, 3);
     match variant {
         Variant::Issr => {
-            // Static joiner configuration: mode and the shared B side (x).
-            asm.li(R::T0, i64::from(join_cfg_word(JoinerMode::GatherA, I::IDX_SIZE)));
-            asm.scfgwi(R::T0, cfg_addr(sreg::JOIN_CFG, 0));
-            asm.li_addr(R::T0, plan.x.idcs);
-            asm.scfgwi(R::T0, cfg_addr(sreg::JOIN_IDX_B, 0));
-            asm.li_addr(R::T0, plan.x.vals);
-            asm.scfgwi(R::T0, cfg_addr(sreg::JOIN_DATA_B, 0));
-            asm.li(R::T0, i64::from(plan.x.nnz));
-            asm.scfgwi(R::T0, cfg_addr(sreg::JOIN_NNZ_B, 0));
-            asm.fcvt_d_w(FZ, R::ZERO);
-            asm.csrsi(Csr::Ssr, 1);
+            emit_gather_x_cfg::<I>(&mut asm, plan.x);
             asm.roi_begin();
             let outer = asm.bind_label();
             asm.symbol("issr_row");
@@ -209,54 +196,16 @@ pub fn build_cluster_spmspv<I: KernelIndex>(variant: Variant, plan: &ClusterSpms
             asm.li_addr(R::S6, plan.x.idcs);
             asm.li_addr(R::S7, plan.x.vals);
             asm.li_addr(R::S8, plan.x.idcs + plan.x.nnz * I::BYTES);
-            let acc = FpReg::FS0;
-            let (va, vx) = (FpReg::FT6, FpReg::FT7);
             asm.roi_begin();
             let outer = asm.bind_label();
             asm.symbol("base_row");
             asm.lw(R::T5, R::S0, 0); //          ptr[i+1]
             asm.addi(R::S0, R::S0, 4);
-            asm.fcvt_d_w(acc, R::ZERO);
+            asm.fcvt_d_w(FpReg::FS0, R::ZERO);
             asm.slli(R::T4, R::T5, log_w); //    row index end
             asm.li_addr(R::T6, plan.a.idcs);
             asm.add(R::T4, R::T4, R::T6);
-            asm.mv(R::T2, R::S6); //             x cursors rewind per row
-            asm.mv(R::T3, R::S7);
-            let inner = asm.bind_label();
-            let row_skip = asm.new_label();
-            let row_done = asm.new_label();
-            let adv_a = asm.new_label();
-            let adv_x = asm.new_label();
-            asm.beq(R::S4, R::T4, row_done); //  row exhausted
-            asm.beq(R::T2, R::S8, row_skip); //  x exhausted
-            I::emit_index_load(&mut asm, R::T0, R::S4, 0);
-            I::emit_index_load(&mut asm, R::T1, R::T2, 0);
-            asm.blt(R::T0, R::T1, adv_a);
-            asm.blt(R::T1, R::T0, adv_x);
-            asm.fld(va, R::S5, 0);
-            asm.fld(vx, R::T3, 0);
-            asm.fmadd_d(acc, va, vx, acc);
-            asm.addi(R::S4, R::S4, I::BYTES as i32);
-            asm.addi(R::S5, R::S5, 8);
-            asm.bind(adv_x);
-            asm.addi(R::T2, R::T2, I::BYTES as i32);
-            asm.addi(R::T3, R::T3, 8);
-            asm.j(inner);
-            asm.bind(adv_a);
-            asm.addi(R::S4, R::S4, I::BYTES as i32);
-            asm.addi(R::S5, R::S5, 8);
-            asm.j(inner);
-            // x drained early: skip the rest of the row's fiber.
-            asm.bind(row_skip);
-            asm.sub(R::T0, R::T4, R::S4);
-            asm.slli(R::T0, R::T0, 3 - log_w); // index bytes → value bytes
-            asm.add(R::S5, R::S5, R::T0);
-            asm.mv(R::S4, R::T4);
-            asm.bind(row_done);
-            asm.fsd(acc, R::S1, 0);
-            asm.addi(R::S1, R::S1, 8);
-            asm.addi(R::S2, R::S2, -1);
-            asm.bnez(R::S2, outer);
+            emit_base_row_merge::<I>(&mut asm, outer);
             asm.roi_end();
         }
     }
@@ -286,12 +235,14 @@ pub fn run_cluster_spmspv<I: KernelIndex>(
 ) -> Result<ClusterSpmspvRun, SimTimeout> {
     let params = ClusterParams { sssr: true, ..ClusterParams::default() };
     let plan = ClusterSpmspvPlan::new(m, x, params.n_workers as u32);
-    let program = build_cluster_spmspv::<I>(variant, &plan);
-    let mut cluster = Cluster::new(program, params);
-    plan.marshal(&mut cluster, m, x);
     let merge_steps = m.nnz() as u64 + m.nrows() as u64 * (x.nnz() as u64 + 8);
-    let summary = cluster.run(1_000_000 + 64 * merge_steps)?;
-    assert!(summary.traps.is_empty(), "cluster cores trapped: {:?}", summary.traps);
+    let (cluster, summary) = harness::cluster(
+        params,
+        OnTrap::Panic,
+        build_cluster_spmspv::<I>(variant, &plan),
+        |cluster| plan.marshal(cluster, m, x),
+        1_000_000 + 64 * merge_steps,
+    )?;
     Ok(ClusterSpmspvRun { y: plan.read_y(&cluster), summary })
 }
 

@@ -1,7 +1,8 @@
 //! Shared assembly idioms: streamer job setup and reduction trees.
 
+use crate::layout::FiberAddrs;
 use crate::variant::KernelIndex;
-use issr_core::cfg::{cfg_addr, idx_cfg_word, join_cfg_word, reg as sreg, JoinerMode};
+use issr_core::cfg::{cfg_addr, idx_cfg_word, reg as sreg};
 use issr_isa::asm::Assembler;
 use issr_isa::reg::{FpReg, IntReg};
 
@@ -33,6 +34,28 @@ pub(crate) fn emit_wait_all_done(
         asm.lw(IntReg::T2, IntReg::T1, 0);
         asm.blt(IntReg::T2, need, spin);
     }
+}
+
+/// Emits a DMCC's one-off meta transfer — `bytes` of resident data from
+/// `src` (main memory) to `dst` (TCDM) in one DMA, polled to completion
+/// — then raises the flag word `flag` and zeroes the DMCC's counters:
+/// `s7` (DMA transfers issued so far) = 1, `s10` (block sequence
+/// number) = 0.
+pub(crate) fn emit_meta_transfer(asm: &mut Assembler, src: u32, dst: u32, bytes: u32, flag: u32) {
+    asm.li_addr(IntReg::A0, src);
+    asm.li_addr(IntReg::A1, dst);
+    asm.dmsrc(IntReg::A0, IntReg::ZERO);
+    asm.dmdst(IntReg::A1, IntReg::ZERO);
+    asm.li(IntReg::A2, i64::from(bytes));
+    asm.dmcpyi(IntReg::ZERO, IntReg::A2, 0);
+    let poll = asm.bind_label();
+    asm.dmstati(IntReg::T0, 0);
+    asm.beqz(IntReg::T0, poll);
+    asm.li(IntReg::T1, 1);
+    asm.li_addr(IntReg::T2, flag);
+    asm.sw(IntReg::T1, IntReg::T2, 0);
+    asm.li(IntReg::S7, 1);
+    asm.li(IntReg::S10, 0);
 }
 
 /// The constant-zero FP register kernels keep (`fz`), used to seed
@@ -116,60 +139,26 @@ fn emit_indirect_job<I: KernelIndex>(
 }
 
 /// Emits the configuration and launch of an index-joiner job (lanes 0
-/// and 1): stream A's `nnz_a` indices at `idx_a` select values at
-/// `vals_a`, stream B likewise, matched under `mode`. Counts may be
-/// zero. Clobbers [`SETUP_SCRATCH`].
-#[allow(clippy::too_many_arguments)]
-pub fn emit_joiner_read<I: KernelIndex>(
-    asm: &mut Assembler,
-    mode: JoinerMode,
-    idx_a: u32,
-    vals_a: u32,
-    nnz_a: u32,
-    idx_b: u32,
-    vals_b: u32,
-    nnz_b: u32,
-) {
-    emit_joiner_job(
-        asm,
-        join_cfg_word(mode, I::IDX_SIZE),
-        idx_a,
-        vals_a,
-        nnz_a,
-        idx_b,
-        vals_b,
-        nnz_b,
-    );
-}
-
-/// Emits an index-joiner job launch with an explicit `JOIN_CFG` word —
-/// count-only pre-passes pass [`issr_core::cfg::join_count_cfg_word`].
-/// Clobbers [`SETUP_SCRATCH`].
-#[allow(clippy::too_many_arguments)]
-pub fn emit_joiner_job(
-    asm: &mut Assembler,
-    cfg_word: u32,
-    idx_a: u32,
-    vals_a: u32,
-    nnz_a: u32,
-    idx_b: u32,
-    vals_b: u32,
-    nnz_b: u32,
-) {
+/// and 1) under the `JOIN_CFG` word `cfg_word` (mode and index width,
+/// [`issr_core::cfg::join_cfg_word`]; count-only pre-passes pass
+/// [`issr_core::cfg::join_count_cfg_word`]): stream A's indices select
+/// its values, stream B likewise. Counts may be zero. Clobbers
+/// [`SETUP_SCRATCH`].
+pub fn emit_joiner_job(asm: &mut Assembler, cfg_word: u32, a: FiberAddrs, b: FiberAddrs) {
     let t = SETUP_SCRATCH;
     asm.li(t, i64::from(cfg_word));
     asm.scfgwi(t, cfg_addr(sreg::JOIN_CFG, 0));
-    asm.li_addr(t, vals_a);
+    asm.li_addr(t, a.vals);
     asm.scfgwi(t, cfg_addr(sreg::DATA_BASE, 0));
-    asm.li_addr(t, idx_b);
+    asm.li_addr(t, b.idcs);
     asm.scfgwi(t, cfg_addr(sreg::JOIN_IDX_B, 0));
-    asm.li_addr(t, vals_b);
+    asm.li_addr(t, b.vals);
     asm.scfgwi(t, cfg_addr(sreg::JOIN_DATA_B, 0));
-    asm.li(t, i64::from(nnz_a));
+    asm.li(t, i64::from(a.nnz));
     asm.scfgwi(t, cfg_addr(sreg::JOIN_NNZ_A, 0));
-    asm.li(t, i64::from(nnz_b));
+    asm.li(t, i64::from(b.nnz));
     asm.scfgwi(t, cfg_addr(sreg::JOIN_NNZ_B, 0));
-    asm.li_addr(t, idx_a);
+    asm.li_addr(t, a.idcs);
     asm.scfgwi(t, cfg_addr(sreg::RPTR[0], 0));
 }
 

@@ -9,13 +9,16 @@
 //! paper's Ragusa18 edge case.
 
 use crate::common::FZ;
-use crate::csrmv::{emit_issr_row_loop, emit_sw_row_loop, RowLoopCtx};
+use crate::csrmv::{emit_issr_row_loop, emit_sw_row_loop};
+use crate::harness::{self, OnTrap};
 use crate::layout::{alloc_result, place_csr, place_f64s, Arena, CsrAddrs};
 use crate::variant::{KernelIndex, Variant};
 use issr_core::cfg::{cfg_addr, idx_cfg_word, reg as sreg};
+use issr_core::streamer::Streamer;
 use issr_isa::asm::{Assembler, Program};
 use issr_isa::reg::IntReg as R;
-use issr_snitch::cc::{RunSummary, SimTimeout, SingleCcSim, SINGLE_CC_ARENA};
+use issr_mem::array::MemArray;
+use issr_snitch::cc::{RunSummary, SimTimeout};
 use issr_sparse::csr::CsrMatrix;
 use issr_sparse::dense::DenseMatrix;
 
@@ -118,10 +121,9 @@ pub fn build_csrmm<I: KernelIndex>(variant: Variant, addrs: CsrmmAddrs) -> Progr
             Variant::Base => {}
         }
     }
-    let ctx = RowLoopCtx { idx_shift: 3 + log_stride, restore_cursors: true };
     match variant {
-        Variant::Issr => emit_issr_row_loop::<I>(&mut asm, &ctx),
-        _ => emit_sw_row_loop::<I>(&mut asm, variant, &ctx),
+        Variant::Issr => emit_issr_row_loop::<I>(&mut asm),
+        _ => emit_sw_row_loop::<I>(&mut asm, variant, 3 + log_stride as i32),
     }
     // Next column.
     asm.addi(R::A0, R::A0, -1);
@@ -146,6 +148,26 @@ pub struct CsrmmRun {
     pub summary: RunSummary,
 }
 
+/// Places the matrix, the dense operand and the (unpadded) result.
+pub(crate) fn place_csrmm<I: KernelIndex>(
+    arena: &mut Arena,
+    mem: &mut MemArray,
+    m: &CsrMatrix<I>,
+    b: &DenseMatrix,
+) -> CsrmmAddrs {
+    let a = place_csr(arena, mem, m);
+    let b_addr = place_f64s(arena, mem, b.data());
+    let y_stride = b.cols() as u32;
+    CsrmmAddrs {
+        a,
+        b: b_addr,
+        b_cols: b.cols() as u32,
+        b_stride: b.stride() as u32,
+        y: alloc_result(arena, (a.nrows * y_stride).max(1)),
+        y_stride,
+    }
+}
+
 /// Marshals the workload, runs the kernel, returns `Y = A·B` and
 /// metrics. `b` must have a power-of-two row stride
 /// ([`DenseMatrix::with_pow2_stride`]).
@@ -162,29 +184,18 @@ pub fn run_csrmm<I: KernelIndex>(
     b: &DenseMatrix,
 ) -> Result<CsrmmRun, SimTimeout> {
     assert_eq!(b.rows(), m.ncols(), "inner dimensions must agree");
-    let mut arena = Arena::new(SINGLE_CC_ARENA, SingleCcSim::DEFAULT_MEM_BYTES / 2);
-    let mut sim = SingleCcSim::new(Program::default());
-    let a = place_csr(&mut arena, sim.mem.array_mut(), m);
-    let b_addr = place_f64s(&mut arena, sim.mem.array_mut(), b.data());
-    let y_stride = b.cols() as u32;
-    let y = alloc_result(&mut arena, (a.nrows * y_stride).max(1));
-    let addrs = CsrmmAddrs {
-        a,
-        b: b_addr,
-        b_cols: b.cols() as u32,
-        b_stride: b.stride() as u32,
-        y,
-        y_stride,
-    };
-    let program = build_csrmm::<I>(variant, addrs);
-    sim.load(program);
-    let budget =
-        200_000 + 64 * u64::from(a.nnz) * u64::from(addrs.b_cols).max(1) + 64 * u64::from(a.nrows);
-    let summary = sim.run(budget)?.expect_clean();
+    let (sim, addrs, summary) = harness::single_cc(
+        Streamer::paper_config(),
+        OnTrap::Panic,
+        |arena, mem| place_csrmm(arena, mem, m, b),
+        |addrs| build_csrmm::<I>(variant, addrs),
+        200_000 + 64 * m.nnz() as u64 * (b.cols() as u64).max(1) + 64 * m.nrows() as u64,
+    )?;
     let mut out = DenseMatrix::zeros(m.nrows(), b.cols());
     for r in 0..m.nrows() {
         for c in 0..b.cols() {
-            out.set(r, c, sim.mem.array().load_f64(y + (r as u32 * y_stride + c as u32) * 8));
+            let at = addrs.y + (r as u32 * addrs.y_stride + c as u32) * 8;
+            out.set(r, c, sim.mem.array().load_f64(at));
         }
     }
     Ok(CsrmmRun { y: out, summary })

@@ -16,12 +16,15 @@
 //! wraps it in a dense-column loop with register-held bases.
 
 use crate::common::{emit_reduction_tree, ACC0, FZ};
+use crate::harness::{self, OnTrap};
 use crate::layout::{alloc_result, place_csr, place_f64s, Arena, CsrAddrs};
 use crate::variant::{issr_accumulators, KernelIndex, Variant};
+use issr_core::streamer::Streamer;
 use issr_isa::asm::{Assembler, Program};
 use issr_isa::instr::Stagger;
 use issr_isa::reg::{FpReg, IntReg as R};
-use issr_snitch::cc::{RunSummary, SimTimeout, SingleCcSim, SINGLE_CC_ARENA};
+use issr_mem::array::MemArray;
+use issr_snitch::cc::{RunSummary, SimTimeout};
 use issr_sparse::csr::CsrMatrix;
 
 /// Addresses the CsrMV builders bake into the program.
@@ -33,28 +36,6 @@ pub struct CsrmvAddrs {
     pub x: u32,
     /// Result vector base.
     pub y: u32,
-}
-
-/// Register conventions of the row loop (shared with CsrMM):
-///
-/// | reg | role |
-/// |---|---|
-/// | `s0` | `&ptr[i+1]` cursor |
-/// | `s1` | `&y[i]` cursor |
-/// | `s2` | rows remaining |
-/// | `s3` | `ptr[i]` (previous row end) |
-/// | `s4` | index-array cursor (BASE/SSR) |
-/// | `s5` | value-array cursor (BASE) |
-/// | `s6` | dense base for software indirection (BASE/SSR) |
-/// | `s7` | index/value array base for row-end computation |
-/// | `s8` | result stride in bytes (y cursor bump) |
-/// | `t0..t5` | scratch |
-pub struct RowLoopCtx {
-    /// Left-shift applied to an index to reach the dense element:
-    /// 3 for a vector, `3 + log2(stride)` for a matrix column.
-    pub idx_shift: u32,
-    /// Whether this is one column of a CsrMM (bases live in registers).
-    pub restore_cursors: bool,
 }
 
 /// Builds the CsrMV program.
@@ -94,29 +75,16 @@ pub fn build_csrmv<I: KernelIndex>(variant: Variant, addrs: CsrmvAddrs) -> Progr
                 }
                 asm.csrsi(issr_isa::Csr::Ssr, 1);
                 asm.fcvt_d_w(FZ, R::ZERO);
-                emit_issr_row_loop::<I>(
-                    &mut asm,
-                    &RowLoopCtx { idx_shift: 3, restore_cursors: false },
-                );
+                emit_issr_row_loop::<I>(&mut asm);
             }
             Variant::Ssr => {
                 if addrs.a.nnz > 0 {
                     crate::common::emit_affine_read(&mut asm, 0, addrs.a.vals, addrs.a.nnz, 8);
                 }
                 asm.csrsi(issr_isa::Csr::Ssr, 1);
-                emit_sw_row_loop::<I>(
-                    &mut asm,
-                    variant,
-                    &RowLoopCtx { idx_shift: 3, restore_cursors: false },
-                );
+                emit_sw_row_loop::<I>(&mut asm, variant, 3);
             }
-            Variant::Base => {
-                emit_sw_row_loop::<I>(
-                    &mut asm,
-                    variant,
-                    &RowLoopCtx { idx_shift: 3, restore_cursors: false },
-                );
-            }
+            Variant::Base => emit_sw_row_loop::<I>(&mut asm, variant, 3),
         }
     }
     asm.roi_end();
@@ -127,15 +95,32 @@ pub fn build_csrmv<I: KernelIndex>(variant: Variant, addrs: CsrmvAddrs) -> Progr
     asm.finish().expect("CsrMV program assembles")
 }
 
-/// Emits the BASE / SSR row loop (software indirection inner loops).
+/// Emits the BASE / SSR row loop (software indirection inner loops);
+/// `idx_shift` is the left-shift applied to an index to reach the dense
+/// element: 3 for a vector, `3 + log2(stride)` for a matrix column.
+///
+/// Register conventions of the row loops (shared with CsrMM and the
+/// cluster kernels):
+///
+/// | reg | role |
+/// |---|---|
+/// | `s0` | `&ptr[i+1]` cursor |
+/// | `s1` | `&y[i]` cursor |
+/// | `s2` | rows remaining |
+/// | `s3` | `ptr[i]` (previous row end) |
+/// | `s4` | index-array cursor (BASE/SSR) |
+/// | `s5` | value-array cursor (BASE) |
+/// | `s6` | dense base for software indirection (BASE/SSR) |
+/// | `s7` | index/value array base for row-end computation |
+/// | `s8` | result stride in bytes (y cursor bump) |
+/// | `t0..t5` | scratch |
 pub(crate) fn emit_sw_row_loop<I: KernelIndex>(
     asm: &mut Assembler,
     variant: Variant,
-    ctx: &RowLoopCtx,
+    idx_shift: i32,
 ) {
     let acc = FpReg::FS0;
     let (va, vi) = (FpReg::FT6, FpReg::FT3);
-    let idx_shift = ctx.idx_shift as i32;
     let outer = asm.bind_label();
     asm.symbol(if variant == Variant::Base { "base_row" } else { "ssr_row" });
     asm.lw(R::T5, R::S0, 0); // ptr[i+1]
@@ -184,9 +169,8 @@ pub(crate) fn emit_sw_row_loop<I: KernelIndex>(
 
 /// Emits the optimized ISSR row loop: head unrolling against `fz`, a
 /// branch ladder for short rows, FREP + full reduction for long ones.
-pub(crate) fn emit_issr_row_loop<I: KernelIndex>(asm: &mut Assembler, ctx: &RowLoopCtx) {
+pub(crate) fn emit_issr_row_loop<I: KernelIndex>(asm: &mut Assembler) {
     let n_acc = issr_accumulators(I::IDX_SIZE);
-    let _ = ctx;
     let outer = asm.bind_label();
     asm.symbol("issr_row");
     asm.lw(R::T5, R::S0, 0); // ptr[i+1]
@@ -259,6 +243,17 @@ pub struct CsrmvRun {
     pub summary: RunSummary,
 }
 
+/// Places the matrix, the dense vector and the result vector.
+pub(crate) fn place_csrmv<I: KernelIndex>(
+    arena: &mut Arena,
+    mem: &mut MemArray,
+    m: &CsrMatrix<I>,
+    x: &[f64],
+) -> CsrmvAddrs {
+    let a = place_csr(arena, mem, m);
+    CsrmvAddrs { a, x: place_f64s(arena, mem, x), y: alloc_result(arena, a.nrows.max(1)) }
+}
+
 /// Marshals the workload, runs the kernel, returns `y` and metrics.
 ///
 /// # Errors
@@ -268,16 +263,14 @@ pub fn run_csrmv<I: KernelIndex>(
     m: &CsrMatrix<I>,
     x: &[f64],
 ) -> Result<CsrmvRun, SimTimeout> {
-    let mut arena = Arena::new(SINGLE_CC_ARENA, SingleCcSim::DEFAULT_MEM_BYTES / 2);
-    let mut sim = SingleCcSim::new(Program::default());
-    let a = place_csr(&mut arena, sim.mem.array_mut(), m);
-    let x_addr = place_f64s(&mut arena, sim.mem.array_mut(), x);
-    let y = alloc_result(&mut arena, a.nrows.max(1));
-    let program = build_csrmv::<I>(variant, CsrmvAddrs { a, x: x_addr, y });
-    sim.load(program);
-    let budget = 200_000 + 64 * u64::from(a.nnz) + 64 * u64::from(a.nrows);
-    let summary = sim.run(budget)?.expect_clean();
-    Ok(CsrmvRun { y: sim.mem.array().load_f64_slice(y, m.nrows()), summary })
+    let (sim, addrs, summary) = harness::single_cc(
+        Streamer::paper_config(),
+        OnTrap::Panic,
+        |arena, mem| place_csrmv(arena, mem, m, x),
+        |addrs| build_csrmv::<I>(variant, addrs),
+        200_000 + 64 * m.nnz() as u64 + 64 * m.nrows() as u64,
+    )?;
+    Ok(CsrmvRun { y: sim.mem.array().load_f64_slice(addrs.y, m.nrows()), summary })
 }
 
 #[cfg(test)]

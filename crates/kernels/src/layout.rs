@@ -6,8 +6,8 @@
 
 use crate::variant::KernelIndex;
 use issr_mem::array::MemArray;
+use issr_mem::map::{TCDM_BASE, TCDM_SIZE};
 use issr_sparse::csr::CsrMatrix;
-use issr_sparse::dense::DenseMatrix;
 use issr_sparse::fiber::SparseFiber;
 
 /// A bump allocator over a memory region.
@@ -54,6 +54,15 @@ impl Arena {
     }
 }
 
+/// Start of the TCDM data region of the cluster and system kernels:
+/// above the low flag words, so every kernel's layout stays comparable.
+pub(crate) const TCDM_DATA_BASE: u32 = TCDM_BASE + 0x100;
+
+/// An arena over the TCDM data region.
+pub(crate) fn tcdm_arena() -> Arena {
+    Arena::new(TCDM_DATA_BASE, TCDM_SIZE - 0x100)
+}
+
 /// Addresses of a placed sparse fiber.
 #[derive(Clone, Copy, Debug)]
 pub struct FiberAddrs {
@@ -65,13 +74,17 @@ pub struct FiberAddrs {
     pub nnz: u32,
 }
 
+/// Allocates storage for `n` (at least one) indices, padded to whole
+/// words so DMA transfers stay word-aligned.
+fn alloc_indices<I: KernelIndex>(arena: &mut Arena, n: u32) -> u32 {
+    arena.alloc((n.max(1) * I::BYTES + 7) & !7, 8)
+}
+
 /// Allocates a fiber's arrays without storing data (cluster plans
-/// compute addresses before the target memory exists); index storage is
-/// padded to whole words so DMA transfers stay word-aligned.
+/// compute addresses before the target memory exists).
 pub fn fiber_addrs<I: KernelIndex>(arena: &mut Arena, nnz: u32) -> FiberAddrs {
     let vals = arena.alloc(nnz.max(1) * 8, 8);
-    let idx_bytes = (nnz.max(1) * I::BYTES + 7) & !7;
-    let idcs = arena.alloc(idx_bytes, 8);
+    let idcs = alloc_indices::<I>(arena, nnz);
     FiberAddrs { vals, idcs, nnz }
 }
 
@@ -111,8 +124,7 @@ pub struct CsrAddrs {
 pub fn csr_addrs<I: KernelIndex>(arena: &mut Arena, nrows: u32, nnz: u32) -> CsrAddrs {
     let ptr = arena.alloc(((nrows + 1) * 4 + 7) & !7, 8);
     let vals = arena.alloc(nnz.max(1) * 8, 8);
-    let idx_bytes = (nnz.max(1) * I::BYTES + 7) & !7;
-    let idcs = arena.alloc(idx_bytes, 8);
+    let idcs = alloc_indices::<I>(arena, nnz);
     CsrAddrs { ptr, idcs, vals, nrows, nnz }
 }
 
@@ -161,7 +173,7 @@ pub fn alloc_csr_out<I: KernelIndex>(
     let ptr = arena.alloc(((nrows + 1) * 4 + 7) & !7, 8);
     mem.store_u32(ptr, 0);
     let vals = arena.alloc(nnz_cap.max(1) * 8, 8);
-    let idcs = arena.alloc((nnz_cap.max(1) * I::BYTES + 7) & !7, 8);
+    let idcs = alloc_indices::<I>(arena, nnz_cap);
     CsrOutAddrs { ptr, idcs, vals, nnz_cap }
 }
 
@@ -194,10 +206,15 @@ pub fn place_f64s(arena: &mut Arena, mem: &mut MemArray, data: &[f64]) -> u32 {
     addr
 }
 
-/// Places a dense matrix including its stride padding; returns the base
-/// address (row `r` at `base + r * stride * 8`).
-pub fn place_dense_matrix(arena: &mut Arena, mem: &mut MemArray, m: &DenseMatrix) -> u32 {
-    place_f64s(arena, mem, m.data())
+/// Places a bare index array, padded to whole words like a fiber's.
+pub(crate) fn place_indices<I: KernelIndex>(
+    arena: &mut Arena,
+    mem: &mut MemArray,
+    idcs: &[I],
+) -> u32 {
+    let addr = alloc_indices::<I>(arena, idcs.len() as u32);
+    I::store_slice(mem, addr, idcs);
+    addr
 }
 
 /// Allocates an uninitialized result buffer of `len` doubles.

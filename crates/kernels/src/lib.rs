@@ -10,6 +10,12 @@
 //! multi-cluster tiled out-of-TCDM drivers ([`system_csrmv`],
 //! [`system_spgemm`]) that claim row panels from a shared main-memory
 //! work queue.
+//!
+//! Every `run_*` is place → build → harness → read back: the
+//! crate-private `harness` module (one function per machine level plus
+//! the SpGEMM grow-and-retry loop) is the only code that constructs and
+//! runs a simulator, and [`catalog()`] assembles every shipped program
+//! through the same place and build steps.
 
 #![forbid(unsafe_code)]
 
@@ -21,6 +27,7 @@ pub mod common;
 pub mod csf_ttv;
 pub mod csrmm;
 pub mod csrmv;
+mod harness;
 pub mod layout;
 pub mod spgemm;
 pub mod spmspv;
@@ -54,8 +61,11 @@ pub use spmspv::{
     SpmspvAddrs, SpmspvRun, SpvvSsAddrs, SpvvSsRun,
 };
 pub use spvv::{build_spvv, run_spvv, SpvvAddrs, SpvvRun};
-pub use stencil::{run_stencil, SparseStencil, StencilRun};
-pub use streaming::{run_codebook_spvv, run_gather, run_scatter, StreamRun};
+pub use stencil::{build_stencil, run_stencil, SparseStencil, StencilAddrs, StencilRun};
+pub use streaming::{
+    build_codebook_spvv, build_gather, build_scatter, run_codebook_spvv, run_gather, run_scatter,
+    CodebookSpvvAddrs, StreamAddrs, StreamRun,
+};
 pub use system_csrmv::{build_system_csrmv, run_system_csrmv, SystemCsrmvRun};
 pub use system_spgemm::{
     build_system_spgemm, run_system_spgemm, SystemSpgemmPlan, SystemSpgemmRun,

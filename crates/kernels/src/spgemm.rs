@@ -27,15 +27,16 @@
 //! — the two-pass/alloc side of the builder ([`crate::layout`]).
 
 use crate::common::{emit_spacc_cfg, SETUP_SCRATCH};
+use crate::harness::{self, Grown, OnTrap};
 use crate::layout::{alloc_csr_out, place_csr, read_csr_out, Arena, CsrAddrs, CsrOutAddrs};
 use crate::variant::{log_width, KernelIndex, Variant};
 use issr_core::cfg::{cfg_addr, reg as sreg, SPACC_ROW_CAP_RESET};
-use issr_core::fault::StreamFaultKind;
+use issr_core::streamer::Streamer;
 use issr_isa::asm::{Assembler, Label, Program};
 use issr_isa::instr::Stagger;
 use issr_isa::reg::{FpReg, IntReg as R};
-use issr_snitch::cc::{RunSummary, SimTimeout, SingleCcSim, SINGLE_CC_ARENA};
-use issr_snitch::core::TrapCause;
+use issr_mem::array::MemArray;
+use issr_snitch::cc::{RunSummary, SimTimeout, SingleCcSim};
 use issr_sparse::csr::CsrMatrix;
 
 /// Addresses the SpGEMM builders bake into the program.
@@ -550,6 +551,25 @@ pub(crate) fn expansion_volume<I: KernelIndex>(a: &CsrMatrix<I>, b: &CsrMatrix<I
     (0..a.nrows()).map(|r| a.row(r).map(|(k, _)| b.row_range(k).len() as u64).sum::<u64>()).sum()
 }
 
+/// Places both operands, the output region (`nnz_cap` nonzeros) and
+/// BASE's ping-pong merge scratch.
+pub(crate) fn place_spgemm<I: KernelIndex>(
+    arena: &mut Arena,
+    mem: &mut MemArray,
+    a: &CsrMatrix<I>,
+    b: &CsrMatrix<I>,
+    nnz_cap: u32,
+) -> SpgemmAddrs {
+    let a_addrs = place_csr(arena, mem, a);
+    let b_addrs = place_csr(arena, mem, b);
+    let c = alloc_csr_out::<I>(arena, mem, a.nrows() as u32, nnz_cap);
+    let row_cap = (b.ncols() as u32).max(1);
+    let idx_bytes = (row_cap * I::BYTES + 7) & !7;
+    let scratch_idx = [arena.alloc(idx_bytes, 8), arena.alloc(idx_bytes, 8)];
+    let scratch_vals = [arena.alloc(row_cap * 8, 8), arena.alloc(row_cap * 8, 8)];
+    SpgemmAddrs { a: a_addrs, b: b_addrs, c, scratch_idx, scratch_vals }
+}
+
 /// Marshals the operands, runs SpGEMM on the single-CC setup (SpAcc
 /// streamer for the ISSR variant), and returns the product with metrics.
 /// The output region is sized by the symbolic pass (two-pass alloc).
@@ -584,69 +604,47 @@ pub fn run_spgemm_buffered<I: KernelIndex>(
     b: &CsrMatrix<I>,
     double_buffer: bool,
 ) -> Result<SpgemmRun, SimTimeout> {
-    let (summary, c) = spgemm_attempt(variant, a, b, double_buffer, SPACC_ROW_CAP_RESET)?;
-    let summary = summary.expect_clean();
-    Ok(SpgemmRun { c: c.expect("clean run reads back"), summary })
+    let sim = spgemm_sim(variant, a, b, double_buffer, SPACC_ROW_CAP_RESET, OnTrap::Panic)?;
+    Ok(read_product::<I>(sim, a, b))
 }
 
-/// One marshalled simulation on a fresh harness with an explicit SpAcc
-/// row-buffer capacity. A trapped run returns `None` for the product
-/// (the partially written output region is not a valid CSR matrix).
-fn spgemm_attempt<I: KernelIndex>(
+/// A finished single-CC SpGEMM simulation, before the read-back.
+type SpgemmSim = (SingleCcSim, SpgemmAddrs, RunSummary);
+
+/// One marshalled simulation with an explicit SpAcc row-buffer mode and
+/// capacity.
+fn spgemm_sim<I: KernelIndex>(
     variant: Variant,
     a: &CsrMatrix<I>,
     b: &CsrMatrix<I>,
     double_buffer: bool,
     acc_cap: u32,
-) -> Result<(RunSummary, Option<CsrMatrix<u32>>), SimTimeout> {
+    on_trap: OnTrap,
+) -> Result<SpgemmSim, SimTimeout> {
     assert_eq!(b.nrows(), a.ncols(), "inner dimensions must agree");
-    let mut arena = Arena::new(SINGLE_CC_ARENA, SingleCcSim::DEFAULT_MEM_BYTES / 2);
-    let mut sim = SingleCcSim::with_joiner(Program::default());
-    let a_addrs = place_csr(&mut arena, sim.mem.array_mut(), a);
-    let b_addrs = place_csr(&mut arena, sim.mem.array_mut(), b);
     let nnz_cap = issr_sparse::reference::spgemm_ptr(a, b).last().copied().unwrap_or(0);
-    let c = alloc_csr_out::<I>(&mut arena, sim.mem.array_mut(), a.nrows() as u32, nnz_cap);
-    let row_cap = (b.ncols() as u32).max(1);
-    let scratch_idx = [
-        arena.alloc((row_cap * I::BYTES + 7) & !7, 8),
-        arena.alloc((row_cap * I::BYTES + 7) & !7, 8),
-    ];
-    let scratch_vals = [arena.alloc(row_cap * 8, 8), arena.alloc(row_cap * 8, 8)];
-    let addrs = SpgemmAddrs { a: a_addrs, b: b_addrs, c, scratch_idx, scratch_vals };
-    let program = build_spgemm_capped::<I>(variant, a.nrows() as u32, addrs, acc_cap);
-    sim.load(program);
-    sim.cc.streamer.set_spacc_double_buffered(double_buffer);
+    let mut streamer = Streamer::sssr_config();
+    streamer.set_spacc_double_buffered(double_buffer);
     let volume = expansion_volume(a, b) + u64::from(nnz_cap) + a.nnz() as u64;
-    let budget = 300_000 + 256 * (volume + a.nrows() as u64);
-    let summary = sim.run(budget)?;
-    if summary.trap.is_some() {
-        return Ok((summary, None));
-    }
-    let c =
-        read_csr_out::<I>(sim.mem.array(), addrs.c, a.nrows(), b.ncols()).with_index_width::<u32>();
-    Ok((summary, Some(c)))
+    harness::single_cc(
+        streamer,
+        on_trap,
+        |arena, mem| place_spgemm(arena, mem, a, b, nnz_cap),
+        |addrs| build_spgemm_capped::<I>(variant, a.nrows() as u32, addrs, acc_cap),
+        300_000 + 256 * (volume + a.nrows() as u64),
+    )
 }
 
-/// The shared grow-and-retry policy of the SpGEMM harnesses: every
-/// trap of a faulted attempt must be a *recoverable* SpAcc overflow
-/// (anything else panics with the trap's diagnostics), the capacity
-/// must still have headroom, and the next attempt doubles it, clamped
-/// to `max_cap` (the output width, where overflow is impossible).
-pub(crate) fn grow_after_overflow<'a>(
-    traps: impl IntoIterator<Item = &'a issr_snitch::core::Trap>,
-    cap: u32,
-    max_cap: u32,
-) -> u32 {
-    for trap in traps {
-        let overflow = matches!(
-            trap.cause,
-            TrapCause::StreamFault(fault)
-                if matches!(fault.kind, StreamFaultKind::Overflow { .. })
-        );
-        assert!(overflow, "SpGEMM trapped on a non-recoverable fault: {trap}");
-        assert!(cap < max_cap, "overflow at the full row capacity: {trap}");
-    }
-    cap.saturating_mul(2).min(max_cap)
+/// Reads the product of a clean run back (a trapped run's partially
+/// written output region is not a valid CSR matrix).
+fn read_product<I: KernelIndex>(
+    (sim, addrs, summary): SpgemmSim,
+    a: &CsrMatrix<I>,
+    b: &CsrMatrix<I>,
+) -> SpgemmRun {
+    let c =
+        read_csr_out::<I>(sim.mem.array(), addrs.c, a.nrows(), b.ncols()).with_index_width::<u32>();
+    SpgemmRun { c, summary }
 }
 
 /// Result of a grow-and-retry SpGEMM run ([`run_spgemm_recover`]).
@@ -662,7 +660,7 @@ pub struct SpgemmRecovery {
 
 /// Runs SpGEMM with an *optimistic* SpAcc row-buffer capacity and
 /// trap-driven recovery: a `StreamFault::Overflow` latched mid-stream
-/// restores the SpAcc's row-buffer checkpoint and parks the core; this
+/// restores the SpAcc's row-buffer checkpoint and parks the core; the
 /// harness doubles `ACC_BUF_CAP` (clamped to the output width, where
 /// overflow is impossible) and replays — SparseZipper's
 /// size-optimistically-recover-on-overflow strategy, so an adversarial
@@ -681,19 +679,19 @@ pub fn run_spgemm_recover<I: KernelIndex>(
     b: &CsrMatrix<I>,
     initial_cap: u32,
 ) -> Result<SpgemmRecovery, SimTimeout> {
-    assert!(initial_cap > 0, "a zero-capacity row buffer is a configuration fault");
-    let max_cap = u32::try_from(b.ncols().max(1)).expect("ncols fits u32");
-    let mut cap = initial_cap.min(max_cap);
-    let mut retries = 0u32;
-    loop {
-        let (summary, c) = spgemm_attempt(variant, a, b, true, cap)?;
-        let Some(trap) = summary.trap else {
-            let c = c.expect("clean run reads back");
-            return Ok(SpgemmRecovery { run: SpgemmRun { c, summary }, retries, final_cap: cap });
-        };
-        retries += 1;
-        cap = grow_after_overflow(std::iter::once(&trap), cap, max_cap);
-    }
+    let Grown { run, retries, final_cap } = harness::grow_and_retry(
+        initial_cap,
+        output_width(b),
+        |cap| spgemm_sim(variant, a, b, true, cap, OnTrap::Report),
+        |(_, _, summary)| summary.trap.as_slice(),
+    )?;
+    Ok(SpgemmRecovery { run: read_product::<I>(run, a, b), retries, final_cap })
+}
+
+/// The widest row a product with `b` can hold — the SpAcc capacity at
+/// which overflow is impossible.
+pub(crate) fn output_width<I: KernelIndex>(b: &CsrMatrix<I>) -> u32 {
+    u32::try_from(b.ncols().max(1)).expect("ncols fits u32")
 }
 
 #[cfg(test)]

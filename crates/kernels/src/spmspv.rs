@@ -23,16 +23,17 @@
 //! loop ends when the matched-pair stream dries up — one walk, zero
 //! pre-passes.
 
-use crate::common::{
-    emit_joiner_job, emit_joiner_read, emit_reduction_tree, emit_zero_accumulators, ACC0, FZ,
-};
+use crate::common::{emit_joiner_job, emit_reduction_tree, emit_zero_accumulators, ACC0, FZ};
+use crate::harness::{self, OnTrap};
 use crate::layout::{alloc_result, place_csr, place_fiber, Arena, CsrAddrs, FiberAddrs};
 use crate::variant::{issr_accumulators, log_width, KernelIndex, Variant};
 use issr_core::cfg::{cfg_addr, join_cfg_word, join_count_cfg_word, reg as sreg, JoinerMode};
-use issr_isa::asm::{Assembler, Program};
+use issr_core::streamer::Streamer;
+use issr_isa::asm::{Assembler, Label, Program};
 use issr_isa::instr::Stagger;
 use issr_isa::reg::{FpReg, IntReg as R};
-use issr_snitch::cc::{RunSummary, SimTimeout, SingleCcSim, SINGLE_CC_ARENA};
+use issr_mem::array::MemArray;
+use issr_snitch::cc::{RunSummary, SimTimeout};
 use issr_sparse::csr::CsrMatrix;
 use issr_sparse::fiber::SparseFiber;
 
@@ -123,16 +124,7 @@ fn emit_issr_spvv_ss<I: KernelIndex>(asm: &mut Assembler, addrs: SpvvSsAddrs) {
         asm.roi_end();
         return;
     }
-    emit_joiner_read::<I>(
-        asm,
-        JoinerMode::GatherA,
-        addrs.a.idcs,
-        addrs.a.vals,
-        addrs.a.nnz,
-        addrs.b.idcs,
-        addrs.b.vals,
-        addrs.b.nnz,
-    );
+    emit_joiner_job(asm, join_cfg_word(JoinerMode::GatherA, I::IDX_SIZE), addrs.a, addrs.b);
     asm.csrsi(issr_isa::Csr::Ssr, 1);
     emit_zero_accumulators(asm, ACC0, n_acc);
     asm.li(R::T1, i64::from(addrs.a.nnz) - 1);
@@ -166,18 +158,7 @@ pub fn build_spvv_ss_dyn<I: KernelIndex>(addrs: SpvvSsAddrs) -> Program {
         asm.halt();
         return asm.finish().expect("dynamic SpVV∩ program assembles");
     }
-    let launch = |asm: &mut Assembler, cfg_word: u32| {
-        emit_joiner_job(
-            asm,
-            cfg_word,
-            addrs.a.idcs,
-            addrs.a.vals,
-            addrs.a.nnz,
-            addrs.b.idcs,
-            addrs.b.vals,
-            addrs.b.nnz,
-        );
-    };
+    let launch = |asm: &mut Assembler, cfg_word| emit_joiner_job(asm, cfg_word, addrs.a, addrs.b);
     // Pre-pass: count-only intersect, then poll lane 0 until it retires.
     launch(&mut asm, join_count_cfg_word(JoinerMode::Intersect, I::IDX_SIZE));
     let spin = asm.bind_label();
@@ -227,16 +208,7 @@ pub fn build_spvv_ss_term<I: KernelIndex>(addrs: SpvvSsAddrs) -> Program {
     asm.roi_begin();
     // No zero-operand special case: an empty side terminates the joiner
     // immediately and the frep.s body runs zero times.
-    emit_joiner_read::<I>(
-        &mut asm,
-        JoinerMode::Intersect,
-        addrs.a.idcs,
-        addrs.a.vals,
-        addrs.a.nnz,
-        addrs.b.idcs,
-        addrs.b.vals,
-        addrs.b.nnz,
-    );
+    emit_joiner_job(&mut asm, join_cfg_word(JoinerMode::Intersect, I::IDX_SIZE), addrs.a, addrs.b);
     asm.csrsi(issr_isa::Csr::Ssr, 1);
     emit_zero_accumulators(&mut asm, ACC0, n_acc);
     asm.frep_stream(1, Stagger::accumulator(n_acc));
@@ -248,48 +220,6 @@ pub fn build_spvv_ss_term<I: KernelIndex>(addrs: SpvvSsAddrs) -> Program {
     asm.csrci(issr_isa::Csr::Ssr, 1);
     asm.halt();
     asm.finish().expect("stream-terminated SpVV∩ program assembles")
-}
-
-/// Marshals the two fibers and runs the single-pass stream-terminated
-/// SpVV∩ ([`build_spvv_ss_term`]) on the joiner hardware.
-///
-/// # Errors
-/// Returns [`SimTimeout`] if the kernel fails to finish (a bug).
-pub fn run_spvv_ss_term<I: KernelIndex>(
-    a: &SparseFiber<I>,
-    b: &SparseFiber<I>,
-) -> Result<SpvvSsRun, SimTimeout> {
-    let mut arena = Arena::new(SINGLE_CC_ARENA, SingleCcSim::DEFAULT_MEM_BYTES / 2);
-    let mut sim = SingleCcSim::with_joiner(Program::default());
-    let a_addrs = place_fiber(&mut arena, sim.mem.array_mut(), a);
-    let b_addrs = place_fiber(&mut arena, sim.mem.array_mut(), b);
-    let out = alloc_result(&mut arena, 1);
-    let program = build_spvv_ss_term::<I>(SpvvSsAddrs { a: a_addrs, b: b_addrs, out });
-    sim.load(program);
-    let budget = 100_000 + 64 * u64::from(a_addrs.nnz + b_addrs.nnz);
-    let summary = sim.run(budget)?.expect_clean();
-    Ok(SpvvSsRun { result: sim.mem.array().load_f64(out), summary })
-}
-
-/// Marshals the two fibers and runs the dynamic-trip (JOIN_COUNT
-/// handshake) SpVV∩ on the joiner hardware.
-///
-/// # Errors
-/// Returns [`SimTimeout`] if the kernel fails to finish (a bug).
-pub fn run_spvv_ss_dyn<I: KernelIndex>(
-    a: &SparseFiber<I>,
-    b: &SparseFiber<I>,
-) -> Result<SpvvSsRun, SimTimeout> {
-    let mut arena = Arena::new(SINGLE_CC_ARENA, SingleCcSim::DEFAULT_MEM_BYTES / 2);
-    let mut sim = SingleCcSim::with_joiner(Program::default());
-    let a_addrs = place_fiber(&mut arena, sim.mem.array_mut(), a);
-    let b_addrs = place_fiber(&mut arena, sim.mem.array_mut(), b);
-    let out = alloc_result(&mut arena, 1);
-    let program = build_spvv_ss_dyn::<I>(SpvvSsAddrs { a: a_addrs, b: b_addrs, out });
-    sim.load(program);
-    let budget = 100_000 + 128 * u64::from(a_addrs.nnz + b_addrs.nnz);
-    let summary = sim.run(budget)?.expect_clean();
-    Ok(SpvvSsRun { result: sim.mem.array().load_f64(out), summary })
 }
 
 /// Addresses the SpMSpV builders bake into the program.
@@ -326,8 +256,6 @@ pub fn build_spmspv<I: KernelIndex>(variant: Variant, addrs: SpmspvAddrs) -> Pro
 /// `s3` A index base, `s4`/`s5` running A index/value cursors, `s6`/`s7`
 /// `x` index/value bases, `s8` `x` index end; `t*` per-row scratch.
 fn emit_base_spmspv<I: KernelIndex>(asm: &mut Assembler, addrs: SpmspvAddrs) {
-    let acc = FpReg::FS0;
-    let (va, vx) = (FpReg::FT6, FpReg::FT7);
     let log_w = log_width::<I>();
     asm.li_addr(R::S0, addrs.a.ptr + 4);
     asm.li_addr(R::S1, addrs.y);
@@ -344,48 +272,76 @@ fn emit_base_spmspv<I: KernelIndex>(asm: &mut Assembler, addrs: SpmspvAddrs) {
         asm.symbol("base_row");
         asm.lw(R::T5, R::S0, 0); //          ptr[i+1]
         asm.addi(R::S0, R::S0, 4);
-        asm.fcvt_d_w(acc, R::ZERO);
+        asm.fcvt_d_w(FpReg::FS0, R::ZERO);
         asm.slli(R::T4, R::T5, log_w); //    row index end
         asm.add(R::T4, R::T4, R::S3);
-        asm.mv(R::T2, R::S6); //             x cursors rewind per row
-        asm.mv(R::T3, R::S7);
-        let inner = asm.bind_label();
-        let row_skip = asm.new_label();
-        let row_done = asm.new_label();
-        let adv_a = asm.new_label();
-        let adv_x = asm.new_label();
-        asm.beq(R::S4, R::T4, row_done); //  row exhausted
-        asm.beq(R::T2, R::S8, row_skip); //  x exhausted
-        I::emit_index_load(asm, R::T0, R::S4, 0);
-        I::emit_index_load(asm, R::T1, R::T2, 0);
-        asm.blt(R::T0, R::T1, adv_a);
-        asm.blt(R::T1, R::T0, adv_x);
-        asm.fld(va, R::S5, 0);
-        asm.fld(vx, R::T3, 0);
-        asm.fmadd_d(acc, va, vx, acc);
-        asm.addi(R::S4, R::S4, I::BYTES as i32);
-        asm.addi(R::S5, R::S5, 8);
-        asm.bind(adv_x);
-        asm.addi(R::T2, R::T2, I::BYTES as i32);
-        asm.addi(R::T3, R::T3, 8);
-        asm.j(inner);
-        asm.bind(adv_a);
-        asm.addi(R::S4, R::S4, I::BYTES as i32);
-        asm.addi(R::S5, R::S5, 8);
-        asm.j(inner);
-        // x drained early: skip the rest of the row's fiber.
-        asm.bind(row_skip);
-        asm.sub(R::T0, R::T4, R::S4);
-        asm.slli(R::T0, R::T0, 3 - log_w); // index bytes → value bytes
-        asm.add(R::S5, R::S5, R::T0);
-        asm.mv(R::S4, R::T4);
-        asm.bind(row_done);
-        asm.fsd(acc, R::S1, 0);
-        asm.addi(R::S1, R::S1, 8);
-        asm.addi(R::S2, R::S2, -1);
-        asm.bnez(R::S2, outer);
+        emit_base_row_merge::<I>(asm, outer);
     }
     asm.roi_end();
+}
+
+/// Emits the BASE two-pointer merge of one matrix row against `x` and
+/// the row epilogue. On entry `s4`/`s5` are the A index/value cursors,
+/// `t4` the row's index end, `s6`/`s7`/`s8` x's index base, value base
+/// and index end, `fs0` the zeroed accumulator; stores `y[i]` through
+/// `s1` and loops to `outer` while `s2` rows remain.
+pub(crate) fn emit_base_row_merge<I: KernelIndex>(asm: &mut Assembler, outer: Label) {
+    let log_w = log_width::<I>();
+    let acc = FpReg::FS0;
+    let (va, vx) = (FpReg::FT6, FpReg::FT7);
+    asm.mv(R::T2, R::S6); //             x cursors rewind per row
+    asm.mv(R::T3, R::S7);
+    let inner = asm.bind_label();
+    let row_skip = asm.new_label();
+    let row_done = asm.new_label();
+    let adv_a = asm.new_label();
+    let adv_x = asm.new_label();
+    asm.beq(R::S4, R::T4, row_done); //  row exhausted
+    asm.beq(R::T2, R::S8, row_skip); //  x exhausted
+    I::emit_index_load(asm, R::T0, R::S4, 0);
+    I::emit_index_load(asm, R::T1, R::T2, 0);
+    asm.blt(R::T0, R::T1, adv_a);
+    asm.blt(R::T1, R::T0, adv_x);
+    asm.fld(va, R::S5, 0);
+    asm.fld(vx, R::T3, 0);
+    asm.fmadd_d(acc, va, vx, acc);
+    asm.addi(R::S4, R::S4, I::BYTES as i32);
+    asm.addi(R::S5, R::S5, 8);
+    asm.bind(adv_x);
+    asm.addi(R::T2, R::T2, I::BYTES as i32);
+    asm.addi(R::T3, R::T3, 8);
+    asm.j(inner);
+    asm.bind(adv_a);
+    asm.addi(R::S4, R::S4, I::BYTES as i32);
+    asm.addi(R::S5, R::S5, 8);
+    asm.j(inner);
+    // x drained early: skip the rest of the row's fiber.
+    asm.bind(row_skip);
+    asm.sub(R::T0, R::T4, R::S4);
+    asm.slli(R::T0, R::T0, 3 - log_w); // index bytes → value bytes
+    asm.add(R::S5, R::S5, R::T0);
+    asm.mv(R::S4, R::T4);
+    asm.bind(row_done);
+    asm.fsd(acc, R::S1, 0);
+    asm.addi(R::S1, R::S1, 8);
+    asm.addi(R::S2, R::S2, -1);
+    asm.bnez(R::S2, outer);
+}
+
+/// Emits the static joiner configuration of the ISSR row loops —
+/// gather-A mode and the shared B side `x` — zeroes `fz` and enables the
+/// streamer.
+pub(crate) fn emit_gather_x_cfg<I: KernelIndex>(asm: &mut Assembler, x: FiberAddrs) {
+    asm.li(R::T0, i64::from(join_cfg_word(JoinerMode::GatherA, I::IDX_SIZE)));
+    asm.scfgwi(R::T0, cfg_addr(sreg::JOIN_CFG, 0));
+    asm.li_addr(R::T0, x.idcs);
+    asm.scfgwi(R::T0, cfg_addr(sreg::JOIN_IDX_B, 0));
+    asm.li_addr(R::T0, x.vals);
+    asm.scfgwi(R::T0, cfg_addr(sreg::JOIN_DATA_B, 0));
+    asm.li(R::T0, i64::from(x.nnz));
+    asm.scfgwi(R::T0, cfg_addr(sreg::JOIN_NNZ_B, 0));
+    asm.fcvt_d_w(FZ, R::ZERO);
+    asm.csrsi(issr_isa::Csr::Ssr, 1);
 }
 
 /// ISSR: one joiner job per row (gather-A against the shared `x`); the
@@ -407,17 +363,7 @@ fn emit_issr_spmspv<I: KernelIndex>(asm: &mut Assembler, addrs: SpmspvAddrs) {
     asm.li_addr(R::S7, addrs.a.vals);
     asm.roi_begin();
     if addrs.a.nrows > 0 {
-        // Static joiner configuration: mode and the shared B side (x).
-        asm.li(R::T0, i64::from(join_cfg_word(JoinerMode::GatherA, I::IDX_SIZE)));
-        asm.scfgwi(R::T0, cfg_addr(sreg::JOIN_CFG, 0));
-        asm.li_addr(R::T0, addrs.x.idcs);
-        asm.scfgwi(R::T0, cfg_addr(sreg::JOIN_IDX_B, 0));
-        asm.li_addr(R::T0, addrs.x.vals);
-        asm.scfgwi(R::T0, cfg_addr(sreg::JOIN_DATA_B, 0));
-        asm.li(R::T0, i64::from(addrs.x.nnz));
-        asm.scfgwi(R::T0, cfg_addr(sreg::JOIN_NNZ_B, 0));
-        asm.fcvt_d_w(FZ, R::ZERO);
-        asm.csrsi(issr_isa::Csr::Ssr, 1);
+        emit_gather_x_cfg::<I>(asm, addrs.x);
         let outer = asm.bind_label();
         asm.symbol("issr_row");
         let zero_row = asm.new_label();
@@ -461,6 +407,38 @@ pub struct SpvvSsRun {
     pub summary: RunSummary,
 }
 
+/// Places the two fibers and the result slot.
+pub(crate) fn place_spvv_ss<I: KernelIndex>(
+    arena: &mut Arena,
+    mem: &mut MemArray,
+    a: &SparseFiber<I>,
+    b: &SparseFiber<I>,
+) -> SpvvSsAddrs {
+    SpvvSsAddrs {
+        a: place_fiber(arena, mem, a),
+        b: place_fiber(arena, mem, b),
+        out: alloc_result(arena, 1),
+    }
+}
+
+/// One SpVV∩ run on the joiner hardware with the program `build`
+/// bakes, budgeted at `cycles_per_nnz` per stored element.
+fn run_spvv_ss_on<I: KernelIndex>(
+    a: &SparseFiber<I>,
+    b: &SparseFiber<I>,
+    build: impl FnOnce(SpvvSsAddrs) -> Program,
+    cycles_per_nnz: u64,
+) -> Result<SpvvSsRun, SimTimeout> {
+    let (sim, addrs, summary) = harness::single_cc(
+        Streamer::sssr_config(),
+        OnTrap::Panic,
+        |arena, mem| place_spvv_ss(arena, mem, a, b),
+        build,
+        100_000 + cycles_per_nnz * (a.nnz() + b.nnz()) as u64,
+    )?;
+    Ok(SpvvSsRun { result: sim.mem.array().load_f64(addrs.out), summary })
+}
+
 /// Marshals the two fibers, runs SpVV∩ on the single-CC setup (with the
 /// joiner streamer for the ISSR variant), and returns the result.
 ///
@@ -471,16 +449,31 @@ pub fn run_spvv_ss<I: KernelIndex>(
     a: &SparseFiber<I>,
     b: &SparseFiber<I>,
 ) -> Result<SpvvSsRun, SimTimeout> {
-    let mut arena = Arena::new(SINGLE_CC_ARENA, SingleCcSim::DEFAULT_MEM_BYTES / 2);
-    let mut sim = SingleCcSim::with_joiner(Program::default());
-    let a_addrs = place_fiber(&mut arena, sim.mem.array_mut(), a);
-    let b_addrs = place_fiber(&mut arena, sim.mem.array_mut(), b);
-    let out = alloc_result(&mut arena, 1);
-    let program = build_spvv_ss::<I>(variant, SpvvSsAddrs { a: a_addrs, b: b_addrs, out });
-    sim.load(program);
-    let budget = 100_000 + 64 * u64::from(a_addrs.nnz + b_addrs.nnz);
-    let summary = sim.run(budget)?.expect_clean();
-    Ok(SpvvSsRun { result: sim.mem.array().load_f64(out), summary })
+    run_spvv_ss_on(a, b, |addrs| build_spvv_ss::<I>(variant, addrs), 64)
+}
+
+/// Marshals the two fibers and runs the single-pass stream-terminated
+/// SpVV∩ ([`build_spvv_ss_term`]) on the joiner hardware.
+///
+/// # Errors
+/// Returns [`SimTimeout`] if the kernel fails to finish (a bug).
+pub fn run_spvv_ss_term<I: KernelIndex>(
+    a: &SparseFiber<I>,
+    b: &SparseFiber<I>,
+) -> Result<SpvvSsRun, SimTimeout> {
+    run_spvv_ss_on(a, b, build_spvv_ss_term::<I>, 64)
+}
+
+/// Marshals the two fibers and runs the dynamic-trip (JOIN_COUNT
+/// handshake) SpVV∩ on the joiner hardware.
+///
+/// # Errors
+/// Returns [`SimTimeout`] if the kernel fails to finish (a bug).
+pub fn run_spvv_ss_dyn<I: KernelIndex>(
+    a: &SparseFiber<I>,
+    b: &SparseFiber<I>,
+) -> Result<SpvvSsRun, SimTimeout> {
+    run_spvv_ss_on(a, b, build_spvv_ss_dyn::<I>, 128)
 }
 
 /// Result of one SpMSpV run.
@@ -492,6 +485,17 @@ pub struct SpmspvRun {
     pub summary: RunSummary,
 }
 
+/// Places the matrix, the sparse vector and the dense result.
+pub(crate) fn place_spmspv<I: KernelIndex>(
+    arena: &mut Arena,
+    mem: &mut MemArray,
+    m: &CsrMatrix<I>,
+    x: &SparseFiber<I>,
+) -> SpmspvAddrs {
+    let a = place_csr(arena, mem, m);
+    SpmspvAddrs { a, x: place_fiber(arena, mem, x), y: alloc_result(arena, a.nrows.max(1)) }
+}
+
 /// Marshals the workload, runs SpMSpV, and returns `y` with metrics.
 ///
 /// # Errors
@@ -501,17 +505,16 @@ pub fn run_spmspv<I: KernelIndex>(
     m: &CsrMatrix<I>,
     x: &SparseFiber<I>,
 ) -> Result<SpmspvRun, SimTimeout> {
-    let mut arena = Arena::new(SINGLE_CC_ARENA, SingleCcSim::DEFAULT_MEM_BYTES / 2);
-    let mut sim = SingleCcSim::with_joiner(Program::default());
-    let a = place_csr(&mut arena, sim.mem.array_mut(), m);
-    let x_addrs = place_fiber(&mut arena, sim.mem.array_mut(), x);
-    let y = alloc_result(&mut arena, a.nrows.max(1));
-    let program = build_spmspv::<I>(variant, SpmspvAddrs { a, x: x_addrs, y });
-    sim.load(program);
     // BASE re-scans x once per row; size the budget to the merge volume.
-    let merge_steps = u64::from(a.nnz) + u64::from(a.nrows) * u64::from(x_addrs.nnz + 4);
-    let summary = sim.run(200_000 + 64 * merge_steps)?.expect_clean();
-    Ok(SpmspvRun { y: sim.mem.array().load_f64_slice(y, m.nrows()), summary })
+    let merge_steps = m.nnz() as u64 + m.nrows() as u64 * (x.nnz() as u64 + 4);
+    let (sim, addrs, summary) = harness::single_cc(
+        Streamer::sssr_config(),
+        OnTrap::Panic,
+        |arena, mem| place_spmspv(arena, mem, m, x),
+        |addrs| build_spmspv::<I>(variant, addrs),
+        200_000 + 64 * merge_steps,
+    )?;
+    Ok(SpmspvRun { y: sim.mem.array().load_f64_slice(addrs.y, m.nrows()), summary })
 }
 
 #[cfg(test)]

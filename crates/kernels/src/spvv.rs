@@ -12,12 +12,15 @@
 //!   0.67 (32-bit).
 
 use crate::common::{emit_indirect_read, emit_reduction_tree, emit_zero_accumulators, ACC0};
+use crate::harness::{self, OnTrap};
 use crate::layout::{alloc_result, place_f64s, place_fiber, Arena, FiberAddrs};
 use crate::variant::{issr_accumulators, KernelIndex, Variant};
+use issr_core::streamer::Streamer;
 use issr_isa::asm::{Assembler, Program};
 use issr_isa::instr::Stagger;
 use issr_isa::reg::{FpReg, IntReg as R};
-use issr_snitch::cc::{RunSummary, SimTimeout, SingleCcSim, SINGLE_CC_ARENA};
+use issr_mem::array::MemArray;
+use issr_snitch::cc::{RunSummary, SimTimeout};
 use issr_sparse::fiber::SparseFiber;
 
 /// Addresses the SpVV builders bake into the program.
@@ -149,6 +152,20 @@ pub struct SpvvRun {
     pub summary: RunSummary,
 }
 
+/// Places the operands and the result slot.
+pub(crate) fn place_spvv<I: KernelIndex>(
+    arena: &mut Arena,
+    mem: &mut MemArray,
+    a: &SparseFiber<I>,
+    b: &[f64],
+) -> SpvvAddrs {
+    SpvvAddrs {
+        a: place_fiber(arena, mem, a),
+        b: place_f64s(arena, mem, b),
+        out: alloc_result(arena, 1),
+    }
+}
+
 /// Marshals the workload, runs the kernel on the §IV-A single-CC setup,
 /// and returns the result with its metrics.
 ///
@@ -159,16 +176,14 @@ pub fn run_spvv<I: KernelIndex>(
     a: &SparseFiber<I>,
     b: &[f64],
 ) -> Result<SpvvRun, SimTimeout> {
-    let mut arena = Arena::new(SINGLE_CC_ARENA, SingleCcSim::DEFAULT_MEM_BYTES / 2);
-    let mut sim = SingleCcSim::new(Program::default());
-    let fiber_addrs = place_fiber(&mut arena, sim.mem.array_mut(), a);
-    let b_addr = place_f64s(&mut arena, sim.mem.array_mut(), b);
-    let out = alloc_result(&mut arena, 1);
-    let addrs = SpvvAddrs { a: fiber_addrs, b: b_addr, out };
-    let program = build_spvv::<I>(variant, addrs);
-    sim.load(program);
-    let summary = sim.run(100_000 + 64 * u64::from(addrs.a.nnz))?.expect_clean();
-    Ok(SpvvRun { result: sim.mem.array().load_f64(out), summary })
+    let (sim, addrs, summary) = harness::single_cc(
+        Streamer::paper_config(),
+        OnTrap::Panic,
+        |arena, mem| place_spvv(arena, mem, a, b),
+        |addrs| build_spvv::<I>(variant, addrs),
+        100_000 + 64 * a.nnz() as u64,
+    )?;
+    Ok(SpvvRun { result: sim.mem.array().load_f64(addrs.out), summary })
 }
 
 #[cfg(test)]

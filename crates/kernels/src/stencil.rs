@@ -17,13 +17,16 @@
 //! output position.
 
 use crate::common::{emit_reduction_tree, emit_zero_accumulators, ACC0};
-use crate::layout::{alloc_result, place_f64s, Arena};
+use crate::harness::{self, OnTrap};
+use crate::layout::{alloc_result, place_f64s, place_indices, Arena};
 use crate::variant::KernelIndex;
 use issr_core::cfg::{cfg_addr, idx_cfg_word, reg as sreg};
+use issr_core::streamer::Streamer;
 use issr_isa::asm::{Assembler, Program};
 use issr_isa::instr::Stagger;
 use issr_isa::reg::{FpReg, IntReg as R};
-use issr_snitch::cc::{RunSummary, SimTimeout, SingleCcSim, SINGLE_CC_ARENA};
+use issr_mem::array::MemArray;
+use issr_snitch::cc::{RunSummary, SimTimeout};
 
 /// A sparse 1-D stencil: tap offsets (in elements, relative to the
 /// output position) and their weights.
@@ -70,38 +73,34 @@ pub struct StencilRun {
     pub summary: RunSummary,
 }
 
-/// Runs the ISSR sparse-stencil convolution over `x` (valid mode).
-///
-/// # Errors
-/// Returns [`SimTimeout`] on a simulation bug.
-///
-/// # Panics
-/// Panics on empty stencils or mismatched weight counts.
-pub fn run_stencil<I: KernelIndex>(
-    stencil: &SparseStencil,
-    x: &[f64],
-) -> Result<StencilRun, SimTimeout> {
-    assert!(!stencil.offsets.is_empty(), "stencil needs at least one tap");
-    assert_eq!(stencil.offsets.len(), stencil.weights.len(), "weights per tap");
-    let taps = stencil.taps() as u32;
-    let out_len = (x.len() as u32).saturating_sub(stencil.reach());
+/// Addresses and shapes the stencil builder bakes into the program.
+#[derive(Clone, Copy, Debug)]
+pub struct StencilAddrs {
+    /// The input signal.
+    pub x: u32,
+    /// The tap weights.
+    pub weights: u32,
+    /// The tap offsets (index array).
+    pub offsets: u32,
+    /// The output (`out_len` doubles).
+    pub out: u32,
+    /// Number of taps (at least one).
+    pub taps: u32,
+    /// Valid output positions.
+    pub out_len: u32,
+}
+
+/// Builds the ISSR sparse-stencil program: per output position the
+/// weights' affine job and the taps' gather are relaunched, the latter
+/// at a data base the core slides by one element.
+#[must_use]
+pub fn build_stencil<I: KernelIndex>(addrs: StencilAddrs) -> Program {
     let n_acc: u8 = 4;
-
-    let mut arena = Arena::new(SINGLE_CC_ARENA, SingleCcSim::DEFAULT_MEM_BYTES / 2);
-    let mut sim = SingleCcSim::new(Program::default());
-    let x_addr = place_f64s(&mut arena, sim.mem.array_mut(), x);
-    let w_addr = place_f64s(&mut arena, sim.mem.array_mut(), &stencil.weights);
-    let idx_bytes = (taps * I::BYTES + 7) & !7;
-    let off_addr = arena.alloc(idx_bytes, 8);
-    let offsets: Vec<I> = stencil.offsets.iter().map(|&o| I::from_usize(o as usize)).collect();
-    I::store_slice(sim.mem.array_mut(), off_addr, &offsets);
-    let out = alloc_result(&mut arena, out_len.max(1));
-
     let mut asm = Assembler::new();
     asm.roi_begin();
-    if out_len > 0 {
+    if addrs.out_len > 0 {
         // Invariant lane state: bounds (taps) and index configuration.
-        asm.li(R::T0, i64::from(taps) - 1);
+        asm.li(R::T0, i64::from(addrs.taps) - 1);
         asm.scfgwi(R::T0, cfg_addr(sreg::BOUNDS[0], 0));
         asm.scfgwi(R::T0, cfg_addr(sreg::BOUNDS[0], 1));
         asm.li(R::T0, 8);
@@ -110,12 +109,12 @@ pub fn run_stencil<I: KernelIndex>(
         asm.scfgwi(R::T0, cfg_addr(sreg::IDX_CFG, 1));
         asm.csrsi(issr_isa::Csr::Ssr, 1);
         // Position loop registers.
-        asm.li_addr(R::S4, w_addr); // weights (relaunched per position)
-        asm.li_addr(R::S5, off_addr); // offset array
-        asm.li_addr(R::S6, x_addr); // sliding data base
-        asm.li_addr(R::S1, out);
-        asm.li(R::S2, i64::from(out_len));
-        asm.li(R::T2, i64::from(taps) - 1);
+        asm.li_addr(R::S4, addrs.weights); // weights (relaunched per position)
+        asm.li_addr(R::S5, addrs.offsets); // offset array
+        asm.li_addr(R::S6, addrs.x); // sliding data base
+        asm.li_addr(R::S1, addrs.out);
+        asm.li(R::S2, i64::from(addrs.out_len));
+        asm.li(R::T2, i64::from(addrs.taps) - 1);
         let pos = asm.bind_label();
         asm.symbol("position");
         // Relaunch: weights affine job + taps gather at the current base.
@@ -134,14 +133,62 @@ pub fn run_stencil<I: KernelIndex>(
         asm.bnez(R::S2, pos);
     }
     asm.roi_end();
-    if out_len > 0 {
+    if addrs.out_len > 0 {
         asm.csrci(issr_isa::Csr::Ssr, 1);
     }
     asm.halt();
+    asm.finish().expect("stencil assembles")
+}
 
-    sim.load(asm.finish().expect("stencil assembles"));
-    let summary = sim.run(200_000 + 64 * u64::from(out_len) * u64::from(taps))?.expect_clean();
-    Ok(StencilRun { out: sim.mem.array().load_f64_slice(out, out_len as usize), summary })
+/// Output positions of the valid (no-padding) convolution.
+fn valid_len(stencil: &SparseStencil, x: &[f64]) -> u32 {
+    (x.len() as u32).saturating_sub(stencil.reach())
+}
+
+/// Places the signal, the stencil and the valid-mode output.
+///
+/// # Panics
+/// Panics on empty stencils or mismatched weight counts.
+pub(crate) fn place_stencil<I: KernelIndex>(
+    arena: &mut Arena,
+    mem: &mut MemArray,
+    stencil: &SparseStencil,
+    x: &[f64],
+) -> StencilAddrs {
+    assert!(!stencil.offsets.is_empty(), "stencil needs at least one tap");
+    assert_eq!(stencil.offsets.len(), stencil.weights.len(), "weights per tap");
+    let offsets: Vec<I> = stencil.offsets.iter().map(|&o| I::from_usize(o as usize)).collect();
+    let out_len = valid_len(stencil, x);
+    StencilAddrs {
+        x: place_f64s(arena, mem, x),
+        weights: place_f64s(arena, mem, &stencil.weights),
+        offsets: place_indices(arena, mem, &offsets),
+        out: alloc_result(arena, out_len.max(1)),
+        taps: stencil.taps() as u32,
+        out_len,
+    }
+}
+
+/// Runs the ISSR sparse-stencil convolution over `x` (valid mode).
+///
+/// # Errors
+/// Returns [`SimTimeout`] on a simulation bug.
+///
+/// # Panics
+/// Panics on empty stencils or mismatched weight counts.
+pub fn run_stencil<I: KernelIndex>(
+    stencil: &SparseStencil,
+    x: &[f64],
+) -> Result<StencilRun, SimTimeout> {
+    let out_len = valid_len(stencil, x) as usize;
+    let (sim, addrs, summary) = harness::single_cc(
+        Streamer::paper_config(),
+        OnTrap::Panic,
+        |arena, mem| place_stencil::<I>(arena, mem, stencil, x),
+        build_stencil::<I>,
+        200_000 + 64 * out_len as u64 * stencil.taps() as u64,
+    )?;
+    Ok(StencilRun { out: sim.mem.array().load_f64_slice(addrs.out, out_len), summary })
 }
 
 #[cfg(test)]

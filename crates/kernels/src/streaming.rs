@@ -18,15 +18,94 @@ use crate::common::{
     emit_affine_read, emit_affine_write, emit_indirect_read, emit_indirect_write,
     emit_reduction_tree, emit_zero_accumulators, ACC0,
 };
-use crate::layout::{alloc_result, place_f64s, Arena};
-use crate::variant::KernelIndex;
+use crate::harness::{self, OnTrap};
+use crate::layout::{alloc_result, place_f64s, place_indices, Arena};
+use crate::variant::{issr_accumulators, KernelIndex};
 use issr_core::lane::LaneKind;
 use issr_core::streamer::Streamer;
 use issr_isa::asm::{Assembler, Program};
 use issr_isa::instr::Stagger;
 use issr_isa::reg::{FpReg, IntReg as R};
-use issr_snitch::cc::{CoreComplex, RunSummary, SimTimeout, SingleCcSim, SINGLE_CC_ARENA};
-use issr_snitch::params::CcParams;
+use issr_mem::array::MemArray;
+use issr_snitch::cc::{RunSummary, SimTimeout};
+
+/// Addresses the gather and scatter builders bake into the program.
+#[derive(Clone, Copy, Debug)]
+pub struct StreamAddrs {
+    /// The array read in order (scatter) or through the indices (gather).
+    pub src: u32,
+    /// The index array (`n` entries).
+    pub idcs: u32,
+    /// The array written through the indices (scatter) or in order
+    /// (gather).
+    pub dst: u32,
+    /// Elements moved.
+    pub n: u32,
+}
+
+/// Builds the gather program: lane 0 (SSR) is an affine write stream
+/// over `dst`, lane 1 (ISSR) the gather read stream.
+#[must_use]
+pub fn build_gather<I: KernelIndex>(addrs: StreamAddrs) -> Program {
+    let StreamAddrs { src, idcs, dst, n } = addrs;
+    build_stream_move(n, FpReg::FT0, FpReg::FT1, |asm| {
+        emit_affine_write(asm, 0, dst, n, 8);
+        emit_indirect_read::<I>(asm, 1, idcs, n, 0, src);
+    })
+}
+
+/// Builds the scatter program: lane 0 (SSR) is an affine read stream
+/// over `src`, lane 1 (ISSR) the scatter write stream.
+#[must_use]
+pub fn build_scatter<I: KernelIndex>(addrs: StreamAddrs) -> Program {
+    let StreamAddrs { src, idcs, dst, n } = addrs;
+    build_stream_move(n, FpReg::FT1, FpReg::FT0, |asm| {
+        emit_affine_read(asm, 0, src, n, 8);
+        emit_indirect_write::<I>(asm, 1, idcs, n, 0, dst);
+    })
+}
+
+/// Both jobs of `emit_jobs`, then one `fmv.d to, from` under FREP per
+/// element.
+fn build_stream_move(
+    n: u32,
+    to: FpReg,
+    from: FpReg,
+    emit_jobs: impl FnOnce(&mut Assembler),
+) -> Program {
+    let mut asm = Assembler::new();
+    asm.roi_begin();
+    if n > 0 {
+        emit_jobs(&mut asm);
+        asm.csrsi(issr_isa::Csr::Ssr, 1);
+        asm.li(R::T1, i64::from(n) - 1);
+        asm.frep_outer(R::T1, 1, Stagger::NONE);
+        asm.fmv_d(to, from);
+    }
+    asm.roi_end();
+    if n > 0 {
+        asm.csrci(issr_isa::Csr::Ssr, 1);
+    }
+    asm.halt();
+    asm.finish().expect("streaming move assembles")
+}
+
+/// Places the source and index arrays and a `dst_len`-element
+/// destination.
+pub(crate) fn place_stream<I: KernelIndex>(
+    arena: &mut Arena,
+    mem: &mut MemArray,
+    src: &[f64],
+    idcs: &[I],
+    dst_len: usize,
+) -> StreamAddrs {
+    StreamAddrs {
+        src: place_f64s(arena, mem, src),
+        idcs: place_indices(arena, mem, idcs),
+        dst: alloc_result(arena, dst_len.max(1) as u32),
+        n: idcs.len() as u32,
+    }
+}
 
 /// Result of a streaming-application run.
 #[derive(Clone, Debug)]
@@ -37,41 +116,29 @@ pub struct StreamRun {
     pub summary: RunSummary,
 }
 
+fn run_stream_move<I: KernelIndex>(
+    build: fn(StreamAddrs) -> Program,
+    src: &[f64],
+    idcs: &[I],
+    dst_len: usize,
+) -> Result<StreamRun, SimTimeout> {
+    let (sim, addrs, summary) = harness::single_cc(
+        Streamer::paper_config(),
+        OnTrap::Panic,
+        |arena, mem| place_stream(arena, mem, src, idcs, dst_len),
+        build,
+        100_000 + 16 * idcs.len() as u64,
+    )?;
+    Ok(StreamRun { out: sim.mem.array().load_f64_slice(addrs.dst, dst_len), summary })
+}
+
 /// Gather: `out[j] = data[idcs[j]]` — a streaming scatter-gather unit
 /// in action. Also the codebook decoder when `data` is a codebook.
 ///
 /// # Errors
 /// Returns [`SimTimeout`] on a simulation bug.
 pub fn run_gather<I: KernelIndex>(data: &[f64], idcs: &[I]) -> Result<StreamRun, SimTimeout> {
-    let n = idcs.len() as u32;
-    let mut arena = Arena::new(SINGLE_CC_ARENA, SingleCcSim::DEFAULT_MEM_BYTES / 2);
-    let mut sim = SingleCcSim::new(Program::default());
-    let data_addr = place_f64s(&mut arena, sim.mem.array_mut(), data);
-    let idx_bytes = (n.max(1) * I::BYTES + 7) & !7;
-    let idcs_addr = arena.alloc(idx_bytes, 8);
-    I::store_slice(sim.mem.array_mut(), idcs_addr, idcs);
-    let out = alloc_result(&mut arena, n.max(1));
-
-    let mut asm = Assembler::new();
-    asm.roi_begin();
-    if n > 0 {
-        // Lane 0 (SSR): affine write stream over out; lane 1 (ISSR):
-        // gather read stream.
-        emit_affine_write(&mut asm, 0, out, n, 8);
-        emit_indirect_read::<I>(&mut asm, 1, idcs_addr, n, 0, data_addr);
-        asm.csrsi(issr_isa::Csr::Ssr, 1);
-        asm.li(R::T1, i64::from(n) - 1);
-        asm.frep_outer(R::T1, 1, Stagger::NONE);
-        asm.fmv_d(FpReg::FT0, FpReg::FT1); // write stream <- gather stream
-    }
-    asm.roi_end();
-    if n > 0 {
-        asm.csrci(issr_isa::Csr::Ssr, 1);
-    }
-    asm.halt();
-    sim.load(asm.finish().expect("gather assembles"));
-    let summary = sim.run(100_000 + 16 * u64::from(n))?.expect_clean();
-    Ok(StreamRun { out: sim.mem.array().load_f64_slice(out, idcs.len()), summary })
+    run_stream_move(build_gather::<I>, data, idcs, idcs.len())
 }
 
 /// Scatter: `out[idcs[j]] = vals[j]` over a zeroed output of `dim`
@@ -85,39 +152,59 @@ pub fn run_scatter<I: KernelIndex>(
     vals: &[f64],
 ) -> Result<StreamRun, SimTimeout> {
     assert_eq!(idcs.len(), vals.len(), "index/value length mismatch");
-    let n = idcs.len() as u32;
-    let mut arena = Arena::new(SINGLE_CC_ARENA, SingleCcSim::DEFAULT_MEM_BYTES / 2);
-    let mut sim = SingleCcSim::new(Program::default());
-    let vals_addr = place_f64s(&mut arena, sim.mem.array_mut(), vals);
-    let idx_bytes = (n.max(1) * I::BYTES + 7) & !7;
-    let idcs_addr = arena.alloc(idx_bytes, 8);
-    I::store_slice(sim.mem.array_mut(), idcs_addr, idcs);
-    let out = alloc_result(&mut arena, dim.max(1) as u32);
+    run_stream_move(build_scatter::<I>, vals, idcs, dim)
+}
 
+/// Addresses the codebook-SpVV builder bakes into the program.
+#[derive(Clone, Copy, Debug)]
+pub struct CodebookSpvvAddrs {
+    /// The codebook.
+    pub codebook: u32,
+    /// The dense operand.
+    pub dense: u32,
+    /// Codebook positions of the `n` sparse values.
+    pub codes: u32,
+    /// Dense positions of the `n` sparse values.
+    pub idcs: u32,
+    /// Result slot (one double).
+    pub out: u32,
+    /// Nonzero count.
+    pub n: u32,
+}
+
+/// Builds the codebook-SpVV program for a streamer with **two ISSRs**:
+/// lane 0 decodes `codebook[codes[j]]`, lane 1 gathers
+/// `dense[idcs[j]]`; the loop is Listing 1's single staggered `fmadd.d`.
+#[must_use]
+pub fn build_codebook_spvv<I: KernelIndex>(addrs: CodebookSpvvAddrs) -> Program {
+    let n_acc = issr_accumulators(I::IDX_SIZE);
     let mut asm = Assembler::new();
+    asm.li_addr(R::A2, addrs.out);
     asm.roi_begin();
-    if n > 0 {
-        emit_affine_read(&mut asm, 0, vals_addr, n, 8);
-        emit_indirect_write::<I>(&mut asm, 1, idcs_addr, n, 0, out);
+    if addrs.n == 0 {
+        asm.fcvt_d_w(ACC0, R::ZERO);
+        asm.fsd(ACC0, R::A2, 0);
+        asm.roi_end();
+    } else {
+        emit_indirect_read::<I>(&mut asm, 0, addrs.codes, addrs.n, 0, addrs.codebook);
+        emit_indirect_read::<I>(&mut asm, 1, addrs.idcs, addrs.n, 0, addrs.dense);
         asm.csrsi(issr_isa::Csr::Ssr, 1);
-        asm.li(R::T1, i64::from(n) - 1);
-        asm.frep_outer(R::T1, 1, Stagger::NONE);
-        asm.fmv_d(FpReg::FT1, FpReg::FT0); // scatter stream <- value stream
-    }
-    asm.roi_end();
-    if n > 0 {
+        emit_zero_accumulators(&mut asm, ACC0, n_acc);
+        asm.li(R::T1, i64::from(addrs.n) - 1);
+        asm.frep_outer(R::T1, 1, Stagger::accumulator(n_acc));
+        asm.fmadd_d(ACC0, FpReg::FT0, FpReg::FT1, ACC0);
+        emit_reduction_tree(&mut asm, ACC0, n_acc);
+        asm.fsd(ACC0, R::A2, 0);
+        asm.roi_end();
         asm.csrci(issr_isa::Csr::Ssr, 1);
     }
     asm.halt();
-    sim.load(asm.finish().expect("scatter assembles"));
-    let summary = sim.run(100_000 + 16 * u64::from(n))?.expect_clean();
-    Ok(StreamRun { out: sim.mem.array().load_f64_slice(out, dim), summary })
+    asm.finish().expect("codebook spvv assembles")
 }
 
 /// Dot product of a codebook-compressed sparse vector with a dense one,
-/// on a streamer with **two ISSRs**: lane 0 decodes
-/// `codebook[codes[j]]`, lane 1 gathers `dense[idcs[j]]` — same code
-/// shape and performance as the ordinary ISSR SpVV, as §III-C argues.
+/// on a streamer with **two ISSRs** — same code shape and performance
+/// as the ordinary ISSR SpVV, as §III-C argues.
 ///
 /// # Errors
 /// Returns [`SimTimeout`] on a simulation bug.
@@ -128,48 +215,21 @@ pub fn run_codebook_spvv<I: KernelIndex>(
     dense: &[f64],
 ) -> Result<(f64, RunSummary), SimTimeout> {
     assert_eq!(codes.len(), idcs.len(), "codes/indices length mismatch");
-    let n = codes.len() as u32;
-    let n_acc = crate::variant::issr_accumulators(I::IDX_SIZE);
-    let mut arena = Arena::new(SINGLE_CC_ARENA, SingleCcSim::DEFAULT_MEM_BYTES / 2);
-    let mut sim = SingleCcSim::with_cc(CoreComplex::with_streamer(
-        0,
-        Program::default(),
-        CcParams::default(),
+    let (sim, addrs, summary) = harness::single_cc(
         Streamer::new(&[LaneKind::Issr, LaneKind::Issr]),
-    ));
-    let book_addr = place_f64s(&mut arena, sim.mem.array_mut(), codebook);
-    let dense_addr = place_f64s(&mut arena, sim.mem.array_mut(), dense);
-    let idx_bytes = (n.max(1) * I::BYTES + 7) & !7;
-    let codes_addr = arena.alloc(idx_bytes, 8);
-    I::store_slice(sim.mem.array_mut(), codes_addr, codes);
-    let idcs_addr = arena.alloc(idx_bytes, 8);
-    I::store_slice(sim.mem.array_mut(), idcs_addr, idcs);
-    let out = alloc_result(&mut arena, 1);
-
-    let mut asm = Assembler::new();
-    asm.li_addr(R::A2, out);
-    asm.roi_begin();
-    if n == 0 {
-        asm.fcvt_d_w(ACC0, R::ZERO);
-        asm.fsd(ACC0, R::A2, 0);
-        asm.roi_end();
-    } else {
-        emit_indirect_read::<I>(&mut asm, 0, codes_addr, n, 0, book_addr);
-        emit_indirect_read::<I>(&mut asm, 1, idcs_addr, n, 0, dense_addr);
-        asm.csrsi(issr_isa::Csr::Ssr, 1);
-        emit_zero_accumulators(&mut asm, ACC0, n_acc);
-        asm.li(R::T1, i64::from(n) - 1);
-        asm.frep_outer(R::T1, 1, Stagger::accumulator(n_acc));
-        asm.fmadd_d(ACC0, FpReg::FT0, FpReg::FT1, ACC0);
-        emit_reduction_tree(&mut asm, ACC0, n_acc);
-        asm.fsd(ACC0, R::A2, 0);
-        asm.roi_end();
-        asm.csrci(issr_isa::Csr::Ssr, 1);
-    }
-    asm.halt();
-    sim.load(asm.finish().expect("codebook spvv assembles"));
-    let summary = sim.run(100_000 + 64 * u64::from(n))?.expect_clean();
-    Ok((sim.mem.array().load_f64(out), summary))
+        OnTrap::Panic,
+        |arena, mem| CodebookSpvvAddrs {
+            codebook: place_f64s(arena, mem, codebook),
+            dense: place_f64s(arena, mem, dense),
+            codes: place_indices(arena, mem, codes),
+            idcs: place_indices(arena, mem, idcs),
+            out: alloc_result(arena, 1),
+            n: codes.len() as u32,
+        },
+        build_codebook_spvv::<I>,
+        100_000 + 64 * codes.len() as u64,
+    )?;
+    Ok((sim.mem.array().load_f64(addrs.out), summary))
 }
 
 #[cfg(test)]

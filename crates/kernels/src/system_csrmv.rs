@@ -27,10 +27,11 @@
 //! whatever the cluster count or claim interleaving.
 
 use crate::cluster_csrmv::{
-    emit_worker_block_body, emit_worker_issr_cfg, ClusterCsrmvPlan, CsrmvWorkerGeom, BUF_A,
-    FLAG_DONE, FLAG_META, FLAG_READY, VALS_CAP,
+    emit_block_fetch, emit_worker_block_body, emit_worker_issr_cfg, ClusterCsrmvPlan, FLAG_DONE,
+    FLAG_META, FLAG_READY,
 };
-use crate::common::{emit_parity_slot, emit_wait_all_done};
+use crate::common::{emit_meta_transfer, emit_parity_slot, emit_wait_all_done};
+use crate::harness;
 use crate::variant::{KernelIndex, Variant};
 use issr_isa::asm::{Assembler, Program};
 use issr_isa::reg::IntReg as R;
@@ -38,7 +39,7 @@ use issr_isa::Csr;
 use issr_mem::map::TCDM_BASE;
 use issr_snitch::cc::SimTimeout;
 use issr_sparse::csr::CsrMatrix;
-use issr_system::system::{System, SystemParams, SystemSummary};
+use issr_system::system::{SystemParams, SystemSummary};
 
 /// Claimed-block-id slots of the ready handshake (one per buffer), in
 /// the flag area below the data region. A negative id terminates the
@@ -94,7 +95,7 @@ pub fn build_system_csrmv<I: KernelIndex>(variant: Variant, plan: &ClusterCsrmvP
     asm.lw(R::T4, R::T0, 0);
     asm.blt(R::T4, R::ZERO, worker_end); // sentinel: no more blocks
     let signal_done = asm.new_label();
-    emit_worker_block_body::<I>(&mut asm, variant, &CsrmvWorkerGeom::of(plan), R::T4, signal_done);
+    emit_worker_block_body::<I>(&mut asm, variant, plan, R::T4, signal_done);
     asm.bind(signal_done);
     asm.addi(R::T0, R::S10, 1);
     asm.sw(R::T0, R::A6, 0);
@@ -111,20 +112,7 @@ pub fn build_system_csrmv<I: KernelIndex>(variant: Variant, plan: &ClusterCsrmvP
     asm.bind(dmcc_entry);
     asm.symbol("dmcc");
     // Meta transfer: x | ptr | descriptors in one DMA.
-    asm.li_addr(R::A0, plan.main_meta);
-    asm.li_addr(R::A1, plan.tcdm_x);
-    asm.dmsrc(R::A0, R::ZERO);
-    asm.dmdst(R::A1, R::ZERO);
-    asm.li(R::A2, i64::from(plan.meta_bytes));
-    asm.dmcpyi(R::ZERO, R::A2, 0);
-    let poll_meta = asm.bind_label();
-    asm.dmstati(R::T0, 0);
-    asm.beqz(R::T0, poll_meta);
-    asm.li(R::T1, 1);
-    asm.li_addr(R::T2, FLAG_META);
-    asm.sw(R::T1, R::T2, 0);
-    asm.li(R::S7, 1); //  DMA transfers issued so far
-    asm.li(R::S10, 0); // local block sequence number
+    emit_meta_transfer(&mut asm, plan.main_meta, plan.tcdm_x, plan.meta_bytes, FLAG_META);
     asm.li(R::S1, -1); // previously claimed block id (none yet)
     let dmcc_finish = asm.new_label();
     let claim_loop = asm.bind_label();
@@ -142,31 +130,7 @@ pub fn build_system_csrmv<I: KernelIndex>(variant: Variant, plan: &ClusterCsrmvP
     asm.addi(R::T3, R::S10, -1);
     emit_wait_all_done(&mut asm, FLAG_DONE, plan.n_workers, R::T3);
     asm.bind(no_wait);
-    // Descriptor: DMA sources and lengths of the claimed block.
-    asm.slli(R::T4, R::S0, 5);
-    asm.li_addr(R::T5, plan.tcdm_desc);
-    asm.add(R::T4, R::T4, R::T5);
-    asm.lw(R::A0, R::T4, 16); // vals_src
-    asm.lw(R::A1, R::T4, 20); // vals_len
-    asm.lw(R::A2, R::T4, 24); // idcs_src
-    asm.lw(R::A3, R::T4, 28); // idcs_len
-                              // Destination buffer seq & 1.
-    asm.andi(R::T0, R::S10, 1);
-    asm.slli(R::T0, R::T0, 16);
-    asm.li_addr(R::T1, BUF_A);
-    asm.add(R::T0, R::T0, R::T1);
-    asm.dmsrc(R::A0, R::ZERO);
-    asm.dmdst(R::T0, R::ZERO);
-    asm.dmcpyi(R::ZERO, R::A1, 0);
-    asm.li(R::T2, i64::from(VALS_CAP));
-    asm.add(R::T2, R::T2, R::T0);
-    asm.dmsrc(R::A2, R::ZERO);
-    asm.dmdst(R::T2, R::ZERO);
-    asm.dmcpyi(R::ZERO, R::A3, 0);
-    asm.addi(R::S7, R::S7, 2);
-    let poll_block = asm.bind_label();
-    asm.dmstati(R::T3, 0);
-    asm.blt(R::T3, R::S7, poll_block);
+    emit_block_fetch(&mut asm, plan, R::S0);
     // Publish: the claimed id first, then the monotonic ready flag.
     emit_parity_slot(&mut asm, BLK_ID, R::S10);
     asm.sw(R::S0, R::T0, 0);
@@ -270,7 +234,7 @@ pub fn run_system_csrmv_with<I: KernelIndex>(
     x: &[f64],
     params: SystemParams,
 ) -> Result<SystemCsrmvRun, SimTimeout> {
-    Ok(run_system_csrmv_inner(variant, m, x, params, None)?.0)
+    Ok(run_system_csrmv_on(variant, m, x, params, None)?.0)
 }
 
 /// [`run_system_csrmv_with`] with tracing enabled (every cluster's
@@ -292,11 +256,11 @@ pub fn run_system_csrmv_traced<I: KernelIndex>(
     params: SystemParams,
     trace_cap: usize,
 ) -> Result<(SystemCsrmvRun, issr_trace::Json), SimTimeout> {
-    let (run, trace) = run_system_csrmv_inner(variant, m, x, params, Some(trace_cap))?;
+    let (run, trace) = run_system_csrmv_on(variant, m, x, params, Some(trace_cap))?;
     Ok((run, trace.expect("tracing was enabled")))
 }
 
-fn run_system_csrmv_inner<I: KernelIndex>(
+fn run_system_csrmv_on<I: KernelIndex>(
     variant: Variant,
     m: &CsrMatrix<I>,
     x: &[f64],
@@ -304,18 +268,14 @@ fn run_system_csrmv_inner<I: KernelIndex>(
     trace_cap: Option<usize>,
 ) -> Result<(SystemCsrmvRun, Option<issr_trace::Json>), SimTimeout> {
     let plan = ClusterCsrmvPlan::new(m, params.cluster.n_workers as u32);
-    let program = build_system_csrmv::<I>(variant, &plan);
-    let mut system = System::new(program, params);
-    if let Some(cap) = trace_cap {
-        system.enable_tracing(cap);
-    }
-    plan.marshal_into(system.main.array_mut(), m, x);
-    system.set_work_queue(plan.queue_addr());
-    let budget = 1_000_000 + 64 * m.nnz() as u64 + 1024 * m.nrows() as u64;
-    let summary = system.run(budget)?;
-    assert!(summary.traps().is_empty(), "system cores trapped: {:?}", summary.traps());
-    // The default timeline `run` arms is not worth exporting.
-    let trace = trace_cap.and_then(|_| system.trace_json());
+    let (system, summary, trace) = harness::system(
+        params,
+        trace_cap,
+        build_system_csrmv::<I>(variant, &plan),
+        plan.queue_addr(),
+        |main| plan.marshal_into(main, m, x),
+        1_000_000 + 64 * m.nnz() as u64 + 1024 * m.nrows() as u64,
+    )?;
     Ok((SystemCsrmvRun { y: plan.read_y_from(system.main.array()), summary }, trace))
 }
 

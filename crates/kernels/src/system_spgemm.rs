@@ -31,8 +31,11 @@
 //! count or claim interleaving. The host stitches the per-panel regions
 //! into one CSR matrix and validates the format on readback.
 
-use crate::common::{emit_parity_slot, emit_spacc_cfg, emit_wait_all_done, SETUP_SCRATCH};
-use crate::layout::{csr_addrs, store_csr, Arena, CsrAddrs};
+use crate::common::{
+    emit_meta_transfer, emit_parity_slot, emit_spacc_cfg, emit_wait_all_done, SETUP_SCRATCH,
+};
+use crate::harness;
+use crate::layout::{csr_addrs, store_csr, tcdm_arena, Arena, CsrAddrs, TCDM_DATA_BASE};
 use crate::spgemm::{
     emit_a_row_end, emit_base_k_merge, emit_base_row_copy, emit_base_scratch,
     emit_base_symbolic_rows, emit_indexed_addr, emit_issr_k_expand, emit_issr_symbolic_rows,
@@ -43,10 +46,10 @@ use issr_core::cfg::{acc_count_cfg_word, cfg_addr, reg as sreg};
 use issr_isa::asm::{Assembler, Program};
 use issr_isa::reg::{FpReg, IntReg as R};
 use issr_isa::Csr;
-use issr_mem::map::{MAIN_BASE, MAIN_SIZE, TCDM_BASE, TCDM_SIZE};
+use issr_mem::map::{MAIN_BASE, MAIN_SIZE, TCDM_BASE};
 use issr_snitch::cc::SimTimeout;
 use issr_sparse::csr::CsrMatrix;
-use issr_system::system::{System, SystemParams, SystemSummary};
+use issr_system::system::{SystemParams, SystemSummary};
 
 // ---- flag area (below the data region, per cluster) ----
 const S_META: u32 = TCDM_BASE;
@@ -54,9 +57,6 @@ const S_READY: u32 = TCDM_BASE + 0x08; // 2 slots
 const S_BLK: u32 = TCDM_BASE + 0x18; //   2 slots (claimed panel id; < 0 ends)
 const S_DONE: u32 = TCDM_BASE + 0x28; //  8 slots (monotonic per worker)
 const S_DRAINED: u32 = TCDM_BASE + 0x68; // 2 slots (output buffer freed)
-
-const DATA_BASE: u32 = TCDM_BASE + 0x100;
-const DATA_SIZE: u32 = TCDM_SIZE - 0x100;
 
 /// Descriptor stride in bytes (12 u32 fields, padded).
 const DESC_BYTES: u32 = 48;
@@ -166,7 +166,7 @@ impl SystemSpgemmPlan {
         let nrows = a.nrows() as u32;
         let ncols = b.ncols() as u32;
         // ---- resident TCDM allocations ----
-        let mut arena = Arena::new(DATA_BASE, DATA_SIZE);
+        let mut arena = tcdm_arena();
         let t_b = csr_addrs::<I>(&mut arena, b.nrows() as u32, b.nnz() as u32);
         let t_aptr = arena.alloc(align8((nrows + 1) * 4), 8);
         // Descriptor region: the panel count is bounded by the row count
@@ -340,7 +340,7 @@ impl SystemSpgemmPlan {
     /// Translates a resident TCDM address to its main-memory staging
     /// slot inside the meta block.
     fn meta_addr(&self, tcdm_addr: u32) -> u32 {
-        self.main_meta + (tcdm_addr - DATA_BASE)
+        self.main_meta + (tcdm_addr - TCDM_DATA_BASE)
     }
 
     /// Writes the workload into the shared main memory: `A`'s arrays,
@@ -416,7 +416,7 @@ impl SystemSpgemmPlan {
 
 /// Bytes of the resident meta block `[B | a.ptr | descriptors]`.
 fn arena_span(end: u32) -> u32 {
-    end - DATA_BASE
+    end - TCDM_DATA_BASE
 }
 
 // ---------------------------------------------------------------------
@@ -858,20 +858,7 @@ fn emit_dmcc(asm: &mut Assembler, plan: &SystemSpgemmPlan, log_w: i32) {
     asm.symbol("dmcc");
     let npanels = plan.panels.len() as u32;
     // Meta transfer: B | a.ptr | descriptors in one DMA.
-    asm.li_addr(R::A0, plan.main_meta);
-    asm.li_addr(R::A1, DATA_BASE);
-    asm.dmsrc(R::A0, R::ZERO);
-    asm.dmdst(R::A1, R::ZERO);
-    asm.li(R::A2, i64::from(plan.meta_bytes));
-    asm.dmcpyi(R::ZERO, R::A2, 0);
-    let poll_meta = asm.bind_label();
-    asm.dmstati(R::T0, 0);
-    asm.beqz(R::T0, poll_meta);
-    asm.li(R::T1, 1);
-    asm.li_addr(R::T2, S_META);
-    asm.sw(R::T1, R::T2, 0);
-    asm.li(R::S7, 1); //  DMA transfers issued so far
-    asm.li(R::S10, 0); // local panel sequence number
+    emit_meta_transfer(asm, plan.main_meta, TCDM_DATA_BASE, plan.meta_bytes, S_META);
     asm.li(R::S1, -1); // previously claimed panel id
     let dmcc_finish = asm.new_label();
     let claim_loop = asm.bind_label();
@@ -1083,14 +1070,15 @@ pub fn run_system_spgemm_planned<I: KernelIndex>(
     );
     let mut params = params;
     params.cluster.sssr = true;
-    let program = build_system_spgemm::<I>(variant, &plan);
-    let mut system = System::new(program, params);
-    plan.marshal(system.main.array_mut(), a, b);
-    system.set_work_queue(plan.queue_addr());
     let volume: u64 = plan.panels.iter().map(|p| u64::from(p.exp)).sum();
-    let budget = 4_000_000 + 1024 * (3 * volume + a.nnz() as u64 + u64::from(plan.nrows));
-    let summary = system.run(budget)?;
-    assert!(summary.traps().is_empty(), "system cores trapped: {:?}", summary.traps());
+    let (system, summary, _) = harness::system(
+        params,
+        None,
+        build_system_spgemm::<I>(variant, &plan),
+        plan.queue_addr(),
+        |main| plan.marshal(main, a, b),
+        4_000_000 + 1024 * (3 * volume + a.nnz() as u64 + u64::from(plan.nrows)),
+    )?;
     Ok(SystemSpgemmRun {
         c: plan.stitch::<I>(system.main.array()),
         summary,

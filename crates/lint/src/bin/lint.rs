@@ -1,15 +1,14 @@
 //! `issr-lint` CLI: statically verify every shipped kernel program.
 //!
 //! ```text
-//! cargo run -p issr-lint --bin lint [-- --deny-warnings] [--target paper|sssr]
+//! cargo run -p issr-lint --bin lint [-- --deny-warnings]
 //! ```
 //!
 //! Each catalog entry is linted against the hardware configuration it
 //! targets (the paper's two-lane SSR+ISSR core, or the sparse-sparse
-//! configuration with joiner and SpAcc for the intersection kernels);
-//! `--target` forces one configuration for every entry instead,
-//! skipping the entries that don't fit it. Exit status is nonzero on
-//! any error, or — under `--deny-warnings` — on any diagnostic at all.
+//! configuration with joiner and SpAcc for the intersection and
+//! sparse-output kernels). Exit status is nonzero on any error, or —
+//! under `--deny-warnings` — on any diagnostic at all.
 
 use std::process::ExitCode;
 
@@ -18,25 +17,12 @@ use issr_lint::{has_errors, lint_program, LintTarget};
 
 fn main() -> ExitCode {
     let mut deny_warnings = false;
-    let mut forced: Option<&'static str> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--deny-warnings" => deny_warnings = true,
-            "--target" => match args.next().as_deref() {
-                Some("paper") => forced = Some("paper"),
-                Some("sssr") => forced = Some("sssr"),
-                other => {
-                    eprintln!("--target expects `paper` or `sssr`, got {other:?}");
-                    return ExitCode::FAILURE;
-                }
-            },
             other => {
                 eprintln!("unknown argument {other:?}");
-                eprintln!(
-                    "usage: cargo run -p issr-lint --bin lint [-- --deny-warnings] \
-                     [--target paper|sssr]"
-                );
+                eprintln!("usage: cargo run -p issr-lint --bin lint [-- --deny-warnings]");
                 return ExitCode::FAILURE;
             }
         }
@@ -48,17 +34,7 @@ fn main() -> ExitCode {
     let mut diagnostics = 0usize;
     let mut errors = 0usize;
     for entry in catalog() {
-        let target = match forced {
-            Some("paper") => {
-                if entry.needs_sparse_units {
-                    continue;
-                }
-                &paper
-            }
-            Some("sssr") => &sssr,
-            _ if entry.needs_sparse_units => &sssr,
-            _ => &paper,
-        };
+        let target = if entry.needs_sparse_units { &sssr } else { &paper };
         programs += 1;
         let diags = lint_program(&entry.program, target);
         if has_errors(&diags) {

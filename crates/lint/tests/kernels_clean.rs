@@ -3,19 +3,17 @@
 //! kernel is wrong or the analyzer over-approximates a legal schedule;
 //! both must be fixed before shipping.
 
+use issr_core::lane::LaneKind;
+use issr_core::CfgFault;
 use issr_kernels::catalog::catalog;
-use issr_lint::{assert_clean, LintTarget};
+use issr_kernels::streaming::{build_codebook_spvv, CodebookSpvvAddrs};
+use issr_kernels::variant::KernelIndex;
+use issr_lint::{assert_clean, assert_shipped_clean, lint_program, FaultClass, LintTarget};
 
 #[test]
 fn every_shipped_kernel_lints_clean() {
-    let paper = LintTarget::paper();
-    let sssr = LintTarget::sssr();
-    let entries = catalog();
-    assert!(entries.len() >= 20, "catalog suspiciously small: {}", entries.len());
-    for entry in &entries {
-        let target = if entry.needs_sparse_units { &sssr } else { &paper };
-        assert_clean(&entry.program, target, &entry.name);
-    }
+    assert_eq!(catalog().len(), 60, "the gate must see every builder in every shape");
+    assert_shipped_clean();
 }
 
 /// The non-sparse-unit kernels must also be clean under the *larger*
@@ -27,4 +25,34 @@ fn paper_kernels_also_clean_on_sssr_hardware() {
     for entry in catalog() {
         assert_clean(&entry.program, &sssr, &entry.name);
     }
+}
+
+/// Codebook SpVV streams both operands through ISSRs, so it is clean on
+/// the two-ISSR streamer it runs on — and faults on the paper's lane 0
+/// (a plain SSR), which is why it has no place in a catalog whose
+/// consumers pick between the paper and SSSR targets.
+#[test]
+fn codebook_spvv_is_clean_on_two_issrs_only() {
+    fn check<I: KernelIndex>(what: &str) {
+        let program = build_codebook_spvv::<I>(CodebookSpvvAddrs {
+            codebook: 0x0030_0000,
+            dense: 0x0030_0100,
+            codes: 0x0030_1100,
+            idcs: 0x0030_1200,
+            out: 0x0030_1300,
+            n: 40,
+        });
+        let two_issrs =
+            LintTarget { lanes: vec![LaneKind::Issr, LaneKind::Issr], ..LintTarget::paper() };
+        assert_clean(&program, &two_issrs, what);
+        let on_paper = lint_program(&program, &LintTarget::paper());
+        assert!(
+            on_paper
+                .iter()
+                .any(|d| d.class == FaultClass::Cfg(CfgFault::NoIndirection { lane: 0 })),
+            "{what} on the paper target: {on_paper:?}"
+        );
+    }
+    check::<u16>("codebook_spvv/issr/u16");
+    check::<u32>("codebook_spvv/issr/u32");
 }
