@@ -38,7 +38,7 @@ fn main() {
     let verdict = issr_bench::verdict::cc_verdict(&summary);
     println!("{}", verdict.line("spvv 0.5 overlap"));
     t.push("verdict", verdict.to_json());
-    let critpath = issr_bench::critical::cc_critical_path(&summary);
+    let critpath = summary.attr.critical_path();
     println!("{}", issr_bench::critical::critical_path_line("spvv 0.5 overlap", &critpath));
     t.push("critical_path", issr_bench::critical::critical_path_section(&critpath, &verdict));
 

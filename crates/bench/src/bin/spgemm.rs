@@ -254,7 +254,7 @@ fn main() {
     let verdict = issr_bench::verdict::cc_verdict(&summary);
     println!("{}", verdict.line(&format!("spgemm {}", last.label)));
     t.push("verdict", verdict.to_json());
-    let critpath = issr_bench::critical::cc_critical_path(&summary);
+    let critpath = summary.attr.critical_path();
     println!(
         "{}",
         issr_bench::critical::critical_path_line(&format!("spgemm {}", last.label), &critpath)

@@ -1,39 +1,28 @@
 //! Critical-path sections for the `BENCH_*.json` envelopes.
 //!
-//! Thin adapters from the simulator's three run-summary shapes to
-//! [`issr_trace::critpath::extract`], plus the one JSON section every
-//! bench binary emits: the exact cycle partition (`compute` + per-edge
-//! cycles == `length`), the dominant edge with its what-if savings
-//! bound, and a cross-check against the roofline verdict the same
-//! envelope already carries — two independent models that should (and
-//! are reported whether they) agree on what the run is bound by.
+//! The multi-cluster blame rule ([`system_critical_path`]; single-CC
+//! and cluster summaries carry theirs as `attr.critical_path()`), plus
+//! the one JSON section every bench binary emits: the exact cycle
+//! partition (`compute` + per-edge cycles == `length`), the dominant
+//! edge with its what-if savings bound, and a cross-check against the
+//! roofline verdict the same envelope already carries — two
+//! independent models that should (and are reported whether they)
+//! agree on what the run is bound by.
 
-use issr_cluster::cluster::{longest_roi, ClusterSummary};
+use issr_cluster::cluster::longest_roi;
 use issr_snitch::attr::CcAttribution;
-use issr_snitch::cc::RunSummary;
 use issr_system::system::SystemSummary;
 use issr_trace::analyze::Verdict;
 use issr_trace::{CriticalPath, Json};
 
-/// The critical path of a single-CC run: blame walk from the hart at
-/// end of ROI, one level of descent into the busiest lane.
-#[must_use]
-pub fn cc_critical_path(summary: &RunSummary) -> CriticalPath {
-    summary.attr.critical_path()
-}
-
-/// The critical path of a standalone-cluster run: blame walk from the
-/// worker with the longest ROI.
-#[must_use]
-pub fn cluster_critical_path(summary: &ClusterSummary) -> CriticalPath {
-    summary.attr.critical_path()
-}
-
 /// The critical path of a multi-cluster run: blame walk from the
 /// worker with the longest ROI across all clusters — the rule
-/// [`cluster_critical_path`] applies inside one — falling back to the
-/// DMCCs when no worker opened an ROI. One hart's ROI, so never longer
-/// than the run.
+/// [`ClusterAttribution::critical_path`] applies inside one — falling
+/// back to the DMCCs when no worker opened an ROI. One hart's ROI, so
+/// never longer than the run.
+///
+/// [`ClusterAttribution::critical_path`]:
+/// issr_cluster::cluster::ClusterAttribution::critical_path
 #[must_use]
 pub fn system_critical_path(summary: &SystemSummary) -> CriticalPath {
     let attrs = || summary.clusters.iter().map(|c| &c.attr);
@@ -97,7 +86,7 @@ mod tests {
         let m = gen::csr_fixed_row_nnz::<u16>(&mut rng, 64, 64, 12);
         let x = gen::dense_vector(&mut rng, 64);
         let run = run_cluster_csrmv(Variant::Issr, &m, &x).expect("run");
-        let path = cluster_critical_path(&run.summary);
+        let path = run.summary.attr.critical_path();
         assert!(path.length > 0);
         assert_eq!(path.compute + path.blocked(), path.length, "exact partition");
         let verdict = crate::verdict::cluster_verdict(&run.summary);

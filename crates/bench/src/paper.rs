@@ -19,7 +19,7 @@ use issr_trace::analyze::Verdict;
 use issr_trace::json::obj;
 use issr_trace::Json;
 
-use crate::critical::{cluster_critical_path, critical_path_line, critical_path_section};
+use crate::critical::{critical_path_line, critical_path_section};
 use crate::figures::{csrmm_check, fig4a, fig4b, fig4c, fig4d, Sweep};
 use crate::report::{Fmt, Table};
 use crate::telemetry::Telemetry;
@@ -211,7 +211,7 @@ pub fn scoreboard() -> Board {
     let mut fig4c =
         Section::figure("fig4c", "Fig. 4c — cluster CsrMV, ISSR-16 vs BASE", &runs.fig4c, &verdict);
     let peak = runs.peak_cluster_speedup();
-    let path = cluster_critical_path(&runs.fig4c.anchor);
+    let path = runs.fig4c.anchor.attr.critical_path();
     fig4c.fields.push(("peak_speedup", peak.into()));
     fig4c.fields.push(("critical_path", critical_path_section(&path, &verdict)));
     fig4c.notes.push(critical_path_line("fig4c", &path));

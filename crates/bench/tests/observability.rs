@@ -10,10 +10,10 @@
 //!   nor an output bit, whether `enable_tracing` arms the large one or
 //!   `run` the default: recording only reads state the simulation
 //!   latches anyway.
-//! * **Wait-graph soundness** — every blocked cycle of every unit maps
-//!   to exactly one outgoing edge, so per-unit edge sums equal the
-//!   breakdowns' blocked counts, and the critical path partitions
-//!   exactly within the ROI.
+//! * **Edge soundness** — every blocked cycle of every unit maps to
+//!   exactly one outgoing wait edge ([`issr_trace::edge_for`]), so
+//!   per-unit edge sums equal the breakdowns' blocked counts, and the
+//!   critical path partitions exactly within the ROI.
 
 use issr_kernels::cluster_csrmv::ClusterCsrmvPlan;
 use issr_kernels::spgemm::run_spgemm;
@@ -23,22 +23,24 @@ use issr_kernels::variant::Variant;
 use issr_snitch::attr::CcAttribution;
 use issr_sparse::gen;
 use issr_system::system::{System, SystemParams};
-use issr_trace::waitgraph::UnitClass;
-use issr_trace::{is_blocked, CycleBreakdown, StatMerge, WaitGraph};
+use issr_trace::{edge_for, is_blocked, CycleBreakdown, UnitClass};
 use proptest::prelude::*;
 
 /// The blocked cycles of one breakdown (everything that is not Active,
-/// Idle or Parked — the causes that map to a wait-graph edge).
+/// Idle or Parked).
 fn blocked_cycles(b: &CycleBreakdown) -> u64 {
     b.iter().filter(|&(c, _)| is_blocked(c)).map(|(_, n)| n).sum()
 }
 
-/// Asserts one unit's edge contribution equals its blocked cycles —
+/// The cycles of one breakdown that [`edge_for`] maps to a wait edge.
+fn edge_cycles(unit: UnitClass, b: &CycleBreakdown) -> u64 {
+    b.iter().filter(|&(c, _)| edge_for(unit, c).is_some()).map(|(_, n)| n).sum()
+}
+
+/// Asserts one unit's edge-mapped cycles equal its blocked cycles —
 /// "every blocked cycle has exactly one outgoing edge" over a real run.
 fn assert_unit_edges(unit: UnitClass, b: &CycleBreakdown, what: &str) {
-    let mut g = WaitGraph::new();
-    g.add_breakdown(unit, b);
-    assert_eq!(g.total(), blocked_cycles(b), "{what}: unit edge sum vs blocked stall cycles");
+    assert_eq!(edge_cycles(unit, b), blocked_cycles(b), "{what}: edge cycles vs blocked cycles");
 }
 
 /// Asserts every table of one core complex's attribution totals `roi`.
@@ -93,13 +95,12 @@ proptest! {
         assert_cc_sums(&run.summary.attr, roi, "SpGEMM");
     }
 
-    /// Wait-graph soundness over joiner-backed SpMSpV runs: every unit
+    /// Edge soundness over joiner-backed SpMSpV runs: every unit
     /// contributes exactly its blocked cycles (one edge per blocked
-    /// cycle, none for active/idle/parked), so the whole graph's total
-    /// is the attribution's blocked total, and the critical path is an
+    /// cycle, none for active/idle/parked), and the critical path is an
     /// exact partition bounded by the ROI.
     #[test]
-    fn wait_graph_and_critical_path_are_sound(
+    fn edges_and_critical_path_are_sound(
         nrows in 1usize..24,
         ncols in 32usize..512,
         row_nnz in 1usize..24,
@@ -119,13 +120,6 @@ proptest! {
         }
         assert_unit_edges(UnitClass::Joiner, &attr.joiner, "joiner");
         assert_unit_edges(UnitClass::SpAcc, &attr.spacc, "spacc");
-        // Whole-graph total is the blocked total across every unit.
-        let blocked: u64 = std::iter::once(&attr.hart)
-            .chain(attr.lanes.iter())
-            .chain([&attr.joiner, &attr.spacc])
-            .map(blocked_cycles)
-            .sum();
-        prop_assert_eq!(attr.wait_graph().total(), blocked);
         // The critical path partitions exactly and fits inside the ROI.
         let path = attr.critical_path();
         prop_assert_eq!(path.length, attr.roi_cycles());
@@ -206,8 +200,8 @@ proptest! {
 
     /// Default-recorder neutrality: `run` (which arms every cluster's
     /// default timeline) and a bare tick loop that arms nothing agree
-    /// on every cycle and output bit, and the wait graph derived from
-    /// the attribution tables of a contended run is non-empty.
+    /// on every cycle and output bit, and a contended run's DMA tables
+    /// carry wait edges.
     #[test]
     fn recorders_change_no_bit_and_no_cycle(
         nrows in 32usize..128,
@@ -243,10 +237,8 @@ proptest! {
             plan.read_y_from(system.main.array()).iter().map(|v| v.to_bits()).collect()
         };
         prop_assert_eq!(bits(&bare), bits(&system), "output bits must match");
-        let mut derived = WaitGraph::new();
-        for c in &recorded.clusters {
-            derived.merge_from(&c.attr.wait_graph());
-        }
-        prop_assert!(derived.total() > 0, "a contended system run must block somewhere");
+        let dma_waits: u64 =
+            recorded.clusters.iter().map(|c| edge_cycles(UnitClass::Dma, &c.attr.dma)).sum();
+        prop_assert!(dma_waits > 0, "a contended system run's DMA engines wait on main memory");
     }
 }

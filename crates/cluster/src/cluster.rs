@@ -15,8 +15,7 @@ use issr_snitch::core::Trap;
 use issr_snitch::metrics::Metrics;
 use issr_snitch::params::CcParams;
 use issr_trace::timeline::DEFAULT_TIMELINE_CAP;
-use issr_trace::waitgraph::UnitClass;
-use issr_trace::{host, CriticalPath, CycleBreakdown, PostMortem, StatMerge, Timeline, WaitGraph};
+use issr_trace::{host, CriticalPath, CycleBreakdown, PostMortem, StatMerge, Timeline};
 
 /// Cluster configuration.
 #[derive(Clone, Copy, Debug)]
@@ -70,21 +69,6 @@ impl ClusterAttribution {
     #[must_use]
     pub fn merged_workers(&self) -> CcAttribution {
         issr_trace::merge::merge_all(self.workers.iter())
-    }
-
-    /// The whole cluster's wait graph: every worker's, the DMCC's and
-    /// the DMA engine's blocked cycles folded into per-edge-class cycle
-    /// counts. Derived from the attribution tables, so it is exactly as
-    /// timing-neutral as they are.
-    #[must_use]
-    pub fn wait_graph(&self) -> WaitGraph {
-        let mut g = WaitGraph::new();
-        for w in &self.workers {
-            g.merge_from(&w.wait_graph());
-        }
-        g.merge_from(&self.dmcc.wait_graph());
-        g.add_breakdown(UnitClass::Dma, &self.dma);
-        g
     }
 
     /// The cluster's critical path: the backward blame walk starts at
@@ -251,10 +235,6 @@ pub struct Cluster {
     /// The cause timeline; [`Cluster::run`] arms a default one so every
     /// timeout dump carries recent history.
     recorder: Option<Recorder>,
-    /// Declared synchronization words `(addr, owner_hart)` — e.g. flag
-    /// words one hart writes and others spin on. Post-mortem deadlock
-    /// classification builds its blame edges from these.
-    sync_words: Vec<(u32, u32)>,
     /// Whether the ambient host profiler was installed when the run
     /// began ([`Cluster::profile_host`]): the per-phase hooks test this
     /// latch, not the thread-local.
@@ -335,7 +315,6 @@ impl Cluster {
             dma_attr: CycleBreakdown::default(),
             contested: vec![false; TCDM_BANKS],
             recorder: None,
-            sync_words: Vec::new(),
             profiled: false,
             now: 0,
         }
@@ -653,43 +632,19 @@ impl Cluster {
         }
     }
 
-    /// Declares `addr` a synchronization word owned (written) by
-    /// `owner_hart`. The post-mortem uses these to turn "hart X last
-    /// loaded `addr`" into a blame edge toward the owner, which is what
-    /// lets it tell a deadlocked spin from a merely slow one.
-    pub fn declare_sync_word(&mut self, addr: u32, owner_hart: u32) {
-        self.sync_words.push((addr, owner_hart));
-    }
-
     /// Assembles the post-mortem for the cluster's current state: every
-    /// hart (workers, then the DMCC as hart `n_workers`) that has not
-    /// gone quiescent, with its PC, dominant lifetime stall cause and
-    /// last-polled address — one walk, which a timeout's stuck list
-    /// shares — the frozen wait graph, deadlock-vs-slow classification
-    /// over the declared sync words, and whatever the timeline holds.
+    /// hart (workers, then the DMCC) that has not gone quiescent, with
+    /// its PC, dominant lifetime stall cause and last-polled address,
+    /// and whatever the timeline holds.
     #[must_use]
     pub fn post_mortem(&self, cluster: usize) -> PostMortem {
-        let mut stuck = Vec::new();
-        for (i, cc) in self.workers.iter().chain(std::iter::once(&self.dmcc)).enumerate() {
-            if !cc.quiescent() {
-                stuck.push(cc.stuck_unit(cluster, &self.hart_name(i)));
-            }
-        }
-        // The post-mortem graph uses the whole-lifetime hart tallies,
-        // not the ROI-gated tables: a hung run often never opened (or
-        // never closed) an ROI, and the dump must still show where the
-        // harts waited. Streamer units and the DMA keep their tables.
-        let mut graph = WaitGraph::new();
-        for cc in self.workers.iter().chain(std::iter::once(&self.dmcc)) {
-            graph.add_breakdown(UnitClass::Hart, &cc.cause_tally);
-            for lane in &cc.attr.lanes {
-                graph.add_breakdown(UnitClass::Lane, lane);
-            }
-            graph.add_breakdown(UnitClass::Joiner, &cc.attr.joiner);
-            graph.add_breakdown(UnitClass::SpAcc, &cc.attr.spacc);
-        }
-        graph.add_breakdown(UnitClass::Dma, &self.dma_attr);
-        PostMortem::assemble(self.now, stuck, &self.sync_words, graph, self.timeline())
+        let harts = self.workers.iter().chain(std::iter::once(&self.dmcc));
+        let stuck = harts
+            .enumerate()
+            .filter(|(_, cc)| !cc.quiescent())
+            .map(|(i, cc)| cc.stuck_unit(cluster, &self.hart_name(i)))
+            .collect();
+        PostMortem::assemble(self.now, stuck, self.timeline())
     }
 
     /// Runs to quiescence.

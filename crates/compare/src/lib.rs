@@ -5,7 +5,7 @@
 //! the measured Snitch-with-ISSR cluster.
 //!
 //! The external numbers are *quoted constants* (the paper profiled
-//! cuSPARSE with nvprof and cites CVR [4] for the Xeon Phi); only the
+//! cuSPARSE with nvprof and cites CVR \[4\] for the Xeon Phi); only the
 //! Snitch side is measured, by the `issr-cluster` simulator. The ratios
 //! the paper itself reports are the `compare.*` and
 //! `fig4c.base_core_equivalents` entries of `issr_bench::paper::ANCHORS`.

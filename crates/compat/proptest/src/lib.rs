@@ -99,7 +99,8 @@ pub mod strategy {
             FlatMap { inner: self, f }
         }
 
-        /// Type-erases the strategy (used by [`prop_oneof!`]).
+        /// Type-erases the strategy (used by
+        /// [`prop_oneof!`](crate::prop_oneof)).
         fn boxed(self) -> BoxedStrategy<Self::Value>
         where
             Self: Sized + 'static,
@@ -160,7 +161,7 @@ pub mod strategy {
     }
 
     /// Uniform choice between boxed alternatives (built by
-    /// [`prop_oneof!`]).
+    /// [`prop_oneof!`](crate::prop_oneof)).
     pub struct OneOf<T> {
         arms: Vec<BoxedStrategy<T>>,
     }

@@ -356,7 +356,7 @@ impl IndexJoiner {
     }
 
     /// What the joiner spent the cycle that last ticked it on, latched
-    /// by [`Self::tick`] and settled by [`Self::deliver`]: parked when
+    /// by [`Self::tick`] and settled by `deliver`: parked when
     /// frozen, idle once done, active when it observably advanced,
     /// output back-pressure when the comparator has matches but no free
     /// slot, starved otherwise (index/value words still in flight).

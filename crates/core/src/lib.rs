@@ -8,7 +8,7 @@
 //!
 //! The crate models, cycle by cycle:
 //!
-//! * the shadowed configuration interface ([`cfg`]),
+//! * the shadowed configuration interface ([`cfg`](mod@cfg)),
 //! * the four-deep affine address iterator ([`affine`]),
 //! * the indirection unit: index-word fetcher, decoupling FIFO, 16/32-bit
 //!   index serializer with arbitrary alignment and outstanding-request

@@ -10,9 +10,10 @@
 //! * **Xdma** — the cluster DMA front end (`dmsrc`, `dmdst`, `dmstr`,
 //!   `dmrep`, `dmcpyi`, `dmstati`).
 //!
-//! Every instruction has a 32-bit binary encoding (see [`crate::encode`])
-//! so that programs round-trip through machine code; the simulator executes
-//! the typed form directly for speed.
+//! Every instruction has a 32-bit binary encoding (see
+//! [`crate::encode`](mod@crate::encode)) so that programs round-trip
+//! through machine code; the simulator executes the typed form directly
+//! for speed.
 
 use crate::csr::Csr;
 use crate::reg::{FpReg, IntReg};

@@ -9,7 +9,8 @@
 //! The crate provides:
 //!
 //! * [`instr::Instr`] — the typed instruction set the simulator executes,
-//! * [`encode`]/[`decode`] — 32-bit binary encodings (round-trip tested),
+//! * [`encode`](mod@encode)/[`decode`](mod@decode) — 32-bit binary
+//!   encodings (round-trip tested),
 //! * [`asm::Assembler`] — a programmatic assembler with labels, used by
 //!   `issr-kernels` to generate the paper's kernels per workload.
 //!

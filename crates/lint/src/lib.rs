@@ -197,7 +197,7 @@ pub enum Decidability {
     RuntimeOnly,
 }
 
-/// Classification of every [`CfgFault`] class. The `match` is
+/// Classifies every [`CfgFault`] class. The `match` is
 /// deliberately exhaustive (no wildcard): adding a fault variant fails
 /// compilation here until it is classified.
 #[must_use]
@@ -217,7 +217,7 @@ pub fn classify_cfg_fault(fault: &CfgFault) -> Decidability {
     }
 }
 
-/// Classification of every [`StreamFaultKind`] variant — exhaustive for
+/// Classifies every [`StreamFaultKind`] variant — exhaustive for
 /// the same reason as [`classify_cfg_fault`].
 #[must_use]
 pub fn classify_stream_fault(kind: &StreamFaultKind) -> Decidability {
@@ -282,9 +282,10 @@ pub fn assert_clean(program: &Program, target: &LintTarget, what: &str) {
 }
 
 /// Lints every program in the shipped-kernel catalog
-/// ([`issr_kernels::catalog`]) against the hardware configuration it
-/// targets — the one-call load-time gate the bench binaries and
-/// examples run before handing anything to a simulator.
+/// ([`issr_kernels::catalog`](fn@issr_kernels::catalog)) against the
+/// hardware configuration it targets — the one-call load-time gate the
+/// bench binaries and examples run before handing anything to a
+/// simulator.
 ///
 /// # Panics
 /// Panics if any shipped kernel produces a diagnostic.

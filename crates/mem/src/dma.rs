@@ -1,7 +1,7 @@
 //! The cluster DMA engine.
 //!
 //! A 512-bit engine that moves blocks between main memory and the TCDM
-//! (§II-C, [7]). It supports 1D transfers and 2D (strided) transfers used
+//! (§II-C, \[7\]). It supports 1D transfers and 2D (strided) transfers used
 //! to tile matrices into the TCDM. Transfers are queued and processed in
 //! order; the engine moves up to eight 64-bit words per cycle and claims
 //! the TCDM banks it touches (it has priority over core ports, matching
@@ -208,7 +208,7 @@ impl Dma {
         self.stats
     }
 
-    /// Classification of the engine's most recent tick: moving beats
+    /// The stall cause of the engine's most recent tick: moving beats
     /// ([`StallCause::Active`]), denied shared bandwidth
     /// ([`StallCause::BwDenied`]), yielding contested banks to core
     /// ports ([`StallCause::PortConflict`]), paying a transfer's

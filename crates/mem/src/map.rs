@@ -26,7 +26,7 @@ pub const MAIN_BASE: u32 = 0x8000_0000;
 /// matrices at 680 k nonzeros).
 pub const MAIN_SIZE: u32 = 0x0400_0000;
 
-/// Classification of an address by region.
+/// The region an address falls in.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Region {
     Tcdm,

@@ -24,9 +24,9 @@ pub const SSR_KGE: f64 = ISSR_DELTA_KGE / 0.43;
 pub const ISSR_KGE: f64 = SSR_KGE + ISSR_DELTA_KGE;
 /// Register-file switch of the streamer (Fig. 2 D).
 pub const SWITCH_KGE: f64 = 1.5;
-/// Snitch integer core (≈10 kGE, [6]).
+/// Snitch integer core (≈10 kGE, \[6\]).
 pub const SNITCH_CORE_KGE: f64 = 10.0;
-/// Double-precision FPU (≈100 kGE, [6]).
+/// Double-precision FPU (≈100 kGE, \[6\]).
 pub const FPU_KGE: f64 = 100.0;
 
 /// Hierarchical area of the ISSR streamer (Fig. 2 annotations).

@@ -9,8 +9,7 @@
 //! construction.
 
 use issr_core::streamer::StreamerProbe;
-use issr_trace::waitgraph::UnitClass;
-use issr_trace::{CriticalPath, CycleBreakdown, StallCause, StatMerge, WaitGraph};
+use issr_trace::{CriticalPath, CycleBreakdown, StallCause, StatMerge, UnitClass};
 
 /// ROI stall-cause breakdowns for one core complex.
 #[derive(Clone, Debug, Default)]
@@ -38,23 +37,6 @@ impl CcAttribution {
     #[must_use]
     pub fn roi_cycles(&self) -> u64 {
         self.hart.total()
-    }
-
-    /// The attribution folded into a wait graph: every blocked cycle of
-    /// every unit becomes exactly one edge cycle (see
-    /// [`issr_trace::waitgraph::edge_for`]). Derived, so it is
-    /// timing-neutral for free, and its per-unit edge sums equal the
-    /// breakdowns' blocked cycles by construction.
-    #[must_use]
-    pub fn wait_graph(&self) -> WaitGraph {
-        let mut g = WaitGraph::new();
-        g.add_breakdown(UnitClass::Hart, &self.hart);
-        for lane in &self.lanes {
-            g.add_breakdown(UnitClass::Lane, lane);
-        }
-        g.add_breakdown(UnitClass::Joiner, &self.joiner);
-        g.add_breakdown(UnitClass::SpAcc, &self.spacc);
-        g
     }
 
     /// The lane the hart most plausibly waits on: the one with the most
@@ -145,31 +127,6 @@ mod tests {
         assert_eq!(a.lanes.len(), 2);
         assert_eq!(a.hart.total(), 2);
         assert_eq!(a.lanes[1].get(StallCause::FifoEmpty), 1);
-    }
-
-    #[test]
-    fn wait_graph_sums_blocked_cycles_across_units() {
-        use issr_trace::{is_blocked, EdgeClass};
-        let mut attr = CcAttribution::with_lanes(2);
-        attr.hart.record(StallCause::Active);
-        attr.hart.record(StallCause::FifoEmpty);
-        attr.lanes[0].record(StallCause::PortConflict);
-        attr.lanes[0].record(StallCause::Active);
-        attr.lanes[1].record(StallCause::Idle);
-        attr.joiner.record(StallCause::FifoEmpty);
-        attr.spacc.record(StallCause::DrainBusy);
-        let g = attr.wait_graph();
-        let blocked: u64 = [&attr.hart, &attr.lanes[0], &attr.lanes[1], &attr.joiner, &attr.spacc]
-            .iter()
-            .flat_map(|b| b.iter())
-            .filter(|&(c, _)| is_blocked(c))
-            .map(|(_, n)| n)
-            .sum();
-        assert_eq!(g.total(), blocked);
-        assert_eq!(g.get(EdgeClass::HartLane), 1);
-        assert_eq!(g.get(EdgeClass::LaneTcdm), 1);
-        assert_eq!(g.get(EdgeClass::JoinerLane), 1);
-        assert_eq!(g.get(EdgeClass::SpAccTcdm), 1);
     }
 
     #[test]

@@ -288,15 +288,13 @@ impl CoreComplex {
         self.streamer.freeze();
     }
 
-    /// This hart's entry in a timeout's stuck list: where it stands,
-    /// what it mostly waited on, and the word it last loaded. `unit` is
-    /// its name within the cluster ("hart 3", "dmcc").
+    /// This hart's entry in a post-mortem: where it stands, what it
+    /// mostly waited on, and the word it last loaded. `unit` is its
+    /// name within the cluster ("hart 3", "dmcc").
     #[must_use]
     pub fn stuck_unit(&self, cluster: usize, unit: &str) -> StuckUnit {
         StuckUnit {
             name: format!("c{cluster} {unit}"),
-            cluster,
-            hart: self.core.hartid(),
             pc: self.core.pc(),
             dominant: self.cause_tally.dominant(),
             polls: self.core.last_load_addr(),
@@ -304,67 +302,32 @@ impl CoreComplex {
     }
 }
 
-/// Why a run did not complete.
+/// Why a run did not complete: the exhausted budget and the
+/// post-mortem every run harness assembles (boxed so the error stays
+/// small on the happy path).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SimTimeout {
     /// The cycle limit that was exhausted.
     pub max_cycles: u64,
-    /// The PC of the first stuck hart (single-hart convenience; the
-    /// full picture is in [`SimTimeout::stuck`]).
-    pub pc: u32,
-    /// Every non-quiescent hart at the timeout, in cluster/hart order —
-    /// a multi-cluster deadlock names all its participants, not just
-    /// cluster 0's first worker.
-    pub stuck: Vec<StuckUnit>,
-    /// The post-mortem report, when the run harness
-    /// assembled one (cluster and system runs always do). Boxed so the
-    /// error stays small on the happy path.
-    pub post_mortem: Option<Box<PostMortem>>,
+    /// Every non-quiescent hart and the timeline's final window.
+    pub post_mortem: Box<PostMortem>,
 }
 
 impl SimTimeout {
-    /// Builds the error from the non-quiescent hart list; `pc` echoes
-    /// the first entry (0 when the stall is outside any hart, e.g. a
-    /// DMA engine that never drained).
-    #[must_use]
-    pub fn new(max_cycles: u64, stuck: Vec<StuckUnit>) -> Self {
-        let pc = stuck.first().map_or(0, |s| s.pc);
-        Self { max_cycles, pc, stuck, post_mortem: None }
-    }
-
-    /// Builds the error around a post-mortem report, whose stuck list
-    /// it shares.
+    /// Builds the error around the harness's post-mortem report.
     #[must_use]
     pub fn from_post_mortem(max_cycles: u64, pm: PostMortem) -> Self {
-        let base = Self::new(max_cycles, pm.stuck.clone());
-        Self { post_mortem: Some(Box::new(pm)), ..base }
+        Self { max_cycles, post_mortem: Box::new(pm) }
     }
 }
 
 impl std::fmt::Display for SimTimeout {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "simulation exceeded {} cycles", self.max_cycles)?;
-        if self.stuck.is_empty() {
+        if self.post_mortem.stuck.is_empty() {
             write!(f, " (no hart stuck; an engine or queue never drained)")?;
-        } else {
-            write!(f, "; {} hart(s) not quiescent:", self.stuck.len())?;
-            const SHOWN: usize = 8;
-            for (i, hart) in self.stuck.iter().take(SHOWN).enumerate() {
-                write!(f, "{} {hart}", if i == 0 { "" } else { "," })?;
-            }
-            if self.stuck.len() > SHOWN {
-                write!(
-                    f,
-                    ", +{} more ({} stuck in total)",
-                    self.stuck.len() - SHOWN,
-                    self.stuck.len()
-                )?;
-            }
         }
-        if let Some(pm) = &self.post_mortem {
-            write!(f, "\n{pm}")?;
-        }
-        Ok(())
+        write!(f, "\n{}", self.post_mortem)
     }
 }
 
@@ -534,8 +497,9 @@ impl SingleCcSim {
                 });
             }
         }
-        let unit = format!("hart {}", self.cc.core.hartid());
-        Err(SimTimeout::new(max_cycles, vec![self.cc.stuck_unit(0, &unit)]))
+        let hart = self.cc.stuck_unit(0, &format!("hart {}", self.cc.core.hartid()));
+        let pm = PostMortem::assemble(self.now, vec![hart], None);
+        Err(SimTimeout::from_post_mortem(max_cycles, pm))
     }
 }
 
@@ -1261,5 +1225,10 @@ mod tests {
         let mut sim = SingleCcSim::new(a.finish().unwrap());
         let err = sim.run(100).unwrap_err();
         assert_eq!(err.max_cycles, 100);
+        let pm = &err.post_mortem;
+        assert_eq!(pm.at, 100);
+        assert_eq!(pm.stuck.len(), 1, "the single CC's one hart");
+        assert_eq!((pm.stuck[0].name.as_str(), pm.stuck[0].pc), ("c0 hart 0", 0), "at the loop");
+        assert_eq!(err.to_string().matches("pc=").count(), 1, "{err}");
     }
 }

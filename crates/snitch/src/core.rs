@@ -136,8 +136,7 @@ pub struct SnitchCore {
     /// Set while a peripheral (barrier) load blocks all issue.
     blocked_on_periph: bool,
     /// Address of the most recently issued load — the word a spin loop
-    /// is polling, which is what the post-mortem deadlock classifier
-    /// resolves against the declared sync words.
+    /// polls, shown in the post-mortem.
     last_load_addr: Option<u32>,
     /// Latched decode/fetch trap (the core reads as halted once set).
     trap: Option<Trap>,
@@ -211,8 +210,8 @@ impl SnitchCore {
         self.trap
     }
 
-    /// Address of the most recently issued load, if any — a spinning
-    /// hart's poll target (forensic state for the post-mortem report).
+    /// Address of the most recently issued load, if any — the word a
+    /// spin loop polls, shown in the post-mortem.
     #[must_use]
     pub fn last_load_addr(&self) -> Option<u32> {
         self.last_load_addr

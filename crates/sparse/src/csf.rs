@@ -1,7 +1,7 @@
 //! Compressed sparse fiber (CSF) tensors.
 //!
 //! CSF generalizes CSR to higher orders by nesting fibers (§III-A,
-//! [10]): an order-3 tensor stores a fiber of slice indices, each slice
+//! \[10\]): an order-3 tensor stores a fiber of slice indices, each slice
 //! a fiber of row indices, each row a fiber of column indices with the
 //! values at the leaves. The ISSR accelerates the innermost
 //! (fiber × dense) products while the core walks the upper levels.

@@ -9,9 +9,9 @@
 //! ([`csf`]). Workloads are generated exactly as in §IV
 //! (normally-distributed values, uniformly-distributed indices) by
 //! [`gen`], the paper's SuiteSparse selection is mirrored by the
-//! synthetic [`suite`], and [`reference`] provides the oracles the
-//! simulated kernels are validated against. Real matrices can be loaded
-//! via [`mm`] (Matrix Market).
+//! synthetic [`suite`](mod@suite), and [`reference`](mod@reference)
+//! provides the oracles the simulated kernels are validated against.
+//! Real matrices can be loaded via [`mm`] (Matrix Market).
 
 #![forbid(unsafe_code)]
 

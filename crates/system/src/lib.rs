@@ -4,11 +4,12 @@
 //! successor systems: Occamy scales the same SSR/ISSR cores to hundreds
 //! of harts across many clusters behind shared HBM, and at that scale
 //! main-memory bandwidth — not the FPU — becomes the binding
-//! constraint. This crate provides that system level: a [`System`] of N
-//! [`issr_cluster::cluster::Cluster`]s sharing one
+//! constraint. This crate provides that system level: a
+//! [`System`](system::System) of N [`issr_cluster::cluster::Cluster`]s
+//! sharing one
 //! [`issr_mem::main_mem::MainMemory`] behind a bandwidth-arbitrated
 //! interconnect model, with contention counted and surfaced through
-//! [`SystemSummary`].
+//! [`SystemSummary`](system::SystemSummary).
 
 #![forbid(unsafe_code)]
 

@@ -195,14 +195,8 @@ impl System {
         self.main.set_fetch_add_word(addr);
     }
 
-    /// Declares `addr` a synchronization word owned by `owner_hart` of
-    /// cluster `cluster` — see [`Cluster::declare_sync_word`].
-    pub fn declare_sync_word(&mut self, cluster: usize, addr: u32, owner_hart: u32) {
-        self.clusters[cluster].declare_sync_word(addr, owner_hart);
-    }
-
     /// The system-wide post-mortem: every cluster's report merged (stuck
-    /// units, wait graphs, timeline windows, blame cycles).
+    /// harts, timeline windows).
     #[must_use]
     pub fn post_mortem(&self) -> PostMortem {
         PostMortem::merge(
@@ -243,8 +237,8 @@ impl System {
     ///
     /// # Errors
     /// Returns [`SimTimeout`] if the system does not finish in
-    /// `max_cycles` (deadlock or bug); the error lists every hart that
-    /// was not quiescent, with its cluster index and current PC.
+    /// `max_cycles` (deadlock or bug); its post-mortem lists every hart
+    /// that was not quiescent, with its cluster prefix and current PC.
     pub fn run(&mut self, max_cycles: u64) -> Result<SystemSummary, SimTimeout> {
         self.profiled = issr_trace::host::is_enabled();
         for (ci, cluster) in self.clusters.iter_mut().enumerate() {
@@ -468,15 +462,9 @@ mod tests {
         assert!(count("X") > 0, "the DMA pull must produce busy spans");
     }
 
-    /// A traced run that times out: the post-mortem's window and the
-    /// exported trace come from the same per-cluster rings — every
-    /// retained transition is a span of the export and nothing else is
-    /// — and the timeout is marked at the moment of death.
-    #[test]
-    fn traced_timeout_post_mortem_is_the_tail_of_the_trace() {
-        use issr_trace::{Json, StallCause};
-        // Workers halt; each DMCC spins on a flag nobody sets — an
-        // active/idle heartbeat that overflows a small ring.
+    /// Workers halt; each DMCC spins on a flag nobody sets — an
+    /// active/idle heartbeat that never ends.
+    fn dmcc_spin_program() -> Program {
         let mut a = Assembler::new();
         a.csrr(R::T0, Csr::MHartId);
         let dmcc = a.new_label();
@@ -489,10 +477,32 @@ mod tests {
         a.lw(R::T2, R::T4, 0);
         a.beqz(R::T2, spin);
         a.halt();
-        let mut sys = System::new(a.finish().unwrap(), params(2));
+        a.finish().unwrap()
+    }
+
+    /// A dead system run is reported once: each stuck DMCC appears in
+    /// the timeout's text exactly once, from its post-mortem.
+    #[test]
+    fn spinning_dmccs_are_each_reported_once() {
+        let timeout = System::new(dmcc_spin_program(), params(2)).run(600).expect_err("spins");
+        let names: Vec<&str> = timeout.post_mortem.stuck.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["c0 dmcc", "c1 dmcc"]);
+        let text = timeout.to_string();
+        assert_eq!(text.matches("pc=").count(), 2, "one line per stuck hart:\n{text}");
+    }
+
+    /// A traced run that times out: the post-mortem's window and the
+    /// exported trace come from the same per-cluster rings — every
+    /// retained transition is a span of the export and nothing else is
+    /// — and the timeout is marked at the moment of death.
+    #[test]
+    fn traced_timeout_post_mortem_is_the_tail_of_the_trace() {
+        use issr_trace::{Json, StallCause};
+        // The DMCC heartbeat overflows a small ring.
+        let mut sys = System::new(dmcc_spin_program(), params(2));
         sys.enable_tracing(64);
         let timeout = sys.run(600).expect_err("the spin never ends");
-        let pm = timeout.post_mortem.as_ref().expect("post-mortem");
+        let pm = &timeout.post_mortem;
         assert_eq!(pm.transitions.len(), 2 * 64, "both rings are full");
         assert!(pm.evicted > 0, "the heartbeat overflowed the rings");
 

@@ -1,9 +1,18 @@
-//! Critical-path extraction over the wait graph.
+//! Critical-path extraction over the wait-edge taxonomy.
 //!
-//! Walks the blame chain backward from end-of-ROI: the terminal unit's
-//! breakdown partitions the measured window — every cycle was either
-//! progress (`compute`) or blocked on exactly one wait edge
-//! ([`edge_for`]). One level of descent follows the heaviest chain,
+//! Stall-cause attribution ([`crate::attr`]) is local — it says lane 3
+//! spent 40% of its ROI cycles `fifo_empty`, not which unit it was
+//! waiting on. Every non-`Active`, non-`Idle`, non-`Parked` cycle a
+//! unit records is also an *edge* from the blocked unit class to the
+//! unit class it was blocked on; [`edge_for`] is that mapping, a pure
+//! function of `(unit class, stall cause)`, total over every blocked
+//! cause — so every blocked cycle has exactly one outgoing edge by
+//! construction.
+//!
+//! [`extract`] walks the blame chain backward from end-of-ROI: the
+//! terminal unit's breakdown partitions the measured window — every
+//! cycle was either progress (`compute`) or blocked on exactly one wait
+//! edge. One level of descent follows the heaviest chain,
 //! hart → lane: cycles the hart spent starved on its stream lanes are
 //! redistributed over the lane's own breakdown (a lane that was
 //! *active* while the hart waited is genuine dataflow on the path and
@@ -21,7 +30,134 @@
 use crate::analyze::Bound;
 use crate::attr::{CycleBreakdown, StallCause};
 use crate::json::{obj, Json};
-use crate::waitgraph::{edge_for, is_blocked, EdgeClass, UnitClass};
+
+/// The class of a simulated unit, as a wait-edge endpoint.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum UnitClass {
+    /// A Snitch integer core (worker or DMA core).
+    Hart,
+    /// One SSR/ISSR stream lane.
+    Lane,
+    /// The index-intersection joiner.
+    Joiner,
+    /// The sparse accumulator.
+    SpAcc,
+    /// A cluster DMA engine.
+    Dma,
+}
+
+/// One directed wait edge class: blocked unit class → blocking resource.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[repr(usize)]
+pub enum EdgeClass {
+    /// Hart starved by a stream lane (RAW on a stream register).
+    HartLane = 0,
+    /// Hart lost TCDM/shared-port arbitration.
+    HartTcdm = 1,
+    /// Hart spinning at the cluster hardware barrier.
+    HartBarrier = 2,
+    /// Lane starved or deferred by a TCDM bank (conflict or latency).
+    LaneTcdm = 3,
+    /// Lane back-pressured by its consuming hart (datapath FIFO full).
+    LaneHart = 4,
+    /// Lane waiting on the index joiner to emit the next match.
+    LaneJoiner = 5,
+    /// Lane blocked behind an SpAcc row drain.
+    LaneSpAcc = 6,
+    /// Joiner starved or deferred by its feeding index lanes.
+    JoinerLane = 7,
+    /// Joiner back-pressured by the consuming hart.
+    JoinerHart = 8,
+    /// SpAcc starved by the joiner match stream.
+    SpAccJoiner = 9,
+    /// SpAcc writeback deferred by a TCDM bank.
+    SpAccTcdm = 10,
+    /// DMA denied shared main-memory bandwidth (or burst setup).
+    DmaMainMem = 11,
+    /// DMA yielded a contested TCDM bank to the cores.
+    DmaTcdm = 12,
+}
+
+impl EdgeClass {
+    /// Number of edge classes (the path's edge-array length).
+    pub const COUNT: usize = 13;
+
+    /// All edge classes, in index order.
+    pub const ALL: [EdgeClass; Self::COUNT] = [
+        EdgeClass::HartLane,
+        EdgeClass::HartTcdm,
+        EdgeClass::HartBarrier,
+        EdgeClass::LaneTcdm,
+        EdgeClass::LaneHart,
+        EdgeClass::LaneJoiner,
+        EdgeClass::LaneSpAcc,
+        EdgeClass::JoinerLane,
+        EdgeClass::JoinerHart,
+        EdgeClass::SpAccJoiner,
+        EdgeClass::SpAccTcdm,
+        EdgeClass::DmaMainMem,
+        EdgeClass::DmaTcdm,
+    ];
+
+    /// Stable snake_case label (used as the JSON key and table header).
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            EdgeClass::HartLane => "hart_lane",
+            EdgeClass::HartTcdm => "hart_tcdm",
+            EdgeClass::HartBarrier => "hart_barrier",
+            EdgeClass::LaneTcdm => "lane_tcdm",
+            EdgeClass::LaneHart => "lane_hart",
+            EdgeClass::LaneJoiner => "lane_joiner",
+            EdgeClass::LaneSpAcc => "lane_spacc",
+            EdgeClass::JoinerLane => "joiner_lane",
+            EdgeClass::JoinerHart => "joiner_hart",
+            EdgeClass::SpAccJoiner => "spacc_joiner",
+            EdgeClass::SpAccTcdm => "spacc_tcdm",
+            EdgeClass::DmaMainMem => "dma_mainmem",
+            EdgeClass::DmaTcdm => "dma_tcdm",
+        }
+    }
+}
+
+/// Whether a cause represents a *blocked* cycle — one that carries a
+/// wait edge. `Active` is progress, `Idle` is no work configured, and
+/// `Parked` is a terminal state (halted hart, frozen lane) that waits
+/// on nothing.
+#[must_use]
+pub fn is_blocked(cause: StallCause) -> bool {
+    !matches!(cause, StallCause::Active | StallCause::Idle | StallCause::Parked)
+}
+
+/// Maps one blocked cycle to its outgoing wait edge.
+///
+/// Total over every blocked cause for every unit class (returns `None`
+/// exactly when [`is_blocked`] is false), so a breakdown's blocked
+/// cycles and its derived edge cycles always sum to the same number —
+/// the soundness property the tests pin down. Causes a unit class can
+/// never record still map somewhere sensible; they simply stay zero.
+#[must_use]
+pub fn edge_for(unit: UnitClass, cause: StallCause) -> Option<EdgeClass> {
+    use EdgeClass as E;
+    use StallCause as C;
+    use UnitClass as U;
+    match (unit, cause) {
+        (_, C::Active | C::Idle | C::Parked) => None,
+        (U::Hart, C::BarrierWait) => Some(E::HartBarrier),
+        (U::Hart, C::PortConflict | C::BwDenied) => Some(E::HartTcdm),
+        (U::Hart, _) => Some(E::HartLane),
+        (U::Lane, C::FifoFull) => Some(E::LaneHart),
+        (U::Lane, C::JoinerWait) => Some(E::LaneJoiner),
+        (U::Lane, C::DrainBusy) => Some(E::LaneSpAcc),
+        (U::Lane, _) => Some(E::LaneTcdm),
+        (U::Joiner, C::FifoFull) => Some(E::JoinerHart),
+        (U::Joiner, _) => Some(E::JoinerLane),
+        (U::SpAcc, C::FifoEmpty | C::JoinerWait) => Some(E::SpAccJoiner),
+        (U::SpAcc, _) => Some(E::SpAccTcdm),
+        (U::Dma, C::PortConflict) => Some(E::DmaTcdm),
+        (U::Dma, _) => Some(E::DmaMainMem),
+    }
+}
 
 /// The critical path of one measured window, as an exact partition of
 /// its cycles into `compute` plus per-edge-class blame.
@@ -75,15 +211,6 @@ impl CriticalPath {
         } else {
             None
         }
-    }
-
-    /// Human-readable what-if lines, one per non-zero edge class,
-    /// heaviest first.
-    #[must_use]
-    pub fn what_if_lines(&self) -> Vec<String> {
-        let mut nz: Vec<(EdgeClass, u64)> = self.iter().filter(|&(_, n)| n > 0).collect();
-        nz.sort_by(|a, b| b.1.cmp(&a.1).then((a.0 as usize).cmp(&(b.0 as usize))));
-        nz.iter().map(|(e, n)| format!("eliminating {} saves <= {} cycles", e.label(), n)).collect()
     }
 
     /// The roofline bound the dominant edge suggests, for cross-checking
@@ -206,13 +333,6 @@ fn apportion(n: u64, weights: &[u64]) -> Vec<u64> {
     shares
 }
 
-/// `true` when the cause contributes a wait edge for some unit — a
-/// convenience re-export for callers asserting path invariants.
-#[must_use]
-pub fn cause_is_blocked(cause: StallCause) -> bool {
-    is_blocked(cause)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,9 +407,30 @@ mod tests {
         ]);
         let p = extract(UnitClass::Hart, &b, None);
         assert_eq!(p.dominant(), Some(EdgeClass::HartTcdm));
-        let lines = p.what_if_lines();
-        assert_eq!(lines[0], "eliminating hart_tcdm saves <= 9 cycles");
-        assert_eq!(lines.len(), 2);
+        assert_eq!(p.get(EdgeClass::HartTcdm), 9, "what-if: eliminating it saves <= 9 cycles");
+        let tie = extract(
+            UnitClass::Hart,
+            &bd(&[(StallCause::BarrierWait, 4), (StallCause::FifoEmpty, 4)]),
+            None,
+        );
+        assert_eq!(tie.dominant(), Some(EdgeClass::HartLane), "ties keep declaration order");
+        let compute = extract(UnitClass::Hart, &bd(&[(StallCause::Active, 5)]), None);
+        assert_eq!(compute.dominant(), None);
+    }
+
+    #[test]
+    fn every_blocked_cause_has_exactly_one_edge() {
+        for unit in
+            [UnitClass::Hart, UnitClass::Lane, UnitClass::Joiner, UnitClass::SpAcc, UnitClass::Dma]
+        {
+            for cause in StallCause::ALL {
+                assert_eq!(
+                    edge_for(unit, cause).is_some(),
+                    is_blocked(cause),
+                    "{unit:?}/{cause:?}: blocked iff mapped"
+                );
+            }
+        }
     }
 
     #[test]
@@ -314,7 +455,10 @@ mod tests {
         let Some(Json::Obj(edges)) = j.get("edges") else { panic!("edges object") };
         let edge_sum: i64 = edges.iter().map(|(_, v)| v.as_int().unwrap()).sum();
         assert_eq!(compute + edge_sum, length);
-        assert_eq!(edges.len(), EdgeClass::COUNT, "fixed schema");
+        let mut keys: Vec<&str> = edges.iter().map(|(k, _)| k.as_str()).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), EdgeClass::COUNT, "fixed schema, one unique key per edge class");
         assert_eq!(j.get("dominant_edge").and_then(Json::as_str), Some("hart_lane"));
         assert_eq!(j.get("dominant_saves").and_then(Json::as_int), Some(6));
     }

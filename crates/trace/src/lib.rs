@@ -7,19 +7,18 @@
 //! core complex, cluster, system, benches — can report through the same
 //! vocabulary.
 //!
-//! Eight facilities:
+//! Seven facilities:
 //!
 //! * [`attr`] — stall-cause cycle attribution. Each simulated unit
 //!   classifies every ROI cycle into one [`StallCause`] and accumulates
 //!   a [`CycleBreakdown`]; by construction the breakdown sums exactly
 //!   to the elapsed cycles it covers.
-//! * [`waitgraph`] — the causal layer over attribution: every blocked
-//!   cycle is simultaneously a *blocked-on* edge (hart→lane,
-//!   lane→TCDM bank, DMA→main memory, …), aggregated per edge class
-//!   into a [`WaitGraph`].
-//! * [`critpath`] — critical-path extraction: an exact partition of
-//!   the measured window into compute plus per-edge-class blame, with
-//!   what-if savings bounds ([`CriticalPath`]).
+//! * [`critpath`] — the causal layer over attribution: every blocked
+//!   cycle is also a *blocked-on* edge ([`edge_for`]: hart→lane,
+//!   lane→TCDM bank, DMA→main memory, …), and critical-path extraction
+//!   partitions the measured window exactly into compute plus
+//!   per-edge-class blame, with what-if savings bounds
+//!   ([`CriticalPath`]).
 //! * [`analyze`] — the interpretation layer: a roofline-style
 //!   bottleneck classifier turning counters into a bandwidth/compute/
 //!   latency/sync [`Verdict`], and a PC-region [`PhaseProfile`] for
@@ -31,9 +30,9 @@
 //!   residency spans that load directly in Perfetto,
 //!   `ui.perfetto.dev`). `run` arms a small one by default;
 //!   `enable_tracing` arms a large one with lanes and counters added.
-//! * [`blackbox`] — the [`PostMortem`] report the run harnesses dump
-//!   on timeout or a latched fault: stuck units ([`StuckUnit`]),
-//!   deadlock-vs-slow classification, and the timeline's final window.
+//! * [`blackbox`] — the [`PostMortem`], the one report of a dead run
+//!   (a timeout or a latched fault): each stuck hart once
+//!   ([`StuckUnit`]) and the timeline's final window.
 //! * [`host`] — the opt-in host-side self-profiler: wall-clock per
 //!   unit class, the provably-idle tick census, simulated-cycles/sec.
 //! * [`json`] — a minimal JSON value/writer/parser ([`Json`]) for the
@@ -54,17 +53,15 @@ pub mod host;
 pub mod json;
 pub mod merge;
 pub mod timeline;
-pub mod waitgraph;
 
 pub use analyze::{classify, Bound, PhaseProfile, RooflineInput, Verdict};
 pub use attr::{breakdown_table, CycleBreakdown, StallCause};
-pub use blackbox::{Classification, PostMortem, StuckUnit};
-pub use critpath::{extract, CriticalPath};
+pub use blackbox::{PostMortem, StuckUnit};
+pub use critpath::{edge_for, extract, is_blocked, CriticalPath, EdgeClass, UnitClass};
 pub use host::HostProfiler;
 pub use json::Json;
 pub use merge::StatMerge;
 pub use timeline::{Timeline, Transition};
-pub use waitgraph::{edge_for, is_blocked, EdgeClass, UnitClass, WaitGraph};
 
 /// Guarded division for speedups, rates and utilizations: returns
 /// `num / den`, or 0.0 when the denominator is zero (a run that

@@ -13,7 +13,7 @@
 //! own ring of value changes under the same cap; instant marks (trap,
 //! timeout) are deduplicated on `(pid, name)`.
 //!
-//! Both consumers read the same ring: a post-mortem
+//! Both consumers read the same ring: the post-mortem of a dead run
 //! ([`crate::PostMortem`]) takes its final window from it, and
 //! [`Timeline::chrome_events`] turns each unit's window into
 //! cause-named residency spans (`fifo_empty`, `port_conflict`, … —
