@@ -816,10 +816,11 @@ pub fn system_csrmv_weak_scaling(
 #[must_use]
 pub fn cluster_spgemm_phase_profile(regime: SpgemmRegime) -> issr_trace::PhaseProfile {
     use issr_cluster::cluster::{Cluster, ClusterParams};
+    use issr_snitch::params::CcParams;
     let mut rng = gen::rng(0x000F_1651);
     let a = gen::csr_fixed_row_nnz::<u16>(&mut rng, regime.nrows, regime.inner, regime.a_row_nnz);
     let b = gen::csr_fixed_row_nnz::<u16>(&mut rng, regime.inner, regime.ncols, regime.b_row_nnz);
-    let params = ClusterParams { sssr: true, ..ClusterParams::default() };
+    let params = ClusterParams { cc: CcParams::sssr(), ..ClusterParams::default() };
     let plan = ClusterSpgemmPlan::new(&a, &b, params.n_workers as u32);
     let program = build_cluster_spgemm::<u16>(Variant::Issr, &plan);
     // Instruction index × 4 = byte PC (the fetch unit indexes by pc/4).

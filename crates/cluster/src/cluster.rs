@@ -1,7 +1,8 @@
 //! The cluster model and its run harness.
 
-use issr_core::lane::LaneStats;
+use issr_core::lane::{LaneKind, LaneStats};
 use issr_core::spacc::SpAccStats;
+use issr_core::HwCaps;
 use issr_isa::asm::Program;
 use issr_mem::dma::{Dma, DmaStats};
 use issr_mem::icache::{ICacheParams, L0Buffer, L1ICache};
@@ -22,30 +23,18 @@ use issr_trace::{host, CriticalPath, CycleBreakdown, PostMortem, StatMerge, Time
 pub struct ClusterParams {
     /// Worker core complexes (the paper's cluster has 8 in two hives).
     pub n_workers: usize,
-    /// Per-core microarchitecture.
+    /// Every worker's core complex, streamer included
+    /// ([`CcParams::sssr`] for the cluster SpMSpV/SpGEMM kernels). The
+    /// DMCC shares its latencies but gets a single plain SSR lane.
     pub cc: CcParams,
     /// Model instruction caches (L0 + per-hive shared L1); when false,
     /// instruction fetch is ideal.
     pub icache: bool,
-    /// Give every worker the sparse-sparse streamer (index joiner +
-    /// SpAcc) instead of the paper's plain SSR + ISSR pair — the
-    /// configuration the cluster SpMSpV/SpGEMM kernels run on.
-    pub sssr: bool,
-    /// Double-buffered SpAcc row storage (a row's drain overlaps the
-    /// next row's first feed). On by default; the benchmark disables it
-    /// to report the overlap delta.
-    pub spacc_double_buffer: bool,
 }
 
 impl Default for ClusterParams {
     fn default() -> Self {
-        Self {
-            n_workers: 8,
-            cc: CcParams::default(),
-            icache: true,
-            sssr: false,
-            spacc_double_buffer: true,
-        }
+        Self { n_workers: 8, cc: CcParams::default(), icache: true }
     }
 }
 
@@ -260,15 +249,7 @@ impl Cluster {
         let icache_params = ICacheParams::default();
         let mut workers = Vec::with_capacity(params.n_workers);
         for hart in 0..params.n_workers {
-            let streamer = if params.sssr {
-                let mut s = issr_core::streamer::Streamer::sssr_config();
-                s.set_spacc_double_buffered(params.spacc_double_buffer);
-                s
-            } else {
-                issr_core::streamer::Streamer::paper_config()
-            };
-            let mut cc =
-                CoreComplex::with_streamer(hart as u32, program.clone(), params.cc, streamer);
+            let mut cc = CoreComplex::new(hart as u32, program.clone(), params.cc);
             if params.icache {
                 cc.set_l0(L0Buffer::new(icache_params));
             }
@@ -277,12 +258,9 @@ impl Cluster {
         // The DMCC has no FPU subsystem worth modelling and a single
         // (SSR-less would be ideal; one plain lane keeps the port math
         // uniform) memory port.
-        let dmcc = CoreComplex::with_streamer(
-            params.n_workers as u32,
-            program,
-            params.cc,
-            issr_core::streamer::Streamer::new(&[issr_core::lane::LaneKind::Ssr]),
-        );
+        let streamer = HwCaps { lanes: &[LaneKind::Ssr], ..HwCaps::PAPER };
+        let dmcc =
+            CoreComplex::new(params.n_workers as u32, program, CcParams { streamer, ..params.cc });
         let mut port_base = vec![0];
         for cc in workers.iter().chain(std::iter::once(&dmcc)) {
             port_base.push(port_base[port_base.len() - 1] + cc.n_ports());

@@ -11,8 +11,9 @@
 //! construction.
 //!
 //! Every predicate is a pure function of decoded shadow state and the
-//! hardware capability set ([`HwCaps`]); the streamer passes its own
-//! capabilities, the linter passes the lint target's.
+//! streamer description ([`HwCaps`]). There is one such value per
+//! machine: the streamer is built from it, and the linter reads the
+//! same value out of the `CcParams` the program runs on.
 
 use crate::cfg::{reg, AccDrainSpec, AccFeedSpec, CfgShadow};
 use crate::lane::LaneKind;
@@ -95,22 +96,36 @@ impl std::fmt::Display for CfgFault {
     }
 }
 
-/// The stream-unit hardware a configuration access is checked against:
-/// the lane list plus the optional joiner and sparse accumulator. The
-/// streamer derives this from its own construction; the linter from the
-/// target machine description. Borrowed and `Copy` so the per-access
-/// hot path never allocates.
-#[derive(Clone, Copy, Debug)]
-pub struct HwCaps<'a> {
+/// The description of one streamer: the lane list plus the optional
+/// joiner and sparse accumulator. [`crate::streamer::Streamer::new`]
+/// builds its hardware from it, and `issr-lint` checks a program
+/// against the same value (it rides in `CcParams::streamer`). `Copy`,
+/// with a `'static` lane list, so the per-access hot path never
+/// allocates and the parameter structs that carry it stay `Copy`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct HwCaps {
     /// Lane kinds, indexed like the lanes (`ft0`, `ft1`, ...).
-    pub lanes: &'a [LaneKind],
+    pub lanes: &'static [LaneKind],
     /// Whether the hardware includes the index joiner.
     pub has_joiner: bool,
     /// Whether the hardware includes the sparse accumulator.
     pub has_spacc: bool,
 }
 
-impl HwCaps<'_> {
+impl HwCaps {
+    /// The paper's evaluated streamer: one SSR (`ft0`) and one ISSR
+    /// (`ft1`), each with a private memory port.
+    pub const PAPER: Self =
+        Self { lanes: &[LaneKind::Ssr, LaneKind::Issr], has_joiner: false, has_spacc: false };
+
+    /// The sparse-sparse streamer (arXiv:2305.05559): the paper's two
+    /// lanes plus the index joiner across them and the sparse
+    /// accumulator on lane 1.
+    pub const SSSR: Self = Self { has_joiner: true, has_spacc: true, ..Self::PAPER };
+
+    /// Two ISSRs, for codebook-compressed sparse values (§III-C).
+    pub const CODEBOOK: Self = Self { lanes: &[LaneKind::Issr, LaneKind::Issr], ..Self::PAPER };
+
     /// Validates a lane index against the lane list.
     ///
     /// # Errors
@@ -192,10 +207,23 @@ impl HwCaps<'_> {
         if shadow.join_enabled() {
             return Err(CfgFault::BadJoinerLaunch { lane });
         }
-        if shadow.indirect() && self.lanes[lane as usize] != LaneKind::Issr {
-            return Err(CfgFault::NoIndirection { lane });
+        if shadow.indirect() {
+            self.check_indirection(lane)?;
         }
         Ok(())
+    }
+
+    /// Validates an indirection (ISSR) job launch on `lane`, which must
+    /// be in range ([`HwCaps::check_lane`]).
+    ///
+    /// # Errors
+    /// [`CfgFault::NoIndirection`] when `lane` is a plain SSR lane.
+    pub fn check_indirection(&self, lane: u8) -> Result<(), CfgFault> {
+        if self.lanes[lane as usize] == LaneKind::Issr {
+            Ok(())
+        } else {
+            Err(CfgFault::NoIndirection { lane })
+        }
     }
 }
 
@@ -219,28 +247,18 @@ mod tests {
     use crate::cfg::{acc_count_cfg_word, idx_cfg_word, join_cfg_word, JoinerMode};
     use crate::serializer::IndexSize;
 
-    const LANES: &[LaneKind] = &[LaneKind::Ssr, LaneKind::Issr];
-
-    fn sssr_caps() -> HwCaps<'static> {
-        HwCaps { lanes: LANES, has_joiner: true, has_spacc: true }
-    }
-
-    fn paper_caps() -> HwCaps<'static> {
-        HwCaps { lanes: LANES, has_joiner: false, has_spacc: false }
-    }
-
     #[test]
     fn lane_bounds() {
-        assert_eq!(paper_caps().check_lane(1), Ok(()));
-        assert_eq!(paper_caps().check_lane(2), Err(CfgFault::BadLane { lane: 2 }));
+        assert_eq!(HwCaps::PAPER.check_lane(1), Ok(()));
+        assert_eq!(HwCaps::PAPER.check_lane(2), Err(CfgFault::BadLane { lane: 2 }));
     }
 
     #[test]
     fn hardware_presence() {
-        assert_eq!(paper_caps().check_joiner_present(), Err(CfgFault::NoJoiner));
-        assert_eq!(paper_caps().check_spacc_present(), Err(CfgFault::NoSpAcc));
-        assert_eq!(sssr_caps().check_joiner_present(), Ok(()));
-        assert_eq!(sssr_caps().check_spacc_present(), Ok(()));
+        assert_eq!(HwCaps::PAPER.check_joiner_present(), Err(CfgFault::NoJoiner));
+        assert_eq!(HwCaps::PAPER.check_spacc_present(), Err(CfgFault::NoSpAcc));
+        assert_eq!(HwCaps::SSSR.check_joiner_present(), Ok(()));
+        assert_eq!(HwCaps::SSSR.check_spacc_present(), Ok(()));
     }
 
     #[test]
@@ -248,26 +266,26 @@ mod tests {
         let mut shadow = CfgShadow::default();
         shadow.write(reg::ACC_BUF_CAP, 0);
         let feed = AccFeedSpec::from_shadow(&shadow, 0x1000);
-        assert_eq!(sssr_caps().check_feed(&feed), Err(CfgFault::ZeroCapacity));
+        assert_eq!(HwCaps::SSSR.check_feed(&feed), Err(CfgFault::ZeroCapacity));
         shadow.write(reg::ACC_BUF_CAP, 16);
         let feed = AccFeedSpec::from_shadow(&shadow, 0x1000);
-        assert_eq!(sssr_caps().check_feed(&feed), Ok(()));
+        assert_eq!(HwCaps::SSSR.check_feed(&feed), Ok(()));
 
         shadow.write(reg::ACC_VAL_OUT, 0x2004);
         let drain = AccDrainSpec::from_shadow(&shadow, 0x3000);
         assert_eq!(
-            sssr_caps().check_drain(false, &drain),
+            HwCaps::SSSR.check_drain(false, &drain),
             Err(CfgFault::MisalignedDrain { idx_out: 0x3000, val_out: 0x2004 })
         );
         shadow.write(reg::ACC_VAL_OUT, 0x2008);
         let drain = AccDrainSpec::from_shadow(&shadow, 0x3000);
-        assert_eq!(sssr_caps().check_drain(true, &drain), Err(CfgFault::CountModeDrain));
-        assert_eq!(sssr_caps().check_drain(false, &drain), Ok(()));
+        assert_eq!(HwCaps::SSSR.check_drain(true, &drain), Err(CfgFault::CountModeDrain));
+        assert_eq!(HwCaps::SSSR.check_drain(false, &drain), Ok(()));
         // Count-only mode also flips the index size decode path.
         shadow.write(reg::ACC_CFG, acc_count_cfg_word(IndexSize::U32));
         let drain = AccDrainSpec::from_shadow(&shadow, 0x3002);
         assert_eq!(
-            sssr_caps().check_drain(false, &drain),
+            HwCaps::SSSR.check_drain(false, &drain),
             Err(CfgFault::MisalignedDrain { idx_out: 0x3002, val_out: 0x2008 })
         );
     }
@@ -275,16 +293,16 @@ mod tests {
     #[test]
     fn pointer_write_capabilities() {
         let mut shadow = CfgShadow::default();
-        assert_eq!(sssr_caps().check_pointer_write(&shadow, 0), Ok(()));
+        assert_eq!(HwCaps::SSSR.check_pointer_write(&shadow, 0), Ok(()));
         shadow.write(reg::IDX_CFG, idx_cfg_word(IndexSize::U16, 0));
         assert_eq!(
-            sssr_caps().check_pointer_write(&shadow, 0),
+            HwCaps::SSSR.check_pointer_write(&shadow, 0),
             Err(CfgFault::NoIndirection { lane: 0 })
         );
-        assert_eq!(sssr_caps().check_pointer_write(&shadow, 1), Ok(()));
+        assert_eq!(HwCaps::SSSR.check_pointer_write(&shadow, 1), Ok(()));
         shadow.write(reg::JOIN_CFG, join_cfg_word(JoinerMode::Intersect, IndexSize::U16));
         assert_eq!(
-            sssr_caps().check_pointer_write(&shadow, 1),
+            HwCaps::SSSR.check_pointer_write(&shadow, 1),
             Err(CfgFault::BadJoinerLaunch { lane: 1 })
         );
     }

@@ -3,19 +3,20 @@
 //!
 //! The paper's area-optimized configuration provides one plain SSR
 //! (mapped to `ft0`) and one ISSR (mapped to `ft1`), each with a private
-//! memory port; [`Streamer::paper_config`] builds exactly that. Other
-//! mixes (e.g. two ISSRs for codebook-compressed sparse values, §III-C)
-//! are expressed by constructing with a different lane list.
+//! memory port; [`HwCaps::PAPER`] describes exactly that. Other mixes
+//! (e.g. [`HwCaps::CODEBOOK`]'s two ISSRs for codebook-compressed sparse
+//! values, §III-C) are other descriptions: [`Streamer::new`] builds
+//! whatever [`HwCaps`] it is given.
 //!
 //! While the `ssr` CSR bit is set, floating-point register indices below
 //! the lane count read/write the streams instead of the register file —
 //! the *register redirection* the kernels toggle around their compute
 //! loops.
 //!
-//! A streamer built with [`Streamer::with_joiner`] additionally carries
-//! the sparse-sparse **index joiner** (arXiv:2305.05559). A joiner job
-//! is configured through lane 0's shadow registers (`JOIN_*`) and
-//! launched by writing lane 0's read pointer with the A-side index
+//! A streamer described with `has_joiner` ([`HwCaps::SSSR`]) also
+//! carries the sparse-sparse **index joiner** (arXiv:2305.05559). A
+//! joiner job is configured through lane 0's shadow registers (`JOIN_*`)
+//! and launched by writing lane 0's read pointer with the A-side index
 //! array; while it runs it owns the memory ports of lanes 0 and 1 and
 //! delivers matched value pairs through those two registers.
 //!
@@ -39,7 +40,7 @@ use crate::cfg::{reg, AccDrainSpec, AccFeedSpec, JoinerSpec};
 use crate::cfg_check::{self, HwCaps};
 use crate::fault::{StreamFault, StreamFaultKind, StreamUnit, STREAM_WATCHDOG_RESET};
 use crate::joiner::{IndexJoiner, JoinerStats};
-use crate::lane::{Lane, LaneKind, LaneStats};
+use crate::lane::{Lane, LaneStats};
 use crate::spacc::{SpAcc, SpAccStats, SPACC_LANE};
 use issr_mem::port::MemPort;
 use issr_trace::{StallCause, StatMerge};
@@ -89,20 +90,16 @@ pub use crate::cfg_check::CfgFault;
 #[derive(Debug)]
 pub struct Streamer {
     lanes: Vec<Lane>,
-    /// The lane kinds, kept as a flat list so capability checks can
-    /// borrow them as a [`HwCaps`] without walking the lanes.
-    kinds: Vec<LaneKind>,
+    /// The description the streamer was built from; configuration
+    /// accesses are checked against it.
+    caps: HwCaps,
     enabled: bool,
-    /// Whether the hardware includes the index joiner.
-    has_joiner: bool,
     joiner: Option<IndexJoiner>,
     /// One-deep shadow queue for joiner jobs (like a lane's pending slot).
     pending_join: Option<JoinerSpec>,
     joiner_stats: JoinerStats,
     /// Pairs emitted by the most recent completed joiner job.
     join_count_last: u32,
-    /// Whether the hardware includes the sparse accumulator.
-    has_spacc: bool,
     spacc: SpAcc,
     /// The latched mid-stream fault, if any: the first fault freezes
     /// every stream unit; the core takes it as a trap once.
@@ -121,98 +118,56 @@ pub struct Streamer {
 }
 
 impl Streamer {
-    /// Creates a streamer with the given lane kinds; lane *i* maps to
+    /// Creates the streamer `caps` describes; lane *i* maps to
     /// floating-point register *f_i*.
     ///
     /// # Panics
     /// Panics if no lanes are given or more than 8 (the register-map
-    /// window) — a host construction error, not simulator input.
+    /// window), or if a joiner or SpAcc comes with fewer than two lanes
+    /// (the joiner needs the ports of lanes 0 and 1, the SpAcc sits on
+    /// lane 1) — host construction errors, not simulator input.
     #[must_use]
-    pub fn new(kinds: &[LaneKind]) -> Self {
-        // Host construction precondition, not simulator input.
-        assert!((1..=8).contains(&kinds.len()), "streamer supports 1..=8 lanes"); // gate-allow
+    pub fn new(caps: HwCaps) -> Self {
+        let n_lanes = caps.lanes.len();
+        assert!((1..=8).contains(&n_lanes), "streamer supports 1..=8 lanes"); // gate-allow
+        let joiner_ok = !caps.has_joiner || n_lanes >= 2;
+        assert!(joiner_ok, "the index joiner spans lanes 0 and 1"); // gate-allow
+        let spacc_ok = !caps.has_spacc || n_lanes > SPACC_LANE;
+        assert!(spacc_ok, "the sparse accumulator sits on lane 1"); // gate-allow
         Self {
-            lanes: kinds.iter().map(|&k| Lane::new(k)).collect(),
-            kinds: kinds.to_vec(),
+            lanes: caps.lanes.iter().map(|&k| Lane::new(k)).collect(),
+            caps,
             enabled: false,
-            has_joiner: false,
             joiner: None,
             pending_join: None,
             joiner_stats: JoinerStats::default(),
             join_count_last: 0,
-            has_spacc: false,
             spacc: SpAcc::new(),
             fault: None,
             fault_delivered: false,
             frozen: false,
             joiner_watchdog: STREAM_WATCHDOG_RESET,
-            probe: StreamerProbe::with_lanes(kinds.len()),
+            probe: StreamerProbe::with_lanes(n_lanes),
         }
     }
 
-    /// Creates a streamer that also carries the index joiner, which
-    /// matches two sparse index streams onto lanes 0 and 1.
-    ///
-    /// # Panics
-    /// Panics if fewer than two lanes are given (the joiner needs both
-    /// ports) or more than 8.
-    #[must_use]
-    pub fn with_joiner(kinds: &[LaneKind]) -> Self {
-        // Host construction precondition, not simulator input.
-        assert!(kinds.len() >= 2, "the index joiner spans lanes 0 and 1"); // gate-allow
-        let mut s = Self::new(kinds);
-        s.has_joiner = true;
-        s
-    }
-
-    /// The paper's evaluated configuration: one SSR (`ft0`) and one ISSR
-    /// (`ft1`).
+    /// The paper's evaluated configuration ([`HwCaps::PAPER`]).
     #[must_use]
     pub fn paper_config() -> Self {
-        Self::new(&[LaneKind::Ssr, LaneKind::Issr])
+        Self::new(HwCaps::PAPER)
     }
 
-    /// Creates a streamer that also carries the sparse accumulator (the
-    /// write-stream side), which borrows lane 1's port and write stream.
-    ///
-    /// # Panics
-    /// Panics if fewer than two lanes are given or more than 8.
-    #[must_use]
-    pub fn with_spacc(kinds: &[LaneKind]) -> Self {
-        // Host construction precondition, not simulator input.
-        assert!(kinds.len() > SPACC_LANE, "the sparse accumulator sits on lane 1"); // gate-allow
-        let mut s = Self::new(kinds);
-        s.has_spacc = true;
-        s
-    }
-
-    /// The sparse-sparse configuration: the paper's two lanes plus the
-    /// SSSR-style index joiner across them and the SpAcc write-stream
-    /// sparse accumulator on lane 1 — sparse reads *and* sparse writes.
+    /// The sparse-sparse configuration ([`HwCaps::SSSR`]).
     #[must_use]
     pub fn sssr_config() -> Self {
-        let mut s = Self::with_spacc(&[LaneKind::Ssr, LaneKind::Issr]);
-        s.has_joiner = true;
-        s
+        Self::new(HwCaps::SSSR)
     }
 
-    /// Whether the hardware includes the index joiner.
+    /// The description configuration accesses are validated against —
+    /// the same value `issr-lint` checks statically.
     #[must_use]
-    pub fn has_joiner(&self) -> bool {
-        self.has_joiner
-    }
-
-    /// Whether the hardware includes the sparse accumulator.
-    #[must_use]
-    pub fn has_spacc(&self) -> bool {
-        self.has_spacc
-    }
-
-    /// The hardware capability set configuration accesses are validated
-    /// against — the same view `issr-lint` checks statically.
-    #[must_use]
-    pub fn caps(&self) -> HwCaps<'_> {
-        HwCaps { lanes: &self.kinds, has_joiner: self.has_joiner, has_spacc: self.has_spacc }
+    pub fn caps(&self) -> HwCaps {
+        self.caps
     }
 
     /// Selects single- or double-buffered SpAcc row storage (see
@@ -354,10 +309,10 @@ impl Streamer {
     /// a zero-capacity feed, or a drain in count-only mode.
     pub fn cfg_write(&mut self, addr: u16, value: u32) -> Result<bool, CfgFault> {
         let (register, lane) = crate::cfg::split_addr(addr);
-        self.caps().check_lane(lane)?;
+        self.caps.check_lane(lane)?;
         let lane = lane as usize;
         if cfg_check::is_joiner_launch(register, lane as u8, self.lanes[0].shadow()) {
-            self.caps().check_joiner_present()?;
+            self.caps.check_joiner_present()?;
             if self.pending_join.is_some() {
                 return Ok(false);
             }
@@ -367,16 +322,16 @@ impl Streamer {
         }
         if lane == 0 && register == reg::ACC_FEED {
             let spec = AccFeedSpec::from_shadow(self.lanes[0].shadow(), value);
-            self.caps().check_feed(&spec)?;
+            self.caps.check_feed(&spec)?;
             return Ok(self.spacc.launch_feed(spec));
         }
         if lane == 0 && register == reg::ACC_DRAIN {
             let spec = AccDrainSpec::from_shadow(self.lanes[0].shadow(), value);
-            self.caps().check_drain(self.lanes[0].shadow().acc_count_only(), &spec)?;
+            self.caps.check_drain(self.lanes[0].shadow().acc_count_only(), &spec)?;
             return Ok(self.spacc.launch_drain(spec));
         }
         if lane == 0 && register == reg::ACC_CLEAR {
-            self.caps().check_spacc_present()?;
+            self.caps.check_spacc_present()?;
             return Ok(self.spacc.clear());
         }
         // Launch-time capability checks: a pointer write decodes
@@ -384,7 +339,7 @@ impl Streamer {
         // here (the lane itself only debug-asserts them). Lane 0's
         // RPTR[0] joiner launch was dispatched above.
         if cfg_check::is_pointer_reg(register) {
-            self.caps().check_pointer_write(self.lanes[lane].shadow(), lane as u8)?;
+            self.caps.check_pointer_write(self.lanes[lane].shadow(), lane as u8)?;
         }
         Ok(self.lanes[lane].cfg_write(register, value))
     }
@@ -399,18 +354,18 @@ impl Streamer {
     /// absent status bits.
     pub fn cfg_read(&self, addr: u16) -> Result<u32, CfgFault> {
         let (register, lane) = crate::cfg::split_addr(addr);
-        self.caps().check_lane(lane)?;
+        self.caps.check_lane(lane)?;
         let lane = lane as usize;
         if lane == 0 && register == reg::JOIN_COUNT {
-            self.caps().check_joiner_present()?;
+            self.caps.check_joiner_present()?;
             return Ok(self.join_count_last);
         }
         if lane == 0 && register == reg::ACC_NNZ {
-            self.caps().check_spacc_present()?;
+            self.caps.check_spacc_present()?;
             return Ok(u32::try_from(self.spacc.nnz()).expect("row buffer exceeds u32"));
         }
         if lane == 0 && register == reg::ACC_STATUS {
-            self.caps().check_spacc_present()?;
+            self.caps.check_spacc_present()?;
             let done = self.spacc.is_idle();
             let feeds_done = self.spacc.feeds_idle();
             return Ok(u32::from(done) | (u32::from(!done) << 1) | (u32::from(feeds_done) << 2));
@@ -668,6 +623,7 @@ impl Streamer {
 mod tests {
     use super::*;
     use crate::cfg::{cfg_addr, idx_cfg_word, reg, JoinerMode};
+    use crate::lane::LaneKind;
     use crate::serializer::IndexSize;
     use issr_mem::tcdm::Tcdm;
 
@@ -679,6 +635,19 @@ mod tests {
         assert_eq!(s.n_lanes(), 2);
         assert_eq!(s.lane(0).kind(), LaneKind::Ssr);
         assert_eq!(s.lane(1).kind(), LaneKind::Issr);
+    }
+
+    #[test]
+    #[should_panic(expected = "the index joiner spans lanes 0 and 1")]
+    fn joiner_needs_two_lanes() {
+        let _ = Streamer::new(HwCaps { lanes: &[LaneKind::Ssr], ..HwCaps::SSSR });
+    }
+
+    #[test]
+    #[should_panic(expected = "the sparse accumulator sits on lane 1")]
+    fn spacc_needs_two_lanes() {
+        let _ =
+            Streamer::new(HwCaps { lanes: &[LaneKind::Issr], has_joiner: false, has_spacc: true });
     }
 
     #[test]
@@ -894,7 +863,7 @@ mod tests {
         tcdm.array_mut().store_u16_slice(BASE + 0x1000, &[2, 7]);
         tcdm.array_mut().store_u16_slice(BASE + 0x1100, &[2, 9]);
         let mut s = Streamer::sssr_config();
-        assert!(s.has_spacc());
+        assert!(s.caps().has_spacc);
         assert!(s
             .cfg_write(cfg_addr(reg::ACC_CFG, 0), crate::cfg::acc_cfg_word(IndexSize::U16))
             .unwrap());

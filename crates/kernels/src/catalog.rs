@@ -10,12 +10,15 @@
 //! ones — and hands the result to the kernel's own `build_*`: every
 //! entry is laid out exactly as its `run_*` would simulate it.
 //!
-//! One builder is not in the catalog: codebook SpVV
-//! ([`crate::streaming::build_codebook_spvv`]) targets a streamer with
-//! two ISSRs, which neither hardware configuration a consumer picks
-//! from [`CatalogEntry::needs_sparse_units`] describes. The lint gate
-//! (`crates/lint/tests/kernels_clean.rs`) checks it against its own
-//! target.
+//! Every entry runs on one of the two named core complexes,
+//! `CcParams::paper` or `CcParams::sssr`:
+//! [`CatalogEntry::needs_sparse_units`] says which, and
+//! `issr_lint::lint_shipped` lints the entry against that value. One
+//! builder is not in the catalog: codebook SpVV
+//! ([`crate::streaming::build_codebook_spvv`]) runs on two ISSRs
+//! (`HwCaps::CODEBOOK`), and the lint gate
+//! (`crates/lint/tests/kernels_clean.rs`) checks it against that
+//! description.
 
 use crate::cluster_csrmv::{build_cluster_csrmv, ClusterCsrmvPlan};
 use crate::cluster_spgemm::{build_cluster_spgemm, ClusterSpgemmPlan};
@@ -47,8 +50,8 @@ pub struct CatalogEntry {
     /// The assembled program.
     pub program: Program,
     /// Whether the program targets the sparse-sparse stream units
-    /// (index joiner / sparse accumulator) and therefore needs the
-    /// SSSR hardware configuration rather than the paper's.
+    /// (index joiner / sparse accumulator) and therefore runs on
+    /// `CcParams::sssr` rather than `CcParams::paper`.
     pub needs_sparse_units: bool,
 }
 

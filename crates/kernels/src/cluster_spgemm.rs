@@ -62,6 +62,7 @@ use issr_isa::asm::{Assembler, Program};
 use issr_isa::reg::IntReg as R;
 use issr_isa::Csr;
 use issr_snitch::cc::SimTimeout;
+use issr_snitch::params::CcParams;
 use issr_sparse::csr::CsrMatrix;
 
 /// The planned layout of one cluster SpGEMM run.
@@ -429,12 +430,8 @@ fn cluster_spgemm_sim<I: KernelIndex>(
     acc_cap: u32,
     on_trap: OnTrap,
 ) -> Result<ClusterSpgemmSim, SimTimeout> {
-    let params = ClusterParams {
-        sssr: true,
-        n_workers,
-        spacc_double_buffer: double_buffer,
-        ..ClusterParams::default()
-    };
+    let cc = CcParams { spacc_double_buffer: double_buffer, ..CcParams::sssr() };
+    let params = ClusterParams { n_workers, cc, ..ClusterParams::default() };
     let plan = ClusterSpgemmPlan::new(a, b, n_workers as u32).with_acc_cap(acc_cap);
     // Both passes walk the expansion; budget the symbolic pass like a
     // second numeric one.

@@ -29,6 +29,7 @@ use issr_isa::instr::Stagger;
 use issr_isa::reg::{FpReg, IntReg as R};
 use issr_isa::Csr;
 use issr_snitch::cc::SimTimeout;
+use issr_snitch::params::CcParams;
 use issr_sparse::csr::CsrMatrix;
 use issr_sparse::fiber::SparseFiber;
 
@@ -233,7 +234,7 @@ pub fn run_cluster_spmspv<I: KernelIndex>(
     m: &CsrMatrix<I>,
     x: &SparseFiber<I>,
 ) -> Result<ClusterSpmspvRun, SimTimeout> {
-    let params = ClusterParams { sssr: true, ..ClusterParams::default() };
+    let params = ClusterParams { cc: CcParams::sssr(), ..ClusterParams::default() };
     let plan = ClusterSpmspvPlan::new(m, x, params.n_workers as u32);
     let merge_steps = m.nnz() as u64 + m.nrows() as u64 * (x.nnz() as u64 + 8);
     let (cluster, summary) = harness::cluster(

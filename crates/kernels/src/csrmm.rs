@@ -14,11 +14,11 @@ use crate::harness::{self, OnTrap};
 use crate::layout::{alloc_result, place_csr, place_f64s, Arena, CsrAddrs};
 use crate::variant::{KernelIndex, Variant};
 use issr_core::cfg::{cfg_addr, idx_cfg_word, reg as sreg};
-use issr_core::streamer::Streamer;
 use issr_isa::asm::{Assembler, Program};
 use issr_isa::reg::IntReg as R;
 use issr_mem::array::MemArray;
 use issr_snitch::cc::{RunSummary, SimTimeout};
+use issr_snitch::params::CcParams;
 use issr_sparse::csr::CsrMatrix;
 use issr_sparse::dense::DenseMatrix;
 
@@ -185,7 +185,7 @@ pub fn run_csrmm<I: KernelIndex>(
 ) -> Result<CsrmmRun, SimTimeout> {
     assert_eq!(b.rows(), m.ncols(), "inner dimensions must agree");
     let (sim, addrs, summary) = harness::single_cc(
-        Streamer::paper_config(),
+        CcParams::paper(),
         OnTrap::Panic,
         |arena, mem| place_csrmm(arena, mem, m, b),
         |addrs| build_csrmm::<I>(variant, addrs),

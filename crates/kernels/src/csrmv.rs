@@ -19,12 +19,12 @@ use crate::common::{emit_reduction_tree, ACC0, FZ};
 use crate::harness::{self, OnTrap};
 use crate::layout::{alloc_result, place_csr, place_f64s, Arena, CsrAddrs};
 use crate::variant::{issr_accumulators, KernelIndex, Variant};
-use issr_core::streamer::Streamer;
 use issr_isa::asm::{Assembler, Program};
 use issr_isa::instr::Stagger;
 use issr_isa::reg::{FpReg, IntReg as R};
 use issr_mem::array::MemArray;
 use issr_snitch::cc::{RunSummary, SimTimeout};
+use issr_snitch::params::CcParams;
 use issr_sparse::csr::CsrMatrix;
 
 /// Addresses the CsrMV builders bake into the program.
@@ -264,7 +264,7 @@ pub fn run_csrmv<I: KernelIndex>(
     x: &[f64],
 ) -> Result<CsrmvRun, SimTimeout> {
     let (sim, addrs, summary) = harness::single_cc(
-        Streamer::paper_config(),
+        CcParams::paper(),
         OnTrap::Panic,
         |arena, mem| place_csrmv(arena, mem, m, x),
         |addrs| build_csrmv::<I>(variant, addrs),

@@ -7,10 +7,9 @@
 use crate::layout::Arena;
 use issr_cluster::cluster::{Cluster, ClusterParams, ClusterSummary};
 use issr_core::fault::StreamFaultKind;
-use issr_core::streamer::Streamer;
 use issr_isa::asm::Program;
 use issr_mem::array::MemArray;
-use issr_snitch::cc::{CoreComplex, RunSummary, SimTimeout, SingleCcSim, SINGLE_CC_ARENA};
+use issr_snitch::cc::{RunSummary, SimTimeout, SingleCcSim, SINGLE_CC_ARENA};
 use issr_snitch::core::{Trap, TrapCause};
 use issr_snitch::params::CcParams;
 use issr_system::system::{System, SystemParams, SystemSummary};
@@ -30,22 +29,21 @@ pub(crate) fn single_cc_arena() -> Arena {
     Arena::new(SINGLE_CC_ARENA, SingleCcSim::DEFAULT_MEM_BYTES / 2)
 }
 
-/// Runs one kernel on the §IV-A single-CC setup around `streamer`:
-/// `place` lays the operands out in the ideal memory, `build` bakes the
-/// addresses it returns into the program. Hands back the simulator for
-/// the read-back, what `place` returned, and the summary.
+/// Runs one kernel on the §IV-A single-CC setup of the CC `params`
+/// describes: `place` lays the operands out in the ideal memory, `build`
+/// bakes the addresses it returns into the program. Hands back the
+/// simulator for the read-back, what `place` returned, and the summary.
 ///
 /// # Errors
 /// Returns [`SimTimeout`] if the CC is not quiescent within `budget`.
 pub(crate) fn single_cc<A: Copy>(
-    streamer: Streamer,
+    params: CcParams,
     on_trap: OnTrap,
     place: impl FnOnce(&mut Arena, &mut MemArray) -> A,
     build: impl FnOnce(A) -> Program,
     budget: u64,
 ) -> Result<(SingleCcSim, A, RunSummary), SimTimeout> {
-    let cc = CoreComplex::with_streamer(0, Program::default(), CcParams::default(), streamer);
-    let mut sim = SingleCcSim::with_cc(cc);
+    let mut sim = SingleCcSim::with_params(Program::default(), params);
     let placed = place(&mut single_cc_arena(), sim.mem.array_mut());
     sim.load(build(placed));
     let summary = sim.run(budget)?;
@@ -173,7 +171,7 @@ mod tests {
             a.halt();
             a.finish().unwrap()
         };
-        single_cc(Streamer::paper_config(), on_trap, |_, _| (), build, 10_000).unwrap().2
+        single_cc(CcParams::paper(), on_trap, |_, _| (), build, 10_000).unwrap().2
     }
 
     #[test]

@@ -31,12 +31,12 @@ use crate::harness::{self, Grown, OnTrap};
 use crate::layout::{alloc_csr_out, place_csr, read_csr_out, Arena, CsrAddrs, CsrOutAddrs};
 use crate::variant::{log_width, KernelIndex, Variant};
 use issr_core::cfg::{cfg_addr, reg as sreg, SPACC_ROW_CAP_RESET};
-use issr_core::streamer::Streamer;
 use issr_isa::asm::{Assembler, Label, Program};
 use issr_isa::instr::Stagger;
 use issr_isa::reg::{FpReg, IntReg as R};
 use issr_mem::array::MemArray;
 use issr_snitch::cc::{RunSummary, SimTimeout, SingleCcSim};
+use issr_snitch::params::CcParams;
 use issr_sparse::csr::CsrMatrix;
 
 /// Addresses the SpGEMM builders bake into the program.
@@ -623,11 +623,9 @@ fn spgemm_sim<I: KernelIndex>(
 ) -> Result<SpgemmSim, SimTimeout> {
     assert_eq!(b.nrows(), a.ncols(), "inner dimensions must agree");
     let nnz_cap = issr_sparse::reference::spgemm_ptr(a, b).last().copied().unwrap_or(0);
-    let mut streamer = Streamer::sssr_config();
-    streamer.set_spacc_double_buffered(double_buffer);
     let volume = expansion_volume(a, b) + u64::from(nnz_cap) + a.nnz() as u64;
     harness::single_cc(
-        streamer,
+        CcParams { spacc_double_buffer: double_buffer, ..CcParams::sssr() },
         on_trap,
         |arena, mem| place_spgemm(arena, mem, a, b, nnz_cap),
         |addrs| build_spgemm_capped::<I>(variant, a.nrows() as u32, addrs, acc_cap),

@@ -28,12 +28,12 @@ use crate::harness::{self, OnTrap};
 use crate::layout::{alloc_result, place_csr, place_fiber, Arena, CsrAddrs, FiberAddrs};
 use crate::variant::{issr_accumulators, log_width, KernelIndex, Variant};
 use issr_core::cfg::{cfg_addr, join_cfg_word, join_count_cfg_word, reg as sreg, JoinerMode};
-use issr_core::streamer::Streamer;
 use issr_isa::asm::{Assembler, Label, Program};
 use issr_isa::instr::Stagger;
 use issr_isa::reg::{FpReg, IntReg as R};
 use issr_mem::array::MemArray;
 use issr_snitch::cc::{RunSummary, SimTimeout};
+use issr_snitch::params::CcParams;
 use issr_sparse::csr::CsrMatrix;
 use issr_sparse::fiber::SparseFiber;
 
@@ -430,7 +430,7 @@ fn run_spvv_ss_on<I: KernelIndex>(
     cycles_per_nnz: u64,
 ) -> Result<SpvvSsRun, SimTimeout> {
     let (sim, addrs, summary) = harness::single_cc(
-        Streamer::sssr_config(),
+        CcParams::sssr(),
         OnTrap::Panic,
         |arena, mem| place_spvv_ss(arena, mem, a, b),
         build,
@@ -508,7 +508,7 @@ pub fn run_spmspv<I: KernelIndex>(
     // BASE re-scans x once per row; size the budget to the merge volume.
     let merge_steps = m.nnz() as u64 + m.nrows() as u64 * (x.nnz() as u64 + 4);
     let (sim, addrs, summary) = harness::single_cc(
-        Streamer::sssr_config(),
+        CcParams::sssr(),
         OnTrap::Panic,
         |arena, mem| place_spmspv(arena, mem, m, x),
         |addrs| build_spmspv::<I>(variant, addrs),

@@ -15,12 +15,12 @@ use crate::common::{emit_indirect_read, emit_reduction_tree, emit_zero_accumulat
 use crate::harness::{self, OnTrap};
 use crate::layout::{alloc_result, place_f64s, place_fiber, Arena, FiberAddrs};
 use crate::variant::{issr_accumulators, KernelIndex, Variant};
-use issr_core::streamer::Streamer;
 use issr_isa::asm::{Assembler, Program};
 use issr_isa::instr::Stagger;
 use issr_isa::reg::{FpReg, IntReg as R};
 use issr_mem::array::MemArray;
 use issr_snitch::cc::{RunSummary, SimTimeout};
+use issr_snitch::params::CcParams;
 use issr_sparse::fiber::SparseFiber;
 
 /// Addresses the SpVV builders bake into the program.
@@ -177,7 +177,7 @@ pub fn run_spvv<I: KernelIndex>(
     b: &[f64],
 ) -> Result<SpvvRun, SimTimeout> {
     let (sim, addrs, summary) = harness::single_cc(
-        Streamer::paper_config(),
+        CcParams::paper(),
         OnTrap::Panic,
         |arena, mem| place_spvv(arena, mem, a, b),
         |addrs| build_spvv::<I>(variant, addrs),

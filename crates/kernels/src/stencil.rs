@@ -21,12 +21,12 @@ use crate::harness::{self, OnTrap};
 use crate::layout::{alloc_result, place_f64s, place_indices, Arena};
 use crate::variant::KernelIndex;
 use issr_core::cfg::{cfg_addr, idx_cfg_word, reg as sreg};
-use issr_core::streamer::Streamer;
 use issr_isa::asm::{Assembler, Program};
 use issr_isa::instr::Stagger;
 use issr_isa::reg::{FpReg, IntReg as R};
 use issr_mem::array::MemArray;
 use issr_snitch::cc::{RunSummary, SimTimeout};
+use issr_snitch::params::CcParams;
 
 /// A sparse 1-D stencil: tap offsets (in elements, relative to the
 /// output position) and their weights.
@@ -182,7 +182,7 @@ pub fn run_stencil<I: KernelIndex>(
 ) -> Result<StencilRun, SimTimeout> {
     let out_len = valid_len(stencil, x) as usize;
     let (sim, addrs, summary) = harness::single_cc(
-        Streamer::paper_config(),
+        CcParams::paper(),
         OnTrap::Panic,
         |arena, mem| place_stencil::<I>(arena, mem, stencil, x),
         build_stencil::<I>,

@@ -21,13 +21,13 @@ use crate::common::{
 use crate::harness::{self, OnTrap};
 use crate::layout::{alloc_result, place_f64s, place_indices, Arena};
 use crate::variant::{issr_accumulators, KernelIndex};
-use issr_core::lane::LaneKind;
-use issr_core::streamer::Streamer;
+use issr_core::HwCaps;
 use issr_isa::asm::{Assembler, Program};
 use issr_isa::instr::Stagger;
 use issr_isa::reg::{FpReg, IntReg as R};
 use issr_mem::array::MemArray;
 use issr_snitch::cc::{RunSummary, SimTimeout};
+use issr_snitch::params::CcParams;
 
 /// Addresses the gather and scatter builders bake into the program.
 #[derive(Clone, Copy, Debug)]
@@ -123,7 +123,7 @@ fn run_stream_move<I: KernelIndex>(
     dst_len: usize,
 ) -> Result<StreamRun, SimTimeout> {
     let (sim, addrs, summary) = harness::single_cc(
-        Streamer::paper_config(),
+        CcParams::paper(),
         OnTrap::Panic,
         |arena, mem| place_stream(arena, mem, src, idcs, dst_len),
         build,
@@ -216,7 +216,7 @@ pub fn run_codebook_spvv<I: KernelIndex>(
 ) -> Result<(f64, RunSummary), SimTimeout> {
     assert_eq!(codes.len(), idcs.len(), "codes/indices length mismatch");
     let (sim, addrs, summary) = harness::single_cc(
-        Streamer::new(&[LaneKind::Issr, LaneKind::Issr]),
+        CcParams { streamer: HwCaps::CODEBOOK, ..CcParams::paper() },
         OnTrap::Panic,
         |arena, mem| CodebookSpvvAddrs {
             codebook: place_f64s(arena, mem, codebook),

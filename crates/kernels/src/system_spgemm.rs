@@ -43,6 +43,7 @@ use crate::spgemm::{
 };
 use crate::variant::{log_width, KernelIndex, Variant};
 use issr_core::cfg::{acc_count_cfg_word, cfg_addr, reg as sreg};
+use issr_core::HwCaps;
 use issr_isa::asm::{Assembler, Program};
 use issr_isa::reg::{FpReg, IntReg as R};
 use issr_isa::Csr;
@@ -1069,7 +1070,7 @@ pub fn run_system_spgemm_planned<I: KernelIndex>(
         "plan and system worker counts must agree"
     );
     let mut params = params;
-    params.cluster.sssr = true;
+    params.cluster.cc.streamer = HwCaps::SSSR;
     let volume: u64 = plan.panels.iter().map(|p| u64::from(p.exp)).sum();
     let (system, summary, _) = harness::system(
         params,

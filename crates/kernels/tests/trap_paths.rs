@@ -29,12 +29,13 @@ use issr_mem::map::{MAIN_BASE, PERIPH_BASE, TCDM_BASE};
 use issr_snitch::cc::SingleCcSim;
 use issr_snitch::core::{Trap, TrapCause};
 use issr_snitch::fpu::SequencerFault;
+use issr_snitch::params::CcParams;
 use issr_system::system::{System, SystemParams};
 
 /// Runs `program` on the sparse-sparse single-CC setup and returns the
 /// latched trap cause (the run itself must complete — not panic).
 fn run_to_trap(program: Program) -> TrapCause {
-    let mut sim = SingleCcSim::with_joiner(program);
+    let mut sim = SingleCcSim::with_params(program, CcParams::sssr());
     let summary = sim.run(10_000).expect("trapped runs drain and finish");
     summary.trap.expect("malformed cfg word must latch a trap").cause
 }
@@ -122,7 +123,7 @@ fn trap_preserves_prior_state() {
     a.scfgwi(R::T0, cfg_addr(sreg::ACC_FEED, 0)); // faults here
     a.li(R::S0, 99); // must never execute
     a.halt();
-    let mut sim = SingleCcSim::with_joiner(a.finish().unwrap());
+    let mut sim = SingleCcSim::with_params(a.finish().unwrap(), CcParams::sssr());
     let summary = sim.run(10_000).unwrap();
     let trap = summary.trap.expect("fault latched");
     assert_eq!(trap.cause, TrapCause::CfgFault(CfgFault::ZeroCapacity));
@@ -196,7 +197,8 @@ fn spacc_overflow_at_capacity_boundary() {
     let cap = 8u32;
     let idx_base = TCDM_BASE + 0x1000;
     for count in [cap - 1, cap, cap + 1] {
-        let mut sim = SingleCcSim::with_joiner(symbolic_feed_program(cap, count, idx_base));
+        let mut sim =
+            SingleCcSim::with_params(symbolic_feed_program(cap, count, idx_base), CcParams::sssr());
         let idcs: Vec<u16> = (0..count as u16).map(|i| i * 3).collect();
         sim.mem.array_mut().store_u16_slice(idx_base, &idcs);
         let summary = sim.run(20_000).expect("boundary runs must finish");
@@ -220,7 +222,8 @@ fn spacc_overflow_at_capacity_boundary() {
 #[test]
 fn spacc_unsorted_feed_traps() {
     let idx_base = TCDM_BASE + 0x1000;
-    let mut sim = SingleCcSim::with_joiner(symbolic_feed_program(64, 3, idx_base));
+    let mut sim =
+        SingleCcSim::with_params(symbolic_feed_program(64, 3, idx_base), CcParams::sssr());
     sim.mem.array_mut().store_u16_slice(idx_base, &[2, 9, 3]);
     let summary = sim.run(20_000).expect("the faulted run still finishes");
     let trap = summary.trap.expect("unsorted feed must trap");
@@ -251,7 +254,7 @@ fn spacc_drain_stall_latches_watchdog_fault() {
     a.andi(R::T1, R::T1, 1);
     a.beqz(R::T1, spin);
     a.halt();
-    let mut sim = SingleCcSim::with_joiner(a.finish().unwrap());
+    let mut sim = SingleCcSim::with_params(a.finish().unwrap(), CcParams::sssr());
     sim.cc.streamer.set_spacc_watchdog(300);
     sim.mem.array_mut().store_u16_slice(idx_base, &[4, 7]);
     let summary = sim.run(20_000).expect("the stall must not hang the simulation");
@@ -287,7 +290,7 @@ fn joiner_feed_underrun_latches_watchdog_fault() {
     a.li_addr(R::T0, idx_a);
     a.scfgwi(R::T0, cfg_addr(sreg::RPTR[0], 0)); // launch, never consume
     a.halt();
-    let mut sim = SingleCcSim::with_joiner(a.finish().unwrap());
+    let mut sim = SingleCcSim::with_params(a.finish().unwrap(), CcParams::sssr());
     sim.cc.streamer.set_joiner_watchdog(200);
     let idcs: Vec<u16> = (0..16).collect();
     sim.mem.array_mut().store_u16_slice(idx_a, &idcs);
@@ -322,7 +325,7 @@ fn lane_job_on_spacc_port_traps() {
     a.li_addr(R::T0, TCDM_BASE + 0x4000);
     a.scfgwi(R::T0, cfg_addr(sreg::RPTR[0], 1)); // lane 1: the SpAcc's port
     a.halt();
-    let mut sim = SingleCcSim::with_joiner(a.finish().unwrap());
+    let mut sim = SingleCcSim::with_params(a.finish().unwrap(), CcParams::sssr());
     sim.mem.array_mut().store_u16_slice(idx_base, &[1, 2, 3, 4]);
     let summary = sim.run(20_000).expect("the conflict drains, not deadlocks");
     let trap = summary.trap.expect("port conflict must trap");
@@ -380,7 +383,7 @@ fn cluster_stream_fault_isolates_to_one_hart() {
         a.finish().unwrap()
     };
     let run = |hart0_count: u32| {
-        let params = ClusterParams { sssr: true, ..ClusterParams::default() };
+        let params = ClusterParams { cc: CcParams::sssr(), ..ClusterParams::default() };
         let mut cluster = Cluster::new(build(hart0_count), params);
         let idcs: Vec<u16> = (0..8).map(|i| i * 5).collect();
         cluster.tcdm.array_mut().store_u16_slice(idx_base, &idcs);
@@ -447,7 +450,7 @@ fn cluster_surfaces_per_worker_traps() {
     a.li(R::T2, 1);
     a.sw(R::T2, R::T0, 0);
     a.halt();
-    let params = ClusterParams { sssr: true, ..ClusterParams::default() };
+    let params = ClusterParams { cc: CcParams::sssr(), ..ClusterParams::default() };
     let mut cluster = Cluster::new(a.finish().unwrap(), params);
     let summary = cluster.run(100_000).expect("cluster drains despite the trap");
     assert_eq!(summary.traps.len(), 1, "exactly the faulting worker traps");

@@ -14,21 +14,21 @@
 //! caught: a `Maybe` silences the linter, never the runtime.
 //!
 //! Configuration checks call the same [`issr_core::cfg_check`]
-//! predicates the streamer's `cfg_write`/`cfg_read` use, with the lint
-//! target's capability set, so a flagged launch is by construction one
-//! the runtime would trap.
+//! predicates the streamer's `cfg_write`/`cfg_read` use, on the same
+//! streamer description (`CcParams::streamer`), so a flagged launch is
+//! by construction one the runtime would trap.
 
 use issr_core::cfg::{reg, split_addr, AccDrainSpec, CfgShadow};
 use issr_core::cfg_check::is_pointer_reg;
-use issr_core::lane::LaneKind;
 use issr_core::spacc::SPACC_LANE;
 use issr_core::{CfgFault, StreamFault, StreamFaultKind, StreamUnit};
 use issr_isa::csr::Csr;
 use issr_isa::instr::{AluImmOp, AluOp, CsrOp, FrepKind, Instr};
 use issr_isa::reg::{FpReg, IntReg};
+use issr_snitch::params::CcParams;
 
 use crate::cfgraph::Cfg;
-use crate::{Diagnostic, FaultClass, LintTarget, Severity};
+use crate::{Diagnostic, FaultClass, Severity};
 
 /// Three-valued logic: the lattice `No < Maybe > Yes`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -177,7 +177,7 @@ impl AbsState {
     /// The state at PC 0: registers unknown (`x0` pinned to zero), the
     /// `ssr` CSR off and every shadow cell at its reset value — the
     /// state the harness hands a freshly-loaded program.
-    fn entry(target: &LintTarget) -> Self {
+    fn entry(params: &CcParams) -> Self {
         let defaults = CfgShadow::default();
         let mut cells = [AbsVal::Unknown; N_CELLS];
         for (slot, &r) in STORED.iter().enumerate() {
@@ -190,7 +190,7 @@ impl AbsState {
             ssr_on: Bool3::No,
             lanes: vec![
                 LaneAbs { read_job: Bool3::No, write_job: Bool3::No, cells };
-                target.n_lanes()
+                params.streamer.lanes.len()
             ],
             joiner_active: Bool3::No,
             spacc_active: Bool3::No,
@@ -279,11 +279,15 @@ fn conflict_diag(pc: u32, unit: StreamUnit) -> Diagnostic {
 /// pass steps with a discarding sink; the report pass re-steps every
 /// reachable instruction from its converged entry state.
 struct Interp<'a> {
-    target: &'a LintTarget,
+    params: &'a CcParams,
     instrs: &'a [Instr],
 }
 
 impl Interp<'_> {
+    fn n_lanes(&self) -> usize {
+        self.params.streamer.lanes.len()
+    }
+
     fn step(&self, i: usize, st: &mut AbsState, sink: &mut dyn FnMut(Diagnostic)) {
         let pc = (i as u32) * 4;
         match self.instrs[i] {
@@ -329,7 +333,7 @@ impl Interp<'_> {
             }
             Instr::Frep { kind, n_insns, .. } => self.check_frep(pc, i, kind, n_insns, sink),
             Instr::Fld { rd, .. } => {
-                if st.ssr_on == Bool3::Yes && (rd.index() as usize) < self.target.n_lanes() {
+                if st.ssr_on == Bool3::Yes && (rd.index() as usize) < self.n_lanes() {
                     sink(Diagnostic {
                         pc,
                         severity: Severity::Error,
@@ -379,7 +383,7 @@ impl Interp<'_> {
         if st.ssr_on != Bool3::Yes {
             return;
         }
-        let n = self.target.n_lanes();
+        let n = self.n_lanes();
         for s in fp_sources(instr) {
             let idx = s.index() as usize;
             if idx < n && st.lanes[idx].read_job == Bool3::No {
@@ -439,12 +443,12 @@ impl Interp<'_> {
             sink(seq_err(pc, "FREP with an empty body (n_insns = 0) never retires".into()));
             return;
         }
-        if n_body > self.target.frep_buffer {
+        if n_body > self.params.frep_buffer {
             sink(seq_err(
                 pc,
                 format!(
                     "FREP body of {n_body} instructions exceeds the {}-entry sequencer buffer",
-                    self.target.frep_buffer
+                    self.params.frep_buffer
                 ),
             ));
             return;
@@ -474,7 +478,7 @@ impl Interp<'_> {
             }
             if ins.is_fp() {
                 collected += 1;
-                if fp_sources(ins).iter().any(|s| (s.index() as usize) < self.target.n_lanes()) {
+                if fp_sources(ins).iter().any(|s| (s.index() as usize) < self.n_lanes()) {
                     reads_stream = true;
                 }
             } else if kind == FrepKind::Stream {
@@ -512,7 +516,7 @@ impl Interp<'_> {
         sink: &mut dyn FnMut(Diagnostic),
     ) {
         let (register, lane) = split_addr(addr);
-        let caps = self.target.caps();
+        let caps = self.params.streamer;
         if let Err(f) = caps.check_lane(lane) {
             sink(cfg_diag(pc, f));
             return;
@@ -535,8 +539,9 @@ impl Interp<'_> {
                 }
                 st.joiner_active = Bool3::Yes;
                 st.lanes[0].read_job = Bool3::Yes;
-                // A caller-constructed LintTarget (public fields) may
-                // pair has_joiner with a single lane; the joiner's
+                // A caller-built HwCaps (public fields) may pair
+                // has_joiner with a single lane, which `Streamer::new`
+                // rejects but the linter still analyzes; the joiner's
                 // lane-1 effect only exists when the lane does.
                 if st.lanes.len() > 1 {
                     st.lanes[1].read_job = Bool3::Yes;
@@ -608,16 +613,16 @@ impl Interp<'_> {
         }
 
         if is_pointer_reg(register) {
-            // Mirror of HwCaps::check_pointer_write, three-valuedly.
+            // HwCaps::check_pointer_write, three-valuedly.
             let je = st.shadow_bit(lane, reg::JOIN_CFG, CfgShadow::join_enabled);
             if je == Bool3::Yes {
                 sink(cfg_diag(pc, CfgFault::BadJoinerLaunch { lane: lane as u8 }));
                 return;
             }
-            if je == Bool3::No {
-                let indirect = st.shadow_bit(lane, reg::IDX_CFG, CfgShadow::indirect);
-                if indirect == Bool3::Yes && self.target.lanes[lane] != LaneKind::Issr {
-                    sink(cfg_diag(pc, CfgFault::NoIndirection { lane: lane as u8 }));
+            let indirect = st.shadow_bit(lane, reg::IDX_CFG, CfgShadow::indirect);
+            if je == Bool3::No && indirect == Bool3::Yes {
+                if let Err(f) = caps.check_indirection(lane as u8) {
+                    sink(cfg_diag(pc, f));
                     return;
                 }
             }
@@ -649,7 +654,7 @@ impl Interp<'_> {
     /// retires on the continuing path).
     fn cfg_read(&self, pc: u32, st: &mut AbsState, addr: u16, sink: &mut dyn FnMut(Diagnostic)) {
         let (register, lane) = split_addr(addr);
-        let caps = self.target.caps();
+        let caps = self.params.streamer;
         if let Err(f) = caps.check_lane(lane) {
             sink(cfg_diag(pc, f));
             return;
@@ -762,10 +767,10 @@ fn eval_op(op: AluOp, a: AbsVal, b: AbsVal) -> AbsVal {
 
 /// Runs the forward fixpoint and returns the converged entry state of
 /// every reached instruction.
-pub(crate) fn analyze(instrs: &[Instr], cfg: &Cfg, target: &LintTarget) -> Vec<Option<AbsState>> {
-    let interp = Interp { target, instrs };
+pub(crate) fn analyze(instrs: &[Instr], cfg: &Cfg, params: &CcParams) -> Vec<Option<AbsState>> {
+    let interp = Interp { params, instrs };
     let mut states: Vec<Option<AbsState>> = vec![None; instrs.len()];
-    states[0] = Some(AbsState::entry(target));
+    states[0] = Some(AbsState::entry(params));
     let mut work = vec![0usize];
     let mut discard = |_d: Diagnostic| {};
     while let Some(i) = work.pop() {
@@ -795,11 +800,11 @@ pub(crate) fn analyze(instrs: &[Instr], cfg: &Cfg, target: &LintTarget) -> Vec<O
 pub(crate) fn report(
     instrs: &[Instr],
     cfg: &Cfg,
-    target: &LintTarget,
+    params: &CcParams,
     states: &[Option<AbsState>],
     diags: &mut Vec<Diagnostic>,
 ) {
-    let interp = Interp { target, instrs };
+    let interp = Interp { params, instrs };
     for (i, entry) in states.iter().enumerate() {
         if !cfg.reachable[i] {
             continue;

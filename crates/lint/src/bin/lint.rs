@@ -4,16 +4,13 @@
 //! cargo run -p issr-lint --bin lint [-- --deny-warnings]
 //! ```
 //!
-//! Each catalog entry is linted against the hardware configuration it
-//! targets (the paper's two-lane SSR+ISSR core, or the sparse-sparse
-//! configuration with joiner and SpAcc for the intersection and
-//! sparse-output kernels). Exit status is nonzero on any error, or —
+//! Each catalog entry is linted against the `CcParams` it runs on (see
+//! `issr_lint::lint_shipped`). Exit status is nonzero on any error, or —
 //! under `--deny-warnings` — on any diagnostic at all.
 
 use std::process::ExitCode;
 
-use issr_kernels::catalog::catalog;
-use issr_lint::{has_errors, lint_program, LintTarget};
+use issr_lint::{has_errors, lint_shipped};
 
 fn main() -> ExitCode {
     let mut deny_warnings = false;
@@ -28,21 +25,17 @@ fn main() -> ExitCode {
         }
     }
 
-    let paper = LintTarget::paper();
-    let sssr = LintTarget::sssr();
     let mut programs = 0usize;
     let mut diagnostics = 0usize;
     let mut errors = 0usize;
-    for entry in catalog() {
-        let target = if entry.needs_sparse_units { &sssr } else { &paper };
+    for (name, diags) in lint_shipped() {
         programs += 1;
-        let diags = lint_program(&entry.program, target);
         if has_errors(&diags) {
             errors += 1;
         }
         diagnostics += diags.len();
         for d in &diags {
-            println!("{}: {d}", entry.name);
+            println!("{name}: {d}");
         }
     }
     println!(

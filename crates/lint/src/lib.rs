@@ -13,8 +13,10 @@
 //! malformed tenant jobs before they occupy a cluster. This crate moves
 //! every *statically decidable* instance of that checking to assemble
 //! time. Both the linter and the runtime go through the same predicates
-//! in [`issr_core::cfg_check`], so the static verdict and the trap
-//! surface cannot drift apart.
+//! in [`issr_core::cfg_check`], and both read the same machine
+//! description: [`lint_program`] takes the [`CcParams`] the simulator is
+//! built from (its streamer and FREP buffer depth), so the static
+//! verdict and the trap surface cannot drift apart.
 //!
 //! What the analyzer catches:
 //!
@@ -54,10 +56,9 @@ mod absint;
 mod cfgraph;
 mod liveness;
 
-use issr_core::cfg_check::HwCaps;
-use issr_core::lane::LaneKind;
 use issr_core::{CfgFault, StreamFault, StreamFaultKind};
 use issr_isa::asm::Program;
+use issr_snitch::params::CcParams;
 
 /// How bad a finding is.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -141,50 +142,11 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// The stream-unit hardware a program is linted against — mirrors the
-/// streamer configurations the harnesses construct.
-#[derive(Clone, Debug)]
-pub struct LintTarget {
-    /// Lane kinds, indexed like the stream registers (`ft0`, `ft1`, ...).
-    pub lanes: Vec<LaneKind>,
-    /// Whether the target has the sparse-sparse index joiner.
-    pub has_joiner: bool,
-    /// Whether the target has the sparse accumulator.
-    pub has_spacc: bool,
-    /// FREP sequencer buffer depth in instructions.
-    pub frep_buffer: usize,
-}
-
-impl LintTarget {
-    /// The paper configuration: one SSR lane + one ISSR lane, no
-    /// sparse-sparse units (`SingleCcSim::new`).
-    #[must_use]
-    pub fn paper() -> Self {
-        Self {
-            lanes: vec![LaneKind::Ssr, LaneKind::Issr],
-            has_joiner: false,
-            has_spacc: false,
-            frep_buffer: 16,
-        }
-    }
-
-    /// The SSSR configuration: paper lanes plus the index joiner and
-    /// the sparse accumulator (`SingleCcSim::with_joiner`).
-    #[must_use]
-    pub fn sssr() -> Self {
-        Self { has_joiner: true, has_spacc: true, ..Self::paper() }
-    }
-
-    /// The capability view shared with the runtime's `cfg_write` path.
-    #[must_use]
-    pub fn caps(&self) -> HwCaps<'_> {
-        HwCaps { lanes: &self.lanes, has_joiner: self.has_joiner, has_spacc: self.has_spacc }
-    }
-
-    pub(crate) fn n_lanes(&self) -> usize {
-        self.lanes.len()
-    }
-}
+/// The machine a program is linted against: the same [`CcParams`] its
+/// simulator is built from. The linter reads `streamer` (lane kinds,
+/// joiner, SpAcc) and `frep_buffer`. A second name kept for callers
+/// that still spell `LintTarget::{paper, sssr}`.
+pub type LintTarget = CcParams;
 
 /// Where a fault class is decidable: at assemble time or only once the
 /// data arrives.
@@ -236,10 +198,11 @@ pub fn classify_stream_fault(kind: &StreamFaultKind) -> Decidability {
     }
 }
 
-/// Lints an assembled program against a hardware target. Diagnostics
-/// come back sorted by PC, errors before warnings at the same PC.
+/// Lints an assembled program against the core complex `params`
+/// describes — the value its simulator is built from. Diagnostics come
+/// back sorted by PC, errors before warnings at the same PC.
 #[must_use]
-pub fn lint_program(program: &Program, target: &LintTarget) -> Vec<Diagnostic> {
+pub fn lint_program(program: &Program, params: &CcParams) -> Vec<Diagnostic> {
     let instrs = program.instrs();
     let mut diags = Vec::new();
     if instrs.is_empty() {
@@ -253,9 +216,9 @@ pub fn lint_program(program: &Program, target: &LintTarget) -> Vec<Diagnostic> {
     }
     let cfg = cfgraph::Cfg::build(instrs);
     cfg.structural_diagnostics(&mut diags);
-    let states = absint::analyze(instrs, &cfg, target);
-    absint::report(instrs, &cfg, target, &states, &mut diags);
-    liveness::report(instrs, &cfg, target, &mut diags);
+    let states = absint::analyze(instrs, &cfg, params);
+    absint::report(instrs, &cfg, params, &states, &mut diags);
+    liveness::report(instrs, &cfg, params, &mut diags);
     diags.sort_by_key(|d| (d.pc, d.severity));
     diags
 }
@@ -272,8 +235,11 @@ pub fn has_errors(diags: &[Diagnostic]) -> bool {
 ///
 /// # Panics
 /// Panics if the program produces any diagnostic.
-pub fn assert_clean(program: &Program, target: &LintTarget, what: &str) {
-    let diags = lint_program(program, target);
+pub fn assert_clean(program: &Program, params: &CcParams, what: &str) {
+    assert_no_diagnostics(&lint_program(program, params), what);
+}
+
+fn assert_no_diagnostics(diags: &[Diagnostic], what: &str) {
     assert!(
         diags.is_empty(),
         "issr-lint: {what} failed static verification:\n{}",
@@ -283,18 +249,25 @@ pub fn assert_clean(program: &Program, target: &LintTarget, what: &str) {
 
 /// Lints every program in the shipped-kernel catalog
 /// ([`issr_kernels::catalog`](fn@issr_kernels::catalog)) against the
-/// hardware configuration it targets — the one-call load-time gate the
-/// bench binaries and examples run before handing anything to a
-/// simulator.
+/// core complex it runs on: [`CcParams::sssr`] for the joiner and SpAcc
+/// kernels, [`CcParams::paper`] for the rest. Yields each entry's name
+/// and diagnostics, in catalog order.
+pub fn lint_shipped() -> impl Iterator<Item = (String, Vec<Diagnostic>)> {
+    issr_kernels::catalog::catalog().into_iter().map(|entry| {
+        let params = if entry.needs_sparse_units { CcParams::sssr() } else { CcParams::paper() };
+        let diags = lint_program(&entry.program, &params);
+        (entry.name, diags)
+    })
+}
+
+/// [`lint_shipped`] as the one-call load-time gate the bench binaries
+/// and examples run before handing anything to a simulator.
 ///
 /// # Panics
 /// Panics if any shipped kernel produces a diagnostic.
 pub fn assert_shipped_clean() {
-    let paper = LintTarget::paper();
-    let sssr = LintTarget::sssr();
-    for entry in issr_kernels::catalog::catalog() {
-        let target = if entry.needs_sparse_units { &sssr } else { &paper };
-        assert_clean(&entry.program, target, &entry.name);
+    for (name, diags) in lint_shipped() {
+        assert_no_diagnostics(&diags, &name);
     }
 }
 
@@ -330,7 +303,7 @@ mod tests {
     #[test]
     fn empty_program_is_an_error() {
         let p = Program::default();
-        let diags = lint_program(&p, &LintTarget::paper());
+        let diags = lint_program(&p, &CcParams::paper());
         assert!(has_errors(&diags));
         assert_eq!(diags[0].class, FaultClass::PcOutOfRange);
     }

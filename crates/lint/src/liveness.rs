@@ -16,19 +16,15 @@
 use issr_core::cfg::{reg, split_addr};
 use issr_core::cfg_check::is_pointer_reg;
 use issr_isa::instr::Instr;
+use issr_snitch::params::CcParams;
 
 use crate::absint::{cell_slot, reg_name, N_CELLS};
 use crate::cfgraph::Cfg;
-use crate::{Diagnostic, FaultClass, LintTarget, Severity};
+use crate::{Diagnostic, FaultClass, Severity};
 
-pub(crate) fn report(
-    instrs: &[Instr],
-    cfg: &Cfg,
-    target: &LintTarget,
-    diags: &mut Vec<Diagnostic>,
-) {
+pub(crate) fn report(instrs: &[Instr], cfg: &Cfg, params: &CcParams, diags: &mut Vec<Diagnostic>) {
     unreachable_runs(cfg, diags);
-    dead_cfg_writes(instrs, cfg, target, diags);
+    dead_cfg_writes(instrs, cfg, params, diags);
 }
 
 /// One warning per maximal run of unreachable instructions.
@@ -69,9 +65,9 @@ fn is_launch(register: u16, lane: u8) -> bool {
                 || register == reg::ACC_CLEAR))
 }
 
-fn dead_cfg_writes(instrs: &[Instr], cfg: &Cfg, target: &LintTarget, diags: &mut Vec<Diagnostic>) {
+fn dead_cfg_writes(instrs: &[Instr], cfg: &Cfg, params: &CcParams, diags: &mut Vec<Diagnostic>) {
     let n = instrs.len();
-    let n_lanes = target.n_lanes();
+    let n_lanes = params.streamer.lanes.len();
     // The (lane, cell) domain is packed into a u128 bitset. Streamers
     // allow up to 8 lanes, and 8 * N_CELLS = 160 bits does not fit —
     // in release builds the shift would silently wrap and every

@@ -19,19 +19,20 @@ use issr_core::cfg::{
 use issr_core::fault::{StreamFault, StreamFaultKind, StreamUnit};
 use issr_core::lane::LaneKind;
 use issr_core::serializer::IndexSize;
-use issr_core::CfgFault;
+use issr_core::{CfgFault, HwCaps};
 use issr_isa::asm::{Assembler, Program};
 use issr_isa::instr::{FrepKind, Instr, Stagger};
 use issr_isa::reg::{FpReg, IntReg as R};
 use issr_isa::Csr;
 use issr_lint::{
     classify_cfg_fault, classify_stream_fault, has_errors, lint_program, Decidability, Diagnostic,
-    FaultClass, LintTarget, Severity,
+    FaultClass, Severity,
 };
 use issr_mem::map::TCDM_BASE;
 use issr_snitch::cc::SingleCcSim;
 use issr_snitch::core::TrapCause;
 use issr_snitch::fpu::SequencerFault;
+use issr_snitch::params::CcParams;
 
 /// Byte PC of the instruction marked `fault` in a corpus program.
 fn fault_pc(program: &Program) -> u32 {
@@ -39,26 +40,23 @@ fn fault_pc(program: &Program) -> u32 {
     (idx as u32) * 4
 }
 
-fn errors(program: &Program, target: &LintTarget) -> Vec<Diagnostic> {
-    lint_program(program, target).into_iter().filter(|d| d.severity == Severity::Error).collect()
+fn errors(program: &Program, params: &CcParams) -> Vec<Diagnostic> {
+    lint_program(program, params).into_iter().filter(|d| d.severity == Severity::Error).collect()
 }
 
 /// Full static/dynamic agreement for one statically decidable
-/// [`CfgFault`]: lint error with the exact fault payload at the `fault`
-/// PC, runtime trap with the same cause at the same PC.
-fn assert_cfg_agreement(program: Program, target: &LintTarget, expect: CfgFault) {
+/// [`CfgFault`] on the machine `params` describes: lint error with the
+/// exact fault payload at the `fault` PC, runtime trap with the same
+/// cause at the same PC.
+fn assert_cfg_agreement(program: Program, params: CcParams, expect: CfgFault) {
     assert_eq!(classify_cfg_fault(&expect), Decidability::Static, "{expect:?}");
     let pc = fault_pc(&program);
-    let errs = errors(&program, target);
+    let errs = errors(&program, &params);
     assert!(
         errs.iter().any(|d| d.pc == pc && d.class == FaultClass::Cfg(expect)),
         "lint must flag {expect:?} at {pc:#x}, got: {errs:?}"
     );
-    let mut sim = if target.has_joiner {
-        SingleCcSim::with_joiner(program)
-    } else {
-        SingleCcSim::new(program)
-    };
+    let mut sim = SingleCcSim::with_params(program, params);
     let summary = sim.run(20_000).expect("cfg-faulted runs drain and finish");
     let trap = summary.trap.expect("the simulator must latch the fault the linter predicted");
     assert_eq!(trap.cause, TrapCause::CfgFault(expect));
@@ -73,7 +71,7 @@ fn assert_runtime_only(
     expect_unit: StreamUnit,
     check_kind: impl Fn(StreamFaultKind) -> bool,
 ) {
-    let errs = errors(program, &LintTarget::sssr());
+    let errs = errors(program, &CcParams::sssr());
     assert!(errs.is_empty(), "runtime-only faults must not lint as errors: {errs:?}");
     let summary = sim.run(20_000).expect("stream-faulted runs drain and finish");
     let trap = summary.trap.expect("the data must latch the stream fault");
@@ -86,20 +84,20 @@ fn assert_runtime_only(
     }
 }
 
-/// Static/dynamic agreement for the sequencer class: the lint rejects
-/// the program with [`FaultClass::Sequencer`] at the `fault` PC, and
-/// running it parks hart 0 on [`TrapCause::SequencerFault`] with
-/// `expect` — the run drains and returns `Ok`. The sequencer runs
-/// decoupled from the core, so the trap PC is a vicinity and is not
-/// compared.
-fn assert_sequencer_agreement(program: Program, expect: SequencerFault) {
+/// Static/dynamic agreement for the sequencer class on the machine
+/// `params` describes: the lint rejects the program with
+/// [`FaultClass::Sequencer`] at the `fault` PC, and running it parks
+/// hart 0 on [`TrapCause::SequencerFault`] with `expect` — the run
+/// drains and returns `Ok`. The sequencer runs decoupled from the core,
+/// so the trap PC is a vicinity and is not compared.
+fn assert_sequencer_agreement(program: Program, params: CcParams, expect: SequencerFault) {
     let pc = fault_pc(&program);
-    let errs = errors(&program, &LintTarget::paper());
+    let errs = errors(&program, &params);
     assert!(
         errs.iter().any(|d| d.pc == pc && d.class == FaultClass::Sequencer),
         "lint must reject {expect:?} at {pc:#x}, got: {errs:?}"
     );
-    let mut sim = SingleCcSim::new(program);
+    let mut sim = SingleCcSim::with_params(program, params);
     let summary = sim.run(20_000).expect("sequencer-faulted runs drain and finish");
     let trap = summary.trap.expect("the sequencer must latch the fault the linter predicted");
     assert_eq!(trap.cause, TrapCause::SequencerFault(expect));
@@ -115,7 +113,7 @@ fn corpus_bad_lane() {
     a.symbol("fault");
     a.scfgwi(R::T0, cfg_addr(sreg::BOUNDS[0], 7));
     a.halt();
-    assert_cfg_agreement(a.finish().unwrap(), &LintTarget::sssr(), CfgFault::BadLane { lane: 7 });
+    assert_cfg_agreement(a.finish().unwrap(), CcParams::sssr(), CfgFault::BadLane { lane: 7 });
 }
 
 #[test]
@@ -124,7 +122,7 @@ fn corpus_bad_lane_read() {
     a.symbol("fault");
     a.scfgri(R::T0, cfg_addr(sreg::STATUS, 3));
     a.halt();
-    assert_cfg_agreement(a.finish().unwrap(), &LintTarget::paper(), CfgFault::BadLane { lane: 3 });
+    assert_cfg_agreement(a.finish().unwrap(), CcParams::paper(), CfgFault::BadLane { lane: 3 });
 }
 
 #[test]
@@ -135,7 +133,7 @@ fn corpus_no_joiner() {
     a.symbol("fault");
     a.scfgwi(R::ZERO, cfg_addr(sreg::RPTR[0], 0));
     a.halt();
-    assert_cfg_agreement(a.finish().unwrap(), &LintTarget::paper(), CfgFault::NoJoiner);
+    assert_cfg_agreement(a.finish().unwrap(), CcParams::paper(), CfgFault::NoJoiner);
 }
 
 #[test]
@@ -146,7 +144,7 @@ fn corpus_no_spacc() {
     a.symbol("fault");
     a.scfgwi(R::T0, cfg_addr(sreg::ACC_FEED, 0));
     a.halt();
-    assert_cfg_agreement(a.finish().unwrap(), &LintTarget::paper(), CfgFault::NoSpAcc);
+    assert_cfg_agreement(a.finish().unwrap(), CcParams::paper(), CfgFault::NoSpAcc);
 }
 
 #[test]
@@ -159,7 +157,7 @@ fn corpus_zero_capacity() {
     a.symbol("fault");
     a.scfgwi(R::T0, cfg_addr(sreg::ACC_FEED, 0));
     a.halt();
-    assert_cfg_agreement(a.finish().unwrap(), &LintTarget::sssr(), CfgFault::ZeroCapacity);
+    assert_cfg_agreement(a.finish().unwrap(), CcParams::sssr(), CfgFault::ZeroCapacity);
 }
 
 #[test]
@@ -173,7 +171,7 @@ fn corpus_count_mode_drain() {
     a.symbol("fault");
     a.scfgwi(R::T0, cfg_addr(sreg::ACC_DRAIN, 0));
     a.halt();
-    assert_cfg_agreement(a.finish().unwrap(), &LintTarget::sssr(), CfgFault::CountModeDrain);
+    assert_cfg_agreement(a.finish().unwrap(), CcParams::sssr(), CfgFault::CountModeDrain);
 }
 
 #[test]
@@ -189,7 +187,7 @@ fn corpus_no_indirection() {
     a.halt();
     assert_cfg_agreement(
         a.finish().unwrap(),
-        &LintTarget::sssr(),
+        CcParams::sssr(),
         CfgFault::NoIndirection { lane: 0 },
     );
 }
@@ -205,7 +203,7 @@ fn corpus_bad_joiner_launch() {
     a.halt();
     assert_cfg_agreement(
         a.finish().unwrap(),
-        &LintTarget::sssr(),
+        CcParams::sssr(),
         CfgFault::BadJoinerLaunch { lane: 1 },
     );
 }
@@ -221,7 +219,7 @@ fn corpus_misaligned_drain() {
     a.halt();
     assert_cfg_agreement(
         a.finish().unwrap(),
-        &LintTarget::sssr(),
+        CcParams::sssr(),
         CfgFault::MisalignedDrain { idx_out: TCDM_BASE + 0x1000, val_out: TCDM_BASE + 0x2004 },
     );
 }
@@ -253,14 +251,14 @@ fn corpus_port_conflict() {
     let program = a.finish().unwrap();
     let expect = StreamFault { unit: StreamUnit::Lane(1), kind: StreamFaultKind::PortConflict };
     let pc = fault_pc(&program);
-    let errs = errors(&program, &LintTarget::sssr());
+    let errs = errors(&program, &CcParams::sssr());
     assert!(
         errs.iter().any(|d| d.pc == pc && d.class == FaultClass::Stream(expect)),
         "lint must flag the port conflict at {pc:#x}, got: {errs:?}"
     );
     // Runtime confirmation. The stream-fault trap PC is the delivery
     // vicinity, so only the cause is compared.
-    let mut sim = SingleCcSim::with_joiner(program);
+    let mut sim = SingleCcSim::with_params(program, CcParams::sssr());
     sim.mem.array_mut().store_u16_slice(idx_base, &[1, 2, 3, 4]);
     let summary = sim.run(20_000).expect("the conflict drains, not deadlocks");
     assert_eq!(
@@ -298,7 +296,7 @@ fn corpus_overflow_is_runtime_only() {
     );
     let idx_base = TCDM_BASE + 0x1000;
     let program = symbolic_feed_program(cap, cap + 1, idx_base);
-    let mut sim = SingleCcSim::with_joiner(program.clone());
+    let mut sim = SingleCcSim::with_params(program.clone(), CcParams::sssr());
     let idcs: Vec<u16> = (0..=cap as u16).map(|i| i * 3).collect();
     sim.mem.array_mut().store_u16_slice(idx_base, &idcs);
     assert_runtime_only(sim, &program, StreamUnit::SpAcc, |k| {
@@ -314,7 +312,7 @@ fn corpus_unsorted_is_runtime_only() {
     );
     let idx_base = TCDM_BASE + 0x1000;
     let program = symbolic_feed_program(64, 3, idx_base);
-    let mut sim = SingleCcSim::with_joiner(program.clone());
+    let mut sim = SingleCcSim::with_params(program.clone(), CcParams::sssr());
     sim.mem.array_mut().store_u16_slice(idx_base, &[2, 9, 3]);
     assert_runtime_only(sim, &program, StreamUnit::SpAcc, |k| {
         k == StreamFaultKind::Unsorted { prev: 9, next: 3 }
@@ -344,7 +342,7 @@ fn corpus_stall_is_runtime_only() {
     a.beqz(R::T1, spin);
     a.halt();
     let program = a.finish().unwrap();
-    let mut sim = SingleCcSim::with_joiner(program.clone());
+    let mut sim = SingleCcSim::with_params(program.clone(), CcParams::sssr());
     sim.cc.streamer.set_spacc_watchdog(300);
     sim.mem.array_mut().store_u16_slice(idx_base, &[4, 7]);
     assert_runtime_only(
@@ -369,7 +367,7 @@ fn corpus_stream_read_before_configure_hangs() {
     a.halt();
     let program = a.finish().unwrap();
     let pc = fault_pc(&program);
-    let errs = errors(&program, &LintTarget::paper());
+    let errs = errors(&program, &CcParams::paper());
     assert!(
         errs.iter().any(|d| d.pc == pc && d.class == FaultClass::Hang),
         "lint must flag the hang at {pc:#x}, got: {errs:?}"
@@ -394,6 +392,7 @@ fn corpus_frep_body_with_branch() {
     // latched once the core halts with one body instruction missing.
     assert_sequencer_agreement(
         a.finish().unwrap(),
+        CcParams::paper(),
         SequencerFault::AbandonedWindow { remaining: 1 },
     );
 }
@@ -410,7 +409,7 @@ fn corpus_frep_empty_body() {
         stagger: Stagger::NONE,
     });
     a.halt();
-    assert_sequencer_agreement(a.finish().unwrap(), SequencerFault::EmptyBody);
+    assert_sequencer_agreement(a.finish().unwrap(), CcParams::paper(), SequencerFault::EmptyBody);
 }
 
 #[test]
@@ -423,13 +422,11 @@ fn corpus_frep_nested() {
     a.fadd_d(FpReg::FT3, FpReg::FT3, FpReg::FT3);
     a.fadd_d(FpReg::FT4, FpReg::FT4, FpReg::FT4);
     a.halt();
-    assert_sequencer_agreement(a.finish().unwrap(), SequencerFault::NestedFrep);
+    assert_sequencer_agreement(a.finish().unwrap(), CcParams::paper(), SequencerFault::NestedFrep);
 }
 
-#[test]
-fn corpus_frep_body_exceeds_the_buffer() {
-    let buffer = issr_snitch::params::CcParams::default().frep_buffer;
-    let n_insns = u8::try_from(buffer + 1).unwrap();
+/// An `frep` whose body is `n_insns` long, the fault marked at it.
+fn frep_body_program(n_insns: u8) -> Program {
     let mut a = Assembler::new();
     a.li(R::T0, 1);
     a.symbol("fault");
@@ -438,9 +435,31 @@ fn corpus_frep_body_exceeds_the_buffer() {
         a.fadd_d(FpReg::FT3, FpReg::FT3, FpReg::FT3);
     }
     a.halt();
+    a.finish().unwrap()
+}
+
+#[test]
+fn corpus_frep_body_exceeds_the_buffer() {
+    let buffer = CcParams::paper().frep_buffer;
+    let n_insns = u8::try_from(buffer + 1).unwrap();
     assert_sequencer_agreement(
-        a.finish().unwrap(),
+        frep_body_program(n_insns),
+        CcParams::paper(),
         SequencerFault::BodyTooLong { n_insns, buffer },
+    );
+}
+
+/// The buffer depth the linter checks is the one the simulator is built
+/// with: a body the paper's 16-entry buffer holds is rejected by both
+/// on a machine with an 8-entry buffer.
+#[test]
+fn corpus_frep_body_exceeds_a_smaller_buffer() {
+    let program = frep_body_program(12);
+    assert!(errors(&program, &CcParams::paper()).is_empty(), "12 instructions fit 16 entries");
+    assert_sequencer_agreement(
+        program,
+        CcParams { frep_buffer: 8, ..CcParams::paper() },
+        SequencerFault::BodyTooLong { n_insns: 12, buffer: 8 },
     );
 }
 
@@ -457,7 +476,7 @@ fn corpus_frep_stream_body_with_marker() {
     a.frep_outer(R::T0, 1, Stagger::NONE);
     a.fadd_d(FpReg::FT4, FpReg::FT4, FpReg::FT4);
     a.halt();
-    assert_sequencer_agreement(a.finish().unwrap(), SequencerFault::NestedFrep);
+    assert_sequencer_agreement(a.finish().unwrap(), CcParams::paper(), SequencerFault::NestedFrep);
 }
 
 /// `frep.s` with no stream-register source in the body terminates after
@@ -472,7 +491,7 @@ fn corpus_frep_stream_without_stream_source() {
     a.halt();
     let program = a.finish().unwrap();
     let pc = fault_pc(&program);
-    let diags = lint_program(&program, &LintTarget::paper());
+    let diags = lint_program(&program, &CcParams::paper());
     assert!(
         diags.iter().any(|d| d.pc == pc
             && d.severity == Severity::Warning
@@ -492,6 +511,7 @@ fn corpus_fld_into_stream_register_under_ssr() {
     a.halt();
     assert_sequencer_agreement(
         a.finish().unwrap(),
+        CcParams::paper(),
         SequencerFault::FldIntoStream { rd: FpReg::FT0 },
     );
 }
@@ -502,7 +522,7 @@ fn corpus_missing_halt_is_pc_escape() {
     a.symbol("fault");
     a.li(R::T0, 1); // no halt: execution runs off the end
     let program = a.finish().unwrap();
-    let errs = errors(&program, &LintTarget::paper());
+    let errs = errors(&program, &CcParams::paper());
     assert!(
         errs.iter().any(|d| d.class == FaultClass::PcOutOfRange),
         "lint must flag the missing halt, got: {errs:?}"
@@ -521,7 +541,7 @@ fn corpus_dead_cfg_write_warns() {
     a.halt();
     let program = a.finish().unwrap();
     let pc = fault_pc(&program);
-    let diags = lint_program(&program, &LintTarget::paper());
+    let diags = lint_program(&program, &CcParams::paper());
     assert!(
         diags.iter().any(|d| d.pc == pc
             && d.severity == Severity::Warning
@@ -542,7 +562,7 @@ fn corpus_unreachable_code_warns() {
     a.halt();
     let program = a.finish().unwrap();
     let pc = fault_pc(&program);
-    let diags = lint_program(&program, &LintTarget::paper());
+    let diags = lint_program(&program, &CcParams::paper());
     assert!(
         diags.iter().any(|d| d.pc == pc
             && d.severity == Severity::Warning
@@ -582,24 +602,21 @@ fn corpus_covers_the_classification_table() {
     let mut a = Assembler::new();
     a.li(R::T0, 1);
     a.halt();
-    let diags = lint_program(&a.finish().unwrap(), &LintTarget::paper());
+    let diags = lint_program(&a.finish().unwrap(), &CcParams::paper());
     assert!(!has_errors(&diags) && diags.is_empty(), "clean probe: {diags:?}");
 }
 
 // ---- Degenerate caller-constructed targets ----
 //
-// `LintTarget`'s fields are public, so shapes the shipped constructors
-// never produce — a single-lane joiner, more lanes than the liveness
-// bitset holds — must degrade gracefully, not panic or mis-analyze.
+// `HwCaps`'s fields are public, so shapes the named descriptions never
+// produce — a single-lane joiner (which `Streamer::new` rejects), more
+// lanes than the liveness bitset holds — must lint gracefully, not
+// panic or mis-analyze.
 
 #[test]
 fn single_lane_joiner_target_lints_without_panic() {
-    let target = LintTarget {
-        lanes: vec![LaneKind::Issr],
-        has_joiner: true,
-        has_spacc: false,
-        frep_buffer: 16,
-    };
+    let streamer = HwCaps { lanes: &[LaneKind::Issr], has_joiner: true, has_spacc: false };
+    let target = CcParams { streamer, ..CcParams::paper() };
 
     // Definite joiner launch: JOIN_CFG enabled by a program constant.
     let mut a = Assembler::new();
@@ -625,12 +642,8 @@ fn oversized_lane_target_skips_dead_write_analysis() {
     // wrapped mask. The unconsumed write below must simply go
     // unreported — never flagged from garbage liveness bits, never a
     // panic.
-    let target = LintTarget {
-        lanes: vec![LaneKind::Ssr; 8],
-        has_joiner: false,
-        has_spacc: false,
-        frep_buffer: 16,
-    };
+    let streamer = HwCaps { lanes: &[LaneKind::Ssr; 8], ..HwCaps::PAPER };
+    let target = CcParams { streamer, ..CcParams::paper() };
     let mut a = Assembler::new();
     a.li(R::T0, 3);
     a.scfgwi(R::T0, cfg_addr(sreg::BOUNDS[0], 7)); // nothing ever launches

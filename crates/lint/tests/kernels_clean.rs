@@ -3,12 +3,12 @@
 //! kernel is wrong or the analyzer over-approximates a legal schedule;
 //! both must be fixed before shipping.
 
-use issr_core::lane::LaneKind;
-use issr_core::CfgFault;
+use issr_core::{CfgFault, HwCaps};
 use issr_kernels::catalog::catalog;
 use issr_kernels::streaming::{build_codebook_spvv, CodebookSpvvAddrs};
 use issr_kernels::variant::KernelIndex;
-use issr_lint::{assert_clean, assert_shipped_clean, lint_program, FaultClass, LintTarget};
+use issr_lint::{assert_clean, assert_shipped_clean, lint_program, FaultClass};
+use issr_snitch::params::CcParams;
 
 #[test]
 fn every_shipped_kernel_lints_clean() {
@@ -21,16 +21,17 @@ fn every_shipped_kernel_lints_clean() {
 /// illegal.
 #[test]
 fn paper_kernels_also_clean_on_sssr_hardware() {
-    let sssr = LintTarget::sssr();
+    let sssr = CcParams::sssr();
     for entry in catalog() {
         assert_clean(&entry.program, &sssr, &entry.name);
     }
 }
 
 /// Codebook SpVV streams both operands through ISSRs, so it is clean on
-/// the two-ISSR streamer it runs on — and faults on the paper's lane 0
-/// (a plain SSR), which is why it has no place in a catalog whose
-/// consumers pick between the paper and SSSR targets.
+/// the two-ISSR streamer it runs on ([`HwCaps::CODEBOOK`], as
+/// `run_codebook_spvv` builds it) — and faults on the paper's lane 0 (a
+/// plain SSR), which is why it has no place in a catalog whose entries
+/// run on either the paper or the SSSR core complex.
 #[test]
 fn codebook_spvv_is_clean_on_two_issrs_only() {
     fn check<I: KernelIndex>(what: &str) {
@@ -42,10 +43,9 @@ fn codebook_spvv_is_clean_on_two_issrs_only() {
             out: 0x0030_1300,
             n: 40,
         });
-        let two_issrs =
-            LintTarget { lanes: vec![LaneKind::Issr, LaneKind::Issr], ..LintTarget::paper() };
+        let two_issrs = CcParams { streamer: HwCaps::CODEBOOK, ..CcParams::paper() };
         assert_clean(&program, &two_issrs, what);
-        let on_paper = lint_program(&program, &LintTarget::paper());
+        let on_paper = lint_program(&program, &CcParams::paper());
         assert!(
             on_paper
                 .iter()

@@ -66,22 +66,11 @@ pub struct CoreComplex {
 }
 
 impl CoreComplex {
-    /// Creates a CC with the paper's streamer configuration (one SSR,
-    /// one ISSR).
+    /// Creates the CC `params` describes, streamer included.
     #[must_use]
     pub fn new(hartid: u32, program: Program, params: CcParams) -> Self {
-        Self::with_streamer(hartid, program, params, Streamer::paper_config())
-    }
-
-    /// Creates a CC with a custom streamer (e.g. two ISSRs for codebook
-    /// streaming, §III-C).
-    #[must_use]
-    pub fn with_streamer(
-        hartid: u32,
-        program: Program,
-        params: CcParams,
-        streamer: Streamer,
-    ) -> Self {
+        let mut streamer = Streamer::new(params.streamer);
+        streamer.set_spacc_double_buffered(params.spacc_double_buffer);
         let n_lanes = streamer.n_lanes();
         Self {
             core: SnitchCore::new(hartid, &params),
@@ -416,29 +405,11 @@ impl SingleCcSim {
         Self::with_params(program, CcParams::default())
     }
 
-    /// Creates the harness around a CC whose streamer carries the
-    /// sparse-sparse index joiner (the SSSR configuration) — the setup
-    /// the SpVV∩ / SpMSpV kernels run on.
-    #[must_use]
-    pub fn with_joiner(program: Program) -> Self {
-        Self::with_cc(CoreComplex::with_streamer(
-            0,
-            program,
-            CcParams::default(),
-            Streamer::sssr_config(),
-        ))
-    }
-
-    /// Creates the harness with explicit core parameters.
+    /// Creates the harness around the CC `params` describes (e.g.
+    /// [`CcParams::sssr`] for the SpVV∩ / SpMSpV / SpGEMM kernels).
     #[must_use]
     pub fn with_params(program: Program, params: CcParams) -> Self {
-        Self::with_cc(CoreComplex::new(0, program, params))
-    }
-
-    /// Creates the harness around a custom core complex (e.g. one with a
-    /// two-ISSR streamer for codebook-compressed sparse values, §III-C).
-    #[must_use]
-    pub fn with_cc(cc: CoreComplex) -> Self {
+        let cc = CoreComplex::new(0, program, params);
         let n_ports = cc.n_ports();
         Self {
             cc,
@@ -730,7 +701,7 @@ mod tests {
         a.li_addr(R::A2, out);
         a.fsd(F::FT2, R::A2, 0);
         a.halt();
-        let mut sim = SingleCcSim::with_joiner(a.finish().unwrap());
+        let mut sim = SingleCcSim::with_params(a.finish().unwrap(), CcParams::sssr());
         sim.mem.array_mut().store_u16_slice(idx_a, &a_idcs);
         sim.mem.array_mut().store_u16_slice(idx_b, &b_idcs);
         for j in 0..a_idcs.len() as u32 {
@@ -796,7 +767,7 @@ mod tests {
             a.li_addr(R::A2, out);
             a.fsd(F::FT2, R::A2, 0);
             a.halt();
-            let mut sim = SingleCcSim::with_joiner(a.finish().unwrap());
+            let mut sim = SingleCcSim::with_params(a.finish().unwrap(), CcParams::sssr());
             sim.mem.array_mut().store_u16_slice(idx_a, &a_idcs);
             sim.mem.array_mut().store_u16_slice(idx_b, &b_idcs);
             for j in 0..a_idcs.len() as u32 {
@@ -832,7 +803,7 @@ mod tests {
         a.roi_end();
         a.csrci(issr_isa::Csr::Ssr, 1);
         a.halt();
-        let mut sim = SingleCcSim::with_joiner(a.finish().unwrap());
+        let mut sim = SingleCcSim::with_params(a.finish().unwrap(), CcParams::sssr());
         let summary = sim.run(10_000).unwrap().expect_clean();
         assert_eq!(summary.metrics.roi.fadds, 0);
     }
@@ -1184,16 +1155,15 @@ mod tests {
         write.csrci(issr_isa::Csr::Ssr, 1);
         write.halt();
         let shapes = [
-            ("base", base, false, false),
-            ("issr", issr, false, false),
-            ("spacc", spacc, true, false),
-            ("trap", trap, true, true),
-            ("write stream", write, false, false),
+            ("base", base, CcParams::paper(), false),
+            ("issr", issr, CcParams::paper(), false),
+            ("spacc", spacc, CcParams::sssr(), false),
+            ("trap", trap, CcParams::sssr(), true),
+            ("write stream", write, CcParams::paper(), false),
         ];
-        for (name, asm, sssr, traps) in shapes {
+        for (name, asm, params, traps) in shapes {
             let program = asm.finish().unwrap();
-            let mut sim =
-                if sssr { SingleCcSim::with_joiner(program) } else { SingleCcSim::new(program) };
+            let mut sim = SingleCcSim::with_params(program, params);
             sim.mem.array_mut().store_u16_slice(idx, &[1, 2, 5, 7, 8, 11, 12, 15]);
             for i in 0..16 {
                 sim.mem.array_mut().store_f64(data + 8 * i, f64::from(i) + 0.5);

@@ -5,7 +5,12 @@
 //! sustaining one instruction per cycle with two-cycle load-use latency,
 //! and a fully-pipelined double-precision FMA.
 
-/// Tunable latencies and queue depths of one Snitch core complex.
+use issr_core::HwCaps;
+
+/// The one description of a Snitch core complex: its latencies and
+/// queue depths, and the stream hardware attached to its FPU. Every
+/// simulator builds its core complexes from this value, and `issr-lint`
+/// checks a program against the same value.
 #[derive(Clone, Copy, Debug)]
 pub struct CcParams {
     /// `fmadd.d`/`fadd.d`/`fmul.d` result latency in cycles.
@@ -22,10 +27,20 @@ pub struct CcParams {
     pub offload_depth: usize,
     /// Maximum FREP body length the sequencer buffers.
     pub frep_buffer: usize,
+    /// The streamer: its lane kinds and whether it carries the index
+    /// joiner and the sparse accumulator.
+    pub streamer: HwCaps,
+    /// Double-buffered SpAcc row storage (a row's drain overlaps the
+    /// next row's first feed). On in both named defaults; the SpGEMM
+    /// benchmark turns it off to report the overlap delta.
+    pub spacc_double_buffer: bool,
 }
 
-impl Default for CcParams {
-    fn default() -> Self {
+impl CcParams {
+    /// The paper's core complex: one SSR and one ISSR lane
+    /// ([`HwCaps::PAPER`]).
+    #[must_use]
+    pub fn paper() -> Self {
         Self {
             fpu_latency: 4,
             fdiv_latency: 12,
@@ -34,7 +49,22 @@ impl Default for CcParams {
             div_latency: 20,
             offload_depth: 8,
             frep_buffer: 16,
+            streamer: HwCaps::PAPER,
+            spacc_double_buffer: true,
         }
+    }
+
+    /// The sparse-sparse core complex: the paper's, plus the index
+    /// joiner and the sparse accumulator ([`HwCaps::SSSR`]).
+    #[must_use]
+    pub fn sssr() -> Self {
+        Self { streamer: HwCaps::SSSR, ..Self::paper() }
+    }
+}
+
+impl Default for CcParams {
+    fn default() -> Self {
+        Self::paper()
     }
 }
 

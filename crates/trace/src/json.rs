@@ -162,9 +162,10 @@ impl Json {
     /// Parses a JSON document.
     ///
     /// # Errors
-    /// Returns a message with the byte offset of the first syntax error.
+    /// Returns a message with the byte offset of the first syntax error,
+    /// or of the array or object that nests deeper than 128 levels.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { text, pos: 0 };
+        let mut p = Parser { text, pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -237,9 +238,17 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// The parser recurses once per level, so the bound keeps hostile
+/// input from exhausting the host's stack; the committed baselines nest
+/// at most nine levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -281,11 +290,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -527,6 +548,39 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("123 456").is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    /// A million unclosed levels come back as an error at the level past
+    /// [`MAX_DEPTH`] instead of overflowing the stack.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let too_deep = |opener: &str| {
+            let err = Json::parse(&opener.repeat(1 << 20)).expect_err("must be refused");
+            let at = format!("at byte {}", MAX_DEPTH * opener.len());
+            assert!(err.contains("nesting deeper than 128 levels") && err.ends_with(&at), "{err}");
+        };
+        too_deep("[");
+        too_deep("{\"a\":");
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok(), "{MAX_DEPTH} levels are within the bound");
+    }
+
+    /// Every committed baseline stays within the nesting bound.
+    #[test]
+    fn committed_baselines_parse() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../baselines");
+        let mut parsed = 0;
+        for entry in std::fs::read_dir(dir).expect("baselines directory") {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+            // The per-cycle trace is regenerated, not committed.
+            if name.ends_with(".json") && !name.ends_with(".trace.json") {
+                let text = std::fs::read_to_string(&path).expect("readable baseline");
+                Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+                parsed += 1;
+            }
+        }
+        assert!(parsed >= 5, "only {parsed} baselines found in {dir}");
     }
 
     #[test]

@@ -9,6 +9,7 @@ use issr::kernels::spmspv::{build_spvv_ss, SpvvSsAddrs};
 use issr::kernels::spvv::{build_spvv, SpvvAddrs};
 use issr::kernels::variant::Variant;
 use issr::snitch::cc::{SingleCcSim, SINGLE_CC_ARENA};
+use issr::snitch::params::CcParams;
 use issr::sparse::gen;
 
 #[test]
@@ -67,7 +68,7 @@ fn encoded_joiner_kernel_executes_identically() {
 
     let stage = || {
         let mut arena = Arena::new(SINGLE_CC_ARENA, SingleCcSim::DEFAULT_MEM_BYTES / 2);
-        let mut staged = SingleCcSim::with_joiner(Program::default());
+        let mut staged = SingleCcSim::with_params(Program::default(), CcParams::sssr());
         let a_addrs = place_fiber(&mut arena, staged.mem.array_mut(), &a);
         let b_addrs = place_fiber(&mut arena, staged.mem.array_mut(), &b);
         let out = alloc_result(&mut arena, 1);
@@ -84,7 +85,8 @@ fn encoded_joiner_kernel_executes_identically() {
         for i in instrs {
             asm.push(i);
         }
-        let mut sim = SingleCcSim::with_joiner(asm.finish().expect("no labels left"));
+        let mut sim =
+            SingleCcSim::with_params(asm.finish().expect("no labels left"), CcParams::sssr());
         sim.mem = stage().0.mem;
         let summary = sim.run(100_000).expect("finishes");
         (summary.cycles, sim.mem.array().load_f64(addrs.out))
