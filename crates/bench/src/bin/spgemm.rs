@@ -254,12 +254,6 @@ fn main() {
     let verdict = issr_bench::verdict::cc_verdict(&summary);
     println!("{}", verdict.line(&format!("spgemm {}", last.label)));
     t.push("verdict", verdict.to_json());
-    let critpath = summary.attr.critical_path();
-    println!(
-        "{}",
-        issr_bench::critical::critical_path_line(&format!("spgemm {}", last.label), &critpath)
-    );
-    t.push("critical_path", issr_bench::critical::critical_path_section(&critpath, &verdict));
 
     // The two-pass cluster kernel's phases, resolved by PC sampling:
     // where the symbolic, scan and numeric passes each burn cycles.

@@ -152,9 +152,6 @@ fn main() {
     let verdict = issr_bench::verdict::system_verdict(&report.summary, words_per_cycle);
     println!("{}", verdict.line("system_csrmv x2"));
     t.push("verdict", verdict.to_json());
-    let critpath = issr_bench::critical::system_critical_path(&report.summary);
-    println!("{}", issr_bench::critical::critical_path_line("system_csrmv x2", &critpath));
-    t.push("critical_path", issr_bench::critical::critical_path_section(&critpath, &verdict));
     if let Some(path) = telemetry::json_arg() {
         t.write(&path).expect("write BENCH json");
         let trace = telemetry::trace_path(&path);

@@ -11,7 +11,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod critical;
 pub mod figures;
 pub mod paper;
 pub mod report;

@@ -13,13 +13,12 @@
 use issr_cluster::cluster::ClusterSummary;
 use issr_compare::{base_core_equivalent, compare, related_systems, Comparison};
 use issr_model::area::{ClusterArea, StreamerArea, ISSR_DELTA_KGE};
-use issr_model::timing::CriticalPath;
+use issr_model::timing::StreamerTiming;
 use issr_snitch::cc::RunSummary;
 use issr_trace::analyze::Verdict;
 use issr_trace::json::obj;
 use issr_trace::Json;
 
-use crate::critical::{critical_path_line, critical_path_section};
 use crate::figures::{csrmm_check, fig4a, fig4b, fig4c, fig4d, Sweep};
 use crate::report::{Fmt, Table};
 use crate::telemetry::Telemetry;
@@ -155,7 +154,7 @@ struct Section {
     key: &'static str,
     title: &'static str,
     table: Table,
-    /// Exported next to the rows: scalars, the verdict, the critical path.
+    /// Exported next to the rows: scalars and the verdict.
     fields: Vec<(&'static str, Json)>,
     /// Printed under the table.
     notes: Vec<String>,
@@ -211,10 +210,7 @@ pub fn scoreboard() -> Board {
     let mut fig4c =
         Section::figure("fig4c", "Fig. 4c — cluster CsrMV, ISSR-16 vs BASE", &runs.fig4c, &verdict);
     let peak = runs.peak_cluster_speedup();
-    let path = runs.fig4c.anchor.attr.critical_path();
     fig4c.fields.push(("peak_speedup", peak.into()));
-    fig4c.fields.push(("critical_path", critical_path_section(&path, &verdict)));
-    fig4c.notes.push(critical_path_line("fig4c", &path));
     fig4c.notes.push(format!(
         "Peak speedup {peak:.2}x -> one ISSR cluster matches ~{:.0} BASE cores.",
         base_core_equivalent(8.0, peak)
@@ -252,7 +248,7 @@ fn area_section() -> Section {
         table.push(vec![b.name.into(), b.kge.into(), (b.kge / streamer.total_kge()).into()]);
     }
     let cluster = ClusterArea::paper_config();
-    let timing = CriticalPath::paper_results();
+    let timing = StreamerTiming::paper_results();
     Section {
         key: "area",
         title: "Fig. 2 / §IV-C — streamer area breakdown",

@@ -78,9 +78,9 @@ impl Telemetry {
     /// # Errors
     /// Returns `InvalidData` — before touching `path` — if any
     /// stall-cause table or critical path in the envelope no longer
-    /// sums to the cycle count it covers, or a critical path is longer
-    /// than the run its sibling verdict classifies; otherwise
-    /// propagates the underlying I/O error.
+    /// sums to the cycle count it covers, or a verdict's critical path
+    /// is longer than the run it classifies; otherwise propagates the
+    /// underlying I/O error.
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
         let doc = self.to_json();
         let mut errors = Vec::new();
@@ -107,11 +107,12 @@ fn breakdown_total(v: &Json) -> Option<i64> {
 /// an object with `roi_cycles` + `units` has every unit breakdown
 /// summing to `roi_cycles`; an object with `elapsed` + `dma` has the
 /// DMA breakdown summing to `elapsed`; an object with `length` +
-/// `compute` + `edges` (a `critical_path` section) partitions exactly;
-/// an object holding a `critical_path` next to a `verdict` has
-/// `critical_path.length <= verdict.elapsed` — a path is never longer
-/// than the run it explains.
+/// `edges` (a critical path) partitions exactly into `compute`, `idle`
+/// and the edges; an object with `elapsed` holding a `critical_path`
+/// (a verdict) has `critical_path.length <= elapsed` — a path is never
+/// longer than the run it explains.
 fn check_attribution(v: &Json, path: &str, errors: &mut Vec<String>) {
+    let int = |key: &str| v.get(key).and_then(Json::as_int);
     let mut check_sum =
         |what: String, table: &Json, cycles: i64, of: &str| match breakdown_total(table) {
             Some(total) if total == cycles => {}
@@ -120,33 +121,28 @@ fn check_attribution(v: &Json, path: &str, errors: &mut Vec<String>) {
             }
             None => errors.push(format!("{what}: not a stall-cause breakdown")),
         };
-    if let (Some(roi), Some(Json::Obj(units))) =
-        (v.get("roi_cycles").and_then(Json::as_int), v.get("units"))
-    {
+    if let (Some(roi), Some(Json::Obj(units))) = (int("roi_cycles"), v.get("units")) {
         for (name, unit) in units {
             check_sum(format!("{path}/units/{name}"), unit, roi, "roi_cycles");
         }
     }
-    if let (Some(elapsed), Some(dma)) = (v.get("elapsed").and_then(Json::as_int), v.get("dma")) {
+    if let (Some(elapsed), Some(dma)) = (int("elapsed"), v.get("dma")) {
         check_sum(format!("{path}/dma"), dma, elapsed, "elapsed");
     }
-    if let (Some(length), Some(compute), Some(Json::Obj(edges))) = (
-        v.get("length").and_then(Json::as_int),
-        v.get("compute").and_then(Json::as_int),
-        v.get("edges"),
-    ) {
-        let blocked: Option<i64> = edges.iter().map(|(_, n)| n.as_int()).sum();
-        if blocked.map(|b| compute + b) != Some(length) {
+    if let (Some(length), Some(Json::Obj(edges))) = (int("length"), v.get("edges")) {
+        let parts: Option<i64> = [int("compute"), int("idle")]
+            .into_iter()
+            .chain(edges.iter().map(|(_, n)| n.as_int()))
+            .sum();
+        if parts != Some(length) {
             errors.push(format!(
-                "{path}: critical path does not partition: {compute} compute + {blocked:?} \
-                 edge cycles != length {length}"
+                "{path}: critical path does not partition: compute + idle + edges = {parts:?} \
+                 != length {length}"
             ));
         }
     }
-    let int_at = |section: &str, key: &str| v.get(section)?.get(key)?.as_int();
-    if let (Some(length), Some(elapsed)) =
-        (int_at("critical_path", "length"), int_at("verdict", "elapsed"))
-    {
+    let path_length = v.get("critical_path").and_then(|p| p.get("length")?.as_int());
+    if let (Some(length), Some(elapsed)) = (path_length, int("elapsed")) {
         if length > elapsed {
             errors.push(format!(
                 "{path}/critical_path: length {length} exceeds the run's {elapsed} elapsed cycles"
@@ -258,46 +254,61 @@ mod tests {
         assert_eq!(Json::parse(&doc.to_string()).expect("parse"), doc);
     }
 
-    /// A real attribution section, a DMA table and a critical path
-    /// that all add up — and the same envelope with one counter of
-    /// each nudged by a cycle, which `write` must refuse, as it must a
-    /// critical path longer than its sibling verdict's run.
+    /// `doc` with the integer at `keys` moved by `by`.
+    fn nudge(doc: &Json, keys: &[&str], by: i64) -> Json {
+        let Json::Obj(mut fields) = doc.clone() else { panic!("an object") };
+        let (key, rest) = keys.split_first().expect("a key");
+        let field = fields.iter_mut().find(|(k, _)| k == key).expect("key present");
+        field.1 = match rest {
+            [] => Json::Int(field.1.as_int().expect("an integer") + by),
+            _ => nudge(&field.1, rest, by),
+        };
+        Json::Obj(fields)
+    }
+
+    /// A real attribution section, a DMA table and a verdict whose path
+    /// all add up — and the same envelope with one counter of each
+    /// nudged by a cycle, which `write` must refuse: a table that no
+    /// longer sums, a path whose `idle` breaks its partition, and a
+    /// path longer than the run its verdict classifies.
     #[test]
     fn write_rejects_tables_that_no_longer_sum() {
         let mut attr = CcAttribution::with_lanes(2);
         let mut dma = issr_trace::CycleBreakdown::new();
-        for _ in 0..5 {
-            attr.hart.record(StallCause::Active);
+        for i in 0..5 {
+            attr.hart.record(if i < 3 { StallCause::Active } else { StallCause::Parked });
             attr.lanes[0].record(StallCause::FifoEmpty);
             attr.lanes[1].record(StallCause::Idle);
             dma.record(StallCause::Idle);
         }
-        let sections = [
-            ("attribution", cc_attr_json(&attr), "roi_cycles"),
-            ("cluster", obj(vec![("elapsed", Json::Int(5)), ("dma", dma.to_json())]), "elapsed"),
-            ("critical_path", attr.critical_path().to_json(), "length"),
+        let verdict = issr_trace::classify(&issr_trace::RooflineInput {
+            elapsed: 5,
+            flops: 3,
+            peak_flops_per_cycle: 1.0,
+            words_moved: 0,
+            words_per_cycle: 1.0,
+            path: attr.critical_path(),
+        })
+        .to_json();
+        let cluster = obj(vec![("elapsed", Json::Int(5)), ("dma", dma.to_json())]);
+        let cases: [(&str, Json, &[&str], i64, &str); 4] = [
+            ("attribution", cc_attr_json(&attr), &["roi_cycles"], 1, "sums to"),
+            ("cluster", cluster, &["elapsed"], 1, "sums to"),
+            ("verdict", verdict.clone(), &["critical_path", "idle"], 1, "does not partition"),
+            ("verdict", verdict, &["elapsed"], -1, "exceeds"),
         ];
         let dir = std::env::temp_dir();
         let path = dir.join(format!("issr_telemetry_sums_{}.json", std::process::id()));
-        for (name, section, total_key) in &sections {
+        for (name, section, keys, by, why) in &cases {
             let mut t = Telemetry::new("x", "smoke");
             t.push(name, section.clone());
             t.write(&path).expect("a consistent envelope is written");
-            let Json::Obj(mut fields) = section.clone() else { panic!("section is an object") };
-            let total = fields.iter_mut().find(|(k, _)| k == total_key).expect("total key");
-            total.1 = Json::Int(total.1.as_int().expect("integer total") + 1);
             let mut tampered = Telemetry::new("x", "smoke");
-            tampered.push(name, Json::Obj(fields));
+            tampered.push(name, nudge(section, keys, *by));
             let err = tampered.write(&path).expect_err("tampered envelope is rejected");
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}: {err}");
-            assert!(err.to_string().contains(name), "{err}");
+            assert!(err.to_string().contains(name) && err.to_string().contains(why), "{err}");
         }
-        // A path that partitions exactly but outruns its verdict's run.
-        let mut outrun = Telemetry::new("x", "smoke");
-        outrun.push("verdict", obj(vec![("elapsed", Json::Int(4))]));
-        outrun.push("critical_path", attr.critical_path().to_json());
-        let err = outrun.write(&path).expect_err("a 5-cycle path in a 4-cycle run is rejected");
-        assert!(err.to_string().contains("exceeds"), "{err}");
         let written = std::fs::read_to_string(&path).expect("last good envelope");
         std::fs::remove_file(&path).expect("clean up");
         assert_eq!(Json::parse(&written).expect("parse").get("bench"), Some(&Json::from("x")));

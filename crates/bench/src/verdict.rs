@@ -3,18 +3,15 @@
 //! Thin adapters from the simulator's summaries to
 //! [`issr_trace::analyze::classify`]: each one reduces a run to the
 //! roofline inputs (words moved through the bounding interconnect,
-//! flops against peak FPU throughput, the compute units' merged stall
-//! table) so every bench binary can print the one-line verdict and
-//! push the JSON section without repeating the bookkeeping.
+//! flops against peak FPU throughput) and its critical path, so every
+//! bench binary can print the one-line verdict and push the one JSON
+//! section that explains the run.
 
 use issr_cluster::cluster::ClusterSummary;
+use issr_mem::dma::DMA_WORDS_PER_CYCLE;
 use issr_snitch::cc::RunSummary;
 use issr_system::system::SystemSummary;
 use issr_trace::analyze::{classify, RooflineInput, Verdict};
-
-/// Words the wide cluster DMA port moves per cycle against a private
-/// main memory (`issr_mem::dma::DMA_WORDS_PER_CYCLE`).
-pub const CLUSTER_DMA_WORDS_PER_CYCLE: f64 = 8.0;
 
 /// Classifies a single-CC run. The bounding interconnect is the data
 /// memory's port set (one port per stream lane plus the hart's LSU);
@@ -37,13 +34,12 @@ pub fn cc_verdict(summary: &RunSummary) -> Verdict {
         peak_flops_per_cycle: 1.0,
         words_moved: lane_words + joiner_words + spacc_words + roi.lsu_accesses,
         words_per_cycle: (summary.lane_stats.len() + 1) as f64,
-        stalls: summary.attr.hart,
+        path: summary.attr.critical_path(),
     })
 }
 
 /// Classifies a standalone-cluster run. The bounding interconnect is
-/// the wide DMA port into main memory; the stall table is the workers'
-/// merged hart breakdown.
+/// the wide DMA port into main memory.
 #[must_use]
 pub fn cluster_verdict(summary: &ClusterSummary) -> Verdict {
     let fadds: u64 = summary.worker_metrics.iter().map(|m| m.roi.fadds).sum();
@@ -52,8 +48,8 @@ pub fn cluster_verdict(summary: &ClusterSummary) -> Verdict {
         flops: summary.total_fmadds() + fadds,
         peak_flops_per_cycle: summary.worker_metrics.len().max(1) as f64,
         words_moved: summary.dma_stats.words_in + summary.dma_stats.words_out,
-        words_per_cycle: CLUSTER_DMA_WORDS_PER_CYCLE,
-        stalls: summary.attr.merged_workers().hart,
+        words_per_cycle: f64::from(DMA_WORDS_PER_CYCLE),
+        path: summary.attr.critical_path(),
     })
 }
 
@@ -68,16 +64,13 @@ pub fn system_verdict(summary: &SystemSummary, words_per_cycle: u32) -> Verdict 
         .map(|m| m.roi.fmadds + m.roi.fadds)
         .sum();
     let n_workers: usize = summary.clusters.iter().map(|c| c.worker_metrics.len()).sum();
-    let stalls: issr_cluster::cluster::ClusterAttribution =
-        issr_trace::merge::merge_all(summary.clusters.iter().map(|c| &c.attr));
-    let stalls = stalls.merged_workers().hart;
     classify(&RooflineInput {
         elapsed: summary.cycles,
         flops,
         peak_flops_per_cycle: n_workers.max(1) as f64,
         words_moved: summary.total_dma_words(),
         words_per_cycle: f64::from(words_per_cycle),
-        stalls,
+        path: summary.critical_path(),
     })
 }
 
@@ -103,5 +96,26 @@ mod tests {
         let line = v.line("cluster_csrmv");
         assert!(line.contains("-bound"), "{line}");
         assert!(v.to_json().get("bound").and_then(Json::as_str).is_some());
+    }
+
+    /// A real cluster run's verdict carries an exactly partitioned path
+    /// that fits the run, nested in its JSON section.
+    #[test]
+    fn cluster_critical_path_partitions_exactly() {
+        let mut rng = gen::rng(0x000F_1701);
+        let m = gen::csr_fixed_row_nnz::<u16>(&mut rng, 64, 64, 12);
+        let x = gen::dense_vector(&mut rng, 64);
+        let run = run_cluster_csrmv(Variant::Issr, &m, &x).expect("run");
+        let verdict = cluster_verdict(&run.summary);
+        let path = verdict.path;
+        assert_eq!(path, run.summary.attr.critical_path());
+        assert!(path.length > 0 && path.length <= verdict.elapsed);
+        assert_eq!(path.compute + path.idle + path.blocked(), path.length, "exact partition");
+        let section = verdict.to_json();
+        let nested = section.get("critical_path").expect("path nested in the verdict");
+        assert_eq!(nested.get("length").and_then(Json::as_int), Some(path.length as i64));
+        let Some(Json::Obj(pairs)) = nested.get("edges") else { panic!("edges object") };
+        let sum: i64 = pairs.iter().filter_map(|(_, v)| v.as_int()).sum();
+        assert_eq!(sum as u64, path.blocked(), "edge attribution sums to the blocked share");
     }
 }

@@ -123,7 +123,7 @@ proptest! {
         // The critical path partitions exactly and fits inside the ROI.
         let path = attr.critical_path();
         prop_assert_eq!(path.length, attr.roi_cycles());
-        prop_assert_eq!(path.compute + path.blocked(), path.length, "exact partition");
+        prop_assert_eq!(path.compute + path.idle + path.blocked(), path.length, "exact partition");
         prop_assert!(path.length <= run.summary.cycles, "ROI path fits in the elapsed run");
     }
 }

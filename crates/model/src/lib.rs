@@ -13,4 +13,4 @@ pub mod timing;
 
 pub use area::{AreaBlock, ClusterArea, StreamerArea};
 pub use power::{EnergyBreakdown, PowerModel};
-pub use timing::CriticalPath;
+pub use timing::StreamerTiming;

@@ -1,8 +1,9 @@
 //! Timing model (§IV-C): critical paths of the synthesized streamers.
 
-/// Critical-path lengths in picoseconds (GF22FDX, SSG corner, 0.72 V).
+/// The synthesized streamers' critical-path lengths in picoseconds
+/// (GF22FDX, SSG corner, 0.72 V).
 #[derive(Clone, Copy, Debug)]
-pub struct CriticalPath {
+pub struct StreamerTiming {
     /// Baseline SSR address generator.
     pub ssr_ps: f64,
     /// ISSR address generator (index serializer + offset adder added).
@@ -11,7 +12,7 @@ pub struct CriticalPath {
     pub clock_ps: f64,
 }
 
-impl CriticalPath {
+impl StreamerTiming {
     /// The paper's synthesis results: 301 ps → 425 ps at a 1 GHz target.
     #[must_use]
     pub fn paper_results() -> Self {
@@ -43,7 +44,7 @@ mod tests {
 
     #[test]
     fn paper_paths() {
-        let t = CriticalPath::paper_results();
+        let t = StreamerTiming::paper_results();
         assert!(t.meets_clock());
         assert!(t.slack_ps() > 500.0, "the ISSR easily meets 1 GHz");
         assert!((t.growth() - 0.412).abs() < 0.01);

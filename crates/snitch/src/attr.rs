@@ -148,9 +148,10 @@ mod tests {
         }
         let p = attr.critical_path();
         assert_eq!(p.length, attr.roi_cycles());
-        assert_eq!(p.compute + p.blocked(), p.length, "exact partition");
+        assert_eq!(p.compute + p.idle + p.blocked(), p.length, "exact partition");
         assert_eq!(p.get(EdgeClass::LaneTcdm), 3, "half the descended wait");
         assert_eq!(p.compute, 4 + 3);
+        assert_eq!(p.idle, 0, "the idle lane is not descended into");
         assert!(attr.busiest_lane().is_some());
         assert!(CcAttribution::with_lanes(2).busiest_lane().is_none());
     }

@@ -17,14 +17,15 @@
 //! ticket counter ([`System::set_work_queue`]) from which the clusters'
 //! DMCCs claim row-panel tiles of a shared work queue.
 
-use issr_cluster::cluster::{Cluster, ClusterParams, ClusterSummary};
+use issr_cluster::cluster::{longest_roi, Cluster, ClusterParams, ClusterSummary};
 use issr_isa::asm::Program;
 use issr_mem::dma::DmaStats;
 use issr_mem::main_mem::{MainMemStats, MainMemory};
 use issr_mem::map::{MAIN_BASE, MAIN_SIZE};
+use issr_snitch::attr::CcAttribution;
 use issr_snitch::cc::SimTimeout;
 use issr_snitch::core::Trap;
-use issr_trace::{merge::merge_all, timeline, PostMortem};
+use issr_trace::{merge::merge_all, timeline, CriticalPath, PostMortem};
 
 /// System configuration.
 #[derive(Clone, Copy, Debug)]
@@ -114,6 +115,23 @@ impl SystemSummary {
             return 0.0;
         }
         self.main.dma_denied as f64 / (served + self.main.dma_denied) as f64
+    }
+
+    /// The system's critical path: the blame walk from the worker with
+    /// the longest ROI of any cluster — the rule
+    /// [`ClusterAttribution::critical_path`] applies inside one —
+    /// falling back to the DMCCs when no worker opened an ROI. One
+    /// hart's ROI, so never longer than the run.
+    ///
+    /// [`ClusterAttribution::critical_path`]:
+    /// issr_cluster::cluster::ClusterAttribution::critical_path
+    #[must_use]
+    pub fn critical_path(&self) -> CriticalPath {
+        let attrs = || self.clusters.iter().map(|c| &c.attr);
+        longest_roi(attrs().flat_map(|a| &a.workers))
+            .or_else(|| longest_roi(attrs().map(|a| &a.dmcc)))
+            .map(CcAttribution::critical_path)
+            .unwrap_or_default()
     }
 }
 
@@ -530,6 +548,36 @@ mod tests {
         assert_eq!(spans, window, "the trace's spans are exactly the post-mortem window");
         let death = phase("i").find(|e| name(e).contains("timeout")).expect("timeout marked");
         assert_eq!(int(death, "ts"), pm.at as i64);
+    }
+
+    /// The system path is the longest single worker ROI of any cluster
+    /// — not same-index harts of all clusters summed — so it fits
+    /// inside the run it explains.
+    #[test]
+    fn system_critical_path_is_one_worker_and_fits_the_run() {
+        // Worker `h` spins `8 * h` iterations inside its ROI.
+        let mut a = Assembler::new();
+        a.csrr(R::T0, Csr::MHartId);
+        a.slli(R::T1, R::T0, 3);
+        a.roi_begin();
+        let spin = a.bind_label();
+        a.addi(R::T1, R::T1, -1);
+        a.bge(R::T1, R::ZERO, spin);
+        a.roi_end();
+        a.halt();
+        let summary = System::new(a.finish().unwrap(), params(2)).run(100_000).unwrap();
+        let path = summary.critical_path();
+        let longest = summary
+            .clusters
+            .iter()
+            .flat_map(|c| &c.attr.workers)
+            .map(CcAttribution::roi_cycles)
+            .max()
+            .expect("workers");
+        assert!(longest > 0, "both clusters' workers open an ROI");
+        assert_eq!(path.length, longest);
+        assert!(path.length <= summary.cycles, "a path is never longer than the run");
+        assert_eq!(path.compute + path.idle + path.blocked(), path.length, "exact partition");
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! answers the question a reader actually has: *what bounds this run?*
 //! [`classify`] applies a roofline-style model — the cycles the moved
 //! words would take at the interconnect's word budget, vs the cycles
-//! the flops would take at peak FPU throughput — and falls back to the
-//! dominant stall cause when neither roof explains the runtime. The
-//! result is a [`Verdict`] with a one-line human-readable summary that
-//! every bench bin prints, and a JSON form for the telemetry envelope.
+//! the flops would take at peak FPU throughput — and, when neither roof
+//! explains the runtime, lets the run's [`CriticalPath`] decide. The
+//! result is a [`Verdict`]: the run's one explanation, the two roofs
+//! plus the path, with a one-line summary every bench bin prints and a
+//! JSON form for the telemetry envelope.
 //!
 //! [`PhaseProfile`] adds program-phase resolution: the bench harness
 //! maps kernel symbols to PC regions and buckets each sampled cycle's
@@ -15,6 +16,7 @@
 //! SpGEMM splits between symbolic, scan and numeric without touching
 //! the kernel or the timing model.
 
+use crate::critpath::{CriticalPath, EdgeClass};
 use crate::json::obj;
 use crate::{ratio, CycleBreakdown, Json, StallCause};
 
@@ -22,16 +24,18 @@ use crate::{ratio, CycleBreakdown, Json, StallCause};
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Bound {
     /// Data movement at the interconnect/DMA word budget explains the
-    /// runtime (or bandwidth-denied stalls dominate).
+    /// runtime, or the path waits mostly on main memory.
     Bandwidth,
-    /// FPU throughput at peak explains the runtime, or the units are
-    /// simply busy (control-flow limited counts as compute here: the
-    /// cores, not the memory system, are the limiter).
+    /// FPU throughput at peak explains the runtime, or the path makes
+    /// progress at least as often as it waits (control-flow limited
+    /// counts as compute here: the cores, not the memory system, are
+    /// the limiter).
     Compute,
-    /// Dependency latency dominates: starved or back-pressured FIFOs,
-    /// port conflicts, joiner waits, drains in flight.
+    /// Dependency latency dominates the path: starved or back-pressured
+    /// FIFOs, port conflicts, joiner waits, drains in flight.
     Latency,
-    /// Synchronization dominates: cycles burnt at the cluster barrier.
+    /// Synchronization dominates the path: cycles burnt at the cluster
+    /// barrier.
     Sync,
 }
 
@@ -49,7 +53,7 @@ impl Bound {
 }
 
 /// Inputs to [`classify`]: one kernel run reduced to the quantities the
-/// roofline model needs.
+/// roofline model needs, plus the run's critical path.
 #[derive(Clone, Copy, Debug)]
 pub struct RooflineInput {
     /// Measured runtime in cycles.
@@ -62,12 +66,12 @@ pub struct RooflineInput {
     pub words_moved: u64,
     /// That interconnect's word budget per cycle.
     pub words_per_cycle: f64,
-    /// Merged stall-cause breakdown of the compute units.
-    pub stalls: CycleBreakdown,
+    /// The run's critical path.
+    pub path: CriticalPath,
 }
 
 /// A classified run: the bound, how much of the runtime each roof
-/// explains, and the dominant stall cause.
+/// explains, and the critical path.
 #[derive(Clone, Copy, Debug)]
 pub struct Verdict {
     /// The classification.
@@ -80,21 +84,20 @@ pub struct Verdict {
     pub bw_fraction: f64,
     /// `fp_limit_cycles / elapsed`.
     pub fp_fraction: f64,
-    /// Largest stall cause (excluding active/parked/idle); `Active`
-    /// when nothing stalled.
-    pub dominant_stall: StallCause,
+    /// The run's critical path.
+    pub path: CriticalPath,
     /// The measured runtime the fractions refer to.
     pub elapsed: u64,
 }
 
-/// Which stall causes count toward each fallback bound.
-const LATENCY_CAUSES: [StallCause; 5] = [
-    StallCause::FifoEmpty,
-    StallCause::FifoFull,
-    StallCause::PortConflict,
-    StallCause::JoinerWait,
-    StallCause::DrainBusy,
-];
+/// The bound a wait-edge class means when it dominates the path.
+fn bound_hint(edge: EdgeClass) -> Bound {
+    match edge {
+        EdgeClass::DmaMainMem => Bound::Bandwidth,
+        EdgeClass::HartBarrier => Bound::Sync,
+        _ => Bound::Latency,
+    }
+}
 
 /// Classifies one run.
 ///
@@ -102,14 +105,14 @@ const LATENCY_CAUSES: [StallCause; 5] = [
 /// 1. If the bandwidth roof explains ≥ 50% of the runtime and at least
 ///    as much as the FPU roof → [`Bound::Bandwidth`].
 /// 2. Else if the FPU roof explains ≥ 50% → [`Bound::Compute`].
-/// 3. Else neither roof explains the runtime; the dominant stall group
-///    decides: barrier cycles → [`Bound::Sync`], bandwidth-denied →
-///    [`Bound::Bandwidth`], dependency stalls (FIFO, port, joiner,
-///    drain) → [`Bound::Latency`]. If active cycles outweigh every
-///    stall group the units are busy on non-FP work → [`Bound::Compute`].
+/// 3. Else neither roof explains the runtime and the critical path
+///    decides: a path whose `compute` is at least its blocked cycles →
+///    [`Bound::Compute`]; otherwise its dominant edge does — the
+///    barrier → [`Bound::Sync`], main memory → [`Bound::Bandwidth`],
+///    any other wait → [`Bound::Latency`].
 ///
-/// Parked and idle cycles never influence the verdict: a halted hart is
-/// a finished hart, not a bottleneck.
+/// The path's `idle` cycles never influence the verdict: a halted hart
+/// is a finished hart, not a bottleneck.
 #[must_use]
 pub fn classify(input: &RooflineInput) -> Verdict {
     let elapsed = input.elapsed as f64;
@@ -117,32 +120,14 @@ pub fn classify(input: &RooflineInput) -> Verdict {
     let fp_limit = ratio(input.flops as f64, input.peak_flops_per_cycle);
     let bw_fraction = ratio(bw_limit, elapsed);
     let fp_fraction = ratio(fp_limit, elapsed);
-
-    let dominant_stall = StallCause::ALL
-        .iter()
-        .copied()
-        .filter(|&c| {
-            !matches!(c, StallCause::Active | StallCause::Parked | StallCause::Idle)
-                && input.stalls.get(c) > 0
-        })
-        .max_by_key(|&c| input.stalls.get(c))
-        .unwrap_or(StallCause::Active);
-
-    let sync = input.stalls.get(StallCause::BarrierWait);
-    let latency: u64 = LATENCY_CAUSES.iter().map(|&c| input.stalls.get(c)).sum();
-    let bw_denied = input.stalls.get(StallCause::BwDenied);
-    let active = input.stalls.get(StallCause::Active);
+    let path = input.path;
 
     let bound = if bw_fraction >= 0.5 && bw_fraction >= fp_fraction {
         Bound::Bandwidth
-    } else if fp_fraction >= 0.5 || (active >= sync && active >= latency && active >= bw_denied) {
+    } else if fp_fraction >= 0.5 || path.compute >= path.blocked() {
         Bound::Compute
-    } else if sync >= latency && sync >= bw_denied {
-        Bound::Sync
-    } else if bw_denied >= latency {
-        Bound::Bandwidth
     } else {
-        Bound::Latency
+        path.dominant().map_or(Bound::Compute, bound_hint)
     };
 
     Verdict {
@@ -151,7 +136,7 @@ pub fn classify(input: &RooflineInput) -> Verdict {
         fp_limit_cycles: fp_limit,
         bw_fraction,
         fp_fraction,
-        dominant_stall,
+        path,
         elapsed: input.elapsed,
     }
 }
@@ -160,17 +145,26 @@ impl Verdict {
     /// The one-line human-readable verdict every bench bin prints.
     #[must_use]
     pub fn line(&self, label: &str) -> String {
+        let path = &self.path;
+        let dominant = match path.dominant() {
+            Some(e) => format!("dominant edge {} (saves <= {})", e.label(), path.get(e)),
+            None => "no blocking edge".to_owned(),
+        };
         format!(
-            "verdict[{label}]: {}-bound — bw roof {:.0}% / fpu roof {:.0}% of {} cycles, dominant stall {}",
+            "verdict[{label}]: {}-bound — bw roof {:.0}% / fpu roof {:.0}% of {} cycles; \
+             path {} = {} compute + {} idle + {} blocked, {dominant}",
             self.bound.label(),
             self.bw_fraction * 100.0,
             self.fp_fraction * 100.0,
             self.elapsed,
-            self.dominant_stall.label(),
+            path.length,
+            path.compute,
+            path.idle,
+            path.blocked(),
         )
     }
 
-    /// The verdict as a telemetry object.
+    /// The verdict as a telemetry object, the critical path nested.
     #[must_use]
     pub fn to_json(&self) -> Json {
         obj(vec![
@@ -179,8 +173,8 @@ impl Verdict {
             ("fp_limit_cycles", Json::Float(self.fp_limit_cycles)),
             ("bw_fraction", Json::Float(self.bw_fraction)),
             ("fp_fraction", Json::Float(self.fp_fraction)),
-            ("dominant_stall", Json::from(self.dominant_stall.label())),
             ("elapsed", Json::from(self.elapsed)),
+            ("critical_path", self.path.to_json()),
         ])
     }
 }
@@ -263,8 +257,9 @@ impl PhaseProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::critpath::{extract, UnitClass};
 
-    fn breakdown(pairs: &[(StallCause, u64)]) -> CycleBreakdown {
+    fn bd(pairs: &[(StallCause, u64)]) -> CycleBreakdown {
         let mut b = CycleBreakdown::new();
         for &(cause, n) in pairs {
             for _ in 0..n {
@@ -274,148 +269,120 @@ mod tests {
         b
     }
 
+    /// The critical path of a hart that recorded `pairs`.
+    fn hart_path(pairs: &[(StallCause, u64)]) -> CriticalPath {
+        extract(UnitClass::Hart, &bd(pairs), None)
+    }
+
+    /// A 1000-cycle run at one word and one flop a cycle, so `words`
+    /// and `flops` are the roofs in per mille.
+    fn run(words: u64, flops: u64, path: CriticalPath) -> RooflineInput {
+        RooflineInput {
+            elapsed: 1000,
+            flops,
+            peak_flops_per_cycle: 1.0,
+            words_moved: words,
+            words_per_cycle: 1.0,
+            path,
+        }
+    }
+
+    /// Below both roofs the path's dominant edge decides, one row per
+    /// edge class; at or above 50 % a roof wins whatever the path says.
+    #[test]
+    fn dominant_edge_decides_below_both_roofs() {
+        use Bound::{Bandwidth, Latency, Sync};
+        use EdgeClass as E;
+        use StallCause as C;
+        use UnitClass as U;
+        let table = [
+            (U::Hart, C::FifoEmpty, E::HartLane, Latency),
+            (U::Hart, C::PortConflict, E::HartTcdm, Latency),
+            (U::Hart, C::BarrierWait, E::HartBarrier, Sync),
+            (U::Lane, C::FifoEmpty, E::LaneTcdm, Latency),
+            (U::Lane, C::FifoFull, E::LaneHart, Latency),
+            (U::Lane, C::JoinerWait, E::LaneJoiner, Latency),
+            (U::Lane, C::DrainBusy, E::LaneSpAcc, Latency),
+            (U::Joiner, C::FifoEmpty, E::JoinerLane, Latency),
+            (U::Joiner, C::FifoFull, E::JoinerHart, Latency),
+            (U::SpAcc, C::FifoEmpty, E::SpAccJoiner, Latency),
+            (U::SpAcc, C::PortConflict, E::SpAccTcdm, Latency),
+            (U::Dma, C::BwDenied, E::DmaMainMem, Bandwidth),
+            (U::Dma, C::PortConflict, E::DmaTcdm, Latency),
+        ];
+        for (i, &(unit, cause, edge, bound)) in table.iter().enumerate() {
+            assert!(table[..i].iter().all(|row| row.2 != edge), "{edge:?} listed twice");
+            // Idle outweighs everything and still does not decide.
+            let path = extract(unit, &bd(&[(C::Active, 3), (C::Idle, 50), (cause, 9)]), None);
+            assert_eq!(path.dominant(), Some(edge), "{unit:?}/{cause:?}");
+            assert_eq!(classify(&run(400, 400, path)).bound, bound, "{edge:?}");
+            assert_eq!(classify(&run(400, 500, path)).bound, Bound::Compute, "{edge:?}");
+            assert_eq!(classify(&run(500, 400, path)).bound, Bandwidth, "{edge:?}");
+        }
+        assert_eq!(table.len(), EdgeClass::COUNT, "every edge class has a row");
+    }
+
     #[test]
     fn bandwidth_roof_wins() {
-        // 8000 words at 8 words/cycle = 1000 cycles = 83% of runtime.
-        let v = classify(&RooflineInput {
-            elapsed: 1200,
-            flops: 100,
-            peak_flops_per_cycle: 8.0,
-            words_moved: 8000,
-            words_per_cycle: 8.0,
-            stalls: breakdown(&[(StallCause::Active, 100)]),
-        });
+        // Both roofs explain 60 %; the tie goes to bandwidth.
+        let v = classify(&run(600, 600, hart_path(&[(StallCause::BarrierWait, 9)])));
         assert_eq!(v.bound, Bound::Bandwidth);
-        assert!(v.bw_fraction > 0.8);
+        assert!((v.bw_fraction - 0.6).abs() < 1e-12);
     }
 
     #[test]
     fn fpu_roof_wins() {
-        // 900 flops at 1 flop/cycle on a 1000-cycle run.
-        let v = classify(&RooflineInput {
-            elapsed: 1000,
-            flops: 900,
-            peak_flops_per_cycle: 1.0,
-            words_moved: 100,
-            words_per_cycle: 8.0,
-            stalls: breakdown(&[(StallCause::Active, 900), (StallCause::FifoEmpty, 100)]),
-        });
+        // Both roofs explain more than half; the larger one decides.
+        let v = classify(&run(600, 900, hart_path(&[(StallCause::FifoEmpty, 9)])));
         assert_eq!(v.bound, Bound::Compute);
-        assert_eq!(v.dominant_stall, StallCause::FifoEmpty);
-    }
-
-    #[test]
-    fn barrier_stalls_mean_sync_bound() {
-        let v = classify(&RooflineInput {
-            elapsed: 1000,
-            flops: 50,
-            peak_flops_per_cycle: 8.0,
-            words_moved: 50,
-            words_per_cycle: 8.0,
-            stalls: breakdown(&[
-                (StallCause::Active, 200),
-                (StallCause::BarrierWait, 600),
-                (StallCause::FifoEmpty, 200),
-            ]),
-        });
-        assert_eq!(v.bound, Bound::Sync);
-        assert_eq!(v.dominant_stall, StallCause::BarrierWait);
-    }
-
-    #[test]
-    fn starved_fifos_mean_latency_bound() {
-        let v = classify(&RooflineInput {
-            elapsed: 1000,
-            flops: 100,
-            peak_flops_per_cycle: 1.0,
-            words_moved: 100,
-            words_per_cycle: 8.0,
-            stalls: breakdown(&[
-                (StallCause::Active, 300),
-                (StallCause::FifoEmpty, 400),
-                (StallCause::JoinerWait, 200),
-            ]),
-        });
-        assert_eq!(v.bound, Bound::Latency);
-        assert_eq!(v.dominant_stall, StallCause::FifoEmpty);
-    }
-
-    #[test]
-    fn bw_denied_stalls_mean_bandwidth_bound() {
-        let v = classify(&RooflineInput {
-            elapsed: 1000,
-            flops: 100,
-            peak_flops_per_cycle: 8.0,
-            words_moved: 500,
-            words_per_cycle: 16.0,
-            stalls: breakdown(&[(StallCause::Active, 300), (StallCause::BwDenied, 500)]),
-        });
-        assert_eq!(v.bound, Bound::Bandwidth);
-        assert_eq!(v.dominant_stall, StallCause::BwDenied);
+        assert_eq!(v.path.dominant(), Some(EdgeClass::HartLane));
     }
 
     #[test]
     fn busy_but_under_roof_is_compute() {
-        // Mostly active, low FP intensity: control-flow limited.
-        let v = classify(&RooflineInput {
-            elapsed: 1000,
-            flops: 100,
-            peak_flops_per_cycle: 8.0,
-            words_moved: 100,
-            words_per_cycle: 8.0,
-            stalls: breakdown(&[(StallCause::Active, 800), (StallCause::FifoEmpty, 100)]),
-        });
-        assert_eq!(v.bound, Bound::Compute);
+        // Low FP intensity, a path that progresses as often as it waits:
+        // control-flow limited.
+        let path = hart_path(&[(StallCause::Active, 9), (StallCause::PortConflict, 9)]);
+        assert_eq!(classify(&run(100, 100, path)).bound, Bound::Compute);
+        let waits = hart_path(&[(StallCause::Active, 8), (StallCause::PortConflict, 9)]);
+        assert_eq!(classify(&run(100, 100, waits)).bound, Bound::Latency);
     }
 
     #[test]
     fn parked_cycles_do_not_decide() {
-        // Parked dominates the table but is ignored; barrier decides.
-        let v = classify(&RooflineInput {
-            elapsed: 1000,
-            flops: 10,
-            peak_flops_per_cycle: 8.0,
-            words_moved: 10,
-            words_per_cycle: 8.0,
-            stalls: breakdown(&[
-                (StallCause::Parked, 900),
-                (StallCause::BarrierWait, 60),
-                (StallCause::Active, 40),
-            ]),
-        });
+        // Parked dominates the table but is idle on the path; the
+        // barrier decides.
+        let path = hart_path(&[
+            (StallCause::Parked, 900),
+            (StallCause::BarrierWait, 60),
+            (StallCause::Active, 40),
+        ]);
+        assert_eq!(path.idle, 900);
+        let v = classify(&run(10, 10, path));
         assert_eq!(v.bound, Bound::Sync);
-        assert_eq!(v.dominant_stall, StallCause::BarrierWait);
+        assert_eq!(v.path.dominant(), Some(EdgeClass::HartBarrier));
     }
 
     #[test]
     fn zero_elapsed_is_guarded() {
-        let v = classify(&RooflineInput {
-            elapsed: 0,
-            flops: 0,
-            peak_flops_per_cycle: 1.0,
-            words_moved: 0,
-            words_per_cycle: 8.0,
-            stalls: CycleBreakdown::new(),
-        });
+        let v = classify(&RooflineInput { elapsed: 0, ..run(0, 0, CriticalPath::default()) });
         assert_eq!(v.bound, Bound::Compute);
-        assert_eq!(v.dominant_stall, StallCause::Active);
-        assert!(v.line("empty").contains("compute-bound"));
+        assert_eq!(v.path.dominant(), None);
+        let line = v.line("empty");
+        assert!(line.contains("compute-bound") && line.contains("no blocking edge"), "{line}");
     }
 
     #[test]
     fn verdict_json_shape() {
-        let v = classify(&RooflineInput {
-            elapsed: 100,
-            flops: 90,
-            peak_flops_per_cycle: 1.0,
-            words_moved: 10,
-            words_per_cycle: 8.0,
-            stalls: breakdown(&[(StallCause::Active, 90)]),
-        });
+        let path = hart_path(&[(StallCause::Active, 90), (StallCause::Idle, 10)]);
+        let v = classify(&RooflineInput { elapsed: 100, ..run(10, 90, path) });
         let doc = v.to_json();
         assert_eq!(doc.get("bound").and_then(Json::as_str), Some("compute"));
         assert_eq!(doc.get("elapsed").and_then(Json::as_int), Some(100));
         assert!(doc.get("bw_fraction").and_then(Json::as_f64).is_some());
+        let nested = doc.get("critical_path").expect("the path is nested in the verdict");
+        assert_eq!(nested, &path.to_json());
+        assert_eq!(nested.get("idle").and_then(Json::as_int), Some(10));
     }
 
     #[test]

@@ -11,23 +11,24 @@
 //!
 //! [`extract`] walks the blame chain backward from end-of-ROI: the
 //! terminal unit's breakdown partitions the measured window — every
-//! cycle was either progress (`compute`) or blocked on exactly one wait
-//! edge. One level of descent follows the heaviest chain,
-//! hart → lane: cycles the hart spent starved on its stream lanes are
-//! redistributed over the lane's own breakdown (a lane that was
-//! *active* while the hart waited is genuine dataflow on the path and
-//! lands in `compute`; a lane that was itself blocked forwards the
+//! cycle was progress (`compute`), waited on nothing (`idle`: nothing
+//! to issue, an instruction-cache refill, a halted hart) or was blocked
+//! on exactly one wait edge. One level of descent follows the heaviest
+//! chain, hart → lane: cycles the hart spent starved on its stream
+//! lanes are redistributed over the lane's own breakdown (a lane that
+//! was *active* while the hart waited is genuine dataflow on the path
+//! and lands in `compute`; a lane that was itself blocked forwards the
 //! blame to its own edge). The redistribution uses largest-remainder
 //! rounding so the attribution stays an exact integer partition:
-//! `compute + Σ edges == length`, the invariant the acceptance tests
-//! pin down.
+//! `compute + idle + Σ edges == length`, the invariant the acceptance
+//! tests pin down.
 //!
 //! Each edge-class count doubles as the what-if bound: eliminating that
 //! wait entirely saves **at most** that many cycles, because those are
 //! exactly the path cycles the class is blamed for (other limiters may
-//! take over once it is gone — hence ≤, not =).
+//! take over once it is gone — hence ≤, not =). What a path means for
+//! the run as a whole is [`crate::analyze::classify`]'s call.
 
-use crate::analyze::Bound;
 use crate::attr::{CycleBreakdown, StallCause};
 use crate::json::{obj, Json};
 
@@ -160,7 +161,7 @@ pub fn edge_for(unit: UnitClass, cause: StallCause) -> Option<EdgeClass> {
 }
 
 /// The critical path of one measured window, as an exact partition of
-/// its cycles into `compute` plus per-edge-class blame.
+/// its cycles into `compute`, `idle` and per-edge-class blame.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CriticalPath {
     /// Cycles of the window the path covers (the terminal breakdown's
@@ -169,6 +170,9 @@ pub struct CriticalPath {
     /// Path cycles spent making progress (terminal-unit active cycles
     /// plus descended lane-active dataflow).
     pub compute: u64,
+    /// Path cycles that waited on no unit: `Idle` and `Parked` cycles
+    /// of the terminal unit and of a descended lane.
+    pub idle: u64,
     edges: [u64; EdgeClass::COUNT],
 }
 
@@ -192,7 +196,7 @@ impl CriticalPath {
     }
 
     /// The heaviest wait edge on the path, ties broken by declaration
-    /// order; `None` when the path is pure compute.
+    /// order; `None` when nothing on the path blocked.
     #[must_use]
     pub fn dominant(&self) -> Option<EdgeClass> {
         let (edge, n) =
@@ -213,23 +217,9 @@ impl CriticalPath {
         }
     }
 
-    /// The roofline bound the dominant edge suggests, for cross-checking
-    /// against the PR 7 verdict: `None` when the path is pure compute
-    /// (suggesting `Bound::Compute`).
-    #[must_use]
-    pub fn suggested_bound(&self) -> Bound {
-        if self.compute >= self.blocked() {
-            return Bound::Compute;
-        }
-        match self.dominant() {
-            Some(e) => bound_hint(e),
-            None => Bound::Compute,
-        }
-    }
-
-    /// The section as JSON: an exact partition (`"compute"` plus the
-    /// full fixed-schema `"edges"` object sums to `"length"`), the
-    /// dominant edge label (`"none"` for a pure-compute path), and its
+    /// The path as JSON: an exact partition (`"compute"`, `"idle"` and
+    /// the full fixed-schema `"edges"` object sum to `"length"`), the
+    /// dominant edge label (`"none"` when nothing blocked), and its
     /// what-if bound.
     #[must_use]
     pub fn to_json(&self) -> Json {
@@ -242,20 +232,20 @@ impl CriticalPath {
         obj(vec![
             ("length", Json::from(self.length)),
             ("compute", Json::from(self.compute)),
+            ("idle", Json::from(self.idle)),
             ("edges", edges),
             ("dominant_edge", Json::from(dom)),
             ("dominant_saves", Json::from(saves)),
         ])
     }
-}
 
-/// The roofline bound a wait-edge class suggests when it dominates.
-#[must_use]
-pub fn bound_hint(edge: EdgeClass) -> Bound {
-    match edge {
-        EdgeClass::DmaMainMem => Bound::Bandwidth,
-        EdgeClass::HartBarrier => Bound::Sync,
-        _ => Bound::Latency,
+    /// Charges `n` cycles `unit` spent in `cause` to the partition.
+    fn charge(&mut self, unit: UnitClass, cause: StallCause, n: u64) {
+        match edge_for(unit, cause) {
+            Some(edge) => self.edges[edge as usize] += n,
+            None if cause == StallCause::Active => self.compute += n,
+            None => self.idle += n,
+        }
     }
 }
 
@@ -270,13 +260,7 @@ pub fn extract(
 ) -> CriticalPath {
     let mut path = CriticalPath { length: breakdown.total(), ..CriticalPath::default() };
     for (cause, n) in breakdown.iter() {
-        if n == 0 {
-            continue;
-        }
-        match edge_for(terminal, cause) {
-            None => path.compute += n,
-            Some(edge) => path.edges[edge as usize] += n,
-        }
+        path.charge(terminal, cause, n);
     }
     // One-level descent: hart→lane blame redistributes over the lane's
     // own breakdown (exactly, by largest-remainder apportionment).
@@ -288,18 +272,12 @@ pub fn extract(
                 path.edges[EdgeClass::HartLane as usize] = 0;
                 let shares = apportion(n, &weights);
                 for ((cause, _), share) in lane.iter().zip(shares) {
-                    if share == 0 {
-                        continue;
-                    }
-                    match edge_for(UnitClass::Lane, cause) {
-                        None => path.compute += share,
-                        Some(edge) => path.edges[edge as usize] += share,
-                    }
+                    path.charge(UnitClass::Lane, cause, share);
                 }
             }
         }
     }
-    debug_assert_eq!(path.compute + path.blocked(), path.length, "exact partition");
+    debug_assert_eq!(path.compute + path.idle + path.blocked(), path.length, "exact partition");
     path
 }
 
@@ -358,26 +336,32 @@ mod tests {
         ]);
         let p = extract(UnitClass::Hart, &b, None);
         assert_eq!(p.length, 25);
-        assert_eq!(p.compute, 14);
+        assert_eq!(p.compute, 10);
+        assert_eq!(p.idle, 4, "idle cycles are neither progress nor blame");
         assert_eq!(p.get(EdgeClass::HartLane), 6);
         assert_eq!(p.get(EdgeClass::HartTcdm), 3);
         assert_eq!(p.get(EdgeClass::HartBarrier), 2);
-        assert_eq!(p.compute + p.blocked(), p.length);
+        assert_eq!(p.compute + p.idle + p.blocked(), p.length);
     }
 
     #[test]
     fn descent_redistributes_hart_lane_exactly() {
         let hart = bd(&[(StallCause::Active, 5), (StallCause::FifoEmpty, 10)]);
-        // Lane: 1/5 active, 2/5 TCDM-starved, 2/5 joiner-blocked.
-        let lane =
-            bd(&[(StallCause::Active, 2), (StallCause::FifoEmpty, 4), (StallCause::JoinerWait, 4)]);
+        // Lane: 1/5 active, 2/5 TCDM-starved, 1/5 joiner-blocked, 1/5 idle.
+        let lane = bd(&[
+            (StallCause::Active, 2),
+            (StallCause::FifoEmpty, 4),
+            (StallCause::JoinerWait, 2),
+            (StallCause::Idle, 2),
+        ]);
         let p = extract(UnitClass::Hart, &hart, Some(&lane));
         assert_eq!(p.length, 15);
         assert_eq!(p.get(EdgeClass::HartLane), 0, "fully descended");
         assert_eq!(p.compute, 5 + 2);
+        assert_eq!(p.idle, 2, "the lane's idle share waits on nothing");
         assert_eq!(p.get(EdgeClass::LaneTcdm), 4);
-        assert_eq!(p.get(EdgeClass::LaneJoiner), 4);
-        assert_eq!(p.compute + p.blocked(), p.length);
+        assert_eq!(p.get(EdgeClass::LaneJoiner), 2);
+        assert_eq!(p.compute + p.idle + p.blocked(), p.length);
     }
 
     #[test]
@@ -387,7 +371,11 @@ mod tests {
             bd(&[(StallCause::Active, 1), (StallCause::FifoEmpty, 1), (StallCause::JoinerWait, 1)]);
         let p = extract(UnitClass::Hart, &hart, Some(&lane));
         assert_eq!(p.length, 7);
-        assert_eq!(p.compute + p.blocked(), 7, "largest remainder keeps the partition exact");
+        assert_eq!(
+            p.compute + p.idle + p.blocked(),
+            7,
+            "largest remainder keeps the partition exact"
+        );
     }
 
     #[test]
@@ -434,27 +422,15 @@ mod tests {
     }
 
     #[test]
-    fn suggested_bound_tracks_dominance() {
-        let compute = extract(UnitClass::Hart, &bd(&[(StallCause::Active, 9)]), None);
-        assert_eq!(compute.suggested_bound(), Bound::Compute);
-        let sync = extract(UnitClass::Hart, &bd(&[(StallCause::BarrierWait, 9)]), None);
-        assert_eq!(sync.suggested_bound(), Bound::Sync);
-        let bw = extract(UnitClass::Dma, &bd(&[(StallCause::BwDenied, 9)]), None);
-        assert_eq!(bw.suggested_bound(), Bound::Bandwidth);
-        let lat = extract(UnitClass::Hart, &bd(&[(StallCause::PortConflict, 9)]), None);
-        assert_eq!(lat.suggested_bound(), Bound::Latency);
-    }
-
-    #[test]
     fn json_partition_sums_to_length() {
-        let b = bd(&[(StallCause::Active, 4), (StallCause::FifoEmpty, 6)]);
+        let b = bd(&[(StallCause::Active, 4), (StallCause::FifoEmpty, 6), (StallCause::Parked, 3)]);
         let p = extract(UnitClass::Hart, &b, None);
         let j = p.to_json();
-        let length = j.get("length").and_then(Json::as_int).unwrap();
-        let compute = j.get("compute").and_then(Json::as_int).unwrap();
+        let int = |key: &str| j.get(key).and_then(Json::as_int).unwrap();
         let Some(Json::Obj(edges)) = j.get("edges") else { panic!("edges object") };
         let edge_sum: i64 = edges.iter().map(|(_, v)| v.as_int().unwrap()).sum();
-        assert_eq!(compute + edge_sum, length);
+        assert_eq!(int("idle"), 3);
+        assert_eq!(int("compute") + int("idle") + edge_sum, int("length"));
         let mut keys: Vec<&str> = edges.iter().map(|(k, _)| k.as_str()).collect();
         keys.sort_unstable();
         keys.dedup();

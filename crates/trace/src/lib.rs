@@ -16,13 +16,13 @@
 //! * [`critpath`] — the causal layer over attribution: every blocked
 //!   cycle is also a *blocked-on* edge ([`edge_for`]: hart→lane,
 //!   lane→TCDM bank, DMA→main memory, …), and critical-path extraction
-//!   partitions the measured window exactly into compute plus
+//!   partitions the measured window exactly into compute, idle and
 //!   per-edge-class blame, with what-if savings bounds
 //!   ([`CriticalPath`]).
-//! * [`analyze`] — the interpretation layer: a roofline-style
-//!   bottleneck classifier turning counters into a bandwidth/compute/
-//!   latency/sync [`Verdict`], and a PC-region [`PhaseProfile`] for
-//!   per-phase stall breakdowns.
+//! * [`analyze`] — the interpretation layer: each run's one
+//!   explanation, a bandwidth/compute/latency/sync [`Verdict`] from two
+//!   roofline bounds plus the critical path, and a PC-region
+//!   [`PhaseProfile`] for per-phase stall breakdowns.
 //! * [`timeline`] — the one recorder: a bounded ring of the most
 //!   recent per-unit stall-cause [`Transition`]s ([`Timeline`]), with
 //!   change-only counter tracks and instant marks at trap/timeout
