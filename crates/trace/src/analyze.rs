@@ -349,6 +349,32 @@ mod tests {
     }
 
     #[test]
+    fn barrier_stalls_mean_sync_bound() {
+        let path = hart_path(&[
+            (StallCause::Active, 200),
+            (StallCause::BarrierWait, 600),
+            (StallCause::FifoEmpty, 200),
+        ]);
+        let v = classify(&run(50, 50, path));
+        assert_eq!(v.bound, Bound::Sync);
+        assert_eq!(v.path.dominant(), Some(EdgeClass::HartBarrier));
+    }
+
+    #[test]
+    fn starved_fifos_mean_latency_bound() {
+        // The hart waits on its lanes; the lanes starve on the TCDM more
+        // than they wait on the joiner.
+        let hart = bd(&[(StallCause::Active, 300), (StallCause::FifoEmpty, 600)]);
+        let lane = bd(&[(StallCause::FifoEmpty, 400), (StallCause::JoinerWait, 200)]);
+        let path = extract(UnitClass::Hart, &hart, Some(&lane));
+        assert_eq!(path.get(EdgeClass::LaneTcdm), 400);
+        assert_eq!(path.get(EdgeClass::LaneJoiner), 200);
+        let v = classify(&run(100, 100, path));
+        assert_eq!(v.bound, Bound::Latency);
+        assert_eq!(v.path.dominant(), Some(EdgeClass::LaneTcdm));
+    }
+
+    #[test]
     fn parked_cycles_do_not_decide() {
         // Parked dominates the table but is idle on the path; the
         // barrier decides.
