@@ -14,6 +14,14 @@
 //! [`crate::encode`](mod@crate::encode)) so that programs round-trip
 //! through machine code; the simulator executes the typed form directly
 //! for speed.
+//!
+//! The parts of an instruction's meaning that more than one unit reads
+//! are defined here, once: the FP operand slots
+//! ([`Instr::fp_operands`], which the FPU issues from, FREP staggers and
+//! the linter checks) and the integer ALU ([`AluOp::eval`],
+//! [`AluImmOp::eval`], which the core executes and the linter folds
+//! constants through). Timing, branch conditions, load/store data
+//! handling and FP arithmetic each have one user and live with it.
 
 use crate::csr::Csr;
 use crate::reg::{FpReg, IntReg};
@@ -91,6 +99,30 @@ pub enum AluImmOp {
     Srai,
 }
 
+impl AluImmOp {
+    /// The result of `op rd, rs1, imm` with `rs1 = a`. Shift amounts
+    /// are the immediate's low five bits.
+    #[must_use]
+    #[inline]
+    pub fn eval(self, a: u32, imm: i32) -> u32 {
+        AluOp::eval(
+            match self {
+                AluImmOp::Addi => AluOp::Add,
+                AluImmOp::Slti => AluOp::Slt,
+                AluImmOp::Sltiu => AluOp::Sltu,
+                AluImmOp::Xori => AluOp::Xor,
+                AluImmOp::Ori => AluOp::Or,
+                AluImmOp::Andi => AluOp::And,
+                AluImmOp::Slli => AluOp::Sll,
+                AluImmOp::Srli => AluOp::Srl,
+                AluImmOp::Srai => AluOp::Sra,
+            },
+            a,
+            imm as u32,
+        )
+    }
+}
+
 /// Register-register ALU operation (`OP`), including the M extension.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum AluOp {
@@ -112,6 +144,41 @@ pub enum AluOp {
     Divu,
     Rem,
     Remu,
+}
+
+impl AluOp {
+    /// The result of `op rd, rs1, rs2` with `rs1 = a`, `rs2 = b`, under
+    /// RV32IM semantics: shift amounts are `b`'s low five bits, division
+    /// by zero gives all ones (`div`/`divu`) or the dividend
+    /// (`rem`/`remu`), and `i32::MIN / -1` overflows to `i32::MIN` with
+    /// remainder 0. Latency is the core's business, not the operation's.
+    #[must_use]
+    #[inline]
+    pub fn eval(self, a: u32, b: u32) -> u32 {
+        let (sa, sb) = (a as i32, b as i32);
+        match self {
+            AluOp::Add => a.wrapping_add(b),
+            AluOp::Sub => a.wrapping_sub(b),
+            AluOp::Sll => a.wrapping_shl(b & 0x1F),
+            AluOp::Slt => u32::from(sa < sb),
+            AluOp::Sltu => u32::from(a < b),
+            AluOp::Xor => a ^ b,
+            AluOp::Srl => a.wrapping_shr(b & 0x1F),
+            AluOp::Sra => sa.wrapping_shr(b & 0x1F) as u32,
+            AluOp::Or => a | b,
+            AluOp::And => a & b,
+            AluOp::Mul => a.wrapping_mul(b),
+            AluOp::Mulh => ((i64::from(sa) * i64::from(sb)) >> 32) as u32,
+            AluOp::Mulhsu => ((i64::from(sa) * i64::from(b)) >> 32) as u32,
+            AluOp::Mulhu => ((u64::from(a) * u64::from(b)) >> 32) as u32,
+            AluOp::Div if b == 0 => u32::MAX,
+            AluOp::Div => sa.wrapping_div(sb) as u32,
+            AluOp::Divu => a.checked_div(b).unwrap_or(u32::MAX),
+            AluOp::Rem if b == 0 => a,
+            AluOp::Rem => sa.wrapping_rem(sb) as u32,
+            AluOp::Remu => a.checked_rem(b).unwrap_or(a),
+        }
+    }
 }
 
 /// Two-operand double-precision FPU operation.
@@ -181,6 +248,10 @@ pub enum FrepKind {
 /// incremented by `i mod (count + 1)`. Mask bits: 0 → `rd`, 1 → `rs1`,
 /// 2 → `rs2`, 3 → `rs3` (the encoding the paper's Listing 1 uses,
 /// e.g. `0b1001` staggers the accumulator read and write of an `fmadd.d`).
+/// The bits are the operand slots of [`Instr::fp_operands`]: every FP
+/// register operand is staggered by its slot, and an integer operand
+/// never is — the core captures it (or reserves it on its scoreboard)
+/// at offload, before the sequencer ever sees the instruction.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Stagger {
     /// Number of *additional* registers to rotate through (0 = no stagger).
@@ -212,6 +283,18 @@ impl Stagger {
             0
         } else {
             (i % (u32::from(self.count) + 1)) as u8
+        }
+    }
+
+    /// The register operand slot `slot` (0 = `rd`, 1–3 = `rs1`–`rs3`)
+    /// names on an iteration whose [`Self::offset_at`] is `offset`.
+    #[must_use]
+    #[inline]
+    pub fn apply(&self, reg: FpReg, slot: usize, offset: u8) -> FpReg {
+        if self.mask & (1 << slot) != 0 && offset > 0 {
+            FpReg::new((reg.index() + offset) % 32)
+        } else {
+            reg
         }
     }
 }
@@ -320,6 +403,28 @@ impl Instr {
                 | Instr::FcvtWD { .. }
                 | Instr::FmvD { .. }
         )
+    }
+
+    /// The FP register operands, indexed by stagger slot: slot 0 is the
+    /// FP destination, slots 1–3 the FP sources `rs1`–`rs3`, so `fsd`
+    /// reads slot 2 and `fcvt.w.d` slot 1. A stream-redirected source
+    /// pops its lane once per naming, in slot order. Integer operands
+    /// (`fld`/`fsd` addresses, `fcvt.d.w`'s source, the compares'
+    /// and `fcvt.w.d`'s destination) are not FP operands. `fld`'s slot
+    /// 0 is written through memory, not by the FPU's result path.
+    #[must_use]
+    #[inline]
+    pub fn fp_operands(&self) -> [Option<FpReg>; 4] {
+        match *self {
+            Instr::FpuOp3 { rd, rs1, rs2, rs3, .. } => [Some(rd), Some(rs1), Some(rs2), Some(rs3)],
+            Instr::FpuOp2 { rd, rs1, rs2, .. } => [Some(rd), Some(rs1), Some(rs2), None],
+            Instr::FpuCmp { rs1, rs2, .. } => [None, Some(rs1), Some(rs2), None],
+            Instr::FmvD { rd, rs1 } => [Some(rd), Some(rs1), None, None],
+            Instr::FcvtWD { rs1, .. } => [None, Some(rs1), None, None],
+            Instr::Fld { rd, .. } | Instr::FcvtDW { rd, .. } => [Some(rd), None, None, None],
+            Instr::Fsd { rs2, .. } => [None, None, Some(rs2), None],
+            _ => [None; 4],
+        }
     }
 
     /// Returns `true` for control-flow instructions (branches and jumps).
@@ -529,6 +634,81 @@ mod tests {
             stagger: Stagger::accumulator(4),
         };
         assert_eq!(f.to_string(), "frep.o t0, 1, 3, 0b1001");
+    }
+
+    #[test]
+    fn alu_reference_semantics() {
+        use AluOp as A;
+        assert_eq!(A::Add.eval(2, 3), 5);
+        assert_eq!(A::Sub.eval(2, 3), u32::MAX);
+        assert_eq!(A::Sra.eval(0x8000_0000, 4), 0xF800_0000);
+        assert_eq!(A::Srl.eval(0x8000_0000, 4), 0x0800_0000);
+        assert_eq!(A::Slt.eval(u32::MAX, 0), 1); // -1 < 0
+        assert_eq!(A::Sltu.eval(u32::MAX, 0), 0);
+        assert_eq!(A::Mulhu.eval(0xFFFF_FFFF, 0xFFFF_FFFF), 0xFFFF_FFFE);
+        assert_eq!(A::Div.eval(7u32.wrapping_neg(), 2), 3u32.wrapping_neg());
+        assert_eq!(A::Divu.eval(0, 0), u32::MAX);
+        assert_eq!(A::Rem.eval(7, 0), 7);
+
+        // Division by zero: all ones, or the dividend.
+        let neg7 = 7u32.wrapping_neg();
+        for a in [0, 7, neg7, i32::MIN as u32] {
+            assert_eq!(A::Div.eval(a, 0), u32::MAX);
+            assert_eq!(A::Divu.eval(a, 0), u32::MAX);
+            assert_eq!(A::Rem.eval(a, 0), a);
+            assert_eq!(A::Remu.eval(a, 0), a);
+        }
+        // Signed overflow: i32::MIN / -1 = i32::MIN, remainder 0.
+        let (min, minus1) = (i32::MIN as u32, u32::MAX);
+        assert_eq!(A::Div.eval(min, minus1), min);
+        assert_eq!(A::Rem.eval(min, minus1), 0);
+        assert_eq!(A::Rem.eval(neg7, 2), 1u32.wrapping_neg()); // sign of the dividend
+        assert_eq!(A::Remu.eval(neg7, 2), 1);
+
+        // High multiplies: rs1 signed for mulh/mulhsu, rs2 signed for mulh only.
+        assert_eq!(A::Mulh.eval(minus1, minus1), 0); // -1 * -1 = 1
+        assert_eq!(A::Mulh.eval(minus1, 1), minus1); // -1 * 1 = -1
+        assert_eq!(A::Mulh.eval(min, min), 0x4000_0000); // 2^62
+        assert_eq!(A::Mulhsu.eval(minus1, minus1), minus1); // -1 * (2^32 - 1)
+        assert_eq!(A::Mulhsu.eval(1, minus1), 0);
+        assert_eq!(A::Mulhu.eval(minus1, 2), 1);
+        assert_eq!(A::Mul.eval(minus1, minus1), 1);
+
+        // Shift amounts are masked to five bits.
+        assert_eq!(A::Sll.eval(1, 33), 2);
+        assert_eq!(A::Srl.eval(0x8000_0000, 32), 0x8000_0000);
+        assert_eq!(A::Sra.eval(0x8000_0000, 63), u32::MAX);
+        assert_eq!(AluImmOp::Slli.eval(1, 0x21), 2);
+
+        // OP-IMM: the immediate is sign-extended, sltiu compares it unsigned.
+        assert_eq!(AluImmOp::Addi.eval(5, -6), u32::MAX);
+        assert_eq!(AluImmOp::Slti.eval(neg7, -1), 1);
+        assert_eq!(AluImmOp::Sltiu.eval(5, -1), 1); // 5 < 0xFFFF_FFFF
+        assert_eq!(AluImmOp::Sltiu.eval(u32::MAX, -1), 0);
+        assert_eq!(AluImmOp::Sltiu.eval(0, 1), 1); // seqz
+        assert_eq!(AluImmOp::Srai.eval(0x8000_0010, 4), 0xF800_0001);
+        assert_eq!(AluImmOp::Srli.eval(0x8000_0010, 4), 0x0800_0001);
+        assert_eq!(AluImmOp::Xori.eval(0xF0, -1), !0xF0);
+        assert_eq!(AluImmOp::Andi.eval(0x1234, 0xF), 4);
+        assert_eq!(AluImmOp::Ori.eval(0x1230, 0xF), 0x123F);
+    }
+
+    #[test]
+    fn fp_operands_follow_the_stagger_slots() {
+        use FpReg as F;
+        let fsd = Instr::Fsd { rs2: F::FT3, rs1: IntReg::A0, offset: 0 };
+        assert_eq!(fsd.fp_operands(), [None, None, Some(F::FT3), None]);
+        let flt = Instr::FpuCmp { op: FpCmp::FltD, rd: IntReg::T0, rs1: F::FT1, rs2: F::FT2 };
+        assert_eq!(flt.fp_operands(), [None, Some(F::FT1), Some(F::FT2), None]);
+        let cvt = Instr::FcvtDW { rd: F::FT4, rs1: IntReg::A0 };
+        assert_eq!(cvt.fp_operands(), [Some(F::FT4), None, None, None]);
+        assert_eq!(Instr::Halt.fp_operands(), [None; 4]);
+
+        let s = Stagger { count: 3, mask: 0b0010 };
+        assert_eq!(s.apply(F::FT4, 1, 2), F::FT6);
+        assert_eq!(s.apply(F::FT4, 2, 2), F::FT4, "slot 2 is not selected");
+        assert_eq!(s.apply(F::FT4, 1, 0), F::FT4, "iteration 0 is unrotated");
+        assert_eq!(s.apply(FpReg::new(31), 1, 1), F::FT0, "wraps at f31");
     }
 
     #[test]

@@ -6,9 +6,17 @@
 //! (floating-point repetition with register staggering) and **Xdma**
 //! (the cluster DMA front end).
 //!
-//! The crate provides:
+//! The crate holds the encoding of every instruction and the parts of
+//! its meaning that more than one unit reads, each defined once:
 //!
 //! * [`instr::Instr`] — the typed instruction set the simulator executes,
+//! * [`Instr::fp_operands`](instr::Instr::fp_operands) — the FP operand
+//!   slots: which registers an FP instruction writes and reads (and so
+//!   which stream lanes it pushes and pops), by FREP stagger slot; the
+//!   FPU issues from them and `issr-lint` checks them,
+//! * [`AluOp::eval`](instr::AluOp::eval)/[`AluImmOp::eval`](instr::AluImmOp::eval)
+//!   — the RV32IM integer ALU, which the core executes and `issr-lint`
+//!   folds constants through,
 //! * [`encode`](mod@encode)/[`decode`](mod@decode) — 32-bit binary
 //!   encodings (round-trip tested),
 //! * [`asm::Assembler`] — a programmatic assembler with labels, used by

@@ -16,15 +16,20 @@
 //! Configuration checks call the same [`issr_core::cfg_check`]
 //! predicates the streamer's `cfg_write`/`cfg_read` use, on the same
 //! streamer description (`CcParams::streamer`), so a flagged launch is
-//! by construction one the runtime would trap.
+//! by construction one the runtime would trap. Likewise, the linter
+//! reads no instruction semantics of its own: constants fold through the
+//! core's ALU ([`issr_isa::instr::AluOp::eval`], division included), and
+//! the stream hang and `frep.s` checks read the FPU's operand slots
+//! ([`Instr::fp_operands`]), so lint and runtime agree on which register
+//! a stream pop or push comes from.
 
 use issr_core::cfg::{reg, split_addr, AccDrainSpec, CfgShadow};
 use issr_core::cfg_check::is_pointer_reg;
 use issr_core::spacc::SPACC_LANE;
 use issr_core::{CfgFault, StreamFault, StreamFaultKind, StreamUnit};
 use issr_isa::csr::Csr;
-use issr_isa::instr::{AluImmOp, AluOp, CsrOp, FrepKind, Instr};
-use issr_isa::reg::{FpReg, IntReg};
+use issr_isa::instr::{CsrOp, FrepKind, Instr};
+use issr_isa::reg::IntReg;
 use issr_snitch::params::CcParams;
 
 use crate::cfgraph::Cfg;
@@ -303,12 +308,13 @@ impl Interp<'_> {
             | Instr::Halt => {}
             Instr::Load { rd, .. } => st.set_reg(rd, AbsVal::Unknown),
             Instr::OpImm { op, rd, rs1, imm } => {
-                let v = eval_opimm(op, st.reg(rs1), imm);
-                st.set_reg(rd, v);
+                let v = st.reg(rs1).constant().map(|a| op.eval(a, imm));
+                st.set_reg(rd, v.map_or(AbsVal::Unknown, AbsVal::Const));
             }
             Instr::Op { op, rd, rs1, rs2 } => {
-                let v = eval_op(op, st.reg(rs1), st.reg(rs2));
-                st.set_reg(rd, v);
+                let v = st.reg(rs1).constant().zip(st.reg(rs2).constant());
+                let v = v.map(|(a, b)| op.eval(a, b));
+                st.set_reg(rd, v.map_or(AbsVal::Unknown, AbsVal::Const));
             }
             Instr::CsrI { op, rd, uimm, csr } => {
                 if csr == Csr::Ssr {
@@ -373,6 +379,9 @@ impl Interp<'_> {
     /// never fills) and the run dies in `SimTimeout` — no trap, no
     /// diagnostic, just a burned cycle budget. Must-analysis: fire only
     /// when the CSR is definitely on and the lane definitely jobless.
+    /// The registers are the FPU's own operand slots. `fld` never comes
+    /// here: its slot 0 is written through memory, which the FPU rejects
+    /// under redirection (the sequencer fault its own arm reports).
     fn fp_stream_check(
         &self,
         pc: u32,
@@ -384,7 +393,8 @@ impl Interp<'_> {
             return;
         }
         let n = self.n_lanes();
-        for s in fp_sources(instr) {
+        let [dst, srcs @ ..] = instr.fp_operands();
+        for s in srcs.into_iter().flatten() {
             let idx = s.index() as usize;
             if idx < n && st.lanes[idx].read_job == Bool3::No {
                 sink(Diagnostic {
@@ -398,7 +408,7 @@ impl Interp<'_> {
                 });
             }
         }
-        if let Some(d) = fp_dest(instr) {
+        if let Some(d) = dst {
             let idx = d.index() as usize;
             // The SpAcc consumes its lane's write stream directly, so a
             // write with an active (or possibly active) SpAcc job needs
@@ -478,7 +488,8 @@ impl Interp<'_> {
             }
             if ins.is_fp() {
                 collected += 1;
-                if fp_sources(ins).iter().any(|s| (s.index() as usize) < self.n_lanes()) {
+                let [_, srcs @ ..] = ins.fp_operands();
+                if srcs.into_iter().flatten().any(|s| (s.index() as usize) < self.n_lanes()) {
                     reads_stream = true;
                 }
             } else if kind == FrepKind::Stream {
@@ -699,70 +710,6 @@ fn csr_ssr(st: &mut AbsState, op: CsrOp, value: AbsVal) {
         (CsrOp::Rc, Some(true)) => Bool3::No,
         (CsrOp::Rc, None) => st.ssr_on.join(Bool3::No),
     };
-}
-
-/// FP registers an instruction *reads* (stream pops under redirection).
-pub(crate) fn fp_sources(instr: &Instr) -> Vec<FpReg> {
-    match *instr {
-        Instr::Fsd { rs2, .. } => vec![rs2],
-        Instr::FpuOp2 { rs1, rs2, .. } | Instr::FpuCmp { rs1, rs2, .. } => vec![rs1, rs2],
-        Instr::FpuOp3 { rs1, rs2, rs3, .. } => vec![rs1, rs2, rs3],
-        Instr::FcvtWD { rs1, .. } | Instr::FmvD { rs1, .. } => vec![rs1],
-        _ => Vec::new(),
-    }
-}
-
-/// The FP register an instruction *writes* via the register file
-/// (stream pushes under redirection). `fld` is excluded: its write goes
-/// through the memory path, which the FPU rejects under redirection.
-fn fp_dest(instr: &Instr) -> Option<FpReg> {
-    match *instr {
-        Instr::FpuOp2 { rd, .. }
-        | Instr::FpuOp3 { rd, .. }
-        | Instr::FcvtDW { rd, .. }
-        | Instr::FmvD { rd, .. } => Some(rd),
-        _ => None,
-    }
-}
-
-fn eval_opimm(op: AluImmOp, a: AbsVal, imm: i32) -> AbsVal {
-    let Some(a) = a.constant() else { return AbsVal::Unknown };
-    let b = imm as u32;
-    let v = match op {
-        AluImmOp::Addi => a.wrapping_add(b),
-        AluImmOp::Slti => u32::from((a as i32) < imm),
-        AluImmOp::Sltiu => u32::from(a < b),
-        AluImmOp::Xori => a ^ b,
-        AluImmOp::Ori => a | b,
-        AluImmOp::Andi => a & b,
-        AluImmOp::Slli => a.wrapping_shl(b & 31),
-        AluImmOp::Srli => a.wrapping_shr(b & 31),
-        AluImmOp::Srai => ((a as i32).wrapping_shr(b & 31)) as u32,
-    };
-    AbsVal::Const(v)
-}
-
-fn eval_op(op: AluOp, a: AbsVal, b: AbsVal) -> AbsVal {
-    let (Some(a), Some(b)) = (a.constant(), b.constant()) else { return AbsVal::Unknown };
-    let v = match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub => a.wrapping_sub(b),
-        AluOp::Sll => a.wrapping_shl(b & 31),
-        AluOp::Slt => u32::from((a as i32) < (b as i32)),
-        AluOp::Sltu => u32::from(a < b),
-        AluOp::Xor => a ^ b,
-        AluOp::Srl => a.wrapping_shr(b & 31),
-        AluOp::Sra => ((a as i32).wrapping_shr(b & 31)) as u32,
-        AluOp::Or => a | b,
-        AluOp::And => a & b,
-        AluOp::Mul => a.wrapping_mul(b),
-        AluOp::Mulh => ((i64::from(a as i32).wrapping_mul(i64::from(b as i32))) >> 32) as u32,
-        AluOp::Mulhsu => ((i64::from(a as i32).wrapping_mul(i64::from(b))) >> 32) as u32,
-        AluOp::Mulhu => ((u64::from(a) * u64::from(b)) >> 32) as u32,
-        // Division edge semantics are easy to get subtly wrong; punt.
-        AluOp::Div | AluOp::Divu | AluOp::Rem | AluOp::Remu => return AbsVal::Unknown,
-    };
-    AbsVal::Const(v)
 }
 
 /// Runs the forward fixpoint and returns the converged entry state of

@@ -160,6 +160,24 @@ fn corpus_zero_capacity() {
     assert_cfg_agreement(a.finish().unwrap(), CcParams::sssr(), CfgFault::ZeroCapacity);
 }
 
+/// The linter folds constants through the core's own ALU, division
+/// included: a capacity computed as `3 / 4` is the zero the runtime
+/// traps on.
+#[test]
+fn corpus_zero_capacity_from_a_folded_division() {
+    let mut a = Assembler::new();
+    a.li(R::T0, 4);
+    a.scfgwi(R::T0, cfg_addr(sreg::ACC_COUNT, 0));
+    a.li(R::T1, 3);
+    a.divu(R::T0, R::T1, R::T0); // 3 / 4 = 0
+    a.scfgwi(R::T0, cfg_addr(sreg::ACC_BUF_CAP, 0));
+    a.li_addr(R::T0, TCDM_BASE + 0x1000);
+    a.symbol("fault");
+    a.scfgwi(R::T0, cfg_addr(sreg::ACC_FEED, 0));
+    a.halt();
+    assert_cfg_agreement(a.finish().unwrap(), CcParams::sssr(), CfgFault::ZeroCapacity);
+}
+
 #[test]
 fn corpus_count_mode_drain() {
     let mut a = Assembler::new();

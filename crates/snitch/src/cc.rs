@@ -74,7 +74,7 @@ impl CoreComplex {
         let n_lanes = streamer.n_lanes();
         Self {
             core: SnitchCore::new(hartid, &params),
-            fpu: FpuSubsystem::new(params, n_lanes),
+            fpu: FpuSubsystem::new(params),
             streamer,
             shared: SharedPort::new(),
             metrics: Metrics::default(),

@@ -6,7 +6,9 @@
 //! after that), multiplies and divides have fixed latencies, and taken
 //! branches execute without a bubble because kernels run from the L0
 //! loop buffer — together these reproduce the paper's nine-cycle BASE
-//! inner loop.
+//! inner loop. The pipeline owns the timing; what an ALU operation
+//! computes is `AluOp::eval`/`AluImmOp::eval` in `issr-isa`, which the
+//! linter folds constants through.
 //!
 //! Floating-point instructions (and `frep`) are *offloaded* to the FPU
 //! subsystem with their captured integer operands; the core moves on —
@@ -18,7 +20,7 @@ use crate::params::CcParams;
 use issr_core::streamer::Streamer;
 use issr_isa::asm::Program;
 use issr_isa::csr::Csr;
-use issr_isa::instr::{AluImmOp, AluOp, BranchCond, CsrOp, Instr, LoadWidth, StoreWidth};
+use issr_isa::instr::{AluOp, BranchCond, CsrOp, Instr, LoadWidth, StoreWidth};
 use issr_isa::reg::IntReg;
 use issr_mem::dma::Dma;
 use issr_mem::map::{region_of, Region};
@@ -456,52 +458,25 @@ impl SnitchCore {
                 if !self.ready(rs1) {
                     return stall_raw(metrics);
                 }
-                let a = self.read(rs1);
-                let b = imm as u32;
-                let v = match op {
-                    AluImmOp::Addi => a.wrapping_add(b),
-                    AluImmOp::Slti => u32::from((a as i32) < (b as i32)),
-                    AluImmOp::Sltiu => u32::from(a < b),
-                    AluImmOp::Xori => a ^ b,
-                    AluImmOp::Ori => a | b,
-                    AluImmOp::Andi => a & b,
-                    AluImmOp::Slli => a.wrapping_shl(b & 0x1F),
-                    AluImmOp::Srli => a.wrapping_shr(b & 0x1F),
-                    AluImmOp::Srai => (a as i32).wrapping_shr(b & 0x1F) as u32,
-                };
-                self.write(rd, v);
+                self.write(rd, op.eval(self.read(rs1), imm));
             }
             Instr::Op { op, rd, rs1, rs2 } => {
                 if !(self.ready(rs1) && self.ready(rs2) && self.ready(rd)) {
                     return stall_raw(metrics);
                 }
-                let a = self.read(rs1);
-                let b = self.read(rs2);
-                let multi = matches!(
-                    op,
-                    AluOp::Mul
-                        | AluOp::Mulh
-                        | AluOp::Mulhsu
-                        | AluOp::Mulhu
-                        | AluOp::Div
-                        | AluOp::Divu
-                        | AluOp::Rem
-                        | AluOp::Remu
-                );
-                let v = alu(op, a, b);
-                if multi {
-                    let latency =
-                        if matches!(op, AluOp::Mul | AluOp::Mulh | AluOp::Mulhsu | AluOp::Mulhu) {
-                            self.mul_latency
-                        } else {
-                            self.div_latency
-                        };
+                let v = op.eval(self.read(rs1), self.read(rs2));
+                let latency = match op {
+                    AluOp::Mul | AluOp::Mulh | AluOp::Mulhsu | AluOp::Mulhu => self.mul_latency,
+                    AluOp::Div | AluOp::Divu | AluOp::Rem | AluOp::Remu => self.div_latency,
+                    _ => 0,
+                };
+                if latency == 0 {
+                    self.write(rd, v);
+                } else {
                     if !rd.is_zero() {
                         self.busy[rd.index() as usize] = true;
                     }
                     self.alu_wb.push((now + latency, rd.index(), v));
-                } else {
-                    self.write(rd, v);
                 }
             }
             Instr::CsrR { op, rd, rs1, csr } => {
@@ -547,7 +522,19 @@ impl SnitchCore {
                 }
                 fpu.offload(FpOp { instr, aux: self.read(max_rpt) });
             }
-            Instr::DmSrc { rs1, rs2 } | Instr::DmDst { rs1, rs2 } | Instr::DmStr { rs1, rs2 } => {
+            Instr::DmSrc { .. }
+            | Instr::DmDst { .. }
+            | Instr::DmStr { .. }
+            | Instr::DmRep { .. }
+            | Instr::DmCpyI { .. }
+            | Instr::DmStatI { .. } => {
+                let (rs1, rs2) = match instr {
+                    Instr::DmSrc { rs1, rs2 }
+                    | Instr::DmDst { rs1, rs2 }
+                    | Instr::DmStr { rs1, rs2 } => (rs1, rs2),
+                    Instr::DmRep { rs1 } | Instr::DmCpyI { rs1, .. } => (rs1, IntReg::ZERO),
+                    _ => (IntReg::ZERO, IntReg::ZERO), // dmstati reads no register
+                };
                 if !(self.ready(rs1) && self.ready(rs2)) {
                     return stall_raw(metrics);
                 }
@@ -557,50 +544,17 @@ impl SnitchCore {
                     self.take_trap(TrapCause::UnimplementedInstr(instr));
                     return;
                 };
+                let (a, b) = (self.read(rs1), self.read(rs2));
                 match instr {
-                    Instr::DmSrc { .. } => dma.set_src(self.read(rs1)),
-                    Instr::DmDst { .. } => dma.set_dst(self.read(rs1)),
-                    Instr::DmStr { .. } => dma.set_strides(self.read(rs1), self.read(rs2)),
+                    Instr::DmSrc { .. } => dma.set_src(a),
+                    Instr::DmDst { .. } => dma.set_dst(a),
+                    Instr::DmStr { .. } => dma.set_strides(a, b),
+                    Instr::DmRep { .. } => dma.set_reps(a),
+                    Instr::DmCpyI { rd, cfg, .. } => self.write(rd, dma.start(a, cfg & 1 != 0)),
+                    Instr::DmStatI { rd, which: 0 } => self.write(rd, dma.completed()),
+                    Instr::DmStatI { rd, .. } => self.write(rd, u32::from(dma.busy())),
                     _ => unreachable!(),
                 }
-            }
-            Instr::DmRep { rs1 } => {
-                if !self.ready(rs1) {
-                    return stall_raw(metrics);
-                }
-                let Some(dma) = dma else {
-                    // No DMA engine (worker cores): a structured trap,
-                    // like every other unsupported operation.
-                    self.take_trap(TrapCause::UnimplementedInstr(instr));
-                    return;
-                };
-                dma.set_reps(self.read(rs1));
-            }
-            Instr::DmCpyI { rd, rs1, cfg } => {
-                if !self.ready(rs1) {
-                    return stall_raw(metrics);
-                }
-                let Some(dma) = dma else {
-                    // No DMA engine (worker cores): a structured trap,
-                    // like every other unsupported operation.
-                    self.take_trap(TrapCause::UnimplementedInstr(instr));
-                    return;
-                };
-                let id = dma.start(self.read(rs1), cfg & 1 != 0);
-                self.write(rd, id);
-            }
-            Instr::DmStatI { rd, which } => {
-                let Some(dma) = dma else {
-                    // No DMA engine (worker cores): a structured trap,
-                    // like every other unsupported operation.
-                    self.take_trap(TrapCause::UnimplementedInstr(instr));
-                    return;
-                };
-                let v = match which {
-                    0 => dma.completed(),
-                    _ => u32::from(dma.busy()),
-                };
-                self.write(rd, v);
             }
             Instr::Halt => {
                 self.halted = true;
@@ -723,47 +677,6 @@ impl SnitchCore {
     }
 }
 
-fn alu(op: AluOp, a: u32, b: u32) -> u32 {
-    match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub => a.wrapping_sub(b),
-        AluOp::Sll => a.wrapping_shl(b & 0x1F),
-        AluOp::Slt => u32::from((a as i32) < (b as i32)),
-        AluOp::Sltu => u32::from(a < b),
-        AluOp::Xor => a ^ b,
-        AluOp::Srl => a.wrapping_shr(b & 0x1F),
-        AluOp::Sra => (a as i32).wrapping_shr(b & 0x1F) as u32,
-        AluOp::Or => a | b,
-        AluOp::And => a & b,
-        AluOp::Mul => a.wrapping_mul(b),
-        AluOp::Mulh => ((i64::from(a as i32) * i64::from(b as i32)) >> 32) as u32,
-        AluOp::Mulhsu => ((i64::from(a as i32) * i64::from(b)) >> 32) as u32,
-        AluOp::Mulhu => ((u64::from(a) * u64::from(b)) >> 32) as u32,
-        AluOp::Div => {
-            if b == 0 {
-                u32::MAX
-            } else {
-                (a as i32).wrapping_div(b as i32) as u32
-            }
-        }
-        AluOp::Divu => a.checked_div(b).unwrap_or(u32::MAX),
-        AluOp::Rem => {
-            if b == 0 {
-                a
-            } else {
-                (a as i32).wrapping_rem(b as i32) as u32
-            }
-        }
-        AluOp::Remu => {
-            if b == 0 {
-                a
-            } else {
-                a % b
-            }
-        }
-    }
-}
-
 fn extract(word: u64, byte: u32, width: LoadWidth) -> u32 {
     let shifted = word >> (byte * 8);
     match width {
@@ -778,20 +691,6 @@ fn extract(word: u64, byte: u32, width: LoadWidth) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn alu_reference_semantics() {
-        assert_eq!(alu(AluOp::Add, 2, 3), 5);
-        assert_eq!(alu(AluOp::Sub, 2, 3), u32::MAX);
-        assert_eq!(alu(AluOp::Sra, 0x8000_0000, 4), 0xF800_0000);
-        assert_eq!(alu(AluOp::Srl, 0x8000_0000, 4), 0x0800_0000);
-        assert_eq!(alu(AluOp::Slt, u32::MAX, 0), 1); // -1 < 0
-        assert_eq!(alu(AluOp::Sltu, u32::MAX, 0), 0);
-        assert_eq!(alu(AluOp::Mulhu, 0xFFFF_FFFF, 0xFFFF_FFFF), 0xFFFF_FFFE);
-        assert_eq!(alu(AluOp::Div, 7u32.wrapping_neg(), 2), 3u32.wrapping_neg());
-        assert_eq!(alu(AluOp::Divu, 0, 0), u32::MAX);
-        assert_eq!(alu(AluOp::Rem, 7, 0), 7);
-    }
 
     #[test]
     fn subword_extraction() {

@@ -13,6 +13,14 @@
 //! selected by the stagger mask through `stagger_count + 1` consecutive
 //! registers per iteration, maintaining the parallel accumulators that
 //! hide FMA latency (Listing 1).
+//!
+//! Every FP instruction issues through one path, driven by its operand
+//! slots ([`Instr::fp_operands`], defined in `issr-isa` with the
+//! encoding): stagger each slot, check that the sources are ready and
+//! the destination has room, read the sources in slot order (popping
+//! stream lanes), compute, and deliver the result as an FP write or
+//! stream push, an integer write-back or a store. Only `fld` has its own
+//! arm, for the memory read and the fault on a stream destination.
 
 use crate::metrics::Metrics;
 use crate::params::CcParams;
@@ -140,8 +148,6 @@ pub struct FpuSubsystem {
     wb_int: Vec<(u64, IntWriteback)>,
     /// Destination registers of outstanding `fld`s, in request order.
     lsu_tags: VecDeque<u8>,
-    /// In-flight stream-register writes per lane (credit reservation).
-    stream_wr_outstanding: Vec<usize>,
     /// The latched sequencer fault, until the core complex takes it.
     fault: Option<SequencerFault>,
 }
@@ -149,7 +155,7 @@ pub struct FpuSubsystem {
 impl FpuSubsystem {
     /// Creates an idle subsystem.
     #[must_use]
-    pub fn new(params: CcParams, n_lanes: usize) -> Self {
+    pub fn new(params: CcParams) -> Self {
         Self {
             params,
             regs: [0; 32],
@@ -159,7 +165,6 @@ impl FpuSubsystem {
             wb_fp: Vec::new(),
             wb_int: Vec::new(),
             lsu_tags: VecDeque::new(),
-            stream_wr_outstanding: vec![0; n_lanes],
             fault: None,
         }
     }
@@ -221,7 +226,6 @@ impl FpuSubsystem {
             self.busy[reg as usize] = false;
         }
         self.wb_int.clear();
-        self.stream_wr_outstanding.fill(0);
     }
 
     /// Whether every offloaded instruction has fully completed.
@@ -232,7 +236,6 @@ impl FpuSubsystem {
             && self.wb_fp.is_empty()
             && self.wb_int.is_empty()
             && self.lsu_tags.is_empty()
-            && self.stream_wr_outstanding.iter().all(|&n| n == 0)
     }
 
     /// Direct register-file read (tests and result marshalling).
@@ -341,10 +344,9 @@ impl FpuSubsystem {
         // Replay takes priority: the queue is stalled behind the loop.
         if let SeqState::Replaying { iter, pos, max_rpt, stagger, kind, buf } = &self.seq {
             let op = buf[*pos];
-            let offset = stagger.offset_at(*iter);
-            let stagger = *stagger;
-            let (iter, pos, max_rpt, kind, buf_len) = (*iter, *pos, *max_rpt, *kind, buf.len());
-            self.issue_op(op, offset, now, port, streamer, metrics)?;
+            let (iter, pos, max_rpt, stagger, kind, buf_len) =
+                (*iter, *pos, *max_rpt, *stagger, *kind, buf.len());
+            self.issue_op(op, stagger, stagger.offset_at(iter), now, port, streamer, metrics)?;
             // Advance the sequencer.
             let (next_iter, next_pos) = match kind {
                 FrepKind::Outer | FrepKind::Stream => {
@@ -373,7 +375,6 @@ impl FpuSubsystem {
             } else if let SeqState::Replaying { iter, pos, .. } = &mut self.seq {
                 *iter = next_iter;
                 *pos = next_pos;
-                let _ = stagger;
             }
             return Ok(());
         }
@@ -431,9 +432,9 @@ impl FpuSubsystem {
             }
         }
         let op = *self.queue.front().expect("checked non-empty");
-        // Iteration 0 of a captured body executes as it streams by.
-        let offset = 0;
-        self.issue_op(op, offset, now, port, streamer, metrics)?;
+        // Iteration 0 of a captured body executes as it streams by,
+        // unstaggered.
+        self.issue_op(op, Stagger::NONE, 0, now, port, streamer, metrics)?;
         self.queue.pop_front();
         if let SeqState::Capturing { remaining, max_rpt, stagger, kind, buf, .. } = &mut self.seq {
             buf.push(op);
@@ -463,46 +464,18 @@ impl FpuSubsystem {
     /// is ignored here — staggered operands are accumulators, not
     /// stream-mapped registers.
     fn stream_sources_terminated(buf: &[FpOp], streamer: &Streamer) -> bool {
-        let mut used = [false; 8];
-        {
-            let mut mark = |r: FpReg| {
-                if let Some(lane) = streamer.lane_of_reg(r.index()) {
-                    used[lane] = true;
-                }
-            };
-            for op in buf {
-                match op.instr {
-                    Instr::FpuOp3 { rs1, rs2, rs3, .. } => {
-                        mark(rs1);
-                        mark(rs2);
-                        mark(rs3);
-                    }
-                    Instr::FpuOp2 { rs1, rs2, .. } | Instr::FpuCmp { rs1, rs2, .. } => {
-                        mark(rs1);
-                        mark(rs2);
-                    }
-                    Instr::FmvD { rs1, .. } | Instr::FcvtWD { rs1, .. } => mark(rs1),
-                    Instr::Fsd { rs2, .. } => mark(rs2),
-                    _ => {}
-                }
-            }
-        }
-        used.iter()
-            .enumerate()
-            .all(|(lane, &reads)| !reads || streamer.read_stream_terminated(lane))
+        buf.iter()
+            .flat_map(|op| {
+                let [_, srcs @ ..] = op.instr.fp_operands();
+                srcs
+            })
+            .flatten()
+            .filter_map(|r| streamer.lane_of_reg(r.index()))
+            .all(|lane| streamer.read_stream_terminated(lane))
     }
 
-    fn stagger_reg(reg: FpReg, mask_bit: u8, mask: u8, offset: u8) -> FpReg {
-        if mask & (1 << mask_bit) != 0 && offset > 0 {
-            FpReg::new((reg.index() + offset) % 32)
-        } else {
-            reg
-        }
-    }
-
-    /// Reads an FP source operand: pops the stream if the register is
-    /// redirected, else checks the scoreboard. Returns `None` on stall.
-    /// `probe` first verifies availability without consuming.
+    /// Whether an FP source can be read this cycle: its stream lane has
+    /// data, or its register has no write in flight.
     fn src_ready(&self, reg: FpReg, streamer: &Streamer) -> bool {
         match streamer.lane_of_reg(reg.index()) {
             Some(lane) => streamer.lane(lane).can_pop(),
@@ -517,15 +490,12 @@ impl FpuSubsystem {
         }
     }
 
-    /// Checks the destination: a stream register needs write credit;
-    /// a plain register must not have a write in flight (WAW).
+    /// Checks the destination: a stream register needs room in its
+    /// lane's FIFO; a plain register must not have a write in flight
+    /// (WAW).
     fn dst_ready(&self, reg: FpReg, streamer: &Streamer) -> bool {
         match streamer.lane_of_reg(reg.index()) {
-            Some(lane) => {
-                let reserved = self.stream_wr_outstanding[lane];
-                let fifo_ok = streamer.lane(lane).can_push();
-                fifo_ok && reserved < issr_core::lane::DATA_FIFO_DEPTH
-            }
+            Some(lane) => streamer.lane(lane).can_push(),
             None => !self.busy[reg.index() as usize],
         }
     }
@@ -540,12 +510,9 @@ impl FpuSubsystem {
         streamer: &mut Streamer,
     ) {
         match streamer.lane_of_reg(reg.index()) {
-            Some(lane) => {
-                // Stream writes commit at issue: the FIFO is the pipeline
-                // decoupling stage and credit was checked.
-                streamer.lane_mut(lane).push(value);
-                let _ = latency;
-            }
+            // Stream writes commit at issue: the FIFO is the pipeline
+            // decoupling stage and its room was checked.
+            Some(lane) => streamer.lane_mut(lane).push(value),
             None => {
                 self.busy[reg.index() as usize] = true;
                 self.wb_fp.push((now + latency, reg.index(), value));
@@ -553,163 +520,124 @@ impl FpuSubsystem {
         }
     }
 
-    #[allow(clippy::too_many_lines)]
+    /// Issues `op` on a loop iteration whose stagger offset is `offset`.
+    /// Every FP instruction but `fld` takes one path: stagger each
+    /// operand slot; check that every source is ready and the
+    /// destination has room; read the sources in slot order (a stream
+    /// register named twice pops twice); compute; deliver the result as
+    /// an FP write or stream push, an integer write-back, or a store.
+    #[allow(clippy::too_many_arguments)]
     fn issue_op(
         &mut self,
         op: FpOp,
-        stagger_offset: u8,
+        stagger: Stagger,
+        offset: u8,
         now: u64,
         port: &mut MemPort,
         streamer: &mut Streamer,
         metrics: &mut Metrics,
     ) -> Result<(), Blocked> {
-        let (smask, soff) = match &self.seq {
-            SeqState::Capturing { stagger, .. } | SeqState::Replaying { stagger, .. } => {
-                (stagger.mask, stagger_offset)
-            }
-            SeqState::Idle => (0, 0),
-        };
-        let p = self.params;
-        let count = |metrics: &mut Metrics, fmadd: bool, fadd: bool| {
-            if metrics.roi_active {
-                metrics.roi.fpu_ops += 1;
-                if fmadd {
-                    metrics.roi.fmadds += 1;
-                }
-                if fadd {
-                    metrics.roi.fadds += 1;
-                }
-            }
-        };
-        match op.instr {
-            Instr::FpuOp3 { op: kind, rd, rs1, rs2, rs3 } => {
-                let rd = Self::stagger_reg(rd, 0, smask, soff);
-                let rs1 = Self::stagger_reg(rs1, 1, smask, soff);
-                let rs2 = Self::stagger_reg(rs2, 2, smask, soff);
-                let rs3 = Self::stagger_reg(rs3, 3, smask, soff);
-                if !(self.src_ready(rs1, streamer)
-                    && self.src_ready(rs2, streamer)
-                    && self.src_ready(rs3, streamer)
-                    && self.dst_ready(rd, streamer))
-                {
-                    return Err(Blocked::Stalled);
-                }
-                let a = f64::from_bits(self.read_src(rs1, streamer));
-                let b = f64::from_bits(self.read_src(rs2, streamer));
-                let c = f64::from_bits(self.read_src(rs3, streamer));
-                let v = match kind {
-                    FpOp3::FmaddD => a.mul_add(b, c),
-                    FpOp3::FmsubD => a.mul_add(b, -c),
-                    FpOp3::FnmsubD => (-a).mul_add(b, c),
-                    FpOp3::FnmaddD => (-a).mul_add(b, -c),
-                };
-                self.write_dst(rd, v.to_bits(), p.fpu_latency, now, streamer);
-                count(metrics, true, false);
-            }
-            Instr::FpuOp2 { op: kind, rd, rs1, rs2 } => {
-                let rd = Self::stagger_reg(rd, 0, smask, soff);
-                let rs1 = Self::stagger_reg(rs1, 1, smask, soff);
-                let rs2 = Self::stagger_reg(rs2, 2, smask, soff);
-                if !(self.src_ready(rs1, streamer)
-                    && self.src_ready(rs2, streamer)
-                    && self.dst_ready(rd, streamer))
-                {
-                    return Err(Blocked::Stalled);
-                }
-                let a = f64::from_bits(self.read_src(rs1, streamer));
-                let b = f64::from_bits(self.read_src(rs2, streamer));
-                let (v, latency, is_add) = match kind {
-                    FpOp2::FaddD => (a + b, p.fpu_latency, true),
-                    FpOp2::FsubD => (a - b, p.fpu_latency, true),
-                    FpOp2::FmulD => (a * b, p.fpu_latency, false),
-                    FpOp2::FdivD => (a / b, p.fdiv_latency, false),
-                    FpOp2::FsgnjD => (a.copysign(b), p.fpu_short_latency, false),
-                    FpOp2::FsgnjnD => (a.copysign(-b), p.fpu_short_latency, false),
-                    FpOp2::FsgnjxD => {
-                        let sign = if (b.is_sign_negative()) ^ (a.is_sign_negative()) {
-                            -1.0
-                        } else {
-                            1.0
-                        };
-                        (a.abs() * sign, p.fpu_short_latency, false)
-                    }
-                    FpOp2::FminD => (a.min(b), p.fpu_short_latency, false),
-                    FpOp2::FmaxD => (a.max(b), p.fpu_short_latency, false),
-                };
-                self.write_dst(rd, v.to_bits(), latency, now, streamer);
-                count(metrics, false, is_add);
-            }
-            Instr::FmvD { rd, rs1 } => {
-                let rd = Self::stagger_reg(rd, 0, smask, soff);
-                let rs1 = Self::stagger_reg(rs1, 1, smask, soff);
-                if !(self.src_ready(rs1, streamer) && self.dst_ready(rd, streamer)) {
-                    return Err(Blocked::Stalled);
-                }
-                let v = self.read_src(rs1, streamer);
-                self.write_dst(rd, v, p.fpu_short_latency, now, streamer);
-                count(metrics, false, false);
-            }
-            Instr::Fld { rd, .. } => {
-                let rd = Self::stagger_reg(rd, 0, smask, soff);
-                if streamer.lane_of_reg(rd.index()).is_some() {
-                    return self.sequencer_fault(SequencerFault::FldIntoStream { rd });
-                }
-                if self.busy[rd.index() as usize] || !port.can_send() {
-                    return Err(Blocked::Stalled);
-                }
-                port.send(MemReq::read(op.aux & !7));
-                debug_assert_eq!(op.aux % 8, 0, "fld address must be 8-byte aligned");
-                self.busy[rd.index() as usize] = true;
-                self.lsu_tags.push_back(rd.index());
-                count(metrics, false, false);
-            }
-            Instr::Fsd { rs2, .. } => {
-                let rs2 = Self::stagger_reg(rs2, 2, smask, soff);
-                if !(self.src_ready(rs2, streamer) && port.can_send()) {
-                    return Err(Blocked::Stalled);
-                }
-                let v = self.read_src(rs2, streamer);
-                debug_assert_eq!(op.aux % 8, 0, "fsd address must be 8-byte aligned");
-                port.send(MemReq::write(op.aux & !7, v));
-                count(metrics, false, false);
-            }
-            Instr::FcvtDW { rd, .. } => {
-                let rd = Self::stagger_reg(rd, 0, smask, soff);
-                if !self.dst_ready(rd, streamer) {
-                    return Err(Blocked::Stalled);
-                }
-                let v = f64::from(op.aux as i32);
-                self.write_dst(rd, v.to_bits(), p.fpu_short_latency, now, streamer);
-                count(metrics, false, false);
-            }
-            Instr::FcvtWD { rd, rs1 } => {
-                if !self.src_ready(rs1, streamer) {
-                    return Err(Blocked::Stalled);
-                }
-                let a = f64::from_bits(self.read_src(rs1, streamer));
-                let v = (a as i32) as u32;
-                self.wb_int
-                    .push((now + p.fpu_short_latency, IntWriteback { reg: rd.index(), value: v }));
-                count(metrics, false, false);
-            }
-            Instr::FpuCmp { op: kind, rd, rs1, rs2 } => {
-                if !(self.src_ready(rs1, streamer) && self.src_ready(rs2, streamer)) {
-                    return Err(Blocked::Stalled);
-                }
-                let a = f64::from_bits(self.read_src(rs1, streamer));
-                let b = f64::from_bits(self.read_src(rs2, streamer));
-                let v = u32::from(match kind {
-                    FpCmp::FeqD => a == b,
-                    FpCmp::FltD => a < b,
-                    FpCmp::FleD => a <= b,
-                });
-                self.wb_int
-                    .push((now + p.fpu_short_latency, IntWriteback { reg: rd.index(), value: v }));
-                count(metrics, false, false);
-            }
-            other => panic!("non-FP instruction {other} offloaded to FPU"), // gate-allow: internal invariant: the core only offloads is_fp instructions
+        let mut slots = op.instr.fp_operands();
+        for (slot, reg) in slots.iter_mut().enumerate() {
+            *reg = reg.map(|r| stagger.apply(r, slot, offset));
         }
+        let [dst, srcs @ ..] = slots;
+        if let (Instr::Fld { .. }, Some(rd)) = (op.instr, dst) {
+            // `fld` writes its register through memory, which cannot
+            // feed a stream: a redirected destination is a guest fault.
+            if streamer.lane_of_reg(rd.index()).is_some() {
+                return self.sequencer_fault(SequencerFault::FldIntoStream { rd });
+            }
+            if self.busy[rd.index() as usize] || !port.can_send() {
+                return Err(Blocked::Stalled);
+            }
+            debug_assert_eq!(op.aux % 8, 0, "fld address must be 8-byte aligned");
+            port.send(MemReq::read(op.aux & !7));
+            self.busy[rd.index() as usize] = true;
+            self.lsu_tags.push_back(rd.index());
+            count_issue(metrics, op.instr);
+            return Ok(());
+        }
+        let store = matches!(op.instr, Instr::Fsd { .. });
+        if !(srcs.into_iter().flatten().all(|r| self.src_ready(r, streamer))
+            && dst.is_none_or(|rd| self.dst_ready(rd, streamer))
+            && (!store || port.can_send()))
+        {
+            return Err(Blocked::Stalled);
+        }
+        let mut values = [0; 3];
+        for (value, src) in values.iter_mut().zip(srcs) {
+            if let Some(src) = src {
+                *value = self.read_src(src, streamer);
+            }
+        }
+        let (value, latency) = execute(op.instr, values, op.aux, &self.params);
+        if let Some(rd) = dst {
+            self.write_dst(rd, value, latency, now, streamer);
+        } else if let Instr::FpuCmp { rd, .. } | Instr::FcvtWD { rd, .. } = op.instr {
+            let wb = IntWriteback { reg: rd.index(), value: value as u32 };
+            self.wb_int.push((now + latency, wb));
+        } else {
+            // `fsd`, the one FP instruction with no destination.
+            debug_assert_eq!(op.aux % 8, 0, "fsd address must be 8-byte aligned");
+            port.send(MemReq::write(op.aux & !7, value));
+        }
+        count_issue(metrics, op.instr);
         Ok(())
+    }
+}
+
+/// The FP arithmetic: the result bits and latency of `instr` from its
+/// source values (slots 1–3) and its captured integer operand `aux`.
+/// The result of a compare or `fcvt.w.d` is an integer; `fsd`'s is the
+/// word it stores.
+fn execute(instr: Instr, [a, b, c]: [u64; 3], aux: u32, p: &CcParams) -> (u64, u64) {
+    let (x, y, z) = (f64::from_bits(a), f64::from_bits(b), f64::from_bits(c));
+    let fp = |v: f64, latency: u64| (v.to_bits(), latency);
+    match instr {
+        Instr::FpuOp3 { op, .. } => match op {
+            FpOp3::FmaddD => fp(x.mul_add(y, z), p.fpu_latency),
+            FpOp3::FmsubD => fp(x.mul_add(y, -z), p.fpu_latency),
+            FpOp3::FnmsubD => fp((-x).mul_add(y, z), p.fpu_latency),
+            FpOp3::FnmaddD => fp((-x).mul_add(y, -z), p.fpu_latency),
+        },
+        Instr::FpuOp2 { op, .. } => match op {
+            FpOp2::FaddD => fp(x + y, p.fpu_latency),
+            FpOp2::FsubD => fp(x - y, p.fpu_latency),
+            FpOp2::FmulD => fp(x * y, p.fpu_latency),
+            FpOp2::FdivD => fp(x / y, p.fdiv_latency),
+            FpOp2::FsgnjD => fp(x.copysign(y), p.fpu_short_latency),
+            FpOp2::FsgnjnD => fp(x.copysign(-y), p.fpu_short_latency),
+            FpOp2::FsgnjxD => {
+                let sign = if y.is_sign_negative() ^ x.is_sign_negative() { -1.0 } else { 1.0 };
+                fp(x.abs() * sign, p.fpu_short_latency)
+            }
+            FpOp2::FminD => fp(x.min(y), p.fpu_short_latency),
+            FpOp2::FmaxD => fp(x.max(y), p.fpu_short_latency),
+        },
+        Instr::FmvD { .. } => (a, p.fpu_short_latency),
+        Instr::FcvtDW { .. } => fp(f64::from(aux as i32), p.fpu_short_latency),
+        Instr::FcvtWD { .. } => (u64::from(x as i32 as u32), p.fpu_short_latency),
+        Instr::FpuCmp { op, .. } => {
+            let flag = match op {
+                FpCmp::FeqD => x == y,
+                FpCmp::FltD => x < y,
+                FpCmp::FleD => x <= y,
+            };
+            (u64::from(flag), p.fpu_short_latency)
+        }
+        Instr::Fsd { .. } => (b, 0),
+        other => panic!("non-FP instruction {other} offloaded to FPU"), // gate-allow: internal invariant: the core only offloads is_fp instructions
+    }
+}
+
+/// Counts an issued FP instruction in the ROI metrics.
+fn count_issue(metrics: &mut Metrics, instr: Instr) {
+    if metrics.roi_active {
+        metrics.roi.fpu_ops += 1;
+        metrics.roi.fmadds += u64::from(matches!(instr, Instr::FpuOp3 { .. }));
+        metrics.roi.fadds +=
+            u64::from(matches!(instr, Instr::FpuOp2 { op: FpOp2::FaddD | FpOp2::FsubD, .. }));
     }
 }
 
@@ -738,7 +666,7 @@ mod tests {
 
     #[test]
     fn fmadd_has_pipeline_latency() {
-        let mut fpu = FpuSubsystem::new(CcParams::default(), 2);
+        let mut fpu = FpuSubsystem::new(CcParams::default());
         let mut streamer = Streamer::paper_config();
         let mut metrics = Metrics::default();
         fpu.set_reg(F::FT3, 2.0);
@@ -755,7 +683,7 @@ mod tests {
 
     #[test]
     fn dependent_ops_stall_on_scoreboard() {
-        let mut fpu = FpuSubsystem::new(CcParams::default(), 2);
+        let mut fpu = FpuSubsystem::new(CcParams::default());
         let mut streamer = Streamer::paper_config();
         let mut metrics = Metrics::default();
         metrics.roi_begin(0);
@@ -781,7 +709,7 @@ mod tests {
 
     #[test]
     fn frep_outer_replays_body() {
-        let mut fpu = FpuSubsystem::new(CcParams::default(), 2);
+        let mut fpu = FpuSubsystem::new(CcParams::default());
         let mut streamer = Streamer::paper_config();
         let mut metrics = Metrics::default();
         metrics.roi_begin(0);
@@ -816,7 +744,7 @@ mod tests {
     #[test]
     fn frep_stagger_rotates_accumulators_at_full_rate() {
         let params = CcParams::default();
-        let mut fpu = FpuSubsystem::new(params, 2);
+        let mut fpu = FpuSubsystem::new(params);
         let mut streamer = Streamer::paper_config();
         let mut metrics = Metrics::default();
         metrics.roi_begin(0);
@@ -858,9 +786,47 @@ mod tests {
         assert_eq!(metrics.roi.fmadds, u64::from(iters));
     }
 
+    /// The stagger mask selects operand slots on every FP instruction,
+    /// including the compares whose destination is an integer: `flt.d`
+    /// under mask `0b0010` compares a rotated `ft1..ft4` each iteration.
+    #[test]
+    fn frep_stagger_rotates_compare_sources() {
+        let mut fpu = FpuSubsystem::new(CcParams::default());
+        let mut streamer = Streamer::paper_config();
+        let mut metrics = Metrics::default();
+        for (k, v) in [1.0, 2.0, 3.0, 4.0].into_iter().enumerate() {
+            fpu.set_reg(F::FT1.offset(k as u8), v);
+        }
+        fpu.set_reg(F::FT0, 2.5);
+        fpu.offload(FpOp {
+            instr: Instr::Frep {
+                kind: FrepKind::Outer,
+                max_rpt: issr_isa::reg::IntReg::T0,
+                n_insns: 1,
+                stagger: Stagger { count: 3, mask: 0b0010 },
+            },
+            aux: 3,
+        });
+        let rd = issr_isa::reg::IntReg::T1;
+        fpu.offload(FpOp {
+            instr: Instr::FpuCmp { op: FpCmp::FltD, rd, rs1: F::FT1, rs2: F::FT0 },
+            aux: 0,
+        });
+        let mut port = MemPort::new();
+        let mut flags = Vec::new();
+        for now in 0..50 {
+            for wb in fpu.tick(now, &mut port, &mut streamer, &mut metrics) {
+                assert_eq!(wb.reg, rd.index());
+                flags.push(wb.value);
+            }
+        }
+        assert!(fpu.is_drained());
+        assert_eq!(flags, [1, 1, 0, 0], "ft1 < ft0, ft2 < ft0, ft3 < ft0, ft4 < ft0");
+    }
+
     #[test]
     fn frep_inner_repeats_each_instruction() {
-        let mut fpu = FpuSubsystem::new(CcParams::default(), 2);
+        let mut fpu = FpuSubsystem::new(CcParams::default());
         let mut streamer = Streamer::paper_config();
         let mut metrics = Metrics::default();
         fpu.set_reg(F::FT3, 1.0);
@@ -898,7 +864,7 @@ mod tests {
 
     #[test]
     fn fld_round_trips_through_port() {
-        let mut fpu = FpuSubsystem::new(CcParams::default(), 2);
+        let mut fpu = FpuSubsystem::new(CcParams::default());
         let mut streamer = Streamer::paper_config();
         let mut metrics = Metrics::default();
         let mut port = MemPort::new();
@@ -919,7 +885,7 @@ mod tests {
     #[test]
     fn fsd_waits_for_pending_result() {
         let params = CcParams::default();
-        let mut fpu = FpuSubsystem::new(params, 2);
+        let mut fpu = FpuSubsystem::new(params);
         let mut streamer = Streamer::paper_config();
         let mut metrics = Metrics::default();
         let mut port = MemPort::new();
@@ -955,7 +921,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "offload queue overflow")]
     fn offload_overflow_panics() {
-        let mut fpu = FpuSubsystem::new(CcParams { offload_depth: 1, ..CcParams::default() }, 2);
+        let mut fpu = FpuSubsystem::new(CcParams { offload_depth: 1, ..CcParams::default() });
         fpu.offload(fp3(F::FT3, F::FT3, F::FT3, F::FT3));
         fpu.offload(fp3(F::FT4, F::FT4, F::FT4, F::FT4));
     }
