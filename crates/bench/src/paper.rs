@@ -52,11 +52,15 @@ impl Runs {
         (0..speedups.len()).map(|i| speedups.f64(i, "speedup")).fold(0.0, f64::max)
     }
 
-    /// Fig. 4b's first swept nnz/row at which ISSR-16 outruns ISSR-32.
+    /// Fig. 4b's first swept nnz/row from which ISSR-16 outruns ISSR-32
+    /// at every denser point (short rows take per-width code paths, so
+    /// a win below the crossover is not the density trade-off the paper
+    /// describes).
     fn crossover_row_nnz(&self) -> f64 {
         let rows = &self.fig4b.table;
+        let wins = |i: usize| rows.f64(i, "issr16") > rows.f64(i, "issr32");
         (0..rows.len())
-            .find(|&i| rows.f64(i, "issr16") > rows.f64(i, "issr32"))
+            .find(|&i| (i..rows.len()).all(wins))
             .map_or(f64::NAN, |i| rows.f64(i, "row_nnz"))
     }
 

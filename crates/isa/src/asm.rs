@@ -24,6 +24,7 @@ use crate::instr::*;
 use crate::reg::{FpReg, IntReg};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 /// A branch/jump target created by [`Assembler::new_label`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -58,6 +59,8 @@ pub struct Program {
     instrs: Vec<Instr>,
     /// Named positions, for traces and tests.
     symbols: HashMap<String, usize>,
+    /// The `nop` runs [`Assembler::align`] inserted, in order.
+    padding: Vec<Range<usize>>,
 }
 
 impl Program {
@@ -89,6 +92,13 @@ impl Program {
     #[must_use]
     pub fn to_words(&self) -> Vec<u32> {
         crate::encode::encode_all(&self.instrs)
+    }
+
+    /// Whether instruction `index` is alignment padding
+    /// ([`Assembler::align`]).
+    #[must_use]
+    pub fn is_padding(&self, index: usize) -> bool {
+        self.padding.iter().any(|run| run.contains(&index))
     }
 }
 
@@ -123,6 +133,7 @@ pub struct Assembler {
     bound: Vec<Option<usize>>,
     fixups: Vec<(usize, Label, Fixup)>,
     symbols: HashMap<String, usize>,
+    padding: Vec<Range<usize>>,
 }
 
 impl Assembler {
@@ -203,7 +214,27 @@ impl Assembler {
                 _ => unreachable!("fixup kind mismatch"),
             }
         }
-        Ok(Program { instrs: self.instrs, symbols: self.symbols })
+        Ok(Program { instrs: self.instrs, symbols: self.symbols, padding: self.padding })
+    }
+
+    /// Pads with `nop`s until the next instruction starts a `bytes`-byte
+    /// line (PC 0 starts one), so that a loop can be placed on
+    /// instruction-cache lines. The padding is recorded in the program:
+    /// put it behind an unconditional jump and `issr-lint` does not
+    /// report it as unreachable code.
+    ///
+    /// # Panics
+    /// Panics if `bytes` is not a power of two of at least 4.
+    pub fn align(&mut self, bytes: u32) {
+        assert!(bytes.is_power_of_two() && bytes >= 4, "alignment {bytes} is not a line size");
+        let per_line = (bytes / 4) as usize;
+        let start = self.here();
+        while self.here() % per_line != 0 {
+            self.nop();
+        }
+        if self.here() > start {
+            self.padding.push(start..self.here());
+        }
     }
 
     // ---- RV32I emitters ----
@@ -571,6 +602,26 @@ mod tests {
         let p = a.finish().unwrap();
         assert_eq!(p.symbol("body"), Some(1));
         assert_eq!(p.symbol("missing"), None);
+    }
+
+    /// `align` pads with `nop`s up to the next line boundary, records
+    /// exactly the padding, and adds nothing on a boundary.
+    #[test]
+    fn align_pads_to_the_next_line() {
+        let mut a = Assembler::new();
+        a.li(IntReg::T0, 1);
+        a.li(IntReg::T1, 2);
+        a.li(IntReg::T2, 3);
+        a.align(32);
+        assert_eq!(a.here(), 8, "padding ends on the 32-byte boundary");
+        a.align(32);
+        assert_eq!(a.here(), 8, "an aligned position needs no padding");
+        a.halt();
+        let p = a.finish().unwrap();
+        let padding: Vec<usize> = (0..p.len()).filter(|&i| p.is_padding(i)).collect();
+        assert_eq!(padding, [3, 4, 5, 6, 7]);
+        assert!(padding.iter().all(|&i| p.instrs()[i]
+            == Instr::OpImm { op: AluImmOp::Addi, rd: IntReg::ZERO, rs1: IntReg::ZERO, imm: 0 }));
     }
 
     #[test]

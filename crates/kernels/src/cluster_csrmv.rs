@@ -589,6 +589,27 @@ mod tests {
         assert!(allclose(&run.y, &reference::csrmv(&m, &x), 1e-12, 1e-12));
     }
 
+    /// Fig. 4c's short rows run from the L0: at 2 and 4 nnz/row every
+    /// row stays inside the row loop's compact block, so the kernel is
+    /// within 3 % of its own run on ideal instruction fetch.
+    #[test]
+    fn short_rows_stay_in_the_l0() {
+        for row_nnz in [2, 4] {
+            let mut rng = gen::rng(0x000F_164C + row_nnz as u64);
+            let m = gen::csr_clustered::<u16>(&mut rng, 512, 2048, row_nnz, 16);
+            let x = gen::dense_vector(&mut rng, 2048);
+            let cycles = |icache| {
+                let params = ClusterParams { icache, ..ClusterParams::default() };
+                run_cluster_csrmv_with(Variant::Issr, &m, &x, params).unwrap().summary.cycles
+            };
+            let (cached, ideal) = (cycles(true), cycles(false));
+            assert!(
+                cached as f64 <= 1.03 * ideal as f64,
+                "{row_nnz} nnz/row: {cached} cycles with the L0, {ideal} with ideal fetch"
+            );
+        }
+    }
+
     /// Fig. 4c's headline: the ISSR-16 cluster kernel beats BASE by a
     /// large factor on reasonably dense matrices.
     #[test]

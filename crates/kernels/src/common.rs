@@ -59,7 +59,7 @@ pub(crate) fn emit_meta_transfer(asm: &mut Assembler, src: u32, dst: u32, bytes:
 }
 
 /// The constant-zero FP register kernels keep (`fz`), used to seed
-/// accumulators without explicit zeroing (the CsrMV head unrolling).
+/// accumulators without explicit zeroing (the CsrMV row heads).
 pub const FZ: FpReg = FpReg::FT8; // f28
 
 /// First accumulator register (`ft2`, as in Listing 1).
@@ -171,19 +171,25 @@ pub fn emit_spacc_cfg<I: KernelIndex>(asm: &mut Assembler) {
     asm.scfgwi(t, cfg_addr(sreg::ACC_CFG, 0));
 }
 
+/// The steps `acc[dst] += acc[src]` of [`emit_reduction_tree`], in
+/// issue order.
+pub(crate) fn reduction_steps(n: u8) -> Vec<(u8, u8)> {
+    let mut steps = Vec::new();
+    let mut gap = 1u8;
+    while gap < n {
+        steps.extend((0..n - gap).step_by(2 * usize::from(gap)).map(|k| (k, k + gap)));
+        gap *= 2;
+    }
+    steps
+}
+
 /// Emits a pairwise reduction tree over the accumulator group
 /// `base .. base + n`, leaving the sum in `base`. Uses gap doubling, so
 /// the depth is `ceil(log2 n)` — the dependent-add latency the 16-bit
 /// kernels pay for their larger accumulator group.
 pub fn emit_reduction_tree(asm: &mut Assembler, base: FpReg, n: u8) {
-    let mut gap = 1u8;
-    while gap < n {
-        let mut k = 0;
-        while k + gap < n {
-            asm.fadd_d(base.offset(k), base.offset(k), base.offset(k + gap));
-            k += 2 * gap;
-        }
-        gap *= 2;
+    for (dst, src) in reduction_steps(n) {
+        asm.fadd_d(base.offset(dst), base.offset(dst), base.offset(src));
     }
 }
 

@@ -244,6 +244,31 @@ mod tests {
         check::<u16>(Variant::Issr, 36);
     }
 
+    /// Every column ends on a long row, so the deferred reduction must
+    /// be stored before the column loop moves on: four columns of long
+    /// rows in both widths, short and empty rows between them.
+    #[test]
+    fn issr_deferral_flushes_at_every_column_end() {
+        fn check<I: KernelIndex>() {
+            let n = usize::from(crate::variant::issr_accumulators(I::IDX_SIZE));
+            let lengths = [5 * n, 1, 3 * n + 1, 4 * n, 0, 3 * n, 6 * n + 2];
+            let ncols = 96;
+            let mut triplets = Vec::new();
+            for (r, &len) in lengths.iter().enumerate() {
+                for j in 0..len {
+                    triplets.push((r, (j * 5 + r) % ncols, (r + 2 * j) as f64 * 0.125 - 1.0));
+                }
+            }
+            let m = CsrMatrix::<I>::from_triplets(lengths.len(), ncols, &triplets);
+            let b = dense_b(&mut gen::rng(42), ncols, 4);
+            let run = run_csrmm(Variant::Issr, &m, &b).unwrap();
+            let diff = run.y.max_abs_diff(&reference::csrmm(&m, &b));
+            assert!(diff < 1e-9, "{} B indices: max diff {diff}", I::BYTES);
+        }
+        check::<u16>();
+        check::<u32>();
+    }
+
     #[test]
     fn single_column_equals_csrmv() {
         let mut rng = gen::rng(40);

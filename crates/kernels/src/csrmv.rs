@@ -2,20 +2,35 @@
 //!
 //! All variants walk the row pointer array with the integer core; the
 //! inner per-row product is the corresponding SpVV loop. The ISSR
-//! variant applies the paper's two optimizations:
+//! variant applies the paper's two optimizations and a third of its
+//! own:
 //!
 //! * the **entire matrix fiber** (values + indices) streams in a single
 //!   SSR job and a single ISSR job, eliminating per-row setup;
-//! * the first accumulator-group's worth of `fmadd`s in each row is
-//!   **unrolled** against the constant-zero register (no re-zeroing),
-//!   with a branch ladder to shorter reductions for rows with fewer
-//!   elements — FREP and the full reduction are issued only when a row
-//!   is long enough to need them.
+//! * a row's first accumulator group of `fmadd`s adds the
+//!   **constant-zero register** `fz` (no re-zeroing), issued as one FREP
+//!   whose destination alone is staggered; a row shorter than a group
+//!   accumulates in one register instead;
+//! * a long row's **reduction is deferred** into the next long row: its
+//!   tree and `y` store issue between the next row's head `fmadd`s, into
+//!   a second accumulator bank, so the in-order FPU never waits on an
+//!   `fadd` while the index port has a product ready. The pending state
+//!   is control flow (three row heads: nothing, bank A or bank B
+//!   pending), and the loop's last row reduces itself, so nothing is
+//!   pending at the exit.
 //!
-//! The same row-loop generator is reused by CsrMM (`csrmm.rs`), which
-//! wraps it in a dense-column loop with register-held bases.
+//! Rows shorter than `LONG_ROW_GROUPS` accumulator groups do not
+//! defer: they run from a compact block of four instruction-cache lines
+//! ([`Assembler::align`]), so that a cluster worker's L0 holds every
+//! short-row path at once.
+//!
+//! The row loop's register contract, shared with CsrMM (`csrmm.rs`,
+//! which wraps it in a dense-column loop with register-held bases) and
+//! the cluster and system kernels, is in `emit_sw_row_loop`'s table;
+//! the ISSR loop also owns `fa0–fa7` (bank B) and `t6` (the deferred
+//! row's `y` address), besides bank A (`ft2`…), `fz` and `t1–t5`.
 
-use crate::common::{emit_reduction_tree, ACC0, FZ};
+use crate::common::{emit_reduction_tree, reduction_steps, ACC0, FZ};
 use crate::harness::{self, OnTrap};
 use crate::layout::{alloc_result, place_csr, place_f64s, Arena, CsrAddrs};
 use crate::variant::{issr_accumulators, KernelIndex, Variant};
@@ -23,6 +38,7 @@ use issr_isa::asm::{Assembler, Program};
 use issr_isa::instr::Stagger;
 use issr_isa::reg::{FpReg, IntReg as R};
 use issr_mem::array::MemArray;
+use issr_mem::icache::ICacheParams;
 use issr_snitch::cc::{RunSummary, SimTimeout};
 use issr_snitch::params::CcParams;
 use issr_sparse::csr::CsrMatrix;
@@ -114,6 +130,8 @@ pub fn build_csrmv<I: KernelIndex>(variant: Variant, addrs: CsrmvAddrs) -> Progr
 /// | `s7` | index/value array base for row-end computation |
 /// | `s8` | result stride in bytes (y cursor bump) |
 /// | `t0..t5` | scratch |
+/// | `t6` | `y` address of the row whose reduction is deferred (ISSR) |
+/// | `ft2…`, `fa0…` | accumulator banks A and B (ISSR; `fz` is `ft8`) |
 pub(crate) fn emit_sw_row_loop<I: KernelIndex>(
     asm: &mut Assembler,
     variant: Variant,
@@ -167,71 +185,169 @@ pub(crate) fn emit_sw_row_loop<I: KernelIndex>(
     asm.bnez(R::S2, outer);
 }
 
-/// Emits the optimized ISSR row loop: head unrolling against `fz`, a
-/// branch ladder for short rows, FREP + full reduction for long ones.
-pub(crate) fn emit_issr_row_loop<I: KernelIndex>(asm: &mut Assembler) {
-    let n_acc = issr_accumulators(I::IDX_SIZE);
-    let outer = asm.bind_label();
-    asm.symbol("issr_row");
+/// The second accumulator bank of the pipelined ISSR row loop (bank A
+/// starts at [`ACC0`]).
+const ACC_B: FpReg = FpReg::FA0;
+/// The `y` address of the row whose reduction is deferred.
+const Y_PENDING: R = R::T6;
+
+/// Emits the row head shared by every state: `t5 = ptr[i+1]`,
+/// `t1 = count`.
+fn emit_row_count(asm: &mut Assembler) {
     asm.lw(R::T5, R::S0, 0); // ptr[i+1]
     asm.addi(R::S0, R::S0, 4);
     asm.sub(R::T1, R::T5, R::S3); // count
-    let row_done = asm.new_label();
-    let ladder = asm.new_label();
-    let zero_row = asm.new_label();
-    let reduce_full = asm.new_label();
-    asm.beqz(R::T1, zero_row);
-    asm.addi(R::T2, R::T1, -i32::from(n_acc));
-    asm.blt(R::T2, R::ZERO, ladder); // count < n_acc → short-row ladder
-                                     // Long row: unrolled head fills every accumulator from fz.
-    for k in 0..n_acc {
-        asm.fmadd_d(ACC0.offset(k), FpReg::FT0, FpReg::FT1, FZ);
-    }
-    asm.beqz(R::T2, reduce_full); // count == n_acc → no FREP needed
-    asm.addi(R::T2, R::T2, -1); // FREP iterations = count - n_acc
+}
+
+/// Emits a row's first `n_acc` products into `bank .. bank + n_acc` as
+/// one FREP whose destination alone is staggered, adding `fz`.
+fn emit_frep_head(asm: &mut Assembler, bank: FpReg, n_acc: u8) {
+    asm.li(R::T3, i64::from(n_acc) - 1);
+    asm.frep_outer(R::T3, 1, Stagger { count: n_acc - 1, mask: 0b0001 });
+    asm.fmadd_d(bank, FpReg::FT0, FpReg::FT1, FZ);
+}
+
+/// Emits the FREP over a long row's elements after its head: `t2 + 1`
+/// iterations into the staggered accumulators of `bank`.
+fn emit_frep_body(asm: &mut Assembler, bank: FpReg, n_acc: u8) {
     asm.frep_outer(R::T2, 1, Stagger::accumulator(n_acc));
-    asm.fmadd_d(ACC0, FpReg::FT0, FpReg::FT1, ACC0);
-    asm.bind(reduce_full);
+    asm.fmadd_d(bank, FpReg::FT0, FpReg::FT1, bank);
+}
+
+/// Emits the head of a long row into `bank` interleaved with the
+/// reduction tree of `pending`. A reduction step issues once its
+/// operands were written an FPU latency of issue slots earlier; a head
+/// `fmadd` fills every other slot, so the in-order FPU never waits on an
+/// `fadd` while a product is ready.
+fn emit_head_over_reduction(asm: &mut Assembler, bank: FpReg, pending: FpReg, n_acc: u8) {
+    let latency = CcParams::paper().fpu_latency as isize;
+    // Issue slot of each pending register's last write: the FREP that
+    // filled the bank issued its final elements just before slot 0.
+    let mut written = vec![-1; usize::from(n_acc)];
+    let mut steps = reduction_steps(n_acc).into_iter().peekable();
+    let mut heads = 0;
+    for slot in 0.. {
+        match steps.peek() {
+            Some(&(dst, src))
+                if heads == n_acc
+                    || slot
+                        >= written[usize::from(dst)].max(written[usize::from(src)]) + latency =>
+            {
+                asm.fadd_d(pending.offset(dst), pending.offset(dst), pending.offset(src));
+                written[usize::from(dst)] = slot;
+                steps.next();
+            }
+            _ if heads < n_acc => {
+                asm.fmadd_d(bank.offset(heads), FpReg::FT0, FpReg::FT1, FZ);
+                heads += 1;
+            }
+            _ => break,
+        }
+    }
+}
+
+/// Rows with at least this many accumulator groups of elements defer
+/// their reduction; shorter ones run from the compact block.
+const LONG_ROW_GROUPS: u8 = 3;
+
+/// Emits the pipelined ISSR row loop (see the module doc): the entry
+/// head and bank A's long path, the two deferred heads, their last-row
+/// and flush tails, then the aligned compact block.
+pub(crate) fn emit_issr_row_loop<I: KernelIndex>(asm: &mut Assembler) {
+    let n_acc = issr_accumulators(I::IDX_SIZE);
+    let long_min = LONG_ROW_GROUPS * n_acc;
+    let banks = [ACC0, ACC_B];
+    let exit = asm.new_label();
+    let classify = asm.new_label();
+    let medium = asm.new_label();
+    let row_done = asm.new_label();
+    let lasts = [asm.new_label(), asm.new_label()];
+    let pends = [asm.new_label(), asm.new_label()];
+    let flushes = [asm.new_label(), asm.new_label()];
+
+    // Entry, nothing pending: a row short of `long_min` goes to the
+    // compact block, a long one falls through into bank A.
+    asm.symbol("issr_row");
+    emit_row_count(asm);
+    asm.addi(R::T2, R::T1, -i32::from(long_min));
+    asm.blt(R::T2, R::ZERO, classify);
+    let long_n = asm.bind_label();
+    emit_frep_head(asm, ACC0, n_acc);
+    asm.addi(R::T2, R::T1, -i32::from(n_acc) - 1);
+    emit_frep_body(asm, ACC0, n_acc);
+    for (b, &bank) in banks.iter().enumerate() {
+        let other = banks[1 - b];
+        // `bank` holds a finished long row: defer its reduction, unless
+        // it was the loop's last row.
+        asm.bind(pends[b]);
+        asm.mv(R::S3, R::T5);
+        asm.addi(R::S2, R::S2, -1);
+        asm.beqz(R::S2, lasts[b]);
+        asm.mv(Y_PENDING, R::S1);
+        asm.add(R::S1, R::S1, R::S8);
+        // The next row, with `bank` pending: a long one's head goes
+        // into the other bank under `bank`'s reduction.
+        emit_row_count(asm);
+        asm.addi(R::T2, R::T1, -i32::from(long_min));
+        asm.blt(R::T2, R::ZERO, flushes[b]);
+        asm.addi(R::T2, R::T1, -i32::from(n_acc) - 1);
+        emit_head_over_reduction(asm, other, bank, n_acc);
+        emit_frep_body(asm, other, n_acc);
+        asm.fsd(bank, Y_PENDING, 0);
+        if b == 1 {
+            asm.j(pends[0]);
+        }
+    }
+    for (b, &bank) in banks.iter().enumerate() {
+        // The loop's last row, long: reduce it in place.
+        asm.bind(lasts[b]);
+        emit_reduction_tree(asm, bank, n_acc);
+        asm.fsd(bank, R::S1, 0);
+        asm.add(R::S1, R::S1, R::S8);
+        asm.j(exit);
+    }
+    // A row short of `long_min` after a long one: store the pending
+    // row, then take the compact block.
+    for (b, &bank) in banks.iter().enumerate() {
+        asm.bind(flushes[b]);
+        emit_reduction_tree(asm, bank, n_acc);
+        asm.fsd(bank, Y_PENDING, 0);
+        asm.j(classify);
+    }
+
+    // The compact block, four L0 lines: every row short of `long_min`
+    // runs inside it, whatever the mix of lengths.
+    asm.align(ICacheParams::default().line_bytes);
+    // n_acc ..= long_min - 1 elements: head, FREP, reduction in place.
+    asm.bind(medium);
+    asm.addi(R::T3, R::T1, -i32::from(long_min));
+    asm.bge(R::T3, R::ZERO, long_n);
+    emit_frep_head(asm, ACC0, n_acc);
+    let reduce = asm.new_label();
+    asm.beqz(R::T2, reduce);
+    asm.addi(R::T2, R::T2, -1);
+    emit_frep_body(asm, ACC0, n_acc);
+    asm.bind(reduce);
     emit_reduction_tree(asm, ACC0, n_acc);
-    asm.fsd(ACC0, R::S1, 0);
     asm.j(row_done);
-    // Short rows: dispatch on the exact count (1 ..= n_acc-1) to the
-    // minimal unroll + reduction.
-    asm.bind(ladder);
-    let mut cases = Vec::new();
-    for _ in 1..n_acc {
-        cases.push(asm.new_label());
-    }
-    for (k, &case) in cases.iter().enumerate() {
-        let count = k as i32 + 1;
-        if count < i32::from(n_acc) - 1 {
-            asm.addi(R::T3, R::T1, -count);
-            asm.beqz(R::T3, case);
-        } else {
-            // The last case is the only remaining possibility.
-            asm.j(case);
-        }
-    }
-    for (k, &case) in cases.iter().enumerate() {
-        let count = k as u8 + 1;
-        asm.bind(case);
-        for j in 0..count {
-            asm.fmadd_d(ACC0.offset(j), FpReg::FT0, FpReg::FT1, FZ);
-        }
-        emit_reduction_tree(asm, ACC0, count);
-        asm.fsd(ACC0, R::S1, 0);
-        if k + 1 != cases.len() {
-            asm.j(row_done);
-        }
-    }
-    asm.j(row_done);
-    asm.bind(zero_row);
-    asm.fsd(FZ, R::S1, 0);
+    let head_c = asm.bind_label();
+    emit_row_count(asm);
+    asm.bind(classify);
+    asm.addi(R::T2, R::T1, -i32::from(n_acc));
+    asm.bge(R::T2, R::ZERO, medium);
+    // 0 ..= n_acc - 1 elements: one dependent chain.
+    asm.fmv_d(ACC0, FZ);
+    asm.beqz(R::T1, row_done);
+    asm.addi(R::T3, R::T1, -1);
+    asm.frep_outer(R::T3, 1, Stagger::NONE);
+    asm.fmadd_d(ACC0, FpReg::FT0, FpReg::FT1, ACC0);
     asm.bind(row_done);
+    asm.fsd(ACC0, R::S1, 0);
     asm.mv(R::S3, R::T5);
     asm.add(R::S1, R::S1, R::S8);
     asm.addi(R::S2, R::S2, -1);
-    asm.bnez(R::S2, outer);
+    asm.bnez(R::S2, head_c);
+    asm.bind(exit);
 }
 
 /// Result of one CsrMV run on the single-CC harness.
@@ -310,31 +426,72 @@ mod tests {
         check::<u16>(Variant::Issr, 40, 64, 400, 7);
     }
 
-    /// Rows of every length 0..=2·n_acc exercise the zero path, the
-    /// whole branch ladder, the exact-n_acc path, and FREP.
-    #[test]
-    fn issr_row_length_edge_cases() {
-        for (width16, n_acc) in [(false, 4usize), (true, 8)] {
-            let ncols = 64;
-            let mut triplets = Vec::new();
-            for (r, len) in (0..=2 * n_acc).enumerate() {
-                for j in 0..len {
-                    triplets.push((r, (j * 7 + r) % ncols, (r + j) as f64 * 0.25 + 1.0));
-                }
-            }
-            let nrows = 2 * n_acc + 1;
-            if width16 {
-                let m = CsrMatrix::<u16>::from_triplets(nrows, ncols, &triplets);
-                let x: Vec<f64> = (0..ncols).map(|i| i as f64 * 0.5 - 3.0).collect();
-                let run = run_csrmv(Variant::Issr, &m, &x).unwrap();
-                assert!(allclose(&run.y, &reference::csrmv(&m, &x), 1e-12, 1e-12));
-            } else {
-                let m = CsrMatrix::<u32>::from_triplets(nrows, ncols, &triplets);
-                let x: Vec<f64> = (0..ncols).map(|i| i as f64 * 0.5 - 3.0).collect();
-                let run = run_csrmv(Variant::Issr, &m, &x).unwrap();
-                assert!(allclose(&run.y, &reference::csrmv(&m, &x), 1e-12, 1e-12));
+    /// An ISSR run over rows of the given lengths, checked against the
+    /// host reference.
+    fn check_rows<I: KernelIndex>(lengths: &[usize], case: &str) {
+        let ncols = 256;
+        let mut triplets = Vec::new();
+        for (r, &len) in lengths.iter().enumerate() {
+            for j in 0..len {
+                triplets.push((r, (j * 7 + r) % ncols, (r + j) as f64 * 0.25 + 1.0));
             }
         }
+        let m = CsrMatrix::<I>::from_triplets(lengths.len(), ncols, &triplets);
+        let x: Vec<f64> = (0..ncols).map(|i| i as f64 * 0.5 - 3.0).collect();
+        let run = run_csrmv(Variant::Issr, &m, &x).unwrap();
+        assert!(
+            allclose(&run.y, &reference::csrmv(&m, &x), 1e-12, 1e-12),
+            "{case} ({} B indices): {lengths:?}",
+            I::BYTES
+        );
+    }
+
+    /// Rows of every length 0..=4·n_acc, in both widths: the zero path,
+    /// the dependent chain, the exact-n_acc path, the compact FREP and
+    /// the first deferred lengths, each after every shorter length.
+    #[test]
+    fn issr_row_length_edge_cases() {
+        let lengths = |n_acc: usize| (0..=4 * n_acc).collect::<Vec<_>>();
+        check_rows::<u32>(&lengths(4), "every length");
+        check_rows::<u16>(&lengths(8), "every length");
+    }
+
+    /// The deferral's transitions in both widths: long → long in both
+    /// bank orders, long → short and long → empty flushes out of either
+    /// bank, rows of exactly `n_acc`, a long last row in either bank, a
+    /// single long row.
+    #[test]
+    fn issr_deferral_transitions() {
+        fn cases<I: KernelIndex>() {
+            let n = usize::from(issr_accumulators(I::IDX_SIZE));
+            let (l, l2) = (usize::from(LONG_ROW_GROUPS) * n, 5 * n + 3);
+            let table: [(&str, Vec<usize>); 6] = [
+                ("single long row", vec![l2]),
+                ("long to long, last row in bank A", vec![l, l2 + 1, l]),
+                ("long to long, last row in bank B", vec![l2, l, l2 + n - 1, l]),
+                ("flushes to short and empty rows", vec![l, 1, l, l2, 2, l, 0, l2, l, 0, 3]),
+                ("rows of exactly n_acc", vec![n, n, l, n, l, l2, n, n]),
+                ("long rows around empty ones", vec![0, l2, 0, 0, l, l, 0]),
+            ];
+            for (case, lengths) in table {
+                check_rows::<I>(&lengths, case);
+            }
+        }
+        cases::<u16>();
+        cases::<u32>();
+    }
+
+    /// Long rows cost the ISSR-16 kernel at most four cycles each above
+    /// the index port's floor of 1.25 cycles per element (Fig. 4b's
+    /// 256 nnz/row point): the deferred reduction hides under the next
+    /// row's head.
+    #[test]
+    fn issr16_long_rows_run_near_the_port_floor() {
+        let mut rng = gen::rng(0x000F_164B + 256);
+        let m = gen::csr_fixed_row_nnz::<u16>(&mut rng, 64, 2048, 256);
+        let x = gen::dense_vector(&mut rng, 2048);
+        let cycles = run_csrmv(Variant::Issr, &m, &x).unwrap().summary.metrics.roi.cycles;
+        assert!(cycles <= 64 * (320 + 4), "{cycles} cycles for 64 rows of 256");
     }
 
     /// Fig. 4b's asymptote: ISSR-16 speedup over BASE approaches 7.2×

@@ -300,16 +300,20 @@ mod tests {
         let mut rng = gen::rng(seed);
         let m = gen::csr_uniform::<I>(&mut rng, nrows, ncols, nnz);
         let x = gen::dense_vector(&mut rng, ncols);
-        let single = run_cluster_csrmv(variant, &m, &x).expect("cluster run finishes");
+        check_identity_on(variant, &m, &x);
+    }
+
+    fn check_identity_on<I: KernelIndex>(variant: Variant, m: &CsrMatrix<I>, x: &[f64]) {
+        let single = run_cluster_csrmv(variant, m, x).expect("cluster run finishes");
         for n_clusters in [1usize, 2, 4] {
-            let sys = run_system_csrmv(variant, &m, &x, n_clusters).expect("system run finishes");
+            let sys = run_system_csrmv(variant, m, x, n_clusters).expect("system run finishes");
             assert_eq!(
                 bits(&sys.y),
                 bits(&single.y),
                 "{variant} {n_clusters} clusters must be bit-identical to the cluster kernel"
             );
         }
-        assert!(allclose(&single.y, &reference::csrmv(&m, &x), 1e-12, 1e-12));
+        assert!(allclose(&single.y, &reference::csrmv(m, x), 1e-12, 1e-12));
     }
 
     #[test]
@@ -328,6 +332,20 @@ mod tests {
     #[test]
     fn multi_block_claims_stay_bit_identical() {
         check_identity::<u16>(Variant::Issr, 400, 256, 16_000, 73);
+    }
+
+    /// Runs of long rows, each worker's cut short by every block
+    /// boundary, so every block ends with a row whose reduction would
+    /// otherwise be deferred: reference-exact on one cluster and
+    /// bit-identical on two and four, in both widths.
+    #[test]
+    fn block_boundaries_split_runs_of_long_rows() {
+        let mut rng = gen::rng(75);
+        let m = gen::csr_fixed_row_nnz::<u32>(&mut rng, 300, 256, 40);
+        let x = gen::dense_vector(&mut rng, 256);
+        assert!(ClusterCsrmvPlan::new(&m, 8).n_blocks() > 2);
+        check_identity_on(Variant::Issr, &m, &x);
+        check_identity_on(Variant::Issr, &m.with_index_width::<u16>(), &x);
     }
 
     /// Degenerate shapes: empty matrix, fewer rows than workers.

@@ -112,7 +112,8 @@ pub fn log_width<I: KernelIndex>() -> i32 {
 /// Accumulator depth of the staggered ISSR FREP loop: the 16-bit kernel
 /// sustains a higher issue rate and needs more accumulators to cover FMA
 /// latency, which also lengthens its reduction — the source of the
-/// 16/32-bit crossover around nnz ≈ 20 in Figs. 4a/4b.
+/// 16/32-bit crossover around nnz ≈ 20 in Figs. 4a/4b (CsrMV rows long
+/// enough to defer their reduction hide it).
 #[must_use]
 pub fn issr_accumulators(size: IndexSize) -> u8 {
     match size {

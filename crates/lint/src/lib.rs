@@ -41,8 +41,9 @@
 //!    indirection on a plain SSR lane, joiner-enabled pointer writes
 //!    outside the launch register), proved through constant propagation
 //!    over the shadow registers.
-//! 5. **Dead and unreachable code** — unreachable instructions and
-//!    stream cfg writes never consumed by any launch.
+//! 5. **Dead and unreachable code** — unreachable instructions (but not
+//!    the line-alignment padding `Assembler::align` records) and stream
+//!    cfg writes never consumed by any launch.
 //!
 //! The pass is a *must*-analysis: a diagnostic is only emitted when the
 //! fault provably occurs on every execution reaching that instruction,
@@ -218,7 +219,7 @@ pub fn lint_program(program: &Program, params: &CcParams) -> Vec<Diagnostic> {
     cfg.structural_diagnostics(&mut diags);
     let states = absint::analyze(instrs, &cfg, params);
     absint::report(instrs, &cfg, params, &states, &mut diags);
-    liveness::report(instrs, &cfg, params, &mut diags);
+    liveness::report(program, &cfg, params, &mut diags);
     diags.sort_by_key(|d| (d.pc, d.severity));
     diags
 }

@@ -15,6 +15,7 @@
 
 use issr_core::cfg::{reg, split_addr};
 use issr_core::cfg_check::is_pointer_reg;
+use issr_isa::asm::Program;
 use issr_isa::instr::Instr;
 use issr_snitch::params::CcParams;
 
@@ -22,24 +23,27 @@ use crate::absint::{cell_slot, reg_name, N_CELLS};
 use crate::cfgraph::Cfg;
 use crate::{Diagnostic, FaultClass, Severity};
 
-pub(crate) fn report(instrs: &[Instr], cfg: &Cfg, params: &CcParams, diags: &mut Vec<Diagnostic>) {
-    unreachable_runs(cfg, diags);
-    dead_cfg_writes(instrs, cfg, params, diags);
+pub(crate) fn report(program: &Program, cfg: &Cfg, params: &CcParams, diags: &mut Vec<Diagnostic>) {
+    unreachable_runs(program, cfg, diags);
+    dead_cfg_writes(program.instrs(), cfg, params, diags);
 }
 
-/// One warning per maximal run of unreachable instructions.
-fn unreachable_runs(cfg: &Cfg, diags: &mut Vec<Diagnostic>) {
+/// One warning per maximal run of unreachable instructions; alignment
+/// padding (`Assembler::align`) is placed there on purpose and is not
+/// reported.
+fn unreachable_runs(program: &Program, cfg: &Cfg, diags: &mut Vec<Diagnostic>) {
     if cfg.has_indirect {
         return;
     }
+    let dead = |i: usize| !cfg.reachable[i] && !program.is_padding(i);
     let mut i = 0;
     while i < cfg.reachable.len() {
-        if cfg.reachable[i] {
+        if !dead(i) {
             i += 1;
             continue;
         }
         let start = i;
-        while i < cfg.reachable.len() && !cfg.reachable[i] {
+        while i < cfg.reachable.len() && dead(i) {
             i += 1;
         }
         let len = i - start;

@@ -590,6 +590,24 @@ fn corpus_unreachable_code_warns() {
     );
 }
 
+/// Alignment padding behind a jump is placed, not forgotten: lint
+/// reports none of it, while the same `nop` without the directive is
+/// unreachable code (`corpus_unreachable_code_warns`).
+#[test]
+fn corpus_alignment_padding_is_not_dead_code() {
+    let mut a = Assembler::new();
+    let line = a.new_label();
+    a.j(line);
+    a.align(32);
+    assert_eq!(a.here() * 4 % 32, 0);
+    a.bind(line);
+    a.halt();
+    let program = a.finish().unwrap();
+    assert!(program.is_padding(1), "the jump is followed by padding");
+    let diags = lint_program(&program, &CcParams::paper());
+    assert!(diags.is_empty(), "padding must lint clean, got: {diags:?}");
+}
+
 /// Every corpus fault above appears in the classification table, and
 /// the table itself is exhaustive (`classify_*` match on the enums with
 /// no wildcard — adding a variant breaks the build until classified).

@@ -251,7 +251,8 @@ impl Dma {
     /// Advances the engine by one cycle, copying up to
     /// [`DMA_WORDS_PER_CYCLE`] words. Returns the TCDM banks claimed this
     /// cycle in `claimed` (caller passes a `false`-initialized slice of
-    /// bank-count length and the word-interleaving is 8 bytes).
+    /// bank-count length, a power of two, and the word-interleaving is 8
+    /// bytes).
     ///
     /// `contested` marks banks with core requests pending this cycle; on
     /// alternating *yield* cycles the engine stops at the first word
@@ -297,7 +298,9 @@ impl Dma {
             // A zero-byte row moves nothing; the transfer retires at once.
             p.row = t.reps;
         }
-        let n_banks = claimed.len().max(1);
+        let bank_mask = claimed.len().max(1) - 1;
+        debug_assert_eq!(bank_mask & (bank_mask + 1), 0, "bank count must be a power of two");
+        let bank_of = |addr: u32| (addr / 8) as usize & bank_mask;
         let mut moved = 0;
         let mut denied = false;
         let mut yielded = false;
@@ -320,8 +323,7 @@ impl Dma {
                     Direction::In => dst,
                     Direction::Out | Direction::Local => src,
                 };
-                let bank = ((local / 8) as usize) % n_banks;
-                if contested.get(bank).copied().unwrap_or(false) {
+                if contested.get(bank_of(local)).copied().unwrap_or(false) {
                     yielded = true;
                     break;
                 }
@@ -339,7 +341,7 @@ impl Dma {
             match dir {
                 Direction::In | Direction::Local => {
                     tcdm.write_word(dst, data, 0xFF);
-                    claimed[((dst / 8) as usize) % n_banks] = true;
+                    claimed[bank_of(dst)] = true;
                 }
                 Direction::Out => {
                     if !main.try_dma_write_word(dst, data) {
@@ -349,7 +351,7 @@ impl Dma {
                 }
             }
             if dir == Direction::Out || dir == Direction::Local {
-                claimed[((src / 8) as usize) % n_banks] = true;
+                claimed[bank_of(src)] = true;
             }
             match dir {
                 Direction::In => self.stats.words_in += 1,

@@ -43,6 +43,9 @@ pub struct L0Buffer {
     line_shift: u32,
     tags: Vec<Option<u32>>,
     fifo: usize,
+    /// The line of the previous fetch. Only a miss evicts, and a miss
+    /// makes its line the previous one, so this line is always resident.
+    last: Option<u32>,
     /// Fetches that hit.
     pub hits: u64,
     /// Fetches that missed to L1.
@@ -63,6 +66,7 @@ impl L0Buffer {
             line_shift: params.line_bytes.trailing_zeros(),
             tags: vec![None; params.l0_lines],
             fifo: 0,
+            last: None,
             hits: 0,
             misses: 0,
         }
@@ -77,7 +81,9 @@ impl L0Buffer {
     /// hit.
     pub fn fetch(&mut self, pc: u32) -> bool {
         let line = self.line_of(pc);
-        if self.tags.contains(&Some(line)) {
+        let hit = self.last == Some(line) || self.tags.contains(&Some(line));
+        self.last = Some(line);
+        if hit {
             self.hits += 1;
             return true;
         }

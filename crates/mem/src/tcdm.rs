@@ -36,7 +36,9 @@ impl issr_trace::StatMerge for TcdmStats {
 #[derive(Clone, Debug)]
 pub struct Tcdm {
     array: MemArray,
-    n_banks: usize,
+    /// Bank count minus one: a power-of-two bank count makes the bank
+    /// of a word its low index bits.
+    bank_mask: usize,
     /// `None` models an ideal multi-port memory (no arbitration).
     rr_next: Option<Vec<usize>>,
     /// Arbitration scratch: each bank's contender mask, by port
@@ -57,7 +59,7 @@ impl Tcdm {
         assert!(n_banks <= 64, "bank count must fit the arbitration mask"); // gate-allow: host-API construction precondition
         Self {
             array: MemArray::new(base, size),
-            n_banks,
+            bank_mask: n_banks - 1,
             rr_next: Some(vec![0; n_banks]),
             bank_ports: vec![0; n_banks],
             stats: TcdmStats::default(),
@@ -70,7 +72,7 @@ impl Tcdm {
     pub fn ideal(base: u32, size: u32) -> Self {
         Self {
             array: MemArray::new(base, size),
-            n_banks: 1,
+            bank_mask: 0,
             rr_next: None,
             bank_ports: Vec::new(),
             stats: TcdmStats::default(),
@@ -98,7 +100,7 @@ impl Tcdm {
     #[must_use]
     #[inline]
     pub fn bank_of(&self, addr: u32) -> usize {
-        ((addr / 8) as usize) % self.n_banks
+        (addr / 8) as usize & self.bank_mask
     }
 
     /// Services the ports for one cycle.
@@ -164,7 +166,7 @@ impl Tcdm {
                 // are powers of two and ≤ 64 in every configuration
                 // (the paper's cluster has 32), and a cluster exposes
                 // at most 64 ports, so u64 masks always suffice.
-                debug_assert!(self.n_banks <= 64, "bank mask width");
+                debug_assert!(self.bank_mask < 64, "bank mask width");
                 // Slice slot of each contender, by position.
                 let mut slot_of = [0u8; 64];
                 let mut active: u64 = 0;
@@ -199,7 +201,7 @@ impl Tcdm {
                     // The pointer may exceed the current port count (the
                     // count shrinks when ports route to main memory);
                     // the scan always started from `rr % n`.
-                    let start = rr[bank] % n;
+                    let start = if rr[bank] < n { rr[bank] } else { rr[bank] % n };
                     let wrapped = m >> start;
                     let pi = if wrapped != 0 {
                         start + wrapped.trailing_zeros() as usize
@@ -211,7 +213,7 @@ impl Tcdm {
                     if !self.serve(now, req, port) {
                         faults.push((pi, req.addr));
                     }
-                    rr[bank] = (pi + 1) % n;
+                    rr[bank] = if pi + 1 == n { 0 } else { pi + 1 };
                     served_mask |= 1 << pi;
                 }
                 // Count contention on ports still pending.
