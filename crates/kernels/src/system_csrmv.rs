@@ -280,7 +280,7 @@ fn run_system_csrmv_on<I: KernelIndex>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cluster_csrmv::run_cluster_csrmv;
     use issr_sparse::dense::allclose;
@@ -303,7 +303,7 @@ mod tests {
         check_identity_on(variant, &m, &x);
     }
 
-    fn check_identity_on<I: KernelIndex>(variant: Variant, m: &CsrMatrix<I>, x: &[f64]) {
+    pub(crate) fn check_identity_on<I: KernelIndex>(variant: Variant, m: &CsrMatrix<I>, x: &[f64]) {
         let single = run_cluster_csrmv(variant, m, x).expect("cluster run finishes");
         for n_clusters in [1usize, 2, 4] {
             let sys = run_system_csrmv(variant, m, x, n_clusters).expect("system run finishes");
