@@ -8,7 +8,8 @@
 //! and the model-only tables (area, §V comparison) ride along as
 //! sections. `--bin paper` prints the [`Board`] and commits it as
 //! `baselines/BENCH_paper.json`, so a model change shows its effect on
-//! every anchor in the `git diff`.
+//! every anchor in the `git diff`; until the file is regenerated,
+//! `crates/bench/tests/baselines.rs` fails and names the moved anchors.
 
 use issr_cluster::cluster::ClusterSummary;
 use issr_compare::{base_core_equivalent, compare, related_systems, Comparison};
@@ -78,22 +79,69 @@ pub struct Anchor {
     pub source: &'static str,
     /// The paper's value (fractions, not percent).
     pub paper: f64,
-    /// Whether `paper` is a value to hit. A bound or a locus is shown
-    /// next to the reproduced value without a relative error, which
-    /// would read as a miss where there is none.
-    target: bool,
+    kind: Kind,
     reproduced: Read,
 }
 
 /// Reads an anchor's reproduced value out of the sweeps.
 type Read = fn(&Runs) -> f64;
 
-const fn target(id: &'static str, source: &'static str, paper: f64, reproduced: Read) -> Anchor {
-    Anchor { id, source, paper, target: true, reproduced }
+/// How the board judges an anchor.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Kind {
+    /// A value to hit, judged by its relative error.
+    Target,
+    /// A limit the reproduced value must respect, judged pass or fail.
+    /// A relative error would read as a miss where the bound holds.
+    Bound(Bound),
+    /// A point on a swept curve the sweep can only bracket: shown next
+    /// to the reproduced value and not judged.
+    Locus,
 }
 
-const fn bound(id: &'static str, source: &'static str, paper: f64, reproduced: Read) -> Anchor {
-    Anchor { id, source, paper, target: false, reproduced }
+/// Which side of the paper's value a bound anchor must stay on.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Bound {
+    /// The reproduced value may not exceed the paper's.
+    AtMost,
+    /// The reproduced value may not fall below the paper's.
+    AtLeast,
+}
+
+impl Bound {
+    /// Whether `reproduced` respects the bound `paper`.
+    #[must_use]
+    pub fn holds(self, reproduced: f64, paper: f64) -> bool {
+        match self {
+            Bound::AtMost => reproduced <= paper,
+            Bound::AtLeast => reproduced >= paper,
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Bound::AtMost => "at most",
+            Bound::AtLeast => "at least",
+        }
+    }
+}
+
+const fn target(id: &'static str, source: &'static str, paper: f64, reproduced: Read) -> Anchor {
+    Anchor { id, source, paper, kind: Kind::Target, reproduced }
+}
+
+const fn bound(
+    id: &'static str,
+    source: &'static str,
+    paper: f64,
+    direction: Bound,
+    reproduced: Read,
+) -> Anchor {
+    Anchor { id, source, paper, kind: Kind::Bound(direction), reproduced }
+}
+
+const fn locus(id: &'static str, source: &'static str, paper: f64, reproduced: Read) -> Anchor {
+    Anchor { id, source, paper, kind: Kind::Locus, reproduced }
 }
 
 /// Every number of the paper's evaluation this model reproduces.
@@ -107,7 +155,11 @@ pub const ANCHORS: [Anchor; 22] = [
     // nnz/row from which 16-bit indices win.
     target("fig4b.issr16_speedup", "Fig. 4b", 7.2, |r| r.fig4b.at_anchor("issr16")),
     target("fig4b.issr32_speedup", "Fig. 4b", 6.0, |r| r.fig4b.at_anchor("issr32")),
-    bound("fig4b.crossover_row_nnz", "Fig. 4b", 20.0, Runs::crossover_row_nnz),
+    // A locus, not a bound: the paper puts the crossover "around" 20
+    // nnz/row, which says where the two curves cross, not which side
+    // of 20 it must fall on. The sweep brackets it between two swept
+    // densities (16 and 24), so no relative error applies either.
+    locus("fig4b.crossover_row_nnz", "Fig. 4b", 20.0, Runs::crossover_row_nnz),
     // Cluster CsrMV, ISSR-16 over BASE.
     target("fig4c.speedup_at_1_nnz", "Fig. 4c", 1.9, |r| r.fig4c.table.f64(0, "speedup")),
     target("fig4c.peak_speedup", "Fig. 4c", 5.8, Runs::peak_cluster_speedup),
@@ -121,8 +173,11 @@ pub const ANCHORS: [Anchor; 22] = [
     target("fig4d.g7_base_pj_per_fmadd", "Fig. 4d", 142.0, |r| r.fig4d.at_anchor("base_pj")),
     target("fig4d.g7_issr_pj_per_fmadd", "Fig. 4d", 53.0, |r| r.fig4d.at_anchor("issr_pj")),
     target("fig4d.g7_energy_gain", "Fig. 4d", 2.7, |r| r.fig4d.at_anchor("gain")),
-    // CsrMM loses next to nothing against CsrMV (Ragusa18, two columns).
-    bound("csrmm.ragusa18_x2_util_delta", "§IV-A", 0.0012, |r| r.csrmm.f64(0, "delta")),
+    // CsrMM loses next to nothing against CsrMV (Ragusa18, two columns):
+    // the paper's 0.12 % is the most the utilisation may drop.
+    bound("csrmm.ragusa18_x2_util_delta", "§IV-A", 0.0012, Bound::AtMost, |r| {
+        r.csrmm.f64(0, "delta")
+    }),
     // Area of the indirection extension.
     target("area.issr_delta_kge", "§IV-C", 4.4, |_| ISSR_DELTA_KGE),
     target("area.issr_over_ssr", "§IV-C", 0.43, |_| StreamerArea::paper_config().issr_over_ssr()),
@@ -135,7 +190,8 @@ pub const ANCHORS: [Anchor; 22] = [
 ];
 
 /// The board's rows: one per [`ANCHORS`] entry, in order. `rel_err` is
-/// `(reproduced − paper) / paper`, `null` against a bound or a locus.
+/// `(reproduced − paper) / paper` for a target and `null` otherwise;
+/// `bound` is `"pass"` or `"fail"` for a bound and `null` otherwise.
 fn anchor_table(runs: &Runs) -> Table {
     let mut table = Table::new(&[
         ("id", "anchor", Fmt::Plain),
@@ -143,12 +199,25 @@ fn anchor_table(runs: &Runs) -> Table {
         ("paper", "paper", Fmt::Sig(3)),
         ("reproduced", "reproduced", Fmt::Sig(3)),
         ("rel_err", "rel. error", Fmt::Percent(1)),
+        ("bound", "bound", Fmt::Plain),
     ]);
     for a in &ANCHORS {
         let reproduced = (a.reproduced)(runs);
-        let rel_err =
-            if a.target { Json::Float((reproduced - a.paper) / a.paper) } else { Json::Null };
-        table.push(vec![a.id.into(), a.source.into(), a.paper.into(), reproduced.into(), rel_err]);
+        let (rel_err, bound) = match a.kind {
+            Kind::Target => (Json::Float((reproduced - a.paper) / a.paper), Json::Null),
+            Kind::Bound(b) => {
+                (Json::Null, if b.holds(reproduced, a.paper) { "pass" } else { "fail" }.into())
+            }
+            Kind::Locus => (Json::Null, Json::Null),
+        };
+        table.push(vec![
+            a.id.into(),
+            a.source.into(),
+            a.paper.into(),
+            reproduced.into(),
+            rel_err,
+            bound,
+        ]);
     }
     table
 }
@@ -331,6 +400,17 @@ impl Board {
     #[must_use]
     pub fn markdown(&self) -> String {
         let mut out = format!("Paper scoreboard\n\n{}", self.anchors.markdown());
+        for (i, a) in ANCHORS.iter().enumerate() {
+            if let Kind::Bound(b) = a.kind {
+                let verdict = self.anchors.cell(i, "bound").as_str().unwrap_or("-");
+                out.push_str(&format!(
+                    "\nBound {}: {} the paper's {}: {verdict}\n",
+                    a.id,
+                    b.name(),
+                    a.paper
+                ));
+            }
+        }
         for s in &self.sections {
             out.push_str(&format!("\n{}\n\n{}", s.title, s.table.markdown()));
             for note in &s.notes {
@@ -373,8 +453,15 @@ mod tests {
             assert!(ANCHORS[..i].iter().all(|b| b.id != a.id), "duplicate id {}", a.id);
             assert!(a.paper.is_finite() && a.paper != 0.0, "{}: paper value {}", a.id, a.paper);
             assert!(board.anchors.f64(i, "reproduced").is_finite(), "{}", a.id);
+            let judged = board.anchors.cell(i, "bound").as_str();
+            assert_eq!(
+                judged.is_some(),
+                matches!(a.kind, Kind::Bound(_)),
+                "{}: a bound, and only a bound, reads pass or fail",
+                a.id
+            );
             let Some(rel_err) = board.anchors.cell(i, "rel_err").as_f64() else {
-                assert!(!a.target, "{}: a target carries its relative error", a.id);
+                assert!(a.kind != Kind::Target, "{}: a target carries its relative error", a.id);
                 continue;
             };
             if ["Fig. 4a", "Fig. 4b", "§IV-C"].contains(&a.source) {
@@ -393,6 +480,16 @@ mod tests {
         let elapsed =
             results.get("results").and_then(|r| r.get("fig4c")?.get("verdict")?.get("elapsed"));
         assert_eq!(elapsed, Some(fig4c.table.cell(last, "issr_cycles")));
+    }
+
+    /// A bound reads pass on its own side of the paper's value,
+    /// including the value itself, and fail across it.
+    #[test]
+    fn bounds_hold_on_their_side() {
+        assert!(Bound::AtMost.holds(0.0012, 0.0012) && Bound::AtMost.holds(0.001, 0.0012));
+        assert!(!Bound::AtMost.holds(0.00146, 0.0012));
+        assert!(Bound::AtLeast.holds(20.0, 20.0) && Bound::AtLeast.holds(24.0, 20.0));
+        assert!(!Bound::AtLeast.holds(16.0, 20.0));
     }
 
     /// The committed board lists exactly the anchors of this source, in

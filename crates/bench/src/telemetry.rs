@@ -21,10 +21,11 @@
 //! [`Json::pretty`] (insertion-ordered objects, one key or array
 //! element per line), so re-running a binary on unchanged code produces
 //! a byte-identical file. That makes git the checker: CI rewrites the
-//! committed `baselines/BENCH_*.json` in place (the three smoke runs,
-//! `paper` and `ablation`) and gates on
-//! `git diff --exit-code -- baselines/`, where a
-//! drifted counter is one changed line. What a byte comparison cannot
+//! committed smoke envelopes in place and gates on
+//! `git diff --exit-code -- baselines/`, where a drifted counter is one
+//! changed line, and `crates/bench/tests/baselines.rs` compares the
+//! [`Telemetry::render`] of `paper` and `ablation` with their committed
+//! bytes inside `cargo test`. What a byte comparison cannot
 //! see — whether the attribution tables still add up — [`Telemetry::write`]
 //! checks before it writes anything.
 
@@ -73,22 +74,30 @@ impl Telemetry {
         ])
     }
 
-    /// Writes the envelope to `path`, indented, with a trailing newline.
+    /// The envelope as [`Self::write`] writes it: indented, with a
+    /// trailing newline.
     ///
     /// # Errors
-    /// Returns `InvalidData` — before touching `path` — if any
-    /// stall-cause table or critical path in the envelope no longer
-    /// sums to the cycle count it covers, or a verdict's critical path
-    /// is longer than the run it classifies; otherwise propagates the
-    /// underlying I/O error.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
+    /// Returns `InvalidData` if any stall-cause table or critical path
+    /// in the envelope no longer sums to the cycle count it covers, or a
+    /// verdict's critical path is longer than the run it classifies.
+    pub fn render(&self) -> std::io::Result<String> {
         let doc = self.to_json();
         let mut errors = Vec::new();
         check_attribution(&doc, "", &mut errors);
         if !errors.is_empty() {
             return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, errors.join("; ")));
         }
-        std::fs::write(path, doc.pretty() + "\n")
+        Ok(doc.pretty() + "\n")
+    }
+
+    /// Writes [`Self::render`] to `path`.
+    ///
+    /// # Errors
+    /// Returns `render`'s `InvalidData` before touching `path`;
+    /// otherwise propagates the underlying I/O error.
+    pub fn write(&self, path: &Path) -> std::io::Result<()> {
+        std::fs::write(path, self.render()?)
     }
 }
 

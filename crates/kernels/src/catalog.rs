@@ -66,6 +66,8 @@ fn entries<I: KernelIndex>(tag: &str, out: &mut Vec<CatalogEntry>) {
     let a = gen::csr_uniform::<I>(&mut rng, 8, 8, 16);
     let b = gen::csr_uniform::<I>(&mut rng, 8, 16, 24);
     let c_nnz = issr_sparse::reference::spgemm_ptr(&a, &b)[a.nrows()];
+    // Reach 11 over 64 elements: 53 outputs, so both widths lint the
+    // group loop and a tail group (6·8 + 5 and 13·4 + 1).
     let stencil = SparseStencil { offsets: vec![0, 3, 4, 11], weights: vec![1.0, -2.0, 0.5, 3.0] };
     let n_workers = ClusterParams::default().n_workers as u32;
     // The placements store the operands somewhere; only the addresses
