@@ -9,23 +9,15 @@ use issr_kernels::variant::Variant;
 use issr_sparse::gen;
 
 use crate::report::{ratio, Fmt, Table};
-use crate::telemetry::Telemetry;
+use crate::telemetry::{BenchOutput, Telemetry};
 use crate::verdict::cluster_verdict;
-
-/// The ablation tables in both output forms.
-pub struct Ablation {
-    /// The tables and the verdict line, as printed.
-    pub markdown: String,
-    /// The envelope as committed.
-    pub telemetry: Telemetry,
-}
 
 /// Runs both ablations on the 64 nnz/row cluster CsrMV.
 ///
 /// # Panics
 /// Panics if a cluster run times out.
 #[must_use]
-pub fn ablation() -> Ablation {
+pub fn ablation() -> BenchOutput {
     let mut t = Telemetry::new("ablation", "full");
     let mut rng = gen::rng(0xAB1A);
     let m = gen::csr_clustered::<u16>(&mut rng, 512, 2048, 64, 256);
@@ -86,5 +78,5 @@ pub fn ablation() -> Ablation {
     let verdict = verdict.expect("icache ablation ran");
     markdown.push_str(&format!("\n{}\n", verdict.line("cluster csrmv 8w icache")));
     t.push("verdict", verdict.to_json());
-    Ablation { markdown, telemetry: t }
+    BenchOutput { markdown, telemetry: t }
 }

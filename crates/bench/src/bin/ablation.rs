@@ -3,13 +3,6 @@
 //!
 //! Pass `--json <path>` to also write the rows as `BENCH_ablation.json`.
 
-use issr_bench::telemetry;
-
 fn main() {
-    let ablation = issr_bench::ablation::ablation();
-    print!("{}", ablation.markdown);
-    if let Some(path) = telemetry::json_arg() {
-        ablation.telemetry.write(&path).expect("write BENCH json");
-        println!("wrote {}", path.display());
-    }
+    issr_bench::ablation::ablation().emit();
 }

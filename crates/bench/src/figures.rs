@@ -513,11 +513,11 @@ pub fn spgemm_recovery_report() -> SpgemmRecoveryRow {
     }
 }
 
-/// Gustavson expansion volume of `m · m` (the multiply count — SpGEMM's
+/// Gustavson expansion volume of `a · b` (the multiply count — SpGEMM's
 /// useful-work denominator; the ISSR variant retires these as `fmul`,
 /// not `fmadd`, so the CsrMV figure's pJ/fmadd does not apply).
-fn spgemm_macs(m: &CsrMatrix<u16>) -> u64 {
-    (0..m.nrows()).map(|r| m.row(r).map(|(k, _)| m.row_range(k).len() as u64).sum::<u64>()).sum()
+fn spgemm_macs(a: &CsrMatrix<u16>, b: &CsrMatrix<u16>) -> u64 {
+    (0..a.nrows()).map(|r| a.row(r).map(|(k, _)| b.row_range(k).len() as u64).sum::<u64>()).sum()
 }
 
 /// Largest leading principal window of `m` whose cluster SpGEMM plan
@@ -531,7 +531,7 @@ fn tcdm_window(m: &CsrMatrix<u16>) -> CsrMatrix<u16> {
         let w = suite::principal_window(m, k);
         let nnz = w.nnz() as u64;
         let n = k as u64;
-        let volume = spgemm_macs(&w);
+        let volume = spgemm_macs(&w, &w);
         let cap = volume.min(n * n);
         // CSR bytes: 4-byte row pointers, 2-byte indices, 8-byte values
         // (A and B alias the same matrix but are stored twice), plus the
@@ -576,7 +576,7 @@ pub fn spgemm_suite_sweep(names: &[&str]) -> Table {
         let issr = run_cluster_spgemm(Variant::Issr, &m, &m).expect("issr cluster run");
         let eb = model.evaluate(&base.summary);
         let ei = model.evaluate(&issr.summary);
-        let macs = spgemm_macs(&m).max(1);
+        let macs = spgemm_macs(&m, &m).max(1);
         let base_pj = ratio(eb.total_nj * 1000.0, macs as f64);
         let issr_pj = ratio(ei.total_nj * 1000.0, macs as f64);
         table.push(vec![
@@ -673,9 +673,13 @@ pub fn smoke_spgemm_regimes() -> Vec<SpgemmRegime> {
 /// `contention` is the denied fraction of shared-interface DMA word
 /// requests, `overlap_cycles` the cycles with DMA traffic and ROI
 /// compute in flight together; power and energy come from the system
-/// power model (`pj_per_fmadd` means something on CsrMV sweeps only —
-/// the SpGEMM expansion retires `fmul`, not `fmadd`).
-fn scaling_table(speedup_heading: &'static str) -> Table {
+/// power model, and the last column divides the energy by `per`'s unit
+/// of useful work.
+fn scaling_table(speedup_heading: &'static str, per: EnergyPer) -> Table {
+    let (key, heading) = match per {
+        EnergyPer::Fmadd => ("pj_per_fmadd", "pJ/fmadd"),
+        EnergyPer::Mac(_) => ("pj_per_mac", "pJ/mac"),
+    };
     Table::new(&[
         ("n_clusters", "clusters", Fmt::Plain),
         ("cycles", "cycles", Fmt::Plain),
@@ -685,13 +689,31 @@ fn scaling_table(speedup_heading: &'static str) -> Table {
         ("overlap_cycles", "overlap cyc", Fmt::Plain),
         ("avg_power_mw", "power mW", Fmt::Fixed(0)),
         ("total_nj", "energy nJ", Fmt::Fixed(0)),
-        ("pj_per_fmadd", "pJ/fmadd", Fmt::Fixed(1)),
+        (key, heading, Fmt::Fixed(1)),
     ])
 }
 
-/// Appends one run to a [`scaling_table`].
-fn push_scaling_row(table: &mut Table, summary: &issr_system::system::SystemSummary) {
+/// The unit of useful work a scaling row's energy is divided by.
+#[derive(Clone, Copy)]
+enum EnergyPer {
+    /// A retired fmadd (CsrMV).
+    Fmadd,
+    /// One of this many Gustavson expansion multiplies (SpGEMM, whose
+    /// expansion retires `fmul`, not `fmadd`), as `--suite` divides.
+    Mac(u64),
+}
+
+/// Appends one run to a [`scaling_table`] made with the same `per`.
+fn push_scaling_row(
+    table: &mut Table,
+    summary: &issr_system::system::SystemSummary,
+    per: EnergyPer,
+) {
     let energy = PowerModel::default().evaluate_system(summary);
+    let per_op = match per {
+        EnergyPer::Fmadd => energy.pj_per_fmadd,
+        EnergyPer::Mac(macs) => ratio(energy.total_nj * 1000.0, macs.max(1) as f64),
+    };
     let first = if table.is_empty() { summary.cycles as f64 } else { table.f64(0, "cycles") };
     table.push(vec![
         summary.clusters.len().into(),
@@ -702,7 +724,7 @@ fn push_scaling_row(table: &mut Table, summary: &issr_system::system::SystemSumm
         summary.overlap_cycles.into(),
         energy.avg_power_mw.into(),
         energy.total_nj.into(),
-        energy.pj_per_fmadd.into(),
+        per_op.into(),
     ]);
 }
 
@@ -718,12 +740,12 @@ fn push_scaling_row(table: &mut Table, summary: &issr_system::system::SystemSumm
 pub fn system_csrmv_scaling(m: &CsrMatrix<u16>, x: &[f64], counts: &[usize]) -> Table {
     let single = run_cluster_csrmv(Variant::Issr, m, x).expect("single-cluster run");
     let reference: Vec<u64> = single.y.iter().map(|v| v.to_bits()).collect();
-    let mut rows = scaling_table("speedup");
+    let mut rows = scaling_table("speedup", EnergyPer::Fmadd);
     for &n in counts {
         let run = run_system_csrmv(Variant::Issr, m, x, n).expect("system run");
         let got: Vec<u64> = run.y.iter().map(|v| v.to_bits()).collect();
         assert_eq!(got, reference, "{n}-cluster CsrMV must be bit-identical");
-        push_scaling_row(&mut rows, &run.summary);
+        push_scaling_row(&mut rows, &run.summary, EnergyPer::Fmadd);
     }
     rows
 }
@@ -745,7 +767,8 @@ pub fn system_spgemm_scaling(
     use issr_system::system::SystemParams;
     let expect = reference::spgemm(a, b).with_index_width::<u32>();
     let n_workers = SystemParams::default().cluster.n_workers as u32;
-    let mut rows = scaling_table("speedup");
+    let per = EnergyPer::Mac(spgemm_macs(a, b));
+    let mut rows = scaling_table("speedup", per);
     let mut reference_bits: Option<Vec<u64>> = None;
     for &n in counts {
         let plan = match panel_caps {
@@ -769,7 +792,7 @@ pub fn system_spgemm_scaling(
             Some(r) => assert_eq!(&bits, r, "{n}-cluster SpGEMM values must be bit-identical"),
             None => reference_bits = Some(bits),
         }
-        push_scaling_row(&mut rows, &run.summary);
+        push_scaling_row(&mut rows, &run.summary, per);
     }
     rows
 }
@@ -788,7 +811,7 @@ pub fn system_csrmv_weak_scaling(
     nnz_per_cluster: usize,
     counts: &[usize],
 ) -> Table {
-    let mut out = scaling_table("efficiency");
+    let mut out = scaling_table("efficiency", EnergyPer::Fmadd);
     for &n in counts {
         let mut rng = gen::rng(7_700 + n as u64);
         let m = gen::csr_uniform::<u16>(&mut rng, rows_per_cluster * n, ncols, nnz_per_cluster * n);
@@ -799,17 +822,19 @@ pub fn system_csrmv_weak_scaling(
             issr_sparse::dense::allclose(&run.y, &expect, 1e-12, 1e-12),
             "weak-scaling {n}-cluster CsrMV diverged"
         );
-        push_scaling_row(&mut out, &run.summary);
+        push_scaling_row(&mut out, &run.summary, EnergyPer::Fmadd);
     }
     out
 }
 
 /// Per-phase stall profile of one cluster SpGEMM run (ISSR-16 on
-/// `regime`): the two-pass kernel's symbolic, scan/offset and numeric
-/// phases resolved by sampling each worker's PC against the program's
-/// kernel symbols once per cycle. Host-side only — the kernel and the
-/// timing model are untouched, so the profiled run's cycle count equals
-/// the unprofiled one's.
+/// `regime`), resolved by sampling each worker's PC against the
+/// program's kernel symbols once per cycle: `row` is the row loop's
+/// expansion, length read and drain, `chain` the wait on the
+/// predecessor's offset and the publish of the next, `other` the
+/// prologue. Host-side only — the kernel and the timing model are
+/// untouched, so the profiled run's cycle count equals the unprofiled
+/// one's.
 ///
 /// # Panics
 /// Panics if the kernel symbols are missing or the cluster times out.
@@ -829,9 +854,8 @@ pub fn cluster_spgemm_phase_profile(regime: SpgemmRegime) -> issr_trace::PhasePr
     };
     let end = u32::try_from(program.len() * 4).expect("pc fits u32");
     let mut profile = issr_trace::PhaseProfile::new(&[
-        ("symbolic", pc_of("worker"), pc_of("scan")),
-        ("scan", pc_of("scan"), pc_of("issr_row")),
-        ("numeric", pc_of("issr_row"), end),
+        ("row", pc_of("issr_row"), end),
+        ("chain", pc_of("chain"), pc_of("chain_end")),
     ]);
     let mut cluster = Cluster::new(program, params);
     plan.marshal(&mut cluster, &a, &b);

@@ -20,12 +20,13 @@
 //! in it describes the host, and it is written indented through
 //! [`Json::pretty`] (insertion-ordered objects, one key or array
 //! element per line), so re-running a binary on unchanged code produces
-//! a byte-identical file. That makes git the checker: CI rewrites the
-//! committed smoke envelopes in place and gates on
+//! a byte-identical file. That makes git the checker:
+//! `crates/bench/tests/baselines.rs` compares the [`Telemetry::render`]
+//! of `paper`, `ablation` and the `joiner` and `spgemm` smokes with
+//! their committed bytes inside `cargo test`, and CI rewrites the
+//! `system` smoke envelope in place and gates on
 //! `git diff --exit-code -- baselines/`, where a drifted counter is one
-//! changed line, and `crates/bench/tests/baselines.rs` compares the
-//! [`Telemetry::render`] of `paper` and `ablation` with their committed
-//! bytes inside `cargo test`. What a byte comparison cannot
+//! changed line. What a byte comparison cannot
 //! see — whether the attribution tables still add up — [`Telemetry::write`]
 //! checks before it writes anything.
 
@@ -41,6 +42,30 @@ use issr_trace::{Json, StallCause};
 /// v3 dropped `tolerances` and `host`: the envelope carries model
 /// output only.
 pub const SCHEMA_VERSION: i64 = 3;
+
+/// One bench's output in both forms: the markdown its bin prints and
+/// the envelope `--json` writes (and `baselines/` commits).
+pub struct BenchOutput {
+    /// The tables and verdict lines, as printed.
+    pub markdown: String,
+    /// The envelope.
+    pub telemetry: Telemetry,
+}
+
+impl BenchOutput {
+    /// Prints the markdown and, given `--json <path>`, writes the
+    /// envelope there.
+    ///
+    /// # Panics
+    /// Panics if the envelope cannot be written.
+    pub fn emit(&self) {
+        print!("{}", self.markdown);
+        if let Some(path) = json_arg() {
+            self.telemetry.write(&path).expect("write BENCH json");
+            println!("wrote {}", path.display());
+        }
+    }
+}
 
 /// Accumulates one binary's result sections into the shared envelope.
 #[derive(Clone, Debug)]

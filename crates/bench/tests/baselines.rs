@@ -1,4 +1,5 @@
-//! The committed paper scoreboard and ablations are the model's output.
+//! The committed paper scoreboard, ablations and the joiner and SpGEMM
+//! smokes are the model's output.
 //!
 //! Each test builds one document in process, through the function its
 //! bin calls, renders it as `Telemetry::write` would, and compares the
@@ -76,8 +77,9 @@ fn moved_anchors(committed: &Json, built: &Json) -> Vec<String> {
         .collect()
 }
 
-/// Fails unless `built` renders to the bytes of `baselines/BENCH_{bench}.json`.
-fn assert_matches_baseline(bench: &str, built: &Telemetry) {
+/// Fails unless `built` renders to the bytes of
+/// `baselines/BENCH_{bench}.json`; `args` regenerate it.
+fn assert_matches_baseline(bench: &str, args: &str, built: &Telemetry) {
     let path = format!("{}/../../baselines/BENCH_{bench}.json", env!("CARGO_MANIFEST_DIR"));
     let committed = std::fs::read_to_string(&path).expect("committed baseline");
     let built = built.render().expect("the attribution tables add up");
@@ -103,18 +105,28 @@ fn assert_matches_baseline(bench: &str, built: &Telemetry) {
     }
     panic!(
         "{report}to accept the change: cargo run --release -p issr-bench --bin {bench} -- \
-         --json baselines/BENCH_{bench}.json"
+         {args}--json baselines/BENCH_{bench}.json"
     );
 }
 
 #[test]
 fn paper_scoreboard_matches_its_baseline() {
-    assert_matches_baseline("paper", &issr_bench::paper::scoreboard().telemetry());
+    assert_matches_baseline("paper", "", &issr_bench::paper::scoreboard().telemetry());
 }
 
 #[test]
 fn ablation_matches_its_baseline() {
-    assert_matches_baseline("ablation", &issr_bench::ablation::ablation().telemetry);
+    assert_matches_baseline("ablation", "", &issr_bench::ablation::ablation().telemetry);
+}
+
+#[test]
+fn joiner_smoke_matches_its_baseline() {
+    assert_matches_baseline("joiner", "--smoke ", &issr_bench::joiner::joiner(true).telemetry);
+}
+
+#[test]
+fn spgemm_smoke_matches_its_baseline() {
+    assert_matches_baseline("spgemm", "--smoke ", &issr_bench::spgemm::spgemm(true).telemetry);
 }
 
 /// The failure report names where two documents part and which anchors

@@ -316,8 +316,7 @@ impl Cluster {
         // Halted cores count as arrived: the hardware barrier masks out
         // inactive harts, so a worker whose stripe is empty (or the
         // DMCC sitting out a resident workload) cannot deadlock the
-        // cores that still synchronize — the property the device-owned
-        // prefix-sum phases rely on.
+        // cores that still synchronize.
         let arrived = |cc: &CoreComplex| cc.core.at_barrier() || cc.core.halted();
         let any = self.workers.iter().any(|cc| cc.core.at_barrier()) || self.dmcc.core.at_barrier();
         let all = self.workers.iter().all(arrived) && arrived(&self.dmcc);
@@ -625,18 +624,38 @@ impl Cluster {
         PostMortem::assemble(self.now, stuck, self.timeline())
     }
 
+    /// Whether any hart (worker or DMCC) has latched a trap.
+    #[must_use]
+    pub fn trapped(&self) -> bool {
+        self.workers.iter().chain(std::iter::once(&self.dmcc)).any(|cc| cc.core.trap().is_some())
+    }
+
     /// Runs to quiescence.
     ///
     /// # Errors
     /// Returns [`SimTimeout`] if the cluster does not finish in
     /// `max_cycles` (deadlock or bug).
     pub fn run(&mut self, max_cycles: u64) -> Result<ClusterSummary, SimTimeout> {
+        self.run_until(max_cycles, |_| false)
+    }
+
+    /// Runs to quiescence, or until `stop` holds after a cycle (a
+    /// harness whose harts wait on each other ends at the first trap,
+    /// [`Cluster::trapped`]).
+    ///
+    /// # Errors
+    /// As [`Cluster::run`].
+    pub fn run_until(
+        &mut self,
+        max_cycles: u64,
+        stop: impl Fn(&Self) -> bool,
+    ) -> Result<ClusterSummary, SimTimeout> {
         self.arm_default_timeline(0);
         self.profile_host(host::is_enabled());
         let deadline = self.now.saturating_add(max_cycles);
         while self.now < deadline {
             self.tick();
-            if self.quiescent() {
+            if self.quiescent() || stop(self) {
                 return Ok(self.summary());
             }
         }

@@ -14,7 +14,5 @@
 #![forbid(unsafe_code)]
 
 pub mod cluster;
-pub mod scan;
 
 pub use cluster::{Cluster, ClusterAttribution, ClusterParams, ClusterSummary};
-pub use scan::{emit_exclusive_prefix, scan_array_bytes};

@@ -222,7 +222,7 @@ impl CfgShadow {
     /// Whether the sparse accumulator runs in count-only mode: feeds
     /// merge their index stream into the row buffer without consuming
     /// the write stream, so `ACC_NNZ` reports the row's nonzero count
-    /// without materializing values — the on-device symbolic phase.
+    /// without materializing values — a symbolic pre-pass.
     #[must_use]
     pub fn acc_count_only(&self) -> bool {
         self.acc_cfg & 2 != 0

@@ -41,9 +41,11 @@
 //!
 //! * **count-only feeds** (`ACC_CFG` bit 1) run the same merge over the
 //!   index stream alone — no write-stream traffic — so `ACC_NNZ` yields
-//!   a row's data-dependent nonzero count without materializing values:
-//!   the on-device *symbolic phase* of two-pass SpGEMM (cleared per row
-//!   with `ACC_CLEAR`; draining in this mode is a configuration fault);
+//!   a row's data-dependent nonzero count without materializing values
+//!   (cleared per row with `ACC_CLEAR`; draining in this mode is a
+//!   configuration fault). No shipped kernel counts this way: the
+//!   cluster and system SpGEMM read each row's length after its numeric
+//!   feeds and chain the offsets in the same pass;
 //! * **double-buffered row storage**: a drain snapshots the merged row
 //!   at promotion, so the next row's first feed merges into the freed
 //!   buffer while the drain still writes — the two jobs share the lane

@@ -52,7 +52,10 @@ pub(crate) fn single_cc<A: Copy>(
 }
 
 /// Runs `program` on a cluster built from `params`; `place` writes the
-/// image into the constructed cluster's memories.
+/// image into the constructed cluster's memories. The run ends at
+/// quiescence or at the first latched trap: harts that wait on a
+/// trapped one (the SpGEMM offset chain) would otherwise spin out the
+/// whole budget.
 ///
 /// # Errors
 /// Returns [`SimTimeout`] if the cluster deadlocks or exceeds `budget`.
@@ -65,7 +68,7 @@ pub(crate) fn cluster(
 ) -> Result<(Cluster, ClusterSummary), SimTimeout> {
     let mut cluster = Cluster::new(program, params);
     place(&mut cluster);
-    let summary = cluster.run(budget)?;
+    let summary = cluster.run_until(budget, Cluster::trapped)?;
     let clean = on_trap == OnTrap::Report || summary.traps.is_empty();
     assert!(clean, "cluster cores trapped: {:?}", summary.traps);
     Ok((cluster, summary))
@@ -73,7 +76,8 @@ pub(crate) fn cluster(
 
 /// Runs `program` on a multi-cluster system built from `params`:
 /// `place` writes the image into the shared main memory, `queue_addr`
-/// is the work-queue ticket word; a trap panics. With a `trace_cap`,
+/// is the work-queue ticket word; the run ends at quiescence or at the
+/// first latched trap, which panics. With a `trace_cap`,
 /// every cluster's timeline keeps its most recent `trace_cap`
 /// transitions and the Chrome trace-event export comes back too (the
 /// default timeline `run` arms is not worth exporting).
@@ -94,7 +98,7 @@ pub(crate) fn system(
     }
     place(system.main.array_mut());
     system.set_work_queue(queue_addr);
-    let summary = system.run(budget)?;
+    let summary = system.run_until(budget, System::trapped)?;
     assert!(summary.traps().is_empty(), "system cores trapped: {:?}", summary.traps());
     let trace = trace_cap.and_then(|_| system.trace_json());
     Ok((system, summary, trace))

@@ -134,16 +134,17 @@ fn emit_base_spgemm<I: KernelIndex>(asm: &mut Assembler, nrows: u32, addrs: Spge
 }
 
 /// Where an array's base comes from: an address baked into the program
-/// (materialised through `t6`) or a register holding a runtime base —
-/// the system kernel's panel-relative virtual bases.
+/// (materialised through `t6`) or a register holding it — the cluster
+/// and system workers keep theirs in registers, the system kernel's
+/// panel-relative virtual bases included.
 #[derive(Clone, Copy)]
-pub(crate) enum Base {
+enum Base {
     Addr(u32),
     Reg(R),
 }
 
 /// Emits `dst = base + (idx << log_stride)`.
-pub(crate) fn emit_indexed_addr(asm: &mut Assembler, dst: R, idx: R, log_stride: i32, base: Base) {
+fn emit_indexed_addr(asm: &mut Assembler, dst: R, idx: R, log_stride: i32, base: Base) {
     asm.slli(dst, idx, log_stride);
     let base = match base {
         Base::Addr(addr) => {
@@ -155,66 +156,185 @@ pub(crate) fn emit_indexed_addr(asm: &mut Assembler, dst: R, idx: R, log_stride:
     asm.add(dst, dst, base);
 }
 
-/// The shared row head: reads `a.ptr[r+1]` through the `s0` cursor
-/// (advancing it) and leaves the A row's end address in `end`.
+/// The single-core row head: reads `a.ptr[r+1]` through the `s0`
+/// cursor (advancing it) and leaves the A row's end address in `end`.
 /// Clobbers `t5`.
-pub(crate) fn emit_a_row_end<I: KernelIndex>(asm: &mut Assembler, end: R, a_idcs: Base) {
+fn emit_a_row_end<I: KernelIndex>(asm: &mut Assembler, end: R, a_idcs: Base) {
     asm.lw(R::T5, R::S0, 0); // a.ptr[r+1]
     asm.addi(R::S0, R::S0, 4);
     emit_indexed_addr(asm, end, R::T5, log_width::<I>(), a_idcs);
 }
 
-/// The BASE per-worker scratch pointers of the cluster and system
-/// workers: `s6`/`s8` index and `s7`/`s9` value ping-pong buffers in
-/// hart `a7`'s `stride`-byte slice of the scratch region at `base`,
-/// and `s11` = `b.ptr`. Clobbers `t0`–`t2`.
-pub(crate) fn emit_base_scratch(
-    asm: &mut Assembler,
-    stride: u32,
+// ---------------------------------------------------------------------
+// The one-pass row loop of the cluster and system workers
+// ---------------------------------------------------------------------
+
+/// The offset chain's tag register of the cluster and system workers.
+/// These kernels make no calls, so `gp`, `tp` and `ra` are ordinary
+/// registers — and the only ones BASE's merge leaves alone besides the
+/// loop's own cursors.
+pub(crate) const TAG: R = R::GP;
+/// Base of the C index array the rows are packed into.
+pub(crate) const C_IDCS: R = R::TP;
+/// Base of the C value array the rows are packed into.
+pub(crate) const C_VALS: R = R::RA;
+
+/// BASE's per-worker ping-pong merge scratch: one block of `[idx0 |
+/// idx1 | val0 | val1]` per worker, each array one full output row
+/// (the default is none, for plans that merge in the SpAcc).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct MergeScratch {
     base: u32,
     idx_bytes: u32,
-    val_bytes: i64,
-    b_ptr: u32,
-) {
-    asm.li(R::T0, i64::from(stride));
-    asm.mul(R::T0, R::T0, R::A7);
-    asm.li_addr(R::T1, base);
-    asm.add(R::S6, R::T0, R::T1); // idx0
-    asm.li(R::T2, i64::from(idx_bytes));
-    asm.add(R::S8, R::S6, R::T2); // idx1
-    asm.add(R::S7, R::S8, R::T2); // val0
-    asm.li(R::T2, val_bytes);
-    asm.add(R::S9, R::S7, R::T2); // val1
-    asm.li_addr(R::S11, b_ptr);
+    val_bytes: u32,
 }
 
-/// The shared BASE symbolic row loop of the cluster and system workers:
-/// the software union-merge per row, keeping only the accumulator
-/// length. The stripe-local inclusive prefix runs in `prefix`, lands in
-/// the row-pointer window behind the `s1` cursor and leaves in `s10`;
-/// `s2` counts the rows down.
-pub(crate) fn emit_base_symbolic_rows<I: KernelIndex>(
+impl MergeScratch {
+    /// Allocates the blocks of `n_workers` workers for rows of `ncols`.
+    pub(crate) fn alloc<I: KernelIndex>(arena: &mut Arena, ncols: u32, n_workers: u32) -> Self {
+        let row_cap = ncols.max(1);
+        let idx_bytes = (row_cap * I::BYTES + 7) & !7;
+        let val_bytes = row_cap * 8;
+        let base = arena.alloc(n_workers * 2 * (idx_bytes + val_bytes), 8);
+        Self { base, idx_bytes, val_bytes }
+    }
+}
+
+/// The static state of a cluster or system worker before its first
+/// row: ISSR's [`emit_issr_setup`]; for BASE `s6`/`s8` index and
+/// `s7`/`s9` value ping-pong buffers in hart `a7`'s block of `scratch`
+/// and `s11` = `b.ptr`. Clobbers `t0`–`t2`.
+pub(crate) fn emit_worker_setup<I: KernelIndex>(
     asm: &mut Assembler,
-    a_idcs: Base,
-    prefix: R,
-    b_idcs: u32,
-    b_vals: u32,
+    variant: Variant,
+    b: CsrAddrs,
+    acc_cap: u32,
+    scratch: MergeScratch,
 ) {
-    asm.li(prefix, 0);
-    let sym_row = asm.bind_label();
-    asm.symbol("base_sym_row");
-    let sym_flush = asm.new_label();
-    asm.li(R::S10, 0);
-    emit_a_row_end::<I>(asm, R::A6, a_idcs);
-    emit_base_k_merge::<I>(asm, b_idcs, b_vals, sym_flush);
-    asm.bind(sym_flush);
-    asm.symbol("base_sym_flush");
-    asm.add(prefix, prefix, R::S10);
-    asm.sw(prefix, R::S1, 4); // ptr[r+1] = stripe-local prefix
-    asm.addi(R::S1, R::S1, 4);
-    asm.addi(R::S2, R::S2, -1);
-    asm.bnez(R::S2, sym_row);
-    asm.mv(R::S10, prefix); // the scan / exchange takes the total in s10
+    if variant == Variant::Issr {
+        emit_issr_setup::<I>(asm, b, acc_cap);
+        return;
+    }
+    asm.li(R::T0, i64::from(2 * (scratch.idx_bytes + scratch.val_bytes)));
+    asm.mul(R::T0, R::T0, R::A7);
+    asm.li_addr(R::T1, scratch.base);
+    asm.add(R::S6, R::T0, R::T1); // idx0
+    asm.li(R::T2, i64::from(scratch.idx_bytes));
+    asm.add(R::S8, R::S6, R::T2); // idx1
+    asm.add(R::S7, R::S8, R::T2); // val0
+    asm.li(R::T2, i64::from(scratch.val_bytes));
+    asm.add(R::S9, R::S7, R::T2); // val1
+    asm.li_addr(R::S11, b.ptr);
+}
+
+/// The static streamer state of every ISSR SpGEMM kernel: `s6`/`s7`/`s8`
+/// = `b.{ptr,idcs,vals}`, the SSR value stride, the SpAcc index width
+/// and row-buffer capacity `acc_cap` (an optimistic one arms the
+/// overflow trap), SSR enabled. Clobbers `t0`.
+fn emit_issr_setup<I: KernelIndex>(asm: &mut Assembler, b: CsrAddrs, acc_cap: u32) {
+    asm.li_addr(R::S6, b.ptr);
+    asm.li_addr(R::S7, b.idcs);
+    asm.li_addr(R::S8, b.vals);
+    asm.li(SETUP_SCRATCH, 8);
+    asm.scfgwi(SETUP_SCRATCH, cfg_addr(sreg::STRIDES[0], 0));
+    emit_spacc_cfg::<I>(asm);
+    asm.li(SETUP_SCRATCH, i64::from(acc_cap));
+    asm.scfgwi(SETUP_SCRATCH, cfg_addr(sreg::ACC_BUF_CAP, 0));
+    asm.csrsi(issr_isa::Csr::Ssr, 1);
+}
+
+/// The one-pass row loop of the cluster and system workers. Worker h
+/// of n takes rows h, h + n, h + 2n, …; per row it runs the variant's
+/// numeric body (the SSR + FREP expansion into the SpAcc, or the
+/// software merge), reads the row's length (`ACC_NNZ` once the feeds
+/// retired, or the merge length), passes it along the offset chain
+/// ([`emit_chain`]) and drains or copies the row to its packed offset.
+/// Empty rows are not drained.
+///
+/// On entry (after [`emit_worker_setup`]): `a7` the hart id, `s0` →
+/// `a.ptr[r]` of the worker's first row r (which must exist) and `s2`
+/// → `a.ptr` one past the last row, `a5`/`a4` the A index and value
+/// bases `a.ptr` offsets index, `s1` → `ptr[r]` and `s3` → `flag[r]`
+/// of the output row pointer and its flag array, [`TAG`], [`C_IDCS`]
+/// and [`C_VALS`]. The owner of row 0 starts the chain. ISSR returns
+/// with every drain retired.
+pub(crate) fn emit_chained_rows<I: KernelIndex>(
+    asm: &mut Assembler,
+    variant: Variant,
+    n_workers: u32,
+    b: CsrAddrs,
+) {
+    let log_w = log_width::<I>();
+    let stride = i32::try_from(4 * n_workers).expect("worker stride fits an immediate");
+    // The owner of row 0 publishes ptr[0] = 0 and raises row 0's flag.
+    let not_first = asm.new_label();
+    asm.bnez(R::A7, not_first);
+    asm.sw(R::ZERO, R::S1, 0);
+    asm.sw(TAG, R::S3, 0);
+    asm.bind(not_first);
+    let row = asm.bind_label();
+    let next = asm.new_label();
+    let flush = asm.new_label();
+    if variant == Variant::Issr {
+        asm.symbol("issr_row");
+        emit_row_head::<I>(asm, R::S9);
+        emit_issr_k_expand::<I>(asm, flush);
+        asm.bind(flush);
+        emit_spacc_wait(asm, 4); // this row's feeds, not the last drain
+        asm.scfgri(R::T1, cfg_addr(sreg::ACC_NNZ, 0));
+        emit_chain(asm, R::T1, R::T2);
+        asm.beqz(R::T1, next);
+        emit_indexed_addr(asm, R::A2, R::T2, log_w, Base::Reg(C_IDCS));
+        emit_indexed_addr(asm, R::A3, R::T2, 3, Base::Reg(C_VALS));
+        asm.scfgwi(R::A3, cfg_addr(sreg::ACC_VAL_OUT, 0));
+        asm.scfgwi(R::A2, cfg_addr(sreg::ACC_DRAIN, 0)); // launch (retries)
+    } else {
+        asm.symbol("base_row");
+        asm.li(R::S10, 0); // the row accumulator starts empty
+        emit_row_head::<I>(asm, R::A6);
+        emit_base_k_merge::<I>(asm, b.idcs, b.vals, flush);
+        asm.bind(flush);
+        emit_chain(asm, R::S10, R::T2);
+        emit_indexed_addr(asm, R::T0, R::T2, log_w, Base::Reg(C_IDCS));
+        emit_indexed_addr(asm, R::T1, R::T2, 3, Base::Reg(C_VALS));
+        emit_base_row_copy::<I>(asm);
+    }
+    asm.bind(next);
+    asm.addi(R::S0, R::S0, stride);
+    asm.addi(R::S1, R::S1, stride);
+    asm.addi(R::S3, R::S3, stride);
+    asm.bltu(R::S0, R::S2, row);
+    if variant == Variant::Issr {
+        emit_spacc_wait(asm, 1); // the last drain retires
+    }
+}
+
+/// The row head of [`emit_chained_rows`]: reads `a.ptr[r]` and
+/// `a.ptr[r+1]` at `s0` and leaves the A row's index and value cursors
+/// in `s4`/`s5` and its index end in `end`. Clobbers `t4`, `t5`.
+fn emit_row_head<I: KernelIndex>(asm: &mut Assembler, end: R) {
+    let log_w = log_width::<I>();
+    asm.lw(R::T4, R::S0, 0);
+    asm.lw(R::T5, R::S0, 4);
+    emit_indexed_addr(asm, R::S4, R::T4, log_w, Base::Reg(R::A5));
+    emit_indexed_addr(asm, R::S5, R::T4, 3, Base::Reg(R::A4));
+    emit_indexed_addr(asm, end, R::T5, log_w, Base::Reg(R::A5));
+}
+
+/// One link of the offset chain: waits until row r's flag (`s3`) holds
+/// [`TAG`] — the owner of row r − 1 raises it once `ptr[r]` is
+/// published — reads `ptr[r]` (`s1`) into `off`, publishes `ptr[r+1] =
+/// off + nnz` and raises row r + 1's flag. Clobbers `t0`.
+fn emit_chain(asm: &mut Assembler, nnz: R, off: R) {
+    asm.symbol("chain");
+    let wait = asm.bind_label();
+    asm.lw(R::T0, R::S3, 0);
+    asm.blt(R::T0, TAG, wait);
+    asm.lw(off, R::S1, 0);
+    asm.add(R::T0, off, nnz);
+    asm.sw(R::T0, R::S1, 4);
+    asm.sw(TAG, R::S3, 4);
+    asm.symbol("chain_end");
 }
 
 /// The shared BASE per-k loop: walk the current A row (`s4`/`s5`
@@ -223,15 +343,10 @@ pub(crate) fn emit_base_symbolic_rows<I: KernelIndex>(
 /// (`s6`/`s7` in, `s8`/`s9` out, `s10` length, `s11` = `b.ptr`),
 /// swapping buffers per k. Branches to `flush` once the row is
 /// exhausted. Register roles as documented on [`emit_base_spgemm`];
-/// shared with the cluster worker, whose only differences are the
+/// shared with [`emit_chained_rows`], whose only differences are the
 /// cursor prologue and the output offsets.
 #[allow(clippy::too_many_lines)]
-pub(crate) fn emit_base_k_merge<I: KernelIndex>(
-    asm: &mut Assembler,
-    b_idcs: u32,
-    b_vals: u32,
-    flush: Label,
-) {
+fn emit_base_k_merge<I: KernelIndex>(asm: &mut Assembler, b_idcs: u32, b_vals: u32, flush: Label) {
     let log_w = log_width::<I>();
     let ib = I::BYTES as i32;
     let (va, vb) = (FpReg::FT6, FpReg::FT7);
@@ -356,7 +471,7 @@ pub(crate) fn emit_base_k_merge<I: KernelIndex>(
 /// The shared BASE row pack-out: copies the accumulator (`s6`/`s7`,
 /// `s10` elements) to the C cursors preset in `t0`/`t1`, falling
 /// through with the row copied.
-pub(crate) fn emit_base_row_copy<I: KernelIndex>(asm: &mut Assembler) {
+fn emit_base_row_copy<I: KernelIndex>(asm: &mut Assembler) {
     let ib = I::BYTES as i32;
     let va = FpReg::FT6;
     let copy = asm.new_label();
@@ -398,19 +513,9 @@ fn emit_issr_spgemm<I: KernelIndex>(
     asm.li(R::S3, 0);
     asm.li_addr(R::S4, addrs.a.idcs);
     asm.li_addr(R::S5, addrs.a.vals);
-    asm.li_addr(R::S6, addrs.b.ptr);
-    asm.li_addr(R::S7, addrs.b.idcs);
-    asm.li_addr(R::S8, addrs.b.vals);
     asm.li_addr(R::A2, addrs.c.idcs);
     asm.li_addr(R::A3, addrs.c.vals);
-    // Static streamer state: SSR value stride, SpAcc index width and
-    // row-buffer capacity (optimistic caps arm the overflow trap).
-    asm.li(SETUP_SCRATCH, 8);
-    asm.scfgwi(SETUP_SCRATCH, cfg_addr(sreg::STRIDES[0], 0));
-    emit_spacc_cfg::<I>(asm);
-    asm.li(SETUP_SCRATCH, i64::from(acc_cap));
-    asm.scfgwi(SETUP_SCRATCH, cfg_addr(sreg::ACC_BUF_CAP, 0));
-    asm.csrsi(issr_isa::Csr::Ssr, 1);
+    emit_issr_setup::<I>(asm, addrs.b, acc_cap);
     asm.roi_begin();
     if nrows > 0 {
         let row = asm.bind_label();
@@ -448,52 +553,11 @@ fn emit_issr_spgemm<I: KernelIndex>(
 
 /// Spins until `ACC_STATUS & mask` is set (1: the unit is idle, 4: every
 /// feed has retired). Clobbers `t0`.
-pub(crate) fn emit_spacc_wait(asm: &mut Assembler, mask: i32) {
+fn emit_spacc_wait(asm: &mut Assembler, mask: i32) {
     let spin = asm.bind_label();
     asm.scfgri(R::T0, cfg_addr(sreg::ACC_STATUS, 0));
     asm.andi(R::T0, R::T0, mask);
     asm.beqz(R::T0, spin);
-}
-
-/// The shared ISSR symbolic row loop of the cluster and system workers
-/// (the SpAcc already in count-only mode): per row one count-only feed
-/// per `k` (`s4` A index cursor, `s6`/`s7` = `b.{ptr,idcs}`), a wait
-/// for the feeds, `ACC_NNZ` added to the stripe-local inclusive prefix
-/// in `s10` and stored behind the `s1` row-pointer cursor, the buffer
-/// cleared; `s2` counts the rows down.
-pub(crate) fn emit_issr_symbolic_rows<I: KernelIndex>(asm: &mut Assembler, a_idcs: Base) {
-    let log_w = log_width::<I>();
-    let ib = I::BYTES as i32;
-    asm.li(R::S10, 0);
-    let sym_row = asm.bind_label();
-    asm.symbol("issr_sym_row");
-    let sym_row_end = asm.new_label();
-    emit_a_row_end::<I>(asm, R::S9, a_idcs);
-    let sym_k = asm.bind_label();
-    asm.symbol("issr_sym_k");
-    asm.beq(R::S4, R::S9, sym_row_end);
-    I::emit_index_load(asm, R::T0, R::S4, 0); // column k
-    asm.addi(R::S4, R::S4, ib);
-    asm.slli(R::T1, R::T0, 2);
-    asm.add(R::T1, R::T1, R::S6);
-    asm.lw(R::T2, R::T1, 0); //  b.ptr[k]
-    asm.lw(R::T3, R::T1, 4); //  b.ptr[k+1]
-    asm.sub(R::T4, R::T3, R::T2); // nnz(B[k,:])
-    asm.beqz(R::T4, sym_k);
-    asm.scfgwi(R::T4, cfg_addr(sreg::ACC_COUNT, 0));
-    emit_indexed_addr(asm, R::T6, R::T2, log_w, Base::Reg(R::S7));
-    asm.scfgwi(R::T6, cfg_addr(sreg::ACC_FEED, 0)); // launch (retries)
-    asm.j(sym_k);
-    asm.bind(sym_row_end);
-    // Wait for the row's feeds, read the count, reset the buffer.
-    emit_spacc_wait(asm, 1);
-    asm.scfgri(R::T1, cfg_addr(sreg::ACC_NNZ, 0));
-    asm.add(R::S10, R::S10, R::T1);
-    asm.sw(R::S10, R::S1, 4); // ptr[r+1] = stripe-local prefix
-    asm.addi(R::S1, R::S1, 4);
-    asm.scfgwi(R::ZERO, cfg_addr(sreg::ACC_CLEAR, 0));
-    asm.addi(R::S2, R::S2, -1);
-    asm.bnez(R::S2, sym_row);
 }
 
 /// The shared ISSR per-k loop: walk the current A row (`s4`/`s5`
@@ -501,8 +565,8 @@ pub(crate) fn emit_issr_symbolic_rows<I: KernelIndex>(asm: &mut Assembler, a_idc
 /// read over `B[k,:]` values plus the SpAcc feed over its column
 /// indices (`s6`/`s7`/`s8` = `b.{ptr,idcs,vals}`), driving the whole
 /// expansion through one `fmul` under FREP. Branches to `flush` once
-/// the row is exhausted. Shared with the cluster worker.
-pub(crate) fn emit_issr_k_expand<I: KernelIndex>(asm: &mut Assembler, flush: Label) {
+/// the row is exhausted. Shared with [`emit_chained_rows`].
+fn emit_issr_k_expand<I: KernelIndex>(asm: &mut Assembler, flush: Label) {
     let log_w = log_width::<I>();
     let ib = I::BYTES as i32;
     let k_loop = asm.bind_label();

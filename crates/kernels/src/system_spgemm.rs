@@ -14,35 +14,33 @@
 //! aligned with padding, so the whole-word DMA stores are strobe-safe
 //! by construction: no transfer can clobber a neighbouring panel.
 //!
-//! Within a cluster each panel runs the device-owned two-pass flow of
-//! [`crate::cluster_spgemm`], with one structural change: the
-//! prefix-sum barrier is replaced by a **flag-based offset exchange**
-//! (per-worker stripe totals in parity-buffered TCDM arrays, each
-//! worker summing its predecessors') because the hardware barrier would
-//! have to include the DMCC, whose claim loop has a data-dependent
-//! iteration count. The exchange is race-free under the ready/done/
-//! drained flag protocol: a totals slot of parity `p` is only rewritten
-//! after every worker passed the numeric phase that read it.
+//! Within a cluster each panel runs the one-pass row loop of
+//! [`crate::cluster_spgemm`]: worker h takes the panel's rows h, h + n,
+//! h + 2n, …, runs each row's numeric body — the SSR + FREP `fmul`
+//! expansion feeding the SpAcc (ISSR) or the software union-merge
+//! (BASE) — and passes the row's length along the **offset chain**: it
+//! waits for row r's flag, stores the panel-local offset
+//! `ptr[r + 1] = ptr[r] + nnz` into the C buffer's row-pointer window,
+//! raises row r + 1's flag, then drains or copies the row to `ptr[r]`.
+//! The flag window is parity-buffered with the C buffer, and a panel's
+//! tag is its local sequence number + 1: tags only grow, so no flag is
+//! ever reset, and a parity's flags are rewritten only after every
+//! worker finished the panel two back (the ready/done/drained protocol
+//! guarantees it). The owner of row 0 writes `ptr[0] = 0` and raises
+//! row 0's flag.
 //!
-//! Per row the numeric body is the single-core kernel's — the SSR +
-//! FREP `fmul` expansion feeding the SpAcc (ISSR) or the software
-//! union-merge (BASE) — in the same per-row order, so the product is
-//! bit-identical to the single-cluster kernels whatever the cluster
-//! count or claim interleaving. The host stitches the per-panel regions
-//! into one CSR matrix and validates the format on readback.
+//! Per row the body and its order are the single-core kernel's, so the
+//! product is bit-identical to the single-cluster kernels whatever the
+//! cluster count or claim interleaving. The host stitches the per-panel
+//! regions into one CSR matrix and validates the format on readback. A
+//! trap ends the run at once (see [`crate::cluster_spgemm`]): the
+//! trapped worker's chain successors could never finish.
 
-use crate::common::{
-    emit_meta_transfer, emit_parity_slot, emit_spacc_cfg, emit_wait_all_done, SETUP_SCRATCH,
-};
+use crate::common::{emit_meta_transfer, emit_parity_slot, emit_wait_all_done};
 use crate::harness;
 use crate::layout::{csr_addrs, store_csr, tcdm_arena, Arena, CsrAddrs, TCDM_DATA_BASE};
-use crate::spgemm::{
-    emit_a_row_end, emit_base_k_merge, emit_base_row_copy, emit_base_scratch,
-    emit_base_symbolic_rows, emit_indexed_addr, emit_issr_k_expand, emit_issr_symbolic_rows,
-    emit_spacc_wait, Base,
-};
+use crate::spgemm::{emit_chained_rows, emit_worker_setup, MergeScratch, C_IDCS, C_VALS, TAG};
 use crate::variant::{log_width, KernelIndex, Variant};
-use issr_core::cfg::{acc_count_cfg_word, cfg_addr, reg as sreg};
 use issr_core::HwCaps;
 use issr_isa::asm::{Assembler, Program};
 use issr_isa::reg::{FpReg, IntReg as R};
@@ -61,8 +59,6 @@ const S_DRAINED: u32 = TCDM_BASE + 0x68; // 2 slots (output buffer freed)
 
 /// Descriptor stride in bytes (12 u32 fields, padded).
 const DESC_BYTES: u32 = 48;
-/// Per-worker spill slot stride (7 words, padded).
-const SPILL_BYTES: u32 = 64;
 
 fn align8(bytes: u32) -> u32 {
     (bytes + 7) & !7
@@ -105,17 +101,12 @@ pub struct SystemSpgemmPlan {
     t_b: CsrAddrs,
     t_aptr: u32,
     t_desc: u32,
-    t_totval: u32,
-    t_totflag: u32,
-    t_spill: u32,
-    t_scratch: u32,
-    scratch_stride: u32,
-    scratch_idx_bytes: u32,
+    scratch: MergeScratch,
     // A panel double buffer: [vals | idcs] × 2.
     abuf: u32,
     abuf_stride: u32,
     a_vals_cap: u32,
-    // C panel double buffer: [ptr window | vals | idcs] × 2.
+    // C panel double buffer: [ptr window | flag window | vals | idcs] × 2.
     cbuf: u32,
     cbuf_stride: u32,
     cptrw_bytes: u32,
@@ -170,22 +161,14 @@ impl SystemSpgemmPlan {
         let mut arena = tcdm_arena();
         let t_b = csr_addrs::<I>(&mut arena, b.nrows() as u32, b.nnz() as u32);
         let t_aptr = arena.alloc(align8((nrows + 1) * 4), 8);
-        // Descriptor region: the panel count is bounded by the row count
-        // (every panel holds at least one row); allocate after the
-        // partition below. Reserve the offset-exchange arrays first.
-        let t_totval = arena.alloc(2 * 64, 8);
-        let t_totflag = arena.alloc(2 * 64, 8);
-        let t_spill = arena.alloc(n_workers * SPILL_BYTES, 8);
+        // The descriptor region is allocated after the partition below.
         // BASE ping-pong merge scratch, as in the cluster kernel; the
         // ISSR variant accumulates in the SpAcc and skips it (its size
         // scales with B's width and would crowd out the panel buffers).
-        let row_cap = ncols.max(1);
-        let scratch_idx_bytes = align8(row_cap * I::BYTES);
-        let scratch_stride = 2 * scratch_idx_bytes + 2 * row_cap * 8;
-        let t_scratch = if variant == Variant::Issr {
-            arena.alloc(8, 8)
+        let scratch = if variant == Variant::Issr {
+            MergeScratch::default()
         } else {
-            arena.alloc(n_workers * scratch_stride, 8)
+            MergeScratch::alloc::<I>(&mut arena, ncols, n_workers)
         };
         // ---- greedy panel partition under the remaining space ----
         // Reserve room for descriptors pessimistically, then split what
@@ -207,7 +190,7 @@ impl SystemSpgemmPlan {
         let a_elem_cap =
             ((a_bytes.saturating_sub(16)) / (8 + I::BYTES)).min(a_elem_cap_limit).max(1);
         let cptrw_bytes = align8((max_rows_global + 1) * 4);
-        let c_elem_cap = ((c_bytes.saturating_sub(cptrw_bytes + 16)) / (8 + I::BYTES))
+        let c_elem_cap = ((c_bytes.saturating_sub(2 * cptrw_bytes + 16)) / (8 + I::BYTES))
             .min(c_elem_cap_limit)
             .max(1);
         let ptr = a.ptr();
@@ -264,7 +247,7 @@ impl SystemSpgemmPlan {
         let abuf = arena.alloc(2 * abuf_stride, 8);
         let cvals_bytes = c_elem_cap * 8 + 8;
         let cidcs_bytes = align8(c_elem_cap * I::BYTES) + 16;
-        let cbuf_stride = cptrw_bytes + cvals_bytes + cidcs_bytes;
+        let cbuf_stride = 2 * cptrw_bytes + cvals_bytes + cidcs_bytes;
         let cbuf = arena.alloc(2 * cbuf_stride, 8);
         // ---- main-memory layout ----
         let mut main = Arena::new(MAIN_BASE, MAIN_SIZE);
@@ -300,12 +283,7 @@ impl SystemSpgemmPlan {
             t_b,
             t_aptr,
             t_desc,
-            t_totval,
-            t_totflag,
-            t_spill,
-            t_scratch,
-            scratch_stride,
-            scratch_idx_bytes,
+            scratch,
             abuf,
             abuf_stride,
             a_vals_cap,
@@ -336,6 +314,16 @@ impl SystemSpgemmPlan {
     #[must_use]
     pub fn queue_addr(&self) -> u32 {
         self.main_queue
+    }
+
+    /// Offset of the C values in a C buffer.
+    fn c_vals_off(&self) -> u32 {
+        2 * self.cptrw_bytes
+    }
+
+    /// Offset of the C indices in a C buffer.
+    fn c_idcs_off(&self) -> u32 {
+        2 * self.cptrw_bytes + self.cvals_bytes
     }
 
     /// Translates a resident TCDM address to its main-memory staging
@@ -424,14 +412,6 @@ fn arena_span(end: u32) -> u32 {
 // Program builder
 // ---------------------------------------------------------------------
 
-/// Emits `rd = SPILL + hart * SPILL_BYTES` (`a7` holds the hart id).
-/// Clobbers `t5` (must differ from `rd`).
-fn emit_spill_base(asm: &mut Assembler, plan: &SystemSpgemmPlan, rd: R) {
-    asm.slli(rd, R::A7, 6);
-    asm.li_addr(R::T5, plan.t_spill);
-    asm.add(rd, rd, R::T5);
-}
-
 /// Emits `t6 = done[hart]` — the worker's panel sequence number lives
 /// in its monotonic done flag (`a7` holds the hart id). Clobbers `t0`,
 /// `t1`.
@@ -442,44 +422,12 @@ fn emit_load_seq(asm: &mut Assembler) {
     asm.lw(R::T6, R::T0, 0);
 }
 
-/// Emits `t0 = array + (seq & 1) * 64 + idx_reg * 8` for the parity-
-/// buffered offset-exchange arrays. Clobbers `t1`, `t2`.
-fn emit_tot_slot(asm: &mut Assembler, array: u32, seq_reg: R, idx_reg: R) {
-    asm.andi(R::T0, seq_reg, 1);
-    asm.slli(R::T0, R::T0, 6);
-    asm.slli(R::T2, idx_reg, 3);
-    asm.add(R::T0, R::T0, R::T2);
-    asm.li_addr(R::T1, array);
-    asm.add(R::T0, R::T0, R::T1);
-}
-
-/// Spill-slot offsets (per worker, per panel).
-mod spill {
-    /// C output buffer base of this panel's parity.
-    pub const CBUF: i32 = 0;
-    /// Virtual A index base: `abuf_idcs - align8(nnz_start * W)`.
-    pub const VIDX: i32 = 8;
-    /// Virtual A value base: `abuf_vals - nnz_start * 8`.
-    pub const VVAL: i32 = 16;
-    /// Panel-local first row of this worker's stripe.
-    pub const OFF: i32 = 24;
-    /// `&a.ptr[global first row]` (resident row pointer cursor).
-    pub const APTR: i32 = 32;
-    /// Stripe row count.
-    pub const CNT: i32 = 40;
-    /// Panel row count (last-stripe detection in the exchange).
-    pub const ROWS: i32 = 48;
-}
-
 /// Builds the SPMD system program for `variant`.
 ///
 /// # Panics
-/// Panics for [`Variant::Ssr`] (SpGEMM defines BASE and ISSR only) or a
-/// non-power-of-two worker count.
+/// Panics for [`Variant::Ssr`] (SpGEMM defines BASE and ISSR only).
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn build_system_spgemm<I: KernelIndex>(variant: Variant, plan: &SystemSpgemmPlan) -> Program {
-    assert!(plan.n_workers.is_power_of_two(), "the stripe split shifts by log2(workers)");
     assert!(
         matches!(variant, Variant::Base | Variant::Issr),
         "system SpGEMM defines BASE and ISSR variants only"
@@ -495,8 +443,9 @@ pub fn build_system_spgemm<I: KernelIndex>(variant: Variant, plan: &SystemSpgemm
     asm.finish().expect("system SpGEMM program assembles")
 }
 
-/// Emits the worker loop (both variants share the panel choreography;
-/// the symbolic/numeric bodies dispatch on `variant`).
+/// Emits the worker loop: per claimed panel, its rows h, h + n, …
+/// through [`emit_chained_rows`] on the panel's parity buffers, virtual
+/// A bases and tag.
 #[allow(clippy::too_many_lines)]
 fn emit_worker<I: KernelIndex>(asm: &mut Assembler, variant: Variant, plan: &SystemSpgemmPlan) {
     let log_w = log_width::<I>();
@@ -506,15 +455,9 @@ fn emit_worker<I: KernelIndex>(asm: &mut Assembler, variant: Variant, plan: &Sys
     let spin_meta = asm.bind_label();
     asm.lw(R::T1, R::T0, 0);
     asm.beqz(R::T1, spin_meta);
-    if variant == Variant::Issr {
-        // Static SpAcc/SSR state: value stride, row-buffer capacity (the
-        // full output width — no overflow possible; the trap-driven
-        // optimistic sizing stays a single-cluster feature for now).
-        asm.li(SETUP_SCRATCH, 8);
-        asm.scfgwi(SETUP_SCRATCH, cfg_addr(sreg::STRIDES[0], 0));
-        asm.li(SETUP_SCRATCH, i64::from(plan.ncols.max(1)));
-        asm.scfgwi(SETUP_SCRATCH, cfg_addr(sreg::ACC_BUF_CAP, 0));
-    }
+    // The SpAcc row buffer holds a full output row, so no overflow is
+    // possible (optimistic sizing stays a single-cluster feature).
+    emit_worker_setup::<I>(asm, variant, plan.t_b, plan.ncols.max(1), plan.scratch);
     asm.roi_begin();
     let worker_end = asm.new_label();
     let panel_done = asm.new_label();
@@ -522,7 +465,8 @@ fn emit_worker<I: KernelIndex>(asm: &mut Assembler, variant: Variant, plan: &Sys
     asm.symbol("worker_panel");
     asm.csrr(R::A7, Csr::MHartId);
     emit_load_seq(asm); // t6 = seq
-                        // Wait ready[seq & 1] >= seq + 1, then read the claimed panel.
+
+    // Wait ready[seq & 1] >= seq + 1, then read the claimed panel.
     emit_parity_slot(asm, S_READY, R::T6);
     asm.addi(R::T3, R::T6, 1);
     let spin_ready = asm.bind_label();
@@ -531,18 +475,14 @@ fn emit_worker<I: KernelIndex>(asm: &mut Assembler, variant: Variant, plan: &Sys
     emit_parity_slot(asm, S_BLK, R::T6);
     asm.lw(R::T4, R::T0, 0);
     asm.blt(R::T4, R::ZERO, worker_end); // sentinel
-                                         // Descriptor address: t_desc + g * 48.
-    asm.slli(R::T5, R::T4, 4);
-    asm.slli(R::T4, R::T4, 5);
-    asm.add(R::T4, R::T4, R::T5);
-    asm.li_addr(R::T5, plan.t_desc);
-    asm.add(R::T4, R::T4, R::T5);
+    emit_desc_addr(asm, plan, R::T4);
     asm.lw(R::A0, R::T4, 0); // row_start
     asm.lw(R::A1, R::T4, 4); // row_count
     asm.lw(R::A2, R::T4, 8); // nnz_start
-                             // Wait for the DMCC to have drained the output buffer this
-                             // panel writes (drained[seq & 1] >= seq - 1; trivially true
-                             // for the first two panels).
+
+    // Wait for the DMCC to have drained the output buffer this panel
+    // writes (drained[seq & 1] >= seq - 1; trivially true for the first
+    // two panels).
     asm.addi(R::T3, R::T6, -1);
     let no_drain_wait = asm.new_label();
     asm.blez(R::T3, no_drain_wait);
@@ -551,71 +491,57 @@ fn emit_worker<I: KernelIndex>(asm: &mut Assembler, variant: Variant, plan: &Sys
     asm.lw(R::T2, R::T0, 0);
     asm.blt(R::T2, R::T3, spin_drained);
     asm.bind(no_drain_wait);
-    // ---- per-panel spills (this worker's stripe geometry) ----
-    emit_spill_base(asm, plan, R::A6);
-    // C buffer base of this parity.
-    asm.andi(R::T0, R::T6, 1);
-    asm.li(R::T1, i64::from(plan.cbuf_stride));
-    asm.mul(R::T0, R::T0, R::T1);
+    asm.bge(R::A7, R::A1, panel_done); // no row of this panel is mine
+    asm.addi(TAG, R::T6, 1);
+    asm.andi(R::T5, R::T6, 1); // parity
+
+    // C buffer of this parity: row-pointer and flag cursors at my first
+    // row, value and index bases.
+    asm.li(R::T0, i64::from(plan.cbuf_stride));
+    asm.mul(R::T0, R::T5, R::T0);
     asm.li_addr(R::T1, plan.cbuf);
     asm.add(R::T0, R::T0, R::T1);
-    asm.sw(R::T0, R::A6, spill::CBUF);
-    // A buffer base of this parity; virtual value/index bases.
-    asm.andi(R::T1, R::T6, 1);
-    asm.li(R::T2, i64::from(plan.abuf_stride));
-    asm.mul(R::T1, R::T1, R::T2);
-    asm.li_addr(R::T2, plan.abuf);
-    asm.add(R::T1, R::T1, R::T2); // abuf vals base
-    asm.slli(R::T3, R::A2, 3);
-    asm.sub(R::T3, R::T1, R::T3);
-    asm.sw(R::T3, R::A6, spill::VVAL);
-    asm.slli(R::T3, R::A2, log_w);
-    asm.andi(R::T3, R::T3, -8);
+    asm.slli(R::T1, R::A7, 2);
+    asm.add(R::S1, R::T0, R::T1); //   &ptr[h]
+    asm.li(R::T2, i64::from(plan.cptrw_bytes));
+    asm.add(R::S3, R::S1, R::T2); //   &flag[h]
+    asm.li(R::T2, i64::from(plan.c_vals_off()));
+    asm.add(C_VALS, R::T0, R::T2);
+    asm.li(R::T2, i64::from(plan.c_idcs_off()));
+    asm.add(C_IDCS, R::T0, R::T2);
+    // A buffer of this parity, addressed through virtual bases that the
+    // resident (global) row pointer's offsets index.
+    asm.li(R::T0, i64::from(plan.abuf_stride));
+    asm.mul(R::T0, R::T5, R::T0);
+    asm.li_addr(R::T1, plan.abuf);
+    asm.add(R::T0, R::T0, R::T1); //   A value buffer
+    asm.slli(R::T1, R::A2, 3);
+    asm.sub(R::A4, R::T0, R::T1);
+    asm.slli(R::T1, R::A2, log_w);
+    asm.andi(R::T1, R::T1, -8);
     asm.li(R::T2, i64::from(plan.a_vals_cap));
-    asm.add(R::T2, R::T2, R::T1);
-    asm.sub(R::T2, R::T2, R::T3);
-    asm.sw(R::T2, R::A6, spill::VIDX);
-    // Stripe: rpw = ceil(row_count / workers), off = hart * rpw.
-    asm.addi(R::T5, R::A1, i32::try_from(plan.n_workers - 1).expect("small"));
-    asm.srli(R::T5, R::T5, plan.n_workers.trailing_zeros() as i32);
-    asm.mul(R::T3, R::T5, R::A7);
-    asm.sub(R::T2, R::A1, R::T3); // rows remaining after my offset
-    let zero_stripe = asm.new_label();
-    asm.blez(R::T2, zero_stripe);
-    let clamp_ok = asm.new_label();
-    asm.bge(R::T2, R::T5, clamp_ok);
-    asm.mv(R::T5, R::T2);
-    asm.bind(clamp_ok);
-    asm.sw(R::T3, R::A6, spill::OFF);
-    asm.sw(R::T5, R::A6, spill::CNT);
-    asm.sw(R::A1, R::A6, spill::ROWS);
-    asm.add(R::T0, R::A0, R::T3);
-    asm.slli(R::T0, R::T0, 2);
-    asm.li_addr(R::T1, plan.t_aptr);
-    asm.add(R::T0, R::T0, R::T1);
-    asm.sw(R::T0, R::A6, spill::APTR);
-    // ---- symbolic phase: stripe-local output counts ----
-    match variant {
-        Variant::Issr => emit_issr_symbolic::<I>(asm, plan),
-        _ => emit_base_symbolic::<I>(asm, plan),
+    asm.add(R::T2, R::T2, R::T0);
+    asm.sub(R::A5, R::T2, R::T1);
+    // Resident row-pointer cursor at my first row, and the panel's end.
+    asm.li_addr(R::T0, plan.t_aptr);
+    asm.add(R::T1, R::A0, R::A7);
+    asm.slli(R::T1, R::T1, 2);
+    asm.add(R::S0, R::T0, R::T1);
+    asm.add(R::T1, R::A0, R::A1);
+    asm.slli(R::T1, R::T1, 2);
+    asm.add(R::S2, R::T0, R::T1);
+    emit_chained_rows::<I>(asm, variant, plan.n_workers, plan.t_b);
+    if variant == Variant::Base {
+        // Value-store fence: the row copies store C values through the
+        // FPU LSU while the done flag goes through the core LSU; pull
+        // one value word back through the FPU (ordered behind every
+        // store) and sync it before signalling.
+        asm.fld(FpReg::FT6, C_VALS, 0);
+        asm.fcvt_w_d(R::T0, FpReg::FT6);
+        asm.add(R::ZERO, R::T0, R::T0);
     }
-    // ---- offset exchange (replaces the cluster's scan barrier) ----
-    emit_offset_exchange(asm, plan);
-    // ---- numeric phase at the exchanged packed offsets ----
-    match variant {
-        Variant::Issr => emit_issr_numeric::<I>(asm, plan),
-        _ => emit_base_numeric::<I>(asm, plan),
-    }
-    asm.j(panel_done);
-    // Zero-stripe path: publish a zero total for the exchange, skip
-    // both phases (nothing read, nothing written).
-    asm.bind(zero_stripe);
-    asm.symbol("worker_zero_stripe");
-    emit_tot_slot(asm, plan.t_totval, R::T6, R::A7);
-    asm.sw(R::ZERO, R::T0, 0);
-    emit_tot_slot(asm, plan.t_totflag, R::T6, R::A7);
-    asm.addi(R::T2, R::T6, 1);
-    asm.sw(R::T2, R::T0, 0);
+    // ISSR left the loop with every drain retired: the DMCC's output
+    // DMA reads this buffer right after it sees the flag.
     asm.bind(panel_done);
     asm.symbol("worker_panel_done");
     asm.csrr(R::A7, Csr::MHartId);
@@ -625,230 +551,10 @@ fn emit_worker<I: KernelIndex>(asm: &mut Assembler, variant: Variant, plan: &Sys
     asm.j(wloop);
     asm.bind(worker_end);
     asm.roi_end();
-    asm.halt();
-}
-
-/// ISSR symbolic: count-only SpAcc feeds over the panel stripe, the
-/// stripe-local inclusive prefix written into the C-buffer row-pointer
-/// window. Mirrors the cluster kernel's symbolic loop with runtime
-/// (virtual) A bases.
-fn emit_issr_symbolic<I: KernelIndex>(asm: &mut Assembler, plan: &SystemSpgemmPlan) {
-    let log_w = log_width::<I>();
-    asm.symbol("issr_sym");
-    asm.li(SETUP_SCRATCH, i64::from(acc_count_cfg_word(I::IDX_SIZE)));
-    asm.scfgwi(SETUP_SCRATCH, cfg_addr(sreg::ACC_CFG, 0));
-    asm.li_addr(R::S6, plan.t_b.ptr);
-    asm.li_addr(R::S7, plan.t_b.idcs);
-    emit_stripe_cursors(asm, log_w, false);
-    asm.lw(R::S2, R::A6, spill::CNT);
-    emit_issr_symbolic_rows::<I>(asm, Base::Reg(R::A5));
-}
-
-/// Loads the stripe cursors from the spill slots at `a6`: `s0` →
-/// `&a.ptr[first row + 1]`, `a5` the virtual A index base and `s4` the
-/// A index cursor, with `with_vals` `s5` the A value cursor, `s1` →
-/// `&cptr_win[off]` (entries at +4); `t2` keeps the C buffer base.
-/// Clobbers `t1`–`t3`.
-fn emit_stripe_cursors(asm: &mut Assembler, log_w: i32, with_vals: bool) {
-    asm.lw(R::S0, R::A6, spill::APTR);
-    asm.lw(R::T1, R::S0, 0); // a.ptr[my first row] (global elements)
-    asm.addi(R::S0, R::S0, 4);
-    asm.lw(R::A5, R::A6, spill::VIDX);
-    asm.slli(R::T2, R::T1, log_w);
-    asm.add(R::S4, R::A5, R::T2); // A index cursor
-    if with_vals {
-        asm.lw(R::T3, R::A6, spill::VVAL);
-        asm.slli(R::T2, R::T1, 3);
-        asm.add(R::S5, R::T3, R::T2); // A value cursor
+    if variant == Variant::Issr {
+        asm.csrci(Csr::Ssr, 1);
     }
-    asm.lw(R::T2, R::A6, spill::CBUF);
-    asm.lw(R::T3, R::A6, spill::OFF);
-    asm.slli(R::T3, R::T3, 2);
-    asm.add(R::S1, R::T2, R::T3);
-}
-
-/// BASE symbolic: the software union-merge per row, keeping only the
-/// accumulator length (running prefix in `s3`, moved to `s10` for the
-/// exchange).
-fn emit_base_symbolic<I: KernelIndex>(asm: &mut Assembler, plan: &SystemSpgemmPlan) {
-    asm.symbol("base_sym");
-    emit_system_base_scratch(asm, plan);
-    // a6 is consumed after this: the merge needs it as the A-row end
-    // register.
-    emit_stripe_cursors(asm, log_width::<I>(), true);
-    asm.lw(R::S2, R::A6, spill::CNT);
-    emit_base_symbolic_rows::<I>(asm, Base::Reg(R::A5), R::S3, plan.t_b.idcs, plan.t_b.vals);
-}
-
-/// The BASE per-worker scratch pointers of this plan (see
-/// [`emit_base_scratch`]).
-fn emit_system_base_scratch(asm: &mut Assembler, plan: &SystemSpgemmPlan) {
-    emit_base_scratch(
-        asm,
-        plan.scratch_stride,
-        plan.t_scratch,
-        plan.scratch_idx_bytes,
-        i64::from((plan.scratch_stride - 2 * plan.scratch_idx_bytes) / 2),
-        plan.t_b.ptr,
-    );
-}
-
-/// The flag-based offset exchange: publish this worker's stripe total
-/// (`s10`) into the parity-buffered arrays, sum every predecessor's
-/// total into the exclusive base `s3`, seed the stripe's row-pointer
-/// boundary entry with it and add it to the stripe's inclusive
-/// entries. Writers of a parity slot are gated by the drained/ready
-/// flags, so a slot is never rewritten before every reader has passed.
-fn emit_offset_exchange(asm: &mut Assembler, plan: &SystemSpgemmPlan) {
-    asm.symbol("offset_exchange");
-    asm.csrr(R::A7, Csr::MHartId); // BASE's merge clobbers a7
-    emit_load_seq(asm); //            t6 = seq
-    emit_tot_slot(asm, plan.t_totval, R::T6, R::A7);
-    asm.sw(R::S10, R::T0, 0);
-    emit_tot_slot(asm, plan.t_totflag, R::T6, R::A7);
-    asm.addi(R::T2, R::T6, 1);
-    asm.sw(R::T2, R::T0, 0);
-    // Exclusive base: sum totals of workers 0 .. hart.
-    asm.li(R::S3, 0);
-    asm.li(R::T3, 0); // j
-    let j_loop = asm.bind_label();
-    let j_done = asm.new_label();
-    asm.bge(R::T3, R::A7, j_done);
-    emit_tot_slot(asm, plan.t_totflag, R::T6, R::T3);
-    asm.addi(R::T4, R::T6, 1);
-    let spin = asm.bind_label();
-    asm.lw(R::T2, R::T0, 0);
-    asm.blt(R::T2, R::T4, spin);
-    emit_tot_slot(asm, plan.t_totval, R::T6, R::T3);
-    asm.lw(R::T2, R::T0, 0);
-    asm.add(R::S3, R::S3, R::T2);
-    asm.addi(R::T3, R::T3, 1);
-    asm.j(j_loop);
-    asm.bind(j_done);
-    // Apply — every window entry has exactly one writer (the interior
-    // adds are read-modify-writes, so a shared boundary entry would
-    // race): this worker stores its own boundary `win[off] = base`,
-    // adds the base to its interior entries `win[off+1 .. off+cnt-1]`,
-    // and only the *last* stripe writes the panel total
-    // `win[row_count] = base + stripe total` (it has no successor).
-    emit_spill_base(asm, plan, R::A6);
-    asm.lw(R::T2, R::A6, spill::CBUF);
-    asm.lw(R::T3, R::A6, spill::OFF);
-    asm.slli(R::T3, R::T3, 2);
-    asm.add(R::T4, R::T2, R::T3); // &cptr_win[off]
-    asm.sw(R::S3, R::T4, 0); //      my boundary (sole writer)
-    asm.lw(R::T5, R::A6, spill::CNT);
-    asm.addi(R::T5, R::T5, -1); //   interior entries
-    let apply = asm.bind_label();
-    let apply_done = asm.new_label();
-    asm.blez(R::T5, apply_done);
-    asm.lw(R::T0, R::T4, 4);
-    asm.add(R::T0, R::T0, R::S3);
-    asm.sw(R::T0, R::T4, 4);
-    asm.addi(R::T4, R::T4, 4);
-    asm.addi(R::T5, R::T5, -1);
-    asm.j(apply);
-    asm.bind(apply_done);
-    // t4 = &win[off + cnt - 1]; the successor boundary sits at t4 + 4.
-    let not_last = asm.new_label();
-    asm.lw(R::T0, R::A6, spill::ROWS);
-    asm.lw(R::T2, R::A6, spill::OFF);
-    asm.lw(R::T3, R::A6, spill::CNT);
-    asm.add(R::T2, R::T2, R::T3);
-    asm.bne(R::T2, R::T0, not_last);
-    asm.add(R::T1, R::S3, R::S10);
-    asm.sw(R::T1, R::T4, 4); //      panel total (sole writer)
-    asm.bind(not_last);
-}
-
-/// ISSR numeric: the SSR + FREP expansion into the SpAcc, drained per
-/// row at the exchanged packed offsets into the C panel buffer.
-fn emit_issr_numeric<I: KernelIndex>(asm: &mut Assembler, plan: &SystemSpgemmPlan) {
-    let log_w = log_width::<I>();
-    asm.symbol("issr_num");
-    emit_spacc_cfg::<I>(asm); // back to value mode
-    asm.csrsi(Csr::Ssr, 1);
-    asm.li_addr(R::S6, plan.t_b.ptr);
-    asm.li_addr(R::S7, plan.t_b.idcs);
-    asm.li_addr(R::S8, plan.t_b.vals);
-    emit_spill_base(asm, plan, R::A6);
-    emit_stripe_cursors(asm, log_w, true); // s1: c.ptr window cursor (reads [s1])
-    asm.li(R::T4, i64::from(plan.cptrw_bytes));
-    asm.add(R::S3, R::T2, R::T4); // C value base
-    asm.li(R::T4, i64::from(plan.cptrw_bytes + plan.cvals_bytes));
-    asm.add(R::S11, R::T2, R::T4); // C index base
-    asm.lw(R::S2, R::A6, spill::CNT);
-    let row = asm.bind_label();
-    asm.symbol("issr_num_row");
-    let flush = asm.new_label();
-    emit_a_row_end::<I>(asm, R::S9, Base::Reg(R::A5)); // virtual base
-    asm.lw(R::A4, R::S1, 0); //      packed element offset (panel-local)
-    asm.addi(R::S1, R::S1, 4);
-    emit_indexed_addr(asm, R::A2, R::A4, log_w, Base::Reg(R::S11));
-    emit_indexed_addr(asm, R::A3, R::A4, 3, Base::Reg(R::S3));
-    emit_issr_k_expand::<I>(asm, flush);
-    asm.bind(flush);
-    asm.symbol("issr_num_flush");
-    // The in-order job queue sequences the drain after this row's
-    // feeds; double-buffered row storage overlaps it with the next row.
-    asm.scfgwi(R::A3, cfg_addr(sreg::ACC_VAL_OUT, 0));
-    asm.scfgwi(R::A2, cfg_addr(sreg::ACC_DRAIN, 0)); // launch (retries)
-    asm.addi(R::S2, R::S2, -1);
-    asm.bnez(R::S2, row);
-    // Wait for the last drain before signalling done: the DMCC's
-    // output DMA reads this buffer right after it sees the flag (its
-    // descriptor reads, address arithmetic and transfer startup give
-    // the final strobed words a wide landing margin on top of this).
-    emit_spacc_wait(asm, 1);
-    asm.csrci(Csr::Ssr, 1);
-}
-
-/// BASE numeric: the software union-merge per row, packed at the
-/// exchanged offsets through [`emit_base_row_copy`].
-fn emit_base_numeric<I: KernelIndex>(asm: &mut Assembler, plan: &SystemSpgemmPlan) {
-    let log_w = log_width::<I>();
-    asm.symbol("base_num");
-    asm.csrr(R::A7, Csr::MHartId);
-    emit_system_base_scratch(asm, plan);
-    emit_spill_base(asm, plan, R::A6);
-    emit_stripe_cursors(asm, log_w, true);
-    asm.lw(R::S2, R::A6, spill::CNT);
-    let row = asm.bind_label();
-    asm.symbol("base_num_row");
-    let flush = asm.new_label();
-    asm.li(R::S10, 0);
-    emit_a_row_end::<I>(asm, R::A6, Base::Reg(R::A5));
-    asm.lw(R::A4, R::S1, 0); // packed element offset (panel-local)
-    asm.addi(R::S1, R::S1, 4);
-    emit_base_k_merge::<I>(asm, plan.t_b.idcs, plan.t_b.vals, flush);
-    asm.bind(flush);
-    asm.symbol("base_num_flush");
-    // C cursors from the parity buffer (a7/spill re-derived per row —
-    // the merge clobbers them).
-    asm.csrr(R::A7, Csr::MHartId);
-    emit_spill_base(asm, plan, R::T6);
-    asm.lw(R::T1, R::T6, spill::CBUF);
-    asm.li(R::T0, i64::from(plan.cptrw_bytes + plan.cvals_bytes));
-    asm.add(R::T0, R::T0, R::T1);
-    asm.slli(R::T2, R::A4, log_w);
-    asm.add(R::T0, R::T0, R::T2); // C index cursor
-    asm.li(R::T2, i64::from(plan.cptrw_bytes));
-    asm.add(R::T1, R::T1, R::T2);
-    asm.slli(R::T2, R::A4, 3);
-    asm.add(R::T1, R::T1, R::T2); // C value cursor
-    emit_base_row_copy::<I>(asm);
-    asm.addi(R::S2, R::S2, -1);
-    asm.bnez(R::S2, row);
-    // Value-store fence: the row copies store C values through the FPU
-    // LSU while the done flag goes through the core LSU; pull one value
-    // word back through the FPU (ordered behind every store) and sync
-    // it before signalling.
-    asm.csrr(R::A7, Csr::MHartId);
-    emit_spill_base(asm, plan, R::T6);
-    asm.lw(R::T1, R::T6, spill::CBUF);
-    asm.fld(FpReg::FT6, R::T1, i32::try_from(plan.cptrw_bytes).expect("small"));
-    asm.fcvt_w_d(R::T0, FpReg::FT6);
-    asm.add(R::ZERO, R::T0, R::T0);
+    asm.halt();
 }
 
 /// Emits the DMCC: claim panels from the shared queue, double-buffer
@@ -933,11 +639,11 @@ fn emit_dmcc(asm: &mut Assembler, plan: &SystemSpgemmPlan, log_w: i32) {
     asm.halt();
 }
 
-/// Emits `t4 = t_desc + id * 48` from the panel id in `id_reg`
-/// (`id * 48 = id * 16 + id * 32`). Clobbers `t5`.
+/// Emits `t4 = t_desc + id * 48` from the panel id in `id_reg` (which
+/// may be `t4`; `id * 48 = id * 32 + id * 16`). Clobbers `t5`.
 fn emit_desc_addr(asm: &mut Assembler, plan: &SystemSpgemmPlan, id_reg: R) {
-    asm.slli(R::T4, id_reg, 4);
     asm.slli(R::T5, id_reg, 5);
+    asm.slli(R::T4, id_reg, 4);
     asm.add(R::T4, R::T4, R::T5);
     asm.li_addr(R::T5, plan.t_desc);
     asm.add(R::T4, R::T4, R::T5);
@@ -978,13 +684,13 @@ fn emit_panel_drain(asm: &mut Assembler, plan: &SystemSpgemmPlan, log_w: i32) {
     // 2./3. Values and indices (skipped for an all-empty panel).
     let empty = asm.new_label();
     asm.beqz(R::A4, empty);
-    asm.li(R::T2, i64::from(plan.cptrw_bytes));
+    asm.li(R::T2, i64::from(plan.c_vals_off()));
     asm.add(R::T2, R::T2, R::T0);
     asm.dmsrc(R::T2, R::ZERO);
     asm.dmdst(R::A3, R::ZERO);
     asm.slli(R::T3, R::A4, 3);
     asm.dmcpyi(R::ZERO, R::T3, 0);
-    asm.li(R::T2, i64::from(plan.cptrw_bytes + plan.cvals_bytes));
+    asm.li(R::T2, i64::from(plan.c_idcs_off()));
     asm.add(R::T2, R::T2, R::T0);
     asm.dmsrc(R::T2, R::ZERO);
     asm.dmdst(R::A2, R::ZERO);
@@ -1179,33 +885,46 @@ mod tests {
         check::<u16>(Variant::Issr, 5, 16, 16, 20, 40, 506);
     }
 
-    /// The symbolic phase runs on the workers (count-only SpAcc feeds
-    /// appear in the per-cluster summaries), and the DMA/compute
-    /// overlap counter moves on a multi-panel run.
+    /// Every panel chains its offsets in the one pass that computes the
+    /// values: no count-only feeds, one numeric feed per A nonzero whose
+    /// B row is nonempty, one drain per nonempty C row, and a stitched
+    /// row pointer the workers wrote (the host writes nothing into the
+    /// TCDM). The panel DMA overlaps compute, and 1 and 2 clusters give
+    /// the same bits.
     #[test]
-    fn device_owned_symbolic_and_overlap() {
+    fn device_chained_offsets_and_overlap() {
         let mut rng = gen::rng(507);
-        let a = gen::csr_fixed_row_nnz::<u16>(&mut rng, 48, 32, 6);
-        let b = gen::csr_fixed_row_nnz::<u16>(&mut rng, 32, 40, 8);
+        let a = gen::csr_uniform::<u16>(&mut rng, 48, 32, 150);
+        let b = gen::csr_uniform::<u16>(&mut rng, 32, 40, 100);
+        let expect = reference::spgemm(&a, &b).with_index_width::<u32>();
+        let live_feeds = (0..a.nrows())
+            .flat_map(|r| a.row(r).map(|(k, _)| k))
+            .filter(|&k| !b.row_range(k).is_empty())
+            .count() as u64;
+        let nonempty_rows = expect.ptr().windows(2).filter(|w| w[1] > w[0]).count() as u64;
+        assert!(live_feeds < a.nnz() as u64 && nonempty_rows < 48, "empty rows on both sides");
         let n_workers = SystemParams::default().cluster.n_workers as u32;
-        let plan = SystemSpgemmPlan::with_panel_caps(Variant::Issr, &a, &b, n_workers, 48, 400);
-        assert!(plan.n_panels() >= 3);
-        let run = run_system_spgemm_planned(
-            Variant::Issr,
-            &a,
-            &b,
-            plan,
-            SystemParams { n_clusters: 2, ..SystemParams::default() },
-        )
-        .unwrap();
-        let count_feeds: u64 = run
-            .summary
-            .clusters
-            .iter()
-            .flat_map(|c| c.spacc_stats.iter())
-            .map(|s| s.count_feeds)
-            .sum();
-        assert_eq!(count_feeds, a.nnz() as u64, "one symbolic feed per A nonzero");
-        assert!(run.summary.overlap_cycles > 0, "panel DMA must overlap compute");
+        let mut bits = Vec::new();
+        for n_clusters in [1usize, 2] {
+            let plan = SystemSpgemmPlan::with_panel_caps(Variant::Issr, &a, &b, n_workers, 48, 400);
+            assert!(plan.n_panels() >= 3);
+            let run = run_system_spgemm_planned(
+                Variant::Issr,
+                &a,
+                &b,
+                plan,
+                SystemParams { n_clusters, ..SystemParams::default() },
+            )
+            .unwrap();
+            assert_eq!(run.c.ptr(), expect.ptr(), "{n_clusters}-cluster row pointer");
+            assert_eq!(run.c.idcs(), expect.idcs(), "{n_clusters}-cluster indices");
+            let stats = || run.summary.clusters.iter().flat_map(|c| c.spacc_stats.iter());
+            assert_eq!(stats().map(|s| s.count_feeds).sum::<u64>(), 0, "no count-only pass");
+            assert_eq!(stats().map(|s| s.feeds).sum::<u64>(), live_feeds, "live A nonzeros");
+            assert_eq!(stats().map(|s| s.drains).sum::<u64>(), nonempty_rows, "nonempty rows");
+            assert!(run.summary.overlap_cycles > 0, "panel DMA must overlap compute");
+            bits.push(val_bits(&run.c));
+        }
+        assert_eq!(bits[0], bits[1], "cluster count cannot change bits");
     }
 }

@@ -1,6 +1,6 @@
 //! Property tests for the device-owned cluster SpGEMM: for random
 //! sparse operands, every worker count (1/2/4/8) and both index widths,
-//! the on-device symbolic → prefix-sum → numeric flow must produce a
+//! the one-pass on-device flow (cyclic rows, chained offsets) must give a
 //! CSR product identical to the host oracle and to the single-core ISSR
 //! kernel — including empty rows, all-empty operands and single-row
 //! matrices.
@@ -92,7 +92,7 @@ proptest! {
         prop_assert_eq!(cluster.c.vals(), single.c.vals(), "bit-identical values");
     }
 
-    /// The BASE cluster runs the same device-owned two-pass flow.
+    /// The BASE cluster chains its offsets the same way.
     #[test]
     fn base_cluster_matches_oracle(
         nrows in 1usize..8,
@@ -111,8 +111,8 @@ proptest! {
     }
 }
 
-/// All-empty operands: the symbolic phase counts zero everywhere, the
-/// scan yields an all-zero row pointer, and the readback validates.
+/// All-empty operands: every row chains a zero length, the row pointer
+/// is all zero, and the readback validates.
 #[test]
 fn all_empty_matrices() {
     for (nnz_a, nnz_b) in [(0, 0), (0, 8), (8, 0)] {
@@ -128,7 +128,7 @@ fn all_empty_matrices() {
 }
 
 /// Single-row matrices: one worker owns the only row, every other
-/// worker halts before the scan and must not wedge the barrier.
+/// worker halts before its first row.
 #[test]
 fn single_row_matrices() {
     let a = CsrMatrix::<u32>::from_triplets(1, 6, &[(0, 1, 2.0), (0, 4, -1.5)]);
@@ -145,7 +145,7 @@ fn single_row_matrices() {
 
 /// Interleaved empty rows in A (and rows of B that nothing references):
 /// the device-computed row pointer must carry the zero-length rows
-/// through the prefix sum unchanged.
+/// through the offset chain (a prefix sum, one row at a time) unchanged.
 #[test]
 fn empty_rows_survive_the_prefix_sum() {
     // Rows 0, 2, 5 empty; rows 1, 3, 4, 6 populated.

@@ -3,7 +3,8 @@
 //! the overflow latches as a structured `StreamFault`, the harness
 //! grows `ACC_BUF_CAP` and replays, and the final product is
 //! oracle-identical — for the single-CC kernel and the cluster, across
-//! index widths and worker counts. No input panics the simulator.
+//! index widths and worker counts. No input panics the simulator, and a
+//! trapped cluster attempt ends at its trap.
 
 use issr_kernels::cluster_spgemm::run_cluster_spgemm_recover;
 use issr_kernels::spgemm::run_spgemm_recover;
@@ -63,10 +64,9 @@ fn sufficient_capacity_never_retries() {
     check_against_oracle(&rec.run.c, &a, &b, "no-retry fast path");
 }
 
-/// The cluster flow: a worker whose stripe overflows parks and is
-/// masked out of the barrier; the retry with a grown capacity matches
-/// the oracle. The symbolic (count-only) pass traps first, before any
-/// numeric value traffic.
+/// The cluster flow: a worker whose row overflows parks, the attempt
+/// ends at that trap, and the retry with a grown capacity matches the
+/// oracle.
 #[test]
 fn cluster_recovers_from_engineered_overflow() {
     let (a, b) = engineered(0xEC2, 12, 16, 40, 3, 20);
@@ -75,6 +75,27 @@ fn cluster_recovers_from_engineered_overflow() {
         .expect("cluster recovery finishes");
     assert!(rec.retries >= 1, "cap 4 must overflow at least once");
     check_against_oracle(&rec.run.c, &a, &b, "cluster grow-and-retry");
+}
+
+/// One overflowing row ahead of the offset chain: 8 workers and 12
+/// rows, where row 0 expands to 40 products over 24 distinct columns
+/// and every other row to 3. Only row 0 overflows cap 8 (then 16); its
+/// trap ends each attempt at once rather than leaving the rows chained
+/// behind it to spin out the cycle budget.
+#[test]
+fn cluster_recovers_from_one_overflowing_row() {
+    let mut a_triplets: Vec<(usize, usize, f64)> = (0..5).map(|k| (0, k, 1.0 + k as f64)).collect();
+    a_triplets.extend((1..12).map(|i| (i, 5 + i % 11, 0.5 * i as f64)));
+    let a = CsrMatrix::<u32>::from_triplets(12, 16, &a_triplets);
+    let mut b_triplets: Vec<(usize, usize, f64)> =
+        (0..5).flat_map(|k| (0..8).map(move |j| (k, k * 4 + j, 0.25 * (k + j) as f64))).collect();
+    b_triplets
+        .extend((5..16).flat_map(|k| (0..3).map(move |j| (k, (k * 3 + j * 5) % 48, k as f64))));
+    let b = CsrMatrix::<u32>::from_triplets(16, 48, &b_triplets);
+    let rec = run_cluster_spgemm_recover(Variant::Issr, &a, &b, 8, 8).expect("recovery finishes");
+    assert_eq!((rec.retries, rec.final_cap), (2, 32), "8 and 16 overflow, 32 holds 24");
+    check_against_oracle(&rec.run.c, &a, &b, "one overflowing row");
+    assert!(rec.run.summary.cycles < 20_000, "clean run took {} cycles", rec.run.summary.cycles);
 }
 
 proptest! {

@@ -251,6 +251,12 @@ impl System {
         self.now += 1;
     }
 
+    /// Whether any hart of any cluster has latched a trap.
+    #[must_use]
+    pub fn trapped(&self) -> bool {
+        self.clusters.iter().any(Cluster::trapped)
+    }
+
     /// Runs to quiescence.
     ///
     /// # Errors
@@ -258,6 +264,20 @@ impl System {
     /// `max_cycles` (deadlock or bug); its post-mortem lists every hart
     /// that was not quiescent, with its cluster prefix and current PC.
     pub fn run(&mut self, max_cycles: u64) -> Result<SystemSummary, SimTimeout> {
+        self.run_until(max_cycles, |_| false)
+    }
+
+    /// Runs to quiescence, or until `stop` holds after a cycle (a
+    /// harness whose harts wait on each other ends at the first trap,
+    /// [`System::trapped`]).
+    ///
+    /// # Errors
+    /// As [`System::run`].
+    pub fn run_until(
+        &mut self,
+        max_cycles: u64,
+        stop: impl Fn(&Self) -> bool,
+    ) -> Result<SystemSummary, SimTimeout> {
         self.profiled = issr_trace::host::is_enabled();
         for (ci, cluster) in self.clusters.iter_mut().enumerate() {
             // So a timeout dump always carries recent history
@@ -279,7 +299,7 @@ impl System {
                 }
                 all &= *done;
             }
-            if all {
+            if all || stop(self) {
                 return Ok(self.summary());
             }
         }

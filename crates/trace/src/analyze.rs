@@ -12,9 +12,9 @@
 //!
 //! [`PhaseProfile`] adds program-phase resolution: the bench harness
 //! maps kernel symbols to PC regions and buckets each sampled cycle's
-//! stall cause into the phase the worker's PC was in — how two-pass
-//! SpGEMM splits between symbolic, scan and numeric without touching
-//! the kernel or the timing model.
+//! stall cause into the phase the worker's PC was in — how cluster
+//! SpGEMM splits between its rows and the offset chain that links them,
+//! without touching the kernel or the timing model.
 
 use crate::critpath::{CriticalPath, EdgeClass};
 use crate::json::obj;
@@ -204,7 +204,8 @@ pub struct PhaseProfile {
 
 impl PhaseProfile {
     /// Builds a profile over `(name, lo, hi)` byte-address spans.
-    /// Earlier spans win on overlap.
+    /// Later spans win on overlap, so a span nested in an earlier one
+    /// carves its range out of it.
     #[must_use]
     pub fn new(spans: &[(&str, u32, u32)]) -> Self {
         Self {
@@ -223,7 +224,7 @@ impl PhaseProfile {
 
     /// Attributes one sampled cycle at `pc` to its phase.
     pub fn sample(&mut self, pc: u32, cause: StallCause) {
-        match self.phases.iter_mut().find(|p| (p.lo..p.hi).contains(&pc)) {
+        match self.phases.iter_mut().rev().find(|p| (p.lo..p.hi).contains(&pc)) {
             Some(p) => p.cycles.record(cause),
             None => self.other.record(cause),
         }
@@ -413,19 +414,19 @@ mod tests {
 
     #[test]
     fn phase_profile_buckets_by_pc() {
-        let mut p = PhaseProfile::new(&[("symbolic", 0, 40), ("numeric", 40, 100)]);
+        let mut p = PhaseProfile::new(&[("row", 0, 100), ("chain", 40, 60)]);
         p.sample(0, StallCause::Active);
         p.sample(36, StallCause::FifoEmpty);
-        p.sample(40, StallCause::Active);
+        p.sample(40, StallCause::Active); // the nested span wins
         p.sample(120, StallCause::Parked); // outside both spans
         let rows = p.rows();
         assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].0, "symbolic");
+        assert_eq!(rows[0].0, "row");
         assert_eq!(rows[0].1.total(), 2);
         assert_eq!(rows[1].1.get(StallCause::Active), 1);
         assert_eq!(rows[2].0, "other");
         assert_eq!(p.total(), 4);
         let doc = p.to_json();
-        assert!(doc.get("numeric").is_some());
+        assert!(doc.get("chain").is_some());
     }
 }

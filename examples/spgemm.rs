@@ -53,23 +53,22 @@ fn main() {
         }
     }
 
-    // The cluster version with the fully DEVICE-OWNED two-pass
-    // allocation: each worker counts its rows with count-only SpAcc
-    // feeds (symbolic phase), the log-tree prefix-sum barrier turns the
-    // counts into packed offsets on-device, and the numeric phase
-    // drains rows into the exact slots — no host row pointer at all.
+    // The cluster version with DEVICE-OWNED allocation in one pass: the
+    // workers take rows cyclically, and each row's owner reads the row
+    // length from the SpAcc, waits for its predecessor's offset, chains
+    // the next one on and drains the row into its exact slot — no host
+    // row pointer and no counting pre-pass.
     let cluster = run_cluster_spgemm(Variant::Issr, &a, &b).expect("cluster finishes");
     assert!(cluster.summary.traps.is_empty());
     assert_eq!(cluster.c.ptr(), expect.ptr(), "device-computed row pointer matches the oracle");
     assert_eq!(cluster.c.idcs(), expect.idcs());
     let active = cluster.summary.spacc_stats.iter().filter(|s| s.drains > 0).count();
-    let sym_feeds: u64 = cluster.summary.spacc_stats.iter().map(|s| s.count_feeds).sum();
+    let count_feeds: u64 = cluster.summary.spacc_stats.iter().map(|s| s.count_feeds).sum();
     let overlap: u64 = cluster.summary.spacc_stats.iter().map(|s| s.overlap_cycles).sum();
-    assert!(sym_feeds > 0, "the symbolic phase must run on-device");
+    assert_eq!(count_feeds, 0, "the offsets are chained without a counting pass");
     println!(
-        "\ncluster (device-owned alloc): {} cycles across 8 workers \
-         ({active} SpAcc units active, {sym_feeds} count-only symbolic feeds, \
-         {overlap} drain/feed overlap cycles)",
+        "\ncluster (device-owned alloc, one pass): {} cycles across 8 workers \
+         ({active} SpAcc units active, {overlap} drain/feed overlap cycles)",
         cluster.summary.cycles
     );
     println!("\nall outputs agree with the host reference::spgemm oracle");
