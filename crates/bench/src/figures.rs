@@ -828,7 +828,7 @@ pub fn system_csrmv_weak_scaling(
 }
 
 /// Per-phase stall profile of one cluster SpGEMM run (ISSR-16 on
-/// `regime`), resolved by sampling each worker's PC against the
+/// `a · b`), resolved by sampling each worker's PC against the
 /// program's kernel symbols once per cycle: `row` is the row loop's
 /// expansion, length read and drain, `chain` the wait on the
 /// predecessor's offset and the publish of the next, `other` the
@@ -839,14 +839,14 @@ pub fn system_csrmv_weak_scaling(
 /// # Panics
 /// Panics if the kernel symbols are missing or the cluster times out.
 #[must_use]
-pub fn cluster_spgemm_phase_profile(regime: SpgemmRegime) -> issr_trace::PhaseProfile {
+pub fn cluster_spgemm_phase_profile(
+    a: &CsrMatrix<u16>,
+    b: &CsrMatrix<u16>,
+) -> issr_trace::PhaseProfile {
     use issr_cluster::cluster::{Cluster, ClusterParams};
     use issr_snitch::params::CcParams;
-    let mut rng = gen::rng(0x000F_1651);
-    let a = gen::csr_fixed_row_nnz::<u16>(&mut rng, regime.nrows, regime.inner, regime.a_row_nnz);
-    let b = gen::csr_fixed_row_nnz::<u16>(&mut rng, regime.inner, regime.ncols, regime.b_row_nnz);
     let params = ClusterParams { cc: CcParams::sssr(), ..ClusterParams::default() };
-    let plan = ClusterSpgemmPlan::new(&a, &b, params.n_workers as u32);
+    let plan = ClusterSpgemmPlan::new(a, b, params.n_workers as u32);
     let program = build_cluster_spgemm::<u16>(Variant::Issr, &plan);
     // Instruction index × 4 = byte PC (the fetch unit indexes by pc/4).
     let pc_of = |sym: &str| {
@@ -858,7 +858,7 @@ pub fn cluster_spgemm_phase_profile(regime: SpgemmRegime) -> issr_trace::PhasePr
         ("chain", pc_of("chain"), pc_of("chain_end")),
     ]);
     let mut cluster = Cluster::new(program, params);
-    plan.marshal(&mut cluster, &a, &b);
+    plan.marshal(&mut cluster, a, b);
     let budget = 4_000_000 + 1024 * (a.nnz() + b.nnz() + a.nrows()) as u64;
     let mut cycles = 0u64;
     while !cluster.quiescent() {

@@ -4,7 +4,7 @@
 //! evaluation (§IV–§V): one runner per figure ([`figures`]), one `paper`
 //! bin that prints them under the [`paper`] scoreboard — each number the
 //! paper states next to the one reproduced — and, beyond the paper, the
-//! [`joiner`], [`spgemm`], `system` and [`ablation`] bins. Every bin
+//! [`joiner`], [`spgemm`], [`system`] and [`ablation`] bins. Every bin
 //! prints markdown tables and, given `--json <path>`, writes the same
 //! rows as a [`telemetry`] envelope. How fast the simulator itself runs is
 //! `benchmark/`'s business.
@@ -17,6 +17,7 @@ pub mod joiner;
 pub mod paper;
 pub mod report;
 pub mod spgemm;
+pub mod system;
 pub mod telemetry;
 pub mod verdict;
 

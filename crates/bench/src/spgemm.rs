@@ -15,8 +15,14 @@ use crate::figures::{
 };
 use crate::report::{markdown_table, ratio, Fmt, Table};
 use crate::telemetry::{cc_attr_json, BenchOutput, Telemetry};
+use issr_sparse::gen;
 use issr_trace::json::obj;
 use issr_trace::{breakdown_table, Json};
+
+/// How many times the last regime's rows the varied phase profile's
+/// product has: four rounds of eight workers on the smoke, so rows of
+/// uneven cost leave the cyclic dealing.
+const VARIED_ROUNDS: usize = 4;
 
 /// The sweep's exported rows: cycles and speedup per index width, the
 /// single-buffered ISSR-16 cycles, and the SpAcc's peak row occupancy
@@ -239,13 +245,34 @@ pub fn spgemm(smoke: bool) -> BenchOutput {
     t.push("verdict", verdict.to_json());
 
     // The cluster kernel's rows and the offset chain between them,
-    // resolved by PC sampling.
-    let profile = cluster_spgemm_phase_profile(last);
+    // resolved by PC sampling: on the regime's fixed-nnz operands, whose
+    // equal rows are dealt cyclically, and on a uniform-random product
+    // of the same average nonzeros and VARIED_ROUNDS times the rows,
+    // whose uneven rows are dealt by predicted cost.
+    let mut rng = gen::rng(0x000F_1651);
+    let a = gen::csr_fixed_row_nnz::<u16>(&mut rng, last.nrows, last.inner, last.a_row_nnz);
+    let b = gen::csr_fixed_row_nnz::<u16>(&mut rng, last.inner, last.ncols, last.b_row_nnz);
+    let profile = cluster_spgemm_phase_profile(&a, &b);
     md.push_str(&format!(
         "cluster SpGEMM phase profile — {} regime (ISSR, PC-sampled)\n\n{}\n",
         last.label,
         breakdown_table(&profile.rows())
     ));
     t.push("phases", profile.to_json());
+    let nrows = VARIED_ROUNDS * last.nrows;
+    let mut rng = gen::rng(0x000F_1652);
+    let a = gen::csr_uniform::<u16>(&mut rng, nrows, last.inner, nrows * last.a_row_nnz);
+    let b = gen::csr_uniform::<u16>(&mut rng, last.inner, last.ncols, last.inner * last.b_row_nnz);
+    let profile = cluster_spgemm_phase_profile(&a, &b);
+    md.push_str(&format!(
+        "cluster SpGEMM phase profile — uniform-random {nrows}x{}x{}, {}/{} nnz per row on \
+         average (ISSR, PC-sampled)\n\n{}\n",
+        last.inner,
+        last.ncols,
+        last.a_row_nnz,
+        last.b_row_nnz,
+        breakdown_table(&profile.rows())
+    ));
+    t.push("phases_varied", profile.to_json());
     BenchOutput { markdown: md, telemetry: t }
 }

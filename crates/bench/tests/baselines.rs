@@ -1,5 +1,5 @@
-//! The committed paper scoreboard, ablations and the joiner and SpGEMM
-//! smokes are the model's output.
+//! The committed paper scoreboard, ablations and the joiner, SpGEMM and
+//! system smokes are the model's output.
 //!
 //! Each test builds one document in process, through the function its
 //! bin calls, renders it as `Telemetry::write` would, and compares the
@@ -127,6 +127,17 @@ fn joiner_smoke_matches_its_baseline() {
 #[test]
 fn spgemm_smoke_matches_its_baseline() {
     assert_matches_baseline("spgemm", "--smoke ", &issr_bench::spgemm::spgemm(true).telemetry);
+}
+
+/// The system smoke's envelope; its Chrome trace stays gated by the
+/// digest CI rewrites.
+#[test]
+fn system_smoke_matches_its_baseline() {
+    assert_matches_baseline(
+        "system",
+        "--smoke ",
+        &issr_bench::system::system(true).output.telemetry,
+    );
 }
 
 /// The failure report names where two documents part and which anchors

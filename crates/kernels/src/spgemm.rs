@@ -243,29 +243,173 @@ fn emit_issr_setup<I: KernelIndex>(asm: &mut Assembler, b: CsrAddrs, acc_cap: u3
     asm.csrsi(issr_isa::Csr::Ssr, 1);
 }
 
-/// The one-pass row loop of the cluster and system workers. Worker h
-/// of n takes rows h, h + n, h + 2n, …; per row it runs the variant's
-/// numeric body (the SSR + FREP expansion into the SpAcc, or the
-/// software merge), reads the row's length (`ACC_NNZ` once the feeds
-/// retired, or the merge length), passes it along the offset chain
-/// ([`emit_chain`]) and drains or copies the row to its packed offset.
-/// Empty rows are not drained.
+// ---------------------------------------------------------------------
+// Dealing rows to the chained workers
+// ---------------------------------------------------------------------
+
+/// The cost model's fixed cost of a row: the ISSR row loop's
+/// instructions outside its k loop on a nonempty row — the head (8),
+/// the k loop's exit test (1), the link load (1), the feed wait and
+/// length read (4), the chain step (6), the drain launch (7) and the
+/// link walk (5).
+const ROW_COST: u64 = 32;
+/// The cost model's cost of one A nonzero besides its merge steps: the
+/// ISSR k loop's 24 instructions (the column and value loads, the B row
+/// bounds, the three stream launches and the FREP'd `fmul`).
+const K_COST: u64 = 24;
+/// The dealing's model of one chain step: the six instructions of
+/// [`emit_chain`] plus the two-cycle load-use latency of its two loads.
+const CHAIN_STEP: u64 = 10;
+/// How far ahead of the head a free worker may reach, in rounds of n
+/// rows: two rounds let a worker pass over an expensive round without
+/// holding rows the chain reaches only much later.
+const WINDOW_ROUNDS: usize = 2;
+
+/// Predicted cost of rows `rows` of `A·B`, from structure only: per row
+/// `ROW_COST + Σ_{k∈A[r,:]} (K_COST + |U_k|)`, where `U_k` is the union
+/// of the column sets of the B rows fed so far, k included — the SpAcc
+/// walks its whole row buffer on every feed, so `|U_k|` is that feed's
+/// merge-step count.
+pub(crate) fn row_costs<I: KernelIndex>(
+    a: &CsrMatrix<I>,
+    b: &CsrMatrix<I>,
+    rows: std::ops::Range<usize>,
+) -> Vec<u64> {
+    // `seen[j] == r + 1` marks column j as in row r's union.
+    let mut seen = vec![0usize; b.ncols()];
+    rows.map(|r| {
+        let mut union = 0u64;
+        let mut cost = ROW_COST;
+        for (k, _) in a.row(r) {
+            for (j, _) in b.row(k) {
+                if seen[j] != r + 1 {
+                    seen[j] = r + 1;
+                    union += 1;
+                }
+            }
+            cost += K_COST + union;
+        }
+        cost
+    })
+    .collect()
+}
+
+/// Deals rows of predicted `costs` to `n_workers` chained workers by
+/// simulating the offset chain: rows 0..n go to workers 0..n; a worker
+/// is free once its last row is published (`T_r = max(finish_r,
+/// T_{r−1}) + CHAIN_STEP`), and the earliest free worker takes the head
+/// if every row before it is published, else, of the next
+/// `WINDOW_ROUNDS · n` unassigned rows, the one most overdue were the
+/// chain to advance at its mean pace (the largest `c_r − (r − head) ·
+/// c̄ / n`). Returns each worker's rows, increasing — so the real chain
+/// cannot deadlock whatever the real costs — with row h first in
+/// worker h's list. Equal costs deal cyclically.
+pub(crate) fn deal_rows(costs: &[u64], n_workers: usize) -> Vec<Vec<u32>> {
+    let nrows = costs.len();
+    let mut lists: Vec<Vec<u32>> =
+        (0..n_workers).map(|h| if h < nrows { vec![h as u32] } else { Vec::new() }).collect();
+    let total: i128 = costs.iter().map(|&c| i128::from(c)).sum();
+    // Scores scaled by n · nrows, so the mean pace stays integral.
+    let scale = (n_workers * nrows) as i128;
+    // `finish[r]` is set once row r is dealt; `publish[r]` (T_r) once
+    // every row up to r is, i.e. for every row below the head.
+    let mut finish = vec![None; nrows];
+    for (r, f) in finish.iter_mut().enumerate().take(n_workers) {
+        *f = Some(costs[r]);
+    }
+    let mut publish = vec![0u64; nrows];
+    let mut head = 0;
+    loop {
+        while let Some(Some(done)) = finish.get(head) {
+            let prev = head.checked_sub(1).map_or(0, |p| publish[p]);
+            publish[head] = (*done).max(prev) + CHAIN_STEP;
+            head += 1;
+        }
+        if head == nrows {
+            return lists;
+        }
+        // The earliest free worker. Its last row lies below the head: a
+        // pick past the head leaves the owner of row head − 1, still
+        // busy, holding a row below it.
+        let (free, worker) = lists
+            .iter()
+            .enumerate()
+            .filter_map(|(h, l)| {
+                l.last().map(|&r| r as usize).filter(|&r| r < head).map(|r| (publish[r], h))
+            })
+            .min()
+            .expect("a worker below the head is free");
+        let row = if publish[head - 1] <= free {
+            head
+        } else {
+            (head..nrows)
+                .filter(|&r| finish[r].is_none())
+                .take(WINDOW_ROUNDS * n_workers)
+                .max_by_key(|&r| {
+                    let overdue = i128::from(costs[r]) * scale - (r - head) as i128 * total;
+                    (overdue, std::cmp::Reverse(r))
+                })
+                .expect("the head is undealt")
+        };
+        lists[worker].push(row as u32);
+        finish[row] = Some(free + costs[row]);
+    }
+}
+
+/// The link table of a dealing over `nrows` rows: `link[r]` = 4 · (the
+/// owner's next row − r), or 0 after the owner's last row — the byte
+/// step that moves a worker's word cursors from one of its rows to the
+/// next.
+pub(crate) fn link_table(lists: &[Vec<u32>], nrows: usize) -> Vec<u32> {
+    let mut link = vec![0u32; nrows];
+    for list in lists {
+        for pair in list.windows(2) {
+            link[pair[0] as usize] = 4 * (pair[1] - pair[0]);
+        }
+    }
+    link
+}
+
+/// The link table of rows `rows` of `A·B` dealt over `n_workers`
+/// chained workers by their predicted costs (indexed from
+/// `rows.start`).
+pub(crate) fn row_links<I: KernelIndex>(
+    a: &CsrMatrix<I>,
+    b: &CsrMatrix<I>,
+    rows: std::ops::Range<usize>,
+    n_workers: usize,
+) -> Vec<u32> {
+    let nrows = rows.len();
+    link_table(&deal_rows(&row_costs(a, b, rows), n_workers), nrows)
+}
+
+/// The link-cursor step of [`emit_chained_rows`], loaded from the row's
+/// link-table entry (`s2`): 0 after the worker's last row.
+const LINK: R = R::A0;
+
+/// The one-pass row loop of the cluster and system workers. Each worker
+/// walks its own rows, increasing, through the link table
+/// ([`row_links`]); per row it runs the variant's numeric body (the
+/// SSR + FREP expansion into the SpAcc, or the software merge), reads
+/// the row's length (`ACC_NNZ` once the feeds retired, or the merge
+/// length), passes it along the offset chain ([`emit_chain`]) and
+/// drains or copies the row to its packed offset. Empty rows are not
+/// drained. At row end the row's link moves all four cursors to the
+/// worker's next row; a zero link ends the loop.
 ///
 /// On entry (after [`emit_worker_setup`]): `a7` the hart id, `s0` →
-/// `a.ptr[r]` of the worker's first row r (which must exist) and `s2`
-/// → `a.ptr` one past the last row, `a5`/`a4` the A index and value
-/// bases `a.ptr` offsets index, `s1` → `ptr[r]` and `s3` → `flag[r]`
-/// of the output row pointer and its flag array, [`TAG`], [`C_IDCS`]
-/// and [`C_VALS`]. The owner of row 0 starts the chain. ISSR returns
-/// with every drain retired.
+/// `a.ptr[r]` of the worker's first row r (which must exist), `s2` →
+/// `link[r]`, `a5`/`a4` the A index and value bases `a.ptr` offsets
+/// index, `s1` → `ptr[r]` and `s3` → `flag[r]` of the output row
+/// pointer and its flag array, [`TAG`], [`C_IDCS`] and [`C_VALS`]. The
+/// owner of row 0 starts the chain. ISSR returns with every drain
+/// retired. Clobbers `a0`.
 pub(crate) fn emit_chained_rows<I: KernelIndex>(
     asm: &mut Assembler,
     variant: Variant,
-    n_workers: u32,
     b: CsrAddrs,
 ) {
     let log_w = log_width::<I>();
-    let stride = i32::try_from(4 * n_workers).expect("worker stride fits an immediate");
     // The owner of row 0 publishes ptr[0] = 0 and raises row 0's flag.
     let not_first = asm.new_label();
     asm.bnez(R::A7, not_first);
@@ -280,6 +424,7 @@ pub(crate) fn emit_chained_rows<I: KernelIndex>(
         emit_row_head::<I>(asm, R::S9);
         emit_issr_k_expand::<I>(asm, flush);
         asm.bind(flush);
+        asm.lw(LINK, R::S2, 0);
         emit_spacc_wait(asm, 4); // this row's feeds, not the last drain
         asm.scfgri(R::T1, cfg_addr(sreg::ACC_NNZ, 0));
         emit_chain(asm, R::T1, R::T2);
@@ -295,15 +440,16 @@ pub(crate) fn emit_chained_rows<I: KernelIndex>(
         emit_base_k_merge::<I>(asm, b.idcs, b.vals, flush);
         asm.bind(flush);
         emit_chain(asm, R::S10, R::T2);
+        asm.lw(LINK, R::S2, 0);
         emit_indexed_addr(asm, R::T0, R::T2, log_w, Base::Reg(C_IDCS));
         emit_indexed_addr(asm, R::T1, R::T2, 3, Base::Reg(C_VALS));
         emit_base_row_copy::<I>(asm);
     }
     asm.bind(next);
-    asm.addi(R::S0, R::S0, stride);
-    asm.addi(R::S1, R::S1, stride);
-    asm.addi(R::S3, R::S3, stride);
-    asm.bltu(R::S0, R::S2, row);
+    for cursor in [R::S0, R::S1, R::S2, R::S3] {
+        asm.add(cursor, cursor, LINK);
+    }
+    asm.bnez(LINK, row);
     if variant == Variant::Issr {
         emit_spacc_wait(asm, 1); // the last drain retires
     }
@@ -836,6 +982,76 @@ mod tests {
         let issr = run_spgemm(Variant::Issr, &a, &b).unwrap().summary.metrics.roi.cycles;
         let speedup = issr_trace::ratio(base as f64, issr as f64);
         assert!(speedup > 3.0, "SpGEMM speedup {speedup:.2} (base {base}, issr {issr})");
+    }
+
+    /// Every dealing of random costs is a valid walk: the lists
+    /// partition the rows, each list increases, worker h starts at row
+    /// h, and the link table decodes to the lists, ending in 0.
+    #[test]
+    fn dealings_are_increasing_partitions_the_links_walk() {
+        use rand::Rng;
+        let mut rng = gen::rng(230);
+        let mut off_cycle = 0;
+        for n in [1usize, 2, 3, 4, 8] {
+            for nrows in [0, 1, n.saturating_sub(1), n, n + 1, 257] {
+                let costs: Vec<u64> = (0..nrows).map(|_| rng.gen_range(1..2_000)).collect();
+                let lists = deal_rows(&costs, n);
+                assert_eq!(lists.len(), n);
+                let mut owner = vec![None; nrows];
+                for (h, list) in lists.iter().enumerate() {
+                    assert!(list.windows(2).all(|p| p[0] < p[1]), "n={n} rows={nrows}: {list:?}");
+                    for &r in list {
+                        assert_eq!(owner[r as usize].replace(h), None, "row {r} dealt twice");
+                    }
+                }
+                assert!(owner.iter().all(Option::is_some), "n={n} rows={nrows}: a row undealt");
+                off_cycle += owner.iter().enumerate().filter(|&(r, h)| *h != Some(r % n)).count();
+                for (h, list) in lists.iter().enumerate().take(nrows) {
+                    assert_eq!(list.first(), Some(&(h as u32)), "worker {h} starts at row {h}");
+                }
+                let link = link_table(&lists, nrows);
+                for list in &lists {
+                    let Some(&first) = list.first() else { continue };
+                    let mut walk = vec![first];
+                    let mut r = first as usize;
+                    while link[r] != 0 {
+                        r += link[r] as usize / 4;
+                        walk.push(r as u32);
+                    }
+                    assert_eq!(&walk, list, "n={n} rows={nrows}: the links decode to the list");
+                }
+            }
+        }
+        assert!(off_cycle > 0, "uneven costs must leave the cyclic dealing");
+    }
+
+    /// Equal costs deal cyclically: worker h takes rows h, h + n, ….
+    #[test]
+    fn equal_costs_deal_cyclically() {
+        for n in [1usize, 2, 3, 4, 8] {
+            for nrows in [0, 1, n.saturating_sub(1), n, n + 1, 257] {
+                let lists = deal_rows(&vec![500; nrows], n);
+                for (h, list) in lists.iter().enumerate() {
+                    let cyclic: Vec<u32> = (h..nrows).step_by(n).map(|r| r as u32).collect();
+                    assert_eq!(list, &cyclic, "n={n} rows={nrows} worker {h}");
+                }
+            }
+        }
+    }
+
+    /// The cost model counts each feed's merge steps over the union so
+    /// far: a row feeding B rows {0, 1} then {1, 2} walks 2 then 3.
+    #[test]
+    fn row_cost_counts_the_union_walked_per_feed() {
+        let a = CsrMatrix::<u16>::from_triplets(2, 2, &[(0, 0, 1.0), (0, 1, 1.0)]);
+        let b = CsrMatrix::<u16>::from_triplets(
+            2,
+            3,
+            &[(0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0), (1, 2, 1.0)],
+        );
+        let feeds = 2 * K_COST + 2 + 3;
+        assert_eq!(row_costs(&a, &b, 0..2), [ROW_COST + feeds, ROW_COST]);
+        assert_eq!(row_costs(&a, &b, 1..2), [ROW_COST]);
     }
 
     /// SpAcc activity surfaces in the run summary: one feed per scalar

@@ -15,10 +15,14 @@
 //! by construction: no transfer can clobber a neighbouring panel.
 //!
 //! Within a cluster each panel runs the one-pass row loop of
-//! [`crate::cluster_spgemm`]: worker h takes the panel's rows h, h + n,
-//! h + 2n, …, runs each row's numeric body — the SSR + FREP `fmul`
-//! expansion feeding the SpAcc (ISSR) or the software union-merge
-//! (BASE) — and passes the row's length along the **offset chain**: it
+//! [`crate::cluster_spgemm`]: the panel's rows are dealt to the workers
+//! by predicted cost (worker h starts at the panel's row h) and each
+//! worker walks its own through the link table, which sits in the
+//! resident meta block after the descriptors, parallel to `A`'s row
+//! pointer, and is DMAed once with `B`. A worker runs each row's numeric
+//! body — the SSR + FREP `fmul` expansion feeding the SpAcc (ISSR) or
+//! the software union-merge (BASE) — and passes the row's length along
+//! the **offset chain**: it
 //! waits for row r's flag, stores the panel-local offset
 //! `ptr[r + 1] = ptr[r] + nnz` into the C buffer's row-pointer window,
 //! raises row r + 1's flag, then drains or copies the row to `ptr[r]`.
@@ -39,7 +43,9 @@
 use crate::common::{emit_meta_transfer, emit_parity_slot, emit_wait_all_done};
 use crate::harness;
 use crate::layout::{csr_addrs, store_csr, tcdm_arena, Arena, CsrAddrs, TCDM_DATA_BASE};
-use crate::spgemm::{emit_chained_rows, emit_worker_setup, MergeScratch, C_IDCS, C_VALS, TAG};
+use crate::spgemm::{
+    emit_chained_rows, emit_worker_setup, row_links, MergeScratch, C_IDCS, C_VALS, TAG,
+};
 use crate::variant::{log_width, KernelIndex, Variant};
 use issr_core::HwCaps;
 use issr_isa::asm::{Assembler, Program};
@@ -101,6 +107,10 @@ pub struct SystemSpgemmPlan {
     t_b: CsrAddrs,
     t_aptr: u32,
     t_desc: u32,
+    /// The link table, parallel to `a.ptr`: each panel's rows dealt by
+    /// predicted cost, as each worker walks them.
+    t_link: u32,
+    link_table: Vec<u32>,
     scratch: MergeScratch,
     // A panel double buffer: [vals | idcs] × 2.
     abuf: u32,
@@ -184,7 +194,8 @@ impl SystemSpgemmPlan {
         let max_panels = nrows.clamp(1, 1024);
         let max_rows_global = nrows.clamp(1, 512);
         let desc_reserve = align8(max_panels * DESC_BYTES);
-        let free = arena.remaining().saturating_sub(desc_reserve + 64);
+        let link_bytes = align8(nrows.max(1) * 4);
+        let free = arena.remaining().saturating_sub(desc_reserve + link_bytes + 64);
         let a_bytes = free / 6; //           × 2 buffers
         let c_bytes = free / 3; //           × 2 buffers
         let a_elem_cap =
@@ -241,6 +252,13 @@ impl SystemSpgemmPlan {
              (inputs this tall need a larger descriptor budget)"
         );
         let t_desc = arena.alloc(align8(n_desc * DESC_BYTES), 8);
+        let t_link = arena.alloc(link_bytes, 8);
+        let meta_bytes = arena_span(t_link + link_bytes);
+        let mut link_table = Vec::with_capacity(nrows as usize);
+        for p in &panels {
+            let rows = p.row_start as usize..(p.row_start + p.row_count) as usize;
+            link_table.extend(row_links(a, b, rows, n_workers as usize));
+        }
         let a_vals_cap = a_elem_cap * 8 + 8;
         let a_idcs_cap = align8(a_elem_cap * I::BYTES) + 16;
         let abuf_stride = a_vals_cap + a_idcs_cap;
@@ -254,7 +272,7 @@ impl SystemSpgemmPlan {
         let nnz = a.nnz() as u32;
         let main_a_vals = main.alloc(nnz.max(1) * 8 + 8, 8);
         let main_a_idcs = main.alloc(align8(nnz.max(1) * I::BYTES) + 8, 8);
-        let main_meta = main.alloc(arena_span(t_desc + align8(n_desc * DESC_BYTES)), 8);
+        let main_meta = main.alloc(meta_bytes, 8);
         let main_queue = main.alloc(8, 8);
         for p in &mut panels {
             let nnz_end = ptr[(p.row_start + p.row_count) as usize];
@@ -278,11 +296,13 @@ impl SystemSpgemmPlan {
             main_a_vals,
             main_a_idcs,
             main_meta,
-            meta_bytes: arena_span(t_desc + align8(n_desc * DESC_BYTES)),
+            meta_bytes,
             main_queue,
             t_b,
             t_aptr,
             t_desc,
+            t_link,
+            link_table,
             scratch,
             abuf,
             abuf_stride,
@@ -333,8 +353,8 @@ impl SystemSpgemmPlan {
     }
 
     /// Writes the workload into the shared main memory: `A`'s arrays,
-    /// and the meta block (`B`, `A`'s row pointer, panel descriptors)
-    /// that every cluster DMAs into its TCDM once.
+    /// and the meta block (`B`, `A`'s row pointer, panel descriptors,
+    /// the link table) that every cluster DMAs into its TCDM once.
     pub fn marshal<I: KernelIndex>(
         &self,
         mem: &mut issr_mem::array::MemArray,
@@ -352,6 +372,7 @@ impl SystemSpgemmPlan {
         };
         store_csr(mem, staged_b, b);
         mem.store_u32_slice(self.meta_addr(self.t_aptr), a.ptr());
+        mem.store_u32_slice(self.meta_addr(self.t_link), &self.link_table);
         for (i, p) in self.panels.iter().enumerate() {
             let d = self.meta_addr(self.t_desc) + (i as u32) * DESC_BYTES;
             mem.store_u32_slice(
@@ -403,7 +424,7 @@ impl SystemSpgemmPlan {
     }
 }
 
-/// Bytes of the resident meta block `[B | a.ptr | descriptors]`.
+/// Bytes of the resident meta block `[B | a.ptr | descriptors | link]`.
 fn arena_span(end: u32) -> u32 {
     end - TCDM_DATA_BASE
 }
@@ -443,9 +464,9 @@ pub fn build_system_spgemm<I: KernelIndex>(variant: Variant, plan: &SystemSpgemm
     asm.finish().expect("system SpGEMM program assembles")
 }
 
-/// Emits the worker loop: per claimed panel, its rows h, h + n, …
-/// through [`emit_chained_rows`] on the panel's parity buffers, virtual
-/// A bases and tag.
+/// Emits the worker loop: per claimed panel, the rows dealt to the
+/// worker through [`emit_chained_rows`] on the panel's parity buffers,
+/// virtual A bases and tag.
 #[allow(clippy::too_many_lines)]
 fn emit_worker<I: KernelIndex>(asm: &mut Assembler, variant: Variant, plan: &SystemSpgemmPlan) {
     let log_w = log_width::<I>();
@@ -522,15 +543,14 @@ fn emit_worker<I: KernelIndex>(asm: &mut Assembler, variant: Variant, plan: &Sys
     asm.li(R::T2, i64::from(plan.a_vals_cap));
     asm.add(R::T2, R::T2, R::T0);
     asm.sub(R::A5, R::T2, R::T1);
-    // Resident row-pointer cursor at my first row, and the panel's end.
+    // Resident row-pointer and link cursors at my first row.
     asm.li_addr(R::T0, plan.t_aptr);
     asm.add(R::T1, R::A0, R::A7);
     asm.slli(R::T1, R::T1, 2);
     asm.add(R::S0, R::T0, R::T1);
-    asm.add(R::T1, R::A0, R::A1);
-    asm.slli(R::T1, R::T1, 2);
+    asm.li_addr(R::T0, plan.t_link);
     asm.add(R::S2, R::T0, R::T1);
-    emit_chained_rows::<I>(asm, variant, plan.n_workers, plan.t_b);
+    emit_chained_rows::<I>(asm, variant, plan.t_b);
     if variant == Variant::Base {
         // Value-store fence: the row copies store C values through the
         // FPU LSU while the done flag goes through the core LSU; pull
@@ -564,7 +584,7 @@ fn emit_worker<I: KernelIndex>(asm: &mut Assembler, variant: Variant, plan: &Sys
 fn emit_dmcc(asm: &mut Assembler, plan: &SystemSpgemmPlan, log_w: i32) {
     asm.symbol("dmcc");
     let npanels = plan.panels.len() as u32;
-    // Meta transfer: B | a.ptr | descriptors in one DMA.
+    // Meta transfer: B | a.ptr | descriptors | link in one DMA.
     emit_meta_transfer(asm, plan.main_meta, TCDM_DATA_BASE, plan.meta_bytes, S_META);
     asm.li(R::S1, -1); // previously claimed panel id
     let dmcc_finish = asm.new_label();

@@ -1,16 +1,20 @@
 //! Property tests for the device-owned cluster SpGEMM: for random
 //! sparse operands, every worker count (1/2/4/8) and both index widths,
-//! the one-pass on-device flow (cyclic rows, chained offsets) must give a
-//! CSR product identical to the host oracle and to the single-core ISSR
-//! kernel — including empty rows, all-empty operands and single-row
-//! matrices.
+//! the one-pass on-device flow (rows dealt by predicted cost, chained
+//! offsets) must give a CSR product identical to the host oracle and to
+//! the single-core ISSR kernel — including empty rows, all-empty
+//! operands, single-row matrices and rows of very different cost.
 
 use issr_kernels::cluster_spgemm::{run_cluster_spgemm, run_cluster_spgemm_on};
 use issr_kernels::spgemm::run_spgemm;
-use issr_kernels::variant::Variant;
+use issr_kernels::system_spgemm::{run_system_spgemm_planned, SystemSpgemmPlan};
+use issr_kernels::variant::{KernelIndex, Variant};
 use issr_sparse::csr::CsrMatrix;
 use issr_sparse::{gen, reference};
+use issr_system::system::SystemParams;
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
+use rand::Rng;
 
 /// Runs one cluster configuration and checks it against the host
 /// oracle bit for bit on structure and within fp tolerance on values.
@@ -40,6 +44,41 @@ fn check_cluster(
             (got - want).abs() <= 1e-12 * want.abs().max(1.0),
             "{variant} workers={n_workers} wide={wide}: {got} vs {want}"
         );
+    }
+}
+
+/// A uniform-random `nrows × inner` matrix whose rows carry 1–24
+/// nonzeros each (`inner` ≥ 24), so row costs differ several-fold and
+/// the dealing leaves the cyclic order.
+fn varied_rows(seed: u64, nrows: usize, inner: usize) -> CsrMatrix<u32> {
+    let mut rng = gen::rng(seed);
+    let mut cols: Vec<usize> = (0..inner).collect();
+    let mut triplets = Vec::new();
+    for r in 0..nrows {
+        cols.shuffle(&mut rng);
+        let nnz = rng.gen_range(1..=24);
+        triplets.extend(cols[..nnz].iter().map(|&k| (r, k, rng.gen_range(-2.0..2.0))));
+    }
+    CsrMatrix::from_triplets(nrows, inner, &triplets)
+}
+
+fn val_bits(m: &CsrMatrix<u32>) -> Vec<u64> {
+    m.vals().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The cluster kernel at 1/2/4/8 workers matches the oracle and the
+/// single-core kernel bit for bit, with `I`-width indices.
+fn check_varied_cluster<I: KernelIndex>(a: &CsrMatrix<u32>, b: &CsrMatrix<u32>) {
+    let (a, b) = (a.with_index_width::<I>(), b.with_index_width::<I>());
+    let expect = reference::spgemm(&a, &b).with_index_width::<u32>();
+    let single = run_spgemm(Variant::Issr, &a, &b).expect("single-core run finishes");
+    assert_eq!(single.c.ptr(), expect.ptr());
+    for workers in [1usize, 2, 4, 8] {
+        let run = run_cluster_spgemm_on(Variant::Issr, &a, &b, workers, true)
+            .expect("cluster run finishes");
+        assert_eq!(run.c.ptr(), expect.ptr(), "workers={workers}: row pointer");
+        assert_eq!(run.c.idcs(), expect.idcs(), "workers={workers}: column indices");
+        assert_eq!(val_bits(&run.c), val_bits(&single.c), "workers={workers}: bit-identical");
     }
 }
 
@@ -108,6 +147,49 @@ proptest! {
         let b = gen::csr_uniform::<u32>(&mut rng, inner, ncols, inner * fill_b);
         check_cluster(&a, &b, workers, false, Variant::Base);
         check_cluster(&a, &b, workers, true, Variant::Base);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Rows of 1–24 nonzeros: whatever order the dealing picks, the
+    /// cluster product is the oracle's and the single core's, bit for
+    /// bit, at every worker count and both index widths; the system
+    /// kernel, forced onto several panels, gives the same bits at 1 and
+    /// 2 clusters.
+    #[test]
+    fn varied_rows_match_across_workers_and_clusters(
+        nrows in 12usize..40,
+        ncols in 8usize..48,
+        fill_b in 1usize..4,
+        seed in 0u64..1_000_000,
+    ) {
+        let inner = 32;
+        let a = varied_rows(seed, nrows, inner);
+        let b = gen::csr_uniform::<u32>(&mut gen::rng(seed ^ 0x5EED), inner, ncols, inner * fill_b);
+        check_varied_cluster::<u16>(&a, &b);
+        check_varied_cluster::<u32>(&a, &b);
+        let (a, b) = (a.with_index_width::<u16>(), b.with_index_width::<u16>());
+        let expect = reference::spgemm(&a, &b).with_index_width::<u32>();
+        let n_workers = SystemParams::default().cluster.n_workers as u32;
+        let mut bits = Vec::new();
+        for n_clusters in [1usize, 2] {
+            let plan = SystemSpgemmPlan::with_panel_caps(Variant::Issr, &a, &b, n_workers, 96, 1_024);
+            prop_assert!(plan.n_panels() >= 2, "the caps must force several panels");
+            let run = run_system_spgemm_planned(
+                Variant::Issr,
+                &a,
+                &b,
+                plan,
+                SystemParams { n_clusters, ..SystemParams::default() },
+            )
+            .expect("system run finishes");
+            prop_assert_eq!(run.c.ptr(), expect.ptr());
+            prop_assert_eq!(run.c.idcs(), expect.idcs());
+            bits.push(val_bits(&run.c));
+        }
+        prop_assert_eq!(&bits[0], &bits[1], "cluster count cannot change bits");
     }
 }
 
