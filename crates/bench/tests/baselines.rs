@@ -109,9 +109,32 @@ fn assert_matches_baseline(bench: &str, args: &str, built: &Telemetry) {
     );
 }
 
+/// The board matches its baseline, and the README's copy of its table
+/// (the table under the "Paper scoreboard" heading) matches the board.
 #[test]
 fn paper_scoreboard_matches_its_baseline() {
-    assert_matches_baseline("paper", "", &issr_bench::paper::scoreboard().telemetry());
+    let board = issr_bench::paper::scoreboard();
+    assert_matches_baseline("paper", "", &board.telemetry());
+    let path = format!("{}/../../README.md", env!("CARGO_MANIFEST_DIR"));
+    let readme = std::fs::read_to_string(&path).expect("README");
+    let copy: Vec<&str> = readme
+        .lines()
+        .skip_while(|l| *l != "### Paper scoreboard")
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .collect();
+    let table = board.anchors.markdown();
+    let built: Vec<&str> = table.lines().collect();
+    if let Some(i) = (0..copy.len().max(built.len())).find(|&i| copy.get(i) != built.get(i)) {
+        panic!(
+            "{path}: the scoreboard table differs from the board at table line {}\n\
+             README: {}\nboard:  {}\nreplace the table with the first table of \
+             `cargo run --release -p issr-bench --bin paper`",
+            i + 1,
+            copy.get(i).unwrap_or(&"(absent)"),
+            built.get(i).unwrap_or(&"(absent)"),
+        );
+    }
 }
 
 #[test]

@@ -40,6 +40,83 @@ impl<I: IndexValue> CsrMatrix<I> {
         idcs: Vec<I>,
         vals: Vec<f64>,
     ) -> Result<Self, FormatError> {
+        let m = Self { nrows, ncols, ptr, idcs, vals };
+        m.validate()?;
+        Ok(m)
+    }
+
+    /// Builds from `(row, col, value)` triplets in any order; duplicates
+    /// are summed in input order.
+    ///
+    /// A counting sort by row scatters each triplet's `(col, value)` in
+    /// input order, and each row is then stably sorted by column: the
+    /// order of a stable `(row, col)` sort of the whole list.
+    ///
+    /// # Panics
+    /// Panics if a coordinate is out of range.
+    #[must_use]
+    pub fn from_triplets(nrows: usize, ncols: usize, triplets: &[(usize, usize, f64)]) -> Self {
+        let mut start = vec![0usize; nrows + 1];
+        for &(r, c, _) in triplets {
+            assert!(r < nrows && c < ncols, "triplet ({r},{c}) out of range");
+            start[r + 1] += 1;
+        }
+        for r in 0..nrows {
+            start[r + 1] += start[r];
+        }
+        let mut next = start.clone();
+        let mut scattered = vec![(0, 0.0); triplets.len()];
+        for &(r, c, v) in triplets {
+            scattered[next[r]] = (c, v);
+            next[r] += 1;
+        }
+        Self::from_rows(nrows, ncols, triplets.len(), |r, row| {
+            row.extend_from_slice(&scattered[start[r]..start[r + 1]]);
+        })
+    }
+
+    /// Assembles a matrix row by row: `fill(r, row)` appends row `r`'s
+    /// `(col, value)` entries to an empty `row`, in any order. Each row
+    /// is stably sorted by column and its duplicates are summed in the
+    /// order they were appended. `nnz` sizes the output arrays; the only
+    /// other memory is one row of scratch.
+    pub(crate) fn from_rows(
+        nrows: usize,
+        ncols: usize,
+        nnz: usize,
+        mut fill: impl FnMut(usize, &mut Vec<(usize, f64)>),
+    ) -> Self {
+        let mut ptr = Vec::with_capacity(nrows + 1);
+        ptr.push(0u32);
+        let mut idcs: Vec<I> = Vec::with_capacity(nnz);
+        let mut vals: Vec<f64> = Vec::with_capacity(nnz);
+        let mut row = Vec::new();
+        for r in 0..nrows {
+            row.clear();
+            fill(r, &mut row);
+            row.sort_by_key(|&(c, _)| c);
+            let row_start = idcs.len();
+            for &(c, v) in &row {
+                if idcs.len() > row_start && idcs.last().map(|i| i.to_usize()) == Some(c) {
+                    *vals.last_mut().expect("non-empty") += v;
+                } else {
+                    idcs.push(I::from_usize(c));
+                    vals.push(v);
+                }
+            }
+            ptr.push(u32::try_from(idcs.len()).expect("nonzero count fits 32-bit row pointers"));
+        }
+        let m = Self { nrows, ncols, ptr, idcs, vals };
+        debug_assert!(m.validate().is_ok());
+        m
+    }
+
+    /// Internal consistency check, in place.
+    ///
+    /// # Errors
+    /// Returns the violated invariant.
+    pub fn validate(&self) -> Result<(), FormatError> {
+        let &Self { nrows, ncols, ref ptr, ref idcs, ref vals } = self;
         if idcs.len() != vals.len() {
             return Err(FormatError::LengthMismatch { idcs: idcs.len(), vals: vals.len() });
         }
@@ -54,54 +131,12 @@ impl<I: IndexValue> CsrMatrix<I> {
                 return Err(FormatError::NonMonotonicPtr { row: r });
             }
         }
-        for &c in &idcs {
+        for &c in idcs {
             if c.to_usize() >= ncols {
                 return Err(FormatError::IndexOutOfRange { index: c.to_usize(), dim: ncols });
             }
         }
-        Ok(Self { nrows, ncols, ptr, idcs, vals })
-    }
-
-    /// Builds from `(row, col, value)` triplets; duplicates are summed.
-    ///
-    /// # Panics
-    /// Panics if a coordinate is out of range.
-    #[must_use]
-    pub fn from_triplets(nrows: usize, ncols: usize, triplets: &[(usize, usize, f64)]) -> Self {
-        let mut sorted: Vec<(usize, usize, f64)> = triplets.to_vec();
-        sorted.sort_by_key(|&(r, c, _)| (r, c));
-        let mut rows: Vec<usize> = Vec::with_capacity(sorted.len());
-        let mut idcs: Vec<I> = Vec::with_capacity(sorted.len());
-        let mut vals: Vec<f64> = Vec::with_capacity(sorted.len());
-        for &(r, c, v) in &sorted {
-            assert!(r < nrows && c < ncols, "triplet ({r},{c}) out of range");
-            if rows.last() == Some(&r) && idcs.last().map(|i| i.to_usize()) == Some(c) {
-                *vals.last_mut().expect("non-empty") += v;
-            } else {
-                rows.push(r);
-                idcs.push(I::from_usize(c));
-                vals.push(v);
-            }
-        }
-        let mut ptr = vec![0u32; nrows + 1];
-        for &r in &rows {
-            ptr[r + 1] += 1;
-        }
-        for r in 0..nrows {
-            ptr[r + 1] += ptr[r];
-        }
-        let m = Self { nrows, ncols, ptr, idcs, vals };
-        debug_assert!(m.validate().is_ok());
-        m
-    }
-
-    /// Internal consistency check.
-    ///
-    /// # Errors
-    /// Returns the violated invariant.
-    pub fn validate(&self) -> Result<(), FormatError> {
-        Self::new(self.nrows, self.ncols, self.ptr.clone(), self.idcs.clone(), self.vals.clone())
-            .map(|_| ())
+        Ok(())
     }
 
     /// Number of rows.

@@ -6,6 +6,19 @@
 //! matrices are generated with a controlled average row density for the
 //! nnz/row sweeps of Figs. 4b/4c. Everything is driven by an explicit
 //! seed so every experiment is reproducible.
+//!
+//! **Determinism.** A generator's output is a function of its seed and
+//! the order in which it draws from the RNG: which draws it makes, and
+//! what each one decides. The order in which it assembles rows into the
+//! result is not part of that contract, so assembly may change without
+//! moving a bit of any operand.
+//!
+//! **Memory.** Matrices are assembled row by row (`CsrMatrix::from_rows`):
+//! besides the finished `ptr`, `idcs` and `vals` a generator holds one
+//! row of scratch, plus, for [`csr_uniform`], its accepted entries kept
+//! per row until they are assembled. Nothing is sized by `nrows × ncols`,
+//! and the heap high-water mark stays within 4× the finished matrix
+//! (`crates/sparse/tests/gen_heap.rs` checks this at psmigr_1's shape).
 
 use crate::csr::CsrMatrix;
 use crate::fiber::SparseFiber;
@@ -66,15 +79,11 @@ pub fn csr_fixed_row_nnz<I: IndexValue>(
     row_nnz: usize,
 ) -> CsrMatrix<I> {
     assert!(row_nnz <= ncols, "row nnz {row_nnz} exceeds {ncols} columns");
-    let mut triplets = Vec::with_capacity(nrows * row_nnz);
     let mut pool: Vec<usize> = (0..ncols).collect();
-    for r in 0..nrows {
+    CsrMatrix::from_rows(nrows, ncols, nrows * row_nnz, |_, row| {
         pool.partial_shuffle(rng, row_nnz);
-        for &c in &pool[..row_nnz] {
-            triplets.push((r, c, normal(rng)));
-        }
-    }
-    CsrMatrix::from_triplets(nrows, ncols, &triplets)
+        row.extend(pool[..row_nnz].iter().map(|&c| (c, normal(rng))));
+    })
 }
 
 /// A CSR matrix with `nnz` total nonzeros at uniform positions
@@ -87,18 +96,25 @@ pub fn csr_uniform<I: IndexValue>(
     ncols: usize,
     nnz: usize,
 ) -> CsrMatrix<I> {
-    let capacity = nrows.saturating_mul(ncols);
-    let nnz = nnz.min(capacity);
-    let mut seen = std::collections::HashSet::with_capacity(nnz * 2);
-    let mut triplets = Vec::with_capacity(nnz);
-    while triplets.len() < nnz {
+    let nnz = nnz.min(nrows.saturating_mul(ncols));
+    // Each row's accepted columns, kept sorted, and their values: a
+    // binary-search hit is a duplicate draw.
+    let mut rows: Vec<(Vec<I>, Vec<f64>)> = vec![(Vec::new(), Vec::new()); nrows];
+    let mut accepted = 0;
+    while accepted < nnz {
         let r = rng.gen_range(0..nrows);
-        let c = rng.gen_range(0..ncols);
-        if seen.insert((r, c)) {
-            triplets.push((r, c, normal(rng)));
+        let c = I::from_usize(rng.gen_range(0..ncols));
+        let (cols, vals) = &mut rows[r];
+        if let Err(at) = cols.binary_search(&c) {
+            cols.insert(at, c);
+            vals.insert(at, normal(rng));
+            accepted += 1;
         }
     }
-    CsrMatrix::from_triplets(nrows, ncols, &triplets)
+    CsrMatrix::from_rows(nrows, ncols, nnz, |r, row| {
+        let (cols, vals) = std::mem::take(&mut rows[r]);
+        row.extend(cols.into_iter().map(I::to_usize).zip(vals));
+    })
 }
 
 /// A CSR matrix with exactly `row_nnz` nonzeros per row drawn from a
@@ -118,32 +134,22 @@ pub fn csr_clustered<I: IndexValue>(
     window: usize,
 ) -> CsrMatrix<I> {
     assert!(row_nnz <= window && window <= ncols, "window must satisfy row_nnz <= window <= ncols");
-    let mut triplets = Vec::with_capacity(nrows * row_nnz);
     let mut pool: Vec<usize> = (0..window).collect();
-    for r in 0..nrows {
+    CsrMatrix::from_rows(nrows, ncols, nrows * row_nnz, |r, row| {
         let center = if nrows > 1 { r * ncols / nrows } else { 0 };
         let lo = center.saturating_sub(window / 2).min(ncols - window);
         pool.partial_shuffle(rng, row_nnz);
-        for &off in &pool[..row_nnz] {
-            triplets.push((r, lo + off, normal(rng)));
-        }
-    }
-    CsrMatrix::from_triplets(nrows, ncols, &triplets)
+        row.extend(pool[..row_nnz].iter().map(|&off| (lo + off, normal(rng))));
+    })
 }
 
 /// A banded CSR matrix (`bandwidth` diagonals each side), modelling the
 /// stencil/PDE matrices common in SuiteSparse.
 #[must_use]
 pub fn csr_banded<I: IndexValue>(rng: &mut StdRng, n: usize, bandwidth: usize) -> CsrMatrix<I> {
-    let mut triplets = Vec::new();
-    for r in 0..n {
-        let lo = r.saturating_sub(bandwidth);
-        let hi = (r + bandwidth + 1).min(n);
-        for c in lo..hi {
-            triplets.push((r, c, normal(rng)));
-        }
-    }
-    CsrMatrix::from_triplets(n, n, &triplets)
+    let band = |r: usize| r.saturating_sub(bandwidth)..(r + bandwidth + 1).min(n);
+    let nnz = (0..n).map(|r| band(r).len()).sum();
+    CsrMatrix::from_rows(n, n, nnz, |r, row| row.extend(band(r).map(|c| (c, normal(rng)))))
 }
 
 /// Two sparse vectors over the same axis with a controlled index
