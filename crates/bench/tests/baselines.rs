@@ -12,6 +12,7 @@
 
 use issr_bench::telemetry::Telemetry;
 use issr_trace::Json;
+use sha2::{Digest, Sha256};
 
 /// The first place `a` and `b` differ, as `(path, a's value, b's
 /// value)`; a missing key or element reads `(absent)`.
@@ -152,14 +153,24 @@ fn spgemm_smoke_matches_its_baseline() {
     assert_matches_baseline("spgemm", "--smoke ", &issr_bench::spgemm::spgemm(true).telemetry);
 }
 
-/// The system smoke's envelope; its Chrome trace stays gated by the
-/// digest CI rewrites.
+/// The system smoke's envelope, and the digest of its Chrome trace as
+/// `telemetry::write_json` writes it.
 #[test]
 fn system_smoke_matches_its_baseline() {
-    assert_matches_baseline(
-        "system",
-        "--smoke ",
-        &issr_bench::system::system(true).output.telemetry,
+    let system = issr_bench::system::system(true);
+    assert_matches_baseline("system", "--smoke ", &system.output.telemetry);
+    let path = format!("{}/../../baselines/BENCH_system.trace.sha256", env!("CARGO_MANIFEST_DIR"));
+    let committed = std::fs::read_to_string(&path).expect("committed trace digest");
+    let mut hasher = Sha256::new();
+    hasher.update(system.trace.to_string() + "\n");
+    let built: String = hasher.finalize().iter().map(|b| format!("{b:02x}")).collect();
+    assert!(
+        committed.trim() == built,
+        "{path} no longer matches the model's trace: committed {}, now {built}\nto accept the \
+         change: cargo run --release -p issr-bench --bin system -- --smoke --json \
+         baselines/BENCH_system.json && sha256sum baselines/BENCH_system.trace.json | cut -d' ' \
+         -f1 > baselines/BENCH_system.trace.sha256",
+        committed.trim()
     );
 }
 

@@ -198,10 +198,9 @@ proptest! {
         prop_assert_eq!(meta, expect, "one metadata record per registered track");
     }
 
-    /// Default-recorder neutrality: `run` (which arms every cluster's
-    /// default timeline) and a bare tick loop that arms nothing agree
-    /// on every cycle and output bit, and a contended run's DMA tables
-    /// carry wait edges.
+    /// A live run is the bare tick loop: `run` arms no timeline, and it
+    /// agrees with a bare tick loop on every cycle and output bit; a
+    /// contended run's DMA tables carry wait edges.
     #[test]
     fn recorders_change_no_bit_and_no_cycle(
         nrows in 32usize..128,
@@ -231,7 +230,7 @@ proptest! {
         let mut system = fresh();
         let recorded = system.run(10_000_000).expect("recorded run");
         prop_assert!(recorded.traps().is_empty(), "recorded run trapped");
-        prop_assert!(system.trace_json().is_some(), "run arms the default timelines");
+        prop_assert!(system.trace_json().is_none(), "a live run arms no timeline");
         prop_assert_eq!(bare_cycles, recorded.cycles, "cycles must match");
         let bits = |system: &System| -> Vec<u64> {
             plan.read_y_from(system.main.array()).iter().map(|v| v.to_bits()).collect()

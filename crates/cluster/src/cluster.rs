@@ -15,7 +15,6 @@ use issr_snitch::cc::{CoreComplex, SimTimeout};
 use issr_snitch::core::Trap;
 use issr_snitch::metrics::Metrics;
 use issr_snitch::params::CcParams;
-use issr_trace::timeline::DEFAULT_TIMELINE_CAP;
 use issr_trace::{host, CriticalPath, CycleBreakdown, PostMortem, StatMerge, Timeline};
 
 /// Cluster configuration.
@@ -184,9 +183,6 @@ struct Recorder {
     /// The Chrome-trace process of the units (the cluster's index in
     /// its system).
     pid: u32,
-    /// Whether the worker lanes and the FIFO/DMA counters are
-    /// registered too ([`Cluster::enable_tracing`]).
-    lanes: bool,
     /// Latched traps already marked: formatting a mark is only worth
     /// it on the cycle a new trap appears.
     traps_marked: usize,
@@ -221,8 +217,7 @@ pub struct Cluster {
     /// core ports this cycle. Only (re)filled while the engine is busy —
     /// [`Dma::tick`] never reads it when idle.
     contested: Vec<bool>,
-    /// The cause timeline; [`Cluster::run`] arms a default one so every
-    /// timeout dump carries recent history.
+    /// The cause timeline, armed only by [`Cluster::enable_tracing`].
     recorder: Option<Recorder>,
     /// Whether the ambient host profiler was installed when the run
     /// began ([`Cluster::profile_host`]): the per-phase hooks test this
@@ -516,30 +511,9 @@ impl Cluster {
         }
     }
 
-    /// The one registration routine: every hart (each worker followed,
-    /// with `lanes`, by its stream lanes and their data-FIFO occupancy
-    /// counters), then the DMA engine (with `lanes`, its
-    /// outstanding-words counter), under process `pid`.
-    fn arm(&mut self, cap: usize, pid: u32, lanes: bool) {
-        let mut tl = Timeline::new(cap);
-        for (i, cc) in self.workers.iter().enumerate() {
-            tl.add_unit(pid, self.hart_name(i));
-            for l in 0..if lanes { cc.streamer.n_lanes() } else { 0 } {
-                tl.add_unit(pid, format!("hart {i} ft{l}"));
-                tl.add_counter(pid, format!("hart {i} ft{l} fifo"));
-            }
-        }
-        tl.add_unit(pid, self.hart_name(self.workers.len()));
-        tl.add_unit(pid, "dma");
-        if lanes {
-            tl.add_counter(pid, "dma outstanding words");
-        }
-        self.recorder = Some(Recorder { timeline: tl, pid, lanes, traps_marked: 0 });
-    }
-
     /// Feeds the cycle that just completed into the timeline, if armed —
     /// the one per-cycle walk, over the units and counters in the order
-    /// [`Cluster::arm`] registered them. Reads only latched
+    /// [`Cluster::enable_tracing`] registered them. Reads only latched
     /// classifications, so recording is invisible to the simulated
     /// machine.
     fn sample_timeline(&mut self, now: u64) {
@@ -551,7 +525,7 @@ impl Cluster {
             tl.sample(unit, now, causes.hart);
             unit += 1;
             trapped += usize::from(cc.core.trap().is_some());
-            if rec.lanes && i < self.workers.len() {
+            if i < self.workers.len() {
                 for (l, &cause) in causes.streamer.lanes.iter().enumerate() {
                     tl.sample(unit, now, cause);
                     tl.sample_counter(counter, now, cc.streamer.lane(l).fifo_len() as u64);
@@ -561,9 +535,7 @@ impl Cluster {
             }
         }
         tl.sample(unit, now, self.dma.last_cause());
-        if rec.lanes {
-            tl.sample_counter(counter, now, self.dma.outstanding_words());
-        }
+        tl.sample_counter(counter, now, self.dma.outstanding_words());
         // Traps latch once and stay, so a changed count means a new
         // one; `mark` dedups the ones already marked.
         if trapped != rec.traps_marked {
@@ -577,22 +549,25 @@ impl Cluster {
     }
 
     /// Arms tracing under Chrome-trace process `pid` (the cluster's
-    /// index in its system): a timeline of the most recent `cap`
-    /// transitions over every hart, worker lane and the DMA engine,
-    /// with the FIFO and DMA counter tracks. Re-arming resets the ring.
-    /// Recording changes no simulated bit and no cycle count.
+    /// index in its system) — the only way a cluster records a
+    /// [`Timeline`]: the most recent `cap` transitions over every hart
+    /// (each worker followed by its stream lanes and their data-FIFO
+    /// occupancy counters), the DMCC, and the DMA engine with its
+    /// outstanding-words counter. Re-arming resets the ring. Recording
+    /// changes no simulated bit and no cycle count.
     pub fn enable_tracing(&mut self, cap: usize, pid: u32) {
-        self.arm(cap, pid, true);
-    }
-
-    /// Arms the default timeline — harts, DMCC and DMA engine, the
-    /// most recent [`DEFAULT_TIMELINE_CAP`] transitions — unless one is
-    /// armed already. [`Cluster::run`] and the system harness call this
-    /// so any timeout dump carries recent history.
-    pub fn arm_default_timeline(&mut self, pid: u32) {
-        if self.recorder.is_none() {
-            self.arm(DEFAULT_TIMELINE_CAP, pid, false);
+        let mut tl = Timeline::new(cap);
+        for (i, cc) in self.workers.iter().enumerate() {
+            tl.add_unit(pid, self.hart_name(i));
+            for l in 0..cc.streamer.n_lanes() {
+                tl.add_unit(pid, format!("hart {i} ft{l}"));
+                tl.add_counter(pid, format!("hart {i} ft{l} fifo"));
+            }
         }
+        tl.add_unit(pid, self.hart_name(self.workers.len()));
+        tl.add_unit(pid, "dma");
+        tl.add_counter(pid, "dma outstanding words");
+        self.recorder = Some(Recorder { timeline: tl, pid, traps_marked: 0 });
     }
 
     /// The armed timeline, if any.
@@ -612,7 +587,8 @@ impl Cluster {
     /// Assembles the post-mortem for the cluster's current state: every
     /// hart (workers, then the DMCC) that has not gone quiescent, with
     /// its PC, dominant lifetime stall cause and last-polled address,
-    /// and whatever the timeline holds.
+    /// and, when [`Cluster::enable_tracing`] armed one, the timeline's
+    /// final window.
     #[must_use]
     pub fn post_mortem(&self, cluster: usize) -> PostMortem {
         let harts = self.workers.iter().chain(std::iter::once(&self.dmcc));
@@ -630,11 +606,15 @@ impl Cluster {
         self.workers.iter().chain(std::iter::once(&self.dmcc)).any(|cc| cc.core.trap().is_some())
     }
 
-    /// Runs to quiescence.
+    /// Runs to quiescence. The run records no timeline unless
+    /// [`Cluster::enable_tracing`] armed one.
     ///
     /// # Errors
     /// Returns [`SimTimeout`] if the cluster does not finish in
-    /// `max_cycles` (deadlock or bug).
+    /// `max_cycles` (deadlock or bug). Its post-mortem names each stuck
+    /// hart with its PC, dominant cause and polled word; it carries a
+    /// final window only from a traced run (the kernel harnesses replay
+    /// a timed-out run with tracing armed to get one).
     pub fn run(&mut self, max_cycles: u64) -> Result<ClusterSummary, SimTimeout> {
         self.run_until(max_cycles, |_| false)
     }
@@ -650,7 +630,6 @@ impl Cluster {
         max_cycles: u64,
         stop: impl Fn(&Self) -> bool,
     ) -> Result<ClusterSummary, SimTimeout> {
-        self.arm_default_timeline(0);
         self.profile_host(host::is_enabled());
         let deadline = self.now.saturating_add(max_cycles);
         while self.now < deadline {
@@ -726,6 +705,26 @@ mod tests {
             );
         }
         assert!(summary.cycles < 200);
+    }
+
+    /// A live run arms no timeline and is the bare tick loop: the same
+    /// cycle count and the same bits in memory.
+    #[test]
+    fn unarmed_run_records_nothing_and_matches_a_bare_tick_loop() {
+        let mut run = Cluster::new(squares_to(TCDM_BASE), ClusterParams::default());
+        let summary = run.run(10_000).unwrap();
+        assert!(run.timeline().is_none(), "a live run records nothing");
+        let mut bare = Cluster::new(squares_to(TCDM_BASE), ClusterParams::default());
+        let mut cycles = 0;
+        while !bare.quiescent() {
+            bare.tick();
+            cycles += 1;
+        }
+        assert_eq!(summary.cycles, cycles);
+        let slots = |c: &Cluster| -> Vec<u64> {
+            (0..9).map(|h| c.tcdm.array().load_u64(TCDM_BASE + h * 8)).collect()
+        };
+        assert_eq!(slots(&run), slots(&bare));
     }
 
     /// 31 two-lane workers + the DMCC fill 63 of the 64 routing-mask

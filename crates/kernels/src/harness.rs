@@ -1,8 +1,14 @@
 //! The one way to run a kernel: every `run_*` in this crate places its
 //! operands, builds its program and simulates through one function per
 //! machine level. Nothing else constructs a simulator, loads a program,
-//! spends a cycle budget, applies a trap policy, exports a trace or
-//! retries an overflow.
+//! spends a cycle budget, applies a trap policy, exports a trace,
+//! replays a timeout or retries an overflow.
+//!
+//! A live cluster or system run records no timeline. One that times out
+//! is run again — same program, image and budget — with tracing armed,
+//! and the replay's timeout comes back: recording is timing-neutral, so
+//! the replay dies at the same cycle with the same stuck harts, and its
+//! post-mortem adds the final window.
 
 use crate::layout::Arena;
 use issr_cluster::cluster::{Cluster, ClusterParams, ClusterSummary};
@@ -13,6 +19,7 @@ use issr_snitch::cc::{RunSummary, SimTimeout, SingleCcSim, SINGLE_CC_ARENA};
 use issr_snitch::core::{Trap, TrapCause};
 use issr_snitch::params::CcParams;
 use issr_system::system::{System, SystemParams, SystemSummary};
+use issr_trace::timeline::DEFAULT_TIMELINE_CAP;
 
 /// What a harness does with a run that ended on a trap.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -58,17 +65,26 @@ pub(crate) fn single_cc<A: Copy>(
 /// whole budget.
 ///
 /// # Errors
-/// Returns [`SimTimeout`] if the cluster deadlocks or exceeds `budget`.
+/// Returns [`SimTimeout`] if the cluster deadlocks or exceeds `budget`:
+/// the timeout of the traced replay, which carries the final window.
 pub(crate) fn cluster(
     params: ClusterParams,
     on_trap: OnTrap,
     program: Program,
-    place: impl FnOnce(&mut Cluster),
+    place: impl Fn(&mut Cluster),
     budget: u64,
 ) -> Result<(Cluster, ClusterSummary), SimTimeout> {
-    let mut cluster = Cluster::new(program, params);
-    place(&mut cluster);
-    let summary = cluster.run_until(budget, Cluster::trapped)?;
+    let build = || {
+        let mut cluster = Cluster::new(program.clone(), params);
+        place(&mut cluster);
+        cluster
+    };
+    let mut cluster = build();
+    let Ok(summary) = cluster.run_until(budget, Cluster::trapped) else {
+        let mut replay = build();
+        replay.enable_tracing(DEFAULT_TIMELINE_CAP, 0);
+        return Err(replay.run_until(budget, Cluster::trapped).expect_err(TIMING_NEUTRAL));
+    };
     let clean = on_trap == OnTrap::Report || summary.traps.is_empty();
     assert!(clean, "cluster cores trapped: {:?}", summary.traps);
     Ok((cluster, summary))
@@ -77,32 +93,46 @@ pub(crate) fn cluster(
 /// Runs `program` on a multi-cluster system built from `params`:
 /// `place` writes the image into the shared main memory, `queue_addr`
 /// is the work-queue ticket word; the run ends at quiescence or at the
-/// first latched trap, which panics. With a `trace_cap`,
-/// every cluster's timeline keeps its most recent `trace_cap`
-/// transitions and the Chrome trace-event export comes back too (the
-/// default timeline `run` arms is not worth exporting).
+/// first latched trap, which panics. With a `trace_cap`, every
+/// cluster's timeline keeps its most recent `trace_cap` transitions and
+/// the Chrome trace-event export comes back too.
 ///
 /// # Errors
 /// Returns [`SimTimeout`] if the system deadlocks or exceeds `budget`.
+/// Without a `trace_cap` it is the timeout of the traced replay, which
+/// carries the final window; a traced run's own timeout already does.
 pub(crate) fn system(
     params: SystemParams,
     trace_cap: Option<usize>,
     program: Program,
     queue_addr: u32,
-    place: impl FnOnce(&mut MemArray),
+    place: impl Fn(&mut MemArray),
     budget: u64,
 ) -> Result<(System, SystemSummary, Option<issr_trace::Json>), SimTimeout> {
-    let mut system = System::new(program, params);
-    if let Some(cap) = trace_cap {
-        system.enable_tracing(cap);
-    }
-    place(system.main.array_mut());
-    system.set_work_queue(queue_addr);
-    let summary = system.run_until(budget, System::trapped)?;
+    let build = |cap: Option<usize>| {
+        let mut system = System::new(program.clone(), params);
+        if let Some(cap) = cap {
+            system.enable_tracing(cap);
+        }
+        place(system.main.array_mut());
+        system.set_work_queue(queue_addr);
+        system
+    };
+    let mut system = build(trace_cap);
+    let summary = match system.run_until(budget, System::trapped) {
+        Err(_) if trace_cap.is_none() => {
+            let replay = build(Some(DEFAULT_TIMELINE_CAP)).run_until(budget, System::trapped);
+            return Err(replay.expect_err(TIMING_NEUTRAL));
+        }
+        run => run?,
+    };
     assert!(summary.traps().is_empty(), "system cores trapped: {:?}", summary.traps());
-    let trace = trace_cap.and_then(|_| system.trace_json());
+    let trace = system.trace_json();
     Ok((system, summary, trace))
 }
+
+/// Why a traced replay of a timed-out run must time out too.
+const TIMING_NEUTRAL: &str = "tracing is timing-neutral: the replay dies where the run did";
 
 /// A converged grow-and-retry: the clean run, the overflow-trapped
 /// attempts before it, and the capacity it used.
@@ -164,6 +194,8 @@ mod tests {
     use issr_core::CfgFault;
     use issr_isa::asm::Assembler;
     use issr_isa::reg::IntReg as R;
+    use issr_isa::Csr;
+    use issr_mem::map::{MAIN_BASE, TCDM_BASE};
 
     /// An SpAcc feed on the paper streamer (no sparse accumulator).
     fn trapping_run(on_trap: OnTrap) -> RunSummary {
@@ -188,6 +220,49 @@ mod tests {
     #[should_panic(expected = "simulated core trapped")]
     fn clean_run_policy_panics_on_a_trap() {
         let _ = trapping_run(OnTrap::Panic);
+    }
+
+    /// Workers halt; each DMCC spins on a TCDM flag nobody sets.
+    fn dmcc_spin() -> Program {
+        let mut a = Assembler::new();
+        a.csrr(R::T0, Csr::MHartId);
+        let dmcc = a.new_label();
+        a.li(R::T1, ClusterParams::default().n_workers as i64);
+        a.beq(R::T0, R::T1, dmcc);
+        a.halt();
+        a.bind(dmcc);
+        a.li_addr(R::T4, TCDM_BASE + 0x20);
+        let spin = a.bind_label();
+        a.lw(R::T2, R::T4, 0);
+        a.beqz(R::T2, spin);
+        a.halt();
+        a.finish().unwrap()
+    }
+
+    /// The harness's timeout is its traced replay's: the unarmed direct
+    /// run's cycle and stuck set, plus a final window.
+    #[test]
+    fn a_timed_out_cluster_run_comes_back_with_its_window() {
+        let params = ClusterParams::default();
+        let direct = Cluster::new(dmcc_spin(), params).run(600).expect_err("spins");
+        assert!(direct.post_mortem.transitions.is_empty(), "a live run records nothing");
+        let replayed = cluster(params, OnTrap::Panic, dmcc_spin(), |_| (), 600).expect_err("spins");
+        let pm = &replayed.post_mortem;
+        assert_eq!((pm.at, &pm.stuck), (direct.post_mortem.at, &direct.post_mortem.stuck));
+        assert!(!pm.transitions.is_empty(), "the replay recorded the final window");
+    }
+
+    #[test]
+    fn a_timed_out_system_run_comes_back_with_its_window() {
+        let params = SystemParams::default();
+        let direct = System::new(dmcc_spin(), params).run(600).expect_err("spins");
+        assert!(direct.post_mortem.transitions.is_empty(), "a live run records nothing");
+        let queue = MAIN_BASE + 0x100;
+        let replayed = system(params, None, dmcc_spin(), queue, |_| (), 600).expect_err("spins");
+        let pm = &replayed.post_mortem;
+        assert_eq!((pm.at, &pm.stuck), (direct.post_mortem.at, &direct.post_mortem.stuck));
+        assert_eq!(pm.stuck.len(), params.n_clusters, "every cluster's DMCC");
+        assert!(!pm.transitions.is_empty(), "the replay recorded the final window");
     }
 
     fn trap(cause: TrapCause) -> Trap {

@@ -298,7 +298,8 @@ impl CoreComplex {
 pub struct SimTimeout {
     /// The cycle limit that was exhausted.
     pub max_cycles: u64,
-    /// Every non-quiescent hart and the timeline's final window.
+    /// Every non-quiescent hart and, for a traced cluster or system
+    /// run, the timeline's final window.
     pub post_mortem: Box<PostMortem>,
 }
 
@@ -316,7 +317,11 @@ impl std::fmt::Display for SimTimeout {
         if self.post_mortem.stuck.is_empty() {
             write!(f, " (no hart stuck; an engine or queue never drained)")?;
         }
-        write!(f, "\n{}", self.post_mortem)
+        write!(f, "\n{}", self.post_mortem)?;
+        if self.post_mortem.transitions.is_empty() {
+            writeln!(f, "  no window: cluster and system runs record one under `enable_tracing`")?;
+        }
+        Ok(())
     }
 }
 

@@ -178,12 +178,12 @@ impl System {
         }
     }
 
-    /// Enables tracing: arms every cluster's timeline with a ring of
-    /// the most recent `cap` transitions over every hart, worker lane
-    /// and DMA engine plus the FIFO/DMA counter tracks (cluster index =
-    /// Perfetto process id), sampled each cycle from then on. A
-    /// timeline only *reads* latched per-tick state, so enabling it
-    /// cannot change timing.
+    /// Enables tracing — the only way a system records a timeline: arms
+    /// every cluster's timeline with a ring of the most recent `cap`
+    /// transitions over every hart, worker lane and DMA engine plus the
+    /// FIFO/DMA counter tracks (cluster index = Perfetto process id),
+    /// sampled each cycle from then on. A timeline only *reads* latched
+    /// per-tick state, so enabling it cannot change timing.
     pub fn enable_tracing(&mut self, cap: usize) {
         for (ci, cluster) in self.clusters.iter_mut().enumerate() {
             cluster.enable_tracing(cap, ci as u32);
@@ -192,10 +192,10 @@ impl System {
 
     /// The Chrome trace-event document of every armed cluster timeline
     /// (per-cluster event lists concatenated, open residencies closed
-    /// at the current cycle), or `None` if no timeline is armed — one
-    /// is once [`System::enable_tracing`] or [`System::run`] was
-    /// called. Recording continues if the system keeps running
-    /// afterwards.
+    /// at the current cycle), or `None` unless
+    /// [`System::enable_tracing`] was called. A timed-out traced run's
+    /// post-mortem window is the tail of this document. Recording
+    /// continues if the system keeps running afterwards.
     #[must_use]
     pub fn trace_json(&self) -> Option<issr_trace::Json> {
         let timelines: Vec<_> = self.clusters.iter().filter_map(Cluster::timeline).collect();
@@ -214,7 +214,7 @@ impl System {
     }
 
     /// The system-wide post-mortem: every cluster's report merged (stuck
-    /// harts, timeline windows).
+    /// harts, and the timeline windows of a traced system).
     #[must_use]
     pub fn post_mortem(&self) -> PostMortem {
         PostMortem::merge(
@@ -257,12 +257,15 @@ impl System {
         self.clusters.iter().any(Cluster::trapped)
     }
 
-    /// Runs to quiescence.
+    /// Runs to quiescence. The run records no timeline unless
+    /// [`System::enable_tracing`] armed them.
     ///
     /// # Errors
     /// Returns [`SimTimeout`] if the system does not finish in
     /// `max_cycles` (deadlock or bug); its post-mortem lists every hart
-    /// that was not quiescent, with its cluster prefix and current PC.
+    /// that was not quiescent, with its cluster prefix and current PC,
+    /// and carries a final window only from a traced run (the kernel
+    /// harnesses replay a timed-out run with tracing armed to get one).
     pub fn run(&mut self, max_cycles: u64) -> Result<SystemSummary, SimTimeout> {
         self.run_until(max_cycles, |_| false)
     }
@@ -279,10 +282,7 @@ impl System {
         stop: impl Fn(&Self) -> bool,
     ) -> Result<SystemSummary, SimTimeout> {
         self.profiled = issr_trace::host::is_enabled();
-        for (ci, cluster) in self.clusters.iter_mut().enumerate() {
-            // So a timeout dump always carries recent history
-            // (recording is timing-neutral; see the cluster).
-            cluster.arm_default_timeline(ci as u32);
+        for cluster in &mut self.clusters {
             cluster.profile_host(self.profiled);
         }
         let deadline = self.now.saturating_add(max_cycles);

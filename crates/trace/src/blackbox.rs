@@ -4,15 +4,14 @@
 //!
 //! A [`PostMortem`] is the frozen picture: each stuck hart once, with
 //! its PC, dominant stall cause and the word it was polling
-//! ([`StuckUnit`]), and the final window of the cluster's
-//! [`Timeline`] — the most recent transitions before the run was
-//! declared dead (none for a single CC, which records no timeline).
-//! [`PostMortem::sidecar_json`] exports that window through the
-//! timeline's Chrome exporter so it can be eyeballed in Perfetto.
+//! ([`StuckUnit`]), all read from live state, and, when the cluster
+//! was traced, the final window of its [`Timeline`] — the most recent
+//! transitions before the run was declared dead. A live run arms no
+//! timeline; the kernel harnesses replay a timed-out cluster or system
+//! run with tracing armed to get the window (a single CC records none).
 
 use crate::attr::StallCause;
-use crate::json::Json;
-use crate::timeline::{chrome_trace, mark_event, span_events, Timeline, Transition};
+use crate::timeline::{Timeline, Transition};
 
 /// One hart that had not gone quiescent when a run died.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -84,19 +83,6 @@ impl PostMortem {
         }
         out.transitions.sort_by_key(|t| (t.cycle, t.unit));
         out
-    }
-
-    /// The final window as a Chrome trace-event document: the
-    /// timeline's export of the retained transitions (every track under
-    /// process 0, named with its cluster prefix) plus an instant event
-    /// marking the moment of death. Loads in Perfetto next to the main
-    /// trace (same 1 cycle = 1 µs axis).
-    #[must_use]
-    pub fn sidecar_json(&self) -> Json {
-        let units = self.unit_names.iter().map(|name| (0, name.as_str()));
-        let mut events = span_events(units, &self.transitions, self.at);
-        events.push(mark_event(0, "post-mortem", self.at));
-        chrome_trace(events, self.evicted)
     }
 }
 
@@ -204,26 +190,5 @@ mod tests {
         assert_eq!(merged.unit_names, vec!["c1 hart 0".to_owned()]);
         assert_eq!(merged.transitions.len(), 1);
         assert_eq!(merged.transitions[0].unit, 0);
-    }
-
-    #[test]
-    fn sidecar_emits_spans_and_death_instant() {
-        let mut tl = Timeline::new(8);
-        let u = tl.add_unit(0, "hart 0");
-        tl.sample(u, 2, StallCause::Active);
-        tl.sample(u, 6, StallCause::FifoEmpty);
-        let pm = PostMortem::assemble(10, vec![stuck(0, StallCause::FifoEmpty, None)], Some(&tl));
-        let doc = pm.sidecar_json();
-        let events = doc.get("traceEvents").and_then(Json::as_arr).expect("events");
-        let spans: Vec<_> =
-            events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("X")).collect();
-        assert_eq!(spans.len(), 2, "active [2,6) then fifo_empty [6,10)");
-        assert_eq!(spans[0].get("name").and_then(Json::as_str), Some("active"));
-        assert_eq!(spans[0].get("dur").and_then(Json::as_int), Some(4));
-        assert_eq!(spans[1].get("name").and_then(Json::as_str), Some("fifo_empty"));
-        let instants: Vec<_> =
-            events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("i")).collect();
-        assert_eq!(instants.len(), 1);
-        assert_eq!(instants[0].get("ts").and_then(Json::as_int), Some(10));
     }
 }

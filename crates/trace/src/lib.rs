@@ -28,8 +28,8 @@
 //!   change-only counter tracks and instant marks at trap/timeout
 //!   moments, and the one Chrome trace-event exporter (cause-named
 //!   residency spans that load directly in Perfetto,
-//!   `ui.perfetto.dev`). `run` arms a small one by default;
-//!   `enable_tracing` arms a large one with lanes and counters added.
+//!   `ui.perfetto.dev`). Only `enable_tracing` arms one; a live run
+//!   records nothing.
 //! * [`blackbox`] — the [`PostMortem`], the one report of a dead run
 //!   (a timeout or a latched fault): each stuck hart once
 //!   ([`StuckUnit`]) and the timeline's final window.

@@ -2,9 +2,10 @@
 //! history, and the one Chrome trace-event exporter.
 //!
 //! A [`Timeline`] observes the simulated machine from *outside* the
-//! timing model: the cluster samples the classifications each tick
-//! already latched, once per cycle, so arming one cannot change a
-//! simulated bit or cycle — the invariance the property tests pin down.
+//! timing model: a cluster's `enable_tracing` (the only thing that arms
+//! one) samples the classifications each tick already latched, once
+//! per cycle, so arming one cannot change a simulated bit or cycle —
+//! the invariance the property tests pin down.
 //! Only cause *changes* cost a ring slot ([`Transition`]), so a wedged
 //! steady-state run records almost nothing. The ring keeps the most
 //! recent `cap` transitions — the window that matters once a run is
@@ -39,8 +40,9 @@ pub struct Transition {
     pub to: StallCause,
 }
 
-/// Default transition capacity — what `run` arms when nothing else
-/// did: a generous final window at a few bytes per slot.
+/// The ring size the kernel harnesses arm when they replay a timed-out
+/// cluster or system run for its post-mortem: a generous final window
+/// at a few bytes per slot.
 pub const DEFAULT_TIMELINE_CAP: usize = 4096;
 
 /// Hard cap on instant marks: they mark exceptional moments, so a run
@@ -173,18 +175,52 @@ impl Timeline {
     }
 
     /// Everything held as Chrome trace events, open residencies closed
-    /// at cycle `end`: the units' [`span_events`], the counter samples,
-    /// the marks.
+    /// at cycle `end`: one `thread_name` record per unit (tid = its
+    /// index), one cause-named span per non-idle residency (from each
+    /// transition to the unit's next one, or to `end`), the counter
+    /// samples, the marks.
     #[must_use]
     pub fn chrome_events(&self, end: u64) -> Vec<Json> {
-        let units = self.units.iter().map(|u| (u.pid, u.name.as_str()));
-        let mut events = span_events(units, &self.transitions.buf, end);
+        let mut events: Vec<Json> = self
+            .units
+            .iter()
+            .enumerate()
+            .map(|(tid, u)| {
+                let args = obj(vec![("name", Json::from(u.name.as_str()))]);
+                event("M", "thread_name", u.pid, vec![("tid", Json::from(tid)), ("args", args)])
+            })
+            .collect();
+        let mut span = |unit: usize, (start, cause): (u64, StallCause), until: u64| {
+            if cause != StallCause::Idle && until > start {
+                let rest = vec![
+                    ("ts", Json::from(start)),
+                    ("dur", Json::from(until - start)),
+                    ("tid", Json::from(unit)),
+                ];
+                events.push(event("X", cause.label(), self.units[unit].pid, rest));
+            }
+        };
+        let mut open: Vec<Option<(u64, StallCause)>> = vec![None; self.units.len()];
+        for t in &self.transitions.buf {
+            if let Some(residency) = open[t.unit].replace((t.cycle, t.to)) {
+                span(t.unit, residency, t.cycle);
+            }
+        }
+        for (unit, residency) in open.into_iter().enumerate() {
+            if let Some(residency) = residency {
+                span(unit, residency, end);
+            }
+        }
         events.extend(self.samples.buf.iter().map(|&(counter, ts, value)| {
             let c = &self.counters[counter];
             let args = obj(vec![("value", Json::from(value))]);
             event("C", &c.name, c.pid, vec![("ts", Json::from(ts)), ("args", args)])
         }));
-        events.extend(self.marks.iter().map(|(pid, name, ts)| mark_event(*pid, name, *ts)));
+        events.extend(self.marks.iter().map(|(pid, name, ts)| {
+            let rest =
+                vec![("ts", Json::from(*ts)), ("tid", Json::from(0u64)), ("s", Json::from("p"))];
+            event("i", name, *pid, rest)
+        }));
         events
     }
 }
@@ -198,55 +234,6 @@ fn event(ph: &str, name: &str, pid: u32, rest: Vec<(&'static str, Json)>) -> Jso
     ];
     fields.extend(rest);
     obj(fields)
-}
-
-/// One `thread_name` record per unit (tid = its index in `units`) and
-/// one cause-named span per non-idle residency: from each transition
-/// to the next one of the same unit, or to `end`.
-#[must_use]
-pub fn span_events<'a>(
-    units: impl Iterator<Item = (u32, &'a str)>,
-    transitions: impl IntoIterator<Item = &'a Transition>,
-    end: u64,
-) -> Vec<Json> {
-    let mut events = Vec::new();
-    let mut pids = Vec::new();
-    for (tid, (pid, name)) in units.enumerate() {
-        pids.push(pid);
-        let args = obj(vec![("name", Json::from(name))]);
-        events.push(event("M", "thread_name", pid, vec![("tid", Json::from(tid)), ("args", args)]));
-    }
-    let mut span = |unit: usize, (start, cause): (u64, StallCause), until: u64| {
-        if cause != StallCause::Idle && until > start {
-            let rest = vec![
-                ("ts", Json::from(start)),
-                ("dur", Json::from(until - start)),
-                ("tid", Json::from(unit)),
-            ];
-            events.push(event("X", cause.label(), pids[unit], rest));
-        }
-    };
-    let mut open: Vec<Option<(u64, StallCause)>> = vec![None; pids.len()];
-    for t in transitions {
-        // A hand-built window may name a unit the table lacks: skip it.
-        let Some(slot) = open.get_mut(t.unit) else { continue };
-        if let Some(residency) = slot.replace((t.cycle, t.to)) {
-            span(t.unit, residency, t.cycle);
-        }
-    }
-    for (unit, residency) in open.into_iter().enumerate() {
-        if let Some(residency) = residency {
-            span(unit, residency, end);
-        }
-    }
-    events
-}
-
-/// One instant event (process scope).
-#[must_use]
-pub fn mark_event(pid: u32, name: &str, ts: u64) -> Json {
-    let rest = vec![("ts", Json::from(ts)), ("tid", Json::from(0u64)), ("s", Json::from("p"))];
-    event("i", name, pid, rest)
 }
 
 /// Wraps event lists into the Chrome trace-event document.
