@@ -10,22 +10,18 @@
 //! block every worker has the same number of rows. The dense vector, row
 //! pointers and block descriptors are DMAed once up front and stay
 //! resident; the result vector accumulates in the TCDM and is written
-//! back at the end.
-//!
-//! Synchronization uses monotonic flag words in the TCDM:
-//! `meta_ready`, per-buffer `ready[2]` (DMCC → workers, holds the
-//! 1-based block number loaded) and per-worker `done[8]` (workers →
-//! DMCC, holds the 1-based last block finished), so no flag is ever
-//! reset.
+//! back at the end. DMCC and workers hand the blocks over through the
+//! tile handshake of the crate-private `handshake` module.
 
-use crate::common::{emit_meta_transfer, emit_parity_slot, emit_wait_all_done, FZ};
+use crate::common::FZ;
 use crate::csrmv::{emit_issr_row_loop, emit_sw_row_loop};
+use crate::handshake::{emit_slice_fetch, FlagArea, Slice};
 use crate::harness::{self, OnTrap};
 use crate::layout::TCDM_DATA_BASE;
 use crate::variant::{KernelIndex, Variant};
 use issr_cluster::cluster::{Cluster, ClusterParams, ClusterSummary};
 use issr_core::cfg::{cfg_addr, idx_cfg_word, reg as sreg};
-use issr_isa::asm::{Assembler, Program};
+use issr_isa::asm::{Assembler, Label, Program};
 use issr_isa::reg::IntReg as R;
 use issr_isa::Csr;
 use issr_mem::map::{MAIN_BASE, TCDM_BASE, TCDM_SIZE};
@@ -45,30 +41,16 @@ fn block_elems<I: KernelIndex>() -> u32 {
     (VALS_CAP / 8).min((IDX_CAP - 8) / I::BYTES)
 }
 
-pub(crate) const FLAG_META: u32 = TCDM_BASE;
-pub(crate) const FLAG_READY: u32 = TCDM_BASE + 8;
-pub(crate) const FLAG_DONE: u32 = TCDM_BASE + 0x20;
-pub(crate) const BUF_A: u32 = TCDM_BASE + TCDM_SIZE - 2 * BUF_BYTES;
-
-/// One double-buffered block of rows.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Block {
-    pub(crate) row_start: u32,
-    pub(crate) row_count: u32,
-    nnz_start: u32,
-    vals_src: u32,
-    vals_len: u32,
-    idcs_src: u32,
-    idcs_len: u32,
-}
+const BUF_A: u32 = TCDM_BASE + TCDM_SIZE - 2 * BUF_BYTES;
 
 /// The planned layout of one cluster CsrMV run.
 #[derive(Clone, Debug)]
 pub struct ClusterCsrmvPlan {
-    pub(crate) n_workers: u32,
+    /// The tile handshake's flags, laid out for the worker count.
+    pub(crate) flags: FlagArea,
     pub(crate) nrows: u32,
-    ncols: u32,
-    pub(crate) blocks: Vec<Block>,
+    /// The double-buffered row blocks.
+    pub(crate) blocks: Vec<Slice>,
     // Main memory.
     main_vals: u32,
     main_idcs: u32,
@@ -98,14 +80,14 @@ impl ClusterCsrmvPlan {
     /// 35-row block leaves the eighth worker of eight idle.
     ///
     /// # Panics
-    /// Panics if `n_workers` is zero, a single row exceeds the block
-    /// capacity or the resident data does not fit the TCDM (the paper's
-    /// matrices all fit).
+    /// Panics if `n_workers` is zero or above the flag area's limit, a
+    /// single row exceeds the block capacity or the resident data does
+    /// not fit the TCDM (the paper's matrices all fit).
     #[must_use]
     pub fn new<I: KernelIndex>(m: &CsrMatrix<I>, n_workers: u32) -> Self {
         assert!(n_workers > 0, "a cluster CsrMV needs at least one worker");
+        let flags = FlagArea::csrmv(n_workers);
         let nrows = m.nrows() as u32;
-        let ncols = m.ncols() as u32;
         let max_elems = block_elems::<I>();
         // Main-memory layout: vals | idcs | meta [x | ptr | desc] | y.
         let mut main = crate::layout::Arena::new(MAIN_BASE, issr_mem::map::MAIN_SIZE);
@@ -125,28 +107,16 @@ impl ClusterCsrmvPlan {
             if end < nrows && fit >= n_workers {
                 end -= fit % n_workers;
             }
-            let nnz_end = ptr[end as usize];
             assert!(
-                nnz_end - nnz_start <= max_elems,
+                ptr[end as usize] - nnz_start <= max_elems,
                 "row {row} alone exceeds the block capacity of {max_elems} nonzeros"
             );
-            let idx_begin = main_idcs + nnz_start * I::BYTES;
-            let idx_end = main_idcs + nnz_end * I::BYTES;
-            let idcs_src = idx_begin & !7;
-            let idcs_len = (((idx_end + 7) & !7) - idcs_src).max(8);
-            assert!(idcs_len <= IDX_CAP, "index chunk exceeds buffer");
-            blocks.push(Block {
-                row_start: row,
-                row_count: end - row,
-                nnz_start,
-                vals_src: main_vals + nnz_start * 8,
-                vals_len: ((nnz_end - nnz_start) * 8).max(8),
-                idcs_src,
-                idcs_len,
-            });
+            let block = Slice::new::<I>(ptr, row..end, main_vals, main_idcs);
+            assert!(block.idcs_len <= IDX_CAP, "index chunk exceeds buffer");
+            blocks.push(block);
             row = end;
         }
-        let x_bytes = ncols * 8;
+        let x_bytes = m.ncols() as u32 * 8;
         let ptr_bytes = ((nrows + 1) * 4 + 7) & !7;
         let desc_bytes = (blocks.len() as u32 * 32).max(8);
         let meta_bytes = x_bytes + ptr_bytes + desc_bytes;
@@ -163,9 +133,8 @@ impl ClusterCsrmvPlan {
             "resident data (x, ptr, descriptors, y) does not fit below the block buffers"
         );
         Self {
-            n_workers,
+            flags,
             nrows,
-            ncols,
             blocks,
             main_vals,
             main_idcs,
@@ -201,26 +170,13 @@ impl ClusterCsrmvPlan {
     ) {
         mem.store_f64_slice(self.main_vals, m.vals());
         I::store_slice(mem, self.main_idcs, m.idcs());
-        // Meta block: x, ptr, descriptors — contiguous, DMAed in one go.
-        let x_bytes = self.ncols * 8;
-        let ptr_bytes = ((self.nrows + 1) * 4 + 7) & !7;
+        // Meta block: x, ptr, descriptors — contiguous, DMAed in one go
+        // to the TCDM, so staged at the TCDM layout's offsets.
+        let staged = |tcdm: u32| self.main_meta + (tcdm - self.tcdm_x);
         mem.store_f64_slice(self.main_meta, x);
-        mem.store_u32_slice(self.main_meta + x_bytes, m.ptr());
+        mem.store_u32_slice(staged(self.tcdm_ptr), m.ptr());
         for (i, b) in self.blocks.iter().enumerate() {
-            let d = self.main_meta + x_bytes + ptr_bytes + (i as u32) * 32;
-            mem.store_u32_slice(
-                d,
-                &[
-                    b.row_start,
-                    b.row_count,
-                    b.nnz_start,
-                    0,
-                    b.vals_src,
-                    b.vals_len,
-                    b.idcs_src,
-                    b.idcs_len,
-                ],
-            );
+            b.store(mem, staged(self.tcdm_desc) + (i as u32) * 32, 0);
         }
     }
 
@@ -243,34 +199,109 @@ impl ClusterCsrmvPlan {
     }
 }
 
-/// Emits the invariant ISSR lane configuration of the CsrMV worker
-/// (value stride, index mode, x base) and enables the streamer.
-pub(crate) fn emit_worker_issr_cfg<I: KernelIndex>(asm: &mut Assembler, tcdm_x: u32) {
-    asm.li(R::T0, 8);
-    asm.scfgwi(R::T0, cfg_addr(sreg::STRIDES[0], 0));
-    asm.li(R::T0, i64::from(idx_cfg_word(I::IDX_SIZE, 0)));
-    asm.scfgwi(R::T0, cfg_addr(sreg::IDX_CFG, 1));
-    asm.li_addr(R::T0, tcdm_x);
-    asm.scfgwi(R::T0, cfg_addr(sreg::DATA_BASE, 1));
-    asm.csrsi(Csr::Ssr, 1);
-    asm.fcvt_d_w(FZ, R::ZERO);
+/// How a CsrMV worker learns its next block.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TileOrder {
+    /// Block `seq`, all `nblocks` in sequence (the cluster kernel).
+    Static,
+    /// The block the DMCC claimed for `seq`, until the sentinel (the
+    /// system kernel).
+    Claimed,
 }
 
-/// Emits the shared per-block worker body: reads the descriptor `blk`
-/// indexes (via `s9` = descriptor base), derives this worker's row
-/// slice, seeds the cursors into the double buffer `s10 & 1` and runs
-/// the row loop; branches to `signal_done` when the worker has no rows
-/// in the block. Register contract: `a7` hartid, `s8` the y stride (8),
-/// `s9` descriptor base, `s10` block sequence number (buffer parity);
+/// Emits the hart dispatch and the worker of the DMA-fed CsrMV kernels
+/// (walking blocks in `order`); returns the DMCC's entry label.
+pub(crate) fn emit_worker<I: KernelIndex>(
+    asm: &mut Assembler,
+    variant: Variant,
+    plan: &ClusterCsrmvPlan,
+    order: TileOrder,
+) -> Label {
+    let flags = plan.flags;
+    assert!(flags.n_workers.is_power_of_two(), "the static row split shifts by log2(workers)");
+    assert!(
+        matches!(variant, Variant::Base | Variant::Issr),
+        "cluster and system CsrMV are evaluated for BASE and ISSR (paper Fig. 4c)"
+    );
+    let nblocks = plan.blocks.len() as u32;
+    asm.csrr(R::A7, Csr::MHartId);
+    let dmcc_entry = asm.new_label();
+    asm.li(R::T0, i64::from(flags.n_workers));
+    asm.beq(R::A7, R::T0, dmcc_entry);
+    asm.symbol("worker");
+    flags.emit_wait_meta(asm);
+    // Static state: descriptor base, sequence counter, block count, y
+    // stride (the row loops advance `s1` by `s8`), done-flag slot.
+    asm.li_addr(R::S9, plan.tcdm_desc);
+    asm.li(R::S10, 0);
+    if order == TileOrder::Static {
+        asm.li(R::S11, i64::from(nblocks));
+    }
+    asm.li(R::S8, 8);
+    flags.emit_done_slot(asm, R::A6);
+    if variant == Variant::Issr {
+        // Invariant lane configuration: value stride, index mode, x base.
+        asm.li(R::T0, 8);
+        asm.scfgwi(R::T0, cfg_addr(sreg::STRIDES[0], 0));
+        asm.li(R::T0, i64::from(idx_cfg_word(I::IDX_SIZE, 0)));
+        asm.scfgwi(R::T0, cfg_addr(sreg::IDX_CFG, 1));
+        asm.li_addr(R::T0, plan.tcdm_x);
+        asm.scfgwi(R::T0, cfg_addr(sreg::DATA_BASE, 1));
+        asm.csrsi(Csr::Ssr, 1);
+        asm.fcvt_d_w(FZ, R::ZERO);
+    }
+    asm.roi_begin();
+    let worker_end = asm.new_label();
+    if order == TileOrder::Static && nblocks == 0 {
+        asm.j(worker_end);
+    }
+    let block_loop = asm.bind_label();
+    asm.symbol("worker_block");
+    let claimed = order == TileOrder::Claimed;
+    flags.emit_wait_tile(asm, R::S10, claimed.then_some(worker_end));
+    let blk = if claimed { R::T4 } else { R::S10 };
+    let signal_done = asm.new_label();
+    emit_block_body::<I>(asm, variant, plan, blk, signal_done);
+    asm.bind(signal_done);
+    flags.emit_signal_done(asm, R::S10, R::T0, R::A6);
+    asm.addi(R::S10, R::S10, 1);
+    match order {
+        TileOrder::Static => asm.blt(R::S10, R::S11, block_loop),
+        TileOrder::Claimed => asm.j(block_loop),
+    }
+    asm.bind(worker_end);
+    asm.roi_end();
+    if variant == Variant::Issr {
+        asm.csrci(Csr::Ssr, 1);
+    }
+    asm.halt();
+    dmcc_entry
+}
+
+/// Emits `t0` = base of the block buffer `s10 & 1` (values at `+0`,
+/// indices at `+VALS_CAP`). Clobbers `t1`.
+fn emit_buffer_base(asm: &mut Assembler) {
+    asm.andi(R::T0, R::S10, 1);
+    asm.slli(R::T0, R::T0, 16);
+    asm.li_addr(R::T1, BUF_A);
+    asm.add(R::T0, R::T0, R::T1);
+}
+
+/// Emits the per-block worker body: reads the descriptor `blk` indexes
+/// (via `s9` = descriptor base), derives this worker's row slice, seeds
+/// the cursors into the double buffer `s10 & 1` and runs the row loop;
+/// branches to `signal_done` when the worker has no rows in the block.
+/// Register contract: `a7` hartid, `s8` the y stride (8), `s9`
+/// descriptor base, `s10` block sequence number (buffer parity);
 /// everything else is clobbered.
-#[allow(clippy::too_many_lines)]
-pub(crate) fn emit_worker_block_body<I: KernelIndex>(
+fn emit_block_body<I: KernelIndex>(
     asm: &mut Assembler,
     variant: Variant,
     plan: &ClusterCsrmvPlan,
     blk: R,
-    signal_done: issr_isa::asm::Label,
+    signal_done: Label,
 ) {
+    let n_workers = plan.flags.n_workers;
     let log_w = if I::BYTES == 2 { 1 } else { 2 };
     // Descriptor fields.
     asm.slli(R::T4, blk, 5);
@@ -281,8 +312,8 @@ pub(crate) fn emit_worker_block_body<I: KernelIndex>(
                              // My row slice: rpw = ceil(row_count / workers); my_off = h * rpw.
                              // The planner makes every block but the last a multiple of the
                              // worker count (when that many rows fit), so no worker idles there.
-    asm.addi(R::T5, R::A1, i32::try_from(plan.n_workers - 1).expect("small"));
-    asm.srli(R::T5, R::T5, plan.n_workers.trailing_zeros() as i32);
+    asm.addi(R::T5, R::A1, i32::try_from(n_workers - 1).expect("small"));
+    asm.srli(R::T5, R::T5, n_workers.trailing_zeros() as i32);
     asm.mul(R::T6, R::T5, R::A7);
     asm.sub(R::A3, R::A1, R::T6); // rows remaining after my offset
     asm.blez(R::A3, signal_done); // no rows for me in this block
@@ -307,10 +338,7 @@ pub(crate) fn emit_worker_block_body<I: KernelIndex>(
     asm.add(R::S1, R::T0, R::T1);
     asm.sub(R::A5, R::T2, R::S3); // my element count
                                   // Buffer bases for this block.
-    asm.andi(R::T0, R::S10, 1);
-    asm.slli(R::T0, R::T0, 16);
-    asm.li_addr(R::T1, BUF_A);
-    asm.add(R::T0, R::T0, R::T1); // buffer base (vals at +0)
+    emit_buffer_base(asm);
     match variant {
         Variant::Issr => {
             let launch_done = asm.new_label();
@@ -368,106 +396,31 @@ pub(crate) fn emit_worker_block_body<I: KernelIndex>(
     asm.add(R::ZERO, R::T0, R::T0);
 }
 
-/// Emits the DMCC's fetch of block `blk` into buffer `s10 & 1`: reads
-/// the DMA sources and lengths from the resident descriptor, issues the
-/// values and index transfers and polls until both completed (`s7`
-/// counts issued transfers).
-pub(crate) fn emit_block_fetch(asm: &mut Assembler, plan: &ClusterCsrmvPlan, blk: R) {
+/// Emits `t4` = the address of descriptor `blk`. Clobbers `t5`.
+pub(crate) fn emit_desc_addr(asm: &mut Assembler, plan: &ClusterCsrmvPlan, blk: R) {
     asm.slli(R::T4, blk, 5);
     asm.li_addr(R::T5, plan.tcdm_desc);
     asm.add(R::T4, R::T4, R::T5);
-    asm.lw(R::A0, R::T4, 16); // vals_src
-    asm.lw(R::A1, R::T4, 20); // vals_len
-    asm.lw(R::A2, R::T4, 24); // idcs_src
-    asm.lw(R::A3, R::T4, 28); // idcs_len
-    asm.andi(R::T0, R::S10, 1);
-    asm.slli(R::T0, R::T0, 16);
-    asm.li_addr(R::T1, BUF_A);
-    asm.add(R::T0, R::T0, R::T1); // destination buffer
-    asm.dmsrc(R::A0, R::ZERO);
-    asm.dmdst(R::T0, R::ZERO);
-    asm.dmcpyi(R::ZERO, R::A1, 0);
-    asm.li(R::T2, i64::from(VALS_CAP));
-    asm.add(R::T2, R::T2, R::T0);
-    asm.dmsrc(R::A2, R::ZERO);
-    asm.dmdst(R::T2, R::ZERO);
-    asm.dmcpyi(R::ZERO, R::A3, 0);
-    asm.addi(R::S7, R::S7, 2);
-    let poll_block = asm.bind_label();
-    asm.dmstati(R::T3, 0);
-    asm.blt(R::T3, R::S7, poll_block);
+}
+
+/// Emits the DMCC's fetch of block `blk` into buffer `s10 & 1`.
+pub(crate) fn emit_block_fetch(asm: &mut Assembler, plan: &ClusterCsrmvPlan, blk: R) {
+    emit_desc_addr(asm, plan, blk);
+    emit_slice_fetch(asm, VALS_CAP, emit_buffer_base);
 }
 
 /// Builds the SPMD cluster program (all harts run it; the DMCC is hart
 /// `n_workers`).
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn build_cluster_csrmv<I: KernelIndex>(variant: Variant, plan: &ClusterCsrmvPlan) -> Program {
-    assert!(plan.n_workers.is_power_of_two(), "the static row split shifts by log2(workers)");
-    assert!(
-        matches!(variant, Variant::Base | Variant::Issr),
-        "cluster CsrMV is evaluated for BASE and ISSR (paper Fig. 4c)"
-    );
+    let flags = plan.flags;
     let nblocks = plan.blocks.len() as u32;
     let mut asm = Assembler::new();
-    asm.csrr(R::A7, Csr::MHartId);
-    let dmcc_entry = asm.new_label();
-    asm.li(R::T0, i64::from(plan.n_workers));
-    asm.beq(R::A7, R::T0, dmcc_entry);
-
-    // ---------------- worker ----------------
-    asm.symbol("worker");
-    // Wait for resident data.
-    asm.li_addr(R::T0, FLAG_META);
-    let spin_meta = asm.bind_label();
-    asm.lw(R::T1, R::T0, 0);
-    asm.beqz(R::T1, spin_meta);
-    // Static state.
-    asm.li_addr(R::S9, plan.tcdm_desc);
-    asm.li(R::S10, 0); // block counter
-    asm.li(R::S11, i64::from(nblocks));
-    asm.li(R::S8, 8); // y stride
-    asm.li_addr(R::A6, FLAG_DONE);
-    asm.slli(R::T0, R::A7, 3);
-    asm.add(R::A6, R::A6, R::T0);
-    if variant == Variant::Issr {
-        // Invariant lane configuration: value stride, index mode, x base.
-        emit_worker_issr_cfg::<I>(&mut asm, plan.tcdm_x);
-    }
-    asm.roi_begin();
-    let worker_end = asm.new_label();
-    if nblocks == 0 {
-        asm.j(worker_end);
-    }
-    let block_loop = asm.bind_label();
-    asm.symbol("worker_block");
-    // Wait ready[b & 1] >= b + 1.
-    emit_parity_slot(&mut asm, FLAG_READY, R::S10);
-    asm.addi(R::T3, R::S10, 1);
-    let spin_ready = asm.bind_label();
-    asm.lw(R::T2, R::T0, 0);
-    asm.blt(R::T2, R::T3, spin_ready);
-    // Descriptor fields, row slice, cursors and the row loop — shared
-    // with the system kernel (block id = the sequence number here).
-    let signal_done = asm.new_label();
-    emit_worker_block_body::<I>(&mut asm, variant, plan, R::S10, signal_done);
-    asm.bind(signal_done);
-    asm.addi(R::T0, R::S10, 1);
-    asm.sw(R::T0, R::A6, 0);
-    asm.addi(R::S10, R::S10, 1);
-    asm.blt(R::S10, R::S11, block_loop);
-    asm.bind(worker_end);
-    asm.roi_end();
-    if variant == Variant::Issr {
-        asm.csrci(Csr::Ssr, 1);
-    }
-    asm.halt();
-
-    // ---------------- DMCC ----------------
+    let dmcc_entry = emit_worker::<I>(&mut asm, variant, plan, TileOrder::Static);
     asm.bind(dmcc_entry);
     asm.symbol("dmcc");
     // Meta transfer: x | ptr | descriptors in one DMA.
-    emit_meta_transfer(&mut asm, plan.main_meta, plan.tcdm_x, plan.meta_bytes, FLAG_META);
+    flags.emit_meta_transfer(&mut asm, plan.main_meta, plan.tcdm_x, plan.meta_bytes);
     asm.li(R::S11, i64::from(nblocks));
     let dmcc_finish = asm.new_label();
     if nblocks == 0 {
@@ -475,25 +428,15 @@ pub fn build_cluster_csrmv<I: KernelIndex>(variant: Variant, plan: &ClusterCsrmv
     }
     let dmcc_loop = asm.bind_label();
     asm.symbol("dmcc_block");
-    // Before overwriting buffer b&1, wait for every worker to be done
-    // with block b-2 (monotonic flags: done[c] >= b-1).
-    let no_wait = asm.new_label();
-    asm.addi(R::T0, R::S10, -2);
-    asm.blt(R::T0, R::ZERO, no_wait);
-    asm.addi(R::T3, R::S10, -1); // need done >= b-1
-    emit_wait_all_done(&mut asm, FLAG_DONE, plan.n_workers, R::T3);
-    asm.bind(no_wait);
+    flags.emit_buffer_guard(&mut asm);
     emit_block_fetch(&mut asm, plan, R::S10);
-    // ready[b & 1] = b + 1.
-    emit_parity_slot(&mut asm, FLAG_READY, R::S10);
-    asm.addi(R::T2, R::S10, 1);
-    asm.sw(R::T2, R::T0, 0);
+    flags.emit_ready(&mut asm);
     asm.addi(R::S10, R::S10, 1);
     asm.blt(R::S10, R::S11, dmcc_loop);
     asm.bind(dmcc_finish);
-    // Wait for all workers to finish the last block.
-    emit_wait_all_done(&mut asm, FLAG_DONE, plan.n_workers, R::S11);
-    // Write the result back.
+    // Wait for all workers to finish the last block, then write the
+    // result back.
+    flags.emit_wait_done(&mut asm, R::S11);
     if plan.nrows > 0 {
         asm.li_addr(R::A0, plan.tcdm_y);
         asm.li_addr(R::A1, plan.main_y);
@@ -679,7 +622,7 @@ mod tests {
             fmadds.iter().all(|&f| (f as f64 - mean).abs() <= 0.02 * mean),
             "ROI fmadds per worker {fmadds:?} (mean {mean:.0})"
         );
-        crate::system_csrmv::tests::check_identity_on(Variant::Issr, &m, &x);
+        crate::system_csrmv::tests::check_identity_on(Variant::Issr, &m, &x, 8);
     }
 
     /// Fig. 4c's short rows run from the L0: at 2 and 4 nnz/row every

@@ -9,55 +9,6 @@ use issr_isa::reg::{FpReg, IntReg};
 /// Scratch register used by the setup emitters (clobbered).
 pub const SETUP_SCRATCH: IntReg = IntReg::T0;
 
-/// Emits `t0 = base + (seq & 1) * 8` — the parity-slot addressing of
-/// the system kernels' double-buffer flag protocols (`seq_reg` holds
-/// the sequence number). Clobbers `t1`.
-pub(crate) fn emit_parity_slot(asm: &mut Assembler, base: u32, seq_reg: IntReg) {
-    asm.andi(IntReg::T0, seq_reg, 1);
-    asm.slli(IntReg::T0, IntReg::T0, 3);
-    asm.li_addr(IntReg::T1, base);
-    asm.add(IntReg::T0, IntReg::T0, IntReg::T1);
-}
-
-/// Emits spins until every worker's monotonic done flag (8-byte slots
-/// from `done_base`) reaches the value held in `need` (must not be
-/// `t1`/`t2`, which are clobbered).
-pub(crate) fn emit_wait_all_done(
-    asm: &mut Assembler,
-    done_base: u32,
-    n_workers: u32,
-    need: IntReg,
-) {
-    for c in 0..n_workers {
-        let spin = asm.bind_label();
-        asm.li_addr(IntReg::T1, done_base + c * 8);
-        asm.lw(IntReg::T2, IntReg::T1, 0);
-        asm.blt(IntReg::T2, need, spin);
-    }
-}
-
-/// Emits a DMCC's one-off meta transfer — `bytes` of resident data from
-/// `src` (main memory) to `dst` (TCDM) in one DMA, polled to completion
-/// — then raises the flag word `flag` and zeroes the DMCC's counters:
-/// `s7` (DMA transfers issued so far) = 1, `s10` (block sequence
-/// number) = 0.
-pub(crate) fn emit_meta_transfer(asm: &mut Assembler, src: u32, dst: u32, bytes: u32, flag: u32) {
-    asm.li_addr(IntReg::A0, src);
-    asm.li_addr(IntReg::A1, dst);
-    asm.dmsrc(IntReg::A0, IntReg::ZERO);
-    asm.dmdst(IntReg::A1, IntReg::ZERO);
-    asm.li(IntReg::A2, i64::from(bytes));
-    asm.dmcpyi(IntReg::ZERO, IntReg::A2, 0);
-    let poll = asm.bind_label();
-    asm.dmstati(IntReg::T0, 0);
-    asm.beqz(IntReg::T0, poll);
-    asm.li(IntReg::T1, 1);
-    asm.li_addr(IntReg::T2, flag);
-    asm.sw(IntReg::T1, IntReg::T2, 0);
-    asm.li(IntReg::S7, 1);
-    asm.li(IntReg::S10, 0);
-}
-
 /// The constant-zero FP register kernels keep (`fz`), used to seed
 /// accumulators without explicit zeroing (the CsrMV row heads).
 pub const FZ: FpReg = FpReg::FT8; // f28

@@ -41,12 +41,6 @@ impl Arena {
         base
     }
 
-    /// Next free address (for fit checks).
-    #[must_use]
-    pub fn watermark(&self) -> u32 {
-        self.next
-    }
-
     /// Remaining capacity in bytes.
     #[must_use]
     pub fn remaining(&self) -> u32 {

@@ -27,6 +27,7 @@ pub mod common;
 pub mod csf_ttv;
 pub mod csrmm;
 pub mod csrmv;
+mod handshake;
 mod harness;
 pub mod layout;
 pub mod spgemm;

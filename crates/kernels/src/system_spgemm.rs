@@ -29,9 +29,10 @@
 //! The flag window is parity-buffered with the C buffer, and a panel's
 //! tag is its local sequence number + 1: tags only grow, so no flag is
 //! ever reset, and a parity's flags are rewritten only after every
-//! worker finished the panel two back (the ready/done/drained protocol
-//! guarantees it). The owner of row 0 writes `ptr[0] = 0` and raises
-//! row 0's flag.
+//! worker finished the panel two back (the tile handshake of the
+//! crate-private `handshake` module guarantees it, with its `drained`
+//! slots). The owner of row 0 writes `ptr[0] = 0` and raises row 0's
+//! flag.
 //!
 //! Per row the body and its order are the single-core kernel's, so the
 //! product is bit-identical to the single-cluster kernels whatever the
@@ -40,7 +41,7 @@
 //! trap ends the run at once (see [`crate::cluster_spgemm`]): the
 //! trapped worker's chain successors could never finish.
 
-use crate::common::{emit_meta_transfer, emit_parity_slot, emit_wait_all_done};
+use crate::handshake::{emit_slice_fetch, FlagArea, Slice};
 use crate::harness;
 use crate::layout::{csr_addrs, store_csr, tcdm_arena, Arena, CsrAddrs, TCDM_DATA_BASE};
 use crate::spgemm::{
@@ -51,17 +52,10 @@ use issr_core::HwCaps;
 use issr_isa::asm::{Assembler, Program};
 use issr_isa::reg::{FpReg, IntReg as R};
 use issr_isa::Csr;
-use issr_mem::map::{MAIN_BASE, MAIN_SIZE, TCDM_BASE};
+use issr_mem::map::{MAIN_BASE, MAIN_SIZE};
 use issr_snitch::cc::SimTimeout;
 use issr_sparse::csr::CsrMatrix;
 use issr_system::system::{SystemParams, SystemSummary};
-
-// ---- flag area (below the data region, per cluster) ----
-const S_META: u32 = TCDM_BASE;
-const S_READY: u32 = TCDM_BASE + 0x08; // 2 slots
-const S_BLK: u32 = TCDM_BASE + 0x18; //   2 slots (claimed panel id; < 0 ends)
-const S_DONE: u32 = TCDM_BASE + 0x28; //  8 slots (monotonic per worker)
-const S_DRAINED: u32 = TCDM_BASE + 0x68; // 2 slots (output buffer freed)
 
 /// Descriptor stride in bytes (12 u32 fields, padded).
 const DESC_BYTES: u32 = 48;
@@ -74,16 +68,10 @@ fn align8(bytes: u32) -> u32 {
 /// fits the panel buffers and whose expansion fits the output buffer.
 #[derive(Clone, Copy, Debug)]
 struct Panel {
-    row_start: u32,
-    row_count: u32,
-    nnz_start: u32,
+    /// The rows and the main-memory sources of their `A` data.
+    a: Slice,
     /// Gustavson expansion volume of the panel (output capacity bound).
     exp: u32,
-    // Main-memory sources of the A data (filled once bases are known).
-    vals_src: u32,
-    vals_len: u32,
-    idcs_src: u32,
-    idcs_len: u32,
     // Main-memory destinations of the output panel.
     c_ptr_dst: u32,
     c_idcs_dst: u32,
@@ -93,7 +81,8 @@ struct Panel {
 /// The planned layout of one system SpGEMM run.
 #[derive(Clone, Debug)]
 pub struct SystemSpgemmPlan {
-    n_workers: u32,
+    /// The tile handshake's flags, laid out for the worker count.
+    flags: FlagArea,
     nrows: u32,
     ncols: u32,
     panels: Vec<Panel>,
@@ -121,10 +110,6 @@ pub struct SystemSpgemmPlan {
     cbuf_stride: u32,
     cptrw_bytes: u32,
     cvals_bytes: u32,
-    /// Panel capacity limits the greedy partition enforced.
-    a_elem_cap: u32,
-    c_elem_cap: u32,
-    max_rows: u32,
 }
 
 impl SystemSpgemmPlan {
@@ -136,8 +121,9 @@ impl SystemSpgemmPlan {
     /// the output may be arbitrarily larger than the TCDM.
     ///
     /// # Panics
-    /// Panics if the inner dimensions disagree, the resident data does
-    /// not fit, or a single row exceeds the panel capacities.
+    /// Panics if the inner dimensions disagree, `n_workers` is above the
+    /// flag area's limit, the resident data does not fit, or a single
+    /// row exceeds the panel capacities.
     #[must_use]
     pub fn new<I: KernelIndex>(
         variant: Variant,
@@ -165,6 +151,7 @@ impl SystemSpgemmPlan {
         c_elem_cap_limit: u32,
     ) -> Self {
         assert_eq!(b.nrows(), a.ncols(), "inner dimensions must agree");
+        let flags = FlagArea::spgemm(n_workers);
         let nrows = a.nrows() as u32;
         let ncols = b.ncols() as u32;
         // ---- resident TCDM allocations ----
@@ -205,7 +192,8 @@ impl SystemSpgemmPlan {
             .min(c_elem_cap_limit)
             .max(1);
         let ptr = a.ptr();
-        let mut panels: Vec<Panel> = Vec::new();
+        // Panels as (rows, expansion) until the main-memory bases are known.
+        let mut cuts = Vec::new();
         let mut row = 0u32;
         while row < nrows {
             let nnz_start = ptr[row as usize];
@@ -229,23 +217,11 @@ impl SystemSpgemmPlan {
                 "row {row} alone exceeds the panel capacity \
                  ({a_elem_cap} elements / {c_elem_cap} expansion)"
             );
-            panels.push(Panel {
-                row_start: row,
-                row_count: end - row,
-                nnz_start,
-                exp: u32::try_from(exp).expect("panel expansion fits u32"),
-                vals_src: 0,
-                vals_len: 0,
-                idcs_src: 0,
-                idcs_len: 0,
-                c_ptr_dst: 0,
-                c_idcs_dst: 0,
-                c_vals_dst: 0,
-            });
+            cuts.push((row..end, u32::try_from(exp).expect("panel expansion fits u32")));
             row = end;
         }
         // ---- finish the TCDM layout ----
-        let n_desc = (panels.len() as u32).max(1);
+        let n_desc = (cuts.len() as u32).max(1);
         assert!(
             n_desc <= max_panels,
             "partition produced {n_desc} panels, above the {max_panels}-descriptor bound \
@@ -253,10 +229,10 @@ impl SystemSpgemmPlan {
         );
         let t_desc = arena.alloc(align8(n_desc * DESC_BYTES), 8);
         let t_link = arena.alloc(link_bytes, 8);
-        let meta_bytes = arena_span(t_link + link_bytes);
+        let meta_bytes = t_link + link_bytes - TCDM_DATA_BASE; // B | a.ptr | descriptors | link
         let mut link_table = Vec::with_capacity(nrows as usize);
-        for p in &panels {
-            let rows = p.row_start as usize..(p.row_start + p.row_count) as usize;
+        for (rows, _) in &cuts {
+            let rows = rows.start as usize..rows.end as usize;
             link_table.extend(row_links(a, b, rows, n_workers as usize));
         }
         let a_vals_cap = a_elem_cap * 8 + 8;
@@ -274,22 +250,20 @@ impl SystemSpgemmPlan {
         let main_a_idcs = main.alloc(align8(nnz.max(1) * I::BYTES) + 8, 8);
         let main_meta = main.alloc(meta_bytes, 8);
         let main_queue = main.alloc(8, 8);
-        for p in &mut panels {
-            let nnz_end = ptr[(p.row_start + p.row_count) as usize];
-            p.vals_src = main_a_vals + p.nnz_start * 8;
-            p.vals_len = ((nnz_end - p.nnz_start) * 8).max(8);
-            let idx_begin = main_a_idcs + p.nnz_start * I::BYTES;
-            let idx_end = main_a_idcs + nnz_end * I::BYTES;
-            p.idcs_src = idx_begin & !7;
-            p.idcs_len = (align8(idx_end) - p.idcs_src).max(8);
-            // Word-aligned, padded per-panel output regions: whole-word
-            // DMA stores stay strobe-safe (no inter-panel sharing).
-            p.c_ptr_dst = main.alloc(align8((p.row_count + 1) * 4) + 8, 8);
-            p.c_vals_dst = main.alloc(p.exp.max(1) * 8 + 8, 8);
-            p.c_idcs_dst = main.alloc(align8(p.exp.max(1) * I::BYTES) + 8, 8);
-        }
+        // Word-aligned, padded per-panel output regions: whole-word DMA
+        // stores stay strobe-safe (no inter-panel sharing).
+        let panels = cuts
+            .into_iter()
+            .map(|(rows, exp)| Panel {
+                a: Slice::new::<I>(ptr, rows.clone(), main_a_vals, main_a_idcs),
+                exp,
+                c_ptr_dst: main.alloc(align8((rows.end - rows.start + 1) * 4) + 8, 8),
+                c_vals_dst: main.alloc(exp.max(1) * 8 + 8, 8),
+                c_idcs_dst: main.alloc(align8(exp.max(1) * I::BYTES) + 8, 8),
+            })
+            .collect();
         Self {
-            n_workers,
+            flags,
             nrows,
             ncols,
             panels,
@@ -311,9 +285,6 @@ impl SystemSpgemmPlan {
             cbuf_stride,
             cptrw_bytes,
             cvals_bytes,
-            a_elem_cap,
-            c_elem_cap,
-            max_rows: max_rows_global,
         }
     }
 
@@ -321,13 +292,6 @@ impl SystemSpgemmPlan {
     #[must_use]
     pub fn n_panels(&self) -> usize {
         self.panels.len()
-    }
-
-    /// The partition's effective capacities `(a_elems, c_elems,
-    /// max_rows)` per panel (scaling diagnostics).
-    #[must_use]
-    pub fn panel_caps(&self) -> (u32, u32, u32) {
-        (self.a_elem_cap, self.c_elem_cap, self.max_rows)
     }
 
     /// Address of the work-queue ticket word in main memory.
@@ -375,23 +339,8 @@ impl SystemSpgemmPlan {
         mem.store_u32_slice(self.meta_addr(self.t_link), &self.link_table);
         for (i, p) in self.panels.iter().enumerate() {
             let d = self.meta_addr(self.t_desc) + (i as u32) * DESC_BYTES;
-            mem.store_u32_slice(
-                d,
-                &[
-                    p.row_start,
-                    p.row_count,
-                    p.nnz_start,
-                    p.exp,
-                    p.vals_src,
-                    p.vals_len,
-                    p.idcs_src,
-                    p.idcs_len,
-                    p.c_ptr_dst,
-                    p.c_idcs_dst,
-                    p.c_vals_dst,
-                    0,
-                ],
-            );
+            p.a.store(mem, d, p.exp);
+            mem.store_u32_slice(d + 32, &[p.c_ptr_dst, p.c_idcs_dst, p.c_vals_dst, 0]);
         }
     }
 
@@ -406,7 +355,7 @@ impl SystemSpgemmPlan {
         let mut idcs: Vec<u32> = Vec::new();
         let mut vals: Vec<f64> = Vec::new();
         for p in &self.panels {
-            let win = mem.load_u32_slice(p.c_ptr_dst, p.row_count as usize + 1);
+            let win = mem.load_u32_slice(p.c_ptr_dst, p.a.row_count as usize + 1);
             assert_eq!(win[0], 0, "panel-local row pointer starts at zero");
             let nnz_p = *win.last().expect("window nonempty") as usize;
             assert!(nnz_p <= p.exp.max(1) as usize, "panel overflowed its output region");
@@ -424,24 +373,9 @@ impl SystemSpgemmPlan {
     }
 }
 
-/// Bytes of the resident meta block `[B | a.ptr | descriptors | link]`.
-fn arena_span(end: u32) -> u32 {
-    end - TCDM_DATA_BASE
-}
-
 // ---------------------------------------------------------------------
 // Program builder
 // ---------------------------------------------------------------------
-
-/// Emits `t6 = done[hart]` — the worker's panel sequence number lives
-/// in its monotonic done flag (`a7` holds the hart id). Clobbers `t0`,
-/// `t1`.
-fn emit_load_seq(asm: &mut Assembler) {
-    asm.slli(R::T0, R::A7, 3);
-    asm.li_addr(R::T1, S_DONE);
-    asm.add(R::T0, R::T0, R::T1);
-    asm.lw(R::T6, R::T0, 0);
-}
 
 /// Builds the SPMD system program for `variant`.
 ///
@@ -456,7 +390,7 @@ pub fn build_system_spgemm<I: KernelIndex>(variant: Variant, plan: &SystemSpgemm
     let mut asm = Assembler::new();
     asm.csrr(R::A7, Csr::MHartId);
     let dmcc_entry = asm.new_label();
-    asm.li(R::T0, i64::from(plan.n_workers));
+    asm.li(R::T0, i64::from(plan.flags.n_workers));
     asm.beq(R::A7, R::T0, dmcc_entry);
     emit_worker::<I>(&mut asm, variant, plan);
     asm.bind(dmcc_entry);
@@ -466,16 +400,13 @@ pub fn build_system_spgemm<I: KernelIndex>(variant: Variant, plan: &SystemSpgemm
 
 /// Emits the worker loop: per claimed panel, the rows dealt to the
 /// worker through [`emit_chained_rows`] on the panel's parity buffers,
-/// virtual A bases and tag.
-#[allow(clippy::too_many_lines)]
+/// virtual A bases and tag. The worker's panel sequence number lives in
+/// its `done` flag.
 fn emit_worker<I: KernelIndex>(asm: &mut Assembler, variant: Variant, plan: &SystemSpgemmPlan) {
     let log_w = log_width::<I>();
+    let flags = plan.flags;
     asm.symbol("worker");
-    // Wait for resident data.
-    asm.li_addr(R::T0, S_META);
-    let spin_meta = asm.bind_label();
-    asm.lw(R::T1, R::T0, 0);
-    asm.beqz(R::T1, spin_meta);
+    flags.emit_wait_meta(asm);
     // The SpAcc row buffer holds a full output row, so no overflow is
     // possible (optimistic sizing stays a single-cluster feature).
     emit_worker_setup::<I>(asm, variant, plan.t_b, plan.ncols.max(1), plan.scratch);
@@ -485,33 +416,13 @@ fn emit_worker<I: KernelIndex>(asm: &mut Assembler, variant: Variant, plan: &Sys
     let wloop = asm.bind_label();
     asm.symbol("worker_panel");
     asm.csrr(R::A7, Csr::MHartId);
-    emit_load_seq(asm); // t6 = seq
-
-    // Wait ready[seq & 1] >= seq + 1, then read the claimed panel.
-    emit_parity_slot(asm, S_READY, R::T6);
-    asm.addi(R::T3, R::T6, 1);
-    let spin_ready = asm.bind_label();
-    asm.lw(R::T2, R::T0, 0);
-    asm.blt(R::T2, R::T3, spin_ready);
-    emit_parity_slot(asm, S_BLK, R::T6);
-    asm.lw(R::T4, R::T0, 0);
-    asm.blt(R::T4, R::ZERO, worker_end); // sentinel
+    flags.emit_load_done(asm); // t6 = seq
+    flags.emit_wait_tile(asm, R::T6, Some(worker_end));
     emit_desc_addr(asm, plan, R::T4);
     asm.lw(R::A0, R::T4, 0); // row_start
     asm.lw(R::A1, R::T4, 4); // row_count
     asm.lw(R::A2, R::T4, 8); // nnz_start
-
-    // Wait for the DMCC to have drained the output buffer this panel
-    // writes (drained[seq & 1] >= seq - 1; trivially true for the first
-    // two panels).
-    asm.addi(R::T3, R::T6, -1);
-    let no_drain_wait = asm.new_label();
-    asm.blez(R::T3, no_drain_wait);
-    emit_parity_slot(asm, S_DRAINED, R::T6);
-    let spin_drained = asm.bind_label();
-    asm.lw(R::T2, R::T0, 0);
-    asm.blt(R::T2, R::T3, spin_drained);
-    asm.bind(no_drain_wait);
+    flags.emit_wait_drained(asm, R::T6);
     asm.bge(R::A7, R::A1, panel_done); // no row of this panel is mine
     asm.addi(TAG, R::T6, 1);
     asm.andi(R::T5, R::T6, 1); // parity
@@ -565,9 +476,8 @@ fn emit_worker<I: KernelIndex>(asm: &mut Assembler, variant: Variant, plan: &Sys
     asm.bind(panel_done);
     asm.symbol("worker_panel_done");
     asm.csrr(R::A7, Csr::MHartId);
-    emit_load_seq(asm); // t6 = seq (t0 holds the done slot address)
-    asm.addi(R::T6, R::T6, 1);
-    asm.sw(R::T6, R::T0, 0);
+    flags.emit_load_done(asm); // t6 = seq, t0 = its done slot
+    flags.emit_signal_done(asm, R::T6, R::T6, R::T0);
     asm.j(wloop);
     asm.bind(worker_end);
     asm.roi_end();
@@ -580,83 +490,23 @@ fn emit_worker<I: KernelIndex>(asm: &mut Assembler, variant: Variant, plan: &Sys
 /// Emits the DMCC: claim panels from the shared queue, double-buffer
 /// the A panel data in, drain finished output panels to their main-
 /// memory regions one panel behind the workers.
-#[allow(clippy::too_many_lines)]
 fn emit_dmcc(asm: &mut Assembler, plan: &SystemSpgemmPlan, log_w: i32) {
     asm.symbol("dmcc");
-    let npanels = plan.panels.len() as u32;
     // Meta transfer: B | a.ptr | descriptors | link in one DMA.
-    emit_meta_transfer(asm, plan.main_meta, TCDM_DATA_BASE, plan.meta_bytes, S_META);
-    asm.li(R::S1, -1); // previously claimed panel id
-    let dmcc_finish = asm.new_label();
-    let claim_loop = asm.bind_label();
-    asm.symbol("dmcc_claim");
-    asm.li_addr(R::T0, plan.main_queue);
-    asm.lw(R::S0, R::T0, 0); // hardware fetch-and-add
-    asm.li(R::T1, i64::from(npanels));
-    asm.bge(R::S0, R::T1, dmcc_finish);
-    // Buffer guard: before overwriting A buffer seq & 1 (used by local
-    // panel seq - 2), wait done >= seq - 1.
-    let no_wait = asm.new_label();
-    asm.addi(R::T0, R::S10, -2);
-    asm.blt(R::T0, R::ZERO, no_wait);
-    asm.addi(R::T3, R::S10, -1);
-    emit_wait_all_done(asm, S_DONE, plan.n_workers, R::T3);
-    asm.bind(no_wait);
-    // DMA the claimed panel's A data into buffer seq & 1.
-    emit_desc_addr(asm, plan, R::S0);
-    asm.lw(R::A0, R::T4, 16); // vals_src
-    asm.lw(R::A1, R::T4, 20); // vals_len
-    asm.lw(R::A2, R::T4, 24); // idcs_src
-    asm.lw(R::A3, R::T4, 28); // idcs_len
-    asm.andi(R::T0, R::S10, 1);
-    asm.li(R::T1, i64::from(plan.abuf_stride));
-    asm.mul(R::T0, R::T0, R::T1);
-    asm.li_addr(R::T1, plan.abuf);
-    asm.add(R::T0, R::T0, R::T1);
-    asm.dmsrc(R::A0, R::ZERO);
-    asm.dmdst(R::T0, R::ZERO);
-    asm.dmcpyi(R::ZERO, R::A1, 0);
-    asm.li(R::T2, i64::from(plan.a_vals_cap));
-    asm.add(R::T2, R::T2, R::T0);
-    asm.dmsrc(R::A2, R::ZERO);
-    asm.dmdst(R::T2, R::ZERO);
-    asm.dmcpyi(R::ZERO, R::A3, 0);
-    asm.addi(R::S7, R::S7, 2);
-    let poll_panel = asm.bind_label();
-    asm.dmstati(R::T3, 0);
-    asm.blt(R::T3, R::S7, poll_panel);
-    // Publish the claimed id, then the ready flag.
-    emit_parity_slot(asm, S_BLK, R::S10);
-    asm.sw(R::S0, R::T0, 0);
-    emit_parity_slot(asm, S_READY, R::S10);
-    asm.addi(R::T2, R::S10, 1);
-    asm.sw(R::T2, R::T0, 0);
-    // Drain the previous panel's output while the workers chew on the
-    // panel just published.
-    let no_prev = asm.new_label();
-    asm.blt(R::S1, R::ZERO, no_prev);
-    asm.mv(R::T3, R::S10); // need done >= seq (previous panel finished)
-    emit_wait_all_done(asm, S_DONE, plan.n_workers, R::T3);
-    emit_panel_drain(asm, plan, log_w);
-    asm.bind(no_prev);
-    asm.mv(R::S1, R::S0);
-    asm.addi(R::S10, R::S10, 1);
-    asm.j(claim_loop);
-    asm.bind(dmcc_finish);
-    asm.symbol("dmcc_finish");
-    let no_last = asm.new_label();
-    asm.blt(R::S1, R::ZERO, no_last);
-    asm.mv(R::T3, R::S10);
-    emit_wait_all_done(asm, S_DONE, plan.n_workers, R::T3);
-    emit_panel_drain(asm, plan, log_w);
-    asm.bind(no_last);
-    emit_parity_slot(asm, S_BLK, R::S10);
-    asm.li(R::T2, -1);
-    asm.sw(R::T2, R::T0, 0);
-    emit_parity_slot(asm, S_READY, R::S10);
-    asm.addi(R::T2, R::S10, 1);
-    asm.sw(R::T2, R::T0, 0);
-    asm.halt();
+    plan.flags.emit_meta_transfer(asm, plan.main_meta, TCDM_DATA_BASE, plan.meta_bytes);
+    let fetch = |asm: &mut Assembler| {
+        emit_desc_addr(asm, plan, R::S0);
+        emit_slice_fetch(asm, plan.a_vals_cap, |asm| {
+            asm.andi(R::T0, R::S10, 1);
+            asm.li(R::T1, i64::from(plan.abuf_stride));
+            asm.mul(R::T0, R::T0, R::T1);
+            asm.li_addr(R::T1, plan.abuf);
+            asm.add(R::T0, R::T0, R::T1);
+        });
+    };
+    let npanels = plan.panels.len() as u32;
+    let drain = |asm: &mut Assembler| emit_panel_drain(asm, plan, log_w);
+    plan.flags.emit_claim_loop(asm, plan.main_queue, npanels, R::T3, fetch, drain);
 }
 
 /// Emits `t4 = t_desc + id * 48` from the panel id in `id_reg` (which
@@ -724,12 +574,7 @@ fn emit_panel_drain(asm: &mut Assembler, plan: &SystemSpgemmPlan, log_w: i32) {
     asm.dmstati(R::T3, 0);
     asm.blt(R::T3, R::S7, poll);
     // Free the output buffer for the panel two ahead.
-    asm.addi(R::T0, R::S10, -1);
-    asm.andi(R::T0, R::T0, 1);
-    asm.slli(R::T0, R::T0, 3);
-    asm.li_addr(R::T1, S_DRAINED);
-    asm.add(R::T0, R::T0, R::T1);
-    asm.sw(R::S10, R::T0, 0);
+    plan.flags.emit_signal_drained(asm);
 }
 
 // ---------------------------------------------------------------------
@@ -743,8 +588,6 @@ pub struct SystemSpgemmRun {
     pub c: CsrMatrix<u32>,
     /// System-wide summary (per-cluster summaries + contention stats).
     pub summary: SystemSummary,
-    /// Panels the partition produced (scaling diagnostics).
-    pub n_panels: usize,
 }
 
 /// Runs system SpGEMM end to end on `n_clusters` default clusters
@@ -792,7 +635,7 @@ pub fn run_system_spgemm_planned<I: KernelIndex>(
     params: SystemParams,
 ) -> Result<SystemSpgemmRun, SimTimeout> {
     assert_eq!(
-        plan.n_workers, params.cluster.n_workers as u32,
+        plan.flags.n_workers, params.cluster.n_workers as u32,
         "plan and system worker counts must agree"
     );
     let mut params = params;
@@ -806,17 +649,14 @@ pub fn run_system_spgemm_planned<I: KernelIndex>(
         |main| plan.marshal(main, a, b),
         4_000_000 + 1024 * (3 * volume + a.nnz() as u64 + u64::from(plan.nrows)),
     )?;
-    Ok(SystemSpgemmRun {
-        c: plan.stitch::<I>(system.main.array()),
-        summary,
-        n_panels: plan.panels.len(),
-    })
+    Ok(SystemSpgemmRun { c: plan.stitch::<I>(system.main.array()), summary })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster_spgemm::run_cluster_spgemm;
+    use issr_cluster::cluster::ClusterParams;
     use issr_sparse::{gen, reference};
 
     fn val_bits(m: &CsrMatrix<u32>) -> Vec<u64> {
@@ -837,7 +677,7 @@ mod tests {
         let b = gen::csr_uniform::<I>(&mut rng, inner, ncols, nnz_b);
         let expect = reference::spgemm(&a, &b).with_index_width::<u32>();
         let single = run_cluster_spgemm(variant, &a, &b).expect("cluster run finishes");
-        for n_clusters in [1usize, 2] {
+        for n_clusters in [1usize, 2, 4] {
             let sys = run_system_spgemm(variant, &a, &b, n_clusters).expect("system run finishes");
             assert_eq!(sys.c.ptr(), expect.ptr(), "{variant} {n_clusters}-cluster row pointers");
             assert_eq!(sys.c.idcs(), expect.idcs(), "{variant} {n_clusters}-cluster indices");
@@ -862,28 +702,51 @@ mod tests {
 
     /// A forced multi-panel partition must round-trip through the panel
     /// double buffers and per-panel output drains, bit-identically on 1,
-    /// 2 and 4 clusters.
+    /// 2 and 4 clusters of eight workers, and on 1 and 2 clusters of 16:
+    /// there the flag area's `drained` slots follow `done[16]` (an area
+    /// laid out for eight workers put them on `done[8]` and `done[9]`,
+    /// and this product deadlocked).
     #[test]
     fn forced_multi_panel_partition_is_bit_identical() {
         let mut rng = gen::rng(503);
         let a = gen::csr_uniform::<u16>(&mut rng, 64, 48, 600);
         let b = gen::csr_uniform::<u16>(&mut rng, 48, 64, 400);
-        let expect = reference::spgemm(&a, &b).with_index_width::<u32>();
-        let n_workers = SystemParams::default().cluster.n_workers as u32;
+        check_forced(&a, &b, 8, (64, 512), &[1, 2, 4]);
+        let mut rng = gen::rng(6);
+        let a = gen::csr_uniform::<u16>(&mut rng, 96, 64, 400);
+        let b = gen::csr_uniform::<u16>(&mut rng, 64, 80, 300);
+        check_forced(&a, &b, 16, (128, 1_000), &[1, 2]);
+    }
+
+    /// `A·B` under the panel caps `(a_elems, c_elems)` on `clusters` of
+    /// `n_workers` workers: several panels, the oracle's structure, the
+    /// same bits at every cluster count, and both of two clusters claim.
+    fn check_forced(
+        a: &CsrMatrix<u16>,
+        b: &CsrMatrix<u16>,
+        n_workers: usize,
+        (a_cap, c_cap): (u32, u32),
+        clusters: &[usize],
+    ) {
+        let expect = reference::spgemm(a, b).with_index_width::<u32>();
+        let cluster = ClusterParams { n_workers, ..ClusterParams::default() };
         let mut runs = Vec::new();
-        for n_clusters in [1usize, 2, 4] {
-            let plan = SystemSpgemmPlan::with_panel_caps(Variant::Issr, &a, &b, n_workers, 64, 512);
-            assert!(plan.n_panels() >= 4, "caps must force several panels");
-            let run = run_system_spgemm_planned(
+        for &n_clusters in clusters {
+            let at = format!("{n_clusters} clusters of {n_workers} workers");
+            let plan = SystemSpgemmPlan::with_panel_caps(
                 Variant::Issr,
-                &a,
-                &b,
-                plan,
-                SystemParams { n_clusters, ..SystemParams::default() },
-            )
-            .expect("system run finishes");
-            assert_eq!(run.c.ptr(), expect.ptr(), "{n_clusters}-cluster row pointers");
-            assert_eq!(run.c.idcs(), expect.idcs(), "{n_clusters}-cluster indices");
+                a,
+                b,
+                n_workers as u32,
+                a_cap,
+                c_cap,
+            );
+            assert!(plan.n_panels() >= 4, "caps must force several panels");
+            let params = SystemParams { n_clusters, cluster, ..SystemParams::default() };
+            let run = run_system_spgemm_planned(Variant::Issr, a, b, plan, params)
+                .expect("system run finishes");
+            assert_eq!(run.c.ptr(), expect.ptr(), "{at}: row pointers");
+            assert_eq!(run.c.idcs(), expect.idcs(), "{at}: indices");
             runs.push(run);
         }
         for r in &runs[1..] {
@@ -894,9 +757,23 @@ mod tests {
         assert_eq!(active, 2, "both clusters must claim panels");
     }
 
+    /// The flag area of 26 SpGEMM workers would pass the data region.
+    #[test]
+    #[should_panic(expected = "flag area holds at most 25 workers")]
+    fn plan_rejects_more_workers_than_the_flag_area_holds() {
+        let mut rng = gen::rng(508);
+        let a = gen::csr_uniform::<u16>(&mut rng, 8, 8, 16);
+        let _ = SystemSpgemmPlan::new(Variant::Issr, &a, &a, 26);
+    }
+
     /// Degenerate shapes survive the partition and the flag protocol.
     #[test]
     fn degenerate_shapes() {
+        // No rows: no panel, every DMCC publishes the sentinel before any
+        // claim.
+        check::<u16>(Variant::Issr, 0, 8, 8, 0, 20, 509);
+        // One 3-row panel: at 4 clusters three DMCCs claim nothing.
+        check::<u16>(Variant::Issr, 3, 8, 8, 6, 20, 510);
         // Empty A.
         check::<u16>(Variant::Issr, 8, 8, 8, 0, 20, 504);
         // Empty B.

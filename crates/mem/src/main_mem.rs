@@ -211,20 +211,6 @@ impl MainMemory {
         self.array.write_word(addr, data, 0xFF);
         true
     }
-
-    /// DMA-side word read ignoring the bandwidth budget (host-side
-    /// marshalling and unit tests).
-    #[must_use]
-    pub fn dma_read_word(&mut self, addr: u32) -> u64 {
-        self.stats.wide_beats += 1;
-        self.array.read_word(addr)
-    }
-
-    /// DMA-side word write ignoring the bandwidth budget.
-    pub fn dma_write_word(&mut self, addr: u32, data: u64) {
-        self.stats.wide_beats += 1;
-        self.array.write_word(addr, data, 0xFF);
-    }
 }
 
 #[cfg(test)]
@@ -242,14 +228,6 @@ mod tests {
         assert_eq!(p.take_rsp(9), None);
         assert_eq!(p.take_rsp(10).unwrap().data, 99);
         assert_eq!(mem.stats.narrow_accesses, 1);
-    }
-
-    #[test]
-    fn dma_side_counts_beats() {
-        let mut mem = MainMemory::new(0, 128);
-        mem.dma_write_word(0x40, 7);
-        assert_eq!(mem.dma_read_word(0x40), 7);
-        assert_eq!(mem.stats.wide_beats, 2);
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Compressed sparse rows (CSR) and columns (CSC).
+//! Compressed sparse rows (CSR).
 //!
 //! A CSR matrix concatenates the sparse row fibers of a matrix and adds
 //! a pointer array delimiting them (§III-A). Row pointers are 32-bit, as
 //! in the paper's kernels, "enabling broad scaling in rows"; the column
-//! indices are generic over the 16/32-bit width.
+//! indices are generic over the 16/32-bit width. A CSC matrix is the
+//! CSR of its transpose ([`CsrMatrix::transpose`]): the paper's kernels
+//! handle it by exchanging the roles of the two dense axes (§III-B).
 
-use crate::fiber::{FormatError, SparseFiber};
+use crate::fiber::FormatError;
 use crate::index::IndexValue;
 
 /// A CSR matrix with `I`-width column indices.
@@ -197,14 +199,6 @@ impl<I: IndexValue> CsrMatrix<I> {
         self.idcs[range.clone()].iter().zip(&self.vals[range]).map(|(&c, &v)| (c.to_usize(), v))
     }
 
-    /// Extracts row `r` as a standalone fiber.
-    #[must_use]
-    pub fn row_fiber(&self, r: usize) -> SparseFiber<I> {
-        let range = self.row_range(r);
-        SparseFiber::new(self.ncols, self.idcs[range.clone()].to_vec(), self.vals[range].to_vec())
-            .expect("row of a valid matrix is valid")
-    }
-
     /// Densifies (rows of columns).
     #[must_use]
     pub fn to_dense(&self) -> Vec<Vec<f64>> {
@@ -240,53 +234,6 @@ impl<I: IndexValue> CsrMatrix<I> {
             idcs: self.idcs.iter().map(|&i| J::from_usize(i.to_usize())).collect(),
             vals: self.vals.clone(),
         }
-    }
-}
-
-/// A CSC matrix, stored as the CSR of its transpose.
-///
-/// The paper's kernels handle CSC by exchanging the roles of the two
-/// dense axes (§III-B); this type keeps that duality explicit.
-#[derive(Clone, PartialEq, Debug)]
-pub struct CscMatrix<I> {
-    /// CSR representation of the transpose.
-    transpose_csr: CsrMatrix<I>,
-}
-
-impl<I: IndexValue> CscMatrix<I> {
-    /// Builds the CSC form of `m`.
-    #[must_use]
-    pub fn from_csr(m: &CsrMatrix<I>) -> Self {
-        Self { transpose_csr: m.transpose() }
-    }
-
-    /// Number of rows of the represented matrix.
-    #[must_use]
-    pub fn nrows(&self) -> usize {
-        self.transpose_csr.ncols()
-    }
-
-    /// Number of columns of the represented matrix.
-    #[must_use]
-    pub fn ncols(&self) -> usize {
-        self.transpose_csr.nrows()
-    }
-
-    /// Number of stored nonzeros.
-    #[must_use]
-    pub fn nnz(&self) -> usize {
-        self.transpose_csr.nnz()
-    }
-
-    /// Iterates `(row, value)` of column `c`.
-    pub fn col(&self, c: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.transpose_csr.row(c)
-    }
-
-    /// The underlying CSR of the transpose (what the kernels consume).
-    #[must_use]
-    pub fn as_transposed_csr(&self) -> &CsrMatrix<I> {
-        &self.transpose_csr
     }
 }
 
@@ -337,16 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn csc_views_columns() {
-        let m = sample();
-        let csc = CscMatrix::from_csr(&m);
-        let col0: Vec<(usize, f64)> = csc.col(0).collect();
-        assert_eq!(col0, [(0, 1.0), (2, 3.0)]);
-        assert_eq!(csc.nnz(), 4);
-        assert_eq!(csc.nrows(), 3);
-    }
-
-    #[test]
     fn validation_rejects_bad_ptr() {
         let err = CsrMatrix::<u32>::new(2, 2, vec![0, 2, 1], vec![0, 1], vec![1.0, 2.0]);
         assert!(err.is_err());
@@ -356,15 +293,6 @@ mod tests {
     fn validation_rejects_out_of_range_col() {
         let err = CsrMatrix::<u16>::new(1, 2, vec![0, 1], vec![2u16], vec![1.0]);
         assert!(matches!(err, Err(FormatError::IndexOutOfRange { .. })));
-    }
-
-    #[test]
-    fn row_fiber_extraction() {
-        let m = sample();
-        let f = m.row_fiber(2);
-        assert_eq!(f.idcs(), &[0, 1]);
-        assert_eq!(f.vals(), &[3.0, 4.0]);
-        assert_eq!(f.dim(), 3);
     }
 
     #[test]
