@@ -6,12 +6,14 @@
 //! paper states next to the one reproduced — and, beyond the paper, the
 //! [`joiner`], [`spgemm`], [`system`] and [`ablation`] bins. Every bin
 //! prints markdown tables and, given `--json <path>`, writes the same
-//! rows as a [`telemetry`] envelope. How fast the simulator itself runs is
-//! `benchmark/`'s business.
+//! rows as a [`telemetry`] envelope. The `catalog` bin prints the
+//! [`catalog`] digests of every shipped program. How fast the simulator
+//! itself runs is `benchmark/`'s business.
 
 #![forbid(unsafe_code)]
 
 pub mod ablation;
+pub mod catalog;
 pub mod figures;
 pub mod joiner;
 pub mod paper;

@@ -1,5 +1,6 @@
 //! The committed paper scoreboard, ablations and the joiner, SpGEMM and
-//! system smokes are the model's output.
+//! system smokes are the model's output, and the committed catalog
+//! digests are its programs.
 //!
 //! Each test builds one document in process, through the function its
 //! bin calls, renders it as `Telemetry::write` would, and compares the
@@ -10,9 +11,20 @@
 //! reproduced value moved. To accept a deliberate change, regenerate
 //! the file with the command the message prints and commit it.
 
+use issr_bench::catalog::hex;
+use issr_bench::paper::{Board, Kind, ANCHORS};
 use issr_bench::telemetry::Telemetry;
 use issr_trace::Json;
 use sha2::{Digest, Sha256};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
+
+/// The paper board, built once for every test in this binary that
+/// reads it (a debug build takes about ten seconds).
+fn board() -> &'static Board {
+    static BOARD: OnceLock<Board> = OnceLock::new();
+    BOARD.get_or_init(issr_bench::paper::scoreboard)
+}
 
 /// The first place `a` and `b` differ, as `(path, a's value, b's
 /// value)`; a missing key or element reads `(absent)`.
@@ -114,7 +126,7 @@ fn assert_matches_baseline(bench: &str, args: &str, built: &Telemetry) {
 /// (the table under the "Paper scoreboard" heading) matches the board.
 #[test]
 fn paper_scoreboard_matches_its_baseline() {
-    let board = issr_bench::paper::scoreboard();
+    let board = board();
     assert_matches_baseline("paper", "", &board.telemetry());
     let path = format!("{}/../../README.md", env!("CARGO_MANIFEST_DIR"));
     let readme = std::fs::read_to_string(&path).expect("README");
@@ -136,6 +148,49 @@ fn paper_scoreboard_matches_its_baseline() {
             built.get(i).unwrap_or(&"(absent)"),
         );
     }
+}
+
+/// What the board pins and what it only records. Ids are unique and
+/// every paper value usable as a denominator; the single-CC and area
+/// anchors reproduce within 5 %. Nothing is asserted about the cluster
+/// anchors or the §V ratios derived from the cluster run: the committed
+/// JSON is their record, and an asserted gap would have to be edited by
+/// the very change that closes it.
+#[test]
+fn single_cc_and_area_anchors_reproduce() {
+    let board = board();
+    assert_eq!(board.anchors.len(), ANCHORS.len());
+    for (i, a) in ANCHORS.iter().enumerate() {
+        assert!(ANCHORS[..i].iter().all(|b| b.id != a.id), "duplicate id {}", a.id);
+        assert!(a.paper.is_finite() && a.paper != 0.0, "{}: paper value {}", a.id, a.paper);
+        assert!(board.anchors.f64(i, "reproduced").is_finite(), "{}", a.id);
+        let judged = board.anchors.cell(i, "bound").as_str();
+        assert_eq!(
+            judged.is_some(),
+            matches!(a.kind, Kind::Bound(_)),
+            "{}: a bound, and only a bound, reads pass or fail",
+            a.id
+        );
+        let Some(rel_err) = board.anchors.cell(i, "rel_err").as_f64() else {
+            assert!(a.kind != Kind::Target, "{}: a target carries its relative error", a.id);
+            continue;
+        };
+        if ["Fig. 4a", "Fig. 4b", "§IV-C"].contains(&a.source) {
+            assert!(rel_err.abs() <= 0.05, "{}: off by {:.1}%", a.id, 100.0 * rel_err);
+        }
+    }
+    // Each figure's verdict classifies the run of its anchor row.
+    let printed = board.markdown();
+    for at in ["fig4a at nnz 1024", "fig4b at nnz/row 256", "fig4d at matrix g7"] {
+        assert!(printed.contains(&format!("verdict[{at}]")), "no verdict for {at}");
+    }
+    let fig4c = board.section("fig4c").expect("Fig. 4c section");
+    let last = fig4c.len() - 1;
+    assert_eq!(fig4c.label(last), "nnz/row 128");
+    let results = board.telemetry().to_json();
+    let elapsed =
+        results.get("results").and_then(|r| r.get("fig4c")?.get("verdict")?.get("elapsed"));
+    assert_eq!(elapsed, Some(fig4c.cell(last, "issr_cycles")));
 }
 
 #[test]
@@ -163,7 +218,7 @@ fn system_smoke_matches_its_baseline() {
     let committed = std::fs::read_to_string(&path).expect("committed trace digest");
     let mut hasher = Sha256::new();
     hasher.update(system.trace.to_string() + "\n");
-    let built: String = hasher.finalize().iter().map(|b| format!("{b:02x}")).collect();
+    let built = hex(hasher.finalize());
     assert!(
         committed.trim() == built,
         "{path} no longer matches the model's trace: committed {}, now {built}\nto accept the \
@@ -171,6 +226,41 @@ fn system_smoke_matches_its_baseline() {
          baselines/BENCH_system.json && sha256sum baselines/BENCH_system.trace.json | cut -d' ' \
          -f1 > baselines/BENCH_system.trace.sha256",
         committed.trim()
+    );
+}
+
+/// Every shipped catalog program hashes to its line in
+/// `baselines/CATALOG.sha256`; a mismatch names each program that
+/// differs, or is missing on either side, and prints the new file.
+#[test]
+fn catalog_programs_match_their_digests() {
+    let path = format!("{}/../../baselines/CATALOG.sha256", env!("CARGO_MANIFEST_DIR"));
+    let committed = std::fs::read_to_string(&path).expect("committed catalog digests");
+    let built = issr_bench::catalog::digests();
+    if built == committed {
+        return;
+    }
+    fn by_name(text: &str) -> BTreeMap<&str, &str> {
+        text.lines().filter_map(|l| l.split_once(' ')).collect()
+    }
+    let (old, new) = (by_name(&committed), by_name(&built));
+    let names: BTreeSet<&str> = old.keys().chain(new.keys()).copied().collect();
+    let differing: Vec<String> = names
+        .into_iter()
+        .filter_map(|name| {
+            let before = old.get(name).copied().unwrap_or("(absent)");
+            let after = new.get(name).copied().unwrap_or("(absent)");
+            (before != after).then(|| format!("  {name}: committed {before}, now {after}"))
+        })
+        .collect();
+    panic!(
+        "{path} no longer matches the catalog's programs\n{}\nto accept the change: cargo \
+         run --release -p issr-bench --bin catalog > baselines/CATALOG.sha256\nnew file:\n{built}",
+        if differing.is_empty() {
+            "  (same digests, different order)".to_owned()
+        } else {
+            differing.join("\n")
+        }
     );
 }
 

@@ -228,11 +228,19 @@ impl Assembler {
     pub fn align(&mut self, bytes: u32) {
         assert!(bytes.is_power_of_two() && bytes >= 4, "alignment {bytes} is not a line size");
         let per_line = (bytes / 4) as usize;
+        self.pad((per_line - self.here() % per_line) % per_line);
+    }
+
+    /// Emits `count` `nop`s recorded as padding, as [`Assembler::align`]
+    /// does: a path shorter than the slots it was given keeps the
+    /// addresses of the code behind it. Put it behind an unconditional
+    /// jump.
+    pub fn pad(&mut self, count: usize) {
         let start = self.here();
-        while self.here() % per_line != 0 {
+        for _ in 0..count {
             self.nop();
         }
-        if self.here() > start {
+        if count > 0 {
             self.padding.push(start..self.here());
         }
     }
@@ -605,7 +613,8 @@ mod tests {
     }
 
     /// `align` pads with `nop`s up to the next line boundary, records
-    /// exactly the padding, and adds nothing on a boundary.
+    /// exactly the padding, and adds nothing on a boundary; `pad`
+    /// records the `nop`s it is asked for.
     #[test]
     fn align_pads_to_the_next_line() {
         let mut a = Assembler::new();
@@ -616,10 +625,13 @@ mod tests {
         assert_eq!(a.here(), 8, "padding ends on the 32-byte boundary");
         a.align(32);
         assert_eq!(a.here(), 8, "an aligned position needs no padding");
+        a.li(IntReg::T0, 4);
+        a.pad(0);
+        a.pad(2);
         a.halt();
         let p = a.finish().unwrap();
         let padding: Vec<usize> = (0..p.len()).filter(|&i| p.is_padding(i)).collect();
-        assert_eq!(padding, [3, 4, 5, 6, 7]);
+        assert_eq!(padding, [3, 4, 5, 6, 7, 9, 10]);
         assert!(padding.iter().all(|&i| p.instrs()[i]
             == Instr::OpImm { op: AluImmOp::Addi, rd: IntReg::ZERO, rs1: IntReg::ZERO, imm: 0 }));
     }

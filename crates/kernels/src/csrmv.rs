@@ -9,20 +9,25 @@
 //!   SSR job and a single ISSR job, eliminating per-row setup;
 //! * a row's first accumulator group of `fmadd`s adds the
 //!   **constant-zero register** `fz` (no re-zeroing), issued as one FREP
-//!   whose destination alone is staggered; a row shorter than a group
-//!   accumulates in one register instead;
-//! * a long row's **reduction is deferred** into the next long row: its
-//!   tree and `y` store issue between the next row's head `fmadd`s, into
-//!   a second accumulator bank, so the in-order FPU never waits on an
+//!   whose destination alone is staggered;
+//! * rows take one of **three paths by length** k, with n the paper's
+//!   group ([`issr_accumulators`]): a short row (k < n) accumulates in
+//!   one dependent chain; a medium row (n ≤ k < `LONG_ROW_GROUPS` · n)
+//!   reduces in place over the smallest group that covers the FPU
+//!   latency (`medium_accumulators`: 4, half the 16-bit group); a long
+//!   row's **reduction is deferred** into the next long row: its tree
+//!   and `y` store issue between the next row's head `fmadd`s, into a
+//!   second accumulator bank, so the in-order FPU never waits on an
 //!   `fadd` while the index port has a product ready. The pending state
 //!   is control flow (three row heads: nothing, bank A or bank B
 //!   pending), and the loop's last row reduces itself, so nothing is
 //!   pending at the exit.
 //!
-//! Rows shorter than `LONG_ROW_GROUPS` accumulator groups do not
-//! defer: they run from a compact block of four instruction-cache lines
-//! ([`Assembler::align`]), so that a cluster worker's L0 holds every
-//! short-row path at once.
+//! Short and medium rows run from a compact block of four
+//! instruction-cache lines ([`Assembler::align`]), so that a cluster
+//! worker's L0 holds both paths at once. The medium path keeps the
+//! slots of the full group's tree as padding ([`Assembler::pad`]), so
+//! the block's other addresses do not depend on the medium group.
 //!
 //! The row loop's register contract, shared with CsrMM (`csrmm.rs`,
 //! which wraps it in a dense-column loop with register-held bases) and
@@ -250,6 +255,17 @@ fn emit_head_over_reduction(asm: &mut Assembler, bank: FpReg, pending: FpReg, n_
 /// their reduction; shorter ones run from the compact block.
 const LONG_ROW_GROUPS: u8 = 3;
 
+/// Accumulators of a medium row (`n_acc ..= long_min - 1` elements,
+/// reduced in place): the smallest group that covers the FPU latency.
+/// The index port delivers at most one element a cycle (0.8 with 16-bit
+/// indices, 0.67 with 32-bit), so `fpu_latency` registers keep the FREP
+/// from waiting on its own accumulator. With 16-bit indices that is half
+/// the long-row group and one `fadd` level less per row.
+fn medium_accumulators(n_acc: u8) -> u8 {
+    let group = CcParams::paper().fpu_latency.min(u64::from(n_acc));
+    u8::try_from(group).expect("no larger than n_acc")
+}
+
 /// Emits the pipelined ISSR row loop (see the module doc): the entry
 /// head and bank A's long path, the two deferred heads, their last-row
 /// and flush tails, then the aligned compact block.
@@ -318,18 +334,31 @@ pub(crate) fn emit_issr_row_loop<I: KernelIndex>(asm: &mut Assembler) {
     // The compact block, four L0 lines: every row short of `long_min`
     // runs inside it, whatever the mix of lengths.
     asm.align(ICacheParams::default().line_bytes);
-    // n_acc ..= long_min - 1 elements: head, FREP, reduction in place.
+    // n_acc ..= long_min - 1 elements: head, FREP, reduction in place,
+    // over the medium group (`t2` = count - n_acc on entry).
     asm.bind(medium);
     asm.addi(R::T3, R::T1, -i32::from(long_min));
     asm.bge(R::T3, R::ZERO, long_n);
-    emit_frep_head(asm, ACC0, n_acc);
+    let group = medium_accumulators(n_acc);
+    emit_frep_head(asm, ACC0, group);
     let reduce = asm.new_label();
-    asm.beqz(R::T2, reduce);
-    asm.addi(R::T2, R::T2, -1);
-    emit_frep_body(asm, ACC0, n_acc);
+    if group == n_acc {
+        asm.beqz(R::T2, reduce);
+        asm.addi(R::T2, R::T2, -1);
+    } else {
+        // Every medium row is longer than the group: no empty body.
+        asm.addi(R::T2, R::T2, i32::from(n_acc - group) - 1);
+    }
+    emit_frep_body(asm, ACC0, group);
     asm.bind(reduce);
-    emit_reduction_tree(asm, ACC0, n_acc);
+    emit_reduction_tree(asm, ACC0, group);
     asm.j(row_done);
+    if group < n_acc {
+        // The slots the full group's exact-`n_acc` test and longer tree
+        // (n - 1 `fadd`s over n registers) would take stay, so the code
+        // behind keeps its L0 lines.
+        asm.pad(usize::from(n_acc - group) + 1);
+    }
     let head_c = asm.bind_label();
     emit_row_count(asm);
     asm.bind(classify);
@@ -459,19 +488,24 @@ mod tests {
     /// The deferral's transitions in both widths: long → long in both
     /// bank orders, long → short and long → empty flushes out of either
     /// bank, rows of exactly `n_acc`, a long last row in either bank, a
-    /// single long row.
+    /// single long row; and the orders between the three row classes
+    /// that ascending lengths never produce (medium rows are
+    /// `n_acc ..= long_min - 1` elements, chains shorter).
     #[test]
     fn issr_deferral_transitions() {
         fn cases<I: KernelIndex>() {
             let n = usize::from(issr_accumulators(I::IDX_SIZE));
             let (l, l2) = (usize::from(LONG_ROW_GROUPS) * n, 5 * n + 3);
-            let table: [(&str, Vec<usize>); 6] = [
+            let table: [(&str, Vec<usize>); 9] = [
                 ("single long row", vec![l2]),
                 ("long to long, last row in bank A", vec![l, l2 + 1, l]),
                 ("long to long, last row in bank B", vec![l2, l, l2 + n - 1, l]),
                 ("flushes to short and empty rows", vec![l, 1, l, l2, 2, l, 0, l2, l, 0, 3]),
                 ("rows of exactly n_acc", vec![n, n, l, n, l, l2, n, n]),
                 ("long rows around empty ones", vec![0, l2, 0, 0, l, l, 0]),
+                ("medium, chain, medium", vec![2 * n, n - 1, n + 1, 1, l - 1, 2, n]),
+                ("chain, medium, long, medium", vec![3, n + 3, l, 2 * n + 1, l2, l - 1, n - 1]),
+                ("empty rows between medium rows", vec![n + 2, 0, 0, l - 1, 0, n, 0, 2 * n]),
             ];
             for (case, lengths) in table {
                 check_rows::<I>(&lengths, case);
@@ -492,6 +526,19 @@ mod tests {
         let x = gen::dense_vector(&mut rng, 2048);
         let cycles = run_csrmv(Variant::Issr, &m, &x).unwrap().summary.metrics.roi.cycles;
         assert!(cycles <= 64 * (320 + 4), "{cycles} cycles for 64 rows of 256");
+    }
+
+    /// Medium rows reduce in place over the medium group, one `fadd`
+    /// level short of the 8-way tree: ISSR-16 rows of 16 cost at most 29
+    /// cycles each (Fig. 4b's 16 nnz/row point; the index port's floor
+    /// is 20).
+    #[test]
+    fn issr16_medium_rows_reduce_over_four_accumulators() {
+        let mut rng = gen::rng(0x000F_164B + 16);
+        let m = gen::csr_fixed_row_nnz::<u16>(&mut rng, 64, 2048, 16);
+        let x = gen::dense_vector(&mut rng, 2048);
+        let cycles = run_csrmv(Variant::Issr, &m, &x).unwrap().summary.metrics.roi.cycles;
+        assert!(cycles <= 64 * 29, "{cycles} cycles for 64 rows of 16");
     }
 
     /// Fig. 4b's asymptote: ISSR-16 speedup over BASE approaches 7.2×

@@ -109,11 +109,14 @@ pub fn log_width<I: KernelIndex>() -> i32 {
     }
 }
 
-/// Accumulator depth of the staggered ISSR FREP loop: the 16-bit kernel
-/// sustains a higher issue rate and needs more accumulators to cover FMA
-/// latency, which also lengthens its reduction — the source of the
-/// 16/32-bit crossover around nnz ≈ 20 in Figs. 4a/4b (CsrMV rows long
-/// enough to defer their reduction hide it).
+/// The paper's accumulator group of the staggered ISSR FREP loop: 8
+/// with 16-bit indices, 4 with 32-bit. Its longer 16-bit reduction tree
+/// reproduces the 16/32-bit crossover of Figs. 4a/4b (24 nnz/row in
+/// Fig. 4b). The FPU latency alone needs fewer: at `fpu_latency` 4 and
+/// at most one element a cycle from the index port, 4 registers cover
+/// it in either width, which is what the CsrMV row loop uses for rows
+/// it reduces in place; its long rows keep this group and defer the
+/// reduction instead.
 #[must_use]
 pub fn issr_accumulators(size: IndexSize) -> u8 {
     match size {
