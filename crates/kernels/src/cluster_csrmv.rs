@@ -15,7 +15,7 @@
 
 use crate::common::FZ;
 use crate::csrmv::{emit_issr_row_loop, emit_sw_row_loop};
-use crate::handshake::{emit_slice_fetch, FlagArea, Slice};
+use crate::handshake::{emit_dma_poll, emit_slice_issue, emit_slice_prepare, FlagArea, Slice};
 use crate::harness::{self, OnTrap};
 use crate::layout::TCDM_DATA_BASE;
 use crate::variant::{KernelIndex, Variant};
@@ -278,13 +278,13 @@ pub(crate) fn emit_worker<I: KernelIndex>(
     dmcc_entry
 }
 
-/// Emits `t0` = base of the block buffer `s10 & 1` (values at `+0`,
+/// Emits `dst` = base of the block buffer `s10 & 1` (values at `+0`,
 /// indices at `+VALS_CAP`). Clobbers `t1`.
-fn emit_buffer_base(asm: &mut Assembler) {
-    asm.andi(R::T0, R::S10, 1);
-    asm.slli(R::T0, R::T0, 16);
+fn emit_buffer_base(asm: &mut Assembler, dst: R) {
+    asm.andi(dst, R::S10, 1);
+    asm.slli(dst, dst, 16);
     asm.li_addr(R::T1, BUF_A);
-    asm.add(R::T0, R::T0, R::T1);
+    asm.add(dst, dst, R::T1);
 }
 
 /// Emits the per-block worker body: reads the descriptor `blk` indexes
@@ -338,7 +338,7 @@ fn emit_block_body<I: KernelIndex>(
     asm.add(R::S1, R::T0, R::T1);
     asm.sub(R::A5, R::T2, R::S3); // my element count
                                   // Buffer bases for this block.
-    emit_buffer_base(asm);
+    emit_buffer_base(asm, R::T0);
     match variant {
         Variant::Issr => {
             let launch_done = asm.new_label();
@@ -403,10 +403,11 @@ pub(crate) fn emit_desc_addr(asm: &mut Assembler, plan: &ClusterCsrmvPlan, blk: 
     asm.add(R::T4, R::T4, R::T5);
 }
 
-/// Emits the DMCC's fetch of block `blk` into buffer `s10 & 1`.
-pub(crate) fn emit_block_fetch(asm: &mut Assembler, plan: &ClusterCsrmvPlan, blk: R) {
+/// Emits the prepare step of the DMCC's fetch of block `blk` into
+/// buffer `s10 & 1` ([`emit_slice_prepare`]).
+pub(crate) fn emit_block_prepare(asm: &mut Assembler, plan: &ClusterCsrmvPlan, blk: R) {
     emit_desc_addr(asm, plan, blk);
-    emit_slice_fetch(asm, VALS_CAP, emit_buffer_base);
+    emit_slice_prepare(asm, VALS_CAP, |asm| emit_buffer_base(asm, R::A4));
 }
 
 /// Builds the SPMD cluster program (all harts run it; the DMCC is hart
@@ -420,7 +421,7 @@ pub fn build_cluster_csrmv<I: KernelIndex>(variant: Variant, plan: &ClusterCsrmv
     asm.bind(dmcc_entry);
     asm.symbol("dmcc");
     // Meta transfer: x | ptr | descriptors in one DMA.
-    flags.emit_meta_transfer(&mut asm, plan.main_meta, plan.tcdm_x, plan.meta_bytes);
+    flags.emit_meta_transfer(&mut asm, plan.main_meta, plan.tcdm_x, plan.meta_bytes, |_| {});
     asm.li(R::S11, i64::from(nblocks));
     let dmcc_finish = asm.new_label();
     if nblocks == 0 {
@@ -428,8 +429,10 @@ pub fn build_cluster_csrmv<I: KernelIndex>(variant: Variant, plan: &ClusterCsrmv
     }
     let dmcc_loop = asm.bind_label();
     asm.symbol("dmcc_block");
+    emit_block_prepare(&mut asm, plan, R::S10);
     flags.emit_buffer_guard(&mut asm);
-    emit_block_fetch(&mut asm, plan, R::S10);
+    emit_slice_issue(&mut asm);
+    emit_dma_poll(&mut asm);
     flags.emit_ready(&mut asm);
     asm.addi(R::S10, R::S10, 1);
     asm.blt(R::S10, R::S11, dmcc_loop);
@@ -443,11 +446,8 @@ pub fn build_cluster_csrmv<I: KernelIndex>(variant: Variant, plan: &ClusterCsrmv
         asm.dmsrc(R::A0, R::ZERO);
         asm.dmdst(R::A1, R::ZERO);
         asm.li(R::A2, i64::from(plan.nrows) * 8);
-        asm.dmcpyi(R::ZERO, R::A2, 0);
-        asm.addi(R::S7, R::S7, 1);
-        let poll_y = asm.bind_label();
-        asm.dmstati(R::T0, 0);
-        asm.blt(R::T0, R::S7, poll_y);
+        asm.dmcpyi(R::S7, R::A2, 0);
+        emit_dma_poll(&mut asm);
     }
     asm.halt();
     asm.finish().expect("cluster CsrMV program assembles")

@@ -25,6 +25,30 @@
 //! once every worker finished its last tile there, `seq − 2` (every
 //! `done ≥ seq − 1`).
 //!
+//! **DMCC order.** The guard's wait is the only thing between a buffer
+//! freeing and its next DMA beat: after its last `done` load only the
+//! fetch's issue (`dmsrc`/`dmdst`/`dmcpyi`) stands. Everything else a
+//! tile needs is done while the workers still compute:
+//!
+//! 1. *prepare* tile `seq`'s fetch: descriptor loads and buffer
+//!    addresses ([`emit_slice_prepare`]);
+//! 2. the buffer guard (`done ≥ seq − 1`);
+//! 3. *issue* the fetch ([`emit_slice_issue`]);
+//! 4. (system kernels) *retire* tile `seq − 2`, which the guard just saw
+//!    finish: CsrMV queues its `y` write-back behind the fetch unpolled
+//!    (the engine completes in order, so the fetch's next poll or the
+//!    final idle wait covers it); SpGEMM drains its output buffer, polls
+//!    the drain and raises `drained`;
+//! 5. poll the fetch, publish tile `seq`;
+//! 6. (system kernels) claim the next ticket from main memory.
+//!
+//! The first ticket is claimed while the meta transfer moves. When the
+//! queue runs dry after `L` claimed tiles, the DMCC retires tile `L − 2`
+//! once every `done ≥ L − 1`, publishes the sentinel, retires tile
+//! `L − 1` once every `done ≥ L`, and waits for the DMA to go idle. The
+//! cluster kernel walks its tiles in order without claims or retires and
+//! writes `y` back once, after the last tile.
+//!
 //! **Layout.** The area sits below [`TCDM_DATA_BASE`] (`+0x100`) and is
 //! laid out from the worker count: `meta` at `+0x00`, `ready[2]` at
 //! `+0x08`, and the trailing pair follows `done[n]`. CsrMV: `done[n]` at
@@ -33,9 +57,12 @@
 //! `+0x28 + 8n` (at most 25 workers). The orders stay apart because a
 //! flag's TCDM bank follows from its address, and moving one moves cycles.
 //!
-//! **Registers.** On the DMCC `s10` holds `seq` and `s7` counts the DMA
-//! transfers issued; the claim loop keeps the claimed id in `s0` and the
-//! previous one in `s1`.
+//! **Registers.** On the DMCC `s10` holds `seq` and `s7` the id of the
+//! DMA transfer the next poll waits for (`dmcpyi` returns it). The claim
+//! loop keeps the claimed id of tile `seq` in `s0`, tile `seq − 1`'s in
+//! `s2` and tile `seq − 2`'s, the one the guard's wait retires, in `s1`
+//! (`−1` while there is none). A fetch's prepare step leaves its
+//! sources, lengths and destinations in `a0`–`a5` for the issue step.
 
 use crate::layout::TCDM_DATA_BASE;
 use crate::variant::KernelIndex;
@@ -138,23 +165,28 @@ impl FlagArea {
     // ---- DMCC side ----
 
     /// Emits the one-off meta transfer — `bytes` of resident data from
-    /// `src` (main memory) to `dst` (TCDM) in one DMA, polled to
-    /// completion — then raises `meta` and zeroes the counters: `s7` = 1
-    /// (the transfer just issued), `s10` = 0.
-    pub(crate) fn emit_meta_transfer(self, asm: &mut Assembler, src: u32, dst: u32, bytes: u32) {
+    /// `src` (main memory) to `dst` (TCDM) in one DMA — with `in_flight`
+    /// emitted between its issue and its poll, then raises `meta` and
+    /// zeroes `s10`. Clobbers `t1`–`t3`, `a0`–`a2`, `s7`.
+    pub(crate) fn emit_meta_transfer(
+        self,
+        asm: &mut Assembler,
+        src: u32,
+        dst: u32,
+        bytes: u32,
+        in_flight: impl FnOnce(&mut Assembler),
+    ) {
         asm.li_addr(R::A0, src);
         asm.li_addr(R::A1, dst);
         asm.dmsrc(R::A0, R::ZERO);
         asm.dmdst(R::A1, R::ZERO);
         asm.li(R::A2, i64::from(bytes));
-        asm.dmcpyi(R::ZERO, R::A2, 0);
-        let poll = asm.bind_label();
-        asm.dmstati(R::T0, 0);
-        asm.beqz(R::T0, poll);
+        asm.dmcpyi(R::S7, R::A2, 0);
+        in_flight(asm);
+        emit_dma_poll(asm);
         asm.li(R::T1, 1);
         asm.li_addr(R::T2, META);
         asm.sw(R::T1, R::T2, 0);
-        asm.li(R::S7, 1);
         asm.li(R::S10, 0);
     }
 
@@ -200,61 +232,83 @@ impl FlagArea {
         self.emit_ready(asm);
     }
 
-    /// Raises `drained[(seq − 1) & 1] = seq`: the previous tile's output
-    /// buffer is free. Clobbers `t0`, `t1`.
+    /// Raises `drained[(seq − 2) & 1] = seq − 1`: the output buffer of
+    /// tile `seq − 2` is free. Clobbers `t0`–`t2`.
     pub(crate) fn emit_signal_drained(self, asm: &mut Assembler) {
-        asm.addi(R::T0, R::S10, -1);
-        emit_parity_slot(asm, self.drained.expect("the SpGEMM layout has drained slots"), R::T0);
-        asm.sw(R::S10, R::T0, 0);
+        emit_parity_slot(asm, self.drained.expect("the SpGEMM layout has drained slots"), R::S10);
+        asm.addi(R::T2, R::S10, -1);
+        asm.sw(R::T2, R::T0, 0);
     }
 
-    /// Emits the system DMCC after its meta transfer: claim tile ids from
-    /// the fetch-and-add ticket word `queue` until it passes `ntiles`;
-    /// for each, the buffer guard, `fetch` (tile `s0` into buffer `seq &
-    /// 1`), the publish, and — while the workers compute — the retire of
-    /// the previous tile (`s1`, sequence `seq − 1`): wait for every
-    /// `done ≥ seq`, then `retire`. The wait reads `seq` from `need`:
-    /// `s10` itself, or a register the loop first copies `s10` into.
-    /// After the last claim it retires the last tile, publishes the
-    /// sentinel and halts.
+    /// Emits the system DMCC: the meta transfer `meta` (`src`, `dst`,
+    /// `bytes`) with the first claim from the fetch-and-add ticket word
+    /// `queue` in flight behind it, then, for every claimed tile `s0`
+    /// below `ntiles`: `prepare` (the prepare step of its fetch into
+    /// buffer `seq & 1`, [`emit_slice_prepare`]), the buffer guard, the
+    /// fetch's issue, `retire` of tile `seq − 2` (`s1`; the guard's wait
+    /// is its wait), the fetch's poll, the publish and the next claim.
+    /// A claim past `ntiles` ends the loop: with `L = seq`, it retires
+    /// tile `L − 2` once every `done ≥ L − 1`, publishes the sentinel,
+    /// retires tile `L − 1` once every `done ≥ L`, waits for the DMA to
+    /// go idle and halts. `retire` finds its tile's sequence number at
+    /// `s10 − 2` and must leave `s0`, `s2`, `s10` and (unless it polls
+    /// its own transfers) `s7` alone.
     pub(crate) fn emit_claim_loop(
         self,
         asm: &mut Assembler,
+        meta: (u32, u32, u32),
         queue: u32,
         ntiles: u32,
-        need: R,
-        fetch: impl FnOnce(&mut Assembler),
+        prepare: impl FnOnce(&mut Assembler),
         retire: impl Fn(&mut Assembler),
     ) {
-        let retire_prev = |asm: &mut Assembler| {
+        let claim = |asm: &mut Assembler| {
+            asm.li_addr(R::T0, queue);
+            asm.lw(R::S0, R::T0, 0); // hardware fetch-and-add
+        };
+        let retire_oldest = |asm: &mut Assembler| {
             let none = asm.new_label();
             asm.blt(R::S1, R::ZERO, none);
-            if need != R::S10 {
-                asm.mv(need, R::S10);
-            }
-            self.emit_wait_done(asm, need);
             retire(asm);
             asm.bind(none);
         };
+        let (src, dst, bytes) = meta;
+        self.emit_meta_transfer(asm, src, dst, bytes, claim);
         asm.li(R::S1, -1);
+        asm.li(R::S2, -1);
         let finish = asm.new_label();
-        let claim = asm.bind_label();
-        asm.symbol("dmcc_claim");
-        asm.li_addr(R::T0, queue);
-        asm.lw(R::S0, R::T0, 0); // hardware fetch-and-add
+        let tile = asm.bind_label();
+        asm.symbol("dmcc_tile");
         asm.li(R::T1, i64::from(ntiles));
         asm.bge(R::S0, R::T1, finish); // queue drained
+        prepare(asm);
         self.emit_buffer_guard(asm);
-        fetch(asm);
+        emit_slice_issue(asm);
+        retire_oldest(asm);
+        emit_dma_poll(asm);
         self.emit_publish(asm, Some(R::S0));
-        retire_prev(asm);
-        asm.mv(R::S1, R::S0);
+        asm.mv(R::S1, R::S2);
+        asm.mv(R::S2, R::S0);
         asm.addi(R::S10, R::S10, 1);
-        asm.j(claim);
+        claim(asm);
+        asm.j(tile);
         asm.bind(finish);
         asm.symbol("dmcc_finish");
-        retire_prev(asm);
-        self.emit_publish(asm, None);
+        // Tile L − 2 once every `done ≥ L − 1`, the sentinel, then tile
+        // L − 1 once every `done ≥ L` (L = s10).
+        for first in [true, false] {
+            asm.addi(R::T3, R::S10, -1);
+            self.emit_wait_done(asm, R::T3);
+            retire_oldest(asm);
+            if first {
+                self.emit_publish(asm, None);
+                asm.addi(R::S10, R::S10, 1);
+                asm.mv(R::S1, R::S2);
+            }
+        }
+        let idle = asm.bind_label();
+        asm.dmstati(R::T0, 1);
+        asm.bnez(R::T0, idle);
         asm.halt();
     }
 }
@@ -297,7 +351,7 @@ fn emit_spin_below_t3(asm: &mut Assembler) {
 /// A tile of a DMA-fed sparse operand: the contiguous rows
 /// `row_start .. row_start + row_count` and where their nonzeros sit in
 /// main memory — the first eight words of every tile descriptor, which
-/// [`emit_slice_fetch`] reads.
+/// [`emit_slice_prepare`] reads.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Slice {
     pub(crate) row_start: u32,
@@ -340,12 +394,13 @@ impl Slice {
     }
 }
 
-/// Emits the DMCC's fetch of the slice whose descriptor `t4` points at:
-/// reads its sources and lengths, lets `buf_base` put the destination
-/// buffer in `t0` (it may clobber `t1`), issues the values transfer to
-/// `t0` and the index transfer to `t0 + vals_cap`, and polls both to
-/// completion. Clobbers `t0`–`t3`, `a0`–`a3`.
-pub(crate) fn emit_slice_fetch(
+/// Emits the *prepare* step of the DMCC's fetch of the slice whose
+/// descriptor `t4` points at: reads its sources into `a0`/`a2` and its
+/// lengths into `a1`/`a3`, lets `buf_base` put the destination buffer in
+/// `a4` (it may clobber `t0`, `t1`) and sets `a5 = a4 + vals_cap`, the
+/// index destination. [`emit_slice_issue`] consumes them; the buffer
+/// guard between the two leaves them alone.
+pub(crate) fn emit_slice_prepare(
     asm: &mut Assembler,
     vals_cap: u32,
     buf_base: impl FnOnce(&mut Assembler),
@@ -355,18 +410,29 @@ pub(crate) fn emit_slice_fetch(
     asm.lw(R::A2, R::T4, 24); // idcs_src
     asm.lw(R::A3, R::T4, 28); // idcs_len
     buf_base(asm);
+    asm.li(R::A5, i64::from(vals_cap));
+    asm.add(R::A5, R::A5, R::A4);
+}
+
+/// Emits the *issue* step of a slice fetch: the values transfer `a0` →
+/// `a4` of `a1` bytes and the index transfer `a2` → `a5` of `a3` bytes;
+/// `s7` receives the index transfer's id for [`emit_dma_poll`].
+pub(crate) fn emit_slice_issue(asm: &mut Assembler) {
     asm.dmsrc(R::A0, R::ZERO);
-    asm.dmdst(R::T0, R::ZERO);
+    asm.dmdst(R::A4, R::ZERO);
     asm.dmcpyi(R::ZERO, R::A1, 0);
-    asm.li(R::T2, i64::from(vals_cap));
-    asm.add(R::T2, R::T2, R::T0);
     asm.dmsrc(R::A2, R::ZERO);
-    asm.dmdst(R::T2, R::ZERO);
-    asm.dmcpyi(R::ZERO, R::A3, 0);
-    asm.addi(R::S7, R::S7, 2);
+    asm.dmdst(R::A5, R::ZERO);
+    asm.dmcpyi(R::S7, R::A3, 0);
+}
+
+/// Spins until the DMA transfer whose id `s7` holds has completed, and
+/// with it (the engine completes in order) every transfer queued before
+/// it. Clobbers `t3`.
+pub(crate) fn emit_dma_poll(asm: &mut Assembler) {
     let poll = asm.bind_label();
     asm.dmstati(R::T3, 0);
-    asm.blt(R::T3, R::S7, poll);
+    asm.bge(R::S7, R::T3, poll);
 }
 
 #[cfg(test)]
@@ -399,6 +465,32 @@ mod tests {
             assert_eq!(drained, s.done + 8 * n);
             assert!(s.claimed + 16 <= s.done && drained + 16 <= TCDM_DATA_BASE);
         }
+    }
+
+    /// In every DMA-fed program of the catalog, the buffer guard's last
+    /// `done` load is followed by its spin branch and the fetch's
+    /// `dmsrc`/`dmdst` only, then the `dmcpyi` that starts the beats.
+    #[test]
+    fn only_the_dma_issue_follows_the_guard() {
+        use issr_isa::instr::Instr;
+        let mut checked = 0;
+        for e in crate::catalog() {
+            let Some(top) = ["dmcc_tile", "dmcc_block"].iter().find_map(|s| e.program.symbol(s))
+            else {
+                continue;
+            };
+            let loop_body = &e.program.instrs()[top..];
+            let issue = loop_body.iter().position(|i| matches!(i, Instr::DmCpyI { .. })).unwrap();
+            let guard = loop_body[..issue].iter().rposition(|i| matches!(i, Instr::Load { .. }));
+            let tail = &loop_body[guard.unwrap() + 1..issue];
+            assert!(
+                matches!(tail, [Instr::Branch { .. }, Instr::DmSrc { .. }, Instr::DmDst { .. }]),
+                "{}: between the guard's last load and the first dmcpyi: {tail:?}",
+                e.name
+            );
+            checked += 1;
+        }
+        assert_eq!(checked, 12, "cluster CsrMV, system CsrMV and system SpGEMM, 4 programs each");
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! trap ends the run at once (see [`crate::cluster_spgemm`]): the
 //! trapped worker's chain successors could never finish.
 
-use crate::handshake::{emit_slice_fetch, FlagArea, Slice};
+use crate::handshake::{emit_dma_poll, emit_slice_prepare, FlagArea, Slice};
 use crate::harness;
 use crate::layout::{csr_addrs, store_csr, tcdm_arena, Arena, CsrAddrs, TCDM_DATA_BASE};
 use crate::spgemm::{
@@ -492,21 +492,21 @@ fn emit_worker<I: KernelIndex>(asm: &mut Assembler, variant: Variant, plan: &Sys
 /// memory regions one panel behind the workers.
 fn emit_dmcc(asm: &mut Assembler, plan: &SystemSpgemmPlan, log_w: i32) {
     asm.symbol("dmcc");
-    // Meta transfer: B | a.ptr | descriptors | link in one DMA.
-    plan.flags.emit_meta_transfer(asm, plan.main_meta, TCDM_DATA_BASE, plan.meta_bytes);
-    let fetch = |asm: &mut Assembler| {
+    let prepare = |asm: &mut Assembler| {
         emit_desc_addr(asm, plan, R::S0);
-        emit_slice_fetch(asm, plan.a_vals_cap, |asm| {
+        emit_slice_prepare(asm, plan.a_vals_cap, |asm| {
             asm.andi(R::T0, R::S10, 1);
             asm.li(R::T1, i64::from(plan.abuf_stride));
             asm.mul(R::T0, R::T0, R::T1);
             asm.li_addr(R::T1, plan.abuf);
-            asm.add(R::T0, R::T0, R::T1);
+            asm.add(R::A4, R::T0, R::T1);
         });
     };
     let npanels = plan.panels.len() as u32;
     let drain = |asm: &mut Assembler| emit_panel_drain(asm, plan, log_w);
-    plan.flags.emit_claim_loop(asm, plan.main_queue, npanels, R::T3, fetch, drain);
+    // Meta transfer: B | a.ptr | descriptors | link in one DMA.
+    let meta = (plan.main_meta, TCDM_DATA_BASE, plan.meta_bytes);
+    plan.flags.emit_claim_loop(asm, meta, plan.main_queue, npanels, prepare, drain);
 }
 
 /// Emits `t4 = t_desc + id * 48` from the panel id in `id_reg` (which
@@ -520,10 +520,10 @@ fn emit_desc_addr(asm: &mut Assembler, plan: &SystemSpgemmPlan, id_reg: R) {
 }
 
 /// Emits the output drain of the panel whose id sits in `s1` (local
-/// sequence `s10 - 1`): ptr window, then values and indices sized by
+/// sequence `s10 - 2`): ptr window, then values and indices sized by
 /// the device-computed panel nnz, all to the panel's word-padded main
-/// regions; raises `drained[(s10 - 1) & 1] = s10`. Clobbers `t*`,
-/// `a0`–`a4`; `s7` tracks issued transfers.
+/// regions, polled to completion; raises `drained[s10 & 1] = s10 - 1`.
+/// Clobbers `t*`, `a0`–`a4`, `s7`.
 fn emit_panel_drain(asm: &mut Assembler, plan: &SystemSpgemmPlan, log_w: i32) {
     asm.symbol("dmcc_drain");
     emit_desc_addr(asm, plan, R::S1);
@@ -531,9 +531,8 @@ fn emit_panel_drain(asm: &mut Assembler, plan: &SystemSpgemmPlan, log_w: i32) {
     asm.lw(R::A1, R::T4, 32); // c_ptr_dst
     asm.lw(R::A2, R::T4, 36); // c_idcs_dst
     asm.lw(R::A3, R::T4, 40); // c_vals_dst
-                              // C buffer of the previous parity.
-    asm.addi(R::T0, R::S10, -1);
-    asm.andi(R::T0, R::T0, 1);
+                              // C buffer of parity (s10 - 2) & 1.
+    asm.andi(R::T0, R::S10, 1);
     asm.li(R::T1, i64::from(plan.cbuf_stride));
     asm.mul(R::T0, R::T0, R::T1);
     asm.li_addr(R::T1, plan.cbuf);
@@ -549,8 +548,7 @@ fn emit_panel_drain(asm: &mut Assembler, plan: &SystemSpgemmPlan, log_w: i32) {
     asm.slli(R::T3, R::T3, 2);
     asm.addi(R::T3, R::T3, 7);
     asm.andi(R::T3, R::T3, -8);
-    asm.dmcpyi(R::ZERO, R::T3, 0);
-    asm.addi(R::S7, R::S7, 1);
+    asm.dmcpyi(R::S7, R::T3, 0);
     // 2./3. Values and indices (skipped for an all-empty panel).
     let empty = asm.new_label();
     asm.beqz(R::A4, empty);
@@ -567,12 +565,9 @@ fn emit_panel_drain(asm: &mut Assembler, plan: &SystemSpgemmPlan, log_w: i32) {
     asm.slli(R::T3, R::A4, log_w);
     asm.addi(R::T3, R::T3, 7);
     asm.andi(R::T3, R::T3, -8);
-    asm.dmcpyi(R::ZERO, R::T3, 0);
-    asm.addi(R::S7, R::S7, 2);
+    asm.dmcpyi(R::S7, R::T3, 0);
     asm.bind(empty);
-    let poll = asm.bind_label();
-    asm.dmstati(R::T3, 0);
-    asm.blt(R::T3, R::S7, poll);
+    emit_dma_poll(asm);
     // Free the output buffer for the panel two ahead.
     plan.flags.emit_signal_drained(asm);
 }
@@ -755,6 +750,37 @@ mod tests {
         // With two clusters and several panels both must claim work.
         let active = runs[1].summary.clusters.iter().filter(|c| c.dma_stats.words_in > 0).count();
         assert_eq!(active, 2, "both clusters must claim panels");
+    }
+
+    /// Two and three panels on 1, 2 and 4 clusters, in both variants,
+    /// stitch to the oracle's structure and the cluster kernel's bits:
+    /// the claim loop's finish path
+    /// drains both panels it can still hold (`L − 2` and `L − 1`) on a
+    /// cluster that claimed two or more, one on a cluster that claimed
+    /// one, and none on a cluster that claimed nothing.
+    #[test]
+    fn finish_path_drains_the_last_two_panels() {
+        let mut rng = gen::rng(511);
+        let a = gen::csr_fixed_row_nnz::<u16>(&mut rng, 24, 32, 5);
+        let b = gen::csr_uniform::<u16>(&mut rng, 32, 40, 100);
+        let expect = reference::spgemm(&a, &b).with_index_width::<u32>();
+        for variant in [Variant::Base, Variant::Issr] {
+            let single = run_cluster_spgemm(variant, &a, &b).expect("cluster run finishes");
+            for (a_cap, panels) in [(60, 2), (40, 3)] {
+                for n_clusters in [1usize, 2, 4] {
+                    let plan =
+                        SystemSpgemmPlan::with_panel_caps(variant, &a, &b, 8, a_cap, u32::MAX);
+                    assert_eq!(plan.n_panels(), panels);
+                    let params = SystemParams { n_clusters, ..SystemParams::default() };
+                    let run = run_system_spgemm_planned(variant, &a, &b, plan, params)
+                        .expect("system run finishes");
+                    let at = format!("{variant}, {panels} panels, {n_clusters} clusters");
+                    assert_eq!(run.c.ptr(), expect.ptr(), "{at}: row pointers");
+                    assert_eq!(run.c.idcs(), expect.idcs(), "{at}: indices");
+                    assert_eq!(val_bits(&run.c), val_bits(&single.c), "{at}: values");
+                }
+            }
+        }
     }
 
     /// The flag area of 26 SpGEMM workers would pass the data region.
