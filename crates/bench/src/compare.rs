@@ -1,5 +1,3 @@
-//! # issr-compare
-//!
 //! The related-work comparison of §V: published utilization figures for
 //! CPUs and GPUs on CSR SpMV, and the ratios the paper derives against
 //! the measured Snitch-with-ISSR cluster.
@@ -8,9 +6,7 @@
 //! cuSPARSE with nvprof and cites CVR \[4\] for the Xeon Phi); only the
 //! Snitch side is measured, by the `issr-cluster` simulator. The ratios
 //! the paper itself reports are the `compare.*` and
-//! `fig4c.base_core_equivalents` entries of `issr_bench::paper::ANCHORS`.
-
-#![forbid(unsafe_code)]
+//! `fig4c.base_core_equivalents` entries of [`crate::paper::ANCHORS`].
 
 /// One related system with its published SpMV efficiency.
 #[derive(Clone, Copy, Debug)]

@@ -14,6 +14,7 @@
 
 pub mod ablation;
 pub mod catalog;
+pub mod compare;
 pub mod figures;
 pub mod joiner;
 pub mod paper;

@@ -12,7 +12,6 @@
 //! `crates/bench/tests/baselines.rs` fails and names the moved anchors.
 
 use issr_cluster::cluster::ClusterSummary;
-use issr_compare::{base_core_equivalent, compare, related_systems, Comparison};
 use issr_model::area::{ClusterArea, StreamerArea, ISSR_DELTA_KGE};
 use issr_model::timing::StreamerTiming;
 use issr_snitch::cc::RunSummary;
@@ -20,6 +19,7 @@ use issr_trace::analyze::Verdict;
 use issr_trace::json::obj;
 use issr_trace::Json;
 
+use crate::compare::{base_core_equivalent, compare, related_systems, Comparison};
 use crate::figures::{csrmm_check, fig4a, fig4b, fig4c, fig4d, Sweep};
 use crate::report::{Fmt, Table};
 use crate::telemetry::Telemetry;

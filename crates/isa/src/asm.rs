@@ -31,13 +31,15 @@ use std::ops::Range;
 pub struct Label(usize);
 
 /// Error produced when finishing a program with unresolved or misused
-/// labels.
+/// labels or a repeated symbol.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum AsmError {
     /// A label was referenced but never bound.
     UnboundLabel(Label),
     /// A computed branch offset does not fit its encoding.
     OffsetOutOfRange { at: usize, offset: i64 },
+    /// A symbol name was recorded at two positions.
+    DuplicateSymbol { name: String, first: usize, again: usize },
 }
 
 impl fmt::Display for AsmError {
@@ -46,6 +48,9 @@ impl fmt::Display for AsmError {
             AsmError::UnboundLabel(l) => write!(f, "label {l:?} referenced but never bound"),
             AsmError::OffsetOutOfRange { at, offset } => {
                 write!(f, "branch at instruction {at} has out-of-range offset {offset}")
+            }
+            AsmError::DuplicateSymbol { name, first, again } => {
+                write!(f, "symbol `{name}` recorded at instruction {first} and again at {again}")
             }
         }
     }
@@ -133,6 +138,9 @@ pub struct Assembler {
     bound: Vec<Option<usize>>,
     fixups: Vec<(usize, Label, Fixup)>,
     symbols: HashMap<String, usize>,
+    /// The first name [`Assembler::symbol`] saw twice, reported by
+    /// [`Assembler::finish`].
+    duplicate: Option<AsmError>,
     padding: Vec<Range<usize>>,
 }
 
@@ -172,8 +180,14 @@ impl Assembler {
     }
 
     /// Records a named symbol at the current position (for traces/tests).
+    /// A name is recorded once: a second record makes
+    /// [`Assembler::finish`] fail with [`AsmError::DuplicateSymbol`].
     pub fn symbol(&mut self, name: &str) {
-        self.symbols.insert(name.to_owned(), self.instrs.len());
+        let again = self.instrs.len();
+        if let Some(first) = self.symbols.insert(name.to_owned(), again) {
+            let name = name.to_owned();
+            self.duplicate.get_or_insert(AsmError::DuplicateSymbol { name, first, again });
+        }
     }
 
     /// Appends a raw instruction.
@@ -181,18 +195,15 @@ impl Assembler {
         self.instrs.push(instr);
     }
 
-    /// Appends all instructions of `other` (labels must already be
-    /// resolved, i.e. `other` is a finished [`Program`]).
-    pub fn extend(&mut self, other: &Program) {
-        self.instrs.extend_from_slice(other.instrs());
-    }
-
     /// Resolves labels and produces the program.
     ///
     /// # Errors
-    /// Returns [`AsmError`] if a referenced label is unbound or an offset
-    /// does not fit the encoding.
+    /// Returns [`AsmError`] if a symbol was recorded twice, a referenced
+    /// label is unbound or an offset does not fit the encoding.
     pub fn finish(mut self) -> Result<Program, AsmError> {
+        if let Some(duplicate) = self.duplicate {
+            return Err(duplicate);
+        }
         for &(at, label, kind) in &self.fixups {
             let Some(target) = self.bound[label.0] else {
                 return Err(AsmError::UnboundLabel(label));
@@ -634,6 +645,20 @@ mod tests {
         assert_eq!(padding, [3, 4, 5, 6, 7, 9, 10]);
         assert!(padding.iter().all(|&i| p.instrs()[i]
             == Instr::OpImm { op: AluImmOp::Addi, rd: IntReg::ZERO, rs1: IntReg::ZERO, imm: 0 }));
+    }
+
+    /// A name recorded twice fails the program, and the message names
+    /// the symbol and both positions.
+    #[test]
+    fn repeated_symbol_is_an_error() {
+        let mut a = Assembler::new();
+        a.symbol("drain");
+        a.nop();
+        a.symbol("drain");
+        a.halt();
+        let err = a.finish().unwrap_err();
+        assert_eq!(err, AsmError::DuplicateSymbol { name: "drain".into(), first: 0, again: 1 });
+        assert_eq!(err.to_string(), "symbol `drain` recorded at instruction 0 and again at 1");
     }
 
     #[test]

@@ -43,11 +43,15 @@
 //! 6. (system kernels) claim the next ticket from main memory.
 //!
 //! The first ticket is claimed while the meta transfer moves. When the
-//! queue runs dry after `L` claimed tiles, the DMCC retires tile `L − 2`
-//! once every `done ≥ L − 1`, publishes the sentinel, retires tile
-//! `L − 1` once every `done ≥ L`, and waits for the DMA to go idle. The
-//! cluster kernel walks its tiles in order without claims or retires and
-//! writes `y` back once, after the last tile.
+//! queue runs dry after `L` claimed tiles, the DMCC runs the **finish
+//! pass** twice, one loop with each step written once: wait for every
+//! `done ≥ seq − 1`, then retire tile `seq − 2`. Pass 1 (`seq = L`)
+//! retires tile `L − 2`, publishes the sentinel as tile `L` and loops;
+//! pass 2 (`seq = L + 1`) retires tile `L − 1` and falls into the wait
+//! for the DMA to go idle. So the all-worker `done` wait and the retire
+//! are each emitted twice, in the claim loop and in the pass. The
+//! cluster kernel walks its tiles in order without claims or retires
+//! and writes `y` back once, after the last tile.
 //!
 //! **Layout.** The area sits below [`TCDM_DATA_BASE`] (`+0x100`) and is
 //! laid out from the worker count: `meta` at `+0x00`, `ready[2]` at
@@ -61,7 +65,9 @@
 //! DMA transfer the next poll waits for (`dmcpyi` returns it). The claim
 //! loop keeps the claimed id of tile `seq` in `s0`, tile `seq − 1`'s in
 //! `s2` and tile `seq − 2`'s, the one the guard's wait retires, in `s1`
-//! (`−1` while there is none). A fetch's prepare step leaves its
+//! (`−1` while there is none). In the finish pass `s0` keeps the ticket
+//! past the queue's end (`≥ 0`) through pass 1 and is `−1` in pass 2,
+//! which is what ends the loop. A fetch's prepare step leaves its
 //! sources, lengths and destinations in `a0`–`a5` for the issue step.
 
 use crate::layout::TCDM_DATA_BASE;
@@ -247,12 +253,11 @@ impl FlagArea {
     /// buffer `seq & 1`, [`emit_slice_prepare`]), the buffer guard, the
     /// fetch's issue, `retire` of tile `seq − 2` (`s1`; the guard's wait
     /// is its wait), the fetch's poll, the publish and the next claim.
-    /// A claim past `ntiles` ends the loop: with `L = seq`, it retires
-    /// tile `L − 2` once every `done ≥ L − 1`, publishes the sentinel,
-    /// retires tile `L − 1` once every `done ≥ L`, waits for the DMA to
-    /// go idle and halts. `retire` finds its tile's sequence number at
-    /// `s10 − 2` and must leave `s0`, `s2`, `s10` and (unless it polls
-    /// its own transfers) `s7` alone.
+    /// A claim past `ntiles` ends the loop in the finish pass (module
+    /// docs), which retires the last two tiles around the sentinel; then
+    /// the DMCC waits for the DMA to go idle and halts. `retire` finds
+    /// its tile's sequence number at `s10 − 2` and must leave `s0`, `s2`,
+    /// `s10` and (unless it polls its own transfers) `s7` alone.
     pub(crate) fn emit_claim_loop(
         self,
         asm: &mut Assembler,
@@ -284,6 +289,7 @@ impl FlagArea {
         prepare(asm);
         self.emit_buffer_guard(asm);
         emit_slice_issue(asm);
+        asm.symbol("dmcc_retire");
         retire_oldest(asm);
         emit_dma_poll(asm);
         self.emit_publish(asm, Some(R::S0));
@@ -292,20 +298,20 @@ impl FlagArea {
         asm.addi(R::S10, R::S10, 1);
         claim(asm);
         asm.j(tile);
+        // The finish pass. Its sentinel step sits above it, so pass 2
+        // (s0 = −1) falls into the idle wait without a taken branch on
+        // the run's tail.
+        let sentinel = asm.bind_label();
+        self.emit_publish(asm, None);
+        asm.addi(R::S10, R::S10, 1);
+        asm.mv(R::S1, R::S2);
+        asm.li(R::S0, -1);
         asm.bind(finish);
         asm.symbol("dmcc_finish");
-        // Tile L − 2 once every `done ≥ L − 1`, the sentinel, then tile
-        // L − 1 once every `done ≥ L` (L = s10).
-        for first in [true, false] {
-            asm.addi(R::T3, R::S10, -1);
-            self.emit_wait_done(asm, R::T3);
-            retire_oldest(asm);
-            if first {
-                self.emit_publish(asm, None);
-                asm.addi(R::S10, R::S10, 1);
-                asm.mv(R::S1, R::S2);
-            }
-        }
+        asm.addi(R::T3, R::S10, -1);
+        self.emit_wait_done(asm, R::T3);
+        retire_oldest(asm);
+        asm.bge(R::S0, R::ZERO, sentinel);
         let idle = asm.bind_label();
         asm.dmstati(R::T0, 1);
         asm.bnez(R::T0, idle);
@@ -488,6 +494,52 @@ mod tests {
                 "{}: between the guard's last load and the first dmcpyi: {tail:?}",
                 e.name
             );
+            checked += 1;
+        }
+        assert_eq!(checked, 12, "cluster CsrMV, system CsrMV and system SpGEMM, 4 programs each");
+    }
+
+    /// Each step of the protocol is emitted at most twice: in every
+    /// DMA-fed program of the catalog, the DMCC path loads each `done[h]`
+    /// slot exactly twice — in the buffer guard and in the finish pass
+    /// (in the cluster kernel, its final wait).
+    #[test]
+    fn each_done_slot_is_loaded_twice_on_the_dmcc_path() {
+        use issr_isa::instr::{AluImmOp, Instr};
+        // The address `li_addr` leaves in `reg` just before `instrs[at]`.
+        let li_value = |instrs: &[Instr], at: usize, reg: R| match instrs[..at] {
+            [.., Instr::Lui { rd, imm }, Instr::OpImm { op: AluImmOp::Addi, rd: d, rs1, imm: lo }]
+                if rd == reg && d == reg && rs1 == reg =>
+            {
+                Some(imm.wrapping_add(lo as u32))
+            }
+            [.., Instr::OpImm { op: AluImmOp::Addi, rd, rs1, imm }]
+                if rd == reg && rs1.is_zero() =>
+            {
+                Some(imm as u32)
+            }
+            [.., Instr::Lui { rd, imm }] if rd == reg => Some(imm),
+            _ => None,
+        };
+        let n = issr_cluster::cluster::ClusterParams::default().n_workers as u32;
+        let mut checked = 0;
+        for e in crate::catalog() {
+            let Some(dmcc) = e.program.symbol("dmcc") else { continue };
+            let flags = if e.name.starts_with("system_spgemm") {
+                FlagArea::spgemm(n)
+            } else {
+                FlagArea::csrmv(n)
+            };
+            let instrs = &e.program.instrs()[dmcc..];
+            let mut loads = vec![0; n as usize];
+            for (at, instr) in instrs.iter().enumerate() {
+                let Instr::Load { rs1, offset: 0, .. } = *instr else { continue };
+                let Some(addr) = li_value(instrs, at, rs1) else { continue };
+                if (flags.done..flags.done + 8 * n).contains(&addr) {
+                    loads[((addr - flags.done) / 8) as usize] += 1;
+                }
+            }
+            assert_eq!(loads, vec![2; n as usize], "{}: DMCC loads of done[0..{n}]", e.name);
             checked += 1;
         }
         assert_eq!(checked, 12, "cluster CsrMV, system CsrMV and system SpGEMM, 4 programs each");

@@ -255,18 +255,22 @@ pub(crate) mod tests {
         check_identity_on(Variant::Issr, &m.with_index_width::<u16>(), &x, 8);
     }
 
-    /// Two and three blocks on 1, 2 and 4 clusters: the claim loop's
-    /// finish path retires both tiles it can still hold (`L − 2` and
-    /// `L − 1`) on a cluster that claimed two or more, one on a cluster
-    /// that claimed one, and none on a cluster that claimed nothing.
+    /// Two and three blocks on 1, 2 and 4 clusters of 8 and of 16
+    /// workers: the claim loop's finish pass retires both tiles it can
+    /// still hold (`L − 2` and `L − 1`) on a cluster that claimed two or
+    /// more, one on a cluster that claimed one, and none on a cluster
+    /// that claimed nothing. At 16 workers the unrolled all-worker `done`
+    /// wait runs 16 slots inside the pass loop.
     #[test]
     fn finish_path_retires_the_last_two_blocks() {
-        for (nrows, nblocks) in [(64, 2), (96, 3)] {
-            let mut rng = gen::rng(77);
-            let m = gen::csr_fixed_row_nnz::<u16>(&mut rng, nrows, 1024, 173);
-            let x = gen::dense_vector(&mut rng, 1024);
-            assert_eq!(ClusterCsrmvPlan::new(&m, 8).n_blocks(), nblocks);
-            check_identity_on(Variant::Issr, &m, &x, 8);
+        for n_workers in [8, 16] {
+            for (nrows, nblocks) in [(64, 2), (96, 3)] {
+                let mut rng = gen::rng(77);
+                let m = gen::csr_fixed_row_nnz::<u16>(&mut rng, nrows, 1024, 173);
+                let x = gen::dense_vector(&mut rng, 1024);
+                assert_eq!(ClusterCsrmvPlan::new(&m, n_workers as u32).n_blocks(), nblocks);
+                check_identity_on(Variant::Issr, &m, &x, n_workers);
+            }
         }
     }
 

@@ -525,7 +525,6 @@ fn emit_desc_addr(asm: &mut Assembler, plan: &SystemSpgemmPlan, id_reg: R) {
 /// regions, polled to completion; raises `drained[s10 & 1] = s10 - 1`.
 /// Clobbers `t*`, `a0`–`a4`, `s7`.
 fn emit_panel_drain(asm: &mut Assembler, plan: &SystemSpgemmPlan, log_w: i32) {
-    asm.symbol("dmcc_drain");
     emit_desc_addr(asm, plan, R::S1);
     asm.lw(R::A0, R::T4, 4); //  row_count
     asm.lw(R::A1, R::T4, 32); // c_ptr_dst
@@ -752,12 +751,14 @@ mod tests {
         assert_eq!(active, 2, "both clusters must claim panels");
     }
 
-    /// Two and three panels on 1, 2 and 4 clusters, in both variants,
-    /// stitch to the oracle's structure and the cluster kernel's bits:
-    /// the claim loop's finish path
-    /// drains both panels it can still hold (`L − 2` and `L − 1`) on a
-    /// cluster that claimed two or more, one on a cluster that claimed
-    /// one, and none on a cluster that claimed nothing.
+    /// Two and three panels on 1, 2 and 4 clusters of 8 and of 16
+    /// workers, in both variants, stitch to the oracle's structure and
+    /// the cluster kernel's bits: the claim loop's finish pass drains
+    /// both panels it can still hold (`L − 2` and `L − 1`) on a cluster
+    /// that claimed two or more, one on a cluster that claimed one, and
+    /// none on a cluster that claimed nothing. At 16 workers the
+    /// unrolled all-worker `done` wait runs 16 slots inside the pass
+    /// loop.
     #[test]
     fn finish_path_drains_the_last_two_panels() {
         let mut rng = gen::rng(511);
@@ -766,18 +767,28 @@ mod tests {
         let expect = reference::spgemm(&a, &b).with_index_width::<u32>();
         for variant in [Variant::Base, Variant::Issr] {
             let single = run_cluster_spgemm(variant, &a, &b).expect("cluster run finishes");
-            for (a_cap, panels) in [(60, 2), (40, 3)] {
-                for n_clusters in [1usize, 2, 4] {
-                    let plan =
-                        SystemSpgemmPlan::with_panel_caps(variant, &a, &b, 8, a_cap, u32::MAX);
+            for n_workers in [8, 16] {
+                let cluster = ClusterParams { n_workers, ..ClusterParams::default() };
+                for (a_cap, panels) in [(60, 2), (40, 3)] {
+                    let plan = SystemSpgemmPlan::with_panel_caps(
+                        variant,
+                        &a,
+                        &b,
+                        n_workers as u32,
+                        a_cap,
+                        u32::MAX,
+                    );
                     assert_eq!(plan.n_panels(), panels);
-                    let params = SystemParams { n_clusters, ..SystemParams::default() };
-                    let run = run_system_spgemm_planned(variant, &a, &b, plan, params)
-                        .expect("system run finishes");
-                    let at = format!("{variant}, {panels} panels, {n_clusters} clusters");
-                    assert_eq!(run.c.ptr(), expect.ptr(), "{at}: row pointers");
-                    assert_eq!(run.c.idcs(), expect.idcs(), "{at}: indices");
-                    assert_eq!(val_bits(&run.c), val_bits(&single.c), "{at}: values");
+                    for n_clusters in [1usize, 2, 4] {
+                        let at = format!("{variant}, {panels} panels, {n_clusters}×{n_workers}");
+                        let params =
+                            SystemParams { n_clusters, cluster, ..SystemParams::default() };
+                        let run = run_system_spgemm_planned(variant, &a, &b, plan.clone(), params)
+                            .expect("system run finishes");
+                        assert_eq!(run.c.ptr(), expect.ptr(), "{at}: row pointers");
+                        assert_eq!(run.c.idcs(), expect.idcs(), "{at}: indices");
+                        assert_eq!(val_bits(&run.c), val_bits(&single.c), "{at}: values");
+                    }
                 }
             }
         }

@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 
 pub use issr_cluster as cluster;
-pub use issr_compare as compare;
 pub use issr_core as core;
 pub use issr_isa as isa;
 pub use issr_kernels as kernels;
