@@ -1,10 +1,13 @@
-//! Ablation studies of two design choices: worker-count scaling of the
-//! cluster CsrMV and the contribution of the instruction-cache model.
+//! Ablation studies of three design choices: worker-count scaling of the
+//! cluster CsrMV, the contribution of the instruction-cache model, and
+//! the single-CC CsrMV's cost per row at every short row length (where
+//! the ISSR row loop switches between its chain and medium paths).
 //! `--bin ablation` prints them and commits them as
-//! `baselines/BENCH_ablation.json`.
+//! `baselines/BENCH_ablation.json`, so every length is gated exactly.
 
 use issr_cluster::cluster::ClusterParams;
 use issr_kernels::cluster_csrmv::run_cluster_csrmv_with;
+use issr_kernels::csrmv::run_csrmv;
 use issr_kernels::variant::Variant;
 use issr_sparse::gen;
 
@@ -12,7 +15,8 @@ use crate::report::{ratio, Fmt, Table};
 use crate::telemetry::{BenchOutput, Telemetry};
 use crate::verdict::cluster_verdict;
 
-/// Runs both ablations on the 64 nnz/row cluster CsrMV.
+/// Runs the two cluster ablations on the 64 nnz/row cluster CsrMV,
+/// then the single-CC row-length sweep.
 ///
 /// # Panics
 /// Panics if a cluster run times out.
@@ -78,5 +82,35 @@ pub fn ablation() -> BenchOutput {
     let verdict = verdict.expect("icache ablation ran");
     markdown.push_str(&format!("\n{}\n", verdict.line("cluster csrmv 8w icache")));
     t.push("verdict", verdict.to_json());
+
+    // Cycles per row at each short row length: the ISSR chain, medium
+    // and long paths split at fixed lengths, so one length at a time.
+    let mut rows = Table::new(&[
+        ("row_nnz", "nnz/row", Fmt::Plain),
+        ("base", "BASE", Fmt::Fixed(2)),
+        ("issr16", "ISSR-16", Fmt::Fixed(2)),
+        ("issr32", "ISSR-32", Fmt::Fixed(2)),
+    ]);
+    let (nrows, ncols) = (64, 2048);
+    for row_nnz in 1..=12 {
+        let mut rng = gen::rng(0x000F_164B + row_nnz as u64);
+        let m32 = gen::csr_fixed_row_nnz::<u32>(&mut rng, nrows, ncols, row_nnz);
+        let m16 = m32.with_index_width::<u16>();
+        let x = gen::dense_vector(&mut rng, ncols);
+        let per_row = |cycles: u64| cycles as f64 / nrows as f64;
+        let run32 = |v| per_row(run_csrmv(v, &m32, &x).expect("run").summary.metrics.roi.cycles);
+        let issr16 = run_csrmv(Variant::Issr, &m16, &x).expect("issr16 run");
+        rows.push(vec![
+            row_nnz.into(),
+            run32(Variant::Base).into(),
+            per_row(issr16.summary.metrics.roi.cycles).into(),
+            run32(Variant::Issr).into(),
+        ]);
+    }
+    markdown.push_str(&format!(
+        "\nAblation 3 — CsrMV cycles per row by row length (one CC, {nrows}x{ncols})\n\n{}\n",
+        rows.markdown()
+    ));
+    t.push("row_length", rows.json());
     BenchOutput { markdown, telemetry: t }
 }

@@ -301,10 +301,15 @@ impl Cluster {
         Self::with_main_size(program, params, 0)
     }
 
-    /// Whether every core halted and all queues drained.
+    /// Whether every core halted, all queues drained and no TCDM port
+    /// still holds a request (a halted hart's last store may wait on a
+    /// bank conflict).
     #[must_use]
     pub fn quiescent(&self) -> bool {
-        self.workers.iter().all(CoreComplex::quiescent) && self.dmcc.quiescent() && !self.dma.busy()
+        self.workers.iter().all(CoreComplex::quiescent)
+            && self.dmcc.quiescent()
+            && !self.dma.busy()
+            && self.ports.iter().all(|p| p.pending().is_none())
     }
 
     fn release_barrier_if_all_arrived(&mut self) {
@@ -705,6 +710,39 @@ mod tests {
             );
         }
         assert!(summary.cycles < 200);
+    }
+
+    /// Every hart stores `hartid + 1` to `base + 256 * hartid`, then halts:
+    /// with 32 eight-byte banks, all nine stores contest one bank.
+    fn one_bank_stores(base: u32) -> Program {
+        let mut a = Assembler::new();
+        a.csrr(R::T0, Csr::MHartId);
+        a.addi(R::T1, R::T0, 1);
+        a.slli(R::T2, R::T0, 8);
+        a.li_addr(R::T3, base);
+        a.add(R::T2, R::T2, R::T3);
+        a.sw(R::T1, R::T2, 0);
+        a.halt();
+        a.finish().unwrap()
+    }
+
+    /// The run ends only once the stores queued behind a bank conflict
+    /// have landed, although every hart halted right after its store
+    /// (ideal fetch keeps the harts in lockstep, so all nine contest the
+    /// bank in the same cycle).
+    #[test]
+    fn run_waits_for_stores_pending_at_the_tcdm_ports() {
+        let params = ClusterParams { icache: false, ..ClusterParams::default() };
+        let mut cluster = Cluster::new(one_bank_stores(TCDM_BASE), params);
+        cluster.run(10_000).unwrap();
+        assert!(cluster.ports.iter().all(|p| p.pending().is_none()), "a store is still pending");
+        for hart in 0..9u32 {
+            assert_eq!(
+                cluster.tcdm.array().load_u32(TCDM_BASE + 256 * hart),
+                hart + 1,
+                "hart {hart}"
+            );
+        }
     }
 
     /// A live run arms no timeline and is the bare tick loop: the same

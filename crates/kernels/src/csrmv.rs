@@ -11,10 +11,12 @@
 //!   **constant-zero register** `fz` (no re-zeroing), issued as one FREP
 //!   whose destination alone is staggered;
 //! * rows take one of **three paths by length** k, with n the paper's
-//!   group ([`issr_accumulators`]): a short row (k < n) accumulates in
-//!   one dependent chain; a medium row (n ≤ k < `LONG_ROW_GROUPS` · n)
-//!   reduces in place over the smallest group that covers the FPU
-//!   latency (`medium_accumulators`: 4, half the 16-bit group); a long
+//!   group ([`issr_accumulators`]): a short row (k < `MEDIUM_MIN`, six
+//!   in both widths) accumulates in one dependent chain; a medium row
+//!   (6 ≤ k < `LONG_ROW_GROUPS` · n) reduces in place over the smallest
+//!   group that covers the FPU latency (`medium_accumulators`: 4, half
+//!   the 16-bit group), which from six elements on costs less than the
+//!   chain's dependent `fmadd`s; a long
 //!   row's **reduction is deferred** into the next long row: its tree
 //!   and `y` store issue between the next row's head `fmadd`s, into a
 //!   second accumulator bank, so the in-order FPU never waits on an
@@ -26,8 +28,9 @@
 //! Short and medium rows run from a compact block of four
 //! instruction-cache lines ([`Assembler::align`]), so that a cluster
 //! worker's L0 holds both paths at once. The medium path keeps the
-//! slots of the full group's tree as padding ([`Assembler::pad`]), so
-//! the block's other addresses do not depend on the medium group.
+//! slots of an exact-group test and of the full group's tree as padding
+//! ([`Assembler::pad`]), so the block's other addresses do not depend
+//! on the medium group.
 //!
 //! The row loop's register contract, shared with CsrMM (`csrmm.rs`,
 //! which wraps it in a dense-column loop with register-held bases) and
@@ -255,8 +258,16 @@ fn emit_head_over_reduction(asm: &mut Assembler, bank: FpReg, pending: FpReg, n_
 /// their reduction; shorter ones run from the compact block.
 const LONG_ROW_GROUPS: u8 = 3;
 
-/// Accumulators of a medium row (`n_acc ..= long_min - 1` elements,
-/// reduced in place): the smallest group that covers the FPU latency.
+/// The shortest medium row, in both index widths; shorter rows run as
+/// one dependent chain. Measured one length at a time: with 16-bit
+/// indices a row of six or seven elements costs the chain 27 and 31
+/// cycles and the medium path 22, while rows of four and five cost the
+/// chain no more than the medium path (Ablation 3 of `--bin ablation`).
+const MEDIUM_MIN: u8 = 6;
+
+/// Accumulators of a medium row ([`MEDIUM_MIN`] `..= long_min - 1`
+/// elements, reduced in place): the smallest group that covers the FPU
+/// latency.
 /// The index port delivers at most one element a cycle (0.8 with 16-bit
 /// indices, 0.67 with 32-bit), so `fpu_latency` registers keep the FREP
 /// from waiting on its own accumulator. With 16-bit indices that is half
@@ -334,37 +345,29 @@ pub(crate) fn emit_issr_row_loop<I: KernelIndex>(asm: &mut Assembler) {
     // The compact block, four L0 lines: every row short of `long_min`
     // runs inside it, whatever the mix of lengths.
     asm.align(ICacheParams::default().line_bytes);
-    // n_acc ..= long_min - 1 elements: head, FREP, reduction in place,
-    // over the medium group (`t2` = count - n_acc on entry).
+    // MEDIUM_MIN ..= long_min - 1 elements: head, FREP, reduction in
+    // place, over the medium group (`t2` = count - MEDIUM_MIN on entry).
     asm.bind(medium);
     asm.addi(R::T3, R::T1, -i32::from(long_min));
     asm.bge(R::T3, R::ZERO, long_n);
     let group = medium_accumulators(n_acc);
+    assert!(group < MEDIUM_MIN && MEDIUM_MIN < long_min, "medium rows outgrow the group");
     emit_frep_head(asm, ACC0, group);
-    let reduce = asm.new_label();
-    if group == n_acc {
-        asm.beqz(R::T2, reduce);
-        asm.addi(R::T2, R::T2, -1);
-    } else {
-        // Every medium row is longer than the group: no empty body.
-        asm.addi(R::T2, R::T2, i32::from(n_acc - group) - 1);
-    }
+    // Every medium row is longer than the group: no empty body.
+    asm.addi(R::T2, R::T2, i32::from(MEDIUM_MIN - group) - 1);
     emit_frep_body(asm, ACC0, group);
-    asm.bind(reduce);
     emit_reduction_tree(asm, ACC0, group);
     asm.j(row_done);
-    if group < n_acc {
-        // The slots the full group's exact-`n_acc` test and longer tree
-        // (n - 1 `fadd`s over n registers) would take stay, so the code
-        // behind keeps its L0 lines.
-        asm.pad(usize::from(n_acc - group) + 1);
-    }
+    // The slots an exact-group test and the full group's longer tree
+    // (n - 1 `fadd`s over n registers) would take stay, so the code
+    // behind keeps its L0 lines.
+    asm.pad(usize::from(n_acc - group) + 1);
     let head_c = asm.bind_label();
     emit_row_count(asm);
     asm.bind(classify);
-    asm.addi(R::T2, R::T1, -i32::from(n_acc));
+    asm.addi(R::T2, R::T1, -i32::from(MEDIUM_MIN));
     asm.bge(R::T2, R::ZERO, medium);
-    // 0 ..= n_acc - 1 elements: one dependent chain.
+    // 0 ..= MEDIUM_MIN - 1 elements: one dependent chain.
     asm.fmv_d(ACC0, FZ);
     asm.beqz(R::T1, row_done);
     asm.addi(R::T3, R::T1, -1);
@@ -476,7 +479,7 @@ mod tests {
     }
 
     /// Rows of every length 0..=4·n_acc, in both widths: the zero path,
-    /// the dependent chain, the exact-n_acc path, the compact FREP and
+    /// the dependent chain, the medium path from its shortest row on and
     /// the first deferred lengths, each after every shorter length.
     #[test]
     fn issr_row_length_edge_cases() {
@@ -488,24 +491,27 @@ mod tests {
     /// The deferral's transitions in both widths: long → long in both
     /// bank orders, long → short and long → empty flushes out of either
     /// bank, rows of exactly `n_acc`, a long last row in either bank, a
-    /// single long row; and the orders between the three row classes
-    /// that ascending lengths never produce (medium rows are
-    /// `n_acc ..= long_min - 1` elements, chains shorter).
+    /// single long row; the orders between the three row classes that
+    /// ascending lengths never produce (medium rows are
+    /// `MEDIUM_MIN ..= long_min - 1` elements, chains shorter); and rows
+    /// that cross the chain/medium split back and forth.
     #[test]
     fn issr_deferral_transitions() {
         fn cases<I: KernelIndex>() {
             let n = usize::from(issr_accumulators(I::IDX_SIZE));
+            let m = usize::from(MEDIUM_MIN);
             let (l, l2) = (usize::from(LONG_ROW_GROUPS) * n, 5 * n + 3);
-            let table: [(&str, Vec<usize>); 9] = [
+            let table: [(&str, Vec<usize>); 10] = [
                 ("single long row", vec![l2]),
                 ("long to long, last row in bank A", vec![l, l2 + 1, l]),
                 ("long to long, last row in bank B", vec![l2, l, l2 + n - 1, l]),
                 ("flushes to short and empty rows", vec![l, 1, l, l2, 2, l, 0, l2, l, 0, 3]),
                 ("rows of exactly n_acc", vec![n, n, l, n, l, l2, n, n]),
                 ("long rows around empty ones", vec![0, l2, 0, 0, l, l, 0]),
-                ("medium, chain, medium", vec![2 * n, n - 1, n + 1, 1, l - 1, 2, n]),
-                ("chain, medium, long, medium", vec![3, n + 3, l, 2 * n + 1, l2, l - 1, n - 1]),
-                ("empty rows between medium rows", vec![n + 2, 0, 0, l - 1, 0, n, 0, 2 * n]),
+                ("medium, chain, medium", vec![2 * n, m - 1, m + 1, 1, l - 1, 2, m]),
+                ("chain, medium, long, medium", vec![3, m + 3, l, 2 * n + 1, l2, l - 1, m - 1]),
+                ("empty rows between medium rows", vec![m + 2, 0, 0, l - 1, 0, m, 0, 2 * n]),
+                ("across the chain/medium split", vec![5, 6, 5, 7, 4, 6, 0, 6, l - 1, 5]),
             ];
             for (case, lengths) in table {
                 check_rows::<I>(&lengths, case);
@@ -526,6 +532,26 @@ mod tests {
         let x = gen::dense_vector(&mut rng, 2048);
         let cycles = run_csrmv(Variant::Issr, &m, &x).unwrap().summary.metrics.roi.cycles;
         assert!(cycles <= 64 * (320 + 4), "{cycles} cycles for 64 rows of 256");
+    }
+
+    /// Rows of six and seven take the medium path: ISSR-16 rows of six
+    /// or seven elements cost no more than rows of eight (Fig. 4b's
+    /// generator; a dependent chain costs 27 and 31 cycles a row, the
+    /// medium path 22).
+    #[test]
+    fn issr16_rows_of_six_and_seven_cost_no_more_than_rows_of_eight() {
+        let cycles = |row_nnz: usize| {
+            let mut rng = gen::rng(0x000F_164B + row_nnz as u64);
+            let m = gen::csr_fixed_row_nnz::<u32>(&mut rng, 64, 2048, row_nnz);
+            let x = gen::dense_vector(&mut rng, 2048);
+            let m16 = m.with_index_width::<u16>();
+            run_csrmv(Variant::Issr, &m16, &x).unwrap().summary.metrics.roi.cycles
+        };
+        let eight = cycles(8);
+        for row_nnz in [6, 7] {
+            let c = cycles(row_nnz);
+            assert!(c <= eight, "{c} cycles for 64 rows of {row_nnz}, {eight} for rows of 8");
+        }
     }
 
     /// Medium rows reduce in place over the medium group, one `fadd`

@@ -9,8 +9,13 @@
 
 use crate::fiber::FormatError;
 use crate::index::IndexValue;
+use std::sync::Arc;
 
 /// A CSR matrix with `I`-width column indices.
+///
+/// The row pointers and values are shared (nothing mutates them after
+/// construction), so [`Self::with_index_width`] and `clone` copy only
+/// the index array.
 ///
 /// # Examples
 /// ```
@@ -24,9 +29,9 @@ use crate::index::IndexValue;
 pub struct CsrMatrix<I> {
     nrows: usize,
     ncols: usize,
-    ptr: Vec<u32>,
+    ptr: Arc<Vec<u32>>,
     idcs: Vec<I>,
-    vals: Vec<f64>,
+    vals: Arc<Vec<f64>>,
 }
 
 impl<I: IndexValue> CsrMatrix<I> {
@@ -42,7 +47,7 @@ impl<I: IndexValue> CsrMatrix<I> {
         idcs: Vec<I>,
         vals: Vec<f64>,
     ) -> Result<Self, FormatError> {
-        let m = Self { nrows, ncols, ptr, idcs, vals };
+        let m = Self { nrows, ncols, ptr: Arc::new(ptr), idcs, vals: Arc::new(vals) };
         m.validate()?;
         Ok(m)
     }
@@ -108,7 +113,7 @@ impl<I: IndexValue> CsrMatrix<I> {
             }
             ptr.push(u32::try_from(idcs.len()).expect("nonzero count fits 32-bit row pointers"));
         }
-        let m = Self { nrows, ncols, ptr, idcs, vals };
+        let m = Self { nrows, ncols, ptr: Arc::new(ptr), idcs, vals: Arc::new(vals) };
         debug_assert!(m.validate().is_ok());
         m
     }
@@ -224,15 +229,15 @@ impl<I: IndexValue> CsrMatrix<I> {
         CsrMatrix::from_triplets(self.ncols, self.nrows, &triplets)
     }
 
-    /// Converts the index width.
+    /// Converts the index width, sharing the row pointers and values.
     #[must_use]
     pub fn with_index_width<J: IndexValue>(&self) -> CsrMatrix<J> {
         CsrMatrix {
             nrows: self.nrows,
             ncols: self.ncols,
-            ptr: self.ptr.clone(),
+            ptr: Arc::clone(&self.ptr),
             idcs: self.idcs.iter().map(|&i| J::from_usize(i.to_usize())).collect(),
-            vals: self.vals.clone(),
+            vals: Arc::clone(&self.vals),
         }
     }
 }

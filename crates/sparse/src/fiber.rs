@@ -2,11 +2,14 @@
 //! the ISSR accelerates (§III-A).
 
 use crate::index::IndexValue;
+use std::sync::Arc;
 
 /// A sparse fiber: nonzero values plus their positions along one axis.
 ///
 /// This directly represents a sparse vector and is the building block of
-/// CSR/CSC matrices and CSF tensors.
+/// CSR/CSC matrices and CSF tensors. The values are shared (nothing
+/// mutates them after construction), so [`Self::with_index_width`]
+/// copies only the index array.
 ///
 /// # Examples
 /// ```
@@ -20,7 +23,7 @@ use crate::index::IndexValue;
 pub struct SparseFiber<I> {
     dim: usize,
     idcs: Vec<I>,
-    vals: Vec<f64>,
+    vals: Arc<Vec<f64>>,
 }
 
 /// Error constructing a sparse structure.
@@ -72,7 +75,7 @@ impl<I: IndexValue> SparseFiber<I> {
                 return Err(FormatError::IndexOutOfRange { index: i.to_usize(), dim });
             }
         }
-        Ok(Self { dim, idcs, vals })
+        Ok(Self { dim, idcs, vals: Arc::new(vals) })
     }
 
     /// Axis dimension.
@@ -114,13 +117,13 @@ impl<I: IndexValue> SparseFiber<I> {
         out
     }
 
-    /// Converts the index width.
+    /// Converts the index width, sharing the values.
     #[must_use]
     pub fn with_index_width<J: IndexValue>(&self) -> SparseFiber<J> {
         SparseFiber {
             dim: self.dim,
             idcs: self.idcs.iter().map(|&i| J::from_usize(i.to_usize())).collect(),
-            vals: self.vals.clone(),
+            vals: Arc::clone(&self.vals),
         }
     }
 }
