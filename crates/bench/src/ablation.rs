@@ -1,7 +1,8 @@
 //! Ablation studies of three design choices: worker-count scaling of the
 //! cluster CsrMV, the contribution of the instruction-cache model, and
-//! the single-CC CsrMV's cost per row at every short row length (where
-//! the ISSR row loop switches between its chain and medium paths).
+//! the CsrMV's cost per row at every short row length (where the ISSR
+//! row loop switches between its chain and medium paths), on one CC and
+//! on the cluster.
 //! `--bin ablation` prints them and commits them as
 //! `baselines/BENCH_ablation.json`, so every length is gated exactly.
 
@@ -84,14 +85,20 @@ pub fn ablation() -> BenchOutput {
     t.push("verdict", verdict.to_json());
 
     // Cycles per row at each short row length: the ISSR chain, medium
-    // and long paths split at fixed lengths, so one length at a time.
+    // and long paths split at fixed lengths, so one length at a time. The
+    // cluster column runs Fig. 4c's generator and shape (512x2048, eight
+    // workers): whole-run cycles per row of one worker.
     let mut rows = Table::new(&[
         ("row_nnz", "nnz/row", Fmt::Plain),
         ("base", "BASE", Fmt::Fixed(2)),
         ("issr16", "ISSR-16", Fmt::Fixed(2)),
         ("issr32", "ISSR-32", Fmt::Fixed(2)),
+        ("issr16_cluster", "ISSR-16 cluster", Fmt::Fixed(2)),
     ]);
     let (nrows, ncols) = (64, 2048);
+    let cluster = ClusterParams::default();
+    let (cluster_rows, cluster_cols) = (512, 2048);
+    let worker_rows = (cluster_rows / cluster.n_workers) as f64;
     for row_nnz in 1..=12 {
         let mut rng = gen::rng(0x000F_164B + row_nnz as u64);
         let m32 = gen::csr_fixed_row_nnz::<u32>(&mut rng, nrows, ncols, row_nnz);
@@ -100,15 +107,23 @@ pub fn ablation() -> BenchOutput {
         let per_row = |cycles: u64| cycles as f64 / nrows as f64;
         let run32 = |v| per_row(run_csrmv(v, &m32, &x).expect("run").summary.metrics.roi.cycles);
         let issr16 = run_csrmv(Variant::Issr, &m16, &x).expect("issr16 run");
+        let mut rng = gen::rng(0x000F_164C + row_nnz as u64);
+        let spread = (row_nnz * 4).clamp(16, cluster_cols);
+        let mc = gen::csr_clustered::<u16>(&mut rng, cluster_rows, cluster_cols, row_nnz, spread);
+        let xc = gen::dense_vector(&mut rng, cluster_cols);
+        let run = run_cluster_csrmv_with(Variant::Issr, &mc, &xc, cluster).expect("cluster run");
         rows.push(vec![
             row_nnz.into(),
             run32(Variant::Base).into(),
             per_row(issr16.summary.metrics.roi.cycles).into(),
             run32(Variant::Issr).into(),
+            (run.summary.cycles as f64 / worker_rows).into(),
         ]);
     }
     markdown.push_str(&format!(
-        "\nAblation 3 — CsrMV cycles per row by row length (one CC, {nrows}x{ncols})\n\n{}\n",
+        "\nAblation 3 — CsrMV cycles per row by row length (one CC, {nrows}x{ncols}; \
+         cluster, {cluster_rows}x{cluster_cols}, per row of one of {} workers)\n\n{}\n",
+        cluster.n_workers,
         rows.markdown()
     ));
     t.push("row_length", rows.json());

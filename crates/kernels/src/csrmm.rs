@@ -9,7 +9,7 @@
 //! paper's Ragusa18 edge case.
 
 use crate::common::FZ;
-use crate::csrmv::{emit_issr_row_loop, emit_sw_row_loop};
+use crate::csrmv::{emit_issr_row_bounds, emit_issr_row_loop, emit_sw_row_loop};
 use crate::harness::{self, OnTrap};
 use crate::layout::{alloc_result, place_csr, place_f64s, Arena, CsrAddrs};
 use crate::variant::{KernelIndex, Variant};
@@ -58,13 +58,11 @@ pub fn build_csrmm<I: KernelIndex>(variant: Variant, addrs: CsrmmAddrs) -> Progr
     asm.li_addr(R::A5, addrs.a.ptr + 4);
     asm.li(R::A6, i64::from(addrs.a.nrows));
     asm.li(R::S8, i64::from(addrs.y_stride) * 8);
-    asm.li_addr(
-        R::S7,
-        match variant {
-            Variant::Base => addrs.a.vals,
-            _ => addrs.a.idcs,
-        },
-    );
+    match variant {
+        Variant::Issr => emit_issr_row_bounds::<I>(&mut asm),
+        Variant::Ssr => asm.li_addr(R::S7, addrs.a.idcs),
+        Variant::Base => asm.li_addr(R::S7, addrs.a.vals),
+    }
     asm.roi_begin();
     let end = asm.new_label();
     if addrs.a.nrows == 0 || addrs.b_cols == 0 {
@@ -107,7 +105,9 @@ pub fn build_csrmm<I: KernelIndex>(variant: Variant, addrs: CsrmmAddrs) -> Progr
     asm.li(R::S3, 0);
     asm.mv(R::S4, R::A4);
     asm.mv(R::S5, R::A3);
-    asm.mv(R::S6, R::A1);
+    if variant != Variant::Issr {
+        asm.mv(R::S6, R::A1);
+    }
     if addrs.a.nnz > 0 {
         match variant {
             Variant::Issr => {

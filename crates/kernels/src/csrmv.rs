@@ -28,9 +28,14 @@
 //! Short and medium rows run from a compact block of four
 //! instruction-cache lines ([`Assembler::align`]), so that a cluster
 //! worker's L0 holds both paths at once. The medium path keeps the
-//! slots of an exact-group test and of the full group's tree as padding
-//! ([`Assembler::pad`]), so the block's other addresses do not depend
-//! on the medium group.
+//! slots of the full group's longer tree as padding ([`Assembler::pad`]),
+//! so the block's other addresses do not depend on the medium group.
+//! The block runs a row ahead: each row loads the next row's end while
+//! its own products drain, so a row's `ptr` load is off its dependent
+//! chain, and `s3` holds the row start plus one, so one `sub` yields
+//! the count less one that the chain's FREP and the unsigned length
+//! tests against the invariants `s6`/`s7` read. A one-element row
+//! issues 12 integer-pipeline instructions, a medium one 20.
 //!
 //! The row loop's register contract, shared with CsrMM (`csrmm.rs`,
 //! which wraps it in a dense-column loop with register-held bases) and
@@ -73,14 +78,14 @@ pub fn build_csrmv<I: KernelIndex>(variant: Variant, addrs: CsrmvAddrs) -> Progr
     asm.li(R::S3, 0);
     asm.li_addr(R::S4, addrs.a.idcs);
     asm.li_addr(R::S5, addrs.a.vals);
-    asm.li_addr(R::S6, addrs.x);
-    asm.li_addr(
-        R::S7,
-        match variant {
-            Variant::Base => addrs.a.vals,
-            _ => addrs.a.idcs,
-        },
-    );
+    match variant {
+        Variant::Issr => emit_issr_row_bounds::<I>(&mut asm),
+        Variant::Ssr | Variant::Base => {
+            asm.li_addr(R::S6, addrs.x);
+            let ends = if variant == Variant::Base { addrs.a.vals } else { addrs.a.idcs };
+            asm.li_addr(R::S7, ends);
+        }
+    }
     asm.li(R::S8, 8);
     asm.roi_begin();
     if addrs.a.nrows > 0 {
@@ -131,11 +136,11 @@ pub fn build_csrmv<I: KernelIndex>(variant: Variant, addrs: CsrmvAddrs) -> Progr
 /// | `s0` | `&ptr[i+1]` cursor |
 /// | `s1` | `&y[i]` cursor |
 /// | `s2` | rows remaining |
-/// | `s3` | `ptr[i]` (previous row end) |
+/// | `s3` | `ptr[i]` (previous row end; `ptr[i] + 1` in the ISSR compact block) |
 /// | `s4` | index-array cursor (BASE/SSR) |
 /// | `s5` | value-array cursor (BASE) |
-/// | `s6` | dense base for software indirection (BASE/SSR) |
-/// | `s7` | index/value array base for row-end computation |
+/// | `s6` | dense base for software indirection (BASE/SSR); medium-row span (ISSR) |
+/// | `s7` | index/value array base for row-end computation (BASE/SSR); chain bound (ISSR) |
 /// | `s8` | result stride in bytes (y cursor bump) |
 /// | `t0..t5` | scratch |
 /// | `t6` | `y` address of the row whose reduction is deferred (ISSR) |
@@ -199,8 +204,9 @@ const ACC_B: FpReg = FpReg::FA0;
 /// The `y` address of the row whose reduction is deferred.
 const Y_PENDING: R = R::T6;
 
-/// Emits the row head shared by every state: `t5 = ptr[i+1]`,
-/// `t1 = count`.
+/// Emits the row head of the entry and of the deferred heads:
+/// `t5 = ptr[i+1]`, `t1 = count` (the compact block loads a row ahead
+/// instead).
 fn emit_row_count(asm: &mut Assembler) {
     asm.lw(R::T5, R::S0, 0); // ptr[i+1]
     asm.addi(R::S0, R::S0, 4);
@@ -259,10 +265,13 @@ fn emit_head_over_reduction(asm: &mut Assembler, bank: FpReg, pending: FpReg, n_
 const LONG_ROW_GROUPS: u8 = 3;
 
 /// The shortest medium row, in both index widths; shorter rows run as
-/// one dependent chain. Measured one length at a time: with 16-bit
-/// indices a row of six or seven elements costs the chain 27 and 31
-/// cycles and the medium path 22, while rows of four and five cost the
-/// chain no more than the medium path (Ablation 3 of `--bin ablation`).
+/// one dependent chain. Measured one length at a time (Ablation 3 of
+/// `--bin ablation`): with 16-bit indices a row of six or seven elements
+/// costs the chain 27 and 31 cycles and the medium path 20.5, a row of
+/// four the chain 19.4. A row of five costs the chain 23.4 and would
+/// cost the medium path 20.5, but its three reduction `fadd`s raise the
+/// ISSR energy per fmadd of Fig. 4d's matrices with many such rows
+/// (rdb2048, mhd3200b) by about 14 %, so it stays on the chain.
 const MEDIUM_MIN: u8 = 6;
 
 /// Accumulators of a medium row ([`MEDIUM_MIN`] `..= long_min - 1`
@@ -277,16 +286,43 @@ fn medium_accumulators(n_acc: u8) -> u8 {
     u8::try_from(group).expect("no larger than n_acc")
 }
 
+/// `s7`: the chain's bound on `count - 1`, one below [`MEDIUM_MIN`].
+const CHAIN_BOUND: R = R::S7;
+/// `s6`: the medium path's span, `long_min - group - 1`, the bound on
+/// `count - group - 1` of a medium row over a `group` of accumulators.
+const MEDIUM_SPAN: R = R::S6;
+
+/// Emits the two loop invariants the ISSR row loop's compact block
+/// compares against (`s6`, `s7`); both fit one `addi`.
+pub(crate) fn emit_issr_row_bounds<I: KernelIndex>(asm: &mut Assembler) {
+    let n_acc = issr_accumulators(I::IDX_SIZE);
+    let group = medium_accumulators(n_acc);
+    asm.li(MEDIUM_SPAN, i64::from(LONG_ROW_GROUPS * n_acc - group - 1));
+    asm.li(CHAIN_BOUND, i64::from(MEDIUM_MIN) - 1);
+}
+
+/// The word the ISSR row loop reads past a row window that ends at row
+/// `end` of the row pointers at `ptr`: the compact block loads each
+/// row's end a row ahead, so the last row of a loop entry loads
+/// `ptr[end + 1]` and drops it. Plans assert that the word is data they
+/// laid out (`csr_addrs`, `ClusterCsrmvPlan::new`).
+pub(crate) fn ptr_over_read(ptr: u32, end: u32) -> u32 {
+    ptr + 4 * (end + 1)
+}
+
 /// Emits the pipelined ISSR row loop (see the module doc): the entry
 /// head and bank A's long path, the two deferred heads, their last-row
-/// and flush tails, then the aligned compact block.
+/// and flush tails, then the aligned compact block. The compact block
+/// compares against the invariants of [`emit_issr_row_bounds`], which
+/// the caller emits once before the loop.
 pub(crate) fn emit_issr_row_loop<I: KernelIndex>(asm: &mut Assembler) {
     let n_acc = issr_accumulators(I::IDX_SIZE);
     let long_min = LONG_ROW_GROUPS * n_acc;
     let banks = [ACC0, ACC_B];
     let exit = asm.new_label();
     let classify = asm.new_label();
-    let medium = asm.new_label();
+    let other = asm.new_label();
+    let rare = asm.new_label();
     let row_done = asm.new_label();
     let lasts = [asm.new_label(), asm.new_label()];
     let pends = [asm.new_label(), asm.new_label()];
@@ -343,43 +379,57 @@ pub(crate) fn emit_issr_row_loop<I: KernelIndex>(asm: &mut Assembler) {
     }
 
     // The compact block, four L0 lines: every row short of `long_min`
-    // runs inside it, whatever the mix of lengths.
+    // runs inside it, whatever the mix of lengths. It runs a row ahead:
+    // a row's end `t5` was loaded by the row before, and `s3` holds the
+    // row's start plus one, so `t3` = end - `s3` is the count less one.
     asm.align(ICacheParams::default().line_bytes);
-    // MEDIUM_MIN ..= long_min - 1 elements: head, FREP, reduction in
-    // place, over the medium group (`t2` = count - MEDIUM_MIN on entry).
-    asm.bind(medium);
-    asm.addi(R::T3, R::T1, -i32::from(long_min));
-    asm.bge(R::T3, R::ZERO, long_n);
+    asm.symbol("issr_compact");
+    // No element, or at least MEDIUM_MIN: `t2` = count - group - 1 is
+    // below the medium span for a medium row (chain rows, the only ones
+    // shorter than MEDIUM_MIN but longer than the group, never get here).
+    asm.bind(other);
     let group = medium_accumulators(n_acc);
     assert!(group < MEDIUM_MIN && MEDIUM_MIN < long_min, "medium rows outgrow the group");
+    asm.addi(R::T2, R::T3, -i32::from(group));
+    asm.bgeu(R::T2, MEDIUM_SPAN, rare);
+    // MEDIUM_MIN ..= long_min - 1 elements: head, FREP, reduction in
+    // place, over the medium group.
     emit_frep_head(asm, ACC0, group);
-    // Every medium row is longer than the group: no empty body.
-    asm.addi(R::T2, R::T2, i32::from(MEDIUM_MIN - group) - 1);
     emit_frep_body(asm, ACC0, group);
     emit_reduction_tree(asm, ACC0, group);
     asm.j(row_done);
-    // The slots an exact-group test and the full group's longer tree
-    // (n - 1 `fadd`s over n registers) would take stay, so the code
-    // behind keeps its L0 lines.
-    asm.pad(usize::from(n_acc - group) + 1);
-    let head_c = asm.bind_label();
-    emit_row_count(asm);
-    asm.bind(classify);
-    asm.addi(R::T2, R::T1, -i32::from(MEDIUM_MIN));
-    asm.bge(R::T2, R::ZERO, medium);
-    // 0 ..= MEDIUM_MIN - 1 elements: one dependent chain.
+    // The slots the full group's longer tree (n - 1 `fadd`s over n
+    // registers) would take stay, so the code behind keeps its L0 lines.
+    asm.pad(usize::from(n_acc - group));
+    // A long row goes to the long path with its count in `t1` (the long
+    // path does not read `s3`); an empty one stores zero.
+    asm.bind(rare);
+    asm.addi(R::T1, R::T3, 1);
+    asm.bge(R::T2, R::ZERO, long_n);
     asm.fmv_d(ACC0, FZ);
-    asm.beqz(R::T1, row_done);
-    asm.addi(R::T3, R::T1, -1);
+    asm.j(row_done);
+    // From the long path: bias the row start.
+    asm.bind(classify);
+    asm.addi(R::S3, R::S3, 1);
+    // 1 ..= MEDIUM_MIN - 1 elements: one dependent chain.
+    let head = asm.bind_label();
+    asm.sub(R::T3, R::T5, R::S3);
+    asm.bgeu(R::T3, CHAIN_BOUND, other);
+    asm.fmv_d(ACC0, FZ);
     asm.frep_outer(R::T3, 1, Stagger::NONE);
     asm.fmadd_d(ACC0, FpReg::FT0, FpReg::FT1, ACC0);
     asm.bind(row_done);
     asm.fsd(ACC0, R::S1, 0);
-    asm.mv(R::S3, R::T5);
+    // The next row's end, loaded a row ahead: the last row reads the
+    // word after its window ([`ptr_over_read`]).
+    asm.addi(R::S3, R::T5, 1);
+    asm.lw(R::T5, R::S0, 0);
+    asm.addi(R::S0, R::S0, 4);
     asm.add(R::S1, R::S1, R::S8);
     asm.addi(R::S2, R::S2, -1);
-    asm.bnez(R::S2, head_c);
+    asm.bnez(R::S2, head);
     asm.bind(exit);
+    asm.symbol("issr_row_end");
 }
 
 /// Result of one CsrMV run on the single-CC harness.
@@ -521,6 +571,56 @@ mod tests {
         cases::<u32>();
     }
 
+    /// The last row reads the word after the row pointers and drops it.
+    /// With an even pointer count (63 rows) there is no padding word: the
+    /// read lands on the first value, the next region of the layout, and
+    /// the result is still the oracle's, in both widths.
+    #[test]
+    fn the_read_past_the_row_pointers_lands_on_the_values() {
+        fn check<I: KernelIndex>() {
+            let mut rng = gen::rng(0x0E4C);
+            let m = gen::csr_uniform::<I>(&mut rng, 63, 128, 300);
+            let x = gen::dense_vector(&mut rng, 128);
+            let (sim, addrs, _) = harness::single_cc(
+                CcParams::paper(),
+                OnTrap::Panic,
+                |arena, mem| place_csrmv(arena, mem, &m, &x),
+                |addrs| build_csrmv::<I>(Variant::Issr, addrs),
+                200_000,
+            )
+            .unwrap();
+            assert_eq!(ptr_over_read(addrs.a.ptr, addrs.a.nrows), addrs.a.vals);
+            let y = sim.mem.array().load_f64_slice(addrs.y, m.nrows());
+            assert!(allclose(&y, &reference::csrmv(&m, &x), 1e-12, 1e-12), "{} B", I::BYTES);
+        }
+        check::<u16>();
+        check::<u32>();
+    }
+
+    /// Every kernel that runs the ISSR row loop lays its compact block
+    /// out on whole L0 lines: it starts on a line and ends in the L0's
+    /// last line, so a worker's L0 holds the whole block (one slot more
+    /// and the block spills into a fifth line and moves all code behind).
+    #[test]
+    fn the_compact_block_fills_the_l0_exactly() {
+        let icache = ICacheParams::default();
+        let per_line = (icache.line_bytes / 4) as usize;
+        let kernels = ["csrmv", "csrmm", "cluster_csrmv", "system_csrmv"];
+        let mut checked = 0;
+        for e in crate::catalog::catalog() {
+            let (kernel, rest) = e.name.split_once('/').unwrap();
+            if !(kernels.contains(&kernel) && rest.starts_with("issr/")) {
+                continue;
+            }
+            let start = e.program.symbol("issr_compact").expect("the ISSR row loop");
+            let len = e.program.symbol("issr_row_end").unwrap() - start;
+            assert_eq!(start % per_line, 0, "{}: block at slot {start}", e.name);
+            assert_eq!(len.div_ceil(per_line), icache.l0_lines, "{}: {len} slots", e.name);
+            checked += 1;
+        }
+        assert_eq!(checked, 2 * kernels.len(), "both index widths of each kernel");
+    }
+
     /// Long rows cost the ISSR-16 kernel at most four cycles each above
     /// the index port's floor of 1.25 cycles per element (Fig. 4b's
     /// 256 nnz/row point): the deferred reduction hides under the next
@@ -537,7 +637,7 @@ mod tests {
     /// Rows of six and seven take the medium path: ISSR-16 rows of six
     /// or seven elements cost no more than rows of eight (Fig. 4b's
     /// generator; a dependent chain costs 27 and 31 cycles a row, the
-    /// medium path 22).
+    /// medium path 20.5).
     #[test]
     fn issr16_rows_of_six_and_seven_cost_no_more_than_rows_of_eight() {
         let cycles = |row_nnz: usize| {

@@ -113,7 +113,8 @@ impl FlagArea {
 
     // ---- worker side ----
 
-    /// Spins until `meta` is raised. Clobbers `t0`, `t1`.
+    /// Spins until `meta` is raised; leaves `t0` = `TCDM_BASE` (the
+    /// address of `meta`). Clobbers `t1`.
     pub(crate) fn emit_wait_meta(self, asm: &mut Assembler) {
         asm.li_addr(R::T0, META);
         let spin = asm.bind_label();
@@ -121,11 +122,11 @@ impl FlagArea {
         asm.beqz(R::T1, spin);
     }
 
-    /// Emits `dst = &done[a7]` (`a7` holds the hart id). Clobbers `t0`.
+    /// Emits `dst = &done[a7]` (`a7` holds the hart id). Clobbers `t1`.
     pub(crate) fn emit_done_slot(self, asm: &mut Assembler, dst: R) {
         asm.li_addr(dst, self.done);
-        asm.slli(R::T0, R::A7, 3);
-        asm.add(dst, dst, R::T0);
+        asm.slli(R::T1, R::A7, 3);
+        asm.add(dst, dst, R::T1);
     }
 
     /// Emits `t0 = &done[a7]` and `t6 = done[a7]`, the number of tiles

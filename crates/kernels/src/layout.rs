@@ -118,6 +118,10 @@ pub struct CsrAddrs {
 pub fn csr_addrs<I: KernelIndex>(arena: &mut Arena, nrows: u32, nnz: u32) -> CsrAddrs {
     let ptr = arena.alloc(((nrows + 1) * 4 + 7) & !7, 8);
     let vals = arena.alloc(nnz.max(1) * 8, 8);
+    // The ISSR row loop's read past the last row pointer lands in the
+    // padding word or in `vals[0]`, the matrix's own data.
+    let over_read = crate::csrmv::ptr_over_read(ptr, nrows);
+    assert!(over_read + 4 <= vals + 8, "the read past ptr[{nrows}] leaves the matrix");
     let idcs = alloc_indices::<I>(arena, nnz);
     CsrAddrs { ptr, idcs, vals, nrows, nnz }
 }

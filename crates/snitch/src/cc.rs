@@ -97,6 +97,13 @@ impl CoreComplex {
         self.l0 = Some(l0);
     }
 
+    /// The L0 instruction buffer and its hit and miss counts, if one is
+    /// installed.
+    #[must_use]
+    pub fn l0(&self) -> Option<&L0Buffer> {
+        self.l0.as_ref()
+    }
+
     /// The loaded program.
     #[must_use]
     pub fn program(&self) -> &Program {
@@ -543,6 +550,52 @@ mod tests {
         // both take 3 cycles per iteration.
         assert_eq!(dependent, padded, "dependent {dependent} vs padded {padded}");
         assert_eq!(padded, 32 * 3 + 1);
+    }
+
+    /// A write to a register that a load still fills waits for the load
+    /// (WAW): the later write is the one that stays, for every kind of
+    /// instruction that writes an integer register.
+    #[test]
+    fn a_register_write_waits_for_a_load_in_flight_to_it() {
+        let addr = SINGLE_CC_ARENA;
+        // Loads 99 into `t5`, lets `write` overwrite it at once, stores
+        // `t5`: the stored word must be the one `write` says it wrote.
+        let check = |name: &str, write: fn(&mut Assembler) -> u32| {
+            let mut a = Assembler::new();
+            a.li_addr(R::A0, addr);
+            a.li(R::A1, 7);
+            a.li(R::T0, 99);
+            a.sw(R::T0, R::A0, 0);
+            a.lw(R::T5, R::A0, 0);
+            let written = write(&mut a);
+            a.sw(R::T5, R::A0, 8);
+            a.halt();
+            let mut sim = SingleCcSim::new(a.finish().unwrap());
+            sim.run(1000).unwrap();
+            assert_eq!(sim.mem.array().load_u32(addr + 8), written, "`{name}` after `lw`");
+        };
+        check("addi", |a| {
+            a.addi(R::T5, R::ZERO, 7);
+            7
+        });
+        check("lui", |a| {
+            a.lui(R::T5, 0x7000);
+            0x7000
+        });
+        check("add", |a| {
+            a.add(R::T5, R::ZERO, R::A1);
+            7
+        });
+        check("csrr", |a| {
+            a.csrr(R::T5, issr_isa::Csr::MHartId);
+            0
+        });
+        check("jal", |a| {
+            let next = a.new_label();
+            a.jal(R::T5, next);
+            a.bind(next);
+            a.here() as u32 * 4
+        });
     }
 
     #[test]

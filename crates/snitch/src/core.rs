@@ -374,19 +374,31 @@ impl SnitchCore {
             }
         };
         let mut next_pc = self.pc.wrapping_add(4);
+        // Every instruction that writes an integer register waits until
+        // no load or multi-cycle result is still in flight to it: that
+        // write-back would otherwise land after this one (WAW).
         match instr {
             Instr::Lui { rd, imm } => {
+                if !self.ready(rd) {
+                    return stall_raw(metrics);
+                }
                 self.write(rd, imm);
             }
             Instr::Auipc { rd, imm } => {
+                if !self.ready(rd) {
+                    return stall_raw(metrics);
+                }
                 self.write(rd, self.pc.wrapping_add(imm));
             }
             Instr::Jal { rd, offset } => {
+                if !self.ready(rd) {
+                    return stall_raw(metrics);
+                }
                 self.write(rd, self.pc.wrapping_add(4));
                 next_pc = self.pc.wrapping_add(offset as u32);
             }
             Instr::Jalr { rd, rs1, offset } => {
-                if !self.ready(rs1) {
+                if !(self.ready(rs1) && self.ready(rd)) {
                     return stall_raw(metrics);
                 }
                 let target = self.read(rs1).wrapping_add(offset as u32) & !1;
@@ -455,7 +467,7 @@ impl SnitchCore {
                 }
             }
             Instr::OpImm { op, rd, rs1, imm } => {
-                if !self.ready(rs1) {
+                if !(self.ready(rs1) && self.ready(rd)) {
                     return stall_raw(metrics);
                 }
                 self.write(rd, op.eval(self.read(rs1), imm));
@@ -480,7 +492,7 @@ impl SnitchCore {
                 }
             }
             Instr::CsrR { op, rd, rs1, csr } => {
-                if !self.ready(rs1) {
+                if !(self.ready(rs1) && self.ready(rd)) {
                     return stall_raw(metrics);
                 }
                 if !self.csr_access(now, csr, op, self.read(rs1), rd, fpu, streamer, metrics) {
@@ -488,6 +500,9 @@ impl SnitchCore {
                 }
             }
             Instr::CsrI { op, rd, uimm, csr } => {
+                if !self.ready(rd) {
+                    return stall_raw(metrics);
+                }
                 if !self.csr_access(now, csr, op, u32::from(uimm), rd, fpu, streamer, metrics) {
                     return;
                 }
@@ -506,13 +521,18 @@ impl SnitchCore {
                     }
                 }
             }
-            Instr::Scfgri { rd, addr } => match streamer.cfg_read(addr) {
-                Ok(value) => self.write(rd, value),
-                Err(fault) => {
-                    self.take_trap(TrapCause::CfgFault(fault));
-                    return;
+            Instr::Scfgri { rd, addr } => {
+                if !self.ready(rd) {
+                    return stall_raw(metrics);
                 }
-            },
+                match streamer.cfg_read(addr) {
+                    Ok(value) => self.write(rd, value),
+                    Err(fault) => {
+                        self.take_trap(TrapCause::CfgFault(fault));
+                        return;
+                    }
+                }
+            }
             Instr::Frep { max_rpt, .. } => {
                 if !self.ready(max_rpt) {
                     return stall_raw(metrics);
@@ -528,14 +548,16 @@ impl SnitchCore {
             | Instr::DmRep { .. }
             | Instr::DmCpyI { .. }
             | Instr::DmStatI { .. } => {
-                let (rs1, rs2) = match instr {
+                let (rs1, rs2, rd) = match instr {
                     Instr::DmSrc { rs1, rs2 }
                     | Instr::DmDst { rs1, rs2 }
-                    | Instr::DmStr { rs1, rs2 } => (rs1, rs2),
-                    Instr::DmRep { rs1 } | Instr::DmCpyI { rs1, .. } => (rs1, IntReg::ZERO),
-                    _ => (IntReg::ZERO, IntReg::ZERO), // dmstati reads no register
+                    | Instr::DmStr { rs1, rs2 } => (rs1, rs2, IntReg::ZERO),
+                    Instr::DmRep { rs1 } => (rs1, IntReg::ZERO, IntReg::ZERO),
+                    Instr::DmCpyI { rd, rs1, .. } => (rs1, IntReg::ZERO, rd),
+                    Instr::DmStatI { rd, .. } => (IntReg::ZERO, IntReg::ZERO, rd),
+                    _ => unreachable!(),
                 };
-                if !(self.ready(rs1) && self.ready(rs2)) {
+                if !(self.ready(rs1) && self.ready(rs2) && self.ready(rd)) {
                     return stall_raw(metrics);
                 }
                 let Some(dma) = dma else {
