@@ -1,17 +1,30 @@
 //! Multicore cluster CsrMV (§IV-B).
 //!
 //! The paper's system-level experiment: all data starts in main memory;
-//! the DMCC double-buffers matrix blocks (values + indices) into the
-//! TCDM with the 512-bit DMA while eight workers process the previous
-//! block, rows statically distributed among them: each worker takes a
-//! contiguous `ceil(rows / workers)` of the block's rows. The planner
-//! cuts every block but the last to a multiple of the worker count
-//! whenever that many rows fit ([`ClusterCsrmvPlan::new`]), so in a full
-//! block every worker has the same number of rows. The dense vector, row
-//! pointers and block descriptors are DMAed once up front and stay
-//! resident; the result vector accumulates in the TCDM and is written
-//! back at the end. DMCC and workers hand the blocks over through the
-//! tile handshake of the crate-private `handshake` module.
+//! the DMCC double-buffers matrix blocks into the TCDM with the 512-bit
+//! DMA while eight workers process the previous block, rows statically
+//! distributed among them: each worker takes a contiguous
+//! `ceil(rows / workers)` of the block's rows. The planner cuts every
+//! block but the last to a multiple of the worker count whenever that
+//! many rows fit ([`ClusterCsrmvPlan::new`]), so in a full block every
+//! worker has the same number of rows.
+//!
+//! **What moves when.** The *meta transfer* carries the resident data
+//! once, up front: the dense vector, the row pointers and the block
+//! descriptors (the DMCC's copy sources and lengths). Each *block* moves
+//! in two transfers into buffer `seq & 1`: its values, and its index
+//! chunk behind the block's **slice table** — one 32-byte record per
+//! worker, which the planner derives on the host (row-pointer window,
+//! row count, `y` cursor, `ptr` of the first row, element count − 1 and
+//! both stream starts). A worker reads its record from
+//! the buffer it computes on, so it derives nothing per block, and the
+//! table costs the meta transfer nothing. Block 0 is known when the
+//! program is built: the DMCC queues its two transfers from immediates
+//! right behind the meta transfer and polls them after it raises `meta`,
+//! and the workers' invariant set-up runs while the meta transfer
+//! moves. The result vector accumulates in the TCDM and is written back
+//! at the end. DMCC and workers hand the blocks over through the tile
+//! handshake of the crate-private `handshake` module.
 
 use crate::common::FZ;
 use crate::csrmv::{emit_issr_row_bounds, emit_issr_row_loop, emit_sw_row_loop};
@@ -32,16 +45,46 @@ use issr_sparse::csr::CsrMatrix;
 pub const BUF_BYTES: u32 = 1 << 16;
 /// Bytes of each buffer reserved for matrix values.
 pub const VALS_CAP: u32 = 48 * 1024;
-/// Bytes of each buffer reserved for (word-aligned) index chunks.
+/// Bytes of each buffer reserved for the slice table and the
+/// (word-aligned) index chunk behind it.
 pub const IDX_CAP: u32 = BUF_BYTES - VALS_CAP;
 
+/// Bytes of one worker's record in a block's slice table.
+const SLICE_BYTES: u32 = 32;
+
+/// Bytes of a block's slice table for `n_workers`: whole multiples of
+/// the 32 banks' 256-byte period, so the index chunk behind it keeps the
+/// banks it had at the region's start.
+fn table_bytes(n_workers: u32) -> u32 {
+    (n_workers * SLICE_BYTES).next_multiple_of(256)
+}
+
 /// Nonzeros one buffer holds: values under [`VALS_CAP`], and indices
-/// under [`IDX_CAP`] with a word of slack for the 8-aligned chunk start.
-fn block_elems<I: KernelIndex>() -> u32 {
-    (VALS_CAP / 8).min((IDX_CAP - 8) / I::BYTES)
+/// under [`IDX_CAP`] less the slice table, with a word of slack for the
+/// 8-aligned chunk start.
+fn block_elems<I: KernelIndex>(table: u32) -> u32 {
+    (VALS_CAP / 8).min((IDX_CAP - table - 8) / I::BYTES)
 }
 
 const BUF_A: u32 = TCDM_BASE + TCDM_SIZE - 2 * BUF_BYTES;
+
+/// One worker's share of a block, derived by the planner: the
+/// contiguous `ceil(rows / workers)` rows at `hart · ceil(rows /
+/// workers)`, clamped to the block, and where their nonzeros stream
+/// from in buffer A (buffer B is [`BUF_BYTES`] higher).
+#[derive(Clone, Copy, Debug)]
+struct WorkerSlice {
+    row_start: u32,
+    /// Zero for a worker without rows in the block.
+    row_count: u32,
+    /// `ptr[row_start]`.
+    nnz_start: u32,
+    nnz: u32,
+    /// The first value's address in buffer A.
+    vals_at: u32,
+    /// The word holding the first index, in buffer A.
+    idcs_at: u32,
+}
 
 /// The planned layout of one cluster CsrMV run.
 #[derive(Clone, Debug)]
@@ -49,11 +92,15 @@ pub struct ClusterCsrmvPlan {
     /// The tile handshake's flags, laid out for the worker count.
     pub(crate) flags: FlagArea,
     pub(crate) nrows: u32,
-    /// The double-buffered row blocks.
+    /// The double-buffered row blocks. A block's index source is its
+    /// staged slice table and index chunk.
     pub(crate) blocks: Vec<Slice>,
+    /// Every block's slice table, `n_workers` records a block.
+    slices: Vec<WorkerSlice>,
+    /// Bytes of a block's slice table ([`table_bytes`]).
+    table: u32,
     // Main memory.
     main_vals: u32,
-    main_idcs: u32,
     pub(crate) main_meta: u32,
     pub(crate) main_y: u32,
     pub(crate) meta_bytes: u32,
@@ -68,7 +115,8 @@ pub struct ClusterCsrmvPlan {
 }
 
 impl ClusterCsrmvPlan {
-    /// Plans blocks and addresses for `m` on `n_workers` workers.
+    /// Plans blocks, slice tables and addresses for `m` on `n_workers`
+    /// workers.
     ///
     /// Each block takes as many whole rows as its buffer holds (greedy
     /// fill under the element capacity). Every block but the last is then
@@ -88,13 +136,15 @@ impl ClusterCsrmvPlan {
         assert!(n_workers > 0, "a cluster CsrMV needs at least one worker");
         let flags = FlagArea::csrmv(n_workers);
         let nrows = m.nrows() as u32;
-        let max_elems = block_elems::<I>();
-        // Main-memory layout: vals | idcs | meta [x | ptr | desc] | y.
+        let table = table_bytes(n_workers);
+        let max_elems = block_elems::<I>(table);
+        // Main-memory layout: vals | staged index chunks | meta [x | ptr |
+        // desc] | y.
         let mut main = crate::layout::Arena::new(MAIN_BASE, issr_mem::map::MAIN_SIZE);
         let nnz = m.nnz() as u32;
         let main_vals = main.alloc(nnz.max(1) * 8 + 8, 8);
-        let main_idcs = main.alloc((nnz.max(1) * I::BYTES + 15) & !7, 8);
         let mut blocks = Vec::new();
+        let mut slices = Vec::new();
         let ptr = m.ptr();
         let mut row = 0u32;
         while row < nrows {
@@ -111,10 +161,33 @@ impl ClusterCsrmvPlan {
                 ptr[end as usize] - nnz_start <= max_elems,
                 "row {row} alone exceeds the block capacity of {max_elems} nonzeros"
             );
-            let block = Slice::new::<I>(ptr, row..end, main_vals, main_idcs);
-            assert!(block.idcs_len <= IDX_CAP, "index chunk exceeds buffer");
+            // The index window is planned against an 8-aligned origin and
+            // staged behind the block's slice table below.
+            let block = Slice::new::<I>(ptr, row..end, main_vals, 0);
+            assert!(table + block.idcs_len <= IDX_CAP, "index chunk exceeds buffer");
+            let per_worker = block.row_count.div_ceil(n_workers);
+            for h in 0..n_workers {
+                let first = (h * per_worker).min(block.row_count);
+                let count = per_worker.min(block.row_count - first);
+                let start = ptr[(row + first) as usize];
+                slices.push(WorkerSlice {
+                    row_start: row + first,
+                    row_count: count,
+                    nnz_start: start,
+                    nnz: ptr[(row + first + count) as usize] - start,
+                    vals_at: BUF_A + 8 * (start - nnz_start),
+                    idcs_at: BUF_A + VALS_CAP + table + start * I::BYTES - block.idcs_src,
+                });
+            }
             blocks.push(block);
             row = end;
+        }
+        let stage_bytes = blocks.iter().map(|b| table + b.idcs_len).sum::<u32>();
+        let mut stage = main.alloc(stage_bytes.max(8), 8);
+        for b in &mut blocks {
+            b.idcs_src = stage;
+            b.idcs_len += table;
+            stage += b.idcs_len;
         }
         let x_bytes = m.ncols() as u32 * 8;
         let ptr_bytes = ((nrows + 1) * 4 + 7) & !7;
@@ -140,8 +213,9 @@ impl ClusterCsrmvPlan {
             flags,
             nrows,
             blocks,
+            slices,
+            table,
             main_vals,
-            main_idcs,
             main_meta,
             main_y,
             meta_bytes,
@@ -159,6 +233,34 @@ impl ClusterCsrmvPlan {
         self.blocks.len()
     }
 
+    /// The slice table of block `b`, one record per worker (module
+    /// docs): `&ptr[start + 1]`, row count, `&y[start]`, `ptr[start]`,
+    /// element count − 1, the value and index stream starts in buffer A,
+    /// and a pad word. A worker without rows reads an all-zero record.
+    fn slice_table(&self, b: usize) -> Vec<u32> {
+        let n = self.flags.n_workers as usize;
+        let mut words = Vec::with_capacity((self.table / 4) as usize);
+        for s in &self.slices[b * n..(b + 1) * n] {
+            let record = if s.row_count == 0 {
+                [0; 8]
+            } else {
+                [
+                    self.tcdm_ptr + 4 * (s.row_start + 1),
+                    s.row_count,
+                    self.tcdm_y + 8 * s.row_start,
+                    s.nnz_start,
+                    s.nnz.wrapping_sub(1),
+                    s.vals_at,
+                    s.idcs_at,
+                    0,
+                ]
+            };
+            words.extend(record);
+        }
+        words.resize((self.table / 4) as usize, 0);
+        words
+    }
+
     /// Writes the workload into cluster main memory.
     pub fn marshal<I: KernelIndex>(&self, cluster: &mut Cluster, m: &CsrMatrix<I>, x: &[f64]) {
         self.marshal_into(cluster.main.array_mut(), m, x);
@@ -173,7 +275,14 @@ impl ClusterCsrmvPlan {
         x: &[f64],
     ) {
         mem.store_f64_slice(self.main_vals, m.vals());
-        I::store_slice(mem, self.main_idcs, m.idcs());
+        // Each block's index source: its slice table, then the 8-aligned
+        // window of the index array that covers its nonzeros.
+        for (i, b) in self.blocks.iter().enumerate() {
+            mem.store_u32_slice(b.idcs_src, &self.slice_table(i));
+            let first = ((b.nnz_start * I::BYTES) & !7) / I::BYTES;
+            let last = (first + (b.idcs_len - self.table) / I::BYTES).min(m.nnz() as u32);
+            I::store_slice(mem, b.idcs_src + self.table, &m.idcs()[first as usize..last as usize]);
+        }
         // Meta block: x, ptr, descriptors — contiguous, DMAed in one go
         // to the TCDM, so staged at the TCDM layout's offsets.
         let staged = |tcdm: u32| self.main_meta + (tcdm - self.tcdm_x);
@@ -222,7 +331,6 @@ pub(crate) fn emit_worker<I: KernelIndex>(
     order: TileOrder,
 ) -> Label {
     let flags = plan.flags;
-    assert!(flags.n_workers.is_power_of_two(), "the static row split shifts by log2(workers)");
     assert!(
         matches!(variant, Variant::Base | Variant::Issr),
         "cluster and system CsrMV are evaluated for BASE and ISSR (paper Fig. 4c)"
@@ -233,29 +341,35 @@ pub(crate) fn emit_worker<I: KernelIndex>(
     asm.li(R::T0, i64::from(flags.n_workers));
     asm.beq(R::A7, R::T0, dmcc_entry);
     asm.symbol("worker");
-    flags.emit_wait_meta(asm);
-    // Static state: descriptor base, sequence counter, block count, y
-    // stride (the row loops advance `s1` by `s8`), done-flag slot.
-    asm.li_addr(R::S9, plan.tcdm_desc);
+    // Invariant set-up, ahead of the meta wait so that its cold lines
+    // fill while the meta transfer moves: sequence counter, block count,
+    // y stride (the row loops advance `s1` by `s8`), done slot, and
+    // `a5` = this worker's record in buffer A's slice table.
     asm.li(R::S10, 0);
     if order == TileOrder::Static {
         asm.li(R::S11, i64::from(nblocks));
     }
     asm.li(R::S8, 8);
     flags.emit_done_slot(asm, R::A6);
-    if variant == Variant::Issr {
-        // Invariant lane configuration: value stride (`s8`), index mode,
-        // x base (from the TCDM base `emit_wait_meta` left in `t0`); and
-        // the row loop's bounds.
-        asm.scfgwi(R::S8, cfg_addr(sreg::STRIDES[0], 0));
-        asm.li(R::T1, i64::from(idx_cfg_word(I::IDX_SIZE, 0)));
-        asm.scfgwi(R::T1, cfg_addr(sreg::IDX_CFG, 1));
-        asm.addi(R::T0, R::T0, i32::try_from(plan.tcdm_x - TCDM_BASE).expect("x sits low"));
-        asm.scfgwi(R::T0, cfg_addr(sreg::DATA_BASE, 1));
-        emit_issr_row_bounds::<I>(asm);
-        asm.csrsi(Csr::Ssr, 1);
-        asm.fcvt_d_w(FZ, R::ZERO);
+    asm.li_addr(R::A5, BUF_A + VALS_CAP);
+    asm.slli(R::T1, R::A7, SLICE_BYTES.trailing_zeros() as i32);
+    asm.add(R::A5, R::A5, R::T1);
+    match variant {
+        Variant::Issr => {
+            // Lane configuration: value stride (`s8`), index mode, x
+            // base; the row loop's bounds; streams on.
+            asm.scfgwi(R::S8, cfg_addr(sreg::STRIDES[0], 0));
+            asm.li(R::T1, i64::from(idx_cfg_word(I::IDX_SIZE, 0)));
+            asm.scfgwi(R::T1, cfg_addr(sreg::IDX_CFG, 1));
+            asm.li_addr(R::T0, plan.tcdm_x);
+            asm.scfgwi(R::T0, cfg_addr(sreg::DATA_BASE, 1));
+            emit_issr_row_bounds::<I>(asm);
+            asm.csrsi(Csr::Ssr, 1);
+            asm.fcvt_d_w(FZ, R::ZERO);
+        }
+        _ => asm.li_addr(R::S6, plan.tcdm_x), // the BASE gathers' x base
     }
+    flags.emit_wait_meta(asm);
     asm.roi_begin();
     let worker_end = asm.new_label();
     if order == TileOrder::Static && nblocks == 0 {
@@ -265,9 +379,8 @@ pub(crate) fn emit_worker<I: KernelIndex>(
     asm.symbol("worker_block");
     let claimed = order == TileOrder::Claimed;
     flags.emit_wait_tile(asm, R::S10, claimed.then_some(worker_end));
-    let blk = if claimed { R::T4 } else { R::S10 };
     let signal_done = asm.new_label();
-    emit_block_body::<I>(asm, variant, plan, blk, signal_done);
+    emit_block_body::<I>(asm, variant, signal_done);
     asm.bind(signal_done);
     flags.emit_signal_done(asm, R::S10, R::T0, R::A6);
     asm.addi(R::S10, R::S10, 1);
@@ -285,7 +398,7 @@ pub(crate) fn emit_worker<I: KernelIndex>(
 }
 
 /// Emits `dst` = base of the block buffer `s10 & 1` (values at `+0`,
-/// indices at `+VALS_CAP`). Clobbers `t1`.
+/// slice table and indices at `+VALS_CAP`). Clobbers `t1`.
 fn emit_buffer_base(asm: &mut Assembler, dst: R) {
     asm.andi(dst, R::S10, 1);
     asm.slli(dst, dst, 16);
@@ -293,100 +406,51 @@ fn emit_buffer_base(asm: &mut Assembler, dst: R) {
     asm.add(dst, dst, R::T1);
 }
 
-/// Emits the per-block worker body: reads the descriptor `blk` indexes
-/// (via `s9` = descriptor base), derives this worker's row slice, seeds
-/// the cursors into the double buffer `s10 & 1` and runs the row loop;
+/// Emits the per-block worker body: reads this worker's record from
+/// the slice table of buffer `s10 & 1` (`a5` is the record in buffer
+/// A), seeds the cursors and streams from it and runs the row loop;
 /// branches to `signal_done` when the worker has no rows in the block.
-/// Register contract: `a7` hartid, `s8` the y stride (8), `s9`
-/// descriptor base, `s10` block sequence number (buffer parity);
-/// everything else is clobbered.
-fn emit_block_body<I: KernelIndex>(
-    asm: &mut Assembler,
-    variant: Variant,
-    plan: &ClusterCsrmvPlan,
-    blk: R,
-    signal_done: Label,
-) {
-    let n_workers = plan.flags.n_workers;
-    let log_w = if I::BYTES == 2 { 1 } else { 2 };
-    // Descriptor fields.
-    asm.slli(R::T4, blk, 5);
-    asm.add(R::T4, R::T4, R::S9);
-    asm.lw(R::A0, R::T4, 0); // row_start
-    asm.lw(R::A1, R::T4, 4); // row_count
-    asm.lw(R::A2, R::T4, 8); // nnz_start
-                             // My row slice: rpw = ceil(row_count / workers); my_off = h * rpw.
-                             // The planner makes every block but the last a multiple of the
-                             // worker count (when that many rows fit), so no worker idles there.
-    asm.addi(R::T5, R::A1, i32::try_from(n_workers - 1).expect("small"));
-    asm.srli(R::T5, R::T5, n_workers.trailing_zeros() as i32);
-    asm.mul(R::T6, R::T5, R::A7);
-    asm.sub(R::A3, R::A1, R::T6); // rows remaining after my offset
-    asm.blez(R::A3, signal_done); // no rows for me in this block
-    let clamp_ok = asm.new_label();
-    asm.bge(R::A3, R::T5, clamp_ok);
-    asm.mv(R::T5, R::A3); // my_count = min(rpw, remaining)
-    asm.bind(clamp_ok);
-    asm.add(R::A4, R::A0, R::T6); // my_start
-                                  // Row-pointer window: s3 = ptr[my_start]; s0 = &ptr[my_start + 1].
-    asm.slli(R::T0, R::A4, 2);
-    asm.li_addr(R::T1, plan.tcdm_ptr);
-    asm.add(R::T0, R::T0, R::T1);
-    asm.lw(R::S3, R::T0, 0);
-    asm.addi(R::S0, R::T0, 4);
-    asm.slli(R::T2, R::T5, 2);
-    asm.add(R::T2, R::T2, R::T0);
-    asm.lw(R::T2, R::T2, 0); // ptr[my_end]
-    asm.mv(R::S2, R::T5); // row count for the row loop
-                          // y cursor.
-    asm.slli(R::T0, R::A4, 3);
-    asm.li_addr(R::T1, plan.tcdm_y);
-    asm.add(R::S1, R::T0, R::T1);
-    asm.sub(R::A5, R::T2, R::S3); // my element count
-                                  // Buffer bases for this block.
-    emit_buffer_base(asm, R::T0);
+/// Register contract: `a5` the record, `s6` the x base (BASE), `s8` the
+/// y stride (8), `s10` block sequence number (buffer parity);
+/// everything else but `a6`/`a7` is clobbered.
+fn emit_block_body<I: KernelIndex>(asm: &mut Assembler, variant: Variant, signal_done: Label) {
+    // t0 = the buffer's offset from buffer A; t4 = the record.
+    asm.andi(R::T0, R::S10, 1);
+    asm.slli(R::T0, R::T0, BUF_BYTES.trailing_zeros() as i32);
+    asm.add(R::T4, R::T0, R::A5);
+    asm.lw(R::S2, R::T4, 4); // row count
+    asm.lw(R::S0, R::T4, 0); // &ptr[start + 1]
+    asm.lw(R::S1, R::T4, 8); // &y[start]
+    asm.lw(R::S3, R::T4, 12); // ptr[start]
     match variant {
         Variant::Issr => {
+            asm.lw(R::T1, R::T4, 16); // element count - 1
+            asm.lw(R::T2, R::T4, 20); // value stream start in buffer A
+            asm.lw(R::T3, R::T4, 24); // index stream start in buffer A
+            asm.blez(R::S2, signal_done); // no rows for me in this block
             let launch_done = asm.new_label();
-            asm.beqz(R::A5, launch_done); // nothing streams this block
-                                          // Launch SSR over my values.
-            asm.addi(R::T1, R::A5, -1);
+            asm.blt(R::T1, R::ZERO, launch_done); // nothing streams this block
             asm.scfgwi(R::T1, cfg_addr(sreg::BOUNDS[0], 0));
             asm.scfgwi(R::T1, cfg_addr(sreg::BOUNDS[0], 1));
-            asm.sub(R::T2, R::S3, R::A2); // element offset in buffer
-            asm.slli(R::T2, R::T2, 3);
             asm.add(R::T2, R::T2, R::T0);
             asm.scfgwi(R::T2, cfg_addr(sreg::RPTR[0], 0));
-            // Launch ISSR over my indices (buffer chunk is 8-aligned from
-            // `idcs_src`; the serializer absorbs the sub-word offset).
-            asm.slli(R::T2, R::S3, log_w);
-            asm.slli(R::T3, R::A2, log_w);
-            asm.andi(R::T3, R::T3, -8);
-            asm.sub(R::T2, R::T2, R::T3);
-            asm.add(R::T2, R::T2, R::T0);
-            asm.li(R::T3, i64::from(VALS_CAP));
-            asm.add(R::T2, R::T2, R::T3);
-            asm.scfgwi(R::T2, cfg_addr(sreg::RPTR[0], 1));
+            // The serializer absorbs the index's sub-word offset.
+            asm.add(R::T3, R::T3, R::T0);
+            asm.scfgwi(R::T3, cfg_addr(sreg::RPTR[0], 1));
             asm.bind(launch_done);
             emit_issr_row_loop::<I>(asm);
         }
         _ => {
-            // BASE: software cursors into the buffer.
-            // Virtual value base: buf_vals - 8 * nnz_start.
-            asm.slli(R::T1, R::A2, 3);
-            asm.sub(R::S7, R::T0, R::T1);
+            // BASE: software cursors into the buffer, and the virtual
+            // value base `s7` = cursor - 8 * ptr[start] the row ends
+            // are computed against.
+            asm.lw(R::S5, R::T4, 20);
+            asm.lw(R::S4, R::T4, 24);
+            asm.blez(R::S2, signal_done); // no rows for me in this block
+            asm.add(R::S5, R::S5, R::T0);
+            asm.add(R::S4, R::S4, R::T0);
             asm.slli(R::T1, R::S3, 3);
-            asm.add(R::S5, R::S7, R::T1); // vals cursor at ptr[my_start]
-                                          // Virtual index base: buf_idcs - align8(W * nnz_start).
-            asm.slli(R::T1, R::A2, log_w);
-            asm.andi(R::T1, R::T1, -8);
-            asm.li(R::T2, i64::from(VALS_CAP));
-            asm.add(R::T2, R::T2, R::T0);
-            asm.sub(R::T2, R::T2, R::T1); // virtual idx base
-            asm.slli(R::T1, R::S3, log_w);
-            asm.add(R::S4, R::T2, R::T1); // idx cursor
-            asm.li_addr(R::S6, plan.tcdm_x);
-            // emit_sw_row_loop(BASE) computes row ends against s7.
+            asm.sub(R::S7, R::S5, R::T1);
             emit_sw_row_loop::<I>(asm, Variant::Base, 3);
         }
     }
@@ -426,23 +490,41 @@ pub fn build_cluster_csrmv<I: KernelIndex>(variant: Variant, plan: &ClusterCsrmv
     let dmcc_entry = emit_worker::<I>(&mut asm, variant, plan, TileOrder::Static);
     asm.bind(dmcc_entry);
     asm.symbol("dmcc");
-    // Meta transfer: x | ptr | descriptors in one DMA.
-    flags.emit_meta_transfer(&mut asm, plan.main_meta, plan.tcdm_x, plan.meta_bytes, |_| {});
+    // Meta transfer: x | ptr | descriptors in one DMA, with block 0's
+    // two transfers queued behind it from immediates (`s9` = the id of
+    // its index transfer).
+    let first = plan.blocks.first().copied();
+    let in_flight = |asm: &mut Assembler| {
+        if let Some(b) = first {
+            asm.li_addr(R::A0, b.vals_src);
+            asm.li(R::A1, i64::from(b.vals_len));
+            asm.li_addr(R::A2, b.idcs_src);
+            asm.li(R::A3, i64::from(b.idcs_len));
+            asm.li_addr(R::A4, BUF_A);
+            asm.li_addr(R::A5, BUF_A + VALS_CAP);
+            emit_slice_issue(asm, R::S9);
+        }
+    };
+    flags.emit_meta_transfer(&mut asm, plan.main_meta, plan.tcdm_x, plan.meta_bytes, in_flight);
     asm.li(R::S11, i64::from(nblocks));
-    let dmcc_finish = asm.new_label();
-    if nblocks == 0 {
-        asm.j(dmcc_finish);
+    if first.is_some() {
+        // `meta` is up: poll block 0 and publish it.
+        asm.mv(R::S7, R::S9);
+        emit_dma_poll(&mut asm);
+        flags.emit_ready(&mut asm);
+        asm.addi(R::S10, R::S10, 1);
     }
-    let dmcc_loop = asm.bind_label();
-    asm.symbol("dmcc_block");
-    emit_block_prepare(&mut asm, plan, R::S10);
-    flags.emit_buffer_guard(&mut asm);
-    emit_slice_issue(&mut asm);
-    emit_dma_poll(&mut asm);
-    flags.emit_ready(&mut asm);
-    asm.addi(R::S10, R::S10, 1);
-    asm.blt(R::S10, R::S11, dmcc_loop);
-    asm.bind(dmcc_finish);
+    if nblocks > 1 {
+        let dmcc_loop = asm.bind_label();
+        asm.symbol("dmcc_block");
+        emit_block_prepare(&mut asm, plan, R::S10);
+        flags.emit_buffer_guard(&mut asm);
+        emit_slice_issue(&mut asm, R::S7);
+        emit_dma_poll(&mut asm);
+        flags.emit_ready(&mut asm);
+        asm.addi(R::S10, R::S10, 1);
+        asm.blt(R::S10, R::S11, dmcc_loop);
+    }
     // Wait for all workers to finish the last block, then write the
     // result back.
     flags.emit_wait_done(&mut asm, R::S11);
@@ -568,9 +650,9 @@ mod tests {
         fn check_plan<I: KernelIndex>(shape: &str, m: &CsrMatrix<I>) {
             let ptr = m.ptr();
             let nrows = m.nrows() as u32;
-            let cap = block_elems::<I>();
             for n in [1, 2, 4, 8] {
                 let plan = ClusterCsrmvPlan::new(m, n);
+                let cap = block_elems::<I>(plan.table);
                 let mut row = 0;
                 for (i, b) in plan.blocks.iter().enumerate() {
                     let at = format!("{shape}, {}-byte indices, {n} workers, block {i}", I::BYTES);
@@ -579,8 +661,12 @@ mod tests {
                     let nnz_end = ptr[end as usize];
                     assert!(b.row_count > 0 && nnz_end - b.nnz_start <= cap, "{at}: capacity");
                     assert!(b.vals_len <= VALS_CAP && b.idcs_len <= IDX_CAP, "{at}: buffer");
-                    let idx = |r: u32| plan.main_idcs + ptr[r as usize] * I::BYTES;
-                    assert!(b.idcs_src <= idx(row) && idx(end) <= b.idcs_src + b.idcs_len, "{at}");
+                    // The staged window behind the slice table covers the
+                    // block's indices.
+                    let window = (b.nnz_start * I::BYTES) & !7;
+                    let idx = |r: u32| ptr[r as usize] * I::BYTES;
+                    let staged = b.idcs_len - plan.table;
+                    assert!(window <= idx(row) && idx(end) <= window + staged, "{at}");
                     let fit = (row + 2..=nrows)
                         .take_while(|&e| ptr[e as usize] - b.nnz_start <= cap)
                         .count() as u32
@@ -605,6 +691,88 @@ mod tests {
             check_plan(shape, m);
             check_plan(shape, &m.with_index_width::<u16>());
         }
+    }
+
+    /// The planner's slice tables equal the derivation the workers ran
+    /// on every block before the tables existed: `rpw = ceil(rows / n)`
+    /// (a shift by log2 n), `off = h · rpw`, no rows when `rows − off ≤
+    /// 0`, else `min(rpw, rows − off)` rows from `row_start + off`, whose
+    /// streams start at the first row's nonzero (the index chunk now
+    /// behind the table). At 1, 2, 4, 8 and 16 workers, both widths,
+    /// over a short last block, empty rows and workers without rows.
+    #[test]
+    fn planned_slices_equal_the_runtime_derivation() {
+        fn check_plan<I: KernelIndex>(shape: &str, m: &CsrMatrix<I>) -> [bool; 2] {
+            let ptr = |r: u32| m.ptr()[r as usize];
+            let mut seen = [false; 2]; // a short last block, a worker without rows
+            for n in [1u32, 2, 4, 8, 16] {
+                let plan = ClusterCsrmvPlan::new(m, n);
+                assert_eq!(plan.slices.len(), plan.blocks.len() * n as usize);
+                let first_rows = plan.blocks[0].row_count;
+                for (i, b) in plan.blocks.iter().enumerate() {
+                    seen[0] |= b.row_count % n != 0 || b.row_count < first_rows;
+                    let table = plan.slice_table(i);
+                    assert_eq!(table.len() * 4, plan.table as usize);
+                    let rpw = (b.row_count + n - 1) >> n.trailing_zeros();
+                    for h in 0..n {
+                        let at = format!(
+                            "{shape}, {} bytes, {n} workers, block {i}, hart {h}",
+                            I::BYTES
+                        );
+                        let s = plan.slices[(i as u32 * n + h) as usize];
+                        let record = &table[8 * h as usize..8 * (h as usize + 1)];
+                        let remaining = i64::from(b.row_count) - i64::from(h * rpw);
+                        if remaining <= 0 {
+                            seen[1] = true;
+                            assert_eq!((s.row_count, record), (0, &[0; 8][..]), "{at}");
+                            continue;
+                        }
+                        let count = rpw.min(remaining as u32);
+                        let start = b.row_start + h * rpw;
+                        let elems = ptr(start + count) - ptr(start);
+                        let vals = BUF_A + 8 * (ptr(start) - b.nnz_start);
+                        let chunk = ptr(start) * I::BYTES - ((b.nnz_start * I::BYTES) & !7);
+                        let idcs = BUF_A + VALS_CAP + plan.table + chunk;
+                        let planned = (s.row_start, s.row_count, s.nnz, s.vals_at, s.idcs_at);
+                        assert_eq!(planned, (start, count, elems, vals, idcs), "{at}");
+                        let words = [
+                            plan.tcdm_ptr + 4 * (start + 1),
+                            count,
+                            plan.tcdm_y + 8 * start,
+                            ptr(start),
+                            elems.wrapping_sub(1),
+                            vals,
+                            idcs,
+                            0,
+                        ];
+                        assert_eq!(record, words, "{at}");
+                    }
+                }
+            }
+            seen
+        }
+        let mut rng = gen::rng(0x5_11CE);
+        let mut triplets = Vec::new();
+        for r in (0..90).filter(|r| r % 3 != 1) {
+            for j in 0..(r % 7) * 30 {
+                triplets.push((r, (j * 11 + r) % 512, 1.0 + j as f64));
+            }
+        }
+        let shapes = [
+            ("uniform", gen::csr_uniform::<u32>(&mut rng, 400, 256, 16_000)),
+            ("empty rows", CsrMatrix::<u32>::from_triplets(90, 512, &triplets)),
+            ("6 rows", CsrMatrix::<u32>::from_triplets(6, 64, &[(0, 3, 2.0), (5, 60, -1.0)])),
+        ];
+        let mut seen = [false; 2];
+        for (shape, m) in &shapes {
+            for (s, t) in seen.iter_mut().zip(check_plan(shape, m)) {
+                *s |= t;
+            }
+            for (s, t) in seen.iter_mut().zip(check_plan(shape, &m.with_index_width::<u16>())) {
+                *s |= t;
+            }
+        }
+        assert_eq!(seen, [true; 2], "a short last block and a worker without rows");
     }
 
     /// psmigr_1's density, 173 nnz/row, fills 35 rows per block; cut to

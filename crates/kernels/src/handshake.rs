@@ -51,7 +51,15 @@
 //! for the DMA to go idle. So the all-worker `done` wait and the retire
 //! are each emitted twice, in the claim loop and in the pass. The
 //! cluster kernel walks its tiles in order without claims or retires
-//! and writes `y` back once, after the last tile.
+//! and writes `y` back once, after the last tile. Its tile 0 is known
+//! when the program is built, so the DMCC queues that tile's fetch from
+//! immediates behind the meta transfer and polls it after raising
+//! `meta`; its tile loop starts at tile 1 (a one-tile program has none,
+//! and no buffer guard).
+//!
+//! **Sweeps.** Every all-worker `done` wait (the buffer guard and the
+//! final waits) loads the `done` base once; a slot's spin is one load at
+//! its offset and one branch ([`FlagArea::emit_wait_done`]).
 //!
 //! **Layout.** The area sits below [`TCDM_DATA_BASE`] (`+0x100`) and is
 //! laid out from the worker count: `meta` at `+0x00`, `ready[2]` at
@@ -198,12 +206,14 @@ impl FlagArea {
     }
 
     /// Spins until every worker's `done` reaches `need` (not `t1`/`t2`,
-    /// which are clobbered).
+    /// which are clobbered). The `done` base is loaded once into `t1`;
+    /// each slot's spin is one load at its offset and one branch, so a
+    /// sweep over finished workers costs two instructions a slot.
     pub(crate) fn emit_wait_done(self, asm: &mut Assembler, need: R) {
+        asm.li_addr(R::T1, self.done);
         for h in 0..self.n_workers {
             let spin = asm.bind_label();
-            asm.li_addr(R::T1, self.done + h * 8);
-            asm.lw(R::T2, R::T1, 0);
+            asm.lw(R::T2, R::T1, i32::try_from(h * 8).expect("the flag area is small"));
             asm.blt(R::T2, need, spin);
         }
     }
@@ -289,7 +299,7 @@ impl FlagArea {
         asm.bge(R::S0, R::T1, finish); // queue drained
         prepare(asm);
         self.emit_buffer_guard(asm);
-        emit_slice_issue(asm);
+        emit_slice_issue(asm, R::S7);
         asm.symbol("dmcc_retire");
         retire_oldest(asm);
         emit_dma_poll(asm);
@@ -423,14 +433,14 @@ pub(crate) fn emit_slice_prepare(
 
 /// Emits the *issue* step of a slice fetch: the values transfer `a0` →
 /// `a4` of `a1` bytes and the index transfer `a2` → `a5` of `a3` bytes;
-/// `s7` receives the index transfer's id for [`emit_dma_poll`].
-pub(crate) fn emit_slice_issue(asm: &mut Assembler) {
+/// `id` receives the index transfer's id (`s7` for [`emit_dma_poll`]).
+pub(crate) fn emit_slice_issue(asm: &mut Assembler, id: R) {
     asm.dmsrc(R::A0, R::ZERO);
     asm.dmdst(R::A4, R::ZERO);
     asm.dmcpyi(R::ZERO, R::A1, 0);
     asm.dmsrc(R::A2, R::ZERO);
     asm.dmdst(R::A5, R::ZERO);
-    asm.dmcpyi(R::S7, R::A3, 0);
+    asm.dmcpyi(id, R::A3, 0);
 }
 
 /// Spins until the DMA transfer whose id `s7` holds has completed, and
@@ -474,76 +484,168 @@ mod tests {
         }
     }
 
-    /// In every DMA-fed program of the catalog, the buffer guard's last
-    /// `done` load is followed by its spin branch and the fetch's
+    /// The catalog's DMA-fed programs, and the cluster CsrMV programs of
+    /// a multi-block plan (the catalog's operand fits one block, so its
+    /// cluster DMCC has no block loop and no buffer guard).
+    fn dma_fed_programs() -> Vec<(String, issr_isa::asm::Program)> {
+        use crate::cluster_csrmv::{build_cluster_csrmv, ClusterCsrmvPlan};
+        use crate::variant::Variant;
+        use issr_sparse::csr::CsrMatrix;
+        fn multi<I: KernelIndex>(m: &CsrMatrix<I>, v: Variant) -> (String, issr_isa::asm::Program) {
+            let plan = ClusterCsrmvPlan::new(m, 8);
+            assert!(plan.n_blocks() > 2);
+            (
+                format!("cluster_csrmv/{v}/{} bytes, multi-block", I::BYTES),
+                build_cluster_csrmv::<I>(v, &plan),
+            )
+        }
+        let m =
+            issr_sparse::gen::csr_uniform::<u16>(&mut issr_sparse::gen::rng(53), 400, 256, 16_000);
+        let mut out: Vec<_> = crate::catalog()
+            .into_iter()
+            .filter(|e| e.program.symbol("dmcc").is_some())
+            .map(|e| (e.name.to_string(), e.program))
+            .collect();
+        for v in [Variant::Base, Variant::Issr] {
+            out.push(multi(&m, v));
+            out.push(multi(&m.with_index_width::<u32>(), v));
+        }
+        out
+    }
+
+    /// In every DMA-fed program with a block loop, the buffer guard's
+    /// last `done` load is followed by its spin branch and the fetch's
     /// `dmsrc`/`dmdst` only, then the `dmcpyi` that starts the beats.
     #[test]
     fn only_the_dma_issue_follows_the_guard() {
         use issr_isa::instr::Instr;
         let mut checked = 0;
-        for e in crate::catalog() {
-            let Some(top) = ["dmcc_tile", "dmcc_block"].iter().find_map(|s| e.program.symbol(s))
+        for (name, program) in dma_fed_programs() {
+            let Some(top) = ["dmcc_tile", "dmcc_block"].iter().find_map(|s| program.symbol(s))
             else {
                 continue;
             };
-            let loop_body = &e.program.instrs()[top..];
+            let loop_body = &program.instrs()[top..];
             let issue = loop_body.iter().position(|i| matches!(i, Instr::DmCpyI { .. })).unwrap();
             let guard = loop_body[..issue].iter().rposition(|i| matches!(i, Instr::Load { .. }));
             let tail = &loop_body[guard.unwrap() + 1..issue];
             assert!(
                 matches!(tail, [Instr::Branch { .. }, Instr::DmSrc { .. }, Instr::DmDst { .. }]),
-                "{}: between the guard's last load and the first dmcpyi: {tail:?}",
-                e.name
+                "{name}: between the guard's last load and the first dmcpyi: {tail:?}"
             );
             checked += 1;
         }
-        assert_eq!(checked, 12, "cluster CsrMV, system CsrMV and system SpGEMM, 4 programs each");
+        assert_eq!(checked, 12, "system CsrMV and SpGEMM, 4 programs each, and 4 multi-block");
     }
 
-    /// Each step of the protocol is emitted at most twice: in every
-    /// DMA-fed program of the catalog, the DMCC path loads each `done[h]`
-    /// slot exactly twice — in the buffer guard and in the finish pass
-    /// (in the cluster kernel, its final wait).
+    /// Each step of the protocol is emitted at most twice: the DMCC path
+    /// loads each `done[h]` slot exactly twice — in the buffer guard and
+    /// in the finish pass (in the cluster kernel, its final wait) — in
+    /// every system program of the catalog and every multi-block cluster
+    /// program, and once (the final wait) in a one-block cluster program,
+    /// which has no guard. A load's address is the offset plus the base
+    /// the sweep's `li_addr` left in its register.
     #[test]
     fn each_done_slot_is_loaded_twice_on_the_dmcc_path() {
         use issr_isa::instr::{AluImmOp, Instr};
-        // The address `li_addr` leaves in `reg` just before `instrs[at]`.
-        let li_value = |instrs: &[Instr], at: usize, reg: R| match instrs[..at] {
-            [.., Instr::Lui { rd, imm }, Instr::OpImm { op: AluImmOp::Addi, rd: d, rs1, imm: lo }]
-                if rd == reg && d == reg && rs1 == reg =>
+        // The address `li_addr` left in `reg` before `instrs[at]`, past
+        // the sweep's own loads (into other registers) and branches.
+        let base = |instrs: &[Instr], at: usize, reg: R| {
+            let mut end = at;
+            while end > 0
+                && match instrs[end - 1] {
+                    Instr::Branch { .. } => true,
+                    Instr::Load { rd, .. } => rd != reg,
+                    _ => false,
+                }
             {
-                Some(imm.wrapping_add(lo as u32))
+                end -= 1;
             }
-            [.., Instr::OpImm { op: AluImmOp::Addi, rd, rs1, imm }]
-                if rd == reg && rs1.is_zero() =>
-            {
-                Some(imm as u32)
+            match instrs[..end] {
+                [.., Instr::Lui { rd, imm }, Instr::OpImm { op: AluImmOp::Addi, rd: d, rs1, imm: lo }]
+                    if rd == reg && d == reg && rs1 == reg =>
+                {
+                    Some(imm.wrapping_add(lo as u32))
+                }
+                [.., Instr::OpImm { op: AluImmOp::Addi, rd, rs1, imm }]
+                    if rd == reg && rs1.is_zero() =>
+                {
+                    Some(imm as u32)
+                }
+                [.., Instr::Lui { rd, imm }] if rd == reg => Some(imm),
+                _ => None,
             }
-            [.., Instr::Lui { rd, imm }] if rd == reg => Some(imm),
-            _ => None,
         };
         let n = issr_cluster::cluster::ClusterParams::default().n_workers as u32;
         let mut checked = 0;
-        for e in crate::catalog() {
-            let Some(dmcc) = e.program.symbol("dmcc") else { continue };
-            let flags = if e.name.starts_with("system_spgemm") {
+        for (name, program) in dma_fed_programs() {
+            let flags = if name.starts_with("system_spgemm") {
                 FlagArea::spgemm(n)
             } else {
                 FlagArea::csrmv(n)
             };
-            let instrs = &e.program.instrs()[dmcc..];
+            let instrs = &program.instrs()[program.symbol("dmcc").unwrap()..];
             let mut loads = vec![0; n as usize];
             for (at, instr) in instrs.iter().enumerate() {
-                let Instr::Load { rs1, offset: 0, .. } = *instr else { continue };
-                let Some(addr) = li_value(instrs, at, rs1) else { continue };
+                let Instr::Load { rs1, offset, .. } = *instr else { continue };
+                let Some(addr) = base(instrs, at, rs1) else { continue };
+                let addr = addr.wrapping_add(offset as u32);
                 if (flags.done..flags.done + 8 * n).contains(&addr) {
                     loads[((addr - flags.done) / 8) as usize] += 1;
                 }
             }
-            assert_eq!(loads, vec![2; n as usize], "{}: DMCC loads of done[0..{n}]", e.name);
+            let one_block = name.starts_with("cluster_csrmv") && !name.ends_with("multi-block");
+            let want = if one_block { 1 } else { 2 };
+            assert_eq!(loads, vec![want; n as usize], "{name}: DMCC loads of done[0..{n}]");
             checked += 1;
         }
-        assert_eq!(checked, 12, "cluster CsrMV, system CsrMV and system SpGEMM, 4 programs each");
+        assert_eq!(
+            checked, 16,
+            "cluster CsrMV, system CsrMV and system SpGEMM, 4 programs each, and 4 multi-block"
+        );
+    }
+
+    /// The cluster DMCC queues block 0's two transfers behind the meta
+    /// transfer, before it polls anything: its first three `dmcpyi`
+    /// precede its first `dmstati`.
+    #[test]
+    fn the_cluster_dmcc_issues_block_0_before_its_first_poll() {
+        use issr_isa::instr::Instr;
+        let mut checked = 0;
+        for (name, program) in dma_fed_programs() {
+            if !name.starts_with("cluster_csrmv") {
+                continue;
+            }
+            let dmcc = &program.instrs()[program.symbol("dmcc").unwrap()..];
+            let poll = dmcc.iter().position(|i| matches!(i, Instr::DmStatI { .. })).unwrap();
+            let issued = dmcc[..poll].iter().filter(|i| matches!(i, Instr::DmCpyI { .. })).count();
+            assert_eq!(issued, 3, "{name}: transfers issued before the first dmstati");
+            checked += 1;
+        }
+        assert_eq!(checked, 8);
+    }
+
+    /// A CsrMV worker reads its slice from the block's slice table: no
+    /// worker block body (from `worker_block` to the DMCC's entry)
+    /// multiplies.
+    #[test]
+    fn no_csrmv_worker_block_body_multiplies() {
+        use issr_isa::instr::{AluOp, Instr};
+        let mut checked = 0;
+        for (name, program) in dma_fed_programs() {
+            let Some(body) = program.symbol("worker_block") else { continue };
+            if name.starts_with("system_spgemm") {
+                continue;
+            }
+            let end = program.symbol("dmcc").unwrap();
+            let muls = program.instrs()[body..end]
+                .iter()
+                .filter(|i| matches!(i, Instr::Op { op: AluOp::Mul, .. }))
+                .count();
+            assert_eq!(muls, 0, "{name}: mul in the worker's block body");
+            checked += 1;
+        }
+        assert_eq!(checked, 12, "cluster and system CsrMV, 4 programs each, and 4 multi-block");
     }
 
     #[test]

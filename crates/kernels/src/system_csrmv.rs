@@ -8,10 +8,13 @@
 //! ([`issr_system::system::System::set_work_queue`]) — so load balance
 //! falls out of the claim order instead of a static split. Within a
 //! cluster the choreography is the single-cluster kernel's: the DMCC
-//! double-buffers each claimed block's values + indices into the TCDM
-//! while the workers process the previous block, rows statically
-//! striped among them. Two deltas, both in the tile handshake of the
-//! crate-private `handshake` module:
+//! double-buffers each claimed block's values, slice table and indices
+//! into the TCDM while the workers process the previous block, rows
+//! statically striped among them; a worker reads its rows, cursors and
+//! stream starts from the slice table in the block's own buffer, so the
+//! claimed id only tells it whether the sentinel ended the run. Three
+//! deltas, all in the tile handshake of the crate-private `handshake`
+//! module:
 //!
 //! * the DMCC publishes the **claimed block id** with each block, since
 //!   block ids no longer equal sequence numbers, and ends the workers
@@ -22,7 +25,10 @@
 //!   block `seq`, without polling it (rows are disjoint across blocks,
 //!   so clusters never write the same words); the engine completes in
 //!   order, so the fetch's next poll, or the idle wait before the DMCC
-//!   halts, covers it.
+//!   halts, covers it;
+//! * no block is known when the program is built, so the first fetch
+//!   waits for the first claim, which moves behind the meta transfer
+//!   (the cluster kernel queues its block 0 there instead).
 //!
 //! Per row the arithmetic is the single-cluster kernel's, in the same
 //! order — the result is bit-identical to [`crate::cluster_csrmv`]
@@ -234,11 +240,14 @@ pub(crate) mod tests {
     /// path on every cluster. At 16 workers the flag area's `claimed`
     /// slots follow `done[16]`; an area laid out for eight workers put
     /// them on `done[8]` and `done[9]`, and the claimed ids of this
-    /// matrix came out wrong at 2 and 4 clusters.
+    /// matrix came out wrong at 2 and 4 clusters. The planner derives
+    /// each worker's rows, so a worker count that is no power of two
+    /// (six) splits the blocks as well.
     #[test]
     fn multi_block_claims_stay_bit_identical() {
         check_identity::<u16>(Variant::Issr, 400, 256, 16_000, 73, 8);
         check_identity::<u16>(Variant::Issr, 6000, 512, 30_000, 13, 16);
+        check_identity::<u16>(Variant::Base, 400, 256, 16_000, 73, 6);
     }
 
     /// Runs of long rows, each worker's cut short by every block

@@ -46,6 +46,31 @@ pub struct Tcdm {
     /// it set.
     bank_ports: Vec<u64>,
     stats: TcdmStats,
+    /// The adversarial arbiter, built only by [`Tcdm::enable_jitter`].
+    jitter: Option<Box<Jitter>>,
+}
+
+/// A test-only adversarial arbiter: a seeded xorshift that withholds
+/// each pending request from a cycle's arbitration with a fixed
+/// probability. A withheld request waits and counts as a conflict — the
+/// same event as losing its bank to another master, only more often —
+/// so a kernel whose result depends on one schedule shows it.
+#[derive(Clone, Debug)]
+struct Jitter {
+    state: u64,
+    /// A draw below this withholds the request.
+    threshold: u64,
+}
+
+impl Jitter {
+    fn withhold(&mut self) -> bool {
+        let mut x = self.state;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.state = x;
+        x < self.threshold
+    }
 }
 
 impl Tcdm {
@@ -63,6 +88,7 @@ impl Tcdm {
             rr_next: Some(vec![0; n_banks]),
             bank_ports: vec![0; n_banks],
             stats: TcdmStats::default(),
+            jitter: None,
         }
     }
 
@@ -76,7 +102,23 @@ impl Tcdm {
             rr_next: None,
             bank_ports: Vec::new(),
             stats: TcdmStats::default(),
+            jitter: None,
         }
+    }
+
+    /// Arms the adversarial arbiter (tests only): from now on each
+    /// pending request of a banked TCDM sits out a cycle's arbitration
+    /// with probability `p`, drawn from a xorshift seeded with `seed`,
+    /// and counts as a conflict. Results that depend on the schedule
+    /// then differ from the default run's; timing claims do not hold
+    /// under it. A TCDM that never arms it carries no generator, and its
+    /// arbitration pays one untaken branch a cycle. Ideal memory has no
+    /// arbitration to perturb and ignores it.
+    pub fn enable_jitter(&mut self, seed: u64, p: f64) {
+        // A zero state would stay zero; the odd constant keeps it moving.
+        let state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let threshold = (p.clamp(0.0, 1.0) * u64::MAX as f64) as u64;
+        self.jitter = Some(Box::new(Jitter { state, threshold }));
     }
 
     /// The backing storage (for workload marshalling).
@@ -185,6 +227,24 @@ impl Tcdm {
                     }
                     n += 1;
                 }
+                if let Some(mut jitter) = self.jitter.take() {
+                    // Withheld contenders leave their bank's mask and stay
+                    // pending, so the count below charges them a conflict.
+                    let mut pending = pending_mask;
+                    while pending != 0 {
+                        let pi = pending.trailing_zeros() as usize;
+                        pending &= pending - 1;
+                        if jitter.withhold() {
+                            let port = ports[usize::from(slot_of[pi])].borrow_mut();
+                            let bank = self.bank_of(port.pending().expect("contender").addr);
+                            self.bank_ports[bank] &= !(1 << pi);
+                            if self.bank_ports[bank] == 0 {
+                                active &= !(1 << bank);
+                            }
+                        }
+                    }
+                    self.jitter = Some(jitter);
+                }
                 let mut served_mask: u64 = 0;
                 // Each active bank (ascending) grants its first
                 // contender at or after the round-robin pointer,
@@ -277,6 +337,41 @@ mod tests {
         assert_eq!(p0.take_rsp(1).unwrap().data, 42);
         assert_eq!(p1.take_rsp(1).unwrap().data, 43);
         assert_eq!(tcdm.stats().conflicts, 0);
+    }
+
+    /// The adversarial arbiter withholds requests and charges each a
+    /// conflict, but every request is served in the end: at p = 0.5 four
+    /// reads of distinct banks take more than one cycle and still return
+    /// their words; at p = 1 nothing is granted.
+    #[test]
+    fn jitter_withholds_requests_as_conflicts() {
+        let mut tcdm = Tcdm::banked(0, 256, 4);
+        for i in 0..4u32 {
+            tcdm.array_mut().store_u64(8 * i, 10 + u64::from(i));
+        }
+        tcdm.enable_jitter(3, 0.5);
+        let mut ports: Vec<MemPort> = (0..4).map(|_| MemPort::new()).collect();
+        for (i, p) in ports.iter_mut().enumerate() {
+            p.send(MemReq::read(8 * i as u32));
+        }
+        let mut now = 0;
+        while ports.iter().any(|p| p.pending().is_some()) {
+            tcdm.tick(now, &mut ports, &[]);
+            now += 1;
+            assert!(now < 100, "the arbiter starves a request");
+        }
+        assert!(now > 1 && tcdm.stats().conflicts > 0, "{now} cycles, {:?}", tcdm.stats());
+        assert_eq!(tcdm.stats().grants, 4);
+        for (i, p) in ports.iter_mut().enumerate() {
+            let data = (0..=now).find_map(|t| p.take_rsp(t)).expect("served").data;
+            assert_eq!(data, 10 + i as u64);
+        }
+        let mut all = Tcdm::banked(0, 256, 4);
+        all.enable_jitter(3, 1.0);
+        let mut p = MemPort::new();
+        p.send(MemReq::read(0));
+        all.tick(0, &mut [&mut p], &[]);
+        assert_eq!((all.stats().grants, all.stats().conflicts), (0, 1));
     }
 
     #[test]
