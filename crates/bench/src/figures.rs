@@ -11,7 +11,7 @@ use issr_kernels::cluster_spgemm::{build_cluster_spgemm, run_cluster_spgemm, Clu
 use issr_kernels::csrmm::run_csrmm;
 use issr_kernels::csrmv::run_csrmv;
 use issr_kernels::spgemm::{run_spgemm, run_spgemm_buffered, run_spgemm_recover};
-use issr_kernels::spmspv::{run_spmspv, run_spvv_ss};
+use issr_kernels::spmspv::{run_spmspv, run_spvv_ss, run_spvv_ss_term};
 use issr_kernels::spvv::run_spvv;
 use issr_kernels::system_csrmv::{run_system_csrmv, run_system_csrmv_traced};
 use issr_kernels::system_spgemm::{run_system_spgemm_planned, SystemSpgemmPlan};
@@ -269,8 +269,9 @@ fn joiner_cells(base16: u64, issr16: u64, base32: u64, issr32: u64) -> Vec<Json>
 
 /// Sparse-sparse SpVV: joiner against software merge across the
 /// fraction of indices the operands share, plus the joiner's pairs
-/// emitted per ROI cycle (16-bit run). Anchored at the point whose
-/// overlap is `anchor`.
+/// emitted per ROI cycle (16-bit run) and the ROI cycles of the
+/// stream-terminated intersect kernel (`frep.s`, one `fmadd` per match)
+/// on the same fibers. Anchored at the point whose overlap is `anchor`.
 ///
 /// # Panics
 /// Panics if `anchor` is not one of `overlaps`.
@@ -279,6 +280,8 @@ pub fn joiner_spvv(overlaps: &[f64], anchor: f64) -> Sweep<RunSummary> {
     let mut columns = vec![("overlap", "overlap", Fmt::Fixed(3))];
     columns.extend(JOINER_COLUMNS);
     columns.push(("joiner_util", "pairs/cycle", Fmt::Fixed(3)));
+    columns.push(("term16", "frep.s-16", Fmt::Plain));
+    columns.push(("term32", "frep.s-32", Fmt::Plain));
     let mut table = Table::new(&columns);
     let (dim, nnz) = (8192, 512);
     let mut anchored = None;
@@ -291,9 +294,12 @@ pub fn joiner_spvv(overlaps: &[f64], anchor: f64) -> Sweep<RunSummary> {
         let issr16 = run_spvv_ss(Variant::Issr, &a16, &b16).expect("issr16 run").summary;
         let base32 = roi(&run_spvv_ss(Variant::Base, &a32, &b32).expect("base32 run").summary);
         let issr32 = roi(&run_spvv_ss(Variant::Issr, &a32, &b32).expect("issr32 run").summary);
+        let term16 = roi(&run_spvv_ss_term(&a16, &b16).expect("term16 run").summary);
+        let term32 = roi(&run_spvv_ss_term(&a32, &b32).expect("term32 run").summary);
         let mut cells = vec![overlap.into()];
         cells.extend(joiner_cells(base16, roi(&issr16), base32, issr32));
         cells.push(ratio(issr16.joiner_stats.emissions as f64, roi(&issr16) as f64).into());
+        cells.extend([term16.into(), term32.into()]);
         table.push(cells);
         if overlap == anchor {
             anchored = Some((table.len() - 1, issr16));

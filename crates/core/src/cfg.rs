@@ -9,6 +9,11 @@
 //! and the affine configuration is fixed to one dimension, as in the
 //! paper (§II-A); the streamed element count still comes from
 //! `BOUNDS[0] + 1`.
+//!
+//! Lane 0's space also holds the joiner's `JOIN_*` and the sparse
+//! accumulator's `ACC_*` registers. A number [`reg`] does not name
+//! (such as 29 or 37) stores nothing and reads 0; freed numbers are not
+//! reused, so an assembled program keeps its meaning.
 
 use crate::affine::MAX_DIMS;
 use crate::serializer::IndexSize;
@@ -43,13 +48,8 @@ pub mod reg {
     pub const JOIN_NNZ_A: u16 = 27;
     /// B-side element count for joiner jobs (raw count; zero allowed).
     pub const JOIN_NNZ_B: u16 = 28;
-    /// Joiner status: pairs emitted by the most recent joiner job
-    /// (streamer-level, read-only).
-    pub const JOIN_COUNT: u16 = 29;
     /// Sparse-accumulator configuration: bit 0 index size (0 = 16-bit,
-    /// 1 = 32-bit), bit 1 count-only mode (feeds merge indices without
-    /// consuming the write stream — the symbolic-phase handshake
-    /// mirroring the joiner's `JOIN_COUNT` mode).
+    /// 1 = 32-bit).
     pub const ACC_CFG: u16 = 30;
     /// Element count of the next SpAcc feed job.
     pub const ACC_COUNT: u16 = 31;
@@ -71,10 +71,6 @@ pub mod reg {
     /// poll bit 2 before reading [`ACC_NNZ`] so the next row's feeds
     /// overlap the previous row's drain.
     pub const ACC_STATUS: u16 = 36;
-    /// SpAcc row-buffer clear: writing any value discards the
-    /// accumulated row (the symbolic phase's per-row reset — count-only
-    /// rows are never drained). Retries while the unit is busy.
-    pub const ACC_CLEAR: u16 = 37;
     /// SpAcc row-buffer capacity in elements (hardware sizing; resets to
     /// [`super::SPACC_ROW_CAP_RESET`]). Launching a feed with capacity
     /// zero is a configuration fault that traps the core.
@@ -200,15 +196,6 @@ impl CfgShadow {
         }
     }
 
-    /// Whether the joiner runs in count-only mode: the merge executes
-    /// without fetching or emitting values, leaving the emission count
-    /// in `JOIN_COUNT` (the length-prefix handshake for data-dependent
-    /// trip counts).
-    #[must_use]
-    pub fn join_count_only(&self) -> bool {
-        self.join_cfg & 0x10 != 0
-    }
-
     /// Configured sparse-accumulator index width.
     #[must_use]
     pub fn acc_index_size(&self) -> IndexSize {
@@ -217,15 +204,6 @@ impl CfgShadow {
         } else {
             IndexSize::U16
         }
-    }
-
-    /// Whether the sparse accumulator runs in count-only mode: feeds
-    /// merge their index stream into the row buffer without consuming
-    /// the write stream, so `ACC_NNZ` reports the row's nonzero count
-    /// without materializing values — a symbolic pre-pass.
-    #[must_use]
-    pub fn acc_count_only(&self) -> bool {
-        self.acc_cfg & 2 != 0
     }
 
     /// Reads a shadow register (the value `scfgri` returns).
@@ -407,8 +385,9 @@ pub struct JoinerSpec {
     pub mode: JoinerMode,
     /// Index width shared by both streams.
     pub idx_size: IndexSize,
-    /// Count-only mode: run the merge without value traffic, leaving the
-    /// emission count in `JOIN_COUNT`.
+    /// Unused and always `false`: the joiner has no count-only mode.
+    /// The benchmark's fixtures still build this struct by literal, so
+    /// the field goes together with those lines (ROADMAP item 14).
     pub count_only: bool,
     /// A-side index array byte address.
     pub idx_a: u32,
@@ -431,7 +410,7 @@ impl JoinerSpec {
         Self {
             mode: shadow.join_mode(),
             idx_size: shadow.join_index_size(),
-            count_only: shadow.join_count_only(),
+            count_only: false,
             idx_a,
             vals_a: shadow.data_base,
             count_a: u64::from(shadow.join_nnz_a),
@@ -454,8 +433,9 @@ pub struct AccFeedSpec {
     pub count: u64,
     /// Index width.
     pub idx_size: IndexSize,
-    /// Count-only (symbolic) feed: indices merge into the row buffer but
-    /// no values are consumed from the write stream.
+    /// Unused and always `false`: the SpAcc has no count-only mode.
+    /// The benchmark's fixtures still build this struct by literal, so
+    /// the field goes together with those lines (ROADMAP item 14).
     pub count_only: bool,
     /// Row-buffer capacity in elements (nonzero; the streamer faults
     /// zero-capacity launches before they reach the unit).
@@ -470,7 +450,7 @@ impl AccFeedSpec {
             idx_base,
             count: u64::from(shadow.acc_count),
             idx_size: shadow.acc_index_size(),
-            count_only: shadow.acc_count_only(),
+            count_only: false,
             cap: shadow.acc_buf_cap,
         }
     }
@@ -512,15 +492,6 @@ pub fn join_cfg_word(mode: JoinerMode, size: IndexSize) -> u32 {
     1 | (mode_bits << 1) | size_bit
 }
 
-/// Encodes the `JOIN_CFG` register value for a count-only job: the
-/// merge runs without value traffic and `JOIN_COUNT` reports how many
-/// pairs a real job would emit — the length-prefix handshake that turns
-/// `Intersect`'s data-dependent output into a static FREP trip count.
-#[must_use]
-pub fn join_count_cfg_word(mode: JoinerMode, size: IndexSize) -> u32 {
-    join_cfg_word(mode, size) | 0x10
-}
-
 /// Encodes the `ACC_CFG` register value.
 #[must_use]
 pub fn acc_cfg_word(size: IndexSize) -> u32 {
@@ -528,16 +499,6 @@ pub fn acc_cfg_word(size: IndexSize) -> u32 {
         IndexSize::U16 => 0,
         IndexSize::U32 => 1,
     }
-}
-
-/// Encodes the `ACC_CFG` register value for count-only (symbolic) feeds:
-/// the merge runs over the index stream alone and `ACC_NNZ` reports the
-/// data-dependent row length without any value traffic — the SpAcc's
-/// mirror of [`join_count_cfg_word`]. Launching a drain in this mode is
-/// a configuration fault.
-#[must_use]
-pub fn acc_count_cfg_word(size: IndexSize) -> u32 {
-    acc_cfg_word(size) | 2
 }
 
 /// Encodes the `IDX_CFG` register value.
@@ -654,20 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn count_only_joiner_cfg_round_trips() {
-        let mut s = CfgShadow::default();
-        s.write(reg::JOIN_CFG, join_count_cfg_word(JoinerMode::Intersect, IndexSize::U32));
-        assert!(s.join_enabled());
-        assert!(s.join_count_only());
-        assert_eq!(s.join_mode(), JoinerMode::Intersect);
-        assert_eq!(s.join_index_size(), IndexSize::U32);
-        let spec = JoinerSpec::from_shadow(&s, 0);
-        assert!(spec.count_only);
-        s.write(reg::JOIN_CFG, join_cfg_word(JoinerMode::Intersect, IndexSize::U32));
-        assert!(!s.join_count_only());
-    }
-
-    #[test]
     fn spacc_job_decode() {
         let mut s = CfgShadow::default();
         s.write(reg::ACC_CFG, acc_cfg_word(IndexSize::U32));
@@ -679,26 +626,12 @@ mod tests {
         assert_eq!(feed.idx_base, 0x0030_1004);
         assert_eq!(feed.count, 17);
         assert_eq!(feed.idx_size, IndexSize::U32);
-        assert!(!feed.count_only);
         assert_eq!(feed.cap, SPACC_ROW_CAP_RESET);
         let drain = AccDrainSpec::from_shadow(&s, 0x0030_4002);
         assert_eq!(drain.idx_out, 0x0030_4002);
         assert_eq!(drain.val_out, 0x0030_8000);
         assert_eq!(drain.idx_size, IndexSize::U32);
         assert_eq!(CfgShadow::default().acc_index_size(), IndexSize::U16);
-    }
-
-    #[test]
-    fn count_only_acc_cfg_round_trips() {
-        let mut s = CfgShadow::default();
-        assert!(!s.acc_count_only());
-        s.write(reg::ACC_CFG, acc_count_cfg_word(IndexSize::U32));
-        assert!(s.acc_count_only());
-        assert_eq!(s.acc_index_size(), IndexSize::U32);
-        let feed = AccFeedSpec::from_shadow(&s, 0);
-        assert!(feed.count_only);
-        s.write(reg::ACC_CFG, acc_cfg_word(IndexSize::U32));
-        assert!(!s.acc_count_only());
         // The capacity register resets nonzero and round-trips.
         assert_eq!(s.read(reg::ACC_BUF_CAP), SPACC_ROW_CAP_RESET);
         s.write(reg::ACC_BUF_CAP, 9);

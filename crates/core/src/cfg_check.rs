@@ -36,9 +36,6 @@ pub enum CfgFault {
     /// A SpAcc feed was launched with a zero-capacity row buffer
     /// (`ACC_BUF_CAP` written to 0).
     ZeroCapacity,
-    /// A SpAcc drain was launched while `ACC_CFG` selects count-only
-    /// (symbolic) mode — there are no values to drain.
-    CountModeDrain,
     /// A pointer write would launch an indirection (ISSR) job on a
     /// plain SSR lane, which has no indirection unit.
     NoIndirection {
@@ -75,9 +72,6 @@ impl std::fmt::Display for CfgFault {
             }
             CfgFault::ZeroCapacity => {
                 f.write_str("SpAcc feed launched with a zero-capacity row buffer")
-            }
-            CfgFault::CountModeDrain => {
-                f.write_str("SpAcc drain launched in count-only (symbolic) mode")
             }
             CfgFault::NoIndirection { lane } => {
                 write!(f, "indirection job launched on plain SSR lane {lane}")
@@ -138,7 +132,7 @@ impl HwCaps {
         }
     }
 
-    /// Validates a joiner launch or `JOIN_COUNT` readback.
+    /// Validates a joiner launch.
     ///
     /// # Errors
     /// [`CfgFault::NoJoiner`] without joiner hardware.
@@ -150,7 +144,7 @@ impl HwCaps {
         }
     }
 
-    /// Validates a SpAcc launch (`ACC_FEED`/`ACC_DRAIN`/`ACC_CLEAR`) or
+    /// Validates a SpAcc launch (`ACC_FEED`/`ACC_DRAIN`) or
     /// readback (`ACC_NNZ`/`ACC_STATUS`).
     ///
     /// # Errors
@@ -176,18 +170,13 @@ impl HwCaps {
         Ok(())
     }
 
-    /// Validates a SpAcc drain launch against the decoded spec and the
-    /// shadow's count-only mode bit.
+    /// Validates a SpAcc drain launch against the decoded spec.
     ///
     /// # Errors
-    /// [`CfgFault::NoSpAcc`] without accumulator hardware,
-    /// [`CfgFault::CountModeDrain`] in count-only mode, and
+    /// [`CfgFault::NoSpAcc`] without accumulator hardware, and
     /// [`CfgFault::MisalignedDrain`] for misaligned output bases.
-    pub fn check_drain(&self, count_only: bool, spec: &AccDrainSpec) -> Result<(), CfgFault> {
+    pub fn check_drain(&self, spec: &AccDrainSpec) -> Result<(), CfgFault> {
         self.check_spacc_present()?;
-        if count_only {
-            return Err(CfgFault::CountModeDrain);
-        }
         if spec.idx_out % spec.idx_size.bytes() != 0 || spec.val_out % 8 != 0 {
             return Err(CfgFault::MisalignedDrain { idx_out: spec.idx_out, val_out: spec.val_out });
         }
@@ -244,7 +233,7 @@ pub fn is_joiner_launch(register: u16, lane: u8, shadow: &CfgShadow) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::{acc_count_cfg_word, idx_cfg_word, join_cfg_word, JoinerMode};
+    use crate::cfg::{acc_cfg_word, idx_cfg_word, join_cfg_word, JoinerMode};
     use crate::serializer::IndexSize;
 
     #[test]
@@ -274,18 +263,18 @@ mod tests {
         shadow.write(reg::ACC_VAL_OUT, 0x2004);
         let drain = AccDrainSpec::from_shadow(&shadow, 0x3000);
         assert_eq!(
-            HwCaps::SSSR.check_drain(false, &drain),
+            HwCaps::SSSR.check_drain(&drain),
             Err(CfgFault::MisalignedDrain { idx_out: 0x3000, val_out: 0x2004 })
         );
         shadow.write(reg::ACC_VAL_OUT, 0x2008);
         let drain = AccDrainSpec::from_shadow(&shadow, 0x3000);
-        assert_eq!(HwCaps::SSSR.check_drain(true, &drain), Err(CfgFault::CountModeDrain));
-        assert_eq!(HwCaps::SSSR.check_drain(false, &drain), Ok(()));
-        // Count-only mode also flips the index size decode path.
-        shadow.write(reg::ACC_CFG, acc_count_cfg_word(IndexSize::U32));
+        assert_eq!(HwCaps::SSSR.check_drain(&drain), Ok(()));
+        assert_eq!(HwCaps::PAPER.check_drain(&drain), Err(CfgFault::NoSpAcc));
+        // 32-bit indices need a 4-aligned index output base.
+        shadow.write(reg::ACC_CFG, acc_cfg_word(IndexSize::U32));
         let drain = AccDrainSpec::from_shadow(&shadow, 0x3002);
         assert_eq!(
-            HwCaps::SSSR.check_drain(false, &drain),
+            HwCaps::SSSR.check_drain(&drain),
             Err(CfgFault::MisalignedDrain { idx_out: 0x3002, val_out: 0x2008 })
         );
     }

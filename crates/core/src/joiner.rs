@@ -216,9 +216,6 @@ impl Side {
 #[derive(Debug)]
 pub struct IndexJoiner {
     mode: JoinerMode,
-    /// Count-only job: merge without value traffic (length-prefix
-    /// handshake — the emission count lands in `JOIN_COUNT`).
-    count_only: bool,
     a: Side,
     b: Side,
     /// Set once the merge has reached its terminal condition; remaining
@@ -250,7 +247,6 @@ impl IndexJoiner {
     pub fn new(spec: &JoinerSpec) -> Self {
         Self {
             mode: spec.mode,
-            count_only: spec.count_only,
             a: Side::new(spec.idx_a, spec.vals_a, spec.count_a, spec.idx_size),
             b: Side::new(spec.idx_b, spec.vals_b, spec.count_b, spec.idx_size),
             done_stepping: false,
@@ -352,7 +348,7 @@ impl IndexJoiner {
     /// emit a matched pair this cycle).
     #[must_use]
     pub fn outputs_free(&self) -> bool {
-        self.count_only || (self.a.can_emit() && self.b.can_emit())
+        self.a.can_emit() && self.b.can_emit()
     }
 
     /// What the joiner spent the cycle that last ticked it on, latched
@@ -477,14 +473,12 @@ impl IndexJoiner {
     fn emit_pair(&mut self, a_selected: bool, b_selected: bool) {
         self.stats.emissions += 1;
         self.stats.matches += u64::from(a_selected && b_selected);
-        if !self.count_only {
-            for (side, selected) in [(&mut self.a, a_selected), (&mut self.b, b_selected)] {
-                if selected {
-                    side.emit_fetch(side.idx.head_pos());
-                } else {
-                    side.emit_zero();
-                    self.stats.zero_fills += 1;
-                }
+        for (side, selected) in [(&mut self.a, a_selected), (&mut self.b, b_selected)] {
+            if selected {
+                side.emit_fetch(side.idx.head_pos());
+            } else {
+                side.emit_zero();
+                self.stats.zero_fills += 1;
             }
         }
         self.advance(a_selected, b_selected);

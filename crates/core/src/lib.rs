@@ -49,9 +49,8 @@ pub mod streamer;
 
 pub use affine::{AffineIterator, MAX_DIMS};
 pub use cfg::{
-    acc_cfg_word, acc_count_cfg_word, cfg_addr, idx_cfg_word, join_cfg_word, join_count_cfg_word,
-    AccDrainSpec, AccFeedSpec, CfgShadow, JobKind, JobSpec, JoinerMode, JoinerSpec, Pattern,
-    SPACC_ROW_CAP_RESET,
+    acc_cfg_word, cfg_addr, idx_cfg_word, join_cfg_word, AccDrainSpec, AccFeedSpec, CfgShadow,
+    JobKind, JobSpec, JoinerMode, JoinerSpec, Pattern, SPACC_ROW_CAP_RESET,
 };
 pub use cfg_check::{CfgFault, HwCaps};
 pub use fault::{StreamFault, StreamFaultKind, StreamUnit, STREAM_WATCHDOG_RESET};

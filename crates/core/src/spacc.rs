@@ -37,20 +37,15 @@
 //! arbitrarily — that is exactly the accumulation case the merge exists
 //! for.
 //!
-//! Two later extensions round the unit out:
+//! A row's length is read through `ACC_NNZ` once its feeds retired; the
+//! SpGEMM kernels chain the output offsets from it in the same pass that
+//! computes the values.
 //!
-//! * **count-only feeds** (`ACC_CFG` bit 1) run the same merge over the
-//!   index stream alone — no write-stream traffic — so `ACC_NNZ` yields
-//!   a row's data-dependent nonzero count without materializing values
-//!   (cleared per row with `ACC_CLEAR`; draining in this mode is a
-//!   configuration fault). No shipped kernel counts this way: the
-//!   cluster and system SpGEMM read each row's length after its numeric
-//!   feeds and chain the offsets in the same pass;
-//! * **double-buffered row storage**: a drain snapshots the merged row
-//!   at promotion, so the next row's first feed merges into the freed
-//!   buffer while the drain still writes — the two jobs share the lane
-//!   port round-robin, and [`SpAccStats::overlap_cycles`] counts the
-//!   won overlap.
+//! Row storage is **double-buffered**: a drain snapshots the merged row
+//! at promotion, so the next row's first feed merges into the freed
+//! buffer while the drain still writes — the two jobs share the lane
+//! port round-robin, and [`SpAccStats::overlap_cycles`] counts the won
+//! overlap.
 //!
 //! # Mid-stream faults and the grow-and-retry protocol
 //!
@@ -109,8 +104,6 @@ pub const SPACC_LANE: usize = 1;
 pub struct SpAccStats {
     /// Feed jobs completed.
     pub feeds: u64,
-    /// Count-only (symbolic) feed jobs among [`Self::feeds`].
-    pub count_feeds: u64,
     /// Drain jobs completed.
     pub drains: u64,
     /// (index, value) pairs consumed from the input streams.
@@ -136,7 +129,6 @@ pub struct SpAccStats {
 impl issr_trace::StatMerge for SpAccStats {
     fn merge_from(&mut self, other: &Self) {
         self.feeds += other.feeds;
-        self.count_feeds += other.count_feeds;
         self.drains += other.drains;
         self.pairs_in += other.pairs_in;
         self.merges += other.merges;
@@ -176,8 +168,6 @@ struct FeedRun {
     /// Pairs fully consumed by the merge.
     consumed: u64,
     count: u64,
-    /// Count-only (symbolic) feed: no value stream is consumed.
-    count_only: bool,
     /// Row-buffer capacity in elements (checked at retire).
     cap: u32,
     /// The pre-feed row buffer being merged against.
@@ -195,7 +185,6 @@ impl FeedRun {
             val_head: None,
             consumed: 0,
             count: spec.count,
-            count_only: spec.count_only,
             cap: spec.cap,
             old,
             pos: 0,
@@ -422,17 +411,6 @@ impl SpAcc {
         self.launch(AccJob::Drain(spec))
     }
 
-    /// Discards the accumulated row (the `ACC_CLEAR` write — symbolic
-    /// rows are counted, not drained). Returns `false` while the unit is
-    /// busy or frozen (the core retries).
-    pub fn clear(&mut self) -> bool {
-        if self.busy() || self.frozen {
-            return false;
-        }
-        self.row.clear();
-        true
-    }
-
     fn launch(&mut self, job: AccJob) -> bool {
         if self.pending.is_some() || self.frozen {
             return false;
@@ -458,9 +436,6 @@ impl SpAcc {
                 if spec.count == 0 {
                     // Zero-length feeds retire instantly (nothing to merge).
                     self.stats.feeds += 1;
-                    if spec.count_only {
-                        self.stats.count_feeds += 1;
-                    }
                     return;
                 }
                 let old = std::mem::take(&mut self.row);
@@ -620,9 +595,8 @@ impl SpAcc {
         }
         *progress |= run.idx.refill_head();
         // Pull a value only while pairs remain — values beyond `count`
-        // belong to the next queued feed job. Count-only feeds never
-        // touch the write stream.
-        if !run.count_only && run.val_head.is_none() && run.consumed < run.count {
+        // belong to the next queued feed job.
+        if run.val_head.is_none() && run.consumed < run.count {
             if let Some(bits) = lane.take_write() {
                 run.val_head = Some(f64::from_bits(bits));
                 *progress = true;
@@ -642,14 +616,10 @@ impl SpAcc {
             } else if run.idx.in_flight() == 0 {
                 *row = std::mem::take(&mut run.new);
                 stats.feeds += 1;
-                if run.count_only {
-                    stats.count_feeds += 1;
-                }
                 stats.peak_nnz = stats.peak_nnz.max(row.len() as u64);
                 return FeedStep::Done;
             }
-        } else if let (Some(idx), true) = (run.idx.head, run.count_only || run.val_head.is_some()) {
-            let val = run.val_head.unwrap_or(0.0);
+        } else if let (Some(idx), Some(val)) = (run.idx.head, run.val_head) {
             stats.steps += 1;
             *progress = true;
             if run.pos < run.old.len() && run.old[run.pos].0 < idx {
@@ -931,7 +901,7 @@ mod tests {
         run_to_idle(&mut spacc, &mut tcdm, &mut lane, &vals);
         assert_eq!(spacc.fault(), Some(StreamFaultKind::Overflow { cap }));
         assert_eq!(spacc.row, [(1, 0.5), (3, 0.25)], "pre-feed checkpoint restored");
-        assert!(!spacc.clear(), "frozen unit refuses ACC_CLEAR");
+        assert!(!spacc.launch_feed(feed_spec(IDX_IN, 1)), "frozen unit refuses launches");
         // Grow and replay the faulted feed from its checkpointed cursor
         // (fresh lane: the streamer's freeze clears the write FIFO).
         spacc.clear_fault();

@@ -18,7 +18,11 @@
 //! joiner job is configured through lane 0's shadow registers (`JOIN_*`)
 //! and launched by writing lane 0's read pointer with the A-side index
 //! array; while it runs it owns the memory ports of lanes 0 and 1 and
-//! delivers matched value pairs through those two registers.
+//! delivers matched value pairs through those two registers. How many
+//! pairs an `Intersect` or `Union` job emits depends on the data; a
+//! kernel ends its loop on them with `frep.s`, which stops when
+//! [`Streamer::read_stream_terminated`] reports the streams done, the
+//! only way a kernel ends a stream of unknown length.
 //!
 //! **Stall causes are latched, not re-derived.** Each unit records what
 //! its cycle was spent on where its tick decides it: a lane at the end
@@ -98,8 +102,6 @@ pub struct Streamer {
     /// One-deep shadow queue for joiner jobs (like a lane's pending slot).
     pending_join: Option<JoinerSpec>,
     joiner_stats: JoinerStats,
-    /// Pairs emitted by the most recent completed joiner job.
-    join_count_last: u32,
     spacc: SpAcc,
     /// The latched mid-stream fault, if any: the first fault freezes
     /// every stream unit; the core takes it as a trap once.
@@ -141,7 +143,6 @@ impl Streamer {
             joiner: None,
             pending_join: None,
             joiner_stats: JoinerStats::default(),
-            join_count_last: 0,
             spacc: SpAcc::new(),
             fault: None,
             fault_delivered: false,
@@ -306,7 +307,7 @@ impl Streamer {
     /// # Errors
     /// Returns a [`CfgFault`] for accesses the hardware cannot execute:
     /// a nonexistent lane, a joiner/SpAcc launch without that hardware,
-    /// a zero-capacity feed, or a drain in count-only mode.
+    /// a zero-capacity feed, or a misaligned drain.
     pub fn cfg_write(&mut self, addr: u16, value: u32) -> Result<bool, CfgFault> {
         let (register, lane) = crate::cfg::split_addr(addr);
         self.caps.check_lane(lane)?;
@@ -327,12 +328,8 @@ impl Streamer {
         }
         if lane == 0 && register == reg::ACC_DRAIN {
             let spec = AccDrainSpec::from_shadow(self.lanes[0].shadow(), value);
-            self.caps.check_drain(self.lanes[0].shadow().acc_count_only(), &spec)?;
+            self.caps.check_drain(&spec)?;
             return Ok(self.spacc.launch_drain(spec));
-        }
-        if lane == 0 && register == reg::ACC_CLEAR {
-            self.caps.check_spacc_present()?;
-            return Ok(self.spacc.clear());
         }
         // Launch-time capability checks: a pointer write decodes
         // against the lane's shadow, and malformed combinations fault
@@ -356,10 +353,6 @@ impl Streamer {
         let (register, lane) = crate::cfg::split_addr(addr);
         self.caps.check_lane(lane)?;
         let lane = lane as usize;
-        if lane == 0 && register == reg::JOIN_COUNT {
-            self.caps.check_joiner_present()?;
-            return Ok(self.join_count_last);
-        }
         if lane == 0 && register == reg::ACC_NNZ {
             self.caps.check_spacc_present()?;
             return Ok(u32::try_from(self.spacc.nnz()).expect("row buffer exceeds u32"));
@@ -464,10 +457,8 @@ impl Streamer {
                 return;
             }
             if joiner.is_done() {
-                let stats = joiner.stats();
-                self.joiner_stats.merge_from(&stats);
+                self.joiner_stats.merge_from(&joiner.stats());
                 self.joiner_stats.jobs += 1;
-                self.join_count_last = stats.emissions as u32;
                 self.joiner = None;
                 self.promote_join();
             }
@@ -783,8 +774,8 @@ mod tests {
         // Matches at indices 4 and 9: A positions 1, 2; B positions 1, 2.
         assert_eq!(pairs, [(1001, 2001), (1002, 2002)]);
         assert!(s.is_idle());
-        assert_eq!(s.cfg_read(cfg_addr(reg::JOIN_COUNT, 0)).unwrap(), 2);
         assert_eq!(s.joiner_stats().jobs, 1);
+        assert_eq!(s.joiner_stats().emissions, 2);
         assert_eq!(s.joiner_stats().matches, 2);
     }
 
@@ -817,41 +808,6 @@ mod tests {
         }
         assert_eq!(pairs, 8, "both queued jobs must run");
         assert_eq!(s.joiner_stats().jobs, 2);
-    }
-
-    /// A count-only joiner job reports its would-be emission count via
-    /// `JOIN_COUNT` without delivering (or fetching) any values — the
-    /// length-prefix handshake for data-dependent trip counts.
-    #[test]
-    fn count_only_joiner_reports_intersection_size() {
-        let mut tcdm = Tcdm::ideal(BASE, 0x10000);
-        place_join_workload(&mut tcdm, &[1, 4, 9, 11], &[0, 4, 9, 12]);
-        let mut s = Streamer::sssr_config();
-        assert!(s
-            .cfg_write(
-                cfg_addr(reg::JOIN_CFG, 0),
-                crate::cfg::join_count_cfg_word(JoinerMode::Intersect, IndexSize::U16)
-            )
-            .unwrap());
-        assert!(s.cfg_write(cfg_addr(reg::DATA_BASE, 0), BASE + 0x4000).unwrap());
-        assert!(s.cfg_write(cfg_addr(reg::JOIN_IDX_B, 0), BASE + 0x2000).unwrap());
-        assert!(s.cfg_write(cfg_addr(reg::JOIN_DATA_B, 0), BASE + 0x8000).unwrap());
-        assert!(s.cfg_write(cfg_addr(reg::JOIN_NNZ_A, 0), 4).unwrap());
-        assert!(s.cfg_write(cfg_addr(reg::JOIN_NNZ_B, 0), 4).unwrap());
-        assert!(s.cfg_write(cfg_addr(reg::RPTR[0], 0), BASE + 0x1000).unwrap());
-        let mut p0 = MemPort::new();
-        let mut p1 = MemPort::new();
-        for now in 0..2000u64 {
-            s.tick(now, &mut p0, std::slice::from_mut(&mut p1));
-            tcdm.tick(now, &mut [&mut p0, &mut p1], &[]);
-            assert!(!s.lane(0).can_pop() && !s.lane(1).can_pop(), "no values may be delivered");
-            if s.is_idle() {
-                break;
-            }
-        }
-        assert!(s.is_idle());
-        assert_eq!(s.cfg_read(cfg_addr(reg::JOIN_COUNT, 0)).unwrap(), 2); // matches at 4 and 9
-        assert_eq!(s.joiner_stats().val_reads, 0, "count-only fetches no values");
     }
 
     /// The SpAcc end to end over the configuration interface: two feed
@@ -920,12 +876,10 @@ mod tests {
         assert!(s.cfg_write(cfg_addr(reg::ACC_COUNT, 0), 1).unwrap());
         assert_eq!(s.cfg_write(cfg_addr(reg::ACC_FEED, 0), BASE), Err(CfgFault::NoSpAcc));
         assert_eq!(s.cfg_write(cfg_addr(reg::ACC_DRAIN, 0), BASE), Err(CfgFault::NoSpAcc));
-        assert_eq!(s.cfg_write(cfg_addr(reg::ACC_CLEAR, 0), 0), Err(CfgFault::NoSpAcc));
         // Readbacks fault too: a mis-targeted kernel must not spin on
         // status bits the hardware does not have.
         assert_eq!(s.cfg_read(cfg_addr(reg::ACC_STATUS, 0)), Err(CfgFault::NoSpAcc));
         assert_eq!(s.cfg_read(cfg_addr(reg::ACC_NNZ, 0)), Err(CfgFault::NoSpAcc));
-        assert_eq!(s.cfg_read(cfg_addr(reg::JOIN_COUNT, 0)), Err(CfgFault::NoJoiner));
     }
 
     #[test]
@@ -940,8 +894,8 @@ mod tests {
         assert_eq!(s.cfg_write(cfg_addr(reg::RPTR[0], 0), BASE), Err(CfgFault::NoJoiner));
     }
 
-    /// The launch-time configuration faults of the SpAcc: a
-    /// zero-capacity row buffer and a drain in count-only mode.
+    /// A zero-capacity row buffer faults the feed launch; an aligned
+    /// drain on the same shadow is accepted.
     #[test]
     fn spacc_malformed_cfg_words_fault() {
         let mut s = Streamer::sssr_config();
@@ -949,50 +903,7 @@ mod tests {
         assert!(s.cfg_write(cfg_addr(reg::ACC_BUF_CAP, 0), 0).unwrap());
         assert_eq!(s.cfg_write(cfg_addr(reg::ACC_FEED, 0), BASE), Err(CfgFault::ZeroCapacity));
         assert!(s.cfg_write(cfg_addr(reg::ACC_BUF_CAP, 0), 64).unwrap());
-        assert!(s
-            .cfg_write(cfg_addr(reg::ACC_CFG, 0), crate::cfg::acc_count_cfg_word(IndexSize::U16))
-            .unwrap());
-        assert_eq!(s.cfg_write(cfg_addr(reg::ACC_DRAIN, 0), BASE), Err(CfgFault::CountModeDrain));
-        // Back in normal mode the same drain launch is accepted.
-        assert!(s
-            .cfg_write(cfg_addr(reg::ACC_CFG, 0), crate::cfg::acc_cfg_word(IndexSize::U16))
-            .unwrap());
         assert!(s.cfg_write(cfg_addr(reg::ACC_DRAIN, 0), BASE).unwrap());
-    }
-
-    /// Count-only feeds report the merged row length through `ACC_NNZ`
-    /// without any value traffic, and `ACC_CLEAR` resets the row — the
-    /// symbolic-phase handshake.
-    #[test]
-    fn count_only_feeds_report_row_nnz_without_values() {
-        let mut tcdm = Tcdm::ideal(BASE, 0x10000);
-        tcdm.array_mut().store_u16_slice(BASE + 0x1000, &[2, 7, 9]);
-        tcdm.array_mut().store_u16_slice(BASE + 0x1100, &[2, 11]);
-        let mut s = Streamer::sssr_config();
-        assert!(s
-            .cfg_write(cfg_addr(reg::ACC_CFG, 0), crate::cfg::acc_count_cfg_word(IndexSize::U16))
-            .unwrap());
-        assert!(s.cfg_write(cfg_addr(reg::ACC_COUNT, 0), 3).unwrap());
-        assert!(s.cfg_write(cfg_addr(reg::ACC_FEED, 0), BASE + 0x1000).unwrap());
-        assert!(s.cfg_write(cfg_addr(reg::ACC_COUNT, 0), 2).unwrap());
-        assert!(s.cfg_write(cfg_addr(reg::ACC_FEED, 0), BASE + 0x1100).unwrap());
-        let mut p0 = MemPort::new();
-        let mut p1 = MemPort::new();
-        for now in 0..2000u64 {
-            s.tick(now, &mut p0, std::slice::from_mut(&mut p1));
-            tcdm.tick(now, &mut [&mut p0, &mut p1], &[]);
-            if s.is_idle() {
-                break;
-            }
-        }
-        assert!(s.is_idle(), "count-only feeds retire without any write-stream values");
-        assert_eq!(s.cfg_read(cfg_addr(reg::ACC_NNZ, 0)).unwrap(), 4); // {2, 7, 9, 11}
-        assert_eq!(s.spacc_stats().count_feeds, 2);
-        assert_eq!(s.spacc_stats().merges, 1, "duplicate index 2 merged");
-        assert_eq!(s.lane(1).stats().fpu_writes, 0, "no value traffic");
-        // ACC_CLEAR resets the row for the next symbolic row.
-        assert!(s.cfg_write(cfg_addr(reg::ACC_CLEAR, 0), 0).unwrap());
-        assert_eq!(s.cfg_read(cfg_addr(reg::ACC_NNZ, 0)).unwrap(), 0);
     }
 
     /// Misaligned drain output bases fault at launch (CfgFault), before

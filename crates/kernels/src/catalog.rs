@@ -27,9 +27,7 @@ use crate::csrmm::{build_csrmm, place_csrmm};
 use crate::csrmv::{build_csrmv, place_csrmv};
 use crate::harness::single_cc_arena as arena;
 use crate::spgemm::{build_spgemm, place_spgemm};
-use crate::spmspv::{
-    build_spmspv, build_spvv_ss, build_spvv_ss_dyn, build_spvv_ss_term, place_spmspv, place_spvv_ss,
-};
+use crate::spmspv::{build_spmspv, build_spvv_ss, build_spvv_ss_term, place_spmspv, place_spvv_ss};
 use crate::spvv::{build_spvv, place_spvv};
 use crate::stencil::{build_stencil, place_stencil, SparseStencil};
 use crate::streaming::{build_gather, build_scatter, place_stream};
@@ -108,7 +106,6 @@ fn entries<I: KernelIndex>(tag: &str, out: &mut Vec<CatalogEntry>) {
         let plan = SystemSpgemmPlan::new(variant, &a, &b, n_workers);
         add("system_spgemm", variant, true, build_system_spgemm::<I>(variant, &plan));
     }
-    add("spvv_ss_dyn", Variant::Issr, true, build_spvv_ss_dyn::<I>(spvv_ss));
     add("spvv_ss_term", Variant::Issr, true, build_spvv_ss_term::<I>(spvv_ss));
     add("gather", Variant::Issr, false, build_gather::<I>(gather));
     add("scatter", Variant::Issr, false, build_scatter::<I>(scatter));
@@ -158,7 +155,6 @@ mod tests {
             ("spgemm", 4),
             ("spmspv", 4),
             ("spvv_ss", 4),
-            ("spvv_ss_dyn", 2),
             ("spvv_ss_term", 2),
             ("gather", 2),
             ("scatter", 2),
@@ -170,6 +166,6 @@ mod tests {
             ("system_spgemm", 4),
         ];
         assert_eq!(per_kernel, expected.iter().map(|&(k, n)| (k.to_owned(), n)).collect());
-        assert_eq!(expected.iter().map(|&(_, n)| n).sum::<usize>(), 60);
+        assert_eq!(expected.iter().map(|&(_, n)| n).sum::<usize>(), 58);
     }
 }

@@ -1,9 +1,11 @@
 //! Multicore cluster SpMSpV: sparse matrix × sparse vector on the
 //! sparse-sparse streamer cluster.
 //!
-//! Mirrors [`crate::cluster_csrmv`]'s static row striping: `nrows` is
-//! split into contiguous stripes of `⌈nrows / workers⌉` rows, worker *h*
-//! owning stripe *h*; the shared sparse operand `x` stays resident.
+//! Rows are striped statically: `nrows` is split into contiguous stripes
+//! of `⌈nrows / workers⌉` rows, worker *h* owning stripe *h*, which each
+//! worker derives from its hartid ([`crate::cluster_csrmv`] instead
+//! reads a slice of whole rows the host planned per worker and block).
+//! The shared sparse operand `x` stays resident.
 //! Unlike CsrMV's DMA experiment the workload is TCDM-resident end to
 //! end (the sparse-sparse kernels are latency-, not bandwidth-bound),
 //! so no DMCC choreography is needed — every worker runs its stripe
@@ -85,24 +87,16 @@ impl ClusterSpmspvPlan {
     }
 }
 
-/// Emits the row-striped worker prologue shared by the cluster kernels:
-/// computes the stripe `[a0, a0 + s2)` from the hartid (halting harts
-/// with no rows), points `s0` at `&a.ptr[start + 1]`, seeds the A
-/// cursors `s4`/`s5` from `ptr[start]` and `s1` at the worker's output
-/// cursor `out_base + (start << out_shift)` (the dense `y` row for
-/// SpMSpV, the resident `c.ptr` entry for SpGEMM).
-pub(crate) fn emit_stripe_prologue<I: KernelIndex>(
-    asm: &mut Assembler,
-    rows_per_worker: u32,
-    nrows: u32,
-    a: CsrAddrs,
-    out_base: u32,
-    out_shift: i32,
-) {
+/// Emits the row-striped worker prologue: computes the stripe
+/// `[a0, a0 + s2)` from the hartid (halting harts with no rows), points
+/// `s0` at `&a.ptr[start + 1]`, seeds the A cursors `s4`/`s5` from
+/// `ptr[start]` and `s1` at the worker's first `y` row.
+fn emit_stripe_prologue<I: KernelIndex>(asm: &mut Assembler, plan: &ClusterSpmspvPlan) {
     let log_w = log_width::<I>();
-    asm.li(R::T0, i64::from(rows_per_worker));
+    let a = plan.a;
+    asm.li(R::T0, i64::from(plan.rows_per_worker));
     asm.mul(R::A0, R::A7, R::T0); //    start row
-    asm.li(R::T1, i64::from(nrows));
+    asm.li(R::T1, i64::from(plan.nrows));
     let some_rows = asm.new_label();
     asm.blt(R::A0, R::T1, some_rows);
     asm.halt(); //                      stripe past the end
@@ -123,9 +117,9 @@ pub(crate) fn emit_stripe_prologue<I: KernelIndex>(
     asm.slli(R::T5, R::T4, 3);
     asm.li_addr(R::S5, a.vals);
     asm.add(R::S5, R::S5, R::T5); //    A value cursor
-    asm.slli(R::T5, R::A0, out_shift);
-    asm.li_addr(R::S1, out_base);
-    asm.add(R::S1, R::S1, R::T5); //    output cursor at `start`
+    asm.slli(R::T5, R::A0, 3);
+    asm.li_addr(R::S1, plan.y);
+    asm.add(R::S1, R::S1, R::T5); //    &y[start]
 }
 
 /// Builds the SPMD cluster program (workers `0..n`; the DMCC, hart `n`,
@@ -150,7 +144,7 @@ pub fn build_cluster_spmspv<I: KernelIndex>(variant: Variant, plan: &ClusterSpms
     asm.halt(); // the DMCC has nothing to move
     asm.bind(worker);
     asm.symbol("worker");
-    emit_stripe_prologue::<I>(&mut asm, plan.rows_per_worker, plan.nrows, plan.a, plan.y, 3);
+    emit_stripe_prologue::<I>(&mut asm, plan);
     match variant {
         Variant::Issr => {
             emit_gather_x_cfg::<I>(&mut asm, plan.x);

@@ -91,8 +91,7 @@ fn emit_indirect_job<I: KernelIndex>(
 
 /// Emits the configuration and launch of an index-joiner job (lanes 0
 /// and 1) under the `JOIN_CFG` word `cfg_word` (mode and index width,
-/// [`issr_core::cfg::join_cfg_word`]; count-only pre-passes pass
-/// [`issr_core::cfg::join_count_cfg_word`]): stream A's indices select
+/// [`issr_core::cfg::join_cfg_word`]): stream A's indices select
 /// its values, stream B likewise. Counts may be zero. Clobbers
 /// [`SETUP_SCRATCH`].
 pub fn emit_joiner_job(asm: &mut Assembler, cfg_word: u32, a: FiberAddrs, b: FiberAddrs) {

@@ -58,7 +58,7 @@ pub use spgemm::{
     SpgemmRun,
 };
 pub use spmspv::{
-    build_spmspv, build_spvv_ss, build_spvv_ss_dyn, run_spmspv, run_spvv_ss, run_spvv_ss_dyn,
+    build_spmspv, build_spvv_ss, build_spvv_ss_term, run_spmspv, run_spvv_ss, run_spvv_ss_term,
     SpmspvAddrs, SpmspvRun, SpvvSsAddrs, SpvvSsRun,
 };
 pub use spvv::{build_spvv, run_spvv, SpvvAddrs, SpvvRun};

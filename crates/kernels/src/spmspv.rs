@@ -15,19 +15,18 @@
 //! joiner per row through the one-deep shadow queue, overlapping the
 //! next row's setup with the current row's drain.
 //!
-//! True `Intersect` streaming (data-dependent emission count) comes in
-//! two flavours: the two-pass `JOIN_COUNT` length-prefix handshake
-//! ([`build_spvv_ss_dyn`], walks both index streams twice) and the
-//! single-pass **stream-terminate** loop ([`build_spvv_ss_term`],
-//! `frep.s`): the joiner raises `done` into the FREP sequencer, so the
-//! loop ends when the matched-pair stream dries up — one walk, zero
-//! pre-passes.
+//! True `Intersect` streaming (data-dependent emission count) runs the
+//! **stream-terminate** loop ([`build_spvv_ss_term`], `frep.s`): the
+//! joiner raises `done` into the FREP sequencer, so the loop ends when
+//! the matched-pair stream dries up — each index stream is walked once,
+//! and the loop runs one `fmadd` per match. This is the only way a
+//! kernel ends a stream whose length it cannot know up front.
 
 use crate::common::{emit_joiner_job, emit_reduction_tree, emit_zero_accumulators, ACC0, FZ};
 use crate::harness::{self, OnTrap};
 use crate::layout::{alloc_result, place_csr, place_fiber, Arena, CsrAddrs, FiberAddrs};
 use crate::variant::{issr_accumulators, log_width, KernelIndex, Variant};
-use issr_core::cfg::{cfg_addr, join_cfg_word, join_count_cfg_word, reg as sreg, JoinerMode};
+use issr_core::cfg::{cfg_addr, join_cfg_word, reg as sreg, JoinerMode};
 use issr_isa::asm::{Assembler, Label, Program};
 use issr_isa::instr::Stagger;
 use issr_isa::reg::{FpReg, IntReg as R};
@@ -137,69 +136,13 @@ fn emit_issr_spvv_ss<I: KernelIndex>(asm: &mut Assembler, addrs: SpvvSsAddrs) {
     asm.csrci(issr_isa::Csr::Ssr, 1);
 }
 
-/// Builds the *dynamic-trip* ISSR SpVV∩: true `Intersect` streaming via
-/// the `JOIN_COUNT` length-prefix handshake. A **count-only** intersect
-/// pre-pass runs the comparator without any value traffic and leaves the
-/// match count in `JOIN_COUNT`; the core reads it back and uses it as
-/// the FREP trip count of a second, real `Intersect` job — so the
-/// compute loop executes exactly one `fmadd` per *match*, with no
-/// gather-A zero-fill padding. Worthwhile when matches are much rarer
-/// than A-side elements; the price is walking both index streams twice.
-#[must_use]
-pub fn build_spvv_ss_dyn<I: KernelIndex>(addrs: SpvvSsAddrs) -> Program {
-    let n_acc = issr_accumulators(I::IDX_SIZE);
-    let mut asm = Assembler::new();
-    asm.li_addr(R::A2, addrs.out);
-    asm.roi_begin();
-    if addrs.a.nnz == 0 || addrs.b.nnz == 0 {
-        asm.fcvt_d_w(ACC0, R::ZERO);
-        asm.fsd(ACC0, R::A2, 0);
-        asm.roi_end();
-        asm.halt();
-        return asm.finish().expect("dynamic SpVV∩ program assembles");
-    }
-    let launch = |asm: &mut Assembler, cfg_word| emit_joiner_job(asm, cfg_word, addrs.a, addrs.b);
-    // Pre-pass: count-only intersect, then poll lane 0 until it retires.
-    launch(&mut asm, join_count_cfg_word(JoinerMode::Intersect, I::IDX_SIZE));
-    let spin = asm.bind_label();
-    asm.symbol("count_spin");
-    asm.scfgri(R::T1, cfg_addr(sreg::STATUS, 0));
-    asm.andi(R::T1, R::T1, 1);
-    asm.beqz(R::T1, spin);
-    asm.scfgri(R::T2, cfg_addr(sreg::JOIN_COUNT, 0));
-    let compute = asm.new_label();
-    let end = asm.new_label();
-    asm.bnez(R::T2, compute);
-    asm.fcvt_d_w(ACC0, R::ZERO);
-    asm.fsd(ACC0, R::A2, 0);
-    asm.roi_end();
-    asm.j(end);
-    // Real pass: the matched-pair count is now a static trip count.
-    asm.bind(compute);
-    asm.symbol("dyn_intersect");
-    launch(&mut asm, join_cfg_word(JoinerMode::Intersect, I::IDX_SIZE));
-    asm.csrsi(issr_isa::Csr::Ssr, 1);
-    emit_zero_accumulators(&mut asm, ACC0, n_acc);
-    asm.addi(R::T2, R::T2, -1);
-    asm.frep_outer(R::T2, 1, Stagger::accumulator(n_acc));
-    asm.fmadd_d(ACC0, FpReg::FT0, FpReg::FT1, ACC0);
-    emit_reduction_tree(&mut asm, ACC0, n_acc);
-    asm.fsd(ACC0, R::A2, 0);
-    asm.roi_end();
-    asm.csrci(issr_isa::Csr::Ssr, 1);
-    asm.bind(end);
-    asm.halt();
-    asm.finish().expect("dynamic SpVV∩ program assembles")
-}
-
-/// Builds the *single-pass* dynamic SpVV∩: a true `Intersect` job with
-/// the **stream-terminate flag** instead of the two-pass `JOIN_COUNT`
-/// handshake. The joiner streams matched pairs of data-dependent count
-/// and raises `done` into the FREP sequencer; the compute loop is one
-/// staggered `fmadd` under `frep.s`, which replays until the streams
-/// terminate — each index stream is walked **once**, and the loop runs
-/// exactly one `fmadd` per match (zero for disjoint operands) without
-/// any pre-counted trip.
+/// Builds the *single-pass* dynamic SpVV∩: a true `Intersect` job ended
+/// by the **stream-terminate flag**. The joiner streams matched pairs of
+/// data-dependent count and raises `done` into the FREP sequencer; the
+/// compute loop is one staggered `fmadd` under `frep.s`, which replays
+/// until the streams terminate — each index stream is walked **once**,
+/// and the loop runs exactly one `fmadd` per match (zero for disjoint
+/// operands) without any pre-counted trip.
 #[must_use]
 pub fn build_spvv_ss_term<I: KernelIndex>(addrs: SpvvSsAddrs) -> Program {
     let n_acc = issr_accumulators(I::IDX_SIZE);
@@ -464,18 +407,6 @@ pub fn run_spvv_ss_term<I: KernelIndex>(
     run_spvv_ss_on(a, b, build_spvv_ss_term::<I>, 64)
 }
 
-/// Marshals the two fibers and runs the dynamic-trip (JOIN_COUNT
-/// handshake) SpVV∩ on the joiner hardware.
-///
-/// # Errors
-/// Returns [`SimTimeout`] if the kernel fails to finish (a bug).
-pub fn run_spvv_ss_dyn<I: KernelIndex>(
-    a: &SparseFiber<I>,
-    b: &SparseFiber<I>,
-) -> Result<SpvvSsRun, SimTimeout> {
-    run_spvv_ss_on(a, b, build_spvv_ss_dyn::<I>, 128)
-}
-
 /// Result of one SpMSpV run.
 #[derive(Clone, Debug)]
 pub struct SpmspvRun {
@@ -645,42 +576,6 @@ mod tests {
         assert!(speedup > 3.0, "SpVV∩ joiner speedup {speedup:.2} (base {base}, issr {issr})");
     }
 
-    /// The dynamic-trip (JOIN_COUNT handshake) variant matches the
-    /// oracle across overlaps, widths and empty operands.
-    #[test]
-    fn dyn_spvv_ss_matches_reference() {
-        for (nnz_a, nnz_b, overlap) in
-            [(1, 1, 1.0), (2, 7, 0.0), (33, 200, 0.5), (100, 100, 0.25), (256, 64, 1.0)]
-        {
-            for wide in [false, true] {
-                let mut rng = gen::rng(140 + nnz_a as u64 + u64::from(wide));
-                let (a32, b32) =
-                    gen::overlapping_pair::<u32>(&mut rng, 1024, nnz_a, nnz_b, overlap);
-                let (run, expect) = if wide {
-                    (
-                        run_spvv_ss_dyn(&a32, &b32).expect("kernel finishes"),
-                        reference::spvv_ss(&a32, &b32),
-                    )
-                } else {
-                    let (a, b) = (a32.with_index_width::<u16>(), b32.with_index_width::<u16>());
-                    (run_spvv_ss_dyn(&a, &b).expect("kernel finishes"), reference::spvv_ss(&a, &b))
-                };
-                let tol = 1e-12 * expect.abs().max(1.0);
-                assert!(
-                    (run.result - expect).abs() <= tol,
-                    "dyn nnz=({nnz_a},{nnz_b}) overlap={overlap} wide={wide}: \
-                     got {} expected {expect}",
-                    run.result
-                );
-            }
-        }
-        let empty = SparseFiber::<u16>::new(64, vec![], vec![]).unwrap();
-        let some = SparseFiber::<u16>::new(64, vec![3, 9], vec![2.0, -1.0]).unwrap();
-        for (a, b) in [(&empty, &some), (&some, &empty), (&empty, &empty)] {
-            assert_eq!(run_spvv_ss_dyn(a, b).unwrap().result, 0.0);
-        }
-    }
-
     /// The single-pass stream-terminated (`frep.s`) variant matches the
     /// oracle across overlaps, widths and empty operands — with ONE
     /// joiner job and one `fmadd` per match.
@@ -726,48 +621,26 @@ mod tests {
         }
     }
 
-    /// The terminate flag halves the index traffic of the two-pass
-    /// handshake: same result, one walk instead of two.
+    /// The terminate flag walks each index stream once: one joiner job
+    /// fetches no more index words than the two arrays span.
     #[test]
     fn term_spvv_ss_walks_streams_once() {
         let mut rng = gen::rng(155);
         let (a, b) = gen::overlapping_pair::<u16>(&mut rng, 512, 64, 64, 0.25);
-        let dynamic = run_spvv_ss_dyn(&a, &b).unwrap();
-        let term = run_spvv_ss_term(&a, &b).unwrap();
-        assert_eq!(term.result, dynamic.result);
-        assert_eq!(term.summary.joiner_stats.jobs, 1);
-        assert_eq!(dynamic.summary.joiner_stats.jobs, 2);
-        assert!(
-            term.summary.joiner_stats.idx_words * 2 <= dynamic.summary.joiner_stats.idx_words + 2,
-            "single pass fetches about half the index words ({} vs {})",
-            term.summary.joiner_stats.idx_words,
-            dynamic.summary.joiner_stats.idx_words
-        );
-        assert!(
-            term.summary.metrics.roi.cycles < dynamic.summary.metrics.roi.cycles,
-            "single pass is faster ({} vs {})",
-            term.summary.metrics.roi.cycles,
-            dynamic.summary.metrics.roi.cycles
-        );
-    }
-
-    /// The handshake runs two joiner jobs (count pass + real pass) when
-    /// matches exist, and the compute loop sees exactly the match count.
-    #[test]
-    fn dyn_spvv_ss_uses_count_prepass() {
-        let mut rng = gen::rng(145);
-        let (a, b) = gen::overlapping_pair::<u16>(&mut rng, 512, 64, 64, 0.25);
-        let run = run_spvv_ss_dyn(&a, &b).unwrap();
+        let run = run_spvv_ss_term(&a, &b).unwrap();
+        let expect = reference::spvv_ss(&a, &b);
+        assert!((run.result - expect).abs() <= 1e-12 * expect.abs().max(1.0));
         let stats = run.summary.joiner_stats;
-        assert_eq!(stats.jobs, 2, "count-only pre-pass plus real pass");
-        assert_eq!(stats.emissions, 32, "16 counted + 16 emitted");
-        assert_eq!(run.summary.metrics.roi.fmadds, 16, "one fmadd per match");
-        // Disjoint operands: the real pass is skipped entirely.
-        let (a, b) = gen::overlapping_pair::<u16>(&mut rng, 512, 32, 32, 0.0);
-        let run = run_spvv_ss_dyn(&a, &b).unwrap();
-        assert_eq!(run.summary.joiner_stats.jobs, 1);
-        assert_eq!(run.summary.joiner_stats.val_reads, 0);
-        assert_eq!(run.result, 0.0);
+        assert_eq!(stats.jobs, 1);
+        // An array of n 16-bit indices spans 2n / 8 words, one more at
+        // an unaligned base.
+        let span = |nnz: usize| (2 * nnz).div_ceil(8) as u64 + 1;
+        assert!(
+            stats.idx_words <= span(a.nnz()) + span(b.nnz()),
+            "one walk fetches at most {} index words, got {}",
+            span(a.nnz()) + span(b.nnz()),
+            stats.idx_words
+        );
     }
 
     /// Joiner activity is reported through the run summary.

@@ -14,9 +14,7 @@
 //! [`TrapCause::SequencerFault`] instead of spinning to the cycle limit.
 
 use issr_cluster::cluster::{Cluster, ClusterParams};
-use issr_core::cfg::{
-    acc_cfg_word, acc_count_cfg_word, cfg_addr, join_cfg_word, reg as sreg, JoinerMode,
-};
+use issr_core::cfg::{acc_cfg_word, cfg_addr, join_cfg_word, reg as sreg, JoinerMode};
 use issr_core::fault::{StreamFaultKind, StreamUnit};
 use issr_core::serializer::IndexSize;
 use issr_core::CfgFault;
@@ -73,19 +71,6 @@ fn zero_capacity_feed_traps() {
     a.scfgwi(R::T0, cfg_addr(sreg::ACC_FEED, 0));
     a.halt();
     assert_eq!(run_to_trap(a.finish().unwrap()), TrapCause::CfgFault(CfgFault::ZeroCapacity));
-}
-
-#[test]
-fn count_mode_drain_traps() {
-    let mut a = Assembler::new();
-    a.li(R::T0, i64::from(acc_count_cfg_word(IndexSize::U16)));
-    a.scfgwi(R::T0, cfg_addr(sreg::ACC_CFG, 0)); // symbolic mode
-    a.li_addr(R::T0, TCDM_BASE + 0x2000);
-    a.scfgwi(R::T0, cfg_addr(sreg::ACC_VAL_OUT, 0));
-    a.li_addr(R::T0, TCDM_BASE + 0x1000);
-    a.scfgwi(R::T0, cfg_addr(sreg::ACC_DRAIN, 0)); // nothing to drain
-    a.halt();
-    assert_eq!(run_to_trap(a.finish().unwrap()), TrapCause::CfgFault(CfgFault::CountModeDrain));
 }
 
 #[test]
@@ -168,23 +153,36 @@ fn joiner_launch_outside_lane0_traps() {
 
 // ---- mid-stream structured faults ----
 
-/// A program running one count-only (symbolic) SpAcc feed of `count`
-/// distinct indices against an `ACC_BUF_CAP` of `cap`, then spinning on
-/// completion.
-fn symbolic_feed_program(cap: u32, count: u32, idx_base: u32) -> Program {
-    let mut a = Assembler::new();
-    a.li(R::T0, i64::from(acc_count_cfg_word(IndexSize::U16)));
+/// Emits one SpAcc feed of `count` (a register, at least 1, clobbered)
+/// 16-bit indices at `idx_base` against an `ACC_BUF_CAP` of `cap`: the
+/// FPU streams `count` values of 1.0 through `ft1`, and the core spins
+/// until the unit is idle. Clobbers `t0`, `t1` and `fa0`.
+fn emit_value_feed(a: &mut Assembler, cap: u32, count: R, idx_base: u32) {
+    a.li(R::T0, i64::from(acc_cfg_word(IndexSize::U16)));
     a.scfgwi(R::T0, cfg_addr(sreg::ACC_CFG, 0));
     a.li(R::T0, i64::from(cap));
     a.scfgwi(R::T0, cfg_addr(sreg::ACC_BUF_CAP, 0));
-    a.li(R::T0, i64::from(count));
-    a.scfgwi(R::T0, cfg_addr(sreg::ACC_COUNT, 0));
+    a.scfgwi(count, cfg_addr(sreg::ACC_COUNT, 0));
     a.li_addr(R::T0, idx_base);
     a.scfgwi(R::T0, cfg_addr(sreg::ACC_FEED, 0));
+    a.li(R::T0, 1);
+    a.fcvt_d_w(F::FA0, R::T0);
+    a.csrsi(Csr::Ssr, 1);
+    a.addi(count, count, -1);
+    a.frep_outer(count, 1, Stagger::NONE);
+    a.fmv_d(F::FT1, F::FA0);
     let spin = a.bind_label();
     a.scfgri(R::T1, cfg_addr(sreg::ACC_STATUS, 0));
     a.andi(R::T1, R::T1, 1);
     a.beqz(R::T1, spin);
+}
+
+/// A program running one value feed of `count` indices
+/// ([`emit_value_feed`]), then halting.
+fn value_feed_program(cap: u32, count: u32, idx_base: u32) -> Program {
+    let mut a = Assembler::new();
+    a.li(R::T2, i64::from(count));
+    emit_value_feed(&mut a, cap, R::T2, idx_base);
     a.halt();
     a.finish().unwrap()
 }
@@ -198,12 +196,14 @@ fn spacc_overflow_at_capacity_boundary() {
     let idx_base = TCDM_BASE + 0x1000;
     for count in [cap - 1, cap, cap + 1] {
         let mut sim =
-            SingleCcSim::with_params(symbolic_feed_program(cap, count, idx_base), CcParams::sssr());
+            SingleCcSim::with_params(value_feed_program(cap, count, idx_base), CcParams::sssr());
         let idcs: Vec<u16> = (0..count as u16).map(|i| i * 3).collect();
         sim.mem.array_mut().store_u16_slice(idx_base, &idcs);
         let summary = sim.run(20_000).expect("boundary runs must finish");
+        let stats = summary.spacc_stats;
         if count <= cap {
             assert!(summary.trap.is_none(), "count {count} fits capacity {cap}");
+            assert_eq!((stats.feeds, stats.pairs_in), (1, u64::from(count)));
         } else {
             let trap = summary.trap.expect("over-capacity feed must trap");
             match trap.cause {
@@ -222,8 +222,7 @@ fn spacc_overflow_at_capacity_boundary() {
 #[test]
 fn spacc_unsorted_feed_traps() {
     let idx_base = TCDM_BASE + 0x1000;
-    let mut sim =
-        SingleCcSim::with_params(symbolic_feed_program(64, 3, idx_base), CcParams::sssr());
+    let mut sim = SingleCcSim::with_params(value_feed_program(64, 3, idx_base), CcParams::sssr());
     sim.mem.array_mut().store_u16_slice(idx_base, &[2, 9, 3]);
     let summary = sim.run(20_000).expect("the faulted run still finishes");
     let trap = summary.trap.expect("unsorted feed must trap");
@@ -347,8 +346,8 @@ fn cluster_stream_fault_isolates_to_one_hart() {
     let idx_base = TCDM_BASE + 0x1000;
     let out = TCDM_BASE + 0x80;
     let cap = 4u32;
-    // Every worker h runs a count-only feed of `count(h)` indices and
-    // stores its ACC_NNZ readback; hart 0 optionally exceeds the cap.
+    // Every worker h runs a value feed of `count(h)` indices and stores
+    // its ACC_NNZ readback; hart 0 optionally exceeds the cap.
     let build = |hart0_count: u32| {
         let mut a = Assembler::new();
         a.csrr(R::A7, Csr::MHartId);
@@ -357,23 +356,13 @@ fn cluster_stream_fault_isolates_to_one_hart() {
         a.blt(R::A7, R::T0, worker);
         a.halt(); // the DMCC has no SpAcc
         a.bind(worker);
-        a.li(R::T0, i64::from(acc_count_cfg_word(IndexSize::U16)));
-        a.scfgwi(R::T0, cfg_addr(sreg::ACC_CFG, 0));
-        a.li(R::T0, i64::from(cap));
-        a.scfgwi(R::T0, cfg_addr(sreg::ACC_BUF_CAP, 0));
         // count = hart0_count for hart 0, 3 for everyone else.
         let other = a.new_label();
-        a.li(R::T1, 3);
+        a.li(R::T2, 3);
         a.bnez(R::A7, other);
-        a.li(R::T1, i64::from(hart0_count));
+        a.li(R::T2, i64::from(hart0_count));
         a.bind(other);
-        a.scfgwi(R::T1, cfg_addr(sreg::ACC_COUNT, 0));
-        a.li_addr(R::T0, idx_base);
-        a.scfgwi(R::T0, cfg_addr(sreg::ACC_FEED, 0));
-        let spin = a.bind_label();
-        a.scfgri(R::T1, cfg_addr(sreg::ACC_STATUS, 0));
-        a.andi(R::T1, R::T1, 1);
-        a.beqz(R::T1, spin);
+        emit_value_feed(&mut a, cap, R::T2, idx_base);
         a.scfgri(R::T2, cfg_addr(sreg::ACC_NNZ, 0));
         a.slli(R::T3, R::A7, 2);
         a.li_addr(R::T4, out);
@@ -436,9 +425,9 @@ fn cluster_surfaces_per_worker_traps() {
     a.csrr(R::A7, Csr::MHartId);
     let good = a.new_label();
     a.bnez(R::A7, good);
-    // Hart 0: count-mode drain fault.
-    a.li(R::T0, i64::from(acc_count_cfg_word(IndexSize::U16)));
-    a.scfgwi(R::T0, cfg_addr(sreg::ACC_CFG, 0));
+    // Hart 0: a drain whose value base is not word aligned.
+    a.li_addr(R::T0, TCDM_BASE + 0x2004);
+    a.scfgwi(R::T0, cfg_addr(sreg::ACC_VAL_OUT, 0));
     a.li_addr(R::T0, TCDM_BASE + 0x1000);
     a.scfgwi(R::T0, cfg_addr(sreg::ACC_DRAIN, 0));
     a.halt();
@@ -455,7 +444,13 @@ fn cluster_surfaces_per_worker_traps() {
     let summary = cluster.run(100_000).expect("cluster drains despite the trap");
     assert_eq!(summary.traps.len(), 1, "exactly the faulting worker traps");
     assert_eq!(summary.traps[0].hartid, 0);
-    assert_eq!(summary.traps[0].cause, TrapCause::CfgFault(CfgFault::CountModeDrain));
+    assert_eq!(
+        summary.traps[0].cause,
+        TrapCause::CfgFault(CfgFault::MisalignedDrain {
+            idx_out: TCDM_BASE + 0x1000,
+            val_out: TCDM_BASE + 0x2004,
+        })
+    );
     for h in 1..8u32 {
         assert_eq!(cluster.tcdm.array().load_u32(out + h * 4), 1, "hart {h} finished");
     }

@@ -143,7 +143,6 @@ pub(crate) fn reg_name(register: u16) -> String {
         reg::JOIN_DATA_B => "JOIN_DATA_B".into(),
         reg::JOIN_NNZ_A => "JOIN_NNZ_A".into(),
         reg::JOIN_NNZ_B => "JOIN_NNZ_B".into(),
-        reg::JOIN_COUNT => "JOIN_COUNT".into(),
         reg::ACC_CFG => "ACC_CFG".into(),
         reg::ACC_COUNT => "ACC_COUNT".into(),
         reg::ACC_FEED => "ACC_FEED".into(),
@@ -151,7 +150,6 @@ pub(crate) fn reg_name(register: u16) -> String {
         reg::ACC_DRAIN => "ACC_DRAIN".into(),
         reg::ACC_NNZ => "ACC_NNZ".into(),
         reg::ACC_STATUS => "ACC_STATUS".into(),
-        reg::ACC_CLEAR => "ACC_CLEAR".into(),
         reg::ACC_BUF_CAP => "ACC_BUF_CAP".into(),
         other => format!("reg {other}"),
     }
@@ -590,34 +588,19 @@ impl Interp<'_> {
                 sink(cfg_diag(pc, f));
                 return;
             }
-            let count_only = st.shadow_bit(0, reg::ACC_CFG, CfgShadow::acc_count_only);
-            if count_only == Bool3::Yes {
-                sink(cfg_diag(pc, CfgFault::CountModeDrain));
-                return;
-            }
-            if count_only == Bool3::No {
-                if let (Some(acc_cfg), Some(val_out), Some(idx_out)) = (
-                    st.cell(0, reg::ACC_CFG).constant(),
-                    st.cell(0, reg::ACC_VAL_OUT).constant(),
-                    value.constant(),
-                ) {
-                    let mut shadow = CfgShadow::default();
-                    shadow.write(reg::ACC_CFG, acc_cfg);
-                    shadow.write(reg::ACC_VAL_OUT, val_out);
-                    let spec = AccDrainSpec::from_shadow(&shadow, idx_out);
-                    if let Err(f) = caps.check_drain(false, &spec) {
-                        sink(cfg_diag(pc, f));
-                        return;
-                    }
+            if let (Some(acc_cfg), Some(val_out), Some(idx_out)) = (
+                st.cell(0, reg::ACC_CFG).constant(),
+                st.cell(0, reg::ACC_VAL_OUT).constant(),
+                value.constant(),
+            ) {
+                let mut shadow = CfgShadow::default();
+                shadow.write(reg::ACC_CFG, acc_cfg);
+                shadow.write(reg::ACC_VAL_OUT, val_out);
+                let spec = AccDrainSpec::from_shadow(&shadow, idx_out);
+                if let Err(f) = caps.check_drain(&spec) {
+                    sink(cfg_diag(pc, f));
+                    return;
                 }
-            }
-            st.spacc_active = Bool3::Yes;
-            return;
-        }
-        if lane == 0 && register == reg::ACC_CLEAR {
-            if let Err(f) = caps.check_spacc_present() {
-                sink(cfg_diag(pc, f));
-                return;
             }
             st.spacc_active = Bool3::Yes;
             return;
@@ -672,11 +655,6 @@ impl Interp<'_> {
         }
         if lane == 0 {
             match register {
-                reg::JOIN_COUNT => {
-                    if let Err(f) = caps.check_joiner_present() {
-                        sink(cfg_diag(pc, f));
-                    }
-                }
                 reg::ACC_NNZ => {
                     if let Err(f) = caps.check_spacc_present() {
                         sink(cfg_diag(pc, f));

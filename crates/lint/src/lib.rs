@@ -173,7 +173,6 @@ pub fn classify_cfg_fault(fault: &CfgFault) -> Decidability {
         | CfgFault::NoJoiner
         | CfgFault::NoSpAcc
         | CfgFault::ZeroCapacity
-        | CfgFault::CountModeDrain
         | CfgFault::NoIndirection { .. }
         | CfgFault::BadJoinerLaunch { .. }
         | CfgFault::MisalignedDrain { .. } => Decidability::Static,
@@ -283,7 +282,6 @@ mod tests {
             CfgFault::NoJoiner,
             CfgFault::NoSpAcc,
             CfgFault::ZeroCapacity,
-            CfgFault::CountModeDrain,
             CfgFault::NoIndirection { lane: 0 },
             CfgFault::BadJoinerLaunch { lane: 1 },
             CfgFault::MisalignedDrain { idx_out: 1, val_out: 4 },

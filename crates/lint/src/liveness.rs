@@ -63,10 +63,7 @@ fn unreachable_runs(program: &Program, cfg: &Cfg, diags: &mut Vec<Diagnostic>) {
 /// consumes shadow state rather than storing it.
 fn is_launch(register: u16, lane: u8) -> bool {
     is_pointer_reg(register)
-        || (lane == 0
-            && (register == reg::ACC_FEED
-                || register == reg::ACC_DRAIN
-                || register == reg::ACC_CLEAR))
+        || (lane == 0 && (register == reg::ACC_FEED || register == reg::ACC_DRAIN))
 }
 
 fn dead_cfg_writes(instrs: &[Instr], cfg: &Cfg, params: &CcParams, diags: &mut Vec<Diagnostic>) {

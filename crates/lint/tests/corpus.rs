@@ -13,8 +13,7 @@
 //! on data-dependent behaviour.
 
 use issr_core::cfg::{
-    acc_cfg_word, acc_count_cfg_word, cfg_addr, idx_cfg_word, join_cfg_word, reg as sreg,
-    JoinerMode,
+    acc_cfg_word, cfg_addr, idx_cfg_word, join_cfg_word, reg as sreg, JoinerMode,
 };
 use issr_core::fault::{StreamFault, StreamFaultKind, StreamUnit};
 use issr_core::lane::LaneKind;
@@ -179,20 +178,6 @@ fn corpus_zero_capacity_from_a_folded_division() {
 }
 
 #[test]
-fn corpus_count_mode_drain() {
-    let mut a = Assembler::new();
-    a.li(R::T0, i64::from(acc_count_cfg_word(IndexSize::U16)));
-    a.scfgwi(R::T0, cfg_addr(sreg::ACC_CFG, 0));
-    a.li_addr(R::T0, TCDM_BASE + 0x2000);
-    a.scfgwi(R::T0, cfg_addr(sreg::ACC_VAL_OUT, 0));
-    a.li_addr(R::T0, TCDM_BASE + 0x1000);
-    a.symbol("fault");
-    a.scfgwi(R::T0, cfg_addr(sreg::ACC_DRAIN, 0));
-    a.halt();
-    assert_cfg_agreement(a.finish().unwrap(), CcParams::sssr(), CfgFault::CountModeDrain);
-}
-
-#[test]
 fn corpus_no_indirection() {
     let mut a = Assembler::new();
     a.li(R::T0, i64::from(idx_cfg_word(IndexSize::U16, 0)));
@@ -285,18 +270,25 @@ fn corpus_port_conflict() {
     );
 }
 
-/// A count-only SpAcc feed of `count` distinct indices from `idx_base`,
-/// spinning on completion — the trap-path probe program.
-fn symbolic_feed_program(cap: u32, count: u32, idx_base: u32) -> Program {
+/// A SpAcc feed of `count` indices from `idx_base` whose values (1.0
+/// each) the FPU streams through `ft1`, spinning on completion — the
+/// trap-path probe program.
+fn value_feed_program(cap: u32, count: u32, idx_base: u32) -> Program {
     let mut a = Assembler::new();
-    a.li(R::T0, i64::from(acc_count_cfg_word(IndexSize::U16)));
+    a.li(R::T0, i64::from(acc_cfg_word(IndexSize::U16)));
     a.scfgwi(R::T0, cfg_addr(sreg::ACC_CFG, 0));
     a.li(R::T0, i64::from(cap));
     a.scfgwi(R::T0, cfg_addr(sreg::ACC_BUF_CAP, 0));
-    a.li(R::T0, i64::from(count));
-    a.scfgwi(R::T0, cfg_addr(sreg::ACC_COUNT, 0));
+    a.li(R::T2, i64::from(count));
+    a.scfgwi(R::T2, cfg_addr(sreg::ACC_COUNT, 0));
     a.li_addr(R::T0, idx_base);
     a.scfgwi(R::T0, cfg_addr(sreg::ACC_FEED, 0));
+    a.li(R::T0, 1);
+    a.fcvt_d_w(FpReg::FA0, R::T0);
+    a.csrsi(Csr::Ssr, 1);
+    a.addi(R::T2, R::T2, -1);
+    a.frep_outer(R::T2, 1, Stagger::NONE);
+    a.fmv_d(FpReg::FT1, FpReg::FA0);
     let spin = a.bind_label();
     a.scfgri(R::T1, cfg_addr(sreg::ACC_STATUS, 0));
     a.andi(R::T1, R::T1, 1);
@@ -313,7 +305,7 @@ fn corpus_overflow_is_runtime_only() {
         Decidability::RuntimeOnly
     );
     let idx_base = TCDM_BASE + 0x1000;
-    let program = symbolic_feed_program(cap, cap + 1, idx_base);
+    let program = value_feed_program(cap, cap + 1, idx_base);
     let mut sim = SingleCcSim::with_params(program.clone(), CcParams::sssr());
     let idcs: Vec<u16> = (0..=cap as u16).map(|i| i * 3).collect();
     sim.mem.array_mut().store_u16_slice(idx_base, &idcs);
@@ -329,7 +321,7 @@ fn corpus_unsorted_is_runtime_only() {
         Decidability::RuntimeOnly
     );
     let idx_base = TCDM_BASE + 0x1000;
-    let program = symbolic_feed_program(64, 3, idx_base);
+    let program = value_feed_program(64, 3, idx_base);
     let mut sim = SingleCcSim::with_params(program.clone(), CcParams::sssr());
     sim.mem.array_mut().store_u16_slice(idx_base, &[2, 9, 3]);
     assert_runtime_only(sim, &program, StreamUnit::SpAcc, |k| {
@@ -618,7 +610,6 @@ fn corpus_covers_the_classification_table() {
         CfgFault::NoJoiner,
         CfgFault::NoSpAcc,
         CfgFault::ZeroCapacity,
-        CfgFault::CountModeDrain,
         CfgFault::NoIndirection { lane: 0 },
         CfgFault::BadJoinerLaunch { lane: 1 },
         CfgFault::MisalignedDrain { idx_out: 0, val_out: 4 },

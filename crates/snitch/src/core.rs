@@ -49,8 +49,7 @@ pub enum TrapCause {
     PcOutOfRange,
     /// A malformed streamer configuration access (`scfgwi`/`scfgri`):
     /// nonexistent lane, joiner/SpAcc launch without that hardware, a
-    /// zero-capacity SpAcc feed, a drain in count-only mode, or a
-    /// misaligned drain output base.
+    /// zero-capacity SpAcc feed, or a misaligned drain output base.
     CfgFault(issr_core::CfgFault),
     /// A mid-stream fault latched by a stream unit while a job was
     /// running: SpAcc row-buffer overflow or unsorted feed, a stalled

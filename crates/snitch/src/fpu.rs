@@ -587,6 +587,11 @@ impl FpuSubsystem {
     }
 }
 
+/// `fdiv.d` result latency in cycles. No kernel divides, so the latency
+/// is the FPU's constant, not a [`CcParams`] field.
+const FDIV_LATENCY: u64 = 12;
+const _: () = assert!(FDIV_LATENCY > CcParams::paper().fpu_latency); // gate-allow: compile time
+
 /// The FP arithmetic: the result bits and latency of `instr` from its
 /// source values (slots 1–3) and its captured integer operand `aux`.
 /// The result of a compare or `fcvt.w.d` is an integer; `fsd`'s is the
@@ -605,7 +610,7 @@ fn execute(instr: Instr, [a, b, c]: [u64; 3], aux: u32, p: &CcParams) -> (u64, u
             FpOp2::FaddD => fp(x + y, p.fpu_latency),
             FpOp2::FsubD => fp(x - y, p.fpu_latency),
             FpOp2::FmulD => fp(x * y, p.fpu_latency),
-            FpOp2::FdivD => fp(x / y, p.fdiv_latency),
+            FpOp2::FdivD => fp(x / y, FDIV_LATENCY),
             FpOp2::FsgnjD => fp(x.copysign(y), p.fpu_short_latency),
             FpOp2::FsgnjnD => fp(x.copysign(-y), p.fpu_short_latency),
             FpOp2::FsgnjxD => {

@@ -15,8 +15,6 @@ use issr_core::HwCaps;
 pub struct CcParams {
     /// `fmadd.d`/`fadd.d`/`fmul.d` result latency in cycles.
     pub fpu_latency: u64,
-    /// `fdiv.d` result latency in cycles.
-    pub fdiv_latency: u64,
     /// Latency of FP moves, sign-injections, comparisons, conversions.
     pub fpu_short_latency: u64,
     /// Integer multiplier latency (shared unit, contention not modelled).
@@ -40,10 +38,9 @@ impl CcParams {
     /// The paper's core complex: one SSR and one ISSR lane
     /// ([`HwCaps::PAPER`]).
     #[must_use]
-    pub fn paper() -> Self {
+    pub const fn paper() -> Self {
         Self {
             fpu_latency: 4,
-            fdiv_latency: 12,
             fpu_short_latency: 2,
             mul_latency: 3,
             div_latency: 20,
@@ -78,6 +75,5 @@ mod tests {
         assert!(p.fpu_latency >= 1);
         assert!(p.offload_depth >= 2);
         assert!(p.frep_buffer >= 1);
-        assert!(p.fdiv_latency > p.fpu_latency);
     }
 }

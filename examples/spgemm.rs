@@ -63,9 +63,7 @@ fn main() {
     assert_eq!(cluster.c.ptr(), expect.ptr(), "device-computed row pointer matches the oracle");
     assert_eq!(cluster.c.idcs(), expect.idcs());
     let active = cluster.summary.spacc_stats.iter().filter(|s| s.drains > 0).count();
-    let count_feeds: u64 = cluster.summary.spacc_stats.iter().map(|s| s.count_feeds).sum();
     let overlap: u64 = cluster.summary.spacc_stats.iter().map(|s| s.overlap_cycles).sum();
-    assert_eq!(count_feeds, 0, "the offsets are chained without a counting pass");
     println!(
         "\ncluster (device-owned alloc, one pass): {} cycles across 8 workers \
          ({active} SpAcc units active, {overlap} drain/feed overlap cycles)",
